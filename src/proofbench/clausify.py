@@ -385,18 +385,23 @@ def clausal_problem(problem: Problem,
             start_ids.update(c.clause_id for c in form.clauses)
         any_eq = any_eq or uses_equality(af.formula)
     if any_eq:
-        sig = set()
-        for c in clauses:
-            for lit in c.literals:
-                if isinstance(lit.atom, Atom):
-                    sig.add((lit.atom.pred, "predicate", len(lit.atom.args)))
-                for t in lit.args:
-                    sig.update(_term_signature(t))
-        clauses.extend(equality_axioms(sig))
+        clauses.extend(equality_axioms(clause_signature(clauses)))
     if not start_ids:
         # no conjecture: all-negative clauses are the start candidates
         start_ids = {c.clause_id for c in clauses if c.is_negative()}
     return ClauseSet(tuple(clauses), frozenset(start_ids), forms)
+
+
+def clause_signature(clauses) -> set:
+    """(symbol, kind, arity) of every predicate and function in `clauses`."""
+    sig = set()
+    for c in clauses:
+        for lit in c.literals:
+            if isinstance(lit.atom, Atom):
+                sig.add((lit.atom.pred, "predicate", len(lit.atom.args)))
+            for t in lit.args:
+                sig.update(_term_signature(t))
+    return sig
 
 
 def _term_signature(t) -> set:

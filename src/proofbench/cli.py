@@ -16,7 +16,7 @@ import os
 import sys
 
 from .generator import FAMILIES, generate_corpus
-from .guidance import GuidanceConfig, measure_speedup
+from .guidance import measure_speedup
 from .harness import (
     ExperimentSpec, report, run_challenge, run_library, run_reprove,
     run_traintest, verify_run,
@@ -51,8 +51,6 @@ def _loop_config(args) -> LoopConfig:
         kw["guidance"] = True
     if getattr(args, "no_learning", False):
         kw["learning"] = False
-    if getattr(args, "seed", None) is not None:
-        kw["seed"] = args.seed
     return LoopConfig(**kw)
 
 
@@ -63,8 +61,6 @@ def _spec(args, mode: str) -> ExperimentSpec:
         problems=getattr(args, "problems", "") or "",
         out_dir=args.out,
         split=getattr(args, "split", "") or "",
-        seed=getattr(args, "seed", 0) or 0,
-        deterministic=not getattr(args, "wall_clock", None),
         workers=getattr(args, "workers", 1) or 1,
         per_problem_budget=getattr(args, "budget", None) or 20000,
         time_budget=getattr(args, "wall_clock", None),
@@ -79,7 +75,8 @@ def _add_common(p, corpus=True):
     if corpus:
         p.add_argument("--corpus", required=True, help="corpus directory")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted and ignored: runs are deterministic")
     p.add_argument("--depth", type=int, default=10, help="max tableau path depth")
     p.add_argument("--max-domain", type=int, default=3, dest="max_domain",
                    help="model finder domain cap")
@@ -194,7 +191,6 @@ def cmd_report(args) -> int:
 
 def cmd_speedup(args) -> int:
     from .clausify import clausal_problem
-    from .fol import make_problem
     from .parser import parse_problem_file
 
     paths = sorted(fn for fn in os.listdir(args.problems) if fn.endswith(".p"))

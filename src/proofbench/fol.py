@@ -381,14 +381,6 @@ def literal_vars(lit: Literal) -> Iterator[str]:
         yield from term_vars(a)
 
 
-def subst_literal(lit: Literal, mapping: dict) -> Literal:
-    if isinstance(lit.atom, Eq):
-        return Literal(lit.positive, Eq(subst_term(lit.atom.lhs, mapping),
-                                        subst_term(lit.atom.rhs, mapping)))
-    return Literal(lit.positive,
-                   Atom(lit.atom.pred, tuple(subst_term(a, mapping) for a in lit.atom.args)))
-
-
 @dataclass(frozen=True)
 class Clause:
     """Disjunction of literals; variables implicitly universal."""

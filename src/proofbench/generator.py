@@ -98,13 +98,8 @@ def _gen_chain(root: str, size: int, prefix: str = "p", const: str = "c",
 
 def _gen_group(root: str, size: int, tag: str = "") -> list:
     """Left identity + left inverse, then instance/symmetry/transitivity lemmas."""
-    records = []
     ident = f"{tag}ident"
     inv = f"{tag}inv"
-    records.append((ident, _write_item(root, ident, "axiom",
-                                       "![X]: mult(e,X) = X"), []))
-    records.append((inv, _write_item(root, inv, "axiom",
-                                     "![X]: mult(inv(X),X) = e"), []))
     consts = ["c", "d", "g", "h"]
     templates = [
         # (suffix, formula pattern, references)
@@ -114,16 +109,18 @@ def _gen_group(root: str, size: int, tag: str = "") -> list:
         ("sym", "{c} = mult(e,{c})", [ident]),
         ("trans", "mult(e,mult(inv({c}),{c})) = e", [ident, inv]),
     ]
-    i = 0
-    while len(records) < size:
-        c = consts[(i // len(templates)) % len(consts)]
+    most = 2 + len(consts) * len(templates)
+    if size > most:
+        raise GeneratorError(f"the group family has at most {most} items, "
+                             f"not {size}")
+    records = [(ident, _write_item(root, ident, "axiom", "![X]: mult(e,X) = X"), []),
+               (inv, _write_item(root, inv, "axiom", "![X]: mult(inv(X),X) = e"), [])]
+    for i in range(size - len(records)):
+        c = consts[i // len(templates)]
         suffix, pattern, refs = templates[i % len(templates)]
         name = f"{tag}lem_{c}_{suffix}"
-        if any(r[0] == name for r in records):
-            break
         records.append((name, _write_item(root, name, "conjecture",
                                           pattern.format(c=c)), list(refs)))
-        i += 1
     return records
 
 

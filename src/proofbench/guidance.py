@@ -14,7 +14,6 @@ attempts, never mid-search.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -227,54 +226,3 @@ def measure_speedup(problems, limits, train_count: int | None = None,
         "solved_both": len(ratios),
         "trained_examples": guide_model.total_examples,
     }
-
-
-# ---------------------------------------------------------------------------
-# Wire format for an out-of-process advisor (length-prefixed text records)
-
-
-def _encode(kind: str, payload: dict) -> bytes:
-    body = (kind + " " + json.dumps(payload, sort_keys=True)).encode("utf-8")
-    return str(len(body)).encode("ascii") + b"\n" + body
-
-
-def _decode(data: bytes) -> tuple:
-    head, _, rest = data.partition(b"\n")
-    n = int(head)
-    body = rest[:n].decode("utf-8")
-    kind, _, payload = body.partition(" ")
-    return kind, json.loads(payload), rest[n:]
-
-
-def encode_query(query: StateQuery, candidates) -> bytes:
-    return _encode("query", {
-        "branch": list(map(list, query.branch_symbols)),
-        "goal": query.goal,
-        "depth": query.depth,
-        "problem": query.problem_id,
-        "candidates": list(candidates),
-    })
-
-
-def decode_query(data: bytes) -> tuple:
-    kind, payload, rest = _decode(data)
-    if kind != "query":
-        raise ValueError(f"expected query record, got {kind!r}")
-    query = StateQuery(tuple((f, w) for f, w in payload["branch"]),
-                       payload["goal"], payload["depth"], payload["problem"])
-    return query, list(payload["candidates"]), rest
-
-
-def encode_advice(advice: Advice) -> bytes:
-    return _encode("advice", {
-        "id": advice.advice_id,
-        "ranking": [[cid, s] for cid, s in advice.ranking],
-    })
-
-
-def decode_advice(data: bytes) -> tuple:
-    kind, payload, rest = _decode(data)
-    if kind != "advice":
-        raise ValueError(f"expected advice record, got {kind!r}")
-    return Advice(tuple((cid, s) for cid, s in payload["ranking"]),
-                  payload["id"]), rest

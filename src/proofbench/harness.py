@@ -13,33 +13,36 @@ Four experiment shapes over generated corpora:
   traintest  learner trained on a declared train split only, test split
              evaluated with no further training.
 
-Results are append-only JSON lines; `verify` replays every stored proof
-through the independent checker.  Deterministic mode (the default) uses
-inference budgets only, so identical spec and seed give byte-identical
-structured output.
+Every mode runs its attempts through `loop.attempt`, and all but reprove
+schedule them with `loop.walk_ladder`; a mode supplies only its ranking
+policy and problem builder.  Results are append-only JSON lines in one
+schema (`loop.Attempt`); `verify` replays every stored proof through the
+independent checker.  Deterministic mode (the default) uses inference
+budgets only, so an identical spec gives byte-identical structured
+output.
 """
 from __future__ import annotations
 
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 from .checker import check_proof
 from .clausify import clausal_problem
-from .corpus import Corpus, CorpusError, load_corpus, load_split
-from .features import combine, semantic_features, structural_features, symbol_features
+from .corpus import load_corpus, load_split
+from .features import combine, structural_features, symbol_features
 from .fol import make_problem
 from .learner import BayesModel, rank_premises, train_incremental
 from .loop import (
-    LoopConfig, LoopState, ClausalCache, assemble_problem, corpus_premises_used,
-    fixpoint_report, item_features, run_loop, write_run_dir,
+    Attempt, LoopConfig, attempt, corpus_problems, fixpoint_report,
+    item_features, prove_checked, run_loop, tally, walk_ladder, write_run_dir,
 )
 from .models import ModelStore, model_to_text
 from .parser import parse_problem_file
-from .prover import (
-    COUNTER_SATISFIABLE, Limits, PROVED, proof_from_text, proof_to_text, prove,
-)
+# `prove` is bound here as well as in `loop` because perfbench/layers.py
+# traces every module binding a caller can go through
+from .prover import Limits, proof_from_text, proof_to_text, prove  # noqa: F401
 
 MODES = ("reprove", "library", "challenge", "traintest")
 
@@ -55,8 +58,6 @@ class ExperimentSpec:
     problems: str = ""
     out_dir: str = ""
     split: str = ""
-    seed: int = 0
-    deterministic: bool = True
     workers: int = 1
     per_problem_budget: int = 20000
     time_budget: float | None = None    # wall-clock mode only
@@ -76,58 +77,70 @@ class ExperimentSpec:
             raise HarnessError("traintest mode requires a split file")
 
 
-@dataclass
-class ResultRecord:
-    item: str
-    mode: str
-    status: str
-    inferences: int
-    premises_given: tuple
-    premises_used: tuple = ()
-    proof_file: str = ""
-    model_file: str = ""
-    config: str = ""
-
-    def to_json(self) -> str:
-        d = asdict(self)
-        d["premises_given"] = list(d["premises_given"])
-        d["premises_used"] = list(d["premises_used"])
-        return json.dumps(d, sort_keys=True)
-
-
-def _ensure_out(spec: ExperimentSpec) -> str:
+def _out_dir(spec: ExperimentSpec) -> str:
     out = spec.out_dir
     if not out:
         raise HarnessError("no output directory given")
     root = os.environ.get("PROOFBENCH_OUTPUT_ROOT", "")
     if root and not os.path.isabs(out):
         out = os.path.join(root, out)
-    os.makedirs(out, exist_ok=True)
-    os.makedirs(os.path.join(out, "proofs"), exist_ok=True)
-    os.makedirs(os.path.join(out, "models"), exist_ok=True)
     return out
 
 
-def _write_spec(out: str, spec: ExperimentSpec) -> None:
-    blob = asdict(spec)
-    blob["loop"] = {k: (list(v) if isinstance(v, tuple) else v)
-                    for k, v in blob["loop"].items()}
+def _write_spec(out: str, blob: dict) -> None:
+    """config.json, with the input directory made absolute so that the
+    run can be verified from any working directory."""
+    blob = dict(blob)
+    for key in ("corpus", "problems"):
+        if blob.get(key):
+            blob[key] = os.path.abspath(blob[key])
     with open(os.path.join(out, "config.json"), "w", encoding="utf-8") as fh:
         json.dump(blob, fh, sort_keys=True, indent=1)
 
 
 class _RecordWriter:
-    """Append-and-flush per record so interrupted runs stay auditable."""
+    """The run-directory writer: config.json, results.jsonl appended and
+    flushed per record so interrupted runs stay auditable, and the proofs
+    and countermodels stored as each attempt happens.
 
-    def __init__(self, out: str):
+    A library run opens one writer per configuration inside the top-level
+    one (`parent`); each record then goes to both results.jsonl files,
+    artifact paths stay relative to the top-level directory, and the
+    top-level writer stores no artifacts (`artifacts=False`).
+    """
+
+    def __init__(self, out: str, blob: dict, parent=None, artifacts=True):
+        os.makedirs(out, exist_ok=True)
+        _write_spec(out, blob)
+        if artifacts:
+            for sub in ("proofs", "models"):
+                os.makedirs(os.path.join(out, sub), exist_ok=True)
+        self.out = out
+        self.prefix = os.path.relpath(out, parent.out) if parent else ""
         self.fh = open(os.path.join(out, "results.jsonl"), "w", encoding="utf-8")
+        self.files = [self.fh] + (parent.files if parent else [])
+        self.models = 0
 
-    def write(self, record: ResultRecord) -> None:
-        self.fh.write(record.to_json() + "\n")
-        self.fh.flush()
+    def __enter__(self):
+        return self
 
-    def close(self) -> None:
+    def __exit__(self, *_exc):
         self.fh.close()
+
+    def write(self, record: Attempt) -> None:
+        line = record.to_json() + "\n"
+        for fh in self.files:
+            fh.write(line)
+            fh.flush()
+
+    def store_proof(self, item: str, proof, premises_given) -> str:
+        return os.path.join(self.prefix,
+                            _store_proof(self.out, item, proof, premises_given))
+
+    def store_model(self, model) -> str:
+        rel = _store_model(self.out, self.models, model)
+        self.models += 1
+        return os.path.join(self.prefix, rel)
 
 
 def _store_proof(out: str, item: str, proof, premises_given) -> str:
@@ -145,74 +158,55 @@ def _store_model(out: str, idx: int, model) -> str:
     return rel
 
 
+def _keep_every(_model, _record) -> bool:
+    return True
+
+
+def _one_config(mode: str, name: str, records, **extra) -> dict:
+    """Results of a mode that runs a single configuration."""
+    counts = tally(name, records)
+    return {"mode": mode, "configs": [counts],
+            "solved": {name: counts["solved_items"]}, **extra}
+
+
 # ---------------------------------------------------------------------------
 # reprove
 
 
-def _reprove_one(args):
-    item_name, premises, conjecture, budget, depth, domain, time_budget = args
-    problem = make_problem(premises + [conjecture])
-    cs = clausal_problem(problem)
-    res = prove(cs, Limits(inference_budget=budget, max_depth=depth,
-                           time_budget=time_budget),
-                model_max_domain=domain, problem_id=item_name)
-    ok = res.status != PROVED or check_proof(res.proof, cs)
-    return res, ok
+def _reprove_one(job):
+    item_name, formulas, limits, domain = job
+    return prove_checked(clausal_problem(make_problem(formulas)), limits,
+                         domain, item_name)
 
 
 def run_reprove(spec: ExperimentSpec) -> dict:
-    """One prover call per theorem with exactly its reference premises."""
-    out = _ensure_out(spec)
-    _write_spec(out, spec)
+    """One prover call per theorem with exactly its reference premises.
+
+    With several workers only proving and checking run in the pool;
+    records and artifacts are written here, in job order.
+    """
+    out = _out_dir(spec)
     corpus = load_corpus(spec.corpus)
     by_name = {item.name: item for item in corpus.items}
-    corpus_names = set(by_name)
-    jobs = []
+    limits = Limits(inference_budget=spec.per_problem_budget,
+                    max_depth=spec.max_depth, time_budget=spec.time_budget)
+    records, jobs = [], []
     for _i, item in corpus.theorems():
-        premises = [by_name[r].as_axiom() for r in item.reference_premises]
-        jobs.append((item.name, premises, item.as_conjecture(),
-                     spec.per_problem_budget, spec.max_depth,
-                     spec.model_max_domain, spec.time_budget))
-    if spec.workers > 1:
-        pool = ProcessPoolExecutor(max_workers=spec.workers)
-        outcomes = pool.map(_reprove_one, jobs)
-    else:
-        pool = None
-        outcomes = map(_reprove_one, jobs)
-
-    records = []
-    writer = _RecordWriter(out)
-    model_idx = 0
-    solved = set()
-    for (item_name, premises, *_rest), (res, check_ok) in zip(jobs, outcomes):
-        if not check_ok:
-            raise HarnessError(f"proof for {item_name} failed independent checking")
-        proof_file = model_file = ""
-        used = ()
-        if res.status == PROVED:
-            solved.add(item_name)
-            used = corpus_premises_used(res.proof, item_name, corpus_names)
-            proof_file = _store_proof(out, item_name, res.proof,
-                                      [p.name for p in premises])
-        elif res.status == COUNTER_SATISFIABLE and res.model is not None:
-            model_file = _store_model(out, model_idx, res.model)
-            model_idx += 1
-        record = ResultRecord(
-            item_name, "reprove", res.status, res.stats.inferences,
-            tuple(p.name for p in premises), used, proof_file, model_file,
-            config="reprove")
-        records.append(record)
-        writer.write(record)
-    writer.close()
-    if pool is not None:
-        pool.shutdown()
-    results = {
-        "mode": "reprove",
-        "configs": [_tally("reprove", records)],
-        "solved": {"reprove": sorted(solved)},
-    }
-    _finish(out, results)
-    return results
+        given = tuple(item.reference_premises)
+        records.append(Attempt("reprove", 1, item.name, len(given),
+                               spec.per_problem_budget, given))
+        jobs.append((item.name, [by_name[r].as_axiom() for r in given]
+                     + [item.as_conjecture()], limits, spec.model_max_domain))
+    pool = ProcessPoolExecutor(max_workers=spec.workers) if spec.workers > 1 else None
+    try:
+        outcomes = (pool.map if pool else map)(_reprove_one, jobs)
+        with _RecordWriter(out, asdict(spec)) as writer:
+            for record, res in zip(records, outcomes):
+                attempt(record, result=res, writer=writer, keep_model=_keep_every)
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    return _finish(out, _one_config("reprove", "reprove", records))
 
 
 # ---------------------------------------------------------------------------
@@ -221,51 +215,24 @@ def run_reprove(spec: ExperimentSpec) -> dict:
 
 def run_library(spec: ExperimentSpec) -> dict:
     """Full loop with learning, plus the recency baseline for comparison."""
-    out = _ensure_out(spec)
-    _write_spec(out, spec)
+    out = _out_dir(spec)
     corpus = load_corpus(spec.corpus)
-    corpus_names = {item.name for item in corpus.items}
-
     configs = [("learning", spec.loop)]
     if spec.baseline:
-        base_cfg = LoopConfig(**{**_cfg_dict(spec.loop), "learning": False,
-                                 "semantic": False})
-        configs.append(("recency", base_cfg))
-
-    writer = _RecordWriter(out)
+        configs.append(("recency", replace(spec.loop, learning=False,
+                                           semantic=False)))
     results = {"mode": "library", "configs": [], "solved": {}, "reports": {}}
-    for config_name, cfg in configs:
-        sub = os.path.join(out, config_name)
-        os.makedirs(sub, exist_ok=True)
-        config_records = []
-
-        def stream(attempt, _res, _name=config_name, _sink=config_records):
-            proof_file = model_file = ""
-            if attempt.status == PROVED:
-                proof_file = os.path.join(_name, "proofs", f"{attempt.item}.proof")
-            if attempt.model_index is not None:
-                model_file = os.path.join(_name, "models",
-                                          f"{attempt.model_index}.model")
-            record = ResultRecord(
-                attempt.item, "library", attempt.status, attempt.inferences,
-                attempt.premises_given, attempt.premises_used,
-                proof_file, model_file, config=_name)
-            _sink.append(record)
-            writer.write(record)
-
-        state = run_loop(corpus, cfg, on_attempt=stream)
-        write_run_dir(sub, state, corpus, cfg)
-        results["reports"][config_name] = fixpoint_report(state, corpus)
-        results["configs"].append(_tally(config_name, config_records,
-                                         solved=set(state.solved)))
-        results["solved"][config_name] = sorted(state.solved)
-    writer.close()
-    _finish(out, results)
-    return results
-
-
-def _cfg_dict(cfg: LoopConfig) -> dict:
-    return {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}
+    with _RecordWriter(out, asdict(spec), artifacts=False) as top:
+        for config_name, cfg in configs:
+            sub = os.path.join(out, config_name)
+            blob = {"corpus": spec.corpus, "config": asdict(cfg)}
+            with _RecordWriter(sub, blob, parent=top) as writer:
+                state = run_loop(corpus, cfg, writer, config_name)
+            write_run_dir(sub, state, corpus, cfg)
+            results["reports"][config_name] = fixpoint_report(state, corpus)
+            results["configs"].append(tally(config_name, state.attempts))
+            results["solved"][config_name] = sorted(state.solved)
+    return _finish(out, results)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +244,10 @@ def run_challenge(spec: ExperimentSpec) -> dict:
 
     Problems are standalone files; the learner ranks each problem's own
     axioms by the conjecture's features, labels being axiom names, which
-    near-duplicate batches share.
+    near-duplicate batches share.  Without learning, or before the first
+    proof, axioms keep file order.
     """
-    out = _ensure_out(spec)
-    _write_spec(out, spec)
+    out = _out_dir(spec)
     problem_dir = spec.problems or spec.corpus
     paths = sorted(fn for fn in os.listdir(problem_dir) if fn.endswith(".p"))
     problems = []
@@ -290,70 +257,42 @@ def run_challenge(spec: ExperimentSpec) -> dict:
             raise HarnessError(f"{fn}: challenge problems need a conjecture")
         problems.append((fn[:-2], problem))
 
-    cfg = spec.loop
-    learning = cfg.learning
+    cfg = replace(spec.loop, max_depth=spec.max_depth,
+                  model_max_domain=spec.model_max_domain,
+                  time_budget=spec.time_budget)
+    name = "learning" if cfg.learning else "fixed-order"
     model = BayesModel(sigma=cfg.sigma)
-    budget_left = cfg.total_inference_budget
-    solved: dict = {}
-    records = []
-    writer = _RecordWriter(out)
-    model_idx = 0
+    features: dict = {}      # pid -> conjecture features of its latest attempt
 
-    for rung_idx, k in enumerate(cfg.axiom_ladder):
-        per_budget = cfg.attempt_budgets[min(rung_idx, len(cfg.attempt_budgets) - 1)]
-        for pid, problem in problems:
-            if pid in solved:
-                continue
-            if budget_left is not None and budget_left <= 0:
-                break
-            conj = problem.conjecture
-            axioms = [af for af in problem.formulas if af.role != "conjecture"]
-            feats = combine(symbol_features(conj.formula),
-                            structural_features(conj.formula, cfg.str_depth))
-            names = [af.name for af in axioms]
-            if learning and model.total_examples > 0:
-                ranked = [n for n, _s in rank_premises(model, feats, names)]
-            else:
-                ranked = names
-            chosen = set(ranked[:k])
-            pruned = [af for af in axioms if af.name in chosen] + [conj]
-            cs = clausal_problem(make_problem(pruned))
-            budget = per_budget if budget_left is None else min(per_budget, budget_left)
-            res = prove(cs, Limits(inference_budget=budget,
-                                   max_depth=spec.max_depth,
-                                   time_budget=spec.time_budget),
-                        model_max_domain=spec.model_max_domain, problem_id=pid)
-            if budget_left is not None:
-                budget_left -= res.stats.inferences
-            proof_file = model_file = ""
-            used = ()
-            if res.status == PROVED:
-                if not check_proof(res.proof, cs):
-                    raise HarnessError(f"proof for {pid} failed checking")
-                used = tuple(sorted(set(res.proof.used_premises) & set(names)))
-                solved[pid] = res
-                proof_file = _store_proof(out, pid, res.proof, sorted(chosen))
-                if learning:
-                    train_incremental(model, feats, used)
-            elif res.status == COUNTER_SATISFIABLE and res.model is not None:
-                model_file = _store_model(out, model_idx, res.model)
-                model_idx += 1
-            record = ResultRecord(
-                pid, "challenge", res.status, res.stats.inferences,
-                tuple(sorted(chosen)), used, proof_file, model_file,
-                config="learning" if learning else "fixed-order")
-            records.append(record)
-            writer.write(record)
-    writer.close()
-    name = "learning" if learning else "fixed-order"
-    results = {
-        "mode": "challenge",
-        "configs": [_tally(name, records, solved=set(solved))],
-        "solved": {name: sorted(solved)},
-        "budget_left": budget_left,
-    }
-    _finish(out, results)
-    return results
+    def select(pid, problem, k) -> tuple:
+        conj = problem.conjecture.formula
+        features[pid] = combine(symbol_features(conj),
+                                structural_features(conj, cfg.str_depth))
+        names = [af.name for af in problem.formulas if af.role != "conjecture"]
+        if cfg.learning and model.total_examples > 0:
+            names = [n for n, _s in rank_premises(model, features[pid], names)]
+        return tuple(sorted(names[:k]))
+
+    def build(_pid, problem, chosen):
+        keep = set(chosen)
+        pruned = [af for af in problem.formulas
+                  if af.role != "conjecture" and af.name in keep]
+        return clausal_problem(make_problem(pruned + [problem.conjecture]))
+
+    def learn(pid, record) -> None:
+        if cfg.learning:
+            train_incremental(model, features[pid], record.premises_used)
+
+    records: list = []
+    with _RecordWriter(out, asdict(spec)) as writer:
+        spent, _ran_out = walk_ladder(
+            problems, cfg, select, build, records, {}, name=name,
+            budget_left=cfg.total_inference_budget, writer=writer,
+            keep_model=_keep_every, on_proved=learn)
+    budget_left = cfg.total_inference_budget
+    return _finish(out, _one_config(
+        "challenge", name, records,
+        budget_left=None if budget_left is None else budget_left - spent))
 
 
 # ---------------------------------------------------------------------------
@@ -361,80 +300,52 @@ def run_challenge(spec: ExperimentSpec) -> dict:
 
 
 def run_traintest(spec: ExperimentSpec) -> dict:
-    """Train on the declared train split only, then evaluate the test split."""
-    out = _ensure_out(spec)
-    _write_spec(out, spec)
+    """Train on the declared train split only, then evaluate the test split.
+
+    The frozen model ranks each test item's eligible non-test premises
+    once; the shared inference budget does not apply.
+    """
+    out = _out_dir(spec)
     corpus = load_corpus(spec.corpus)
     train_names, test_names = load_split(spec.split, corpus)
     train_set, test_set = set(train_names), set(test_names)
-    corpus_names = {item.name for item in corpus.items}
-    cfg = spec.loop
+    cfg = replace(spec.loop, time_budget=spec.time_budget)
 
-    store = ModelStore()
     model = BayesModel(sigma=cfg.sigma)
-    feature_cache = {item.name: item_features(item, cfg, store)
+    feature_cache = {item.name: item_features(item, cfg, ModelStore())
                      for item in corpus.items}
-
     # training phase: declared reference proofs of the train split
     for _i, item in corpus.theorems():
         if item.name in train_set:
             train_incremental(model, feature_cache[item.name],
                               item.reference_premises)
     trained_examples = model.total_examples
+    ranking: dict = {}
 
-    clausifier = ClausalCache(cfg.definitional_threshold)
-    records = []
-    writer = _RecordWriter(out)
-    solved = set()
-    for i, item in corpus.theorems():
-        if item.name not in test_set:
-            continue
-        assert model.total_examples == trained_examples, \
-            "test evaluation must not train"
-        eligible = [p for p in corpus.eligible(i) if p.name not in test_set]
-        names = [p.name for p in eligible]
-        if model.total_examples > 0:
-            ranked = [n for n, _s in rank_premises(
-                model, feature_cache[item.name], names)]
-        else:
-            ranked = list(reversed(names))
-        solved_here = False
-        for rung_idx, k in enumerate(cfg.axiom_ladder):
-            budget = cfg.attempt_budgets[min(rung_idx, len(cfg.attempt_budgets) - 1)]
-            chosen = ranked[:k]
-            premise_items = [p for p in eligible if p.name in set(chosen)]
-            cs = assemble_problem(item, premise_items, clausifier)
-            res = prove(cs, Limits(inference_budget=budget,
-                                   max_depth=cfg.max_depth,
-                                   time_budget=spec.time_budget),
-                        model_max_domain=cfg.model_max_domain,
-                        problem_id=item.name)
-            proof_file = ""
-            used = ()
-            if res.status == PROVED:
-                if not check_proof(res.proof, cs):
-                    raise HarnessError(f"proof for {item.name} failed checking")
-                used = corpus_premises_used(res.proof, item.name, corpus_names)
-                proof_file = _store_proof(out, item.name, res.proof, chosen)
-                solved_here = True
-            record = ResultRecord(
-                item.name, "traintest", res.status, res.stats.inferences,
-                tuple(chosen), used, proof_file, config="traintest")
-            records.append(record)
-            writer.write(record)
-            if solved_here:
-                solved.add(item.name)
-                break
-    writer.close()
-    results = {
-        "mode": "traintest",
-        "configs": [_tally("traintest", records, solved=solved)],
-        "solved": {"traintest": sorted(solved)},
-        "train_size": len(train_names),
-        "test_size": len(test_names),
-    }
-    _finish(out, results)
-    return results
+    def select(name, entry, k) -> tuple:
+        if name not in ranking:
+            assert model.total_examples == trained_examples, \
+                "test evaluation must not train"
+            names = [p.name for p in corpus.eligible(entry[0])
+                     if p.name not in test_set]
+            if model.total_examples > 0:
+                names = [n for n, _s in rank_premises(
+                    model, feature_cache[name], names)]
+            else:
+                names.reverse()
+            ranking[name] = names
+        return tuple(ranking[name][:k])
+
+    entries = [(item.name, (i, item)) for i, item in corpus.theorems()
+               if item.name in test_set]
+    records: list = []
+    with _RecordWriter(out, asdict(spec)) as writer:
+        walk_ladder(entries, cfg, select,
+                    corpus_problems(corpus, cfg.definitional_threshold),
+                    records, {}, name="traintest", writer=writer)
+    return _finish(out, _one_config("traintest", "traintest", records,
+                                    train_size=len(train_names),
+                                    test_size=len(test_names)))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +354,7 @@ def run_traintest(spec: ExperimentSpec) -> dict:
 
 def verify_run(run_dir: str) -> dict:
     """Re-check every stored proof in a run directory, independently."""
-    cfg_path = os.path.join(run_dir, "config.json")
+    corpus_root = _corpus_of(os.path.join(run_dir, "config.json"))
     checked = failed = 0
     failures = []
     for dirpath, _dirs, files in os.walk(run_dir):
@@ -452,7 +363,6 @@ def verify_run(run_dir: str) -> dict:
                 continue
             path = os.path.join(dirpath, fn)
             item, premises, proof = _read_proof_file(path)
-            corpus_root = _corpus_of(cfg_path)
             if corpus_root is None:
                 failures.append((path, "no corpus recorded in config.json"))
                 failed += 1
@@ -491,12 +401,7 @@ _corpus_cache: dict = {}
 
 def _corpus_of(cfg_path: str):
     if not os.path.exists(cfg_path):
-        # library sub-runs keep config one level up
-        up = os.path.join(os.path.dirname(os.path.dirname(cfg_path)), "config.json")
-        if os.path.exists(up):
-            cfg_path = up
-        else:
-            return None
+        return None
     with open(cfg_path, encoding="utf-8") as fh:
         blob = json.load(fh)
     root = blob.get("corpus") or blob.get("problems")
@@ -525,28 +430,6 @@ def _rebuild_problem(corpus_root: str, item: str, premises):
 # report tables
 
 
-def _tally(name: str, records, solved=None) -> dict:
-    if solved is None:
-        solved = {r.item for r in records if r.status == PROVED}
-    items = {r.item for r in records}
-    by_item: dict = {}
-    rank = {"proved": 2, "counter_satisfiable": 1}
-    for r in records:
-        if rank.get(r.status, 0) > rank.get(by_item.get(r.item), -1):
-            by_item[r.item] = r.status
-    return {
-        "name": name,
-        "proved": sum(1 for s in by_item.values() if s == "proved"),
-        "counter_satisfiable": sum(1 for s in by_item.values()
-                                   if s == "counter_satisfiable"),
-        "timeout_or_inference_out": sum(
-            1 for s in by_item.values()
-            if s not in ("proved", "counter_satisfiable")),
-        "total": len(items),
-        "solved_items": sorted(solved),
-    }
-
-
 def report(results: dict) -> str:
     """Four-column table per configuration plus the union ("together") row."""
     configs = results.get("configs", [])
@@ -555,11 +438,8 @@ def report(results: dict) -> str:
     rows = [[c["name"], c["proved"], c["counter_satisfiable"],
              c["timeout_or_inference_out"], c["total"]] for c in configs]
     if len(configs) > 1:
-        union: set = set()
         total = max((c["total"] for c in configs), default=0)
-        for c in configs:
-            union |= set(c["solved_items"])
-        rows.append(["together", len(union), "-", "-", total])
+        rows.append(["together", together_count(configs), "-", "-", total])
     widths = [max(len(str(x)) for x in [header[i]] + [r[i] for r in rows])
               for i in range(len(header))]
     lines = ["  ".join(str(h).ljust(w) for h, w in zip(header, widths))]
@@ -587,9 +467,10 @@ def together_count(configs) -> int:
     return len(union)
 
 
-def _finish(out: str, results: dict) -> None:
+def _finish(out: str, results: dict) -> dict:
     text = report(results)
     with open(os.path.join(out, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(results, fh, sort_keys=True, indent=1)
+    return results

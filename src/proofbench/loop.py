@@ -1,31 +1,41 @@
-"""The closed inductive-deductive loop over an ordered corpus.
+"""The attempt pipeline every experiment mode shares, and the closed
+inductive-deductive loop over an ordered corpus.
 
-Each iteration retrains the premise learner on every stored proof,
-refreshes semantic features against the current model store, then walks
-the axiom-count ladder breadth-first: every unsolved theorem is tried at
-the smallest rung before anything escalates, which is how a shared
-budget is spread in a batch setting.  Proved attempts must pass the
-independent checker before they are stored; counter-satisfiable pruned
-attempts contribute their countermodel as a new semantic feature column
-(a pruned problem being satisfiable says nothing about the theorem, so
-the item stays unsolved).
+One attempt proves a pruned problem, has the independent checker replay
+any proof, names the given premises the proof used, stores the proof or
+countermodel and yields one `Attempt` record.  `walk_ladder` schedules
+attempts breadth-first over the axiom-count ladder: every pending item
+is tried at the smallest rung before anything escalates, which is how a
+shared budget is spread in a batch setting.  The caller supplies what
+differs between modes: how premises are ranked and picked, and how the
+problem is built from them.
 
-Iterations stop at the first one that solves nothing new, at the
-iteration cap, or when the shared inference budget runs out.
+The library loop (`run_loop`) walks the ladder once per iteration.  Each
+iteration retrains the premise learner on every stored proof and
+refreshes semantic features against the current model store.
+Counter-satisfiable pruned attempts contribute their countermodel as a
+new semantic feature column (a pruned problem being satisfiable says
+nothing about the theorem, so the item stays unsolved).  Iterations stop
+at the first one that solves nothing new, at the iteration cap, or when
+the shared inference budget runs out.
 """
 from __future__ import annotations
 
+import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from . import models as models_mod
 from .checker import check_proof
-from .clausify import ClauseSet, cnf, equality_axioms, uses_equality
+from .clausify import (
+    ClauseSet, clause_signature, cnf, equality_axioms, uses_equality,
+)
 from .corpus import Corpus
-from .features import combine, semantic_features, structural_features, symbol_features
-from .fol import AnnotatedFormula, Atom, Var
-from .guidance import Advisor, GuidanceConfig
-from .learner import BayesModel, rank_premises, select_top, train_incremental
+from .features import (
+    combine, semantic_features, structural_features, symbol_features,
+    write_feature_cache,
+)
+from .guidance import Advisor
+from .learner import BayesModel, rank_premises, save_model, train_incremental
 from .models import ModelStore
 from .prover import COUNTER_SATISFIABLE, Limits, PROVED, prove
 
@@ -49,7 +59,6 @@ class LoopConfig:
     definitional_threshold: int = 64
     sigma: float = 0.05
     str_depth: int = 2
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("axiom_ladder", "attempt_budgets"):
@@ -62,26 +71,34 @@ class LoopConfig:
 
 @dataclass
 class SolvedItem:
-    name: str
     proof: object
     premises_given: tuple
-    premises_used: tuple      # corpus names only, conjecture excluded
+    premises_used: tuple      # the given premises the proof used
     iteration: int
-    rung: int
-    inferences: int
 
 
 @dataclass
 class Attempt:
+    """One prover call: where it sat in the run and what came of it.
+
+    This is the one `results.jsonl` record.  `rung` is the axiom-count
+    cap (reprove: the reference premise count); artifact paths are
+    relative to the top-level run directory, "" when nothing was stored.
+    """
+    config: str
     iteration: int
     item: str
     rung: int
     budget: int
-    status: str
-    inferences: int
     premises_given: tuple
+    status: str = ""
+    inferences: int = 0
     premises_used: tuple = ()
-    model_index: int | None = None
+    proof_file: str = ""
+    model_file: str = ""
+
+    def to_json(self) -> str:
+        return json.dumps(vars(self), sort_keys=True)
 
 
 @dataclass
@@ -135,73 +152,153 @@ class ClausalCache:
 
     def __init__(self, threshold: int):
         self.threshold = threshold
-        self.as_axiom: dict = {}
-        self.as_negated: dict = {}
+        self.forms: dict = {}        # (name, negated) -> clausal form
         self.uses_eq: dict = {}
 
-    def axiom_form(self, item):
-        if item.name not in self.as_axiom:
-            self.as_axiom[item.name] = cnf(item.formula, name=item.name,
-                                           threshold=self.threshold)
+    def form(self, item, negate: bool = False):
+        key = (item.name, negate)
+        if key not in self.forms:
+            self.forms[key] = cnf(item.formula, name=item.name,
+                                  threshold=self.threshold, negate=negate)
             self.uses_eq[item.name] = uses_equality(item.formula)
-        return self.as_axiom[item.name]
-
-    def negated_form(self, item):
-        if item.name not in self.as_negated:
-            self.as_negated[item.name] = cnf(item.formula, name=item.name,
-                                             threshold=self.threshold, negate=True)
-            self.uses_eq[item.name] = uses_equality(item.formula)
-        return self.as_negated[item.name]
+        return self.forms[key]
 
 
 def assemble_problem(item, premise_items, clausifier: ClausalCache) -> ClauseSet:
-    clauses = []
-    forms = {}
-    any_eq = False
-    for p in premise_items:
-        form = clausifier.axiom_form(p)
-        forms[p.name] = form
-        clauses.extend(form.clauses)
-        any_eq = any_eq or clausifier.uses_eq[p.name]
-    neg = clausifier.negated_form(item)
-    forms[item.name] = neg
-    clauses.extend(neg.clauses)
-    any_eq = any_eq or clausifier.uses_eq[item.name]
-    if any_eq:
-        sig = set()
-        for c in clauses:
-            for lit in c.literals:
-                if isinstance(lit.atom, Atom):
-                    sig.add((lit.atom.pred, "predicate", len(lit.atom.args)))
-                for t in lit.args:
-                    sig.update(_term_sig(t))
-        clauses.extend(equality_axioms(sig))
-    start = frozenset(c.clause_id for c in neg.clauses)
-    return ClauseSet(tuple(clauses), start, forms)
+    forms = {p.name: clausifier.form(p) for p in premise_items}
+    forms[item.name] = neg = clausifier.form(item, negate=True)
+    clauses = [c for form in forms.values() for c in form.clauses]
+    if any(clausifier.uses_eq[name] for name in forms):
+        clauses.extend(equality_axioms(clause_signature(clauses)))
+    return ClauseSet(tuple(clauses), frozenset(c.clause_id for c in neg.clauses),
+                     forms)
 
 
-def _term_sig(t):
-    if isinstance(t, Var):
-        return set()
-    out = {(t.symbol, "function", len(t.args))}
-    for a in t.args:
-        out |= _term_sig(a)
-    return out
+def corpus_problems(corpus: Corpus, threshold: int):
+    """Problem builder for corpus items: the chosen premises in corpus
+    order, then the negated item, with clausal forms cached for the run.
+    Entries are (corpus index, item) pairs."""
+    clausifier = ClausalCache(threshold)
+    position = {item.name: i for i, item in enumerate(corpus.items)}
+
+    def build(_name, entry, chosen) -> ClauseSet:
+        premises = [corpus.items[i] for i in sorted(position[n] for n in chosen)]
+        return assemble_problem(entry[1], premises, clausifier)
+    return build
 
 
-def corpus_premises_used(proof, item_name, corpus_names) -> tuple:
-    used = set(proof.used_premises) & corpus_names
-    used.discard(item_name)
-    return tuple(sorted(used))
+# ---------------------------------------------------------------------------
+# The attempt pipeline
 
 
-def run_loop(corpus: Corpus, config: LoopConfig,
-             on_attempt=None) -> LoopState:
+def prove_checked(cs: ClauseSet, limits: Limits, model_max_domain: int,
+                  problem_id: str, advisor=None):
+    """Prove, and have the independent checker replay any proof found."""
+    res = prove(cs, limits, advisor=advisor, model_max_domain=model_max_domain,
+                problem_id=problem_id)
+    if res.status == PROVED and not check_proof(res.proof, cs):
+        raise LoopInvariantError(
+            f"proof for {problem_id} failed independent checking")
+    return res
+
+
+def attempt(record: Attempt, cs: ClauseSet | None = None,
+            limits: Limits | None = None, *, model_max_domain: int = 3,
+            advisor=None, writer=None, keep_model=None, result=None):
+    """Complete `record`, which arrives with the attempt's coordinates.
+
+    Proves `cs` within `limits`, unless `result` already holds a proved
+    and checked outcome.  Names the given premises the proof used.  The
+    proof, and a countermodel when `keep_model(model, record)` is true,
+    are stored through `writer`, which also gets the record; without a
+    writer the record stays in memory.  Returns the prover's result.
+    """
+    res = result if result is not None else prove_checked(
+        cs, limits, model_max_domain, record.item, advisor)
+    record.status = res.status
+    record.inferences = res.stats.inferences
+    if res.status == PROVED:
+        # the checker ties used_premises to the clause set's origins
+        record.premises_used = tuple(sorted(
+            set(res.proof.used_premises) & set(record.premises_given)))
+        if writer is not None:
+            record.proof_file = writer.store_proof(record.item, res.proof,
+                                                   record.premises_given)
+    elif (res.status == COUNTER_SATISFIABLE and res.model is not None
+          and keep_model is not None and keep_model(res.model, record)):
+        if writer is not None:
+            record.model_file = writer.store_model(res.model)
+    if writer is not None:
+        writer.write(record)
+    return res
+
+
+def walk_ladder(entries, config: LoopConfig, select, build, records: list,
+                solved: dict, *, name: str, iteration: int = 1,
+                budget_left: int | None = None, writer=None, keep_model=None,
+                guide_model: BayesModel | None = None, on_proved=None) -> tuple:
+    """Attempt every entry not yet in `solved`, breadth-first over the
+    axiom-count ladder: each at the smallest rung before any escalates.
+
+    `entries` are (name, entry) pairs in attempt order.  The caller's
+    policy is `select(name, entry, k)`, the premise names given at rung
+    k, called once per attempt, and `build(name, entry, chosen)`, the
+    clause set to prove.  Records under config `name` are appended to
+    `records`; proved entries join `solved`, and `on_proved(name,
+    record)` learns from them.  With `guide_model`, an advisor consults
+    it during each search and gives back what it saw.  Stops when the
+    shared `budget_left` runs out; returns (inferences spent, whether it
+    ran out).
+    """
+    spent = 0
+    for rung_idx, k in enumerate(config.axiom_ladder):
+        budget = config.attempt_budgets[min(rung_idx,
+                                            len(config.attempt_budgets) - 1)]
+        for key, entry in entries:
+            if key in solved:
+                continue
+            limit = budget
+            if budget_left is not None:
+                if budget_left - spent <= 0:
+                    return spent, True
+                limit = min(budget, budget_left - spent)
+            chosen = select(key, entry, k)
+            cs = build(key, entry, chosen)
+            advisor = None
+            if guide_model is not None:
+                advisor = Advisor(guide_model)
+                advisor.register_clauses(cs.clauses)
+            record = Attempt(name, iteration, key, k, limit, chosen)
+            res = attempt(record, cs,
+                          Limits(time_budget=config.time_budget,
+                                 inference_budget=limit,
+                                 max_depth=config.max_depth),
+                          model_max_domain=config.model_max_domain,
+                          advisor=advisor, writer=writer, keep_model=keep_model)
+            if advisor is not None:
+                advisor.flush_to(guide_model)
+            spent += record.inferences
+            records.append(record)
+            if res.status == PROVED:
+                solved[key] = SolvedItem(res.proof, chosen,
+                                         record.premises_used, iteration)
+                if on_proved is not None:
+                    on_proved(key, record)
+    return spent, False
+
+
+def run_loop(corpus: Corpus, config: LoopConfig, writer=None,
+             name: str = "learning") -> LoopState:
+    """The library loop; records go to `writer` under config `name`."""
     state = LoopState(model=BayesModel(sigma=config.sigma),
                       guide_model=BayesModel(sigma=config.sigma))
-    clausifier = ClausalCache(config.definitional_threshold)
-    corpus_names = {item.name for item in corpus.items}
+    build = corpus_problems(corpus, config.definitional_threshold)
     theorems = corpus.theorems()
+    entries = [(item.name, (i, item)) for i, item in theorems]
+
+    def keep_model(model, record) -> bool:
+        model.provenance = f"{record.item}@it{record.iteration}k{record.rung}"
+        return state.store.add(model) is not None
 
     while state.iterations_run < config.max_iterations:
         iteration = state.iterations_run + 1
@@ -216,70 +313,27 @@ def run_loop(corpus: Corpus, config: LoopConfig,
                                   state.solved[item.name].premises_used)
         state.model = model
 
-        new_this_iteration = 0
-        budget_out = False
-        for rung_idx, k in enumerate(config.axiom_ladder):
-            budget = config.attempt_budgets[min(rung_idx,
-                                                len(config.attempt_budgets) - 1)]
-            for i, item in theorems:
-                if item.name in state.solved:
-                    continue
-                remaining = None
-                if config.total_inference_budget is not None:
-                    remaining = config.total_inference_budget - state.inferences_used
-                    if remaining <= 0:
-                        budget_out = True
-                        break
-                eligible = corpus.eligible(i)
-                ranked = rank_eligible(item, eligible, state, config, feature_cache)
-                chosen = ranked[:k]
-                premise_items = [p for p in eligible if p.name in set(chosen)]
-                cs = assemble_problem(item, premise_items, clausifier)
-                attempt_budget = budget if remaining is None else min(budget, remaining)
-                limits = Limits(time_budget=config.time_budget,
-                                inference_budget=attempt_budget,
-                                max_depth=config.max_depth)
-                advisor = None
-                if config.guidance:
-                    advisor = Advisor(state.guide_model)
-                    advisor.register_clauses(cs.clauses)
-                res = prove(cs, limits, advisor=advisor,
-                            model_max_domain=config.model_max_domain,
-                            problem_id=item.name)
-                state.inferences_used += res.stats.inferences
-                attempt = Attempt(iteration, item.name, k, attempt_budget,
-                                  res.status, res.stats.inferences,
-                                  tuple(chosen))
-                if res.status == PROVED:
-                    if not check_proof(res.proof, cs):
-                        raise LoopInvariantError(
-                            f"proof for {item.name} failed independent checking")
-                    used = corpus_premises_used(res.proof, item.name, corpus_names)
-                    eligible_names = {p.name for p in eligible}
-                    if not set(used) <= eligible_names:
-                        raise LoopInvariantError(
-                            f"proof for {item.name} uses ineligible premises")
-                    state.solved[item.name] = SolvedItem(
-                        item.name, res.proof, tuple(chosen), used,
-                        iteration, k, res.stats.inferences)
-                    attempt = replace_attempt(attempt, premises_used=used)
-                    new_this_iteration += 1
-                elif res.status == COUNTER_SATISFIABLE and res.model is not None:
-                    res.model.provenance = f"{item.name}@it{iteration}k{k}"
-                    idx = state.store.add(res.model)
-                    attempt = replace_attempt(attempt, model_index=idx)
-                if advisor is not None:
-                    advisor.flush_to(state.guide_model)
-                state.attempts.append(attempt)
-                if on_attempt:
-                    on_attempt(attempt, res)
-            if budget_out:
-                break
+        def select(_name, entry, k) -> tuple:
+            i, item = entry
+            return tuple(rank_eligible(item, corpus.eligible(i), state, config,
+                                       feature_cache)[:k])
+
+        # (2) walk the ladder with what was learned
+        solved_before = len(state.solved)
+        budget_left = None
+        if config.total_inference_budget is not None:
+            budget_left = config.total_inference_budget - state.inferences_used
+        spent, budget_out = walk_ladder(
+            entries, config, select, build, state.attempts, state.solved,
+            name=name, iteration=iteration, budget_left=budget_left,
+            writer=writer, keep_model=keep_model,
+            guide_model=state.guide_model if config.guidance else None)
+        state.inferences_used += spent
         state.iterations_run = iteration
         if budget_out:
             state.stopped_because = "budget exhausted"
             break
-        if new_this_iteration == 0:
+        if len(state.solved) == solved_before:
             state.stopped_because = "fixpoint: no new solutions"
             break
     else:
@@ -290,49 +344,43 @@ def run_loop(corpus: Corpus, config: LoopConfig,
     return state
 
 
-def replace_attempt(a: Attempt, **kw) -> Attempt:
-    return replace(a, **kw)
-
-
 # ---------------------------------------------------------------------------
 # Reporting
+
+
+def tally(name: str, records) -> dict:
+    """Four-column counts of each item's best status (proved, then
+    counter-satisfiable, then anything else) over `records`."""
+    rank = {PROVED: 2, COUNTER_SATISFIABLE: 1}
+    best: dict = {}
+    for r in records:
+        if rank.get(r.status, 0) > rank.get(best.get(r.item), -1):
+            best[r.item] = r.status
+    solved = sorted(item for item, status in best.items() if status == PROVED)
+    countersat = sum(1 for status in best.values()
+                     if status == COUNTER_SATISFIABLE)
+    return {
+        "name": name,
+        "proved": len(solved),
+        "counter_satisfiable": countersat,
+        "timeout_or_inference_out": len(best) - len(solved) - countersat,
+        "total": len(best),
+        "solved_items": solved,
+    }
 
 
 def fixpoint_report(state: LoopState, corpus: Corpus) -> dict:
     """Per-iteration and cumulative four-column counts plus shortening."""
     theorems = [item for _i, item in corpus.theorems()]
-    total = len(theorems)
+    columns = ("proved", "counter_satisfiable", "timeout_or_inference_out",
+               "total")
     iterations = []
     for it in range(1, state.iterations_run + 1):
-        by_item: dict = {}
-        for a in state.attempts:
-            if a.iteration != it:
-                continue
-            prev = by_item.get(a.item)
-            rank = {"proved": 2, "counter_satisfiable": 1}.get(a.status, 0)
-            prev_rank = {"proved": 2, "counter_satisfiable": 1}.get(prev, 0) \
-                if prev else -1
-            if rank > prev_rank:
-                by_item[a.item] = a.status
-        proved = sum(1 for s in by_item.values() if s == "proved")
-        countersat = sum(1 for s in by_item.values() if s == "counter_satisfiable")
-        gaveup = sum(1 for s in by_item.values()
-                     if s not in ("proved", "counter_satisfiable"))
-        iterations.append({
-            "iteration": it,
-            "proved": proved,
-            "counter_satisfiable": countersat,
-            "timeout_or_inference_out": gaveup,
-            "total": len(by_item),
-        })
-    # cumulative: best status per item across the whole run
-    best: dict = {}
-    rank = {"proved": 2, "counter_satisfiable": 1}
-    for a in state.attempts:
-        if rank.get(a.status, 0) > rank.get(best.get(a.item), -1):
-            best[a.item] = a.status
-    proved_all = sum(1 for s in best.values() if s == "proved")
-    countersat_all = sum(1 for s in best.values() if s == "counter_satisfiable")
+        counts = tally("", [a for a in state.attempts if a.iteration == it])
+        iterations.append({"iteration": it,
+                           **{c: counts[c] for c in columns}})
+    # cumulative: best status per item across the whole run, over all theorems
+    best = tally("", state.attempts)
     shortening = []
     for item in theorems:
         solved = state.solved.get(item.name)
@@ -347,10 +395,11 @@ def fixpoint_report(state: LoopState, corpus: Corpus) -> dict:
     return {
         "iterations": iterations,
         "cumulative": {
-            "proved": proved_all,
-            "counter_satisfiable": countersat_all,
-            "timeout_or_inference_out": total - proved_all - countersat_all,
-            "total": total,
+            "proved": best["proved"],
+            "counter_satisfiable": best["counter_satisfiable"],
+            "timeout_or_inference_out": (len(theorems) - best["proved"]
+                                         - best["counter_satisfiable"]),
+            "total": len(theorems),
         },
         "shortening": shortening,
         "models_stored": len(state.store),
@@ -365,45 +414,13 @@ def fixpoint_report(state: LoopState, corpus: Corpus) -> dict:
 
 def write_run_dir(run_dir: str, state: LoopState, corpus: Corpus,
                   config: LoopConfig) -> None:
-    """Everything needed to audit or re-verify a run."""
-    import json
+    """What only the final state gives: the learner and the feature cache.
 
-    from .learner import save_model
-    from .models import model_to_text
-    from .prover import proof_to_text
-
-    os.makedirs(os.path.join(run_dir, "proofs"), exist_ok=True)
-    os.makedirs(os.path.join(run_dir, "models"), exist_ok=True)
+    Records, proofs and countermodels are written as each attempt happens.
+    """
     os.makedirs(os.path.join(run_dir, "learner"), exist_ok=True)
-    with open(os.path.join(run_dir, "config.json"), "w", encoding="utf-8") as fh:
-        blob = {k: (list(getattr(config, k)) if isinstance(getattr(config, k), tuple)
-                    else getattr(config, k))
-                for k in config.__dataclass_fields__}
-        json.dump({"corpus": corpus.root, "config": blob}, fh,
-                  sort_keys=True, indent=1)
-    with open(os.path.join(run_dir, "results.jsonl"), "w", encoding="utf-8") as fh:
-        for a in state.attempts:
-            fh.write(json.dumps({
-                "iteration": a.iteration, "item": a.item, "rung": a.rung,
-                "budget": a.budget, "status": a.status,
-                "inferences": a.inferences,
-                "premises_given": list(a.premises_given),
-                "premises_used": list(a.premises_used),
-                "model_index": a.model_index,
-            }, sort_keys=True) + "\n")
-    for name, solved in sorted(state.solved.items()):
-        with open(os.path.join(run_dir, "proofs", f"{name}.proof"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(f"% item {name}\n% premises_given "
-                     f"{' '.join(solved.premises_given)}\n")
-            fh.write(proof_to_text(solved.proof))
-    for idx, m in enumerate(state.store):
-        with open(os.path.join(run_dir, "models", f"{idx}.model"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(model_to_text(m))
     save_model(state.model, os.path.join(run_dir, "learner", "final.json"))
     # feature cache against the final model store (regenerate when it grows)
-    from .features import write_feature_cache
     vectors = {item.name: item_features(item, config, state.store)
                for item in corpus.items}
     write_feature_cache(os.path.join(run_dir, "features.cache"), vectors)

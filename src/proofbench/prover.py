@@ -38,10 +38,9 @@ class Limits:
     time_budget: float | None = None
     inference_budget: int | None = None
     max_depth: int = 16
-    max_axioms: int | None = None
 
     def __post_init__(self):
-        for name in ("time_budget", "inference_budget", "max_depth", "max_axioms"):
+        for name in ("time_budget", "inference_budget", "max_depth"):
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError(f"{name} must be positive, got {v!r}")

@@ -106,5 +106,4 @@ def test_wall_clock_flag_accepted(corpus, tmp_path, capsys):
                  "--depth", "6", "--wall-clock", "5.0"]) == 0
     capsys.readouterr()
     blob = json.loads((tmp_path / "wc" / "config.json").read_text())
-    assert blob["deterministic"] is False
     assert blob["time_budget"] == 5.0

@@ -49,6 +49,14 @@ def test_group_family_verifies(tmp_path):
     assert len(corpus.theorems()) == 6
 
 
+def test_group_family_size_beyond_capacity_rejected(tmp_path):
+    generate_corpus("group", 22, 0, str(tmp_path / "full"), verify=False)
+    assert len(load_corpus(str(tmp_path / "full")).items) == 22
+    with pytest.raises(GeneratorError, match="at most 22"):
+        generate_corpus("group", 30, 0, str(tmp_path / "over"), verify=False)
+    assert os.listdir(str(tmp_path / "over")) == []
+
+
 def test_same_seed_byte_identical(tmp_path):
     for family in FAMILIES:
         a = str(tmp_path / f"{family}_a")

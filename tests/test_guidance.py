@@ -5,9 +5,8 @@ import pytest
 from proofbench.clausify import ClauseSet, clausal_problem
 from proofbench.fol import Atom, Literal, Var, atom, const, make_clause
 from proofbench.guidance import (
-    Advice, Advisor, GuidanceConfig, ON_CLOSED_BRANCH, ON_FAILED_BRANCH,
-    StateQuery, advise, decode_advice, decode_query, encode_advice,
-    encode_query, measure_speedup, throttle_policy,
+    Advisor, GuidanceConfig, ON_CLOSED_BRANCH, ON_FAILED_BRANCH,
+    StateQuery, advise, measure_speedup, throttle_policy,
 )
 from proofbench.learner import BayesModel, train_incremental
 from proofbench.parser import parse_problem
@@ -237,17 +236,3 @@ def test_guided_proofs_remain_checkable(tmp_path):
         assert res.status == PROVED
         assert res.stats.advisor_errors == 0
         assert check_proof(res.proof, cs)
-
-
-def test_wire_format_roundtrip():
-    q = StateQuery((("SYM:p", 1.0), ("SYM:q", 2.0)), "~ p(c)", 2, "prob_7")
-    data = encode_query(q, ["c1", "c2"])
-    q2, cands, rest = decode_query(data)
-    assert q2 == q and cands == ["c1", "c2"] and rest == b""
-    adv = Advice((("c2", 0.5), ("c1", -1.0)), 9)
-    a2, rest = decode_advice(encode_advice(adv))
-    assert a2 == adv and rest == b""
-    both = encode_query(q, ["c1"]) + encode_advice(adv)
-    _q, _c, rest = decode_query(both)
-    a3, rest = decode_advice(rest)
-    assert a3 == adv and rest == b""

@@ -102,6 +102,40 @@ def test_library_mode_learning_vs_baseline(mixed30, tmp_path):
     assert "together" in text
 
 
+def test_library_records_share_one_schema(mixed30, tmp_path):
+    spec = ExperimentSpec(mode="library", corpus=mixed30,
+                          out_dir=str(tmp_path / "lib"), loop=FAST_LOOP)
+    run_library(spec)
+    top = (tmp_path / "lib" / "results.jsonl").read_text().splitlines()
+    per_config = []
+    for name in ("learning", "recency"):
+        lines = (tmp_path / "lib" / name / "results.jsonl").read_text().splitlines()
+        assert all(json.loads(line)["config"] == name for line in lines)
+        per_config += lines
+    assert top == per_config
+    fields = {"config", "iteration", "item", "rung", "budget", "status",
+              "inferences", "premises_given", "premises_used", "proof_file",
+              "model_file"}
+    for line in top:
+        record = json.loads(line)
+        assert set(record) == fields
+        if record["proof_file"]:
+            assert (tmp_path / "lib" / record["proof_file"]).exists()
+    assert not (tmp_path / "lib" / "proofs").exists()
+    assert not (tmp_path / "lib" / "models").exists()
+
+
+def test_run_dir_verifiable_from_any_directory(mixed30, tmp_path, monkeypatch):
+    monkeypatch.chdir(os.path.dirname(mixed30))
+    spec = ExperimentSpec(mode="library", corpus=os.path.basename(mixed30),
+                          out_dir=str(tmp_path / "lib"), loop=FAST_LOOP)
+    run_library(spec)
+    monkeypatch.chdir(tmp_path)
+    outcome = verify_run(str(tmp_path / "lib"))
+    assert outcome["checked"] > 0
+    assert outcome["failures"] == [] and outcome["failed"] == 0
+
+
 def test_challenge_mode(neardup, tmp_path):
     spec = ExperimentSpec(mode="challenge", problems=neardup,
                           out_dir=str(tmp_path / "ch"), max_depth=8,

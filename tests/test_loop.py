@@ -5,9 +5,9 @@ import pytest
 from proofbench.checker import check_proof
 from proofbench.corpus import load_corpus, write_manifest
 from proofbench.generator import generate_corpus
+from proofbench.harness import ExperimentSpec, run_library
 from proofbench.loop import (
     ClausalCache, LoopConfig, assemble_problem, fixpoint_report, run_loop,
-    write_run_dir,
 )
 
 
@@ -189,12 +189,16 @@ def test_loop_with_guidance_stays_sound(tmp_path):
 
 def test_run_dir_layout(tmp_path):
     generate_corpus("chain", 7, 0, str(tmp_path / "c"), verify=False)
-    corpus = load_corpus(str(tmp_path / "c"))
-    state = run_loop(corpus, SMALL_CONFIG)
-    run_dir = str(tmp_path / "run")
-    write_run_dir(run_dir, state, corpus, SMALL_CONFIG)
+    results = run_library(ExperimentSpec(
+        mode="library", corpus=str(tmp_path / "c"), out_dir=str(tmp_path / "run"),
+        loop=SMALL_CONFIG, baseline=False))
+    run_dir = str(tmp_path / "run" / "learning")
     assert os.path.exists(os.path.join(run_dir, "config.json"))
     assert os.path.exists(os.path.join(run_dir, "results.jsonl"))
     assert os.path.exists(os.path.join(run_dir, "learner", "final.json"))
+    assert os.path.exists(os.path.join(run_dir, "features.cache"))
     proofs = os.listdir(os.path.join(run_dir, "proofs"))
-    assert len(proofs) == len(state.solved)
+    assert len(proofs) == len(results["solved"]["learning"])
+    # artifacts live per configuration only
+    assert sorted(os.listdir(str(tmp_path / "run"))) == [
+        "config.json", "learning", "report.json", "report.txt", "results.jsonl"]
