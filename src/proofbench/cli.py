@@ -82,8 +82,6 @@ def _add_common(p, corpus=True):
                    help="model finder domain cap")
     p.add_argument("--wall-clock", type=float, default=None, dest="wall_clock",
                    help="per-attempt time budget in seconds (benchmarking only)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="problem-level worker processes where attempts are independent")
 
 
 def _add_loop_flags(p):
@@ -117,6 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(r)
     r.add_argument("--budget", type=int, default=20000,
                    help="per-problem inference budget")
+    r.add_argument("--workers", type=int, default=1,
+                   help="worker processes that prove and check attempts")
 
     l = sub.add_parser("library", help="full selection loop over the corpus")
     _add_common(l)

@@ -15,14 +15,14 @@ attempts, never mid-search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .features import branch_features
 from .learner import BayesModel, score, train_incremental
 
-CONSULT_MAX_DEPTH_DEFAULT = 3
-MIN_CANDIDATES_DEFAULT = 3
-BUFFER_CAPACITY_DEFAULT = 100000
+CONSULT_MAX_DEPTH = 3
+MIN_CANDIDATES = 3
+BUFFER_CAPACITY = 100000     # oldest records are dropped beyond this
 
 ON_CLOSED_BRANCH = "on_closed_branch"
 ON_FAILED_BRANCH = "on_failed_branch"
@@ -39,7 +39,6 @@ class StateQuery:
 @dataclass(frozen=True)
 class Advice:
     ranking: tuple             # (clause_id, score) pairs, best first
-    advice_id: int
 
 
 @dataclass(frozen=True)
@@ -49,24 +48,13 @@ class TrainingRecord:
     outcome: str
 
 
-@dataclass
-class GuidanceConfig:
-    consult_max_depth: int = CONSULT_MAX_DEPTH_DEFAULT
-    min_candidates: int = MIN_CANDIDATES_DEFAULT
-    record_only: bool = False         # capture training data, give no advice
-    train_on_failures: bool = False   # negative examples off by default
-    buffer_capacity: int = BUFFER_CAPACITY_DEFAULT
-
-
-def throttle_policy(depth: int, n_candidates: int,
-                    config: GuidanceConfig | None = None) -> bool:
+def throttle_policy(depth: int, n_candidates: int) -> bool:
     """Consult only at shallow, branchy choice points."""
-    config = config or GuidanceConfig()
-    return depth <= config.consult_max_depth and n_candidates >= config.min_candidates
+    return depth <= CONSULT_MAX_DEPTH and n_candidates >= MIN_CANDIDATES
 
 
 def advise(model: BayesModel, query: StateQuery, candidates,
-           origins: dict, advice_id: int = 0) -> Advice:
+           origins: dict) -> Advice:
     """Permutation of candidates by learner score of their origin label.
 
     An empty model (or candidates with no evidence) falls back to input
@@ -75,31 +63,30 @@ def advise(model: BayesModel, query: StateQuery, candidates,
     feats = dict(query.branch_symbols)
     if model.total_examples == 0:
         ranking = tuple((cid, 0.0) for cid in candidates)
-        return Advice(ranking, advice_id)
+        return Advice(ranking)
     scored = [(cid, score(model, feats, origins.get(cid, cid)))
               for cid in candidates]
     order = sorted(range(len(scored)), key=lambda i: (-scored[i][1], i))
-    return Advice(tuple(scored[i] for i in order), advice_id)
+    return Advice(tuple(scored[i] for i in order))
 
 
 class Advisor:
     """In-process advisor implementing the prover's consultation hook.
 
     Holds an immutable model snapshot for the duration of a search; the
-    orchestrator swaps snapshots between attempts.  Exceptions raised
-    here are caught by the prover, which then falls back to input order.
+    orchestrator builds a new advisor for each attempt.  Exceptions
+    raised here are caught by the prover, which then falls back to input
+    order.  A `record_only` advisor captures training data but gives no
+    advice, so the search runs as without an advisor.
     """
 
-    def __init__(self, model: BayesModel | None = None,
-                 origins: dict | None = None,
-                 config: GuidanceConfig | None = None):
-        self.model = model if model is not None else BayesModel()
-        self.origins = origins or {}
-        self.config = config or GuidanceConfig()
+    def __init__(self, model: BayesModel, record_only: bool = False):
+        self.model = model
+        self.record_only = record_only
+        self.origins: dict = {}
         self.buffer: list = []
         self.dropped = 0
         self.choice_log: list = []    # (depth, n_candidates, consulted)
-        self._advice_counter = 0
         self._cache: dict = {}
         self._model_mark = self.model.snapshot_id()
 
@@ -110,7 +97,7 @@ class Advisor:
     # -- prover protocol ----------------------------------------------------
 
     def consult(self, branch, goal, depth, candidate_ids, problem_id):
-        consulted = throttle_policy(depth, len(candidate_ids), self.config)
+        consulted = throttle_policy(depth, len(candidate_ids))
         self.choice_log.append((depth, len(candidate_ids), consulted))
         if not consulted:
             return None, None
@@ -121,14 +108,12 @@ class Advisor:
         feats = tuple(sorted(branch_features(list(branch) + [goal]).items()))
         from .parser import print_literal
         query = StateQuery(feats, print_literal(goal), depth, problem_id)
-        if self.config.record_only:
+        if self.record_only:
             return None, query
-        key = (self._model_mark, feats, tuple(candidate_ids))
+        key = (feats, tuple(candidate_ids))
         order = self._cache.get(key)
         if order is None:
-            self._advice_counter += 1
-            adv = advise(self.model, query, candidate_ids, self.origins,
-                         self._advice_counter)
+            adv = advise(self.model, query, candidate_ids, self.origins)
             order = [cid for cid, _s in adv.ranking]
             self._cache[key] = order
         return list(order), query
@@ -140,28 +125,22 @@ class Advisor:
     # -- training capture ----------------------------------------------------
 
     def record(self, query: StateQuery, chosen: str, outcome: str) -> None:
-        if len(self.buffer) >= self.config.buffer_capacity:
+        if len(self.buffer) >= BUFFER_CAPACITY:
             self.buffer.pop(0)
             self.dropped += 1
         self.buffer.append(TrainingRecord(query, chosen, outcome))
 
     def flush_to(self, model: BayesModel) -> int:
-        """Train one example per positive record; returns examples trained."""
+        """Train one example per closed-branch record; returns examples
+        trained.  Failed branches are not trained as negative examples."""
         trained = 0
         for rec in self.buffer:
-            if rec.outcome == ON_CLOSED_BRANCH or (
-                    self.config.train_on_failures and rec.outcome == ON_FAILED_BRANCH):
+            if rec.outcome == ON_CLOSED_BRANCH:
                 label = self.origins.get(rec.chosen, rec.chosen)
                 train_incremental(model, dict(rec.query.branch_symbols), {label})
                 trained += 1
         self.buffer.clear()
         return trained
-
-    def refresh_snapshot(self, model: BayesModel | None = None) -> None:
-        if model is not None:
-            self.model = model
-        self._model_mark = self.model.snapshot_id()
-        self._cache.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +156,7 @@ class SpeedupRow:
 
 
 def measure_speedup(problems, limits, train_count: int | None = None,
-                    training_enabled: bool = True,
-                    config: GuidanceConfig | None = None) -> dict:
+                    training_enabled: bool = True) -> dict:
     """Per-problem inference counts unguided vs guided, plus geometric mean.
 
     `problems` is an ordered list of (problem_id, ClauseSet).  Phase one
@@ -190,17 +168,13 @@ def measure_speedup(problems, limits, train_count: int | None = None,
     """
     from .prover import PROVED, prove
 
-    config = config or GuidanceConfig()
     if train_count is None:
         train_count = len(problems) // 2
 
     guide_model = BayesModel()
     unguided: dict = {}
     for idx, (pid, cs) in enumerate(problems):
-        rec_cfg = GuidanceConfig(config.consult_max_depth, config.min_candidates,
-                                 record_only=True,
-                                 train_on_failures=config.train_on_failures)
-        recorder = Advisor(BayesModel(), config=rec_cfg)
+        recorder = Advisor(BayesModel(), record_only=True)
         recorder.register_clauses(cs.clauses)
         res = prove(cs, limits, advisor=recorder, problem_id=pid)
         unguided[pid] = res
@@ -210,7 +184,7 @@ def measure_speedup(problems, limits, train_count: int | None = None,
     rows = []
     ratios = []
     for pid, cs in problems:
-        advisor = Advisor(guide_model, config=config)
+        advisor = Advisor(guide_model)
         advisor.register_clauses(cs.clauses)
         res = prove(cs, limits, advisor=advisor, problem_id=pid)
         u = unguided[pid]

@@ -60,6 +60,7 @@ class ExperimentSpec:
     split: str = ""
     workers: int = 1
     per_problem_budget: int = 20000
+    # reprove only: the ladder modes read these three from `loop`
     time_budget: float | None = None    # wall-clock mode only
     max_depth: int = 10
     model_max_domain: int = 3
@@ -257,9 +258,7 @@ def run_challenge(spec: ExperimentSpec) -> dict:
             raise HarnessError(f"{fn}: challenge problems need a conjecture")
         problems.append((fn[:-2], problem))
 
-    cfg = replace(spec.loop, max_depth=spec.max_depth,
-                  model_max_domain=spec.model_max_domain,
-                  time_budget=spec.time_budget)
+    cfg = spec.loop
     name = "learning" if cfg.learning else "fixed-order"
     model = BayesModel(sigma=cfg.sigma)
     features: dict = {}      # pid -> conjecture features of its latest attempt
@@ -303,13 +302,13 @@ def run_traintest(spec: ExperimentSpec) -> dict:
     """Train on the declared train split only, then evaluate the test split.
 
     The frozen model ranks each test item's eligible non-test premises
-    once; the shared inference budget does not apply.
+    once, under the shared inference budget when one is set.
     """
     out = _out_dir(spec)
     corpus = load_corpus(spec.corpus)
     train_names, test_names = load_split(spec.split, corpus)
     train_set, test_set = set(train_names), set(test_names)
-    cfg = replace(spec.loop, time_budget=spec.time_budget)
+    cfg = spec.loop
 
     model = BayesModel(sigma=cfg.sigma)
     feature_cache = {item.name: item_features(item, cfg, ModelStore())
@@ -342,7 +341,8 @@ def run_traintest(spec: ExperimentSpec) -> dict:
     with _RecordWriter(out, asdict(spec)) as writer:
         walk_ladder(entries, cfg, select,
                     corpus_problems(corpus, cfg.definitional_threshold),
-                    records, {}, name="traintest", writer=writer)
+                    records, {}, name="traintest",
+                    budget_left=cfg.total_inference_budget, writer=writer)
     return _finish(out, _one_config("traintest", "traintest", records,
                                     train_size=len(train_names),
                                     test_size=len(test_names)))
@@ -353,8 +353,13 @@ def run_traintest(spec: ExperimentSpec) -> dict:
 
 
 def verify_run(run_dir: str) -> dict:
-    """Re-check every stored proof in a run directory, independently."""
+    """Re-check every stored proof in a run directory, independently.
+
+    A corpus is loaded at most once per call, so a corpus edited between
+    two calls is read afresh.
+    """
     corpus_root = _corpus_of(os.path.join(run_dir, "config.json"))
+    by_name: dict = {}      # the corpus items, loaded at the first proof
     checked = failed = 0
     failures = []
     for dirpath, _dirs, files in os.walk(run_dir):
@@ -368,7 +373,7 @@ def verify_run(run_dir: str) -> dict:
                 failed += 1
                 continue
             try:
-                cs = _rebuild_problem(corpus_root, item, premises)
+                cs = _rebuild_problem(corpus_root, by_name, item, premises)
                 ok = check_proof(proof, cs)
             except Exception as exc:
                 ok = False
@@ -396,9 +401,6 @@ def _read_proof_file(path: str):
     return item, premises, proof_from_text("".join(body))
 
 
-_corpus_cache: dict = {}
-
-
 def _corpus_of(cfg_path: str):
     if not os.path.exists(cfg_path):
         return None
@@ -408,13 +410,12 @@ def _corpus_of(cfg_path: str):
     return root or None
 
 
-def _rebuild_problem(corpus_root: str, item: str, premises):
+def _rebuild_problem(corpus_root: str, by_name: dict, item: str, premises):
+    """Clause set of a stored proof.  `by_name` caches the corpus items
+    by name for the caller; it stays empty for challenge problems."""
     if os.path.exists(os.path.join(corpus_root, "manifest.txt")):
-        key = ("corpus", corpus_root)
-        if key not in _corpus_cache:
-            _corpus_cache[key] = load_corpus(corpus_root)
-        corpus = _corpus_cache[key]
-        by_name = {it.name: it for it in corpus.items}
+        if not by_name:
+            by_name.update((it.name, it) for it in load_corpus(corpus_root).items)
         formulas = [by_name[p].as_axiom() for p in premises]
         formulas.append(by_name[item].as_conjecture())
         return clausal_problem(make_problem(formulas))

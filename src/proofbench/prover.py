@@ -5,7 +5,9 @@ tableau, extension steps attach a renamed input clause through a
 complementary unifiable literal, reduction steps close a goal against a
 complementary path literal.  Search deepens on path length 1, 2, 3, ...
 Without an advisor the search order is fixed by input clause order and
-literal index, so identical inputs give identical statistics.
+literal index, so identical inputs give identical statistics.  No
+literal repeats on a branch (regularity), and backtracking is complete:
+the search uses neither lemmata nor restricted backtracking.
 
 An inference is one extension or reduction attempt, including failed
 unifications; this is the resource unit all budgets and reports use.
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 from . import models as models_mod
 from .clausify import ClauseSet
-from .fol import App, Atom, Clause, Eq, Literal, Term, Var
+from .fol import App, Atom, Eq, Literal, Term, Var
 from .parser import parse_formula, print_literal, print_term
 
 PROVED = "proved"
@@ -187,17 +189,11 @@ class _Budget(Exception):
         self.reason = reason
 
 
-class _Cut(Exception):
-    def __init__(self, owner):
-        self.owner = owner
-
-
 class _Marker:
-    """Agenda sentinel: popping it means the owner's subtree closed."""
-    __slots__ = ("owner", "armed")
+    """Agenda sentinel: popping it means the advised goal's subtree closed."""
+    __slots__ = ("armed",)
 
-    def __init__(self, owner):
-        self.owner = owner
+    def __init__(self):
         self.armed = False
 
 
@@ -207,8 +203,6 @@ class ProofState:
     subst: dict = field(default_factory=dict)
     trail: list = field(default_factory=list)
     steps: list = field(default_factory=list)
-    lemmas: list = field(default_factory=list)
-    inference_count: int = 0
     depth_limit: int = 1
     cutoff: bool = False
     problem_id: str = ""
@@ -216,13 +210,10 @@ class ProofState:
 
 class _Search:
     def __init__(self, clause_set: ClauseSet, limits: Limits, advisor=None,
-                 use_lemmata=False, restricted_backtracking=False,
                  problem_id: str = ""):
         self.clauses = list(clause_set.clauses)
         self.limits = limits
         self.advisor = advisor
-        self.use_lemmata = use_lemmata
-        self.restricted = restricted_backtracking
         self.state = ProofState(problem_id=problem_id)
         self.stats = Stats()
         self.deadline = None
@@ -246,14 +237,12 @@ class _Search:
         lim = self.limits
         if lim.inference_budget is not None and self.stats.inferences >= lim.inference_budget:
             raise _Budget(INFERENCE_LIMIT, "inference budget exhausted")
-        st = self.state
-        st.inference_count += 1
         self.stats.inferences += 1
         if self.deadline is not None and (self.stats.inferences & 1023) == 0:
             if time.monotonic() > self.deadline:
                 raise _Budget(TIMEOUT, "time budget exhausted")
 
-    def candidates_for(self, goal: Literal, path) -> list:
+    def candidates_for(self, goal: Literal, path) -> tuple:
         cands = self.index.get((goal.pred_key, not goal.positive), [])
         if self.advisor is None or len(cands) < 2:
             return list(cands), None
@@ -298,32 +287,12 @@ class _Search:
         head = agenda[0]
         if isinstance(head, _Marker):
             head.armed = True
-            ok = self.solve(agenda[1:])
-            if not ok and self.restricted:
-                raise _Cut(head.owner)
-            return ok
+            return self.solve(agenda[1:])
         goal, path = head
         rest = agenda[1:]
         st = self.state
         mark = len(st.trail)
         steps_mark = len(st.steps)
-        lemma_mark = len(st.lemmas)
-
-        # lemmata: a ground literal already closed in this branch context
-        if self.use_lemmata:
-            rgoal = resolve_literal(goal, st.subst)
-            if not _literal_has_vars(rgoal):
-                for (lem_lit, seg, seg_path_len) in st.lemmas:
-                    if lem_lit == rgoal:
-                        for entry in seg:
-                            if entry[0] == "red":
-                                st.steps.append(("red", entry[1] - seg_path_len + len(path)))
-                            else:
-                                st.steps.append(entry)
-                        if self.solve(rest):
-                            return True
-                        del st.steps[steps_mark:]
-                        break
 
         # reductions: innermost path literal first
         for pos in range(len(path) - 1, -1, -1):
@@ -337,15 +306,14 @@ class _Search:
                     return True
                 undo(st.subst, st.trail, mark)
                 del st.steps[steps_mark:]
-                del st.lemmas[lemma_mark:]
 
         # extensions
         if len(path) >= st.depth_limit:
             st.cutoff = True
             return False
         cands, token = self.candidates_for(goal, path)
-        marker = _Marker(goal) if (self.restricted or self.use_lemmata
-                                   or token is not None) else None
+        # only an advised choice point learns whether its subtree closed
+        marker = _Marker() if token is not None else None
         new_path = path + (goal,)
         for (ci, li) in cands:
             clause = self.clauses[ci]
@@ -362,40 +330,16 @@ class _Search:
             subagenda = [(g, new_path) for g in new_goals]
             if marker is not None:
                 marker.armed = False
-                subagenda = subagenda + [marker]
-            try:
-                if self.solve(subagenda + rest):
-                    if marker is not None and marker.armed:
-                        self.report_outcome(token, clause.clause_id, True)
-                        if self.use_lemmata:
-                            self._record_lemma(goal, steps_mark, path)
-                    return True
-            except _Cut as cut:
-                undo(st.subst, st.trail, mark)
-                del st.steps[steps_mark:]
-                del st.lemmas[lemma_mark:]
-                if cut.owner is not goal:
-                    raise
+                subagenda.append(marker)
+            if self.solve(subagenda + rest):
+                # the marker was popped on the way, so the subtree closed
                 self.report_outcome(token, clause.clause_id, True)
-                return False
-            self.report_outcome(token, clause.clause_id, marker.armed
-                                if marker is not None else False)
+                return True
+            self.report_outcome(token, clause.clause_id,
+                                marker is not None and marker.armed)
             undo(st.subst, st.trail, mark)
             del st.steps[steps_mark:]
-            del st.lemmas[lemma_mark:]
         return False
-
-    def _record_lemma(self, goal, steps_mark, path):
-        st = self.state
-        rgoal = resolve_literal(goal, st.subst)
-        if _literal_has_vars(rgoal):
-            return
-        seg = st.steps[steps_mark:]
-        # only self-contained subtrees are replayable elsewhere
-        for entry in seg:
-            if entry[0] == "red" and entry[1] < len(path):
-                return
-        st.lemmas.append((rgoal, list(seg), len(path)))
 
     def run(self):
         st = self.state
@@ -407,35 +351,15 @@ class _Search:
                 st.subst.clear()
                 st.trail.clear()
                 st.steps = [("start", si)]
-                st.lemmas = []
                 clause = self.clauses[si]
                 self.inst_counter += 1
                 agenda = [(rename_literal(l, self.inst_counter), ())
                           for l in clause.literals]
-                try:
-                    if self.solve(agenda):
-                        return "proved", list(st.steps)
-                except _Cut:
-                    pass
+                if self.solve(agenda):
+                    return "proved", list(st.steps)
             if not st.cutoff:
                 return "saturated", None
         return "depth_exhausted", None
-
-
-def _literal_has_vars(lit: Literal) -> bool:
-    return any(True for _ in _literal_var_iter(lit))
-
-
-def _literal_var_iter(lit: Literal):
-    def it(t):
-        if isinstance(t, Var):
-            yield t.name
-        else:
-            for a in t.args:
-                yield from it(a)
-
-    for a in lit.args:
-        yield from it(a)
 
 
 def _irregular(new_goals, branch, subst) -> bool:
@@ -451,8 +375,7 @@ def _irregular(new_goals, branch, subst) -> bool:
 # Proof normalization (canonical renaming, recomputed unifiers)
 
 
-def normalize_proof(clause_set: ClauseSet, skeleton: list,
-                    check_regularity: bool = False) -> ProofObject:
+def normalize_proof(clause_set: ClauseSet, skeleton: list) -> ProofObject:
     """Replay a search skeleton into a portable ProofObject.
 
     Clause instances are renumbered sequentially (`X_i3`), unifiers are
@@ -488,11 +411,6 @@ def normalize_proof(clause_set: ClauseSet, skeleton: list,
             lits = [rename_literal(l, counter, "_i") for l in clause.literals]
             if not unify_args(goal.args, lits[li].args, subst, trail):
                 raise ProverError("skeleton replay failed to unify extension")
-            if check_regularity:
-                branch = [resolve_literal(l, subst) for l in list(path) + [goal]]
-                for g in lits[:li] + lits[li + 1:]:
-                    if resolve_literal(g, subst) in branch:
-                        raise ProverError("irregular branch in replay")
             bindings = tuple((name, resolve_term(subst[name], subst))
                              for name in trail[mark:])
             steps.append(ExtensionStep(goal, clause.clause_id, li, bindings))
@@ -523,7 +441,6 @@ def normalize_proof(clause_set: ClauseSet, skeleton: list,
 
 
 def prove(clause_set: ClauseSet, limits: Limits, advisor=None,
-          use_lemmata: bool = False, restricted_backtracking: bool = False,
           model_max_domain: int = models_mod.DEFAULT_MAX_DOMAIN,
           problem_id: str = "") -> RunResult:
     """Refute the clause set within limits.
@@ -536,8 +453,7 @@ def prove(clause_set: ClauseSet, limits: Limits, advisor=None,
     decline to state without a witness.
     """
     t0 = time.monotonic()
-    search = _Search(clause_set, limits, advisor, use_lemmata,
-                     restricted_backtracking, problem_id)
+    search = _Search(clause_set, limits, advisor, problem_id)
     status = None
     proof = None
     model = None
@@ -562,12 +478,6 @@ def prove(clause_set: ClauseSet, limits: Limits, advisor=None,
         search.stats.stop_reason = b.reason
     search.stats.wall_time = time.monotonic() - t0
     return RunResult(status, proof, model, search.stats)
-
-
-def counter_satisfiable(clause_set: ClauseSet,
-                        max_domain: int = models_mod.DEFAULT_MAX_DOMAIN):
-    """Model of axioms plus negated conjecture, if one exists within the cap."""
-    return models_mod.find_model(clause_set.clauses, max_domain)
 
 
 # ---------------------------------------------------------------------------

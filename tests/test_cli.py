@@ -107,3 +107,14 @@ def test_wall_clock_flag_accepted(corpus, tmp_path, capsys):
     capsys.readouterr()
     blob = json.loads((tmp_path / "wc" / "config.json").read_text())
     assert blob["time_budget"] == 5.0
+
+
+def test_workers_flag_is_reprove_only(capsys):
+    args = build_parser().parse_args(["reprove", "--corpus", "c", "--out", "o",
+                                      "--workers", "2"])
+    assert args.workers == 2
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["library", "--corpus", "c", "--out", "o",
+                                   "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err

@@ -38,7 +38,7 @@ def test_miniscope_reduces_skolem_arity():
     assert sk_args and all(args == () for args in sk_args)
 
 
-def test_lemmata_on_equality_proofs_check(tmp_path):
+def test_equality_proofs_check(tmp_path):
     from proofbench.generator import generate_corpus
     from proofbench.corpus import load_corpus
     from proofbench.fol import make_problem
@@ -49,12 +49,9 @@ def test_lemmata_on_equality_proofs_check(tmp_path):
     for _i, item in corpus.theorems():
         premises = [by_name[r].as_axiom() for r in item.reference_premises]
         cs = clausal_problem(make_problem(premises + [item.as_conjecture()]))
-        for kwargs in ({}, {"use_lemmata": True},
-                       {"restricted_backtracking": True}):
-            res = prove(cs, Limits(inference_budget=200000, max_depth=8),
-                        **kwargs)
-            assert res.status == PROVED, (item.name, kwargs)
-            assert check_proof(res.proof, cs), (item.name, kwargs)
+        res = prove(cs, Limits(inference_budget=200000, max_depth=8))
+        assert res.status == PROVED, item.name
+        assert check_proof(res.proof, cs), item.name
 
 
 def test_include_cycle_rejected(tmp_path):

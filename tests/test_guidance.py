@@ -2,10 +2,11 @@ import math
 
 import pytest
 
+from proofbench import guidance
 from proofbench.clausify import ClauseSet, clausal_problem
 from proofbench.fol import Atom, Literal, Var, atom, const, make_clause
 from proofbench.guidance import (
-    Advisor, GuidanceConfig, ON_CLOSED_BRANCH, ON_FAILED_BRANCH,
+    Advisor, ON_CLOSED_BRANCH, ON_FAILED_BRANCH,
     StateQuery, advise, measure_speedup, throttle_policy,
 )
 from proofbench.learner import BayesModel, train_incremental
@@ -60,8 +61,6 @@ def test_throttle_policy_examples():
     assert throttle_policy(9, 5) is False
     assert throttle_policy(3, 3) is True
     assert throttle_policy(3, 2) is False
-    wide = GuidanceConfig(consult_max_depth=7, min_candidates=2)
-    assert throttle_policy(5, 2, wide) is True
 
 
 def test_choice_log_matches_policy_pointwise():
@@ -79,7 +78,7 @@ def test_choice_log_matches_policy_pointwise():
     assert res.stats.advisor_errors == 0
     assert advisor.choice_log
     for depth, n, consulted in advisor.choice_log:
-        assert consulted == throttle_policy(depth, n, advisor.config)
+        assert consulted == throttle_policy(depth, n)
 
 
 def test_record_and_flush_counts():
@@ -97,17 +96,9 @@ def test_record_and_flush_counts():
     assert advisor.flush_to(target) == 0
 
 
-def test_failures_trained_only_when_enabled():
-    cfg = GuidanceConfig(train_on_failures=True)
-    advisor = Advisor(BayesModel(), config=cfg)
-    advisor.record(_query(), "c1", ON_FAILED_BRANCH)
-    target = BayesModel()
-    assert advisor.flush_to(target) == 1
-
-
-def test_buffer_overflow_drops_oldest():
-    cfg = GuidanceConfig(buffer_capacity=2)
-    advisor = Advisor(BayesModel(), config=cfg)
+def test_buffer_overflow_drops_oldest(monkeypatch):
+    monkeypatch.setattr(guidance, "BUFFER_CAPACITY", 2)
+    advisor = Advisor(BayesModel())
     for i in range(4):
         advisor.record(_query(), f"c{i}", ON_CLOSED_BRANCH)
     assert advisor.dropped == 2
@@ -168,7 +159,7 @@ def test_record_only_advisor_keeps_search_identical():
     fof(goal, conjecture, g(c)).
     """))
     plain = prove(cs1, Limits(max_depth=6))
-    recorder = Advisor(BayesModel(), config=GuidanceConfig(record_only=True))
+    recorder = Advisor(BayesModel(), record_only=True)
     recorder.register_clauses(cs1.clauses)
     recorded = prove(cs1, Limits(max_depth=6), advisor=recorder)
     assert recorded.stats.inferences == plain.stats.inferences
@@ -224,7 +215,7 @@ def test_guided_proofs_remain_checkable(tmp_path):
     limits = Limits(inference_budget=50000, max_depth=10)
     guide = BayesModel()
     for pid, cs in problems[:4]:
-        rec = Advisor(BayesModel(), config=GuidanceConfig(record_only=True))
+        rec = Advisor(BayesModel(), record_only=True)
         rec.register_clauses(cs.clauses)
         res = prove(cs, limits, advisor=rec, problem_id=pid)
         assert res.status == PROVED

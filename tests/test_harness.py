@@ -138,9 +138,9 @@ def test_run_dir_verifiable_from_any_directory(mixed30, tmp_path, monkeypatch):
 
 def test_challenge_mode(neardup, tmp_path):
     spec = ExperimentSpec(mode="challenge", problems=neardup,
-                          out_dir=str(tmp_path / "ch"), max_depth=8,
+                          out_dir=str(tmp_path / "ch"),
                           loop=LoopConfig(axiom_ladder=(4, 8, 16),
-                                          attempt_budgets=(2000,),
+                                          attempt_budgets=(2000,), max_depth=8,
                                           total_inference_budget=200000))
     results = run_challenge(spec)
     tally = results["configs"][0]
@@ -149,14 +149,14 @@ def test_challenge_mode(neardup, tmp_path):
 
 
 def test_challenge_learning_on_vs_off_reported_side_by_side(neardup, tmp_path):
-    base = dict(axiom_ladder=(4, 8, 16), attempt_budgets=(2000,),
+    base = dict(axiom_ladder=(4, 8, 16), attempt_budgets=(2000,), max_depth=8,
                 total_inference_budget=200000)
     on = run_challenge(ExperimentSpec(
         mode="challenge", problems=neardup, out_dir=str(tmp_path / "on"),
-        max_depth=8, loop=LoopConfig(**base)))
+        loop=LoopConfig(**base)))
     off = run_challenge(ExperimentSpec(
         mode="challenge", problems=neardup, out_dir=str(tmp_path / "off"),
-        max_depth=8, loop=LoopConfig(**base, learning=False)))
+        loop=LoopConfig(**base, learning=False)))
     merged = {"configs": on["configs"] + off["configs"]}
     text = report(merged)
     assert "learning" in text and "fixed-order" in text and "together" in text
@@ -164,10 +164,20 @@ def test_challenge_learning_on_vs_off_reported_side_by_side(neardup, tmp_path):
 
 def test_challenge_zero_budget(neardup, tmp_path):
     spec = ExperimentSpec(mode="challenge", problems=neardup,
-                          out_dir=str(tmp_path / "ch0"), max_depth=8,
+                          out_dir=str(tmp_path / "ch0"),
                           loop=LoopConfig(axiom_ladder=(4,),
-                                          attempt_budgets=(2000,),
+                                          attempt_budgets=(2000,), max_depth=8,
                                           total_inference_budget=1))
+    results = run_challenge(spec)
+    assert results["configs"][0]["proved"] == 0
+
+
+def test_challenge_reads_search_limits_from_loop(neardup, tmp_path):
+    # the spec's own max_depth (default 10) is for reprove only
+    spec = ExperimentSpec(mode="challenge", problems=neardup,
+                          out_dir=str(tmp_path / "d1"),
+                          loop=LoopConfig(axiom_ladder=(4, 8, 16),
+                                          attempt_budgets=(2000,), max_depth=1))
     results = run_challenge(spec)
     assert results["configs"][0]["proved"] == 0
 
@@ -193,6 +203,18 @@ def test_traintest_empty_train_split_is_cold_start(mixed30, tmp_path):
     assert "taut1" in results["solved"]["traintest"]
 
 
+def test_traintest_honours_total_budget(mixed30, tmp_path):
+    loop = LoopConfig(axiom_ladder=(4, 8, 16), attempt_budgets=(500,),
+                      total_inference_budget=10)
+    spec = ExperimentSpec(mode="traintest", corpus=mixed30,
+                          split=os.path.join(mixed30, "split.txt"),
+                          out_dir=str(tmp_path / "tt10"), loop=loop)
+    run_traintest(spec)
+    lines = (tmp_path / "tt10" / "results.jsonl").read_text().splitlines()
+    assert lines
+    assert sum(json.loads(line)["inferences"] for line in lines) <= 10
+
+
 def test_challenge_single_problem_equals_one_prove_call(tmp_path):
     from proofbench.clausify import clausal_problem
     from proofbench.parser import parse_problem_file
@@ -205,9 +227,9 @@ def test_challenge_single_problem_equals_one_prove_call(tmp_path):
         "fof(f, axiom, a(c)).\n"
         "fof(goal, conjecture, g(c)).\n")
     spec = ExperimentSpec(mode="challenge", problems=str(root),
-                          out_dir=str(tmp_path / "out"), max_depth=8,
+                          out_dir=str(tmp_path / "out"),
                           loop=LoopConfig(axiom_ladder=(16,),
-                                          attempt_budgets=(100000,),
+                                          attempt_budgets=(100000,), max_depth=8,
                                           total_inference_budget=10 ** 9))
     results = run_challenge(spec)
     record = json.loads(
@@ -287,3 +309,19 @@ def test_verify_detects_corruption(mixed30, tmp_path):
     victim.write_text("\n".join(lines) + "\n")
     outcome = verify_run(str(tmp_path / "v"))
     assert outcome["failed"] >= 1
+
+
+def test_verify_rereads_an_edited_corpus(tmp_path):
+    root = tmp_path / "mixed30"
+    generate_corpus("mixed", 30, 0, str(root), verify=False)
+    spec = ExperimentSpec(mode="reprove", corpus=str(root),
+                          out_dir=str(tmp_path / "run"), max_depth=8)
+    run_reprove(spec)
+    assert (tmp_path / "run" / "proofs" / "fa_th1.proof").exists()
+    assert verify_run(str(tmp_path / "run"))["failed"] == 0
+    # reverse the rule that fa_th1's stored proof uses
+    (root / "fa_rule1.p").write_text(
+        "fof(fa_rule1, axiom, ![X]: (fa1(X) => fa0(X))).\n")
+    outcome = verify_run(str(tmp_path / "run"))
+    assert outcome["failed"] >= 1
+    assert any(path.endswith("fa_th1.proof") for path, _why in outcome["failures"])

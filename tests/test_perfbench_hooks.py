@@ -1,23 +1,30 @@
-"""The benchmark's layer tracer must find every name it wraps.
+"""The benchmark's hooks must keep working against the program.
 
 perfbench/layers.py replaces functions in the program's modules by name;
 a renamed or removed one makes every traced benchmark run raise.
+perfbench/worker.py calls the program's entry points directly; a changed
+signature makes every benchmark run of that workload fail.
 """
 import importlib.util
 import os
 
 import pytest
 
-LAYERS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "perfbench", "layers.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture()
 def layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("layers")
 
 
 def test_tracer_installs_and_restores_every_wrapper(layers):
@@ -32,3 +39,27 @@ def test_tracer_installs_and_restores_every_wrapper(layers):
     finally:
         tracer.restore()
     assert (loop.prove, harness._RecordWriter.write, harness.run_loop) == originals
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    from proofbench.generator import generate_corpus
+
+    root = tmp_path_factory.mktemp("bench_inputs")
+    generate_corpus("mixed", 30, 0, str(root / "mixed30"), verify=False)
+    generate_corpus("neardup", 6, 0, str(root / "neardup6"), verify=False)
+    return {"library": str(root / "mixed30"), "challenge": str(root / "neardup6"),
+            "speedup": str(root / "neardup6")}
+
+
+@pytest.mark.parametrize("name", ["library-search", "library-select",
+                                  "challenge-batch", "guided-speedup"])
+def test_worker_entry_calls_run_and_check(name, small_inputs, tmp_path):
+    worker = _load("worker")
+    assert name in worker.WORKLOADS
+    workload = worker.WORKLOADS[name]
+    out = str(tmp_path / "out")
+    results = worker._setup(workload, small_inputs[workload["mode"]], out)()
+    checked = worker._check(workload, results, out)
+    assert checked["errors"] == []
+    assert checked["attempts"] > 0

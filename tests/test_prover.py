@@ -11,7 +11,7 @@ from proofbench.models import find_model
 from proofbench.parser import parse_problem
 from proofbench.prover import (
     COUNTER_SATISFIABLE, INFERENCE_LIMIT, Limits, PROVED, ProverError,
-    RunResult, TIMEOUT, counter_satisfiable, normalize_proof, proof_from_text,
+    RunResult, TIMEOUT, normalize_proof, proof_from_text,
     proof_to_text, prove,
 )
 
@@ -152,10 +152,10 @@ def test_counter_satisfiable_helper():
         _cl([Literal(True, atom("p", const("c")))], "a_0", "a"),
         _cl([Literal(False, atom("q", const("c")))], "g_0", "g"),
     ])
-    m = counter_satisfiable(cs, 2)
+    m = find_model(cs.clauses, 2)
     assert m is not None
     unsat = modus_ponens_set()
-    assert counter_satisfiable(unsat, 3) is None
+    assert find_model(unsat.clauses, 3) is None
 
 
 def test_completeness_at_depth():
@@ -262,15 +262,3 @@ def test_proof_text_roundtrip():
     assert back == res.proof
     assert check_proof(back, cs)
 
-
-def test_flags_still_produce_checkable_proofs():
-    cs = clausal_problem(parse_problem("""
-    fof(ax, axiom, ![X]: (p(X) => q(X))).
-    fof(fact, axiom, p(c)).
-    fof(goal, conjecture, q(c)).
-    """))
-    for kwargs in ({"use_lemmata": True}, {"restricted_backtracking": True},
-                   {"use_lemmata": True, "restricted_backtracking": True}):
-        res = prove(cs, Limits(max_depth=6), **kwargs)
-        assert res.status == PROVED
-        assert check_proof(res.proof, cs)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from proofbench.features import write_feature_cache
-from proofbench.guidance import Advisor, GuidanceConfig
+from proofbench.guidance import Advisor
 from proofbench.learner import BayesModel, score, train_incremental
 from proofbench.prover import Limits
 
@@ -33,20 +33,15 @@ def test_binarize_toggle_flattens_weights():
     assert abs(score(binary, feats, "ax") - expected) < 1e-9
 
 
-def test_advisor_refresh_snapshot_clears_cache():
+def test_advisor_rejects_stale_snapshot():
     model = BayesModel()
-    advisor = Advisor(model, config=GuidanceConfig(min_candidates=1,
-                                                   consult_max_depth=5))
-    order1, tok1 = advisor.consult([], _lit(), 0, ["c1", "c2"], "p")
-    assert order1 == ["c1", "c2"]
+    advisor = Advisor(model)
+    order1, _tok = advisor.consult([], _lit(), 0, ["c1", "c2", "c3"], "p")
+    assert order1 == ["c1", "c2", "c3"]
     train_incremental(model, {"SYM:p": 1.0}, {"ax2"})
     # stale snapshot is an error the prover would degrade on
     with pytest.raises(AssertionError):
-        advisor.consult([], _lit(), 0, ["c1", "c2"], "p")
-    advisor.refresh_snapshot()
-    advisor.origins = {"c2": "ax2"}
-    order2, _tok = advisor.consult([_lit("p")], _lit("p"), 1, ["c1", "c2"], "p")
-    assert order2[0] == "c2"
+        advisor.consult([], _lit(), 0, ["c1", "c2", "c3"], "p")
 
 
 def _lit(pred="g"):
