@@ -261,12 +261,13 @@ def run_challenge(spec: ExperimentSpec) -> dict:
     cfg = spec.loop
     name = "learning" if cfg.learning else "fixed-order"
     model = BayesModel(sigma=cfg.sigma)
-    features: dict = {}      # pid -> conjecture features of its latest attempt
+    features: dict = {}      # pid -> conjecture features, from its first attempt
 
     def select(pid, problem, k) -> tuple:
-        conj = problem.conjecture.formula
-        features[pid] = combine(symbol_features(conj),
-                                structural_features(conj, cfg.str_depth))
+        if pid not in features:
+            conj = problem.conjecture.formula
+            features[pid] = combine(symbol_features(conj),
+                                    structural_features(conj, cfg.str_depth))
         names = [af.name for af in problem.formulas if af.role != "conjecture"]
         if cfg.learning and model.total_examples > 0:
             names = [n for n, _s in rank_premises(model, features[pid], names)]

@@ -41,6 +41,10 @@ class ResourceError(Exception):
     """Signature/grounding too large for exhaustive search."""
 
 
+class ModelCheckError(Exception):
+    """A model the finder returned fails a clause of its own set."""
+
+
 @dataclass
 class FiniteModel:
     size: int
@@ -105,8 +109,11 @@ def find_model(clauses, max_domain: int = DEFAULT_MAX_DOMAIN,
         model = _search_domain(clauses, funcs, preds, n)
         if model is not None:
             model.provenance = provenance
+            # checked by the Tarskian evaluator, apart from the finder's search
             for c in clauses:
-                assert evaluate(c, model) is True, "model fails its own clause set"
+                if evaluate(c, model) is not True:
+                    raise ModelCheckError(
+                        f"domain-{n} model fails its own clause {c.clause_id!r}")
             return model
     return None
 

@@ -9,6 +9,19 @@ literal index, so identical inputs give identical statistics.  No
 literal repeats on a branch (regularity), and backtracking is complete:
 the search uses neither lemmata nor restricted backtracking.
 
+The search is iterative, after leanCoP's prover (Otten & Bibel, JSC
+2003): open goals form an immutable linked agenda whose tail every
+extension shares, and each goal gets one entry on an explicit
+choice-point stack that backtracking resumes; bindings are undone
+through a trail.  Input clauses are compiled once per search into
+templates.  An extension attempt instantiates only the connecting
+literal, from a pool of variables that is reused after backtracking,
+and the clause's other literals only once that literal unifies.
+Regularity compares a new goal, in place under the substitution, with
+the branch literals of its own sign and predicate.  Neither the search
+loop nor the unifier recurses, so a wide clause or a deeply nested
+binding costs heap, not Python stack.
+
 An inference is one extension or reduction attempt, including failed
 unifications; this is the resource unit all budgets and reports use.
 Wall-clock budgets are only probed every 1024 inferences to keep the hot
@@ -93,11 +106,11 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# Unification (trail-based; variables are globally renamed per instance)
+# Unification (trail-based; iterative, so term depth costs heap, not stack)
 
 
 def walk(t: Term, subst: dict) -> Term:
-    while isinstance(t, Var):
+    while type(t) is Var:
         b = subst.get(t.name)
         if b is None:
             return t
@@ -106,50 +119,82 @@ def walk(t: Term, subst: dict) -> Term:
 
 
 def resolve_term(t: Term, subst: dict) -> Term:
+    """`t` with every bound variable replaced by its binding, recursively."""
     t = walk(t, subst)
-    if isinstance(t, Var):
+    if type(t) is Var or not t.args:
         return t
-    if not t.args:
-        return t
-    return App(t.symbol, tuple(resolve_term(a, subst) for a in t.args))
+    stack = [(t, [])]            # (term, its arguments resolved so far)
+    while True:
+        term, done = stack[-1]
+        if len(done) < len(term.args):
+            a = walk(term.args[len(done)], subst)
+            if type(a) is Var or not a.args:
+                done.append(a)
+            else:
+                stack.append((a, []))
+            continue
+        stack.pop()
+        out = App(term.symbol, tuple(done))
+        if not stack:
+            return out
+        stack[-1][1].append(out)
 
 
-def occurs(name: str, t: Term, subst: dict) -> bool:
-    t = walk(t, subst)
-    if isinstance(t, Var):
-        return t.name == name
-    return any(occurs(name, a, subst) for a in t.args)
+def occurs(name, t: Term, subst: dict) -> bool:
+    todo = [t]
+    while todo:
+        t = walk(todo.pop(), subst)
+        if type(t) is Var:
+            if t.name == name:
+                return True
+        else:
+            todo.extend(t.args)
+    return False
+
+
+def _unify(todo: list, subst: dict, trail: list) -> bool:
+    """Unify the term pairs on `todo`, last first; a pair's argument pairs
+    are pushed so that they run left to right, depth first.  Bindings
+    made before a failure stay on the trail."""
+    while todo:
+        a, b = todo.pop()
+        a = walk(a, subst)
+        b = walk(b, subst)
+        if a is b:
+            continue
+        if type(a) is Var:
+            if type(b) is Var:
+                if a.name == b.name:
+                    continue
+            elif b.args and occurs(a.name, b, subst):
+                return False
+            subst[a.name] = b
+            trail.append(a.name)
+        elif type(b) is Var:
+            if a.args and occurs(b.name, a, subst):
+                return False
+            subst[b.name] = a
+            trail.append(b.name)
+        elif a.symbol != b.symbol or len(a.args) != len(b.args):
+            return False
+        elif a.args:
+            todo.extend(zip(reversed(a.args), reversed(b.args)))
+    return True
 
 
 def unify_terms(a: Term, b: Term, subst: dict, trail: list) -> bool:
-    a = walk(a, subst)
-    b = walk(b, subst)
-    if a == b:
-        return True
-    if isinstance(a, Var):
-        if occurs(a.name, b, subst):
-            return False
-        subst[a.name] = b
-        trail.append(a.name)
-        return True
-    if isinstance(b, Var):
-        if occurs(b.name, a, subst):
-            return False
-        subst[b.name] = a
-        trail.append(b.name)
-        return True
-    if a.symbol != b.symbol or len(a.args) != len(b.args):
-        return False
-    return all(unify_terms(x, y, subst, trail) for x, y in zip(a.args, b.args))
+    return _unify([(a, b)], subst, trail)
 
 
 def unify_args(args1, args2, subst, trail) -> bool:
+    """Unify two argument tuples pairwise; on failure nothing stays bound."""
     mark = len(trail)
-    for x, y in zip(args1, args2):
-        if not unify_terms(x, y, subst, trail):
-            undo(subst, trail, mark)
-            return False
-    return True
+    todo = list(zip(args1, args2))
+    todo.reverse()
+    if _unify(todo, subst, trail):
+        return True
+    undo(subst, trail, mark)
+    return False
 
 
 def undo(subst: dict, trail: list, mark: int) -> None:
@@ -157,7 +202,27 @@ def undo(subst: dict, trail: list, mark: int) -> None:
         del subst[trail.pop()]
 
 
-def rename_literal(lit: Literal, k: int, sep: str = "#") -> Literal:
+def _same_args(args1, args2, subst) -> bool:
+    """Whether two argument tuples are identical under `subst`, compared in
+    place: nothing is resolved or built."""
+    todo = list(zip(args1, args2))
+    while todo:
+        a, b = todo.pop()
+        a = walk(a, subst)
+        b = walk(b, subst)
+        if a is b:
+            continue
+        if type(a) is Var or type(b) is Var:
+            if type(a) is not type(b) or a.name != b.name:
+                return False
+        elif a.symbol != b.symbol or len(a.args) != len(b.args):
+            return False
+        else:
+            todo.extend(zip(a.args, b.args))
+    return True
+
+
+def rename_literal(lit: Literal, k: int, sep: str = "_i") -> Literal:
     def r(t):
         if isinstance(t, Var):
             return Var(f"{t.name}{sep}{k}")
@@ -171,12 +236,92 @@ def rename_literal(lit: Literal, k: int, sep: str = "#") -> Literal:
 
 
 def resolve_literal(lit: Literal, subst: dict) -> Literal:
-    if isinstance(lit.atom, Eq):
-        return Literal(lit.positive, Eq(resolve_term(lit.atom.lhs, subst),
-                                        resolve_term(lit.atom.rhs, subst)))
-    return Literal(lit.positive,
-                   Atom(lit.atom.pred,
-                        tuple(resolve_term(a, subst) for a in lit.atom.args)))
+    return _literal(lit.positive, lit.atom,
+                    tuple(resolve_term(a, subst) for a in lit.args))
+
+
+def _literal(positive: bool, atom, args: tuple) -> Literal:
+    """A literal like `atom`'s, with arguments `args`."""
+    if isinstance(atom, Eq):
+        return Literal(positive, Eq(*args))
+    return Literal(positive, Atom(atom.pred, args))
+
+
+# ---------------------------------------------------------------------------
+# Clause templates
+#
+# Each input clause is compiled once per search.  In a template a
+# variable is its slot number in the clause, a ground subterm is the
+# input term itself (shared by every instance), and any other subterm is
+# a `(symbol, args)` pair.  An instance fills slot j with the variable at
+# `base + j` of the search's variable pool.
+
+
+def _template(t: Term, slots: dict):
+    if type(t) is Var:
+        return slots.setdefault(t.name, len(slots))
+    if not t.args:
+        return t
+    args = tuple(_template(a, slots) for a in t.args)
+    if all(type(a) is App for a in args):
+        return t
+    return (t.symbol, args)
+
+
+def _instance(t, pool: list, base: int):
+    if type(t) is int:
+        return pool[base + t]
+    if type(t) is tuple:
+        return App(t[0], tuple([_instance(a, pool, base) for a in t[1]]))
+    return t
+
+
+def _instance_args(targs: tuple, pool: list, base: int) -> tuple:
+    return tuple([pool[base + a] if type(a) is int else
+                  a if type(a) is App else _instance(a, pool, base)
+                  for a in targs])
+
+
+class _Lit:
+    """A compiled input literal; every goal is a pair (`_Lit`, arguments).
+
+    `key` numbers the literal's (predicate, sign) and `complement` the
+    opposite sign's, so a path literal `p` can close goal `g` by reduction
+    iff `p.key == g.complement`.  `regular` numbers (sign, atom kind,
+    predicate): only literals with equal `regular` can be identical.
+    """
+    __slots__ = ("positive", "atom", "key", "complement", "regular", "args")
+
+
+def _compile(clauses: list) -> tuple:
+    """Per input clause (variable count, its `_Lit`s), and the extension
+    index: for each `key`, the input literals with it in input order, as
+    `(step, literal index, clause id, clause variables, arguments
+    template, the clause's literals)`."""
+    numbers: dict = {}
+
+    def number(k):
+        return numbers.setdefault(k, len(numbers))
+
+    compiled = []
+    index: dict = {}
+    for ci, c in enumerate(clauses):
+        slots: dict = {}
+        lits = []
+        for lit in c.literals:
+            t = _Lit()
+            t.positive = lit.positive
+            t.atom = lit.atom
+            t.key = number((lit.pred_key, lit.positive))
+            t.complement = number((lit.pred_key, not lit.positive))
+            t.regular = number((lit.positive, type(lit.atom), lit.pred_key))
+            t.args = tuple(_template(a, slots) for a in lit.args)
+            lits.append(t)
+        compiled.append((len(slots), lits))
+        for li, t in enumerate(lits):
+            index.setdefault(t.key, []).append(
+                (("ext", ci, li), li, c.clause_id, len(slots), t.args, lits))
+    return compiled, index
 
 
 # ---------------------------------------------------------------------------
@@ -197,39 +342,60 @@ class _Marker:
         self.armed = False
 
 
-@dataclass
-class ProofState:
-    """Mutable search context; one per prove() call, single-threaded."""
-    subst: dict = field(default_factory=dict)
-    trail: list = field(default_factory=list)
-    steps: list = field(default_factory=list)
-    depth_limit: int = 1
-    cutoff: bool = False
-    problem_id: str = ""
+class _Choice:
+    """The choice point of one goal: where its agenda node was, what to
+    undo to, and which alternative comes next.  Reductions count `pos`
+    down the path; then `exts` (set once the reductions are spent) are
+    tried from index `next`."""
+    __slots__ = ("goal", "path", "rest", "mark", "steps_mark", "base", "pos",
+                 "exts", "next", "token", "marker", "clause_id", "new_path")
+
+    def __init__(self, node, mark, steps_mark, base):
+        self.goal, self.path, self.rest = node
+        self.mark = mark
+        self.steps_mark = steps_mark
+        self.base = base
+        self.pos = len(self.path) - 1
+        self.exts = None
+        self.token = None
+
+
+_FAIL = object()
 
 
 class _Search:
+    """Clausal connection tableaux over an explicit choice-point stack.
+
+    The agenda of open goals is an immutable linked list of nodes
+    `(goal, path, next)` (or `(_Marker, None, next)`); an extension puts
+    its new goals in front of the rest of the agenda without copying it.
+    Variables of clause instances come from a pool whose top returns to
+    a choice point's `base` when the search backtracks into it, so each
+    pool `Var` is built once per search.
+    """
+
     def __init__(self, clause_set: ClauseSet, limits: Limits, advisor=None,
                  problem_id: str = ""):
-        self.clauses = list(clause_set.clauses)
+        clauses = list(clause_set.clauses)
         self.limits = limits
         self.advisor = advisor
-        self.state = ProofState(problem_id=problem_id)
+        self.problem_id = problem_id
         self.stats = Stats()
         self.deadline = None
         if limits.time_budget is not None:
             self.deadline = time.monotonic() + limits.time_budget
-        # extension index: (pred key, sign of goal) -> [(clause idx, lit idx)]
-        self.index: dict = {}
-        for ci, c in enumerate(self.clauses):
-            for li, lit in enumerate(c.literals):
-                key = (lit.pred_key, lit.positive)
-                self.index.setdefault(key, []).append((ci, li))
-        self.start_indices = [ci for ci, c in enumerate(self.clauses)
-                              if c.clause_id in clause_set.start_ids]
-        if not self.start_indices:
+        self.compiled, self.index = _compile(clauses)
+        self.starts = [ci for ci, c in enumerate(clauses)
+                       if c.clause_id in clause_set.start_ids]
+        if not self.starts:
             raise ProverError("malformed clause set: no start clauses")
-        self.inst_counter = 0
+        self.subst: dict = {}
+        self.trail: list = []
+        self.steps: list = []
+        self.pool: list = []
+        self.top = 0                # pool variables in use
+        self.depth_limit = 1
+        self.cutoff = False
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -242,33 +408,37 @@ class _Search:
             if time.monotonic() > self.deadline:
                 raise _Budget(TIMEOUT, "time budget exhausted")
 
-    def candidates_for(self, goal: Literal, path) -> tuple:
-        cands = self.index.get((goal.pred_key, not goal.positive), [])
-        if self.advisor is None or len(cands) < 2:
-            return list(cands), None
-        ids, seen = [], set()
-        for ci, _li in cands:
-            cid = self.clauses[ci].clause_id
-            if cid not in seen:
-                seen.add(cid)
-                ids.append(cid)
+    def reserve(self, top: int) -> list:
+        """The variable pool, grown to at least `top` variables."""
+        pool = self.pool
+        while len(pool) < top:
+            pool.append(Var(f"_{len(pool)}"))
+        return pool
+
+    def literal(self, goal) -> Literal:
+        lit, args = goal
+        return _literal(lit.positive, lit.atom,
+                        tuple(resolve_term(a, self.subst) for a in args))
+
+    def candidates_for(self, goal, path) -> tuple:
+        exts = self.index.get(goal[0].complement, ())
+        if self.advisor is None or len(exts) < 2:
+            return exts, None
         try:
             self.stats.consults += 1
             order, token = self.advisor.consult(
-                branch=[resolve_literal(l, self.state.subst) for l in path],
-                goal=resolve_literal(goal, self.state.subst),
+                branch=[self.literal(p) for p in path],
+                goal=self.literal(goal),
                 depth=len(path),
-                candidate_ids=ids,
-                problem_id=self.state.problem_id)
+                candidate_ids=list(dict.fromkeys(e[2] for e in exts)),
+                problem_id=self.problem_id)
         except Exception:
             self.stats.advisor_errors += 1
-            return list(cands), None
+            return exts, None
         if order is None:
-            return list(cands), token
+            return exts, token
         rank = {cid: i for i, cid in enumerate(order)}
-        ordered = sorted(cands, key=lambda p: (rank.get(self.clauses[p[0]].clause_id,
-                                                        len(rank)), p[1]))
-        return ordered, token
+        return sorted(exts, key=lambda e: (rank.get(e[2], len(rank)), e[1])), token
 
     def report_outcome(self, token, clause_id, closed):
         if token is None or self.advisor is None:
@@ -280,93 +450,114 @@ class _Search:
 
     # -- the tableau --------------------------------------------------------
 
-    def solve(self, agenda: list) -> bool:
-        """Close every (goal, path) entry; DFS with global substitution."""
-        if not agenda:
-            return True
-        head = agenda[0]
-        if isinstance(head, _Marker):
-            head.armed = True
-            return self.solve(agenda[1:])
-        goal, path = head
-        rest = agenda[1:]
-        st = self.state
-        mark = len(st.trail)
-        steps_mark = len(st.steps)
-
-        # reductions: innermost path literal first
-        for pos in range(len(path) - 1, -1, -1):
-            plit = path[pos]
-            if plit.positive == goal.positive or plit.pred_key != goal.pred_key:
+    def advance(self, cp: _Choice):
+        """Apply `cp`'s next alternative that succeeds and return the agenda
+        after it, or `_FAIL` when none is left.  Reductions come first,
+        innermost path literal first, then regular extensions."""
+        subst, trail = self.subst, self.trail
+        goal, path = cp.goal, cp.path
+        lit, args = goal
+        while cp.pos >= 0:
+            pos = cp.pos
+            cp.pos = pos - 1
+            plit, pargs = path[pos]
+            if plit.key != lit.complement:
                 continue
             self.charge()
-            if unify_args(goal.args, plit.args, st.subst, st.trail):
-                st.steps.append(("red", pos))
-                if self.solve(rest):
-                    return True
-                undo(st.subst, st.trail, mark)
-                del st.steps[steps_mark:]
-
-        # extensions
-        if len(path) >= st.depth_limit:
-            st.cutoff = True
-            return False
-        cands, token = self.candidates_for(goal, path)
-        # only an advised choice point learns whether its subtree closed
-        marker = _Marker() if token is not None else None
-        new_path = path + (goal,)
-        for (ci, li) in cands:
-            clause = self.clauses[ci]
+            if unify_args(args, pargs, subst, trail):
+                self.steps.append(("red", pos))
+                self.top = cp.base
+                return cp.rest
+        if cp.exts is None:
+            if len(path) >= self.depth_limit:
+                self.cutoff = True
+                return _FAIL
+            cp.exts, cp.token = self.candidates_for(goal, path)
+            # only an advised choice point learns whether its subtree closed
+            cp.marker = _Marker() if cp.token is not None else None
+            cp.new_path = path + (goal,)
+            cp.next = 0
+        exts, new_path, base = cp.exts, cp.new_path, cp.base
+        while cp.next < len(exts):
+            step, li, clause_id, nvars, targs, lits = exts[cp.next]
+            cp.next += 1
             self.charge()
-            self.inst_counter += 1
-            lits = [rename_literal(l, self.inst_counter) for l in clause.literals]
-            if not unify_args(goal.args, lits[li].args, st.subst, st.trail):
+            pool = self.reserve(base + nvars)
+            if not unify_args(args, _instance_args(targs, pool, base), subst, trail):
                 continue
-            new_goals = lits[:li] + lits[li + 1:]
-            if _irregular(new_goals, new_path, st.subst):
-                undo(st.subst, st.trail, mark)
+            goals = [(o, _instance_args(o.args, pool, base))
+                     for o in lits[:li] + lits[li + 1:]]
+            if any(_on_branch(g, new_path, subst) for g in goals):
+                undo(subst, trail, cp.mark)
                 continue
-            st.steps.append(("ext", ci, li))
-            subagenda = [(g, new_path) for g in new_goals]
-            if marker is not None:
-                marker.armed = False
-                subagenda.append(marker)
-            if self.solve(subagenda + rest):
-                # the marker was popped on the way, so the subtree closed
-                self.report_outcome(token, clause.clause_id, True)
+            self.steps.append(step)
+            cp.clause_id = clause_id
+            node = cp.rest
+            if cp.marker is not None:
+                cp.marker.armed = False
+                node = (cp.marker, None, node)
+            for g in reversed(goals):
+                node = (g, new_path, node)
+            self.top = base + nvars
+            return node
+        return _FAIL
+
+    def solve(self, node) -> bool:
+        """Close every goal on the agenda `node`; depth-first, with
+        chronological backtracking over the choice-point stack."""
+        subst, trail, steps = self.subst, self.trail, self.steps
+        stack: list = []
+        while True:
+            while node is not None and type(node[0]) is _Marker:
+                node[0].armed = True
+                node = node[2]
+            if node is None:
+                # innermost first, as the closed subtrees return
+                for cp in reversed(stack):
+                    if cp.token is not None:
+                        self.report_outcome(cp.token, cp.clause_id, True)
                 return True
-            self.report_outcome(token, clause.clause_id,
-                                marker is not None and marker.armed)
-            undo(st.subst, st.trail, mark)
-            del st.steps[steps_mark:]
-        return False
+            cp = _Choice(node, len(trail), len(steps), self.top)
+            stack.append(cp)
+            node = self.advance(cp)
+            while node is _FAIL:
+                stack.pop()
+                if not stack:
+                    return False
+                cp = stack[-1]
+                if cp.token is not None:
+                    self.report_outcome(cp.token, cp.clause_id, cp.marker.armed)
+                undo(subst, trail, cp.mark)
+                del steps[cp.steps_mark:]
+                node = self.advance(cp)
 
     def run(self):
-        st = self.state
         for depth in range(1, self.limits.max_depth + 1):
-            st.depth_limit = depth
+            self.depth_limit = depth
             self.stats.depth_reached = depth
-            st.cutoff = False
-            for si in self.start_indices:
-                st.subst.clear()
-                st.trail.clear()
-                st.steps = [("start", si)]
-                clause = self.clauses[si]
-                self.inst_counter += 1
-                agenda = [(rename_literal(l, self.inst_counter), ())
-                          for l in clause.literals]
-                if self.solve(agenda):
-                    return "proved", list(st.steps)
-            if not st.cutoff:
+            self.cutoff = False
+            for ci in self.starts:
+                self.subst.clear()
+                self.trail.clear()
+                self.steps[:] = [("start", ci)]
+                nvars, lits = self.compiled[ci]
+                pool = self.reserve(nvars)
+                node = None
+                for lit in reversed(lits):
+                    node = ((lit, _instance_args(lit.args, pool, 0)), (), node)
+                self.top = nvars
+                if self.solve(node):
+                    return "proved", list(self.steps)
+            if not self.cutoff:
                 return "saturated", None
         return "depth_exhausted", None
 
 
-def _irregular(new_goals, branch, subst) -> bool:
-    """A repeated literal on the extended branch makes the tableau irregular."""
-    resolved_branch = [resolve_literal(l, subst) for l in branch]
-    for g in new_goals:
-        if resolve_literal(g, subst) in resolved_branch:
+def _on_branch(goal, path, subst) -> bool:
+    """Whether `goal` repeats a literal of `path` (regularity)."""
+    lit, args = goal
+    for plit, pargs in path:
+        if plit.regular == lit.regular and _same_args(args, pargs, subst):
             return True
     return False
 
@@ -387,7 +578,7 @@ def normalize_proof(clause_set: ClauseSet, skeleton: list) -> ProofObject:
     trail: list = []
     steps: list = []
     used: set = set()
-    agenda: list = []   # (literal, path tuple)
+    agenda = None       # linked (literal, path tuple, next)
     counter = 0
 
     for entry in skeleton:
@@ -395,20 +586,21 @@ def normalize_proof(clause_set: ClauseSet, skeleton: list) -> ProofObject:
         if kind == "start":
             clause = by_index[entry[1]]
             counter += 1
-            lits = [rename_literal(l, counter, "_i") for l in clause.literals]
-            agenda = [(l, ()) for l in lits]
+            agenda = None
+            for lit in reversed(clause.literals):
+                agenda = (rename_literal(lit, counter), (), agenda)
             steps.append(StartStep(clause.clause_id))
             used.add(clause.origin)
             continue
-        if not agenda:
+        if agenda is None:
             raise ProverError("skeleton closes more goals than exist")
-        goal, path = agenda.pop(0)
+        goal, path, agenda = agenda
         mark = len(trail)
         if kind == "ext":
             _k, ci, li = entry
             clause = by_index[ci]
             counter += 1
-            lits = [rename_literal(l, counter, "_i") for l in clause.literals]
+            lits = [rename_literal(l, counter) for l in clause.literals]
             if not unify_args(goal.args, lits[li].args, subst, trail):
                 raise ProverError("skeleton replay failed to unify extension")
             bindings = tuple((name, resolve_term(subst[name], subst))
@@ -416,7 +608,8 @@ def normalize_proof(clause_set: ClauseSet, skeleton: list) -> ProofObject:
             steps.append(ExtensionStep(goal, clause.clause_id, li, bindings))
             used.add(clause.origin)
             new_path = path + (goal,)
-            agenda = [(l, new_path) for l in lits[:li] + lits[li + 1:]] + agenda
+            for lit in reversed(lits[:li] + lits[li + 1:]):
+                agenda = (lit, new_path, agenda)
         elif kind == "red":
             _k, pos = entry
             if pos >= len(path):
@@ -431,7 +624,7 @@ def normalize_proof(clause_set: ClauseSet, skeleton: list) -> ProofObject:
             steps.append(ReductionStep(goal, pos, bindings))
         else:
             raise ProverError(f"unknown skeleton entry {entry!r}")
-    if agenda:
+    if agenda is not None:
         raise ProverError("skeleton leaves open goals")
     return ProofObject(tuple(steps), frozenset(used))
 

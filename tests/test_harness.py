@@ -182,6 +182,24 @@ def test_challenge_reads_search_limits_from_loop(neardup, tmp_path):
     assert results["configs"][0]["proved"] == 0
 
 
+def test_challenge_features_computed_once_per_problem(neardup, tmp_path, monkeypatch):
+    from proofbench import harness
+
+    calls = []
+    original = harness.symbol_features
+    monkeypatch.setattr(harness, "symbol_features",
+                        lambda f: calls.append(f) or original(f))
+    spec = ExperimentSpec(mode="challenge", problems=neardup,
+                          out_dir=str(tmp_path / "once"),
+                          loop=LoopConfig(axiom_ladder=(4, 8, 16),
+                                          attempt_budgets=(2000,), max_depth=1))
+    run_challenge(spec)
+    with open(tmp_path / "once" / "results.jsonl", encoding="utf-8") as fh:
+        attempts = sum(1 for _line in fh)
+    assert attempts == 30           # nothing proves at depth 1: every rung runs
+    assert len(calls) == 10
+
+
 def test_traintest_mode(mixed30, tmp_path):
     spec = ExperimentSpec(mode="traintest", corpus=mixed30,
                           split=os.path.join(mixed30, "split.txt"),

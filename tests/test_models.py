@@ -3,11 +3,12 @@ import random
 
 import pytest
 
+from proofbench import models
 from proofbench.fol import (
     App, Atom, Eq, Forall, Literal, Var, atom, const, make_clause,
 )
 from proofbench.models import (
-    UNDEFINED, FiniteModel, ModelStore, ResourceError, evaluate,
+    UNDEFINED, FiniteModel, ModelCheckError, ModelStore, ResourceError, evaluate,
     evaluate_corpus, find_model, model_from_text, model_to_text,
 )
 
@@ -25,6 +26,13 @@ def test_find_model_single_fact():
     assert m is not None and m.size == 1
     assert m.funcs["c"][()] == 0
     assert m.preds["p"][(0,)] is True
+
+
+def test_found_model_checked_by_explicit_error(monkeypatch):
+    # an explicit check, unlike an assert, still runs under python -O
+    monkeypatch.setattr(models, "evaluate", lambda _f, _m: False)
+    with pytest.raises(ModelCheckError):
+        find_model([_cl([Literal(True, atom("p", const("c")))])], 3)
 
 
 def test_find_model_contradiction():

@@ -11,8 +11,8 @@ from proofbench.models import find_model
 from proofbench.parser import parse_problem
 from proofbench.prover import (
     COUNTER_SATISFIABLE, INFERENCE_LIMIT, Limits, PROVED, ProverError,
-    RunResult, TIMEOUT, normalize_proof, proof_from_text,
-    proof_to_text, prove,
+    RunResult, TIMEOUT, normalize_proof, occurs, proof_from_text,
+    proof_to_text, prove, resolve_term, unify_terms, walk,
 )
 
 from helpers import prop_clause_satisfiable, random_prop_clauses
@@ -262,3 +262,62 @@ def test_proof_text_roundtrip():
     assert back == res.proof
     assert check_proof(back, cs)
 
+
+
+def _wide_set(n):
+    # ~p_0(a) | ... | ~p_{n-1}(a), closed goal by goal by the units p_i(X)
+    clauses = [_cl([Literal(False, atom(f"p_{i}", const("a"))) for i in range(n)],
+                   "goal_0", "goal")]
+    clauses += [_cl([Literal(True, atom(f"p_{i}", Var("X")))], f"unit{i}_0", f"unit{i}")
+                for i in range(n)]
+    return _clause_set(clauses, start_ids={"goal_0"})
+
+
+def test_wide_start_clause_proves_without_recursion_error():
+    res = prove(_wide_set(10000), Limits(max_depth=2))
+    assert res.status == PROVED
+    assert res.stats.inferences == 10000
+
+
+def test_wide_start_clause_proof_checks():
+    cs = _wide_set(2000)
+    res = prove(cs, Limits(max_depth=2))
+    assert res.status == PROVED
+    assert check_proof(res.proof, cs)
+
+
+def _tower(depth, leaf):
+    t = leaf
+    for _ in range(depth):
+        t = App("s", (t,))
+    return t
+
+
+def _tower_height(t, subst):
+    height = 0
+    t = walk(t, subst)
+    while isinstance(t, App) and t.symbol == "s":
+        height += 1
+        t = walk(t.args[0], subst)
+    return height, t
+
+
+def test_unifier_on_deep_terms():
+    n = 10000
+    deep = _tower(n, const("a"))
+    # a chain of n variable bindings ending in the deep term
+    chain = {f"V{i}": Var(f"V{i + 1}") for i in range(n)}
+    chain[f"V{n}"] = deep
+    assert walk(Var("V0"), chain) is deep
+    assert _tower_height(resolve_term(App("f", (Var("V0"),)), chain).args[0], {}) \
+        == (n, const("a"))
+    assert occurs("Z", _tower(n, Var("Z")), {})
+    assert not occurs("W", _tower(n, Var("Z")), {})
+    subst, trail = {}, []
+    assert unify_terms(deep, _tower(n, const("a")), subst, trail)
+    assert subst == {}
+    assert unify_terms(_tower(n, Var("Y")), deep, subst, trail)
+    assert subst == {"Y": const("a")}
+    # X = s(...s(X)...) fails the occurs check
+    assert not unify_terms(Var("X"), _tower(n, Var("X")), {}, [])
+    assert not unify_terms(_tower(n, Var("X")), Var("X"), {}, [])
