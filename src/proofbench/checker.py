@@ -10,6 +10,8 @@ unification cannot hide in the other.
 
 A proof checks iff replaying its steps closes every branch and its
 used_premises field matches the origins of the clauses it references.
+Terms are walked with explicit stacks, so a proof over terms thousands of
+symbols deep checks within Python's recursion limit.
 """
 from __future__ import annotations
 
@@ -22,33 +24,93 @@ class CheckError(Exception):
     """Structurally malformed proof (unknown clause id, bad step kind)."""
 
 
+def _map_vars(t: Term, leaf) -> Term:
+    """`t` with every variable v replaced by leaf(v)."""
+    if isinstance(t, Var):
+        return leaf(t)
+    if not t.args:
+        return t
+    stack = [(t, [])]        # (compound term, its rebuilt arguments so far)
+    while True:
+        node, built = stack[-1]
+        if len(built) == len(node.args):
+            stack.pop()
+            term = App(node.symbol, tuple(built))
+            if not stack:
+                return term
+            stack[-1][1].append(term)
+        else:
+            a = node.args[len(built)]
+            if isinstance(a, Var):
+                built.append(leaf(a))
+            elif not a.args:
+                built.append(a)
+            else:
+                stack.append((a, []))
+
+
 def _apply(theta: dict, t: Term) -> Term:
     if isinstance(t, Var):
         return theta.get(t.name, t)
     if not t.args:
         return t
-    return App(t.symbol, tuple(_apply(theta, a) for a in t.args))
+    return _map_vars(t, lambda v: theta.get(v.name, v))
 
 
 def _occurs(name: str, t: Term) -> bool:
-    if isinstance(t, Var):
-        return t.name == name
-    return any(_occurs(name, a) for a in t.args)
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Var):
+            if t.name == name:
+                return True
+        else:
+            todo.extend(t.args)
+    return False
+
+
+def _same_terms(pairs) -> bool:
+    """Whether every pair of terms is structurally equal."""
+    todo = list(pairs)
+    while todo:
+        a, b = todo.pop()
+        if isinstance(a, Var) or isinstance(b, Var):
+            if not (isinstance(a, Var) and isinstance(b, Var)
+                    and a.name == b.name):
+                return False
+        elif a.symbol != b.symbol or len(a.args) != len(b.args):
+            return False
+        else:
+            todo.extend(zip(a.args, b.args))
+    return True
+
+
+def _same_literal(a: Literal, b: Literal) -> bool:
+    return (a.positive == b.positive and type(a.atom) is type(b.atom)
+            and _lit_key(a) == _lit_key(b)
+            and _same_terms(zip(_lit_args(a), _lit_args(b))))
 
 
 def _mgu(pairs) -> dict | None:
-    """Most general unifier of term pairs, or None; inputs pre-applied."""
+    """Most general unifier of term pairs, or None; inputs pre-applied.
+
+    theta stays idempotent, so resolving a popped variable once gives
+    its instance; compound terms are resolved as they are decomposed.
+    """
     theta: dict = {}
     work = list(pairs)
     while work:
         a, b = work.pop()
-        a = _apply(theta, a)
-        b = _apply(theta, b)
-        if a == b:
+        if isinstance(a, Var):
+            a = theta.get(a.name, a)
+        if isinstance(b, Var):
+            b = theta.get(b.name, b)
+        if isinstance(a, Var) and isinstance(b, Var) and a.name == b.name:
             continue
         if isinstance(a, Var) or isinstance(b, Var):
             if not isinstance(a, Var):
                 a, b = b, a
+            b = _apply(theta, b)
             if _occurs(a.name, b):
                 return None
             delta = {a.name: b}
@@ -82,11 +144,7 @@ def _lit_key(lit: Literal) -> tuple:
 
 def _rename(lit: Literal, k: int) -> Literal:
     def r(t):
-        if isinstance(t, Var):
-            return Var(f"{t.name}_i{k}")
-        if not t.args:
-            return t
-        return App(t.symbol, tuple(r(a) for a in t.args))
+        return _map_vars(t, lambda v: Var(f"{v.name}_i{k}"))
 
     if isinstance(lit.atom, Eq):
         return Literal(lit.positive, Eq(r(lit.atom.lhs), r(lit.atom.rhs)))
@@ -97,7 +155,7 @@ def _rename(lit: Literal, k: int) -> Literal:
 def check_proof(proof: ProofObject, clause_set: ClauseSet) -> bool:
     by_id = {c.clause_id: c for c in clause_set.clauses}
     theta: dict = {}
-    agenda: list = []        # (literal instance, path tuple)
+    agenda: list = []        # stack of (literal instance, path tuple)
     used: set = set()
     counter = 0
     started = False
@@ -111,13 +169,14 @@ def check_proof(proof: ProofObject, clause_set: ClauseSet) -> bool:
             if clause is None:
                 raise CheckError(f"unknown clause id {step.clause_id!r}")
             counter += 1
-            agenda = [(_rename(l, counter), ()) for l in clause.literals]
+            agenda = [(_rename(l, counter), ())
+                      for l in reversed(clause.literals)]
             used.add(clause.origin)
             continue
         if not started or not agenda:
             return False
-        goal, path = agenda.pop(0)
-        if step.goal != goal:
+        goal, path = agenda.pop()
+        if not _same_literal(step.goal, goal):
             return False
         if isinstance(step, ExtensionStep):
             clause = by_id.get(step.clause_id)
@@ -139,7 +198,7 @@ def check_proof(proof: ProofObject, clause_set: ClauseSet) -> bool:
             used.add(clause.origin)
             new_path = path + (goal,)
             rest = lits[:step.lit_index] + lits[step.lit_index + 1:]
-            agenda = [(l, new_path) for l in rest] + agenda
+            agenda.extend((l, new_path) for l in reversed(rest))
         elif isinstance(step, ReductionStep):
             if not (0 <= step.path_index < len(path)):
                 return False

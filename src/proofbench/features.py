@@ -77,10 +77,10 @@ def structural_features(f, depth: int = STR_DEPTH_DEFAULT) -> FeatureVector:
     return out
 
 
-def semantic_features(f, store: ModelStore) -> FeatureVector:
-    """MOD:i:T / MOD:i:F per stored model; Undefined contributes nothing."""
+def semantic_features(f, store: ModelStore, start: int = 0) -> FeatureVector:
+    """MOD:i:T / MOD:i:F per model i >= start; Undefined contributes nothing."""
     out: FeatureVector = {}
-    for i, m in enumerate(store):
+    for i, m in enumerate(store.models[start:], start):
         v = evaluate(f, m)
         if v is UNDEFINED:
             continue

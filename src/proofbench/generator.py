@@ -24,7 +24,6 @@ and seed give byte-identical output.
 from __future__ import annotations
 
 import os
-import random
 
 from .clausify import clausal_problem
 from .checker import check_proof
@@ -128,7 +127,7 @@ def _gen_group(root: str, size: int, tag: str = "") -> list:
 # mixed (the bundled acceptance corpus shape)
 
 
-def _gen_mixed(root: str, size: int, rng: random.Random) -> list:
+def _gen_mixed(root: str, size: int) -> list:
     """Interleaved chains + equational items + tautologies + distractors.
 
     Rule axioms are emitted long before the theorems that need them, and
@@ -180,11 +179,11 @@ def _gen_mixed(root: str, size: int, rng: random.Random) -> list:
             refs = refs + ["noise1"]
         entries.append((name, role, formula, refs))
 
-    entries = entries[:size]
-    while len(entries) < size:
-        entries.append(noise())
+    if size > len(entries):
+        raise GeneratorError(f"the mixed family has at most {len(entries)} "
+                             f"items, not {size}")
     return [(name, _write_item(root, name, role, formula), refs)
-            for name, role, formula, refs in entries]
+            for name, role, formula, refs in entries[:size]]
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +242,6 @@ def generate_corpus(family: str, size: int, seed: int, out_dir: str,
     if size < 0:
         raise GeneratorError("size must be >= 0")
     os.makedirs(out_dir, exist_ok=True)
-    rng = random.Random(seed)
     if family == "neardup":
         _gen_neardup(out_dir, size)
         if verify and size:
@@ -254,7 +252,7 @@ def generate_corpus(family: str, size: int, seed: int, out_dir: str,
     elif family == "group":
         records = _gen_group(out_dir, size)
     else:
-        records = _gen_mixed(out_dir, size, rng)
+        records = _gen_mixed(out_dir, size)
     write_manifest(out_dir, records)
     _write_split(out_dir, records)
     if verify and records:

@@ -11,8 +11,8 @@ differs between modes: how premises are ranked and picked, and how the
 problem is built from them.
 
 The library loop (`run_loop`) walks the ladder once per iteration.  Each
-iteration retrains the premise learner on every stored proof and
-refreshes semantic features against the current model store.
+iteration extends the run's feature table by the newly stored models,
+retrains the premise learner on every stored proof and ranks each theorem once.
 Counter-satisfiable pruned attempts contribute their countermodel as a
 new semantic feature column (a pruned problem being satisfiable says
 nothing about the theorem, so the item stays unsolved).  Iterations stop
@@ -111,39 +111,61 @@ class LoopState:
     iterations_run: int = 0
     inferences_used: int = 0
     stopped_because: str = ""
+    features: dict = field(default_factory=dict)  # name -> vector
+    models_featured: int = 0      # the vectors cover store.models[:this]
+    symbols: dict = field(default_factory=dict)   # name -> its SYM: ids
 
 
-def item_features(item, config: LoopConfig, store: ModelStore) -> dict:
-    vec = combine(symbol_features(item.formula),
-                  structural_features(item.formula, config.str_depth))
-    if config.semantic and len(store):
-        vec = combine(vec, semantic_features(item.formula, store))
+def item_features(item, config: LoopConfig, store: ModelStore,
+                  known: dict | None = None, seen: int = 0) -> dict:
+    """The item's SYM+STR+MOD vector against `store`.  `known`, its vector
+    against the first `seen` models, only gains the newer models' columns:
+    the store is append-only, so an old column never changes."""
+    vec = known if known is not None else combine(
+        symbol_features(item.formula),
+        structural_features(item.formula, config.str_depth))
+    if config.semantic and len(store) > seen:
+        vec = combine(vec, semantic_features(item.formula, store, seen))
     return vec
 
 
-def jaccard_overlap(a: dict, b: dict) -> float:
-    sa = {f for f in a if f.startswith("SYM:")}
-    sb = {f for f in b if f.startswith("SYM:")}
-    if not sa or not sb:
+def refresh_features(state: LoopState, corpus: Corpus,
+                     config: LoopConfig) -> dict:
+    """The run's feature table, extended to the current store.  Key order
+    (SYM, STR, MOD by index) is a fresh vector's: the learner sums in it."""
+    seen = state.models_featured
+    if state.features and (not config.semantic or seen == len(state.store)):
+        return state.features
+    for item in corpus.items:
+        state.features[item.name] = item_features(
+            item, config, state.store, state.features.get(item.name), seen)
+    state.models_featured = len(state.store)
+    if not state.symbols:
+        state.symbols = {name: {f for f in vec if f.startswith("SYM:")}
+                         for name, vec in state.features.items()}
+    return state.features
+
+
+def jaccard_overlap(a: set, b: set) -> float:
+    if not a or not b:
         return 0.0
-    return len(sa & sb) / len(sa | sb)
+    common = len(a & b)
+    return common / (len(a) + len(b) - common)
 
 
-def rank_eligible(item, eligible, state: LoopState, config: LoopConfig,
-                  feature_cache: dict) -> list:
+def rank_eligible(item, eligible, state: LoopState, config: LoopConfig) -> list:
     """Premise names for `item`, most relevant first."""
     names = [p.name for p in eligible]
     if not config.learning:
         return list(reversed(names))      # chronological recency
     if state.model.total_examples == 0:
         # cold start: symbol-overlap ranking, ties by recency
-        query = feature_cache[item.name]
-        scored = [(jaccard_overlap(query, feature_cache[n]), i)
-                  for i, n in enumerate(names)]
-        order = sorted(range(len(names)),
-                       key=lambda i: (-scored[i][0], -scored[i][1]))
+        query = state.symbols[item.name]
+        overlap = [jaccard_overlap(query, state.symbols[n]) for n in names]
+        order = sorted(range(len(names) - 1, -1, -1), key=overlap.__getitem__,
+                       reverse=True)          # stable: ties stay latest first
         return [names[i] for i in order]
-    ranking = rank_premises(state.model, feature_cache[item.name], names)
+    ranking = rank_premises(state.model, state.features[item.name], names)
     return [n for n, _s in ranking]
 
 
@@ -305,18 +327,22 @@ def run_loop(corpus: Corpus, config: LoopConfig, writer=None,
 
         # (1) retrain the relevance learner on all stored proofs
         model = BayesModel(sigma=config.sigma)
-        feature_cache = {item.name: item_features(item, config, state.store)
-                         for item in corpus.items}
+        features = refresh_features(state, corpus, config)
         for _i, item in theorems:
             if item.name in state.solved:
-                train_incremental(model, feature_cache[item.name],
+                train_incremental(model, features[item.name],
                                   state.solved[item.name].premises_used)
         state.model = model
+        # the learner and the features stay fixed until the next iteration
+        # (no on_proved), so each theorem is ranked once, to the top rung
+        rankings: dict = {}
 
-        def select(_name, entry, k) -> tuple:
-            i, item = entry
-            return tuple(rank_eligible(item, corpus.eligible(i), state, config,
-                                       feature_cache)[:k])
+        def select(name, entry, k) -> tuple:
+            if name not in rankings:
+                i, item = entry
+                ranking = rank_eligible(item, corpus.eligible(i), state, config)
+                rankings[name] = ranking[:config.axiom_ladder[-1]]
+            return tuple(rankings[name][:k])
 
         # (2) walk the ladder with what was learned
         solved_before = len(state.solved)
@@ -420,7 +446,6 @@ def write_run_dir(run_dir: str, state: LoopState, corpus: Corpus,
     """
     os.makedirs(os.path.join(run_dir, "learner"), exist_ok=True)
     save_model(state.model, os.path.join(run_dir, "learner", "final.json"))
-    # feature cache against the final model store (regenerate when it grows)
-    vectors = {item.name: item_features(item, config, state.store)
-               for item in corpus.items}
-    write_feature_cache(os.path.join(run_dir, "features.cache"), vectors)
+    # feature cache against the final model store
+    write_feature_cache(os.path.join(run_dir, "features.cache"),
+                        refresh_features(state, corpus, config))

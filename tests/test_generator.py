@@ -57,6 +57,16 @@ def test_group_family_size_beyond_capacity_rejected(tmp_path):
     assert os.listdir(str(tmp_path / "over")) == []
 
 
+def test_mixed_family_size_beyond_capacity_rejected(tmp_path):
+    generate_corpus("mixed", 30, 0, str(tmp_path / "full"), verify=False)
+    assert len(load_corpus(str(tmp_path / "full")).items) == 30
+    for size in (31, 40):
+        over = tmp_path / f"over{size}"
+        with pytest.raises(GeneratorError, match="at most 30"):
+            generate_corpus("mixed", size, 0, str(over), verify=False)
+        assert os.listdir(str(over)) == []
+
+
 def test_same_seed_byte_identical(tmp_path):
     for family in FAMILIES:
         a = str(tmp_path / f"{family}_a")

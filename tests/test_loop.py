@@ -5,10 +5,18 @@ import pytest
 from proofbench.checker import check_proof
 from proofbench.corpus import load_corpus, write_manifest
 from proofbench.generator import generate_corpus
+from proofbench import loop
 from proofbench.harness import ExperimentSpec, run_library
 from proofbench.loop import (
-    ClausalCache, LoopConfig, assemble_problem, fixpoint_report, run_loop,
+    ClausalCache, LoopConfig, LoopState, assemble_problem, fixpoint_report,
+    refresh_features, run_loop,
 )
+
+MIXED30 = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "corpora", "mixed30")
+# rungs of one and two premises prune needed ones, so countermodels are
+# stored and each theorem is attempted at several rungs per iteration
+PRUNING_CONFIG = LoopConfig(axiom_ladder=(1, 2, 4), max_depth=6)
 
 
 def _write_corpus(root, entries):
@@ -202,3 +210,40 @@ def test_run_dir_layout(tmp_path):
     # artifacts live per configuration only
     assert sorted(os.listdir(str(tmp_path / "run"))) == [
         "config.json", "learning", "report.json", "report.txt", "results.jsonl"]
+
+
+def test_feature_table_extended_per_model_matches_fresh_vectors():
+    corpus = load_corpus(MIXED30)
+    models = list(run_loop(corpus, PRUNING_CONFIG).store)
+    assert len(models) >= 2
+    state = LoopState()
+    refresh_features(state, corpus, PRUNING_CONFIG)
+    for m in models:
+        state.store.add(m)
+        table = refresh_features(state, corpus, PRUNING_CONFIG)
+        for item in corpus.items:
+            fresh = loop.item_features(item, PRUNING_CONFIG, state.store)
+            assert list(table[item.name].items()) == list(fresh.items())
+    assert any(f.startswith("MOD:") for vec in table.values() for f in vec)
+
+
+def test_each_theorem_ranked_once_per_iteration(monkeypatch):
+    corpus = load_corpus(MIXED30)
+    ranked = []
+    real = loop.rank_eligible
+
+    def counted(item, eligible, state, config):
+        ranked.append((item.name, state.iterations_run + 1))
+        return real(item, eligible, state, config)
+
+    monkeypatch.setattr(loop, "rank_eligible", counted)
+    state = run_loop(corpus, PRUNING_CONFIG)
+    given: dict = {}
+    for a in state.attempts:
+        given.setdefault((a.item, a.iteration), []).append(a.premises_given)
+    assert sorted(ranked) == sorted(given)
+    assert state.iterations_run >= 2
+    assert any(len(rungs) > 1 for rungs in given.values())
+    for rungs in given.values():
+        for smaller, larger in zip(rungs, rungs[1:]):
+            assert larger[:len(smaller)] == smaller

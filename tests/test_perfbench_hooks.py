@@ -6,6 +6,7 @@ perfbench/worker.py calls the program's entry points directly; a changed
 signature makes every benchmark run of that workload fail.
 """
 import importlib.util
+import json
 import os
 
 import pytest
@@ -39,6 +40,30 @@ def test_tracer_installs_and_restores_every_wrapper(layers):
     finally:
         tracer.restore()
     assert (loop.prove, harness._RecordWriter.write, harness.run_loop) == originals
+
+
+def test_library_trace_shows_item_features_and_one_ranking_per_theorem(
+        layers, tmp_path):
+    from proofbench.harness import ExperimentSpec, run_library
+    from proofbench.loop import LoopConfig
+
+    corpus = os.path.join(os.path.dirname(PERFBENCH), "corpora", "mixed30")
+    out = tmp_path / "run"
+    tracer = layers.Tracer("t")
+    try:
+        layers.install_program_wrappers(tracer)
+        run_library(ExperimentSpec(
+            mode="library", corpus=corpus, out_dir=str(out), baseline=False,
+            loop=LoopConfig(axiom_ladder=(1, 2, 4), max_depth=6)))
+    finally:
+        tracer.restore()
+    names = [span[0] for span in tracer.spans]
+    with open(out / "learning" / "results.jsonl", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    assert "features.item" in names
+    assert len(records) > len({(r["item"], r["iteration"]) for r in records})
+    assert names.count("loop.rank_eligible") == len(
+        {(r["item"], r["iteration"]) for r in records})
 
 
 @pytest.fixture(scope="module")

@@ -5,14 +5,15 @@ import pytest
 from proofbench.checker import check_proof
 from proofbench.clausify import ClauseSet, clausal_problem
 from proofbench.fol import (
-    App, Atom, Exists, Literal, Not, Var, atom, const, make_clause,
+    App, Atom, Clause, Exists, Literal, Not, Var, atom, const, make_clause,
 )
 from proofbench.models import find_model
 from proofbench.parser import parse_problem
 from proofbench.prover import (
-    COUNTER_SATISFIABLE, INFERENCE_LIMIT, Limits, PROVED, ProverError,
-    RunResult, TIMEOUT, normalize_proof, occurs, proof_from_text,
-    proof_to_text, prove, resolve_term, unify_terms, walk,
+    COUNTER_SATISFIABLE, INFERENCE_LIMIT, ExtensionStep, Limits, PROVED,
+    ProofObject, ProverError, RunResult, StartStep, TIMEOUT, normalize_proof,
+    occurs, proof_from_text, proof_to_text, prove, resolve_term, unify_terms,
+    walk,
 )
 
 from helpers import prop_clause_satisfiable, random_prop_clauses
@@ -63,7 +64,6 @@ def test_proof_checks_and_corruption_detected():
     res = prove(modus_ponens_set(), Limits(max_depth=4))
     cs = modus_ponens_set()
     assert check_proof(res.proof, cs) is True
-    from proofbench.prover import ExtensionStep, ProofObject
     steps = list(res.proof.steps)
     for i, s in enumerate(steps):
         if isinstance(s, ExtensionStep) and s.clause_id == "ax1_0":
@@ -75,7 +75,6 @@ def test_proof_checks_and_corruption_detected():
 
 def test_checker_rejects_wrong_used_premises():
     res = prove(modus_ponens_set(), Limits(max_depth=4))
-    from proofbench.prover import ProofObject
     bad = ProofObject(res.proof.steps, frozenset({"ax1", "goal"}))
     assert check_proof(bad, modus_ponens_set()) is False
 
@@ -83,7 +82,6 @@ def test_checker_rejects_wrong_used_premises():
 def test_checker_unknown_clause_id_is_error():
     res = prove(modus_ponens_set(), Limits(max_depth=4))
     from proofbench.checker import CheckError
-    from proofbench.prover import ProofObject, StartStep
     bad = ProofObject((StartStep("nonexistent"),) + res.proof.steps[1:],
                       res.proof.used_premises)
     with pytest.raises(CheckError):
@@ -321,3 +319,41 @@ def test_unifier_on_deep_terms():
     # X = s(...s(X)...) fails the occurs check
     assert not unify_terms(Var("X"), _tower(n, Var("X")), {}, [])
     assert not unify_terms(_tower(n, Var("X")), Var("X"), {}, [])
+
+
+def _deep_set(n):
+    """{p(s^n(X)), ~p(s^n(a))}, built without make_clause, whose literal
+    hashing recurses on deep terms."""
+    return _clause_set([
+        Clause((Literal(True, atom("p", _tower(n, Var("X")))),), "ax", "ax_0"),
+        Clause((Literal(False, atom("p", _tower(n, const("a")))),), "goal",
+               "goal_0"),
+    ], start_ids={"goal_0"})
+
+
+def _deep_goal(n, leaf):
+    return Literal(False, atom("p", _tower(n, const(leaf))))
+
+
+def test_deep_term_proofs_check():
+    cs = _deep_set(300)
+    res = prove(cs, Limits(max_depth=3))
+    assert res.status == PROVED
+    assert check_proof(res.proof, cs)
+    # the prover's clause compilation recurses at this depth, so the
+    # one-extension proof it finds at depth 300 is written out
+    proof = ProofObject((StartStep("goal_0"),
+                         ExtensionStep(_deep_goal(3000, "a"), "ax_0", 0)),
+                        frozenset({"ax", "goal"}))
+    assert check_proof(proof, _deep_set(3000))
+
+
+def test_goal_differing_deep_inside_is_rejected():
+    cs = _deep_set(300)
+    res = prove(cs, Limits(max_depth=3))
+    start, ext = res.proof.steps
+    assert isinstance(ext, ExtensionStep)
+    bad = ExtensionStep(_deep_goal(300, "b"), ext.clause_id, ext.lit_index,
+                        ext.bindings)
+    assert not check_proof(ProofObject((start, bad), res.proof.used_premises),
+                           cs)
