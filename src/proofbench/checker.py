@@ -4,9 +4,10 @@ This module re-derives a proof from scratch: it renames clause instances
 by its own counter, recomputes every unifier, and tracks the tableau
 agenda itself, trusting nothing from the proof object beyond clause ids,
 literal indices and path positions.  It shares no step-application code
-with the search; substitutions here are eagerly composed maps rather
-than the prover's trail-and-walk bindings, so a defect in one side's
-unification cannot hide in the other.
+with the search; the substitution here is a triangular map, resolved
+by rebuilding each term it is applied to, rather than the prover's
+trail-and-walk bindings, so a defect in one side's unification cannot
+hide in the other.
 
 A proof checks iff replaying its steps closes every branch and its
 used_premises field matches the origins of the clauses it references.
@@ -50,11 +51,39 @@ def _map_vars(t: Term, leaf) -> Term:
 
 
 def _apply(theta: dict, t: Term) -> Term:
-    if isinstance(t, Var):
-        return theta.get(t.name, t)
-    if not t.args:
+    """`t` under the triangular substitution `theta`: a bound variable
+    becomes its binding, itself resolved, as a binding may name variables
+    bound after it.  Each variable is resolved once per call."""
+    if isinstance(t, Var) and t.name not in theta:
         return t
-    return _map_vars(t, lambda v: theta.get(v.name, v))
+    if isinstance(t, App) and not t.args:
+        return t
+    resolved: dict = {}
+    out: list = []
+    todo: list = [t]        # terms to resolve, and ("app"|"var", ...) marks
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Var):
+            if x.name in resolved:
+                out.append(resolved[x.name])
+            elif x.name in theta:
+                todo.append(("var", x.name))
+                todo.append(theta[x.name])
+            else:
+                out.append(x)
+        elif isinstance(x, App):
+            if x.args:
+                todo.append(("app", x.symbol, len(x.args)))
+                todo.extend(reversed(x.args))
+            else:
+                out.append(x)
+        elif x[0] == "var":
+            resolved[x[1]] = out[-1]
+        else:
+            args = tuple(out[len(out) - x[2]:])
+            del out[len(out) - x[2]:]
+            out.append(App(x[1], args))
+    return out[0]
 
 
 def _occurs(name: str, t: Term) -> bool:
@@ -94,17 +123,17 @@ def _same_literal(a: Literal, b: Literal) -> bool:
 def _mgu(pairs) -> dict | None:
     """Most general unifier of term pairs, or None; inputs pre-applied.
 
-    theta stays idempotent, so resolving a popped variable once gives
-    its instance; compound terms are resolved as they are decomposed.
+    The unifier is triangular, like the proof's: a popped variable is
+    resolved through it, and a new binding's term is resolved when bound.
     """
     theta: dict = {}
     work = list(pairs)
     while work:
         a, b = work.pop()
         if isinstance(a, Var):
-            a = theta.get(a.name, a)
+            a = _apply(theta, a)
         if isinstance(b, Var):
-            b = theta.get(b.name, b)
+            b = _apply(theta, b)
         if isinstance(a, Var) and isinstance(b, Var) and a.name == b.name:
             continue
         if isinstance(a, Var) or isinstance(b, Var):
@@ -113,21 +142,12 @@ def _mgu(pairs) -> dict | None:
             b = _apply(theta, b)
             if _occurs(a.name, b):
                 return None
-            delta = {a.name: b}
-            theta = {v: _apply(delta, t) for v, t in theta.items()}
             theta[a.name] = b
             continue
         if a.symbol != b.symbol or len(a.args) != len(b.args):
             return None
         work.extend(zip(a.args, b.args))
     return theta
-
-
-def _compose(theta: dict, delta: dict) -> dict:
-    out = {v: _apply(delta, t) for v, t in theta.items()}
-    for v, t in delta.items():
-        out.setdefault(v, t)
-    return out
 
 
 def _lit_args(lit: Literal) -> tuple:
@@ -194,7 +214,7 @@ def check_proof(proof: ProofObject, clause_set: ClauseSet) -> bool:
             delta = _mgu(pairs)
             if delta is None:
                 return False
-            theta = _compose(theta, delta)
+            theta.update(delta)
             used.add(clause.origin)
             new_path = path + (goal,)
             rest = lits[:step.lit_index] + lits[step.lit_index + 1:]
@@ -210,7 +230,7 @@ def check_proof(proof: ProofObject, clause_set: ClauseSet) -> bool:
             delta = _mgu(pairs)
             if delta is None:
                 return False
-            theta = _compose(theta, delta)
+            theta.update(delta)
         else:
             raise CheckError(f"unknown step type {type(step).__name__}")
     if not started or agenda:

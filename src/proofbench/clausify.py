@@ -18,10 +18,10 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .fol import (
-    And, AnnotatedFormula, App, Atom, BINARY, Clause, Eq, Exists, FALSE,
-    FalseF, Forall, Formula, Iff, Implies, Literal, Not, Or, Problem, QUANT,
-    TRUE, TrueF, Var, alpha_normal, free_vars_ordered, make_clause,
-    subst_formula, symbols_of,
+    And, App, Atom, Clause, Eq, Exists, FALSE, FalseF, Forall, Formula, Iff,
+    Implies, Literal, Not, Or, Problem, QUANT, TRUE, TrueF, Var, alpha_normal,
+    clause_signature, free_vars_ordered, make_clause, subst_formula,
+    symbols_of,
 )
 from .parser import print_formula
 
@@ -355,7 +355,6 @@ class ClauseSet:
     """Prover input: clauses plus which clause ids are start candidates."""
     clauses: tuple
     start_ids: frozenset
-    forms: dict = field(default_factory=dict)
 
     def by_id(self, cid: str) -> Clause:
         for c in self.clauses:
@@ -364,50 +363,36 @@ class ClauseSet:
         raise KeyError(cid)
 
 
-def clausal_problem(problem: Problem,
-                    threshold: int = DEFAULT_DEFINITIONAL_THRESHOLD) -> ClauseSet:
-    """Clausify a whole problem for refutation.
+def join_forms(forms, negated: ClausalForm | None,
+               equality: bool) -> ClauseSet:
+    """The one constructor of prover input: the clauses of `forms` in the
+    order given, then, when `equality` (some source formula uses it), the
+    equality axioms, with congruence covering skolem and definitional
+    symbols too.
 
-    The conjecture is negated; equality axioms are appended when any
-    formula (or any clause produced for one) mentions equality, with
-    congruence covering skolem and definitional symbols too.
+    Start candidates are the clauses of `negated`, the negated conjecture
+    among `forms`; else the all-negative clauses; else every clause.  A
+    set with no all-negative clause is satisfiable, so starting anywhere
+    lets the search saturate and the model finder show it.
     """
-    clauses: list = []
-    forms: dict = {}
-    start_ids: set = set()
-    any_eq = False
+    clauses = [c for form in forms for c in form.clauses]
+    if equality:
+        signature = {s for c in clauses for s in clause_signature(c)}
+        clauses.extend(equality_axioms(signature))
+    starts = negated.clauses if negated is not None else ()
+    if not starts:
+        starts = [c for c in clauses if c.is_negative()] or clauses
+    return ClauseSet(tuple(clauses),
+                     frozenset(c.clause_id for c in starts))
+
+
+def clausal_problem(problem: Problem) -> ClauseSet:
+    """Clausify a whole problem for refutation, the conjecture negated."""
+    forms, negated = [], None
     for af in problem.formulas:
-        negate = af.role == "conjecture"
-        form = cnf(af.formula, name=af.name, threshold=threshold, negate=negate)
-        forms[af.name] = form
-        clauses.extend(form.clauses)
-        if negate:
-            start_ids.update(c.clause_id for c in form.clauses)
-        any_eq = any_eq or uses_equality(af.formula)
-    if any_eq:
-        clauses.extend(equality_axioms(clause_signature(clauses)))
-    if not start_ids:
-        # no conjecture: all-negative clauses are the start candidates
-        start_ids = {c.clause_id for c in clauses if c.is_negative()}
-    return ClauseSet(tuple(clauses), frozenset(start_ids), forms)
-
-
-def clause_signature(clauses) -> set:
-    """(symbol, kind, arity) of every predicate and function in `clauses`."""
-    sig = set()
-    for c in clauses:
-        for lit in c.literals:
-            if isinstance(lit.atom, Atom):
-                sig.add((lit.atom.pred, "predicate", len(lit.atom.args)))
-            for t in lit.args:
-                sig.update(_term_signature(t))
-    return sig
-
-
-def _term_signature(t) -> set:
-    if isinstance(t, Var):
-        return set()
-    out = {(t.symbol, "function", len(t.args))}
-    for a in t.args:
-        out |= _term_signature(a)
-    return out
+        form = cnf(af.formula, name=af.name, negate=af.role == "conjecture")
+        forms.append(form)
+        if af.role == "conjecture":
+            negated = form
+    return join_forms(forms, negated,
+                      any(uses_equality(af.formula) for af in problem.formulas))

@@ -7,7 +7,8 @@ A corpus directory holds one problem file per item plus a manifest named
 
 whitespace-separated; `#` starts a comment.  The line order is the
 chronological order: an item may only reference items that appear
-earlier, which is exactly the eligibility rule for premise selection.
+earlier, each once, which is exactly the eligibility rule for premise
+selection.
 """
 from __future__ import annotations
 
@@ -82,6 +83,9 @@ def load_corpus(root: str) -> Corpus:
             raise CorpusError(f"{manifest}: duplicate item {name!r}")
         position[name] = len(position)
     for lineno, name, _path, refs in records:
+        if len(set(refs)) != len(refs):
+            raise CorpusError(f"{manifest}:{lineno}: a reference of {name!r} "
+                              "is listed twice")
         for r in refs:
             if r not in position:
                 raise CorpusError(

@@ -403,6 +403,23 @@ def make_clause(literals, origin: str = "", clause_id: str = "") -> Clause:
     return Clause(tuple(out), origin, clause_id)
 
 
+def clause_signature(clause: Clause) -> tuple:
+    """The distinct (symbol, kind, arity) of the clause's predicates and
+    functions in first-occurrence order; equality is built in and not
+    listed.  Terms are walked with an explicit stack."""
+    sig: dict = {}          # ordered set
+    for lit in clause.literals:
+        if isinstance(lit.atom, Atom):
+            sig[(lit.atom.pred, "predicate", len(lit.atom.args))] = None
+        todo = list(reversed(lit.args))
+        while todo:
+            t = todo.pop()
+            if isinstance(t, App):
+                sig[(t.symbol, "function", len(t.args))] = None
+                todo.extend(reversed(t.args))
+    return tuple(sig)
+
+
 def literal_as_formula(lit: Literal) -> Formula:
     return lit.atom if lit.positive else Not(lit.atom)
 

@@ -53,13 +53,13 @@ def _verify_corpus(root: str) -> None:
     by_name = {item.name: item for item in corpus.items}
     for _i, item in corpus.theorems():
         premises = [by_name[r].as_axiom() for r in item.reference_premises]
-        problem = make_problem(premises + [item.as_conjecture()])
-        res = prove(clausal_problem(problem), VERIFY_LIMITS)
+        cs = clausal_problem(make_problem(premises + [item.as_conjecture()]))
+        res = prove(cs, VERIFY_LIMITS)
         if res.status != PROVED:
             raise GeneratorError(
                 f"{item.name} not provable from its reference premises "
                 f"({res.status})")
-        if not check_proof(res.proof, clausal_problem(problem)):
+        if not check_proof(res.proof, cs):
             raise GeneratorError(f"{item.name}: generated proof failed checking")
 
 

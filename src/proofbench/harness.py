@@ -27,16 +27,18 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from itertools import repeat
 
 from .checker import check_proof
-from .clausify import clausal_problem
+from .clausify import ClauseSet, clausal_problem
 from .corpus import load_corpus, load_split
 from .features import combine, structural_features, symbol_features
-from .fol import make_problem
+from .fol import Problem
 from .learner import BayesModel, rank_premises, train_incremental
 from .loop import (
-    Attempt, LoopConfig, attempt, corpus_problems, fixpoint_report,
-    item_features, prove_checked, run_loop, tally, walk_ladder, write_run_dir,
+    Attempt, ClausalCache, LoopConfig, assemble_problem, attempt,
+    corpus_problems, fixpoint_report, item_features, prove_checked, run_loop,
+    tally, walk_ladder, write_run_dir,
 )
 from .models import ModelStore, model_to_text
 from .parser import parse_problem_file
@@ -174,33 +176,32 @@ def _one_config(mode: str, name: str, records, **extra) -> dict:
 # reprove
 
 
-def _reprove_one(job):
-    item_name, formulas, limits, domain = job
-    return prove_checked(clausal_problem(make_problem(formulas)), limits,
-                         domain, item_name)
-
-
 def run_reprove(spec: ExperimentSpec) -> dict:
     """One prover call per theorem with exactly its reference premises.
 
-    With several workers only proving and checking run in the pool;
-    records and artifacts are written here, in job order.
+    Each clause set is built here, the reference premises in their
+    manifest order and then the negated theorem, from clausal forms
+    cached for the run.  With several workers only proving and checking
+    run in the pool; records and artifacts are written here, in theorem
+    order.
     """
     out = _out_dir(spec)
     corpus = load_corpus(spec.corpus)
     by_name = {item.name: item for item in corpus.items}
+    clausifier = ClausalCache()
     limits = Limits(inference_budget=spec.per_problem_budget,
                     max_depth=spec.max_depth, time_budget=spec.time_budget)
-    records, jobs = [], []
-    for _i, item in corpus.theorems():
-        given = tuple(item.reference_premises)
-        records.append(Attempt("reprove", 1, item.name, len(given),
-                               spec.per_problem_budget, given))
-        jobs.append((item.name, [by_name[r].as_axiom() for r in given]
-                     + [item.as_conjecture()], limits, spec.model_max_domain))
+    records = [Attempt("reprove", 1, item.name, len(item.reference_premises),
+                       spec.per_problem_budget, tuple(item.reference_premises))
+               for _i, item in corpus.theorems()]
+    problems = (assemble_problem(by_name[r.item],
+                                 [by_name[p] for p in r.premises_given],
+                                 clausifier) for r in records)
     pool = ProcessPoolExecutor(max_workers=spec.workers) if spec.workers > 1 else None
     try:
-        outcomes = (pool.map if pool else map)(_reprove_one, jobs)
+        outcomes = (pool.map if pool else map)(
+            prove_checked, problems, repeat(limits),
+            repeat(spec.model_max_domain), [r.item for r in records])
         with _RecordWriter(out, asdict(spec)) as writer:
             for record, res in zip(records, outcomes):
                 attempt(record, result=res, writer=writer, keep_model=_keep_every)
@@ -260,24 +261,21 @@ def run_challenge(spec: ExperimentSpec) -> dict:
 
     cfg = spec.loop
     name = "learning" if cfg.learning else "fixed-order"
-    model = BayesModel(sigma=cfg.sigma)
+    model = BayesModel()
     features: dict = {}      # pid -> conjecture features, from its first attempt
 
     def select(pid, problem, k) -> tuple:
         if pid not in features:
             conj = problem.conjecture.formula
             features[pid] = combine(symbol_features(conj),
-                                    structural_features(conj, cfg.str_depth))
+                                    structural_features(conj))
         names = [af.name for af in problem.formulas if af.role != "conjecture"]
         if cfg.learning and model.total_examples > 0:
             names = [n for n, _s in rank_premises(model, features[pid], names)]
         return tuple(sorted(names[:k]))
 
-    def build(_pid, problem, chosen):
-        keep = set(chosen)
-        pruned = [af for af in problem.formulas
-                  if af.role != "conjecture" and af.name in keep]
-        return clausal_problem(make_problem(pruned + [problem.conjecture]))
+    def build(_pid, problem, chosen) -> ClauseSet:
+        return _pruned_problem(problem, chosen)
 
     def learn(pid, record) -> None:
         if cfg.learning:
@@ -311,7 +309,7 @@ def run_traintest(spec: ExperimentSpec) -> dict:
     train_set, test_set = set(train_names), set(test_names)
     cfg = spec.loop
 
-    model = BayesModel(sigma=cfg.sigma)
+    model = BayesModel()
     feature_cache = {item.name: item_features(item, cfg, ModelStore())
                      for item in corpus.items}
     # training phase: declared reference proofs of the train split
@@ -340,8 +338,7 @@ def run_traintest(spec: ExperimentSpec) -> dict:
                if item.name in test_set]
     records: list = []
     with _RecordWriter(out, asdict(spec)) as writer:
-        walk_ladder(entries, cfg, select,
-                    corpus_problems(corpus, cfg.definitional_threshold),
+        walk_ladder(entries, cfg, select, corpus_problems(corpus),
                     records, {}, name="traintest",
                     budget_left=cfg.total_inference_budget, writer=writer)
     return _finish(out, _one_config("traintest", "traintest", records,
@@ -360,7 +357,7 @@ def verify_run(run_dir: str) -> dict:
     two calls is read afresh.
     """
     corpus_root = _corpus_of(os.path.join(run_dir, "config.json"))
-    by_name: dict = {}      # the corpus items, loaded at the first proof
+    rebuild = _proof_problems(corpus_root) if corpus_root is not None else None
     checked = failed = 0
     failures = []
     for dirpath, _dirs, files in os.walk(run_dir):
@@ -374,7 +371,7 @@ def verify_run(run_dir: str) -> dict:
                 failed += 1
                 continue
             try:
-                cs = _rebuild_problem(corpus_root, by_name, item, premises)
+                cs = rebuild(item, premises)
                 ok = check_proof(proof, cs)
             except Exception as exc:
                 ok = False
@@ -411,21 +408,35 @@ def _corpus_of(cfg_path: str):
     return root or None
 
 
-def _rebuild_problem(corpus_root: str, by_name: dict, item: str, premises):
-    """Clause set of a stored proof.  `by_name` caches the corpus items
-    by name for the caller; it stays empty for challenge problems."""
-    if os.path.exists(os.path.join(corpus_root, "manifest.txt")):
-        if not by_name:
-            by_name.update((it.name, it) for it in load_corpus(corpus_root).items)
-        formulas = [by_name[p].as_axiom() for p in premises]
-        formulas.append(by_name[item].as_conjecture())
-        return clausal_problem(make_problem(formulas))
-    # challenge problems: item maps to a file, premises prune its axioms
-    problem = parse_problem_file(os.path.join(corpus_root, f"{item}.p"))
-    keep = set(premises)
-    pruned = [af for af in problem.formulas
-              if af.role == "conjecture" or af.name in keep]
-    return clausal_problem(make_problem(pruned))
+def _proof_problems(corpus_root: str):
+    """`rebuild(item, premises)`, the clause set of a stored proof, built
+    as the run built it: a corpus item after its premises, with clausal
+    forms cached for the call, or a challenge problem pruned to them."""
+    if not os.path.exists(os.path.join(corpus_root, "manifest.txt")):
+        return lambda item, premises: _pruned_problem(
+            parse_problem_file(os.path.join(corpus_root, f"{item}.p")), premises)
+    position: dict = {}     # the corpus items, loaded at the first proof
+    clausifier = ClausalCache()
+
+    def rebuild(item, premises) -> ClauseSet:
+        if not position:
+            position.update((it.name, (i, it)) for i, it
+                            in enumerate(load_corpus(corpus_root).items))
+        if any(position[p][0] >= position[item][0] for p in premises):
+            raise HarnessError(f"a premise of {item} is not an earlier item")
+        return assemble_problem(position[item][1],
+                                [position[p][1] for p in premises], clausifier)
+    return rebuild
+
+
+def _pruned_problem(problem: Problem, chosen) -> ClauseSet:
+    """A challenge problem's clause set: the chosen axioms in file order,
+    then the conjecture.  The formulas were validated when parsed."""
+    keep = set(chosen)
+    return clausal_problem(Problem(
+        tuple(af for af in problem.formulas
+              if af.role != "conjecture" and af.name in keep)
+        + (problem.conjecture,)))
 
 
 # ---------------------------------------------------------------------------

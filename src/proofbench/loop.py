@@ -26,9 +26,7 @@ import os
 from dataclasses import dataclass, field
 
 from .checker import check_proof
-from .clausify import (
-    ClauseSet, clause_signature, cnf, equality_axioms, uses_equality,
-)
+from .clausify import ClauseSet, cnf, join_forms, uses_equality
 from .corpus import Corpus
 from .features import (
     combine, semantic_features, structural_features, symbol_features,
@@ -56,9 +54,6 @@ class LoopConfig:
     semantic: bool = True
     guidance: bool = False
     learning: bool = True                 # False: chronological-recency baseline
-    definitional_threshold: int = 64
-    sigma: float = 0.05
-    str_depth: int = 2
 
     def __post_init__(self):
         for name in ("axiom_ladder", "attempt_budgets"):
@@ -122,8 +117,7 @@ def item_features(item, config: LoopConfig, store: ModelStore,
     against the first `seen` models, only gains the newer models' columns:
     the store is append-only, so an old column never changes."""
     vec = known if known is not None else combine(
-        symbol_features(item.formula),
-        structural_features(item.formula, config.str_depth))
+        symbol_features(item.formula), structural_features(item.formula))
     if config.semantic and len(store) > seen:
         vec = combine(vec, semantic_features(item.formula, store, seen))
     return vec
@@ -172,35 +166,32 @@ def rank_eligible(item, eligible, state: LoopState, config: LoopConfig) -> list:
 class ClausalCache:
     """Per-run cache of clausal forms; canonical naming keeps reuse exact."""
 
-    def __init__(self, threshold: int):
-        self.threshold = threshold
+    def __init__(self):
         self.forms: dict = {}        # (name, negated) -> clausal form
         self.uses_eq: dict = {}
 
     def form(self, item, negate: bool = False):
         key = (item.name, negate)
         if key not in self.forms:
-            self.forms[key] = cnf(item.formula, name=item.name,
-                                  threshold=self.threshold, negate=negate)
+            self.forms[key] = cnf(item.formula, name=item.name, negate=negate)
             self.uses_eq[item.name] = uses_equality(item.formula)
         return self.forms[key]
 
 
 def assemble_problem(item, premise_items, clausifier: ClausalCache) -> ClauseSet:
-    forms = {p.name: clausifier.form(p) for p in premise_items}
-    forms[item.name] = neg = clausifier.form(item, negate=True)
-    clauses = [c for form in forms.values() for c in form.clauses]
-    if any(clausifier.uses_eq[name] for name in forms):
-        clauses.extend(equality_axioms(clause_signature(clauses)))
-    return ClauseSet(tuple(clauses), frozenset(c.clause_id for c in neg.clauses),
-                     forms)
+    """The clause set of corpus `item` proved from `premise_items`: the
+    premises in the order given, then the negated item."""
+    forms = [clausifier.form(p) for p in premise_items]
+    negated = clausifier.form(item, negate=True)
+    return join_forms(forms + [negated], negated, any(
+        clausifier.uses_eq[i.name] for i in [*premise_items, item]))
 
 
-def corpus_problems(corpus: Corpus, threshold: int):
+def corpus_problems(corpus: Corpus):
     """Problem builder for corpus items: the chosen premises in corpus
     order, then the negated item, with clausal forms cached for the run.
     Entries are (corpus index, item) pairs."""
-    clausifier = ClausalCache(threshold)
+    clausifier = ClausalCache()
     position = {item.name: i for i, item in enumerate(corpus.items)}
 
     def build(_name, entry, chosen) -> ClauseSet:
@@ -312,9 +303,8 @@ def walk_ladder(entries, config: LoopConfig, select, build, records: list,
 def run_loop(corpus: Corpus, config: LoopConfig, writer=None,
              name: str = "learning") -> LoopState:
     """The library loop; records go to `writer` under config `name`."""
-    state = LoopState(model=BayesModel(sigma=config.sigma),
-                      guide_model=BayesModel(sigma=config.sigma))
-    build = corpus_problems(corpus, config.definitional_threshold)
+    state = LoopState()
+    build = corpus_problems(corpus)
     theorems = corpus.theorems()
     entries = [(item.name, (i, item)) for i, item in theorems]
 
@@ -326,7 +316,7 @@ def run_loop(corpus: Corpus, config: LoopConfig, writer=None,
         iteration = state.iterations_run + 1
 
         # (1) retrain the relevance learner on all stored proofs
-        model = BayesModel(sigma=config.sigma)
+        model = BayesModel()
         features = refresh_features(state, corpus, config)
         for _i, item in theorems:
             if item.name in state.solved:

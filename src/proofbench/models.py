@@ -12,9 +12,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .fol import (
-    And, Atom, BINARY, Clause, Eq, Exists, Forall, Formula, Iff, Implies,
-    Literal, Not, Or, QUANT, TrueF, FalseF, Var, literal_vars, symbols_of,
-    term_vars,
+    And, Atom, Clause, Eq, Exists, Forall, Iff, Implies, Literal, Not, Or,
+    TrueF, FalseF, Var, clause_signature, literal_vars, symbols_of,
 )
 
 DEFAULT_MAX_DOMAIN = 3
@@ -69,30 +68,6 @@ class FiniteModel:
 
 
 # ---------------------------------------------------------------------------
-# Signature extraction
-
-
-def clause_signature(clauses) -> tuple:
-    funcs: dict = {}
-    preds: dict = {}
-
-    def add_term(t):
-        if isinstance(t, Var):
-            return
-        funcs[t.symbol] = len(t.args)
-        for a in t.args:
-            add_term(a)
-
-    for c in clauses:
-        for lit in c.literals:
-            if isinstance(lit.atom, Atom):
-                preds[lit.atom.pred] = len(lit.atom.args)
-            for t in lit.args:
-                add_term(t)
-    return funcs, preds
-
-
-# ---------------------------------------------------------------------------
 # Model search
 
 
@@ -104,9 +79,15 @@ def find_model(clauses, max_domain: int = DEFAULT_MAX_DOMAIN,
     with unit propagation over the ground instances.
     """
     clauses = list(clauses)
-    funcs, preds = clause_signature(clauses)
+    funcs: dict = {}
+    preds: dict = {}
+    freq: dict = {}          # symbol -> number of clauses it occurs in
+    for c in clauses:
+        for sym, kind, arity in clause_signature(c):
+            (funcs if kind == "function" else preds)[sym] = arity
+            freq[sym] = freq.get(sym, 0) + 1
     for n in range(1, max_domain + 1):
-        model = _search_domain(clauses, funcs, preds, n)
+        model = _search_domain(clauses, funcs, preds, freq, n)
         if model is not None:
             model.provenance = provenance
             # checked by the Tarskian evaluator, apart from the finder's search
@@ -118,7 +99,7 @@ def find_model(clauses, max_domain: int = DEFAULT_MAX_DOMAIN,
     return None
 
 
-def _search_domain(clauses, funcs, preds, n):
+def _search_domain(clauses, funcs, preds, freq, n):
     domain = range(n)
     grounding = 0
     ground: list = []
@@ -141,10 +122,6 @@ def _search_domain(clauses, funcs, preds, n):
     if ncells > GROUNDING_GUARD:
         raise ResourceError(f"{ncells} table cells at domain {n}")
 
-    freq: dict = {}
-    for c in clauses:
-        for (sym, kind, _a) in symbols_of(_clause_formula_flat(c)):
-            freq[sym] = freq.get(sym, 0) + 1
     cells.sort(key=lambda cell: (-freq.get(cell[1], 0), cell[0], cell[1], cell[2]))
 
     assign: dict = {}
@@ -257,12 +234,6 @@ def _ground_literal(lit: Literal, env):
     if isinstance(lit.atom, Eq):
         return (lit.positive, "=", (g(lit.atom.lhs), g(lit.atom.rhs)))
     return (lit.positive, lit.atom.pred, tuple(g(a) for a in lit.atom.args))
-
-
-def _clause_formula_flat(c: Clause):
-    # cheap symbol counting without closing the clause
-    from .fol import clause_as_formula
-    return clause_as_formula(c)
 
 
 # ---------------------------------------------------------------------------

@@ -387,7 +387,7 @@ class _Search:
         self.compiled, self.index = _compile(clauses)
         self.starts = [ci for ci, c in enumerate(clauses)
                        if c.clause_id in clause_set.start_ids]
-        if not self.starts:
+        if clauses and not self.starts:     # an empty set is satisfiable
             raise ProverError("malformed clause set: no start clauses")
         self.subst: dict = {}
         self.trail: list = []

@@ -67,6 +67,15 @@ def test_self_reference_rejected(tmp_path):
         load_corpus(root)
 
 
+def test_repeated_reference_rejected(tmp_path):
+    root = _make_corpus(
+        tmp_path,
+        [("a", "a.p", []), ("t1", "t1.p", ["a", "a"])],
+        {"a.p": "fof(a, axiom, p(c)).\n", "t1.p": "fof(t1, conjecture, p(c)).\n"})
+    with pytest.raises(CorpusError, match="listed twice"):
+        load_corpus(root)
+
+
 def test_missing_formula_name_rejected(tmp_path):
     root = _make_corpus(
         tmp_path,

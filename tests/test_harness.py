@@ -3,13 +3,16 @@ import os
 
 import pytest
 
-from proofbench.corpus import write_manifest
+from proofbench import harness
+from proofbench.clausify import clausal_problem
+from proofbench.corpus import load_corpus, write_manifest
+from proofbench.fol import make_problem
 from proofbench.generator import generate_corpus
 from proofbench.harness import (
     ExperimentSpec, HarnessError, report, run_challenge, run_library,
     run_reprove, run_traintest, together_count, verify_run,
 )
-from proofbench.loop import LoopConfig
+from proofbench.loop import ClausalCache, LoopConfig, assemble_problem
 
 FAST_LOOP = LoopConfig(axiom_ladder=(4, 8, 16), attempt_budgets=(500, 1000, 2000),
                        max_depth=8, max_iterations=6,
@@ -183,8 +186,6 @@ def test_challenge_reads_search_limits_from_loop(neardup, tmp_path):
 
 
 def test_challenge_features_computed_once_per_problem(neardup, tmp_path, monkeypatch):
-    from proofbench import harness
-
     calls = []
     original = harness.symbol_features
     monkeypatch.setattr(harness, "symbol_features",
@@ -343,3 +344,61 @@ def test_verify_rereads_an_edited_corpus(tmp_path):
     outcome = verify_run(str(tmp_path / "run"))
     assert outcome["failed"] >= 1
     assert any(path.endswith("fa_th1.proof") for path, _why in outcome["failures"])
+
+
+def test_false_conjecture_ends_counter_satisfiable(tmp_path):
+    # the negated conjecture clausifies to no clause: t's set has no
+    # all-negative clause, so every clause is a start candidate, and u's
+    # set is empty
+    root = tmp_path / "c"
+    root.mkdir()
+    (root / "u.p").write_text("fof(u, conjecture, $false).\n")
+    (root / "a.p").write_text("fof(a, axiom, p(c)).\n")
+    (root / "t.p").write_text("fof(t, conjecture, $false).\n")
+    write_manifest(str(root), [("u", "u.p", []), ("a", "a.p", []),
+                               ("t", "t.p", ["a"])])
+    run_reprove(ExperimentSpec(mode="reprove", corpus=str(root),
+                               out_dir=str(tmp_path / "reprove")))
+    run_library(ExperimentSpec(mode="library", corpus=str(root),
+                               out_dir=str(tmp_path / "library"), baseline=False,
+                               loop=LoopConfig(axiom_ladder=(1,))))
+    for out in ("reprove", "library"):
+        lines = (tmp_path / out / "results.jsonl").read_text().splitlines()
+        assert [json.loads(line)["status"] for line in lines] == \
+            ["counter_satisfiable"] * 2
+
+
+def test_corpus_joiner_matches_problem_clausification(mixed30):
+    corpus = load_corpus(mixed30)
+    by_name = {item.name: item for item in corpus.items}
+    clausifier = ClausalCache()
+    for _i, item in corpus.theorems():
+        premises = [by_name[r] for r in item.reference_premises]
+        problem = make_problem([p.as_axiom() for p in premises]
+                               + [item.as_conjecture()])
+        assert assemble_problem(item, premises, clausifier) == \
+            clausal_problem(problem)
+
+
+def test_challenge_run_and_verify_build_the_same_clause_sets(
+        neardup, tmp_path, monkeypatch):
+    built = []
+    pruned = harness._pruned_problem
+
+    def recording(problem, chosen):
+        built.append(pruned(problem, chosen))
+        return built[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_pruned_problem", recording)
+        # nothing proves at depth 1: every problem runs at every rung
+        run_challenge(ExperimentSpec(
+            mode="challenge", problems=neardup, out_dir=str(tmp_path / "ch"),
+            loop=LoopConfig(axiom_ladder=(4, 8, 16), max_depth=1)))
+    lines = (tmp_path / "ch" / "results.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    assert len(records) == len(built) == 30
+    rebuild = harness._proof_problems(neardup)
+    for record, cs in zip(records, built):
+        assert rebuild(record["item"], record["premises_given"]) == cs
+        assert cs.clauses[-1].clause_id in cs.start_ids    # conjecture last

@@ -83,7 +83,7 @@ def test_solved_items_never_revert_and_proofs_check(tmp_path):
     state = run_loop(corpus, cfg)
     assert state.solved
     by_name = {item.name: item for item in corpus.items}
-    cache = ClausalCache(cfg.definitional_threshold)
+    cache = ClausalCache()
     for name, solved in state.solved.items():
         i = corpus.index_of(name)
         eligible = {p.name for p in corpus.eligible(i)}

@@ -278,7 +278,19 @@ def test_wide_start_clause_proves_without_recursion_error():
 
 
 def test_wide_start_clause_proof_checks():
-    cs = _wide_set(2000)
+    cs = _wide_set(10000)
+    res = prove(cs, Limits(max_depth=2))
+    assert res.status == PROVED
+    assert check_proof(res.proof, cs)
+
+
+def test_wide_literal_proof_checks():
+    n = 10000
+    goal = _cl([Literal(False, atom("p", *(const(f"c{i}") for i in range(n))))],
+               "goal_0", "goal")
+    unit = _cl([Literal(True, atom("p", *(Var(f"X{i}") for i in range(n))))],
+               "unit_0", "unit")
+    cs = _clause_set([goal, unit], start_ids={"goal_0"})
     res = prove(cs, Limits(max_depth=2))
     assert res.status == PROVED
     assert check_proof(res.proof, cs)
