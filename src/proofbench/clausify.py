@@ -34,7 +34,6 @@ class ClausalForm:
     clauses: tuple
     skolem_map: dict = field(default_factory=dict)
     defined: dict = field(default_factory=dict)
-    source: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +300,7 @@ def cnf(f: Formula, name: str = "f",
             unique.append(cl)
     final = tuple(Clause(cl.literals, name, f"{name}_{i}")
                   for i, cl in enumerate(unique))
-    return ClausalForm(final, skolem_map, dist.defined, name)
+    return ClausalForm(final, skolem_map, dist.defined)
 
 
 # ---------------------------------------------------------------------------

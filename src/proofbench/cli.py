@@ -106,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="write a synthetic corpus")
     g.add_argument("--family", choices=FAMILIES, required=True)
     g.add_argument("--size", type=int, required=True)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, default=0,
+                   help="accepted and ignored: every family is deterministic")
     g.add_argument("--out", required=True)
     g.add_argument("--no-verify", action="store_true",
                    help="skip generation-time provability checks")

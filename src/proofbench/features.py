@@ -12,7 +12,7 @@ from .fol import (
     And, Atom, BINARY, Clause, Eq, Formula, Literal, Not, Or, QUANT, Var,
     symbols_of,
 )
-from .models import UNDEFINED, ModelStore, evaluate
+from .models import UNDEFINED, ModelStore, evaluate_models
 
 STR_DEPTH_DEFAULT = 2
 
@@ -80,11 +80,9 @@ def structural_features(f, depth: int = STR_DEPTH_DEFAULT) -> FeatureVector:
 def semantic_features(f, store: ModelStore, start: int = 0) -> FeatureVector:
     """MOD:i:T / MOD:i:F per model i >= start; Undefined contributes nothing."""
     out: FeatureVector = {}
-    for i, m in enumerate(store.models[start:], start):
-        v = evaluate(f, m)
-        if v is UNDEFINED:
-            continue
-        out[f"MOD:{i}:{'T' if v else 'F'}"] = 1.0
+    for i, v in enumerate(evaluate_models(f, store.models[start:]), start):
+        if v is not UNDEFINED:
+            out[f"MOD:{i}:{'T' if v else 'F'}"] = 1.0
     return out
 
 

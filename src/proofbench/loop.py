@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .checker import check_proof
@@ -109,6 +110,7 @@ class LoopState:
     features: dict = field(default_factory=dict)  # name -> vector
     models_featured: int = 0      # the vectors cover store.models[:this]
     symbols: dict = field(default_factory=dict)   # name -> its SYM: ids
+    holders: dict = field(default_factory=dict)   # SYM: id -> names with it
 
 
 def item_features(item, config: LoopConfig, store: ModelStore,
@@ -135,16 +137,11 @@ def refresh_features(state: LoopState, corpus: Corpus,
             item, config, state.store, state.features.get(item.name), seen)
     state.models_featured = len(state.store)
     if not state.symbols:
-        state.symbols = {name: {f for f in vec if f.startswith("SYM:")}
-                         for name, vec in state.features.items()}
+        for name, vec in state.features.items():
+            state.symbols[name] = {f for f in vec if f.startswith("SYM:")}
+            for fid in state.symbols[name]:
+                state.holders.setdefault(fid, []).append(name)
     return state.features
-
-
-def jaccard_overlap(a: set, b: set) -> float:
-    if not a or not b:
-        return 0.0
-    common = len(a & b)
-    return common / (len(a) + len(b) - common)
 
 
 def rank_eligible(item, eligible, state: LoopState, config: LoopConfig) -> list:
@@ -153,12 +150,16 @@ def rank_eligible(item, eligible, state: LoopState, config: LoopConfig) -> list:
     if not config.learning:
         return list(reversed(names))      # chronological recency
     if state.model.total_examples == 0:
-        # cold start: symbol-overlap ranking, ties by recency
+        # cold start: Jaccard overlap of SYM: sets; names sharing no
+        # symbol with the item score 0.0 and come last, latest first
         query = state.symbols[item.name]
-        overlap = [jaccard_overlap(query, state.symbols[n]) for n in names]
-        order = sorted(range(len(names) - 1, -1, -1), key=overlap.__getitem__,
-                       reverse=True)          # stable: ties stay latest first
-        return [names[i] for i in order]
+        common = Counter(n for fid in query for n in state.holders[fid])
+        latest_first = names[::-1]
+        hits = [n for n in latest_first if n in common]
+        hits.sort(key=lambda n: common[n] / (
+            len(query) + len(state.symbols[n]) - common[n]),
+            reverse=True)                     # stable: ties stay latest first
+        return hits + [n for n in latest_first if n not in common]
     ranking = rank_premises(state.model, state.features[item.name], names)
     return [n for n, _s in ranking]
 

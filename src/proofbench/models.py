@@ -246,12 +246,18 @@ def evaluate(f, m: FiniteModel):
     Undefined exactly when f mentions a symbol m has no table for;
     clause variables are implicitly universal.
     """
+    return evaluate_models(f, (m,))[0]
+
+
+def evaluate_models(f, models) -> list:
+    """`evaluate(f, m)` for each m in `models`, in order.  The formula's
+    signature is walked once and tested against every model."""
     if isinstance(f, Clause):
         from .fol import clause_as_formula
         f = clause_as_formula(f)
-    if not m.has_symbols(symbols_of(f)):
-        return UNDEFINED
-    return _eval(f, m, {})
+    symbols = symbols_of(f)
+    return [_eval(f, m, {}) if m.has_symbols(symbols) else UNDEFINED
+            for m in models]
 
 
 def _eval_term(t, m, env) -> int:
@@ -312,11 +318,6 @@ class ModelStore:
 
     def __iter__(self):
         return iter(self.models)
-
-
-def evaluate_corpus(store: ModelStore, formulas) -> list:
-    """Truth matrix: one row per formula, one column per stored model."""
-    return [[evaluate(f, m) for m in store] for f in formulas]
 
 
 # ---------------------------------------------------------------------------

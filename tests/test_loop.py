@@ -5,11 +5,11 @@ import pytest
 from proofbench.checker import check_proof
 from proofbench.corpus import load_corpus, write_manifest
 from proofbench.generator import generate_corpus
-from proofbench import loop
+from proofbench import loop, models
 from proofbench.harness import ExperimentSpec, run_library
 from proofbench.loop import (
     ClausalCache, LoopConfig, LoopState, assemble_problem, fixpoint_report,
-    refresh_features, run_loop,
+    rank_eligible, refresh_features, run_loop,
 )
 
 MIXED30 = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
@@ -247,3 +247,78 @@ def test_each_theorem_ranked_once_per_iteration(monkeypatch):
     for rungs in given.values():
         for smaller, larger in zip(rungs, rungs[1:]):
             assert larger[:len(smaller)] == smaller
+
+
+def _jaccard_reference(item, eligible, features):
+    """Cold-start order by brute force: every eligible name's Jaccard
+    overlap of SYM: sets with the item, ties latest first."""
+    def syms(name):
+        return {f for f in features[name] if f.startswith("SYM:")}
+
+    query = syms(item.name)
+
+    def overlap(name):
+        other = syms(name)
+        if not query or not other:
+            return 0.0
+        common = len(query & other)
+        return common / (len(query) + len(other) - common)
+
+    latest_first = [p.name for p in reversed(eligible)]
+    return sorted(latest_first, key=overlap, reverse=True)
+
+
+def _cold_start_orders_match(corpus):
+    config = LoopConfig()
+    state = LoopState()
+    features = refresh_features(state, corpus, config)
+    assert state.model.total_examples == 0
+    for i, item in enumerate(corpus.items):
+        eligible = corpus.eligible(i)
+        assert rank_eligible(item, eligible, state, config) == \
+            _jaccard_reference(item, eligible, features), item.name
+
+
+def test_cold_start_ranking_matches_brute_force_jaccard(tmp_path):
+    _cold_start_orders_match(load_corpus(MIXED30))
+    # ties in overlap, names sharing nothing, equality as a symbol, and
+    # items with no SYM: features at all
+    _cold_start_orders_match(_write_corpus(tmp_path, [
+        ("none0", "axiom", "$true", []),
+        ("a", "axiom", "p(c)", []),
+        ("b", "axiom", "~p(c)", []),
+        ("c", "axiom", "q(d)", []),
+        ("d", "axiom", "p(c) | q(d)", []),
+        ("e", "axiom", "c = d", []),
+        ("none1", "axiom", "$false | $true", []),
+        ("f", "axiom", "p(d) & q(c)", []),
+        ("t1", "conjecture", "p(c) & q(d)", []),
+        ("t2", "conjecture", "$true", []),
+        ("t3", "conjecture", "c = d | r(e)", []),
+    ]))
+
+
+def test_mod_columns_walk_each_formula_once_per_refresh(monkeypatch, tmp_path):
+    # the signature walk is per formula, not per (formula, model) pair
+    walks = []          # (signature walks, models evaluated) per call
+    real_symbols = models.symbols_of
+    real_semantic = loop.semantic_features
+    calls = [0]
+
+    def counted_symbols(f):
+        calls[0] += 1
+        return real_symbols(f)
+
+    def counted_semantic(f, store, start=0):
+        before = calls[0]
+        vec = real_semantic(f, store, start)
+        walks.append((calls[0] - before, len(store) - start))
+        return vec
+
+    monkeypatch.setattr(models, "symbols_of", counted_symbols)
+    monkeypatch.setattr(loop, "semantic_features", counted_semantic)
+    run_library(ExperimentSpec(
+        mode="library", corpus=MIXED30, out_dir=str(tmp_path / "run"),
+        loop=PRUNING_CONFIG, baseline=False))
+    assert max(batch for _w, batch in walks) > 1
+    assert all(w == 1 for w, _batch in walks)

@@ -5,11 +5,12 @@ import pytest
 
 from proofbench import models
 from proofbench.fol import (
-    App, Atom, Eq, Forall, Literal, Var, atom, const, make_clause,
+    FALSE, TRUE, And, App, Atom, Clause, Eq, Exists, Forall, Literal, Not, Or,
+    Var, atom, const, make_clause,
 )
 from proofbench.models import (
     UNDEFINED, FiniteModel, ModelCheckError, ModelStore, ResourceError, evaluate,
-    evaluate_corpus, find_model, model_from_text, model_to_text,
+    evaluate_models, find_model, model_from_text, model_to_text,
 )
 
 from helpers import (
@@ -138,8 +139,9 @@ def test_evaluate_alpha_invariant():
 
 
 def test_evaluate_corpus_matrix():
+    # one row per formula, one column per stored model
     store = ModelStore()
-    assert evaluate_corpus(store, [atom("p", const("c"))]) == [[]]
+    assert [evaluate_models(f, store) for f in [atom("p", const("c"))]] == [[]]
     m = find_model([_cl([Literal(True, atom("p", const("c")))])], 2)
     store.add(m)
     formulas = [
@@ -147,9 +149,42 @@ def test_evaluate_corpus_matrix():
         Forall("X", atom("p", Var("X"))),
         atom("q", const("c")),
     ]
-    matrix = evaluate_corpus(store, formulas)
+    matrix = [evaluate_models(f, store) for f in formulas]
     assert matrix == [[evaluate(f, m)] for f in formulas]
     assert matrix[2] == [UNDEFINED]
+
+
+def test_evaluate_models_equals_evaluate_per_model():
+    # models over full, partial and differently sized signatures, so each
+    # batch mixes defined and UNDEFINED columns
+    models_ = [FiniteModel(1, funcs, preds) for funcs, preds in
+               all_interpretations({"c": 0, "f": 1}, {"p": 1, "q": 1}, 1)]
+    models_ += [FiniteModel(2, funcs, preds) for funcs, preds in
+                itertools.islice(all_interpretations(
+                    {"c": 0, "f": 1}, {"p": 1, "q": 1}, 2), 0, None, 7)]
+    models_ += [FiniteModel(2, funcs, preds) for funcs, preds in
+                all_interpretations({"c": 0}, {"p": 1}, 2)]
+    rng = random.Random(5)
+    formulas = [random_closed_formula(rng, depth=3, allow_eq=True,
+                                      unary_only=True) for _ in range(60)]
+    formulas += [
+        TRUE, FALSE, Eq(const("c"), const("c")),
+        Exists("X", And(atom("p", Var("X")), Not(FALSE))),
+        Forall("X", Or(Eq(Var("X"), const("c")), atom("q", Var("X")))),
+        _cl([Literal(True, atom("p", Var("X"))),
+             Literal(False, atom("q", App("f", (Var("X"),))))]),
+    ]
+    seen = set()
+    for f in formulas:
+        assert evaluate_models(f, []) == []
+        row = evaluate_models(f, models_)
+        assert row == [evaluate(f, m) for m in models_]
+        seen.update(v if v is UNDEFINED else type(v) for v in row)
+        if not isinstance(f, Clause):
+            assert [v for v in row if v is not UNDEFINED] == [
+                brute_eval(f, m.funcs, m.preds, m.size) for m, v in
+                zip(models_, row) if v is not UNDEFINED]
+    assert seen == {UNDEFINED, bool}
 
 
 def test_model_store_dedup_and_stable_indices():
