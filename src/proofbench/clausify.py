@@ -30,10 +30,12 @@ DEFAULT_DEFINITIONAL_THRESHOLD = 64
 
 @dataclass
 class ClausalForm:
-    """Clauses for one source formula plus the naming it introduced."""
+    """Clauses for one source formula plus the naming it introduced, and
+    whether the source formula uses equality."""
     clauses: tuple
     skolem_map: dict = field(default_factory=dict)
     defined: dict = field(default_factory=dict)
+    equality: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +302,7 @@ def cnf(f: Formula, name: str = "f",
             unique.append(cl)
     final = tuple(Clause(cl.literals, name, f"{name}_{i}")
                   for i, cl in enumerate(unique))
-    return ClausalForm(final, skolem_map, dist.defined)
+    return ClausalForm(final, skolem_map, dist.defined, uses_equality(f))
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +364,9 @@ class ClauseSet:
         raise KeyError(cid)
 
 
-def join_forms(forms, negated: ClausalForm | None,
-               equality: bool) -> ClauseSet:
+def join_forms(forms, negated: ClausalForm | None) -> ClauseSet:
     """The one constructor of prover input: the clauses of `forms` in the
-    order given, then, when `equality` (some source formula uses it), the
+    order given, then, when some source formula uses equality, the
     equality axioms, with congruence covering skolem and definitional
     symbols too.
 
@@ -375,7 +376,7 @@ def join_forms(forms, negated: ClausalForm | None,
     lets the search saturate and the model finder show it.
     """
     clauses = [c for form in forms for c in form.clauses]
-    if equality:
+    if any(form.equality for form in forms):
         signature = {s for c in clauses for s in clause_signature(c)}
         clauses.extend(equality_axioms(signature))
     starts = negated.clauses if negated is not None else ()
@@ -393,5 +394,4 @@ def clausal_problem(problem: Problem) -> ClauseSet:
         forms.append(form)
         if af.role == "conjecture":
             negated = form
-    return join_forms(forms, negated,
-                      any(uses_equality(af.formula) for af in problem.formulas))
+    return join_forms(forms, negated)

@@ -30,15 +30,16 @@ from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
 
 from .checker import check_proof
-from .clausify import ClauseSet, clausal_problem
+# perfbench/layers.py wraps `clausal_problem` here as well as in
+# `clausify`; every mode builds through `loop.assemble_problem` instead
+from .clausify import ClauseSet, clausal_problem  # noqa: F401
 from .corpus import load_corpus, load_split
 from .features import combine, structural_features, symbol_features
-from .fol import Problem
 from .learner import BayesModel, rank_premises, train_incremental
 from .loop import (
     Attempt, ClausalCache, LoopConfig, assemble_problem, attempt,
-    corpus_problems, fixpoint_report, item_features, prove_checked, run_loop,
-    tally, walk_ladder, write_run_dir,
+    corpus_problems, fixpoint_report, item_features, prove_checked,
+    pruned_problems, run_loop, tally, walk_ladder, write_run_dir,
 )
 from .models import ModelStore, model_to_text
 from .parser import parse_problem_file
@@ -274,9 +275,6 @@ def run_challenge(spec: ExperimentSpec) -> dict:
             names = [n for n, _s in rank_premises(model, features[pid], names)]
         return tuple(sorted(names[:k]))
 
-    def build(_pid, problem, chosen) -> ClauseSet:
-        return _pruned_problem(problem, chosen)
-
     def learn(pid, record) -> None:
         if cfg.learning:
             train_incremental(model, features[pid], record.premises_used)
@@ -284,7 +282,7 @@ def run_challenge(spec: ExperimentSpec) -> dict:
     records: list = []
     with _RecordWriter(out, asdict(spec)) as writer:
         spent, _ran_out = walk_ladder(
-            problems, cfg, select, build, records, {}, name=name,
+            problems, cfg, select, pruned_problems(), records, {}, name=name,
             budget_left=cfg.total_inference_budget, writer=writer,
             keep_model=_keep_every, on_proved=learn)
     budget_left = cfg.total_inference_budget
@@ -410,11 +408,18 @@ def _corpus_of(cfg_path: str):
 
 def _proof_problems(corpus_root: str):
     """`rebuild(item, premises)`, the clause set of a stored proof, built
-    as the run built it: a corpus item after its premises, with clausal
-    forms cached for the call, or a challenge problem pruned to them."""
+    as the run built it, with clausal forms cached for the call: a corpus
+    item after its premises, or a challenge problem pruned to them, each
+    problem file parsed once."""
     if not os.path.exists(os.path.join(corpus_root, "manifest.txt")):
-        return lambda item, premises: _pruned_problem(
-            parse_problem_file(os.path.join(corpus_root, f"{item}.p")), premises)
+        build, parsed = pruned_problems(), {}
+
+        def rebuild_pruned(item, premises) -> ClauseSet:
+            if item not in parsed:
+                parsed[item] = parse_problem_file(
+                    os.path.join(corpus_root, f"{item}.p"))
+            return build(item, parsed[item], premises)
+        return rebuild_pruned
     position: dict = {}     # the corpus items, loaded at the first proof
     clausifier = ClausalCache()
 
@@ -427,16 +432,6 @@ def _proof_problems(corpus_root: str):
         return assemble_problem(position[item][1],
                                 [position[p][1] for p in premises], clausifier)
     return rebuild
-
-
-def _pruned_problem(problem: Problem, chosen) -> ClauseSet:
-    """A challenge problem's clause set: the chosen axioms in file order,
-    then the conjecture.  The formulas were validated when parsed."""
-    keep = set(chosen)
-    return clausal_problem(Problem(
-        tuple(af for af in problem.formulas
-              if af.role != "conjecture" and af.name in keep)
-        + (problem.conjecture,)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .checker import check_proof
-from .clausify import ClauseSet, cnf, join_forms, uses_equality
+from .clausify import ClauseSet, cnf, join_forms
 from .corpus import Corpus
 from .features import (
     combine, semantic_features, structural_features, symbol_features,
@@ -165,27 +165,27 @@ def rank_eligible(item, eligible, state: LoopState, config: LoopConfig) -> list:
 
 
 class ClausalCache:
-    """Per-run cache of clausal forms; canonical naming keeps reuse exact."""
+    """Clausal forms keyed by content, (name, formula, negated): `cnf` is
+    a pure function of the key, so reuse is exact across problems too."""
 
     def __init__(self):
-        self.forms: dict = {}        # (name, negated) -> clausal form
-        self.uses_eq: dict = {}
+        self.forms: dict = {}
 
     def form(self, item, negate: bool = False):
-        key = (item.name, negate)
-        if key not in self.forms:
-            self.forms[key] = cnf(item.formula, name=item.name, negate=negate)
-            self.uses_eq[item.name] = uses_equality(item.formula)
-        return self.forms[key]
+        key = (item.name, item.formula, negate)
+        form = self.forms.get(key)
+        if form is None:
+            form = self.forms[key] = cnf(item.formula, name=item.name,
+                                         negate=negate)
+        return form
 
 
 def assemble_problem(item, premise_items, clausifier: ClausalCache) -> ClauseSet:
-    """The clause set of corpus `item` proved from `premise_items`: the
-    premises in the order given, then the negated item."""
+    """The clause set of `item` proved from `premise_items`: the premises
+    in the order given, then the negated item."""
     forms = [clausifier.form(p) for p in premise_items]
     negated = clausifier.form(item, negate=True)
-    return join_forms(forms + [negated], negated, any(
-        clausifier.uses_eq[i.name] for i in [*premise_items, item]))
+    return join_forms(forms + [negated], negated)
 
 
 def corpus_problems(corpus: Corpus):
@@ -198,6 +198,19 @@ def corpus_problems(corpus: Corpus):
     def build(_name, entry, chosen) -> ClauseSet:
         premises = [corpus.items[i] for i in sorted(position[n] for n in chosen)]
         return assemble_problem(entry[1], premises, clausifier)
+    return build
+
+
+def pruned_problems():
+    """Problem builder for standalone problems (entries are parsed
+    `Problem`s): the chosen axioms in file order, then the negated
+    conjecture, with clausal forms cached for the run."""
+    clausifier = ClausalCache()
+
+    def build(_name, problem, chosen) -> ClauseSet:
+        axioms = [af for af in problem.formulas
+                  if af.role != "conjecture" and af.name in chosen]
+        return assemble_problem(problem.conjecture, axioms, clausifier)
     return build
 
 

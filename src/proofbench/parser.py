@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fol import (
-    And, AnnotatedFormula, App, Atom, BINARY, Clause, Eq, Exists, FALSE,
+    And, AnnotatedFormula, App, Atom, Clause, Eq, Exists, FALSE,
     Forall, Formula, Iff, Implies, Literal, Not, Or, Problem, ProblemError,
     ROLES, TRUE, TrueF, FalseF, Term, Var, make_problem, universal_closure,
 )
@@ -54,8 +54,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -65,26 +64,27 @@ class Token:
 def tokenize(text: str, source: str = "") -> list:
     tokens = []
     pos, line, linestart = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line, pos - linestart + 1, source)
+    for m in _TOKEN_RE.finditer(text):
+        start, end = m.span()
+        if start != pos:        # no token starts at pos
+            break
         kind = m.lastgroup
         tok = m.group()
         if kind != "ws":
-            tokens.append(Token(kind, tok, line, m.start() - linestart + 1))
-        line += tok.count("\n")
+            tokens.append(Token(kind, tok, line, start - linestart + 1))
         if "\n" in tok:
-            linestart = m.start() + tok.rindex("\n") + 1
-        pos = m.end()
+            line += tok.count("\n")
+            linestart = start + tok.rindex("\n") + 1
+        pos = end
+    if pos < len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}",
+                         line, pos - linestart + 1, source)
     tokens.append(Token("eof", "", line, pos - linestart + 1))
     return tokens
 
 
 def _unquote(text: str) -> str:
-    body = text[1:-1].replace("\\'", "'").replace("\\\\", "\\")
-    return body
+    return text[1:-1].replace("\\'", "'").replace("\\\\", "\\")
 
 
 _IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
@@ -92,10 +92,7 @@ _IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
 def normalize_name(text: str) -> str:
     """Quoted atoms collapse to bare identifiers when possible."""
-    if text.startswith("'"):
-        body = _unquote(text)
-        return body
-    return text
+    return _unquote(text) if text.startswith("'") else text
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +115,7 @@ class _Parser:
     def eat(self, text: str) -> Token:
         if self.cur.text != text:
             self.error(f"expected {text!r}, found {self.cur.text!r}")
-        t = self.cur
-        self.pos += 1
-        return t
+        return self.take()
 
     def take(self) -> Token:
         t = self.cur
@@ -365,7 +360,7 @@ def print_formula(f: Formula) -> str:
     if isinstance(f, Not):
         if isinstance(f.sub, Eq):
             return f"{print_term(f.sub.lhs)} != {print_term(f.sub.rhs)}"
-        return f"~ {_print_unitary(f.sub)}"
+        return f"~ {print_formula(f.sub)}"
     if isinstance(f, (And, Or)):
         op, cls = ("&", And) if isinstance(f, And) else ("|", Or)
         parts = []
@@ -375,21 +370,16 @@ def print_formula(f: Formula) -> str:
             g = g.lhs
         parts.append(g)
         parts.reverse()
-        return "(" + f" {op} ".join(_print_unitary(p) for p in parts) + ")"
+        return "(" + f" {op} ".join(print_formula(p) for p in parts) + ")"
     if isinstance(f, Implies):
-        return f"({_print_unitary(f.lhs)} => {_print_unitary(f.rhs)})"
+        return f"({print_formula(f.lhs)} => {print_formula(f.rhs)})"
     if isinstance(f, Iff):
-        return f"({_print_unitary(f.lhs)} <=> {_print_unitary(f.rhs)})"
+        return f"({print_formula(f.lhs)} <=> {print_formula(f.rhs)})"
     if isinstance(f, Forall):
-        return f"![{f.var}]: {_print_unitary(f.body)}"
+        return f"![{f.var}]: {print_formula(f.body)}"
     if isinstance(f, Exists):
-        return f"?[{f.var}]: {_print_unitary(f.body)}"
+        return f"?[{f.var}]: {print_formula(f.body)}"
     raise TypeError(f"not a formula: {f!r}")
-
-
-def _print_unitary(f: Formula) -> str:
-    # binary operands need their own parentheses; print_formula adds them
-    return print_formula(f)
 
 
 def print_annotated(af: AnnotatedFormula) -> str:

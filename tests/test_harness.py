@@ -1,18 +1,22 @@
 import json
 import os
+import shutil
 
 import pytest
 
 from proofbench import harness
 from proofbench.clausify import clausal_problem
 from proofbench.corpus import load_corpus, write_manifest
-from proofbench.fol import make_problem
+from proofbench.fol import Problem, make_problem
 from proofbench.generator import generate_corpus
 from proofbench.harness import (
     ExperimentSpec, HarnessError, report, run_challenge, run_library,
     run_reprove, run_traintest, together_count, verify_run,
 )
-from proofbench.loop import ClausalCache, LoopConfig, assemble_problem
+from proofbench.loop import (
+    ClausalCache, LoopConfig, assemble_problem, pruned_problems,
+)
+from proofbench.parser import parse_problem_file
 
 FAST_LOOP = LoopConfig(axiom_ladder=(4, 8, 16), attempt_budgets=(500, 1000, 2000),
                        max_depth=8, max_iterations=6,
@@ -380,17 +384,42 @@ def test_corpus_joiner_matches_problem_clausification(mixed30):
             clausal_problem(problem)
 
 
+def test_challenge_builder_matches_problem_clausification(neardup, tmp_path):
+    # route_fact and flag_fact name a different formula in each problem;
+    # in prob_eq route_fact is an equation, which adds the equality axioms
+    root = tmp_path / "probs"
+    shutil.copytree(neardup, root)
+    (root / "prob_eq.p").write_text(
+        "fof(route_fact, axiom, c0 = c1).\n"
+        "fof(flag_fact, axiom, flag_a(c1)).\n"
+        "fof(goal_eq, conjecture, top(c1)).\n")
+    problems = [parse_problem_file(str(p)) for p in sorted(root.glob("*.p"))]
+    assert len({p.by_name("route_fact").formula for p in problems}) > 2
+    build = pruned_problems()
+    for k in range(13):             # rung-major, as `loop.walk_ladder` runs
+        for problem in problems:
+            axioms = [af for af in problem.formulas if af.role != "conjecture"]
+            for chosen in (axioms[:k], axioms[k:]):
+                names = tuple(sorted(af.name for af in chosen))
+                assert build("p", problem, names) == clausal_problem(
+                    Problem(tuple(chosen) + (problem.conjecture,)))
+
+
 def test_challenge_run_and_verify_build_the_same_clause_sets(
         neardup, tmp_path, monkeypatch):
     built = []
-    pruned = harness._pruned_problem
+    builder = harness.pruned_problems
 
-    def recording(problem, chosen):
-        built.append(pruned(problem, chosen))
-        return built[-1]
+    def recording():
+        build = builder()
+
+        def record(name, problem, chosen):
+            built.append(build(name, problem, chosen))
+            return built[-1]
+        return record
 
     with monkeypatch.context() as m:
-        m.setattr(harness, "_pruned_problem", recording)
+        m.setattr(harness, "pruned_problems", recording)
         # nothing proves at depth 1: every problem runs at every rung
         run_challenge(ExperimentSpec(
             mode="challenge", problems=neardup, out_dir=str(tmp_path / "ch"),

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -6,8 +7,8 @@ from proofbench.fol import (
     And, Atom, Forall, Implies, Not, Or, Var, alpha_equivalent, atom, const,
 )
 from proofbench.parser import (
-    ParseError, parse_formula, parse_problem, parse_problem_file,
-    print_annotated, print_formula, print_problem,
+    ParseError, _TOKEN_RE, parse_formula, parse_problem, parse_problem_file,
+    print_annotated, print_formula, print_problem, tokenize,
 )
 from proofbench.fol import ArityError, DuplicateNameError, MultipleConjecturesError
 
@@ -114,3 +115,63 @@ def test_problem_print_reparses():
     assert [af.name for af in p2.formulas] == [af.name for af in p.formulas]
     for af, bf in zip(p.formulas, p2.formulas):
         assert alpha_equivalent(af.formula, bf.formula)
+
+
+def _tokenize_per_match(text: str, source: str = "") -> list:
+    """Reference tokenizer: one anchored match at each position."""
+    tokens = []
+    pos, line, linestart = 0, 1, 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}",
+                             line, pos - linestart + 1, source)
+        kind = m.lastgroup
+        tok = m.group()
+        if kind != "ws":
+            tokens.append((kind, tok, line, m.start() - linestart + 1))
+        line += tok.count("\n")
+        if "\n" in tok:
+            linestart = m.start() + tok.rindex("\n") + 1
+        pos = m.end()
+    tokens.append(("eof", "", line, pos - linestart + 1))
+    return tokens
+
+
+CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "corpora", "mixed30")
+
+
+@pytest.mark.parametrize("text", [
+    "% a comment\n\n\nfof(a, axiom, p(c)). % trailing\n\n% last",
+    "fof(a, axiom, p(c)).\r\nfof(b, axiom,\r\n  q(c)).\r\n",
+    "fof('two\nlines', axiom, p('x\ny', c)).\nfof(b, axiom, q(c)).",
+    "% comment\nfof(a, axiom, p(c)).",
+    "",
+    " \n\t",
+    "fof(a, conjecture, ![X, Y]: ((p(X) & $true) <=> ~ (X != Y))).",
+])
+def test_tokenize_matches_per_match_reference(text):
+    assert [tuple(t) for t in tokenize(text)] == _tokenize_per_match(text)
+
+
+def test_tokenize_matches_reference_on_corpus_files():
+    for fn in sorted(os.listdir(CORPUS)):
+        with open(os.path.join(CORPUS, fn), encoding="utf-8") as fh:
+            text = fh.read()
+        assert [tuple(t) for t in tokenize(text)] == _tokenize_per_match(text)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("fof(a, axiom, p(c)).\n  fof(b, axiom, q(c) # r).", (2, 22)),
+    ("fof(a, axiom,\r\n p(c) @ q).", (2, 7)),
+    ("% c\nfof('x\ny', axiom, p(c)). 'open", (3, 19)),
+    ("#", (1, 1)),
+])
+def test_tokenize_error_location_matches_reference(text, where):
+    with pytest.raises(ParseError) as ref:
+        _tokenize_per_match(text, "s.p")
+    with pytest.raises(ParseError) as got:
+        tokenize(text, "s.p")
+    assert (got.value.line, got.value.col) == (ref.value.line, ref.value.col) == where
+    assert str(got.value) == str(ref.value)

@@ -66,6 +66,27 @@ def test_library_trace_shows_item_features_and_one_ranking_per_theorem(
         {(r["item"], r["iteration"]) for r in records})
 
 
+def test_challenge_trace_shows_one_assembly_per_attempt_and_cached_forms(
+        layers, small_inputs, tmp_path):
+    from proofbench.harness import ExperimentSpec, run_challenge
+    from proofbench.loop import LoopConfig
+
+    out = tmp_path / "run"
+    tracer = layers.Tracer("t")
+    try:
+        layers.install_program_wrappers(tracer)
+        run_challenge(ExperimentSpec(
+            mode="challenge", problems=small_inputs["challenge"],
+            out_dir=str(out), loop=LoopConfig(axiom_ladder=(4, 8, 16))))
+    finally:
+        tracer.restore()
+    records = (out / "results.jsonl").read_text().splitlines()
+    assembled = [span for span in tracer.spans if span[0] == "clausify.assemble"]
+    cnf_calls = sum(1 for span in tracer.spans if span[0] == "clausify.cnf")
+    assert len(assembled) == len(records)
+    assert 0 < cnf_calls < sum(span[4]["forms"] for span in assembled)
+
+
 @pytest.fixture(scope="module")
 def small_inputs(tmp_path_factory):
     from proofbench.generator import generate_corpus
