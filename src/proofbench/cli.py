@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: generate, reprove, library, challenge, traintest, verify,
-report, speedup.  Deterministic mode (inference budgets, no wall clock)
-is the default; pass --wall-clock SECONDS to add a time budget for
-benchmarking.  The exit code reflects invariant violations (a failed
-proof check, a broken run directory), never unsolved problems.
+report, speedup.  Every run is deterministic: budgets count inferences,
+never wall-clock time.  Apart from the ignored --seed, each option is
+registered only on the subcommands that read it.  The exit code
+reflects invariant violations (a failed proof check, a broken run
+directory), never unsolved problems.
 
 Environment: PROOFBENCH_OUTPUT_ROOT prefixes relative --out paths.
 """
@@ -43,8 +44,6 @@ def _loop_config(args) -> LoopConfig:
         kw["max_depth"] = args.depth
     if getattr(args, "max_domain", None):
         kw["model_max_domain"] = args.max_domain
-    if getattr(args, "wall_clock", None):
-        kw["time_budget"] = args.wall_clock
     if getattr(args, "no_semantic", False):
         kw["semantic"] = False
     if getattr(args, "guidance", False):
@@ -63,9 +62,6 @@ def _spec(args, mode: str) -> ExperimentSpec:
         split=getattr(args, "split", "") or "",
         workers=getattr(args, "workers", 1) or 1,
         per_problem_budget=getattr(args, "budget", None) or 20000,
-        time_budget=getattr(args, "wall_clock", None),
-        max_depth=getattr(args, "depth", None) or 10,
-        model_max_domain=getattr(args, "max_domain", None) or 3,
         loop=_loop_config(args),
         baseline=not getattr(args, "no_baseline", False),
     )
@@ -80,21 +76,14 @@ def _add_common(p, corpus=True):
     p.add_argument("--depth", type=int, default=10, help="max tableau path depth")
     p.add_argument("--max-domain", type=int, default=3, dest="max_domain",
                    help="model finder domain cap")
-    p.add_argument("--wall-clock", type=float, default=None, dest="wall_clock",
-                   help="per-attempt time budget in seconds (benchmarking only)")
 
 
-def _add_loop_flags(p):
+def _add_ladder_flags(p):
     p.add_argument("--ladder", default=None, help="axiom-count ladder, e.g. 4,8,16")
     p.add_argument("--budgets", default=None,
                    help="per-rung inference budgets, e.g. 500,1000,2000")
-    p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--total-budget", type=int, default=None, dest="total_budget",
                    help="shared inference budget for the whole run")
-    p.add_argument("--no-semantic", action="store_true", dest="no_semantic",
-                   help="disable countermodel (MOD) features")
-    p.add_argument("--guidance", action="store_true",
-                   help="enable clause-choice guidance inside the prover")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,20 +110,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     l = sub.add_parser("library", help="full selection loop over the corpus")
     _add_common(l)
-    _add_loop_flags(l)
+    _add_ladder_flags(l)
+    l.add_argument("--iterations", type=int, default=None,
+                   help="cap on learning iterations")
+    l.add_argument("--no-semantic", action="store_true", dest="no_semantic",
+                   help="disable countermodel (MOD) features")
+    l.add_argument("--guidance", action="store_true",
+                   help="enable clause-choice guidance inside the prover")
     l.add_argument("--no-baseline", action="store_true", dest="no_baseline",
                    help="skip the chronological-recency comparison run")
 
     c = sub.add_parser("challenge", help="shared-budget batch of standalone problems")
     c.add_argument("--problems", required=True, help="directory of .p files")
     _add_common(c, corpus=False)
-    _add_loop_flags(c)
+    _add_ladder_flags(c)
     c.add_argument("--no-learning", action="store_true", dest="no_learning",
                    help="fixed axiom order instead of learned ranking")
 
     t = sub.add_parser("traintest", help="train on a declared split, evaluate the rest")
     _add_common(t)
-    _add_loop_flags(t)
+    _add_ladder_flags(t)
     t.add_argument("--split", required=True, help="split file (train/test lines)")
 
     v = sub.add_parser("verify", help="re-check every stored proof in a run directory")

@@ -47,12 +47,6 @@ class Corpus:
     items: list = field(default_factory=list)
     root: str = ""
 
-    def index_of(self, name: str) -> int:
-        for i, item in enumerate(self.items):
-            if item.name == name:
-                return i
-        raise KeyError(name)
-
     def eligible(self, i: int) -> list:
         """Items usable as premises for item i: everything strictly earlier."""
         return self.items[:i]

@@ -8,10 +8,7 @@ every feature.
 """
 from __future__ import annotations
 
-from .fol import (
-    And, Atom, BINARY, Clause, Eq, Formula, Literal, Not, Or, QUANT, Var,
-    symbols_of,
-)
+from .fol import Atom, BINARY, Clause, Eq, Literal, Not, QUANT, Var, symbols_of
 from .models import UNDEFINED, ModelStore, evaluate_models
 
 STR_DEPTH_DEFAULT = 2
@@ -129,18 +126,3 @@ def write_feature_cache(path: str, vectors: dict) -> None:
             pairs = " ".join(f"{fid}:{w!r}" for fid, w in sorted(vectors[name].items()))
             fh.write(f"{name}\t{pairs}\n")
 
-
-def read_feature_cache(path: str) -> dict:
-    out: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            name, _, rest = line.partition("\t")
-            vec: FeatureVector = {}
-            for pair in rest.split():
-                fid, _, w = pair.rpartition(":")
-                vec[fid] = float(w)
-            out[name] = vec
-    return out

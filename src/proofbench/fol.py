@@ -9,7 +9,7 @@ parser, not here.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Union
 
 
@@ -308,7 +308,7 @@ def subst_formula(f: Formula, mapping: dict) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Alpha normalization / equivalence
+# Alpha normalization
 
 
 def alpha_normal(f: Formula) -> Formula:
@@ -344,10 +344,6 @@ def alpha_normal(f: Formula) -> Formula:
         return App(t.symbol, tuple(walk_term(a, env) for a in t.args))
 
     return walk(f, {})
-
-
-def alpha_equivalent(f: Formula, g: Formula) -> bool:
-    return alpha_normal(f) == alpha_normal(g)
 
 
 # ---------------------------------------------------------------------------

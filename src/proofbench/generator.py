@@ -27,9 +27,9 @@ import os
 
 from .clausify import clausal_problem
 from .checker import check_proof
-from .corpus import MANIFEST_NAME, SPLIT_NAME, load_corpus, write_manifest
-from .fol import AnnotatedFormula, make_problem
-from .parser import parse_problem, print_annotated
+from .corpus import SPLIT_NAME, load_corpus, write_manifest
+from .fol import make_problem
+from .parser import parse_problem
 from .prover import Limits, PROVED, prove
 
 FAMILIES = ("chain", "group", "mixed", "neardup")

@@ -31,9 +31,6 @@ ON_FAILED_BRANCH = "on_failed_branch"
 @dataclass(frozen=True)
 class StateQuery:
     branch_symbols: tuple      # sorted (feature id, weight) pairs
-    goal: str
-    depth: int
-    problem_id: str
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,7 @@ class Advisor:
 
     # -- prover protocol ----------------------------------------------------
 
-    def consult(self, branch, goal, depth, candidate_ids, problem_id):
+    def consult(self, branch, goal, depth, candidate_ids):
         consulted = throttle_policy(depth, len(candidate_ids))
         self.choice_log.append((depth, len(candidate_ids), consulted))
         if not consulted:
@@ -106,8 +103,7 @@ class Advisor:
             "learner changed during search"
         # the open goal is the tip of the branch; include its symbols
         feats = tuple(sorted(branch_features(list(branch) + [goal]).items()))
-        from .parser import print_literal
-        query = StateQuery(feats, print_literal(goal), depth, problem_id)
+        query = StateQuery(feats)
         if self.record_only:
             return None, query
         key = (feats, tuple(candidate_ids))
@@ -176,7 +172,7 @@ def measure_speedup(problems, limits, train_count: int | None = None,
     for idx, (pid, cs) in enumerate(problems):
         recorder = Advisor(BayesModel(), record_only=True)
         recorder.register_clauses(cs.clauses)
-        res = prove(cs, limits, advisor=recorder, problem_id=pid)
+        res = prove(cs, limits, advisor=recorder)
         unguided[pid] = res
         if training_enabled and idx < train_count and res.status == PROVED:
             recorder.flush_to(guide_model)
@@ -186,7 +182,7 @@ def measure_speedup(problems, limits, train_count: int | None = None,
     for pid, cs in problems:
         advisor = Advisor(guide_model)
         advisor.register_clauses(cs.clauses)
-        res = prove(cs, limits, advisor=advisor, problem_id=pid)
+        res = prove(cs, limits, advisor=advisor)
         u = unguided[pid]
         both = u.status == PROVED and res.status == PROVED
         ratio = (u.stats.inferences / res.stats.inferences) if both else None

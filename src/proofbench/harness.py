@@ -17,9 +17,8 @@ Every mode runs its attempts through `loop.attempt`, and all but reprove
 schedule them with `loop.walk_ladder`; a mode supplies only its ranking
 policy and problem builder.  Results are append-only JSON lines in one
 schema (`loop.Attempt`); `verify` replays every stored proof through the
-independent checker.  Deterministic mode (the default) uses inference
-budgets only, so an identical spec gives byte-identical structured
-output.
+independent checker.  Budgets count inferences only, so an identical
+spec gives byte-identical structured output.
 """
 from __future__ import annotations
 
@@ -62,11 +61,7 @@ class ExperimentSpec:
     out_dir: str = ""
     split: str = ""
     workers: int = 1
-    per_problem_budget: int = 20000
-    # reprove only: the ladder modes read these three from `loop`
-    time_budget: float | None = None    # wall-clock mode only
-    max_depth: int = 10
-    model_max_domain: int = 3
+    per_problem_budget: int = 20000     # reprove only
     loop: LoopConfig = field(default_factory=LoopConfig)
     baseline: bool = True          # library mode: also run the recency baseline
 
@@ -191,7 +186,7 @@ def run_reprove(spec: ExperimentSpec) -> dict:
     by_name = {item.name: item for item in corpus.items}
     clausifier = ClausalCache()
     limits = Limits(inference_budget=spec.per_problem_budget,
-                    max_depth=spec.max_depth, time_budget=spec.time_budget)
+                    max_depth=spec.loop.max_depth)
     records = [Attempt("reprove", 1, item.name, len(item.reference_premises),
                        spec.per_problem_budget, tuple(item.reference_premises))
                for _i, item in corpus.theorems()]
@@ -202,7 +197,7 @@ def run_reprove(spec: ExperimentSpec) -> dict:
     try:
         outcomes = (pool.map if pool else map)(
             prove_checked, problems, repeat(limits),
-            repeat(spec.model_max_domain), [r.item for r in records])
+            repeat(spec.loop.model_max_domain), [r.item for r in records])
         with _RecordWriter(out, asdict(spec)) as writer:
             for record, res in zip(records, outcomes):
                 attempt(record, result=res, writer=writer, keep_model=_keep_every)
@@ -354,8 +349,7 @@ def verify_run(run_dir: str) -> dict:
     A corpus is loaded at most once per call, so a corpus edited between
     two calls is read afresh.
     """
-    corpus_root = _corpus_of(os.path.join(run_dir, "config.json"))
-    rebuild = _proof_problems(corpus_root) if corpus_root is not None else None
+    rebuild = _rebuilder(run_dir)
     checked = failed = 0
     failures = []
     for dirpath, _dirs, files in os.walk(run_dir):
@@ -364,7 +358,7 @@ def verify_run(run_dir: str) -> dict:
                 continue
             path = os.path.join(dirpath, fn)
             item, premises, proof = _read_proof_file(path)
-            if corpus_root is None:
+            if rebuild is None:
                 failures.append((path, "no corpus recorded in config.json"))
                 failed += 1
                 continue
@@ -397,40 +391,52 @@ def _read_proof_file(path: str):
     return item, premises, proof_from_text("".join(body))
 
 
-def _corpus_of(cfg_path: str):
+def _rebuilder(run_dir: str):
+    """`rebuild(item, premises)`, the clause set of a stored proof of the
+    run in `run_dir`, built as the run built it, with clausal forms cached
+    for the call; None when its config.json names no input.
+
+    The run's mode decides the build: a challenge problem pruned to its
+    premises, each problem file parsed once; a reprove theorem after its
+    premises in the order given (the manifest's); any other corpus item
+    after its premises in corpus order.  A library sub-run's config.json
+    records no mode.
+    """
+    cfg_path = os.path.join(run_dir, "config.json")
     if not os.path.exists(cfg_path):
         return None
     with open(cfg_path, encoding="utf-8") as fh:
         blob = json.load(fh)
-    root = blob.get("corpus") or blob.get("problems")
-    return root or None
-
-
-def _proof_problems(corpus_root: str):
-    """`rebuild(item, premises)`, the clause set of a stored proof, built
-    as the run built it, with clausal forms cached for the call: a corpus
-    item after its premises, or a challenge problem pruned to them, each
-    problem file parsed once."""
-    if not os.path.exists(os.path.join(corpus_root, "manifest.txt")):
+    mode = blob.get("mode", "library")
+    # the directory the run read: a challenge run prefers its problems
+    root = (mode == "challenge" and blob.get("problems")) or blob.get("corpus")
+    if not root:
+        return None
+    if mode == "challenge":
         build, parsed = pruned_problems(), {}
 
         def rebuild_pruned(item, premises) -> ClauseSet:
             if item not in parsed:
-                parsed[item] = parse_problem_file(
-                    os.path.join(corpus_root, f"{item}.p"))
+                parsed[item] = parse_problem_file(os.path.join(root, f"{item}.p"))
             return build(item, parsed[item], premises)
         return rebuild_pruned
-    position: dict = {}     # the corpus items, loaded at the first proof
+    loaded: dict = {}       # the corpus and its builder, at the first proof
     clausifier = ClausalCache()
 
     def rebuild(item, premises) -> ClauseSet:
-        if not position:
-            position.update((it.name, (i, it)) for i, it
-                            in enumerate(load_corpus(corpus_root).items))
+        if not loaded:
+            corpus = load_corpus(root)
+            loaded["position"] = {it.name: (i, it)
+                                  for i, it in enumerate(corpus.items)}
+            loaded["build"] = corpus_problems(corpus)
+        position = loaded["position"]
         if any(position[p][0] >= position[item][0] for p in premises):
             raise HarnessError(f"a premise of {item} is not an earlier item")
-        return assemble_problem(position[item][1],
-                                [position[p][1] for p in premises], clausifier)
+        if mode == "reprove":
+            return assemble_problem(position[item][1],
+                                    [position[p][1] for p in premises],
+                                    clausifier)
+        return loaded["build"](item, position[item], premises)
     return rebuild
 
 

@@ -49,14 +49,6 @@ def train_incremental(model: BayesModel, features: dict, used_premises) -> Bayes
     return model
 
 
-def train_batch(examples, sigma: float = SIGMA_DEFAULT,
-                binarize: bool = False) -> BayesModel:
-    model = BayesModel(sigma=sigma, binarize=binarize)
-    for features, used in examples:
-        train_incremental(model, features, used)
-    return model
-
-
 def score(model: BayesModel, features: dict, candidate: str) -> float:
     s = model.sigma
     label = model.label_count.get(candidate, 0.0)
@@ -81,52 +73,8 @@ def rank_premises(model: BayesModel, features: dict, candidates) -> list:
     return [scored[i] for i in order]
 
 
-def select_top(ranking, k: int) -> list:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return [name for name, _s in ranking[:k]]
-
-
-def evaluate_selection(corpus, k_values, feature_fn,
-                       sigma: float = SIGMA_DEFAULT) -> dict:
-    """Chronological leave-one-out recall of reference premises.
-
-    For item i the model has been trained only on items before i; the
-    item's own reference premises then update the model.  Returns per k:
-    full-recall fraction and mean coverage over items that have premises.
-    """
-    model = BayesModel(sigma=sigma)
-    hits = {k: 0 for k in k_values}
-    coverage = {k: 0.0 for k in k_values}
-    counted = 0
-    for i, item in enumerate(corpus.items):
-        if item.role != "conjecture":
-            continue
-        refs = set(item.reference_premises)
-        feats = feature_fn(item.formula)
-        if refs:
-            assert model.total_examples <= i, "trained on an unseen item"
-            candidates = [p.name for p in corpus.items[:i]]
-            ranking = rank_premises(model, feats, candidates)
-            counted += 1
-            for k in k_values:
-                top = set(select_top(ranking, k))
-                got = len(refs & top)
-                coverage[k] += got / len(refs)
-                if got == len(refs):
-                    hits[k] += 1
-        train_incremental(model, feats, item.reference_premises)
-    out = {}
-    for k in k_values:
-        out[k] = {
-            "full_recall": hits[k] / counted if counted else 1.0,
-            "coverage": coverage[k] / counted if counted else 1.0,
-        }
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Checkpointing: reload reproduces identical rankings
+# Checkpoint file: the learner a run ends with
 
 
 def save_model(model: BayesModel, path: str) -> None:
@@ -145,17 +93,3 @@ def save_model(model: BayesModel, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(blob, fh, sort_keys=True, indent=0)
 
-
-def load_model(path: str) -> BayesModel:
-    with open(path, encoding="utf-8") as fh:
-        blob = json.load(fh)
-    if blob.get("version") != 1:
-        raise ValueError(f"unsupported checkpoint version {blob.get('version')!r}")
-    model = BayesModel(sigma=blob["sigma"], binarize=blob["binarize"],
-                       total_examples=blob["total_examples"],
-                       label_count=dict(blob["label_count"]),
-                       feature_totals=dict(blob["feature_totals"]))
-    for name, row in blob["cooccurrence"].items():
-        for fid, w in row.items():
-            model.cooccurrence[(name, fid)] = w
-    return model

@@ -49,7 +49,6 @@ class LoopConfig:
     attempt_budgets: tuple = (2000,)      # per-rung; last entry repeats
     max_depth: int = 10
     total_inference_budget: int | None = None
-    time_budget: float | None = None      # wall-clock mode, benchmarking only
     max_iterations: int = 10
     model_max_domain: int = 3
     semantic: bool = True
@@ -221,8 +220,7 @@ def pruned_problems():
 def prove_checked(cs: ClauseSet, limits: Limits, model_max_domain: int,
                   problem_id: str, advisor=None):
     """Prove, and have the independent checker replay any proof found."""
-    res = prove(cs, limits, advisor=advisor, model_max_domain=model_max_domain,
-                problem_id=problem_id)
+    res = prove(cs, limits, advisor=advisor, model_max_domain=model_max_domain)
     if res.status == PROVED and not check_proof(res.proof, cs):
         raise LoopInvariantError(
             f"proof for {problem_id} failed independent checking")
@@ -297,8 +295,7 @@ def walk_ladder(entries, config: LoopConfig, select, build, records: list,
                 advisor.register_clauses(cs.clauses)
             record = Attempt(name, iteration, key, k, limit, chosen)
             res = attempt(record, cs,
-                          Limits(time_budget=config.time_budget,
-                                 inference_budget=limit,
+                          Limits(inference_budget=limit,
                                  max_depth=config.max_depth),
                           model_max_domain=config.model_max_domain,
                           advisor=advisor, writer=writer, keep_model=keep_model)

@@ -22,7 +22,7 @@ import re
 from typing import NamedTuple
 
 from .fol import (
-    And, AnnotatedFormula, App, Atom, Clause, Eq, Exists, FALSE,
+    And, AnnotatedFormula, App, Atom, Eq, Exists, FALSE,
     Forall, Formula, Iff, Implies, Literal, Not, Or, Problem, ProblemError,
     ROLES, TRUE, TrueF, FalseF, Term, Var, make_problem, universal_closure,
 )
@@ -382,14 +382,6 @@ def print_formula(f: Formula) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def print_annotated(af: AnnotatedFormula) -> str:
-    return f"fof({_print_symbol(af.name)}, {af.role}, {print_formula(af.formula)})."
-
-
-def print_problem(p: Problem) -> str:
-    return "\n".join(print_annotated(af) for af in p.formulas) + "\n"
-
-
 def print_literal(lit: Literal) -> str:
     if isinstance(lit.atom, Eq):
         op = "=" if lit.positive else "!="
@@ -397,11 +389,3 @@ def print_literal(lit: Literal) -> str:
     body = print_formula(lit.atom)
     return body if lit.positive else f"~ {body}"
 
-
-def print_clause(c: Clause, role: str = "axiom") -> str:
-    """Clause dump line: cnf(id, role, (l1 | l2 | ...))."""
-    if c.literals:
-        body = " | ".join(print_literal(l) for l in c.literals)
-    else:
-        body = "$false"
-    return f"cnf({_print_symbol(c.clause_id or c.origin or 'c')}, {role}, ({body}))."

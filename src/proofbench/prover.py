@@ -24,12 +24,9 @@ binding costs heap, not Python stack.
 
 An inference is one extension or reduction attempt, including failed
 unifications; this is the resource unit all budgets and reports use.
-Wall-clock budgets are only probed every 1024 inferences to keep the hot
-loop branch-light.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from . import models as models_mod
@@ -49,13 +46,12 @@ class ProverError(Exception):
 
 @dataclass(frozen=True)
 class Limits:
-    """Resource budgets; None means unlimited for that axis."""
-    time_budget: float | None = None
+    """Resource budgets; an inference budget of None means unlimited."""
     inference_budget: int | None = None
     max_depth: int = 16
 
     def __post_init__(self):
-        for name in ("time_budget", "inference_budget", "max_depth"):
+        for name in ("inference_budget", "max_depth"):
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError(f"{name} must be positive, got {v!r}")
@@ -91,7 +87,6 @@ class ProofObject:
 class Stats:
     inferences: int = 0
     depth_reached: int = 0
-    wall_time: float = 0.0
     stop_reason: str = ""
     consults: int = 0
     advisor_errors: int = 0
@@ -182,10 +177,6 @@ def _unify(todo: list, subst: dict, trail: list) -> bool:
     return True
 
 
-def unify_terms(a: Term, b: Term, subst: dict, trail: list) -> bool:
-    return _unify([(a, b)], subst, trail)
-
-
 def unify_args(args1, args2, subst, trail) -> bool:
     """Unify two argument tuples pairwise; on failure nothing stays bound."""
     mark = len(trail)
@@ -233,11 +224,6 @@ def rename_literal(lit: Literal, k: int, sep: str = "_i") -> Literal:
     if isinstance(lit.atom, Eq):
         return Literal(lit.positive, Eq(r(lit.atom.lhs), r(lit.atom.rhs)))
     return Literal(lit.positive, Atom(lit.atom.pred, tuple(r(a) for a in lit.atom.args)))
-
-
-def resolve_literal(lit: Literal, subst: dict) -> Literal:
-    return _literal(lit.positive, lit.atom,
-                    tuple(resolve_term(a, subst) for a in lit.args))
 
 
 def _literal(positive: bool, atom, args: tuple) -> Literal:
@@ -329,9 +315,7 @@ def _compile(clauses: list) -> tuple:
 
 
 class _Budget(Exception):
-    def __init__(self, status, reason):
-        self.status = status
-        self.reason = reason
+    """The inference budget ran out."""
 
 
 class _Marker:
@@ -374,16 +358,11 @@ class _Search:
     pool `Var` is built once per search.
     """
 
-    def __init__(self, clause_set: ClauseSet, limits: Limits, advisor=None,
-                 problem_id: str = ""):
+    def __init__(self, clause_set: ClauseSet, limits: Limits, advisor=None):
         clauses = list(clause_set.clauses)
         self.limits = limits
         self.advisor = advisor
-        self.problem_id = problem_id
         self.stats = Stats()
-        self.deadline = None
-        if limits.time_budget is not None:
-            self.deadline = time.monotonic() + limits.time_budget
         self.compiled, self.index = _compile(clauses)
         self.starts = [ci for ci, c in enumerate(clauses)
                        if c.clause_id in clause_set.start_ids]
@@ -402,11 +381,8 @@ class _Search:
     def charge(self):
         lim = self.limits
         if lim.inference_budget is not None and self.stats.inferences >= lim.inference_budget:
-            raise _Budget(INFERENCE_LIMIT, "inference budget exhausted")
+            raise _Budget
         self.stats.inferences += 1
-        if self.deadline is not None and (self.stats.inferences & 1023) == 0:
-            if time.monotonic() > self.deadline:
-                raise _Budget(TIMEOUT, "time budget exhausted")
 
     def reserve(self, top: int) -> list:
         """The variable pool, grown to at least `top` variables."""
@@ -430,8 +406,7 @@ class _Search:
                 branch=[self.literal(p) for p in path],
                 goal=self.literal(goal),
                 depth=len(path),
-                candidate_ids=list(dict.fromkeys(e[2] for e in exts)),
-                problem_id=self.problem_id)
+                candidate_ids=list(dict.fromkeys(e[2] for e in exts)))
         except Exception:
             self.stats.advisor_errors += 1
             return exts, None
@@ -634,8 +609,7 @@ def normalize_proof(clause_set: ClauseSet, skeleton: list) -> ProofObject:
 
 
 def prove(clause_set: ClauseSet, limits: Limits, advisor=None,
-          model_max_domain: int = models_mod.DEFAULT_MAX_DOMAIN,
-          problem_id: str = "") -> RunResult:
+          model_max_domain: int = models_mod.DEFAULT_MAX_DOMAIN) -> RunResult:
     """Refute the clause set within limits.
 
     Proved results always carry a replayable ProofObject.  When iterative
@@ -645,8 +619,7 @@ def prove(clause_set: ClauseSet, limits: Limits, advisor=None,
     is reported as a timeout with stop_reason "saturated" -- a verdict we
     decline to state without a witness.
     """
-    t0 = time.monotonic()
-    search = _Search(clause_set, limits, advisor, problem_id)
+    search = _Search(clause_set, limits, advisor)
     status = None
     proof = None
     model = None
@@ -666,10 +639,9 @@ def prove(clause_set: ClauseSet, limits: Limits, advisor=None,
         else:
             status = INFERENCE_LIMIT
             search.stats.stop_reason = "depth exhausted"
-    except _Budget as b:
-        status = b.status
-        search.stats.stop_reason = b.reason
-    search.stats.wall_time = time.monotonic() - t0
+    except _Budget:
+        status = INFERENCE_LIMIT
+        search.stats.stop_reason = "inference budget exhausted"
     return RunResult(status, proof, model, search.stats)
 
 

@@ -1,19 +1,26 @@
-"""Independent oracles and random generators for the test suite.
+"""Independent oracles, random generators, and the printers and readers
+that only the test suite uses.
 
-Everything here is deliberately separate from the package code paths it
-checks: the propositional oracle enumerates valuations, the finite
+The oracles are deliberately separate from the package code paths they
+check: the propositional oracle enumerates valuations, the finite
 oracle enumerates whole interpretations, and the evaluator below walks
 formulas directly with explicit variable assignments.
 """
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 from proofbench.fol import (
     And, App, Atom, Clause, Eq, Exists, FALSE, FalseF, Forall, Iff, Implies,
-    Literal, Not, Or, TRUE, TrueF, Var, make_clause,
+    Literal, Not, Or, TRUE, TrueF, Var, alpha_normal, make_clause,
 )
+from proofbench.learner import (
+    SIGMA_DEFAULT, BayesModel, rank_premises, train_incremental,
+)
+from proofbench.parser import _print_symbol, print_formula, print_literal
+from proofbench.prover import _unify, resolve_term
 
 
 # ---------------------------------------------------------------------------
@@ -288,3 +295,129 @@ def rename_bound_vars(f, suffix="R"):
         return App(t.symbol, tuple(walk_t(a, env) for a in t.args))
 
     return walk(f, {})
+
+
+# ---------------------------------------------------------------------------
+# Oracles, printers and readers that only the tests use
+
+
+def alpha_equivalent(f, g) -> bool:
+    return alpha_normal(f) == alpha_normal(g)
+
+
+def unify_terms(a, b, subst: dict, trail: list) -> bool:
+    """The prover's unifier on one term pair; bindings made before a
+    failure stay on the trail."""
+    return _unify([(a, b)], subst, trail)
+
+
+def resolve_literal(lit: Literal, subst: dict) -> Literal:
+    args = tuple(resolve_term(a, subst) for a in lit.args)
+    atom = Eq(*args) if isinstance(lit.atom, Eq) else Atom(lit.atom.pred, args)
+    return Literal(lit.positive, atom)
+
+
+def print_problem(p) -> str:
+    return "\n".join(f"fof({_print_symbol(af.name)}, {af.role}, "
+                     f"{print_formula(af.formula)})." for af in p.formulas) + "\n"
+
+
+def print_clause(c: Clause, role: str = "axiom") -> str:
+    """Clause dump line: cnf(id, role, (l1 | l2 | ...))."""
+    if c.literals:
+        body = " | ".join(print_literal(l) for l in c.literals)
+    else:
+        body = "$false"
+    return f"cnf({_print_symbol(c.clause_id or c.origin or 'c')}, {role}, ({body}))."
+
+
+def index_of(corpus, name: str) -> int:
+    for i, item in enumerate(corpus.items):
+        if item.name == name:
+            return i
+    raise KeyError(name)
+
+
+def train_batch(examples, sigma: float = SIGMA_DEFAULT,
+                binarize: bool = False) -> BayesModel:
+    model = BayesModel(sigma=sigma, binarize=binarize)
+    for features, used in examples:
+        train_incremental(model, features, used)
+    return model
+
+
+def select_top(ranking, k: int) -> list:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return [name for name, _s in ranking[:k]]
+
+
+def evaluate_selection(corpus, k_values, feature_fn,
+                       sigma: float = SIGMA_DEFAULT) -> dict:
+    """Chronological leave-one-out recall of reference premises.
+
+    For item i the model has been trained only on items before i; the
+    item's own reference premises then update the model.  Returns per k:
+    full-recall fraction and mean coverage over items that have premises.
+    """
+    model = BayesModel(sigma=sigma)
+    hits = {k: 0 for k in k_values}
+    coverage = {k: 0.0 for k in k_values}
+    counted = 0
+    for i, item in enumerate(corpus.items):
+        if item.role != "conjecture":
+            continue
+        refs = set(item.reference_premises)
+        feats = feature_fn(item.formula)
+        if refs:
+            assert model.total_examples <= i, "trained on an unseen item"
+            candidates = [p.name for p in corpus.items[:i]]
+            ranking = rank_premises(model, feats, candidates)
+            counted += 1
+            for k in k_values:
+                top = set(select_top(ranking, k))
+                got = len(refs & top)
+                coverage[k] += got / len(refs)
+                if got == len(refs):
+                    hits[k] += 1
+        train_incremental(model, feats, item.reference_premises)
+    out = {}
+    for k in k_values:
+        out[k] = {
+            "full_recall": hits[k] / counted if counted else 1.0,
+            "coverage": coverage[k] / counted if counted else 1.0,
+        }
+    return out
+
+
+def load_model(path: str) -> BayesModel:
+    """Read back a learner checkpoint written by `learner.save_model`."""
+    with open(path, encoding="utf-8") as fh:
+        blob = json.load(fh)
+    if blob.get("version") != 1:
+        raise ValueError(f"unsupported checkpoint version {blob.get('version')!r}")
+    model = BayesModel(sigma=blob["sigma"], binarize=blob["binarize"],
+                       total_examples=blob["total_examples"],
+                       label_count=dict(blob["label_count"]),
+                       feature_totals=dict(blob["feature_totals"]))
+    for name, row in blob["cooccurrence"].items():
+        for fid, w in row.items():
+            model.cooccurrence[(name, fid)] = w
+    return model
+
+
+def read_feature_cache(path: str) -> dict:
+    """Read back a feature cache written by `features.write_feature_cache`."""
+    out: dict = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            name, _, rest = line.partition("\t")
+            vec: dict = {}
+            for pair in rest.split():
+                fid, _, w = pair.rpartition(":")
+                vec[fid] = float(w)
+            out[name] = vec
+    return out

@@ -18,14 +18,14 @@ from proofbench.checker import check_proof
 from proofbench.clausify import ClauseSet, clausal_problem, cnf
 from proofbench.corpus import load_corpus
 from proofbench.features import semantic_features
-from proofbench.fol import Literal, Var, alpha_equivalent, atom, const, make_clause
+from proofbench.fol import Literal, Var, atom, const, make_clause
 from proofbench.generator import generate_corpus
 from proofbench.harness import (
     ExperimentSpec, report, run_challenge, run_library, run_reprove,
     run_traintest, together_count, verify_run,
 )
 from proofbench.learner import (
-    BayesModel, rank_premises, score, train_batch, train_incremental,
+    BayesModel, rank_premises, score, train_incremental,
 )
 from proofbench.loop import LoopConfig
 from proofbench.models import ModelStore, evaluate, find_model
@@ -36,9 +36,9 @@ from proofbench.prover import (
 )
 
 from helpers import (
-    all_interpretations, brute_clause_eval, brute_has_model,
+    all_interpretations, alpha_equivalent, brute_clause_eval, brute_has_model,
     prop_clause_satisfiable, random_closed_formula, random_prop_clauses,
-    rename_bound_vars,
+    rename_bound_vars, train_batch,
 )
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -72,7 +72,7 @@ def proof_pool(mixed30, neardup50, tmp_path_factory):
     pool = []
     out = tmp_path_factory.mktemp("pool")
     spec = ExperimentSpec(mode="reprove", corpus=mixed30,
-                          out_dir=str(out / "re"), max_depth=8)
+                          out_dir=str(out / "re"), loop=LoopConfig(max_depth=8))
     run_reprove(spec)
     corpus = load_corpus(mixed30)
     by_name = {i.name: i for i in corpus.items}

@@ -6,15 +6,15 @@ from proofbench.clausify import (
 )
 from proofbench.fol import (
     And, AnnotatedFormula, App, Atom, Eq, Exists, Forall, Iff, Implies,
-    Literal, Not, Or, Var, alpha_equivalent, atom, conj, const, disj,
+    Literal, Not, Or, Var, atom, conj, const, disj,
     make_problem, symbols_of,
 )
-from proofbench.parser import parse_formula, parse_problem, print_clause
+from proofbench.parser import parse_formula, parse_problem
 
 from helpers import (
-    brute_clauses_have_model, brute_has_model, prop_clause_satisfiable,
-    prop_equivalent, random_closed_formula, random_prop_clauses,
-    rename_bound_vars,
+    alpha_equivalent, brute_clauses_have_model, brute_has_model, print_clause,
+    prop_clause_satisfiable, prop_equivalent, random_closed_formula,
+    random_prop_clauses, rename_bound_vars,
 )
 
 

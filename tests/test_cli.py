@@ -100,13 +100,27 @@ def test_speedup_cli_writes_json(tmp_path, capsys):
     assert len(blob["rows"]) == 6
 
 
-def test_wall_clock_flag_accepted(corpus, tmp_path, capsys):
-    out = str(tmp_path / "wc")
-    assert main(["reprove", "--corpus", corpus, "--out", out,
-                 "--depth", "6", "--wall-clock", "5.0"]) == 0
-    capsys.readouterr()
-    blob = json.loads((tmp_path / "wc" / "config.json").read_text())
-    assert blob["time_budget"] == 5.0
+# the required inputs of each run subcommand
+RUN_ARGS = {
+    "reprove": ["--corpus", "c"],
+    "library": ["--corpus", "c"],
+    "challenge": ["--problems", "p"],
+    "traintest": ["--corpus", "c", "--split", "s"],
+}
+
+
+def _rejected(capsys, argv, flag) -> None:
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_wall_clock_flag_rejected(capsys):
+    # runs are budgeted in inferences only
+    for command, required in RUN_ARGS.items():
+        _rejected(capsys, [command, *required, "--out", "o",
+                           "--wall-clock", "5.0"], "--wall-clock")
 
 
 def test_workers_flag_is_reprove_only(capsys):
@@ -118,3 +132,14 @@ def test_workers_flag_is_reprove_only(capsys):
                                    "--workers", "2"])
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
+
+
+def test_loop_flags_are_library_only(capsys):
+    # challenge and traintest would parse these and then ignore them
+    for flag in (["--iterations", "3"], ["--no-semantic"], ["--guidance"]):
+        args = build_parser().parse_args(
+            ["library", *RUN_ARGS["library"], "--out", "o", *flag])
+        assert args.command == "library"
+        for command in ("challenge", "traintest"):
+            _rejected(capsys, [command, *RUN_ARGS[command], "--out", "o", *flag],
+                      flag[0])

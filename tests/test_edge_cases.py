@@ -116,7 +116,7 @@ def test_deep_formula_parses_without_blowup():
 
 def test_variable_shadowing_round_trip():
     from proofbench.parser import parse_formula, print_formula
-    from proofbench.fol import alpha_equivalent
+    from helpers import alpha_equivalent
     f = parse_formula("![X]: (p(X) & ![X]: q(X,X))")
     g = parse_formula(print_formula(f))
     assert alpha_equivalent(f, g)

@@ -1,15 +1,18 @@
 import random
 
 from proofbench.fol import (
-    And, Eq, Forall, Var, alpha_equivalent, app, atom, const,
+    And, Eq, Forall, Var, app, atom, const,
 )
 from proofbench.features import (
-    branch_features, combine, read_feature_cache, semantic_features,
-    structural_features, symbol_features, write_feature_cache,
+    branch_features, combine, semantic_features, structural_features,
+    symbol_features, write_feature_cache,
 )
 from proofbench.models import FiniteModel, ModelStore, UNDEFINED, evaluate
 
-from helpers import random_closed_formula, rename_bound_vars
+from helpers import (
+    alpha_equivalent, random_closed_formula, read_feature_cache,
+    rename_bound_vars,
+)
 
 
 def test_symbol_features_simple():

@@ -5,11 +5,11 @@ import pytest
 from proofbench.fol import (
     And, AnnotatedFormula, App, ArityError, Atom, DuplicateNameError, Eq,
     Exists, Forall, Implies, Literal, MultipleConjecturesError, Not, Or, Var,
-    alpha_equivalent, alpha_normal, app, atom, const, free_vars_ordered,
+    alpha_normal, app, atom, const, free_vars_ordered,
     make_clause, make_problem, subst_formula, symbols_of, universal_closure,
 )
 
-from helpers import rename_bound_vars
+from helpers import alpha_equivalent, rename_bound_vars
 
 
 def test_symbols_of_simple():

@@ -14,8 +14,8 @@ from proofbench.parser import parse_problem
 from proofbench.prover import Limits, PROVED, prove
 
 
-def _query(feats=(), depth=1):
-    return StateQuery(tuple(feats), "~ p(c)", depth, "prob")
+def _query(feats=()):
+    return StateQuery(tuple(feats))
 
 
 def test_advise_empty_model_preserves_order():
@@ -214,16 +214,16 @@ def test_guided_proofs_remain_checkable(tmp_path):
     problems = _neardup_problems(tmp_path, 8)
     limits = Limits(inference_budget=50000, max_depth=10)
     guide = BayesModel()
-    for pid, cs in problems[:4]:
+    for _pid, cs in problems[:4]:
         rec = Advisor(BayesModel(), record_only=True)
         rec.register_clauses(cs.clauses)
-        res = prove(cs, limits, advisor=rec, problem_id=pid)
+        res = prove(cs, limits, advisor=rec)
         assert res.status == PROVED
         rec.flush_to(guide)
-    for pid, cs in problems:
+    for _pid, cs in problems:
         advisor = Advisor(guide)
         advisor.register_clauses(cs.clauses)
-        res = prove(cs, limits, advisor=advisor, problem_id=pid)
+        res = prove(cs, limits, advisor=advisor)
         assert res.status == PROVED
         assert res.stats.advisor_errors == 0
         assert check_proof(res.proof, cs)

@@ -4,7 +4,7 @@ import shutil
 
 import pytest
 
-from proofbench import harness
+from proofbench import harness, loop
 from proofbench.clausify import clausal_problem
 from proofbench.corpus import load_corpus, write_manifest
 from proofbench.fol import Problem, make_problem
@@ -48,7 +48,8 @@ def test_spec_validation(tmp_path):
 
 def test_reprove_mode(mixed30, tmp_path):
     spec = ExperimentSpec(mode="reprove", corpus=mixed30,
-                          out_dir=str(tmp_path / "r"), max_depth=8)
+                          out_dir=str(tmp_path / "r"),
+                          loop=LoopConfig(max_depth=8))
     results = run_reprove(spec)
     tally = results["configs"][0]
     assert tally["total"] == 13
@@ -70,7 +71,8 @@ def test_reprove_missing_premise_yields_countersat(tmp_path):
     write_manifest(str(root), [("base", "base.p", []), ("rule", "rule.p", []),
                                ("t", "t.p", ["base"])])
     spec = ExperimentSpec(mode="reprove", corpus=str(root),
-                          out_dir=str(tmp_path / "out"), max_depth=8)
+                          out_dir=str(tmp_path / "out"),
+                          loop=LoopConfig(max_depth=8))
     results = run_reprove(spec)
     tally = results["configs"][0]
     assert tally["counter_satisfiable"] == 1
@@ -83,9 +85,11 @@ def test_reprove_missing_premise_yields_countersat(tmp_path):
 
 def test_reprove_workers_match_sequential(mixed30, tmp_path):
     s1 = ExperimentSpec(mode="reprove", corpus=mixed30,
-                        out_dir=str(tmp_path / "w1"), max_depth=8, workers=1)
+                        out_dir=str(tmp_path / "w1"),
+                        loop=LoopConfig(max_depth=8), workers=1)
     s2 = ExperimentSpec(mode="reprove", corpus=mixed30,
-                        out_dir=str(tmp_path / "w2"), max_depth=8, workers=3)
+                        out_dir=str(tmp_path / "w2"),
+                        loop=LoopConfig(max_depth=8), workers=3)
     run_reprove(s1)
     run_reprove(s2)
     r1 = (tmp_path / "w1" / "results.jsonl").read_text()
@@ -313,7 +317,8 @@ def test_report_empty_results():
 
 def test_verify_detects_corruption(mixed30, tmp_path):
     spec = ExperimentSpec(mode="reprove", corpus=mixed30,
-                          out_dir=str(tmp_path / "v"), max_depth=8)
+                          out_dir=str(tmp_path / "v"),
+                          loop=LoopConfig(max_depth=8))
     run_reprove(spec)
     proof_dir = tmp_path / "v" / "proofs"
     victim = sorted(proof_dir.glob("*.proof"))[0]
@@ -338,7 +343,8 @@ def test_verify_rereads_an_edited_corpus(tmp_path):
     root = tmp_path / "mixed30"
     generate_corpus("mixed", 30, 0, str(root), verify=False)
     spec = ExperimentSpec(mode="reprove", corpus=str(root),
-                          out_dir=str(tmp_path / "run"), max_depth=8)
+                          out_dir=str(tmp_path / "run"),
+                          loop=LoopConfig(max_depth=8))
     run_reprove(spec)
     assert (tmp_path / "run" / "proofs" / "fa_th1.proof").exists()
     assert verify_run(str(tmp_path / "run"))["failed"] == 0
@@ -405,29 +411,75 @@ def test_challenge_builder_matches_problem_clausification(neardup, tmp_path):
                     Problem(tuple(chosen) + (problem.conjecture,)))
 
 
-def test_challenge_run_and_verify_build_the_same_clause_sets(
-        neardup, tmp_path, monkeypatch):
+def _built_clause_sets(monkeypatch, run) -> list:
+    """Every clause set that `run()` builds, in order: each mode builds
+    through `assemble_problem`, bound in `loop` and in `harness`."""
     built = []
-    builder = harness.pruned_problems
 
-    def recording():
-        build = builder()
-
-        def record(name, problem, chosen):
-            built.append(build(name, problem, chosen))
+    def recording(build):
+        def record(*args):
+            built.append(build(*args))
             return built[-1]
         return record
 
     with monkeypatch.context() as m:
-        m.setattr(harness, "pruned_problems", recording)
-        # nothing proves at depth 1: every problem runs at every rung
-        run_challenge(ExperimentSpec(
-            mode="challenge", problems=neardup, out_dir=str(tmp_path / "ch"),
-            loop=LoopConfig(axiom_ladder=(4, 8, 16), max_depth=1)))
-    lines = (tmp_path / "ch" / "results.jsonl").read_text().splitlines()
-    records = [json.loads(line) for line in lines]
+        for mod in (loop, harness):
+            m.setattr(mod, "assemble_problem", recording(mod.assemble_problem))
+        run()
+    return built
+
+
+def _records(run_dir) -> list:
+    lines = (run_dir / "results.jsonl").read_text().splitlines()
+    return [json.loads(line) for line in lines]
+
+
+def test_challenge_run_and_verify_build_the_same_clause_sets(
+        neardup, tmp_path, monkeypatch):
+    # nothing proves at depth 1: every problem runs at every rung
+    built = _built_clause_sets(monkeypatch, lambda: run_challenge(ExperimentSpec(
+        mode="challenge", problems=neardup, out_dir=str(tmp_path / "ch"),
+        loop=LoopConfig(axiom_ladder=(4, 8, 16), max_depth=1))))
+    records = _records(tmp_path / "ch")
     assert len(records) == len(built) == 30
-    rebuild = harness._proof_problems(neardup)
+    rebuild = harness._rebuilder(str(tmp_path / "ch"))
     for record, cs in zip(records, built):
         assert rebuild(record["item"], record["premises_given"]) == cs
         assert cs.clauses[-1].clause_id in cs.start_ids    # conjecture last
+
+
+def test_verify_reads_the_problems_a_challenge_run_read(neardup, mixed30,
+                                                       tmp_path):
+    # given both directories, a challenge run reads its problems
+    run_challenge(ExperimentSpec(
+        mode="challenge", problems=neardup, corpus=mixed30,
+        out_dir=str(tmp_path / "ch"), loop=LoopConfig(axiom_ladder=(4, 8, 16))))
+    outcome = verify_run(str(tmp_path / "ch"))
+    assert outcome["checked"] > 0 and outcome["failures"] == []
+
+
+@pytest.mark.parametrize("mode", ["reprove", "library", "traintest"])
+def test_corpus_run_and_verify_build_the_same_clause_sets(
+        mode, mixed30, tmp_path, monkeypatch):
+    # reprove keeps the manifest's premise order; the ladder modes give
+    # premises in ranking order and build them in corpus order
+    out = tmp_path / mode
+    spec = ExperimentSpec(mode=mode, corpus=mixed30, out_dir=str(out),
+                          split=os.path.join(mixed30, "split.txt"),
+                          loop=FAST_LOOP)
+    runner = {"reprove": run_reprove, "library": run_library,
+              "traintest": run_traintest}[mode]
+    built = _built_clause_sets(monkeypatch, lambda: runner(spec))
+    records = _records(out)
+    assert len(records) == len(built) > 0
+    runs = [(out, records, built)]
+    if mode == "library":           # each sub-run verifies on its own too
+        for name in ("learning", "recency"):
+            runs.append((out / name, _records(out / name),
+                         [cs for r, cs in zip(records, built)
+                          if r["config"] == name]))
+    for run_dir, run_records, run_built in runs:
+        rebuild = harness._rebuilder(str(run_dir))
+        for record, cs in zip(run_records, run_built, strict=True):
+            assert rebuild(record["item"], record["premises_given"]) == cs
+    assert verify_run(str(out))["failed"] == 0

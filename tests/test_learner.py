@@ -2,9 +2,10 @@ import math
 import random
 
 from proofbench.learner import (
-    BayesModel, evaluate_selection, load_model, rank_premises, save_model,
-    score, select_top, train_batch, train_incremental,
+    BayesModel, rank_premises, save_model, score, train_incremental,
 )
+
+from helpers import evaluate_selection, load_model, select_top, train_batch
 
 
 def test_single_example_counters():

@@ -12,6 +12,8 @@ from proofbench.loop import (
     rank_eligible, refresh_features, run_loop,
 )
 
+from helpers import index_of
+
 MIXED30 = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                        "corpora", "mixed30")
 # rungs of one and two premises prune needed ones, so countermodels are
@@ -85,7 +87,7 @@ def test_solved_items_never_revert_and_proofs_check(tmp_path):
     by_name = {item.name: item for item in corpus.items}
     cache = ClausalCache()
     for name, solved in state.solved.items():
-        i = corpus.index_of(name)
+        i = index_of(corpus, name)
         eligible = {p.name for p in corpus.eligible(i)}
         assert set(solved.premises_used) <= eligible
         premise_items = [p for p in corpus.eligible(i)

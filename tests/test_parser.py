@@ -4,15 +4,15 @@ import random
 import pytest
 
 from proofbench.fol import (
-    And, Atom, Forall, Implies, Not, Or, Var, alpha_equivalent, atom, const,
+    And, Atom, Forall, Implies, Not, Or, Var, atom, const,
 )
 from proofbench.parser import (
     ParseError, _TOKEN_RE, parse_formula, parse_problem, parse_problem_file,
-    print_annotated, print_formula, print_problem, tokenize,
+    print_formula, tokenize,
 )
 from proofbench.fol import ArityError, DuplicateNameError, MultipleConjecturesError
 
-from helpers import random_closed_formula
+from helpers import alpha_equivalent, print_problem, random_closed_formula
 
 
 def test_smallest_statement():

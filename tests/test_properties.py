@@ -3,13 +3,13 @@ from hypothesis import given, settings, strategies as st
 from proofbench.clausify import nnf
 from proofbench.features import combine, symbol_features
 from proofbench.fol import (
-    And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or, Var, alpha_equivalent,
-    alpha_normal, app, atom, const, universal_closure,
+    And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or, Var, alpha_normal,
+    app, atom, const, universal_closure,
 )
 from proofbench.parser import parse_formula, print_formula
-from proofbench.prover import resolve_term, unify_terms
+from proofbench.prover import resolve_term
 
-from helpers import prop_equivalent
+from helpers import alpha_equivalent, prop_equivalent, unify_terms
 
 SETTINGS = settings(max_examples=150, derandomize=True)
 

@@ -12,11 +12,12 @@ from proofbench.parser import parse_problem
 from proofbench.prover import (
     COUNTER_SATISFIABLE, INFERENCE_LIMIT, ExtensionStep, Limits, PROVED,
     ProofObject, ProverError, RunResult, StartStep, TIMEOUT, normalize_proof,
-    occurs, proof_from_text, proof_to_text, prove, resolve_term, unify_terms,
-    walk,
+    occurs, proof_from_text, proof_to_text, prove, resolve_term, walk,
 )
 
-from helpers import prop_clause_satisfiable, random_prop_clauses
+from helpers import (
+    prop_clause_satisfiable, random_prop_clauses, resolve_literal, unify_terms,
+)
 
 
 def _cl(lits, cid, origin=None):
@@ -174,8 +175,7 @@ def test_completeness_at_depth():
 def _assert_regular(proof, cs):
     # replay the proof, asserting no literal repeats on any branch
     from proofbench.prover import (
-        ExtensionStep, ReductionStep, StartStep, rename_literal,
-        resolve_literal, unify_args,
+        ExtensionStep, ReductionStep, StartStep, rename_literal, unify_args,
     )
     by_id = {c.clause_id: c for c in cs.clauses}
     subst, trail = {}, []

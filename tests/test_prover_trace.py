@@ -100,14 +100,14 @@ def _advised_runs(problems, limits, out: dict, tag: str) -> None:
     for pid, cs in problems[:half]:
         rec = _LoggingAdvisor(BayesModel(), record_only=True)
         rec.register_clauses(cs.clauses)
-        res = prove(cs, limits, advisor=rec, problem_id=pid)
+        res = prove(cs, limits, advisor=rec)
         if res.status == PROVED:
             rec.flush_to(guide)
         out[f"{tag}:record:{pid}"] = dict(_facts(res), outcomes=rec.outcomes)
     for pid, cs in problems:
         adv = _LoggingAdvisor(guide)
         adv.register_clauses(cs.clauses)
-        res = prove(cs, limits, advisor=adv, problem_id=pid)
+        res = prove(cs, limits, advisor=adv)
         out[f"{tag}:guided:{pid}"] = dict(_facts(res), outcomes=adv.outcomes)
 
 

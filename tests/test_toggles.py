@@ -12,8 +12,6 @@ def test_limits_validation():
     with pytest.raises(ValueError):
         Limits(inference_budget=0)
     with pytest.raises(ValueError):
-        Limits(time_budget=-1.0)
-    with pytest.raises(ValueError):
         Limits(max_depth=0)
     Limits()   # all-default is fine
 
@@ -36,12 +34,12 @@ def test_binarize_toggle_flattens_weights():
 def test_advisor_rejects_stale_snapshot():
     model = BayesModel()
     advisor = Advisor(model)
-    order1, _tok = advisor.consult([], _lit(), 0, ["c1", "c2", "c3"], "p")
+    order1, _tok = advisor.consult([], _lit(), 0, ["c1", "c2", "c3"])
     assert order1 == ["c1", "c2", "c3"]
     train_incremental(model, {"SYM:p": 1.0}, {"ax2"})
     # stale snapshot is an error the prover would degrade on
     with pytest.raises(AssertionError):
-        advisor.consult([], _lit(), 0, ["c1", "c2", "c3"], "p")
+        advisor.consult([], _lit(), 0, ["c1", "c2", "c3"])
 
 
 def _lit(pred="g"):
