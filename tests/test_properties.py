@@ -9,7 +9,7 @@ from proofbench.fol import (
 from proofbench.parser import parse_formula, print_formula
 from proofbench.prover import resolve_term
 
-from helpers import alpha_equivalent, prop_equivalent, unify_terms
+from helpers import alpha_equivalent, prop_equivalent, unify_terms, with_cells
 
 SETTINGS = settings(max_examples=150, derandomize=True)
 
@@ -103,6 +103,7 @@ def test_combine_commutes(v1, v2):
 @SETTINGS
 @given(terms, terms)
 def test_unifier_actually_unifies(t1, t2):
-    subst, trail = {}, []
-    if unify_terms(t1, t2, subst, trail):
-        assert resolve_term(t1, subst) == resolve_term(t2, subst)
+    cells: dict = {}
+    t1, t2 = with_cells(t1, cells), with_cells(t2, cells)
+    if unify_terms(t1, t2, []):
+        assert resolve_term(t1) == resolve_term(t2)

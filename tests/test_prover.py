@@ -9,14 +9,17 @@ from proofbench.fol import (
 )
 from proofbench.models import find_model
 from proofbench.parser import parse_problem
+from proofbench import prover
 from proofbench.prover import (
     COUNTER_SATISFIABLE, INFERENCE_LIMIT, ExtensionStep, Limits, PROVED,
-    ProofObject, ProverError, RunResult, StartStep, TIMEOUT, normalize_proof,
-    occurs, proof_from_text, proof_to_text, prove, resolve_term, walk,
+    ProofObject, ProverError, ReductionStep, StartStep, _Cell, _clashes,
+    _deref, _occurs, _unify_args, proof_from_text, proof_to_text, prove,
+    resolve_term,
 )
 
 from helpers import (
-    prop_clause_satisfiable, random_prop_clauses, resolve_literal, unify_terms,
+    cell_literal, prop_clause_satisfiable, random_prop_clauses,
+    resolve_literal, unify_terms,
 )
 
 
@@ -174,33 +177,32 @@ def test_completeness_at_depth():
 
 def _assert_regular(proof, cs):
     # replay the proof, asserting no literal repeats on any branch
-    from proofbench.prover import (
-        ExtensionStep, ReductionStep, StartStep, rename_literal, unify_args,
-    )
     by_id = {c.clause_id: c for c in cs.clauses}
-    subst, trail = {}, []
+    trail = []
     agenda = []
     counter = 0
     for step in proof.steps:
         if isinstance(step, StartStep):
             counter += 1
-            agenda = [(rename_literal(l, counter, "_i"), ())
+            cells = {}
+            agenda = [(cell_literal(l, cells, f"_i{counter}"), ())
                       for l in by_id[step.clause_id].literals]
             continue
         goal, path = agenda.pop(0)
         if isinstance(step, ExtensionStep):
             counter += 1
-            lits = [rename_literal(l, counter, "_i")
+            cells = {}
+            lits = [cell_literal(l, cells, f"_i{counter}")
                     for l in by_id[step.clause_id].literals]
-            assert unify_args(goal.args, lits[step.lit_index].args, subst, trail)
-            branch = [resolve_literal(l, subst) for l in path + (goal,)]
+            assert _unify_args(goal.args, lits[step.lit_index].args, trail)
+            branch = [resolve_literal(l) for l in path + (goal,)]
             assert len(branch) == len(set(branch)), "repeated literal on branch"
             rest = lits[:step.lit_index] + lits[step.lit_index + 1:]
             for g in rest:
-                assert resolve_literal(g, subst) not in branch
+                assert resolve_literal(g) not in branch
             agenda = [(l, path + (goal,)) for l in rest] + agenda
         elif isinstance(step, ReductionStep):
-            assert unify_args(goal.args, path[step.path_index].args, subst, trail)
+            assert _unify_args(goal.args, path[step.path_index].args, trail)
 
 
 def test_regularity_on_traces():
@@ -303,34 +305,40 @@ def _tower(depth, leaf):
     return t
 
 
-def _tower_height(t, subst):
+def _tower_height(t):
     height = 0
-    t = walk(t, subst)
+    t = _deref(t)
     while isinstance(t, App) and t.symbol == "s":
         height += 1
-        t = walk(t.args[0], subst)
+        t = _deref(t.args[0])
     return height, t
 
 
 def test_unifier_on_deep_terms():
     n = 10000
     deep = _tower(n, const("a"))
-    # a chain of n variable bindings ending in the deep term
-    chain = {f"V{i}": Var(f"V{i + 1}") for i in range(n)}
-    chain[f"V{n}"] = deep
-    assert walk(Var("V0"), chain) is deep
-    assert _tower_height(resolve_term(App("f", (Var("V0"),)), chain).args[0], {}) \
+    # a chain of n bound cells ending in the deep term
+    chain = [_Cell(f"V{i}") for i in range(n + 1)]
+    for cell, nxt in zip(chain, chain[1:]):
+        cell.ref = nxt
+    chain[n].ref = deep
+    assert _deref(chain[0]) is deep
+    assert _tower_height(resolve_term(App("f", (chain[0],))).args[0]) \
         == (n, const("a"))
-    assert occurs("Z", _tower(n, Var("Z")), {})
-    assert not occurs("W", _tower(n, Var("Z")), {})
-    subst, trail = {}, []
-    assert unify_terms(deep, _tower(n, const("a")), subst, trail)
-    assert subst == {}
-    assert unify_terms(_tower(n, Var("Y")), deep, subst, trail)
-    assert subst == {"Y": const("a")}
+    z, w = _Cell("Z"), _Cell("W")
+    assert _occurs(z, _tower(n, z))
+    assert not _occurs(w, _tower(n, z))
+    trail = []
+    assert unify_terms(deep, _tower(n, const("a")), trail)
+    assert trail == []
+    y = _Cell("Y")
+    assert unify_terms(_tower(n, y), deep, trail)
+    assert trail == [y] and y.ref == const("a")
     # X = s(...s(X)...) fails the occurs check
-    assert not unify_terms(Var("X"), _tower(n, Var("X")), {}, [])
-    assert not unify_terms(_tower(n, Var("X")), Var("X"), {}, [])
+    x = _Cell("X")
+    assert not unify_terms(x, _tower(n, x), [])
+    assert not unify_terms(_tower(n, x), x, [])
+    assert x.ref is None
 
 
 def _deep_set(n):
@@ -348,16 +356,10 @@ def _deep_goal(n, leaf):
 
 
 def test_deep_term_proofs_check():
-    cs = _deep_set(300)
+    cs = _deep_set(3000)
     res = prove(cs, Limits(max_depth=3))
     assert res.status == PROVED
     assert check_proof(res.proof, cs)
-    # the prover's clause compilation recurses at this depth, so the
-    # one-extension proof it finds at depth 300 is written out
-    proof = ProofObject((StartStep("goal_0"),
-                         ExtensionStep(_deep_goal(3000, "a"), "ax_0", 0)),
-                        frozenset({"ax", "goal"}))
-    assert check_proof(proof, _deep_set(3000))
 
 
 def test_goal_differing_deep_inside_is_rejected():
@@ -369,3 +371,128 @@ def test_goal_differing_deep_inside_is_rejected():
                         ext.bindings)
     assert not check_proof(ProofObject((start, bad), res.proof.used_premises),
                            cs)
+
+
+def _spy_attempts(monkeypatch):
+    """Record the search's attempts: a clash, or the outcome of the
+    unification the attempt went on to.  Proof normalization's own
+    unifications are left out."""
+    log = []
+    normalize = prover.normalize_proof
+
+    def normalize_proof(*args):
+        monkeypatch.undo()
+        return normalize(*args)
+
+    def clashes(args, tops):
+        out = _clashes(args, tops)
+        if out:
+            log.append(("clash", tops))
+        return out
+
+    def unify_args(args, targs, trail, pool=None, base=0):
+        out = _unify_args(args, targs, trail, pool, base)
+        log.append(("unify", out))
+        return out
+
+    monkeypatch.setattr(prover, "_clashes", clashes)
+    monkeypatch.setattr(prover, "_unify_args", unify_args)
+    monkeypatch.setattr(prover, "normalize_proof", normalize_proof)
+    return log
+
+
+def _chain_set():
+    # ~p(X) binds X to Y, ~r(Y) binds Y to W, ~s(W) binds W to b: the goal
+    # ~q(X) then reaches b through three cells and clashes with q(a)
+    X, Y, W = Var("X"), Var("Y"), Var("W")
+    return _clause_set([
+        _cl([Literal(False, atom("p", X)), Literal(False, atom("q", X))], "g_0", "g"),
+        _cl([Literal(True, atom("p", Y)), Literal(False, atom("r", Y))], "c1_0", "c1"),
+        _cl([Literal(True, atom("r", W)), Literal(False, atom("s", W))], "c2_0", "c2"),
+        _cl([Literal(True, atom("s", const("b")))], "c3_0", "c3"),
+        _cl([Literal(True, atom("q", const("a")))], "c4_0", "c4"),
+        _cl([Literal(True, atom("q", const("b")))], "c5_0", "c5"),
+    ], start_ids={"g_0"})
+
+
+def test_clash_through_a_cell_chain_is_skipped_and_charged(monkeypatch):
+    b = App("b", ())
+    chain = [_Cell(f"V{i}") for i in range(3)]
+    chain[0].ref, chain[1].ref, chain[2].ref = chain[1], chain[2], b
+    assert _clashes((chain[0],), ((0, "a", 0),))
+    assert not _clashes((chain[0],), ((0, "b", 0),))
+    assert not _clashes((_Cell("U"),), ((0, "a", 0),))
+
+    log = _spy_attempts(monkeypatch)
+    res = prove(_chain_set(), Limits(max_depth=4))
+    assert res.status == PROVED
+    assert ("clash", ((0, "a", 0),)) in log
+    # every charged attempt either clashed or unified, never both
+    assert res.stats.inferences == len(log)
+    assert [s.clause_id for s in res.proof.steps[1:]] == \
+        ["c1_0", "c2_0", "c3_0", "c5_0"]
+
+
+def test_clash_below_the_top_symbol_falls_through_to_unification(monkeypatch):
+    fa, fb = App("f", (const("a"),)), App("f", (const("b"),))
+    assert not _clashes((fa,), ((0, "f", 1),))
+    cs = _clause_set([
+        _cl([Literal(False, atom("p", fa))], "g_0", "g"),
+        _cl([Literal(True, atom("p", fb))], "u1_0", "u1"),
+        _cl([Literal(True, atom("p", App("f", (Var("X"),))))], "u2_0", "u2"),
+    ], start_ids={"g_0"})
+    log = _spy_attempts(monkeypatch)
+    res = prove(cs, Limits(max_depth=2))
+    assert res.status == PROVED
+    assert res.stats.inferences == 2
+    assert log == [("unify", False), ("unify", True)]
+
+
+def test_budget_ending_on_a_clash():
+    cs = _clause_set([
+        _cl([Literal(False, atom("p", const("a")))], "g_0", "g"),
+        _cl([Literal(True, atom("p", const("b")))], "u1_0", "u1"),
+        _cl([Literal(True, atom("p", const("c")))], "u2_0", "u2"),
+        _cl([Literal(True, atom("p", const("a")))], "u3_0", "u3"),
+    ], start_ids={"g_0"})
+    for k in (1, 2):        # the k-th attempt is a clash
+        res = prove(cs, Limits(max_depth=2, inference_budget=k))
+        assert res.status == INFERENCE_LIMIT
+        assert res.stats.inferences == k
+    res = prove(cs, Limits(max_depth=2, inference_budget=3))
+    assert res.status == PROVED and res.stats.inferences == 3
+
+
+@pytest.mark.parametrize("case", ["proved", "counter_satisfiable",
+                                  "inference_limit"])
+def test_no_pool_cell_left_bound(monkeypatch, case):
+    searches = []
+
+    class Recorded(prover._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(prover, "_Search", Recorded)
+    X = Var("X")
+    if case == "proved":
+        cs, limits = _chain_set(), Limits(max_depth=4)
+    elif case == "counter_satisfiable":
+        cs, limits = _clause_set([
+            _cl([Literal(False, atom("p", X)), Literal(False, atom("q", X))],
+                "g_0", "g"),
+            _cl([Literal(True, atom("p", X))], "a_0", "a"),
+        ], start_ids={"g_0"}), Limits(max_depth=4)
+    else:
+        f = lambda t: App("f", (t,))
+        cs, limits = _clause_set([
+            _cl([Literal(True, atom("p", const("c")))], "a_0", "a"),
+            _cl([Literal(False, atom("p", X)), Literal(True, atom("p", f(X)))],
+                "b_0", "b"),
+            _cl([Literal(False, atom("p", f(f(f(f(const("c")))))))], "g_0", "g"),
+        ], start_ids={"g_0"}), Limits(max_depth=6, inference_budget=7)
+    res = prove(cs, limits)
+    assert res.status == case
+    (search,) = searches
+    assert search.pool and search.trail == []
+    assert all(cell.ref is None for cell in search.pool)

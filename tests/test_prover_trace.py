@@ -127,16 +127,61 @@ def _advised(tmp_dir: str) -> dict:
     return out
 
 
+def _clash_library() -> list:
+    """(name, role, formula) in library order, in the `library-search`
+    benchmark's shape: the group axioms and chain rules first, then chain
+    theorems interleaved with equational lemmas and noise axioms."""
+    fams = ("ca", "cb")
+    lib = [("g_ident", "axiom", "![X]: mult(e,X) = X"),
+           ("g_inv", "axiom", "![X]: mult(inv(X),X) = e")]
+    lib += [(f"{f}_base", "axiom", f"{f}0({f}_c)") for f in fams]
+    lib += [(f"{f}_rule{k}", "axiom", f"![X]: ({f}{k - 1}(X) => {f}{k}(X))")
+            for k in range(1, 5) for f in fams]
+    lemmas = [("id", "mult(e,{c}) = {c}"),
+              ("invx", "mult(inv({c}),{c}) = e"),
+              ("idid", "mult(e,mult(e,{c})) = mult(e,{c})"),
+              ("sym", "{c} = mult(e,{c})"),
+              ("trans", "mult(e,mult(inv({c}),{c})) = e")]
+    for k, c in zip(range(1, 5), ("c", "d", "k", "m")):
+        lib += [(f"{f}_th{k}", "conjecture", f"{f}{k}({f}_c)") for f in fams]
+        lib += [(f"lem_{c}_{suffix}", "conjecture", pattern.format(c=c))
+                for suffix, pattern in lemmas]
+        lib += [(f"noise{k}{j}", "axiom", f"irrelevant{k}{j}(nc{k}{j})")
+                for j in range(2)]
+    return lib
+
+
+def _clash() -> dict:
+    """Each theorem of `_clash_library` from the 4, 8 and 16 items before
+    it: the recency baseline's attempts, whose budgets run out in the
+    middle of extensions under the equality axioms."""
+    from proofbench.parser import parse_problem
+
+    lib = _clash_library()
+    limits = Limits(max_depth=16, inference_budget=2000)
+    out = {}
+    for recent in (4, 8, 16):
+        for i, (name, role, formula) in enumerate(lib):
+            if role != "conjecture":
+                continue
+            text = "".join(f"fof({n}, axiom, {f}).\n" for n, _r, f in
+                           lib[max(0, i - recent):i])
+            cs = clausal_problem(parse_problem(
+                text + f"fof({name}, conjecture, {formula}).\n"))
+            out[f"recent{recent}:{name}"] = _facts(prove(cs, limits))
+    return out
+
+
 def trace(tmp_dir: str) -> dict:
     return {"mixed30": _mixed30(), "random_sets": _random_sets(),
-            "advised": _advised(tmp_dir)}
+            "advised": _advised(tmp_dir), "clash": _clash()}
 
 
 def test_prover_trace_matches_golden(tmp_path):
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)
     got = json.loads(json.dumps(trace(str(tmp_path))))
-    for part in ("mixed30", "random_sets", "advised"):
+    for part in ("mixed30", "random_sets", "advised", "clash"):
         assert got[part] == golden[part], part
 
 
