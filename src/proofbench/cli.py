@@ -186,14 +186,19 @@ def cmd_report(args) -> int:
 
 
 def cmd_speedup(args) -> int:
-    from .clausify import clausal_problem
+    from .clausify import join_forms
+    from .loop import ClausalCache
     from .parser import parse_problem_file
 
     paths = sorted(fn for fn in os.listdir(args.problems) if fn.endswith(".p"))
-    problems = []
+    clausifier, problems = ClausalCache(), []
     for fn in paths:
+        # `clausal_problem`'s clause set: file order, the conjecture negated
         problem = parse_problem_file(os.path.join(args.problems, fn))
-        problems.append((fn[:-2], clausal_problem(problem)))
+        conj = problem.conjecture
+        forms = [clausifier.form(af, af is conj) for af in problem.formulas]
+        negated = clausifier.form(conj, True) if conj else None
+        problems.append((fn[:-2], join_forms(forms, negated)))
     limits = Limits(inference_budget=args.budget, max_depth=args.depth)
     outcome = measure_speedup(problems, limits, train_count=args.train_count,
                               training_enabled=not args.no_training)

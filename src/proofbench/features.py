@@ -8,7 +8,7 @@ every feature.
 """
 from __future__ import annotations
 
-from .fol import Atom, BINARY, Clause, Eq, Literal, Not, QUANT, Var, symbols_of
+from .fol import Atom, BINARY, Eq, Not, QUANT, Var, symbols_of
 from .models import UNDEFINED, ModelStore, evaluate_models
 
 STR_DEPTH_DEFAULT = 2
@@ -19,7 +19,7 @@ FeatureVector = dict   # feature id -> positive weight
 def symbol_features(f) -> FeatureVector:
     """One SYM feature per distinct symbol; weight = occurrence count."""
     out: FeatureVector = {}
-    for (name, _kind, _arity), n in symbols_of(_as_formula(f)).items():
+    for (name, _kind, _arity), n in symbols_of(f).items():
         out[f"SYM:{name}"] = out.get(f"SYM:{name}", 0.0) + float(n)
     return out
 
@@ -70,7 +70,7 @@ def structural_features(f, depth: int = STR_DEPTH_DEFAULT) -> FeatureVector:
         elif isinstance(g, QUANT):
             walk(g.body)
 
-    walk(_as_formula(f))
+    walk(f)
     return out
 
 
@@ -95,21 +95,13 @@ def combine(*vectors: FeatureVector) -> FeatureVector:
     return out
 
 
-def _as_formula(f):
-    if isinstance(f, Clause):
-        from .fol import clause_as_formula
-        return clause_as_formula(f)
-    if isinstance(f, Literal):
-        from .fol import literal_as_formula
-        return literal_as_formula(f)
-    return f
-
-
-def branch_features(literals) -> FeatureVector:
-    """SYM features of all literals on a branch (the advisor's query view)."""
+def branch_features(names) -> FeatureVector:
+    """SYM features of a branch (the advisor's query view) from its symbol
+    names, one name per occurrence."""
     out: FeatureVector = {}
-    for lit in literals:
-        out = combine(out, symbol_features(lit))
+    for name in names:
+        fid = "SYM:" + name
+        out[fid] = out.get(fid, 0.0) + 1.0
     return out
 
 

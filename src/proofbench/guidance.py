@@ -1,12 +1,12 @@
 """Prover-advisor channel: clause-choice guidance at search choice points.
 
-The prover hands the advisor a proof-state description (branch literals,
-goal, depth) and candidate clause ids; the advisor answers with a
-permutation of the candidates ranked by a naive-Bayes model over
-(branch symbols -> clause origin).  Querying a learner is orders of
-magnitude slower than a tableau extension step, so a throttle restricts
-consultation to shallow, branchy choice points, and advice is memoized
-per model snapshot.
+The prover hands the advisor the branch's symbol names (path literals and
+open goal, as a stream read only if the consult goes ahead), the depth
+and candidate clause ids; the advisor answers with a permutation of the
+candidates ranked by a naive-Bayes model over (branch symbols -> clause
+origin).  Querying a learner is orders of magnitude slower than a tableau
+extension step, so a throttle restricts consultation to shallow, branchy
+choice points, and advice is memoized per model snapshot.
 
 Choices and their eventual outcomes (subtree closed or failed) are
 buffered as training records and flushed to a learner only between proof
@@ -15,7 +15,9 @@ attempts, never mid-search.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .features import branch_features
 from .learner import BayesModel, score, train_incremental
@@ -28,8 +30,7 @@ ON_CLOSED_BRANCH = "on_closed_branch"
 ON_FAILED_BRANCH = "on_failed_branch"
 
 
-@dataclass(frozen=True)
-class StateQuery:
+class StateQuery(NamedTuple):
     branch_symbols: tuple      # sorted (feature id, weight) pairs
 
 
@@ -38,8 +39,7 @@ class Advice:
     ranking: tuple             # (clause_id, score) pairs, best first
 
 
-@dataclass(frozen=True)
-class TrainingRecord:
+class TrainingRecord(NamedTuple):
     query: StateQuery
     chosen: str
     outcome: str
@@ -81,7 +81,7 @@ class Advisor:
         self.model = model
         self.record_only = record_only
         self.origins: dict = {}
-        self.buffer: list = []
+        self.buffer = deque(maxlen=BUFFER_CAPACITY)
         self._cache: dict = {}
         self._model_mark = self.model.snapshot_id()
 
@@ -91,14 +91,15 @@ class Advisor:
 
     # -- prover protocol ----------------------------------------------------
 
-    def consult(self, branch, goal, depth, candidate_ids):
+    def consult(self, symbols, depth, candidate_ids):
+        """`symbols` yields the symbol names of the branch, open goal
+        included; it is read only if the throttle lets the consult through."""
         if not throttle_policy(depth, len(candidate_ids)):
             return None, None
         # mid-search training would invalidate snapshot purity
         assert self._model_mark == self.model.snapshot_id(), \
             "learner changed during search"
-        # the open goal is the tip of the branch; include its symbols
-        feats = tuple(sorted(branch_features(list(branch) + [goal]).items()))
+        feats = tuple(sorted(branch_features(symbols).items()))
         query = StateQuery(feats)
         if self.record_only:
             return None, query
@@ -117,8 +118,6 @@ class Advisor:
     # -- training capture ----------------------------------------------------
 
     def record(self, query: StateQuery, chosen: str, outcome: str) -> None:
-        if len(self.buffer) >= BUFFER_CAPACITY:
-            self.buffer.pop(0)
         self.buffer.append(TrainingRecord(query, chosen, outcome))
 
     def flush_to(self, model: BayesModel) -> int:

@@ -424,11 +424,6 @@ class _Search:
             pool.append(_Cell(f"_{len(pool)}"))
         return pool
 
-    def literal(self, goal) -> Literal:
-        lit, args = goal
-        return _literal(lit.positive, lit.atom,
-                        tuple(resolve_term(a) for a in args))
-
     def candidates_for(self, goal, path) -> tuple:
         exts = self.index.get(goal[0].complement, ())
         if self.advisor is None or len(exts) < 2:
@@ -436,9 +431,7 @@ class _Search:
         try:
             self.stats.consults += 1
             order, token = self.advisor.consult(
-                branch=[self.literal(p) for p in path],
-                goal=self.literal(goal),
-                depth=len(path),
+                symbols=_symbols(path + (goal,)), depth=len(path),
                 candidate_ids=list(dict.fromkeys(e[2] for e in exts)))
         except Exception:
             self.stats.advisor_errors += 1
@@ -575,6 +568,22 @@ def _on_branch(goal, path) -> bool:
         if plit.regular == lit.regular and _identical(args, pargs):
             return True
     return False
+
+
+def _symbols(goals):
+    """The symbol names of `goals` read in place, one per occurrence: the
+    predicate ("=" for an equality) and each function symbol; an unbound
+    cell gives none.  A generator: nothing is read until it is iterated."""
+    for lit, args in goals:
+        yield "=" if type(lit.atom) is Eq else lit.atom.pred
+        todo = list(args)
+        while todo:
+            t = todo.pop()
+            while type(t) is _Cell and t.ref is not None:
+                t = t.ref
+            if type(t) is App:
+                yield t.symbol
+                todo.extend(t.args)
 
 
 # ---------------------------------------------------------------------------

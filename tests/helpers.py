@@ -14,13 +14,15 @@ import random
 
 from proofbench.fol import (
     And, App, Atom, Clause, Eq, Exists, FALSE, FalseF, Forall, Iff, Implies,
-    Literal, Not, Or, TRUE, TrueF, Var, alpha_normal, make_clause,
+    Literal, Not, Or, TRUE, TrueF, Var, alpha_normal, literal_as_formula,
+    make_clause,
 )
+from proofbench.features import combine, symbol_features
 from proofbench.learner import (
     SIGMA_DEFAULT, BayesModel, rank_premises, train_incremental,
 )
 from proofbench.parser import _print_symbol, print_formula, print_literal
-from proofbench.prover import _Cell, _unify, resolve_term
+from proofbench.prover import _Cell, _Lit, _unify, resolve_term
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +331,24 @@ def resolve_literal(lit: Literal) -> Literal:
     args = tuple(resolve_term(a) for a in lit.args)
     atom = Eq(*args) if isinstance(lit.atom, Eq) else Atom(lit.atom.pred, args)
     return Literal(lit.positive, atom)
+
+
+def goals_of(lits) -> list:
+    """Prover goals `(compiled literal, arguments)` for cell literals, as
+    the search keeps its path and open goal."""
+    goals = []
+    for lit in lits:
+        compiled = _Lit()
+        compiled.atom = lit.atom
+        goals.append((compiled, lit.args))
+    return goals
+
+
+def resolved_branch_features(lits) -> dict:
+    """The branch's SYM features as the advisor once computed them: each
+    cell literal resolved to a `Literal`, its `symbol_features` summed."""
+    return combine(*(symbol_features(literal_as_formula(resolve_literal(lit)))
+                     for lit in lits))
 
 
 def print_problem(p) -> str:

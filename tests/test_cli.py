@@ -100,6 +100,41 @@ def test_speedup_cli_writes_json(tmp_path, capsys):
     assert len(blob["rows"]) == 6
 
 
+def test_speedup_cli_builds_clausal_problems_from_cached_forms(
+        tmp_path, monkeypatch, capsys):
+    from proofbench import cli, clausify, loop
+    from proofbench.parser import parse_problem_file
+
+    probs = tmp_path / "nd"
+    assert main(["generate", "--family", "neardup", "--size", "6",
+                 "--seed", "0", "--out", str(probs)]) == 0
+    # a conjecture that is not the last formula keeps its place
+    (probs / "mid.p").write_text(
+        "fof(a1, axiom, p(c)).\nfof(goal, conjecture, q(c)).\n"
+        "fof(a2, axiom, ![X]: (p(X) => q(X))).\n")
+    built, cnf_calls = {}, []
+
+    def measure(problems, *_a, **_k):
+        built.update(problems)
+        return {"rows": [], "geometric_mean_ratio": None, "solved_both": 0}
+
+    def counted_cnf(*a, **k):
+        cnf_calls.append(a[0])
+        return clausify.cnf(*a, **k)
+    monkeypatch.setattr(cli, "measure_speedup", measure)
+    monkeypatch.setattr(loop, "cnf", counted_cnf)
+    assert main(["speedup", "--problems", str(probs),
+                 "--out", str(tmp_path / "sp")]) == 0
+    names = sorted(fn for fn in os.listdir(probs) if fn.endswith(".p"))
+    formulas = 0
+    assert sorted(built) == [fn[:-2] for fn in names]
+    for fn in names:
+        problem = parse_problem_file(str(probs / fn))
+        formulas += len(problem.formulas)
+        assert built[fn[:-2]] == clausify.clausal_problem(problem), fn
+    assert 0 < len(cnf_calls) < formulas
+
+
 # the required inputs of each run subcommand
 RUN_ARGS = {
     "reprove": ["--corpus", "c"],

@@ -10,8 +10,8 @@ from proofbench.features import (
 from proofbench.models import FiniteModel, ModelStore, UNDEFINED, evaluate
 
 from helpers import (
-    alpha_equivalent, random_closed_formula, read_feature_cache,
-    rename_bound_vars,
+    alpha_equivalent, cell_literal, goals_of, random_closed_formula,
+    read_feature_cache, rename_bound_vars,
 )
 
 
@@ -125,9 +125,10 @@ def test_mod_features_monotone_under_store_growth():
 
 def test_branch_features_sum_literal_symbols():
     from proofbench.fol import Literal
-    lits = [Literal(True, atom("p", const("c"))),
-            Literal(False, atom("p", Var("X")))]
-    assert branch_features(lits) == {"SYM:p": 2.0, "SYM:c": 1.0}
+    from proofbench.prover import _symbols
+    lits = [cell_literal(Literal(True, atom("p", const("c"))), {}),
+            cell_literal(Literal(False, atom("p", Var("X"))), {})]
+    assert branch_features(_symbols(goals_of(lits))) == {"SYM:p": 2.0, "SYM:c": 1.0}
 
 
 def test_feature_cache_roundtrip(tmp_path):

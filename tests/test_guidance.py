@@ -1,17 +1,24 @@
+import inspect
 import math
+import random
 
 import pytest
 
 from proofbench import guidance
 from proofbench.clausify import ClauseSet, clausal_problem
-from proofbench.fol import Atom, Literal, Var, atom, const, make_clause
+from proofbench.features import branch_features
+from proofbench.fol import App, Atom, Eq, Literal, Var, atom, const, make_clause
 from proofbench.guidance import (
-    Advisor, ON_CLOSED_BRANCH, ON_FAILED_BRANCH,
-    StateQuery, advise, measure_speedup, throttle_policy,
+    CONSULT_MAX_DEPTH, MIN_CANDIDATES, Advisor, ON_CLOSED_BRANCH,
+    ON_FAILED_BRANCH, StateQuery, advise, measure_speedup, throttle_policy,
 )
 from proofbench.learner import BayesModel, train_incremental
 from proofbench.parser import parse_problem
-from proofbench.prover import Limits, PROVED, prove
+from proofbench.prover import _Cell, _symbols, Limits, PROVED, prove
+
+from helpers import (
+    cell_literal, goals_of, resolved_branch_features, unify_terms, with_cells,
+)
 
 
 def _query(feats=()):
@@ -76,8 +83,8 @@ def test_choice_log_matches_policy_pointwise():
             super().__init__(model)
             self.choice_log = []    # (depth, n_candidates, consulted)
 
-        def consult(self, branch, goal, depth, candidate_ids):
-            order, token = super().consult(branch, goal, depth, candidate_ids)
+        def consult(self, symbols, depth, candidate_ids):
+            order, token = super().consult(symbols, depth, candidate_ids)
             self.choice_log.append((depth, len(candidate_ids), token is not None))
             return order, token
 
@@ -91,6 +98,111 @@ def test_choice_log_matches_policy_pointwise():
         assert consulted == throttle_policy(depth, n)
 
 
+# ---------------------------------------------------------------------------
+# The branch's symbols, read in place from the cells
+
+
+def _random_term(rng, depth):
+    kind = rng.random()
+    if depth == 0 or kind < 0.3:
+        return Var(rng.choice("XYZW")) if kind < 0.15 else App(rng.choice("ab"), ())
+    if kind < 0.7:
+        return App("f", (_random_term(rng, depth - 1),))
+    return App("g", (_random_term(rng, depth - 1), _random_term(rng, depth - 1)))
+
+
+def _random_literal(rng):
+    args = (_random_term(rng, 3), _random_term(rng, 3))
+    # the predicate `f` shares its name with the function symbol `f`
+    return Literal(rng.random() < 0.5,
+                   Eq(*args) if rng.random() < 0.3 else
+                   Atom(rng.choice(["p", "f"]), args[:rng.randint(0, 2)]))
+
+
+def _signed(features: dict) -> str:
+    # repr keeps the float weights apart from equal ints
+    return repr(sorted(features.items()))
+
+
+def test_branch_symbols_count_what_the_resolved_literals_count():
+    rng = random.Random(13)
+    bound_later = 0
+    for trial in range(300):
+        cells: dict = {}
+        lits = [cell_literal(_random_literal(rng), cells, f"_{trial}")
+                for _ in range(rng.randint(1, CONSULT_MAX_DEPTH + 1))]
+        goals = goals_of(lits)
+        assert _signed(branch_features(_symbols(goals))) == \
+            _signed(resolved_branch_features(lits))
+        # later extensions bind cells of literals already on the path
+        trail: list = []
+        for cell in list(cells.values()):
+            if rng.random() < 0.6:
+                unify_terms(cell, with_cells(_random_term(rng, 2), cells, f"_{trial}"),
+                            trail)
+        bound_later += bool(trail)
+        assert _signed(branch_features(_symbols(goals))) == \
+            _signed(resolved_branch_features(lits))
+    assert bound_later > 100
+
+
+def test_branch_symbols_of_a_3000_deep_goal():
+    # a 3 000-deep term, then a chain of 3 000 bound cells below it
+    chain = [_Cell(f"C{i}") for i in range(3001)]
+    for cell, below in zip(chain, chain[1:]):
+        cell.ref = App("g", (below,))
+    term = chain[0]
+    for _ in range(3000):
+        term = App("f", (term,))
+    lit = Literal(True, Atom("p", (term, App("a", ()))))
+    assert branch_features(_symbols(goals_of([lit]))) == \
+        {"SYM:p": 1.0, "SYM:f": 3000.0, "SYM:g": 3000.0, "SYM:a": 1.0}
+
+
+class _Unreadable:
+    def __iter__(self):
+        raise AssertionError("the symbol stream was read")
+
+
+def test_declined_consult_reads_no_symbols():
+    advisor = Advisor(BayesModel())
+    many = [f"c{i}" for i in range(MIN_CANDIDATES)]
+    assert advisor.consult(_Unreadable(), CONSULT_MAX_DEPTH + 1, many) == (None, None)
+    assert advisor.consult(_Unreadable(), 0, many[1:]) == (None, None)
+    with pytest.raises(AssertionError, match="symbol stream"):
+        advisor.consult(_Unreadable(), CONSULT_MAX_DEPTH, many)
+
+
+def test_search_walks_the_branch_only_for_consults_the_throttle_passes():
+    # q0 .. q5 have three rules each, q6 two facts: consults above depth 3
+    # and at q6 are declined
+    text = "".join(
+        f"fof(r{i}a, axiom, ![X]: (z{i}(X) => q{i}(X))).\n"
+        f"fof(r{i}b, axiom, ![X]: (y{i}(X) => q{i}(X))).\n"
+        f"fof(r{i}c, axiom, ![X]: (q{i + 1}(X) => q{i}(X))).\n" for i in range(6))
+    cs = clausal_problem(parse_problem(
+        text + "fof(f1, axiom, q6(d)).\nfof(f2, axiom, q6(c)).\n"
+        "fof(goal, conjecture, q0(c)).\n"))
+
+    class Watching(Advisor):
+        def __init__(self, model):
+            super().__init__(model, record_only=True)
+            self.log = []       # (passed the throttle, walked the branch)
+
+        def consult(self, symbols, depth, candidate_ids):
+            out = super().consult(symbols, depth, candidate_ids)
+            self.log.append((throttle_policy(depth, len(candidate_ids)),
+                             inspect.getgeneratorstate(symbols) != "GEN_CREATED"))
+            return out
+
+    advisor = Watching(BayesModel())
+    res = prove(cs, Limits(max_depth=10), advisor=advisor)
+    assert res.status == PROVED
+    assert res.stats.consults == len(advisor.log)
+    assert {passed for passed, _walked in advisor.log} == {True, False}
+    assert all(passed == walked for passed, walked in advisor.log)
+
+
 def test_record_and_flush_counts():
     advisor = Advisor(BayesModel())
     advisor.origins = {"c1": "ax1"}
@@ -102,7 +214,7 @@ def test_record_and_flush_counts():
     assert trained == 1
     assert target.label_count == {"ax1": 1.0}
     assert target.cooccurrence == {("ax1", "SYM:p"): 2.0}
-    assert advisor.buffer == []
+    assert list(advisor.buffer) == []
     assert advisor.flush_to(target) == 0
 
 

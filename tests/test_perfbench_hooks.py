@@ -109,3 +109,28 @@ def test_worker_entry_calls_run_and_check(name, small_inputs, tmp_path):
     checked = worker._check(workload, results, out)
     assert checked["errors"] == []
     assert checked["attempts"] > 0
+
+
+def test_speedup_trace_shows_one_branch_walk_per_consult_the_throttle_passes(
+        layers, small_inputs, tmp_path, monkeypatch):
+    from proofbench import guidance
+
+    worker = _load("worker")
+    policy, passed = guidance.throttle_policy, []
+
+    def throttle(depth, n_candidates):
+        passed.append(policy(depth, n_candidates))
+        return passed[-1]
+    monkeypatch.setattr(guidance, "throttle_policy", throttle)
+    tracer = layers.Tracer("t")
+    try:
+        layers.install_program_wrappers(tracer)
+        worker._setup(worker.WORKLOADS["guided-speedup"], small_inputs["speedup"],
+                      str(tmp_path / "out"))()
+    finally:
+        tracer.restore()
+    spans = tracer.spans
+    branch = [span for span in spans if span[0] == "features.branch"]
+    assert sum(1 for span in spans if span[0] == "guidance.consult") == len(passed)
+    assert 0 < len(branch) == sum(passed)
+    assert all(spans[span[3]][0] == "guidance.consult" for span in branch)

@@ -3,8 +3,9 @@
 Search order is a contract: inference counts feed every budget, report
 and benchmark digest, and the advisor learns from the outcomes it is
 told.  `golden/prover_trace.json` holds, for fixed inputs, what each
-`prove()` call returned and the `(clause id, closed)` outcomes an
-advisor received.  A change that alters any of them changes the search.
+`prove()` call returned, the `(clause id, closed)` outcomes an advisor
+received and the queries a record-only advisor buffered.  A change that
+alters any of them changes the search or what the advisor learns.
 
 Re-record (only for a deliberate search change) with
 `PYTHONPATH=src python3 tests/test_prover_trace.py --record`.
@@ -93,14 +94,19 @@ class _LoggingAdvisor(Advisor):
         super().outcome(token, clause_id, closed)
 
 
-def _advised_runs(problems, limits, out: dict, tag: str) -> None:
-    """Record-only runs train a model; guided runs consult it."""
+def _advised_runs(problems, limits, out: dict, queries: dict, tag: str) -> None:
+    """Record-only runs train a model; guided runs consult it.  `queries`
+    gets each record-only run's buffered `branch_symbols`, in buffer order,
+    one `feature:weight ...` string per record."""
     guide = BayesModel()
     half = len(problems) // 2
     for pid, cs in problems[:half]:
         rec = _LoggingAdvisor(BayesModel(), record_only=True)
         rec.register_clauses(cs.clauses)
         res = prove(cs, limits, advisor=rec)
+        queries[f"{tag}:record:{pid}"] = [
+            " ".join(f"{fid}:{w!r}" for fid, w in r.query.branch_symbols)
+            for r in rec.buffer]
         if res.status == PROVED:
             rec.flush_to(guide)
         out[f"{tag}:record:{pid}"] = dict(_facts(res), outcomes=rec.outcomes)
@@ -111,7 +117,8 @@ def _advised_runs(problems, limits, out: dict, tag: str) -> None:
         out[f"{tag}:guided:{pid}"] = dict(_facts(res), outcomes=adv.outcomes)
 
 
-def _advised(tmp_dir: str) -> dict:
+def _advised(tmp_dir: str) -> tuple:
+    """The `advised` part and the `queries` part."""
     from proofbench.generator import generate_corpus
     from proofbench.parser import parse_problem_file
 
@@ -120,11 +127,12 @@ def _advised(tmp_dir: str) -> dict:
     neardup = [(fn[:-2], clausal_problem(parse_problem_file(os.path.join(root, fn))))
                for fn in sorted(os.listdir(root)) if fn.endswith(".p")]
     out: dict = {}
+    queries: dict = {}
     _advised_runs(neardup, Limits(inference_budget=50000, max_depth=10), out,
-                  "neardup")
+                  queries, "neardup")
     _advised_runs(_mixed30_problems(4), Limits(inference_budget=1000, max_depth=8),
-                  out, "mixed30")
-    return out
+                  out, queries, "mixed30")
+    return out, queries
 
 
 def _clash_library() -> list:
@@ -173,15 +181,16 @@ def _clash() -> dict:
 
 
 def trace(tmp_dir: str) -> dict:
+    advised, queries = _advised(tmp_dir)
     return {"mixed30": _mixed30(), "random_sets": _random_sets(),
-            "advised": _advised(tmp_dir), "clash": _clash()}
+            "advised": advised, "queries": queries, "clash": _clash()}
 
 
 def test_prover_trace_matches_golden(tmp_path):
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)
     got = json.loads(json.dumps(trace(str(tmp_path))))
-    for part in ("mixed30", "random_sets", "advised", "clash"):
+    for part in ("mixed30", "random_sets", "advised", "queries", "clash"):
         assert got[part] == golden[part], part
 
 

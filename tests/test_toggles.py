@@ -34,17 +34,12 @@ def test_binarize_toggle_flattens_weights():
 def test_advisor_rejects_stale_snapshot():
     model = BayesModel()
     advisor = Advisor(model)
-    order1, _tok = advisor.consult([], _lit(), 0, ["c1", "c2", "c3"])
+    order1, _tok = advisor.consult(["g", "c"], 0, ["c1", "c2", "c3"])
     assert order1 == ["c1", "c2", "c3"]
     train_incremental(model, {"SYM:p": 1.0}, {"ax2"})
     # stale snapshot is an error the prover would degrade on
     with pytest.raises(AssertionError):
-        advisor.consult([], _lit(), 0, ["c1", "c2", "c3"])
-
-
-def _lit(pred="g"):
-    from proofbench.fol import Literal, atom, const
-    return Literal(False, atom(pred, const("c")))
+        advisor.consult(["g", "c"], 0, ["c1", "c2", "c3"])
 
 
 def test_feature_cache_rejects_whitespace_names(tmp_path):
