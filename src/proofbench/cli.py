@@ -188,17 +188,15 @@ def cmd_report(args) -> int:
 def cmd_speedup(args) -> int:
     from .clausify import join_forms
     from .loop import ClausalCache
-    from .parser import parse_problem_file
+    from .parser import parse_problem_dir
 
-    paths = sorted(fn for fn in os.listdir(args.problems) if fn.endswith(".p"))
     clausifier, problems = ClausalCache(), []
-    for fn in paths:
+    for pid, problem in parse_problem_dir(args.problems):
         # `clausal_problem`'s clause set: file order, the conjecture negated
-        problem = parse_problem_file(os.path.join(args.problems, fn))
         conj = problem.conjecture
         forms = [clausifier.form(af, af is conj) for af in problem.formulas]
         negated = clausifier.form(conj, True) if conj else None
-        problems.append((fn[:-2], join_forms(forms, negated)))
+        problems.append((pid, join_forms(forms, negated)))
     limits = Limits(inference_budget=args.budget, max_depth=args.depth)
     outcome = measure_speedup(problems, limits, train_count=args.train_count,
                               training_enabled=not args.no_training)

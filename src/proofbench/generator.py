@@ -29,7 +29,7 @@ from .clausify import clausal_problem
 from .checker import check_proof
 from .corpus import SPLIT_NAME, load_corpus, write_manifest
 from .fol import make_problem
-from .parser import parse_problem
+from .parser import parse_problem_dir
 from .prover import Limits, PROVED, prove
 
 FAMILIES = ("chain", "group", "mixed", "neardup")
@@ -220,14 +220,10 @@ def _gen_neardup(root: str, size: int) -> None:
 
 
 def _verify_problems(root: str) -> None:
-    for fn in sorted(os.listdir(root)):
-        if not fn.endswith(".p"):
-            continue
-        with open(os.path.join(root, fn), encoding="utf-8") as fh:
-            problem = parse_problem(fh.read(), source=fn)
+    for pid, problem in parse_problem_dir(root):
         res = prove(clausal_problem(problem), VERIFY_LIMITS)
         if res.status != PROVED:
-            raise GeneratorError(f"{fn} not provable ({res.status})")
+            raise GeneratorError(f"{pid}.p not provable ({res.status})")
 
 
 # ---------------------------------------------------------------------------

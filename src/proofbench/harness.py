@@ -41,7 +41,9 @@ from .loop import (
     pruned_problems, run_loop, tally, walk_ladder, write_run_dir,
 )
 from .models import ModelStore, model_to_text
-from .parser import parse_problem_file
+# perfbench/layers.py wraps `parse_problem_file` here as well as in
+# `parser`; challenge runs read problems through `parse_problem_dir`
+from .parser import parse_problem_dir, parse_problem_file  # noqa: F401
 # `prove` is bound here as well as in `loop` because perfbench/layers.py
 # traces every module binding a caller can go through
 from .prover import Limits, proof_from_text, proof_to_text, prove  # noqa: F401
@@ -246,14 +248,10 @@ def run_challenge(spec: ExperimentSpec) -> dict:
     proof, axioms keep file order.
     """
     out = _out_dir(spec)
-    problem_dir = spec.problems or spec.corpus
-    paths = sorted(fn for fn in os.listdir(problem_dir) if fn.endswith(".p"))
-    problems = []
-    for fn in paths:
-        problem = parse_problem_file(os.path.join(problem_dir, fn))
+    problems = parse_problem_dir(spec.problems or spec.corpus)
+    for pid, problem in problems:
         if problem.conjecture is None:
-            raise HarnessError(f"{fn}: challenge problems need a conjecture")
-        problems.append((fn[:-2], problem))
+            raise HarnessError(f"{pid}.p: challenge problems need a conjecture")
 
     cfg = spec.loop
     name = "learning" if cfg.learning else "fixed-order"
@@ -397,10 +395,10 @@ def _rebuilder(run_dir: str):
     for the call; None when its config.json names no input.
 
     The run's mode decides the build: a challenge problem pruned to its
-    premises, each problem file parsed once; a reprove theorem after its
-    premises in the order given (the manifest's); any other corpus item
-    after its premises in corpus order.  A library sub-run's config.json
-    records no mode.
+    premises, the problem directory parsed once as the run parsed it; a
+    reprove theorem after its premises in the order given (the
+    manifest's); any other corpus item after its premises in corpus
+    order.  A library sub-run's config.json records no mode.
     """
     cfg_path = os.path.join(run_dir, "config.json")
     if not os.path.exists(cfg_path):
@@ -416,8 +414,10 @@ def _rebuilder(run_dir: str):
         build, parsed = pruned_problems(), {}
 
         def rebuild_pruned(item, premises) -> ClauseSet:
+            if not parsed:
+                parsed.update(parse_problem_dir(root))
             if item not in parsed:
-                parsed[item] = parse_problem_file(os.path.join(root, f"{item}.p"))
+                raise HarnessError(f"no problem file {item}.p in {root!r}")
             return build(item, parsed[item], premises)
         return rebuild_pruned
     loaded: dict = {}       # the corpus and its builder, at the first proof

@@ -61,22 +61,25 @@ class Token(NamedTuple):
     col: int
 
 
-def tokenize(text: str, source: str = "") -> list:
-    tokens = []
-    pos, line, linestart = 0, 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        start, end = m.span()
+def tokenize(text: str, source: str = "", start: int = 0, end=None,
+             line: int = 1, linestart: int = 0) -> list:
+    """The tokens of `text[start:end]`, located in the whole text: `line`
+    is the line `start` is on, and that line begins at `linestart`."""
+    end = len(text) if end is None else end
+    tokens, pos, new = [], start, tuple.__new__
+    for m in _TOKEN_RE.finditer(text, start, end):
+        start, stop = m.span()
         if start != pos:        # no token starts at pos
             break
         kind = m.lastgroup
         tok = m.group()
-        if kind != "ws":
-            tokens.append(Token(kind, tok, line, start - linestart + 1))
+        if kind != "ws":        # Token(...) without its Python-level __new__
+            tokens.append(new(Token, (kind, tok, line, start - linestart + 1)))
         if "\n" in tok:
             line += tok.count("\n")
             linestart = start + tok.rindex("\n") + 1
-        pos = end
-    if pos < len(text):
+        pos = stop
+    if pos < end:
         raise ParseError(f"unexpected character {text[pos]!r}",
                          line, pos - linestart + 1, source)
     tokens.append(Token("eof", "", line, pos - linestart + 1))
@@ -102,11 +105,8 @@ class _Parser:
     def __init__(self, tokens, source=""):
         self.tokens = tokens
         self.pos = 0
+        self.cur = tokens[0]
         self.source = source
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
 
     def error(self, msg: str):
         t = self.cur
@@ -120,6 +120,7 @@ class _Parser:
     def take(self) -> Token:
         t = self.cur
         self.pos += 1
+        self.cur = self.tokens[self.pos]
         return t
 
     # -- formulas ----------------------------------------------------------
@@ -246,7 +247,8 @@ class _Parser:
             f = self.formula()
             self.eat(")")
             self.eat(".")
-            return ("fof", name, role, f)
+            closed, closed_vars = universal_closure(f)
+            return ("fof", AnnotatedFormula(name, role, closed), closed_vars)
         if t.text == "include":
             self.take()
             self.eat("(")
@@ -262,24 +264,59 @@ class _Parser:
     def statements(self):
         out = []
         while self.cur.kind != "eof":
-            out.append(self.statement())
+            t = self.cur
+            try:
+                out.append(self.statement())
+            except RecursionError:
+                raise ParseError("statement nested too deeply",
+                                 t.line, t.col, self.source) from None
         return out
 
 
-def _parse_statements(text: str, source: str) -> list:
-    return _Parser(tokenize(text, source), source).statements()
+# Blanks and comments, then one statement: the text up to the first `.`
+# outside a quoted atom and a comment (or else the end of the text).
+_STATEMENT_RE = re.compile(
+    r"(?>\s+|%[^\n]*)*+(?:((?>[^.'%]+|'(?:[^'\\]|\\.)*'|%[^\n]*)*+\.)|\Z)")
 
 
-def parse_problem(text: str, include_dirs=(), source: str = "<string>") -> Problem:
-    """Parse a problem, resolving includes and auto-closing free variables."""
-    formulas = []
-    warnings = []
-    seen_files: set = set()
+def _statements(text: str, source: str, table: dict) -> list:
+    """`text`'s statements in order, each distinct statement tokenized and
+    parsed once per `table`, which maps its text to its parse.  A tail that
+    does not split is parsed whole.  On a `ParseError` the whole text is
+    parsed again, so the error raised is the whole-text parse's."""
+    out, pos, line, counted = [], 0, 1, 0
+    try:
+        while pos < len(text):
+            m = _STATEMENT_RE.match(text, pos)
+            if m and m.start(1) < 0:        # nothing but blanks and comments left
+                break
+            start, pos = m.span(1) if m else (pos, len(text))
+            key = text[start:pos]
+            if key not in table:
+                line += text.count("\n", counted, start)
+                counted = start
+                tokens = tokenize(text, source, start, pos, line,
+                                  text.rfind("\n", 0, start) + 1)
+                table[key] = _Parser(tokens, source).statements()
+            out += table[key]
+        return out
+    except ParseError as exc:
+        error = exc
+    _Parser(tokenize(text, source), source).statements()
+    raise error
 
-    def ingest(stmts, current_dir):
-        for stmt in stmts:
-            if stmt[0] == "include":
-                rel = stmt[1]
+
+def parse_problem(text: str, include_dirs=(), source: str = "<string>",
+                  table=None) -> Problem:
+    """Parse a problem, resolving includes and auto-closing free variables;
+    problems parsed with one statement `table` parse a shared statement once."""
+    table = {} if table is None else table
+    formulas, warnings, seen_files = [], [], set()
+
+    def ingest(text, source, current_dir):
+        for entry in _statements(text, source, table):
+            if entry[0] == "include":
+                rel = entry[1]
                 for d in [current_dir] + list(include_dirs):
                     if d is None:
                         continue
@@ -290,28 +327,36 @@ def parse_problem(text: str, include_dirs=(), source: str = "<string>") -> Probl
                             raise IncludeError(f"circular include of {rel!r}")
                         seen_files.add(real)
                         with open(cand, encoding="utf-8") as fh:
-                            ingest(_parse_statements(fh.read(), cand),
-                                   os.path.dirname(cand))
+                            ingest(fh.read(), cand, os.path.dirname(cand))
                         break
                 else:
                     raise IncludeError(f"cannot resolve include {rel!r}")
             else:
-                _, name, role, f = stmt
-                closed, closed_vars = universal_closure(f)
+                _, af, closed_vars = entry
                 if closed_vars:
                     warnings.append(
-                        f"{name}: free variables auto-closed: {', '.join(closed_vars)}")
-                formulas.append(AnnotatedFormula(name, role, closed))
+                        f"{af.name}: free variables auto-closed: {', '.join(closed_vars)}")
+                formulas.append(af)
 
-    ingest(_parse_statements(text, source), None)
+    ingest(text, source, None)
     return make_problem(formulas, warnings)
 
 
-def parse_problem_file(path: str, include_dirs=()) -> Problem:
+def parse_problem_file(path: str, include_dirs=(), table=None) -> Problem:
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     dirs = [os.path.dirname(path)] + list(include_dirs)
-    return parse_problem(text, dirs, source=path)
+    return parse_problem(text, dirs, source=path, table=table)
+
+
+def parse_problem_dir(root: str) -> list:
+    """(name, problem) for each `*.p` file of `root`, in name order, all
+    parsed with one statement table."""
+    if not os.path.isdir(root):
+        raise ProblemError(f"no problems directory {root!r}")
+    table: dict = {}
+    return [(fn[:-2], parse_problem_file(os.path.join(root, fn), table=table))
+            for fn in sorted(os.listdir(root)) if fn.endswith(".p")]
 
 
 def parse_formula(text: str) -> Formula:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -178,3 +179,19 @@ def test_loop_flags_are_library_only(capsys):
         for command in ("challenge", "traintest"):
             _rejected(capsys, [command, *RUN_ARGS[command], "--out", "o", *flag],
                       flag[0])
+
+
+@pytest.mark.parametrize("command", ["challenge", "speedup"])
+def test_missing_problems_directory_is_a_problem_error(command, tmp_path):
+    from proofbench.fol import ProblemError
+
+    missing = str(tmp_path / "missing")
+    with pytest.raises(ProblemError, match=re.escape(missing)):
+        main([command, "--problems", missing, "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("command", ["challenge", "speedup"])
+def test_empty_problems_directory_is_an_empty_run(command, tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main([command, "--problems", str(empty), "--out", str(tmp_path / "out")]) == 0

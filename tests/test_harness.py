@@ -159,6 +159,18 @@ def test_challenge_mode(neardup, tmp_path):
     assert verify_run(str(tmp_path / "ch"))["failed"] == 0
 
 
+def test_verify_names_a_missing_challenge_problem(neardup, tmp_path):
+    problems = tmp_path / "problems"
+    shutil.copytree(neardup, problems)
+    run_challenge(ExperimentSpec(mode="challenge", problems=str(problems),
+                                 out_dir=str(tmp_path / "ch"), loop=FAST_LOOP))
+    proof = sorted((tmp_path / "ch" / "proofs").iterdir())[0]
+    (problems / f"{proof.stem}.p").unlink()
+    outcome = verify_run(str(tmp_path / "ch"))
+    why = f"rebuild failed: no problem file {proof.stem}.p in {str(problems)!r}"
+    assert (str(proof), why) in outcome["failures"]
+
+
 def test_challenge_learning_on_vs_off_reported_side_by_side(neardup, tmp_path):
     base = dict(axiom_ladder=(4, 8, 16), attempt_budgets=(2000,), max_depth=8,
                 total_inference_budget=200000)

@@ -1,14 +1,17 @@
+import importlib.util
 import os
 import random
+import re
 
 import pytest
 
 from proofbench.fol import (
-    And, Atom, Forall, Implies, Not, Or, Var, atom, const,
+    And, Atom, Forall, Implies, Not, Or, ProblemError, Var, atom, const,
 )
+from proofbench.generator import generate_corpus
 from proofbench.parser import (
-    ParseError, _TOKEN_RE, parse_formula, parse_problem, parse_problem_file,
-    print_formula, tokenize,
+    ParseError, _TOKEN_RE, parse_formula, parse_problem, parse_problem_dir,
+    parse_problem_file, print_formula, tokenize,
 )
 from proofbench.fol import ArityError, DuplicateNameError, MultipleConjecturesError
 
@@ -175,3 +178,123 @@ def test_tokenize_error_location_matches_reference(text, where):
         tokenize(text, "s.p")
     assert (got.value.line, got.value.col) == (ref.value.line, ref.value.col) == where
     assert str(got.value) == str(ref.value)
+
+
+# ---------------------------------------------------------------------------
+# One statement table per batch
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _challenge_batch(root: str) -> str:
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", os.path.join(ROOT, "perfbench", "gen.py"))
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.challenge_batch(root, 1)
+    return root
+
+
+@pytest.mark.parametrize("batch", ["neardup50", "challenge-batch"])
+def test_batch_problems_equal_their_lone_parses(batch, tmp_path):
+    root = str(tmp_path / batch)
+    if batch == "neardup50":
+        generate_corpus("neardup", 50, 0, root, verify=False)
+    else:
+        _challenge_batch(root)
+    names = sorted(fn for fn in os.listdir(root) if fn.endswith(".p"))
+    parsed = parse_problem_dir(root)
+    assert [pid for pid, _p in parsed] == [fn[:-2] for fn in names]
+    for pid, problem in parsed:
+        assert problem == parse_problem_file(os.path.join(root, f"{pid}.p")), pid
+
+
+def test_equal_statements_of_a_batch_are_one_object(tmp_path):
+    (tmp_path / "a.p").write_text("fof(ax, axiom, ![X]: p(X)).\nfof(g, conjecture, p(a)).\n")
+    (tmp_path / "b.p").write_text("% other\nfof(ax, axiom, ![X]: p(X)).\n"
+                                  "fof(g, conjecture, p(b)).\n")
+    (_a, first), (_b, second) = parse_problem_dir(str(tmp_path))
+    assert first.formulas[0] is second.formulas[0]
+    assert first.formulas[1] != second.formulas[1]
+    assert parse_problem_dir(str(tmp_path))[0][1].formulas[0] is not first.formulas[0]
+
+
+def test_each_problem_warns_of_its_own_auto_closure(tmp_path):
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.p").write_text(f"fof(free, axiom, p(X)).\nfof(g, conjecture, p({name})).\n")
+    (tmp_path / "c.p").write_text("fof(g, conjecture, p(c)).\n")
+    warned = {pid: problem.warnings for pid, problem in parse_problem_dir(str(tmp_path))}
+    assert warned == {"a": ("free: free variables auto-closed: X",),
+                      "b": ("free: free variables auto-closed: X",), "c": ()}
+
+
+ERRORS = [
+    # a syntax error in the second of three statements
+    ("fof(a, axiom, p(c)).\nfof(b, axiom,\n  q(c) & ).\nfof(c, axiom, r(c)).\n",
+     "expected term, found ')'", 3, 10),
+    # the lexical error is found first, though a syntax error precedes it
+    ("fof(a, axiom, p(c)).\nfof(b, axiom, p( )).\nfof(c, axiom, q(c) # r).\n",
+     "unexpected character '#'", 3, 20),
+    ("fof(a, axiom, p(c)).\nfof(b, axiom, 'p(c)).\n", "unexpected character \"'\"", 2, 15),
+    ("fof(a, axiom, p(c)).\nfof(b, axiom, q(c))\n", "expected '.', found ''", 3, 1),
+]
+ERROR_IDS = ["syntax", "lexical-after-syntax", "unterminated-quote", "no-final-dot"]
+
+
+@pytest.mark.parametrize("text, message, line, col", ERRORS, ids=ERROR_IDS)
+def test_parse_errors_are_the_whole_text_errors(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_problem(text, source="s.p")
+    assert (str(err.value), err.value.line, err.value.col) == (
+        f"s.p:{line}:{col}: {message}", line, col)
+
+
+@pytest.mark.parametrize("text, message, line, col", ERRORS, ids=ERROR_IDS)
+def test_parse_errors_in_a_warm_batch_are_the_whole_text_errors(
+        text, message, line, col, tmp_path):
+    good = "fof(a, axiom, p(c)).\nfof(b, axiom, q(c)).\nfof(c, axiom, r(c)).\n"
+    (tmp_path / "p1.p").write_text(good)
+    (tmp_path / "p2.p").write_text(text)
+    with pytest.raises(ParseError) as err:
+        parse_problem_dir(str(tmp_path))
+    path = str(tmp_path / "p2.p")
+    assert (str(err.value), err.value.line, err.value.col) == (
+        f"{path}:{line}:{col}: {message}", line, col)
+
+
+def test_dots_and_percents_in_quotes_and_comments_split_correctly():
+    p = parse_problem("fof('a.1%', axiom, 'p.q'(c)). % a '. comment\n"
+                      "fof(b, axiom, p(c) % a comment. inside\n  & 'x%y.'(c)).\n"
+                      "% trailing . comment")
+    assert [af.name for af in p.formulas] == ["a.1%", "b"]
+    assert p.formulas[0].formula == atom("p.q", const("c"))
+    assert p.formulas[1].formula == And(atom("p", const("c")), atom("x%y.", const("c")))
+
+
+def _deep_term(depth: int) -> str:
+    return "f(" * depth + "c" + ")" * depth
+
+
+@pytest.mark.parametrize("formula", [
+    f"p({_deep_term(2000)})",
+    "~ " * 3000 + "p(c)",
+    "(" * 3000 + "p(c)" + ")" * 3000,
+], ids=["term-2000", "negation-3000", "parentheses-3000"])
+def test_a_too_deep_statement_is_a_located_parse_error(formula):
+    with pytest.raises(ParseError) as err:
+        parse_problem(f"fof(a, axiom, p(c)).\n  fof(deep, axiom, {formula}).\n",
+                      source="s.p")
+    assert (err.value.line, err.value.col) == (2, 3)
+    assert "nested too deeply" in str(err.value)
+
+
+def test_a_term_600_deep_parses():
+    p = parse_problem(f"fof(deep, axiom, p({_deep_term(600)})).")
+    assert p.formulas[0].name == "deep"
+
+
+def test_missing_problems_directory_is_named(tmp_path):
+    missing = str(tmp_path / "missing")
+    with pytest.raises(ProblemError, match=re.escape(missing)):
+        parse_problem_dir(missing)
+    assert parse_problem_dir(str(tmp_path)) == []

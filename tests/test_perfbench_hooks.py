@@ -85,6 +85,23 @@ def test_challenge_trace_shows_one_assembly_per_attempt_and_cached_forms(
     cnf_calls = sum(1 for span in tracer.spans if span[0] == "clausify.cnf")
     assert len(assembled) == len(records)
     assert 0 < cnf_calls < sum(span[4]["forms"] for span in assembled)
+    # the batch shares one statement table, yet each file is one parser span
+    files = [fn for fn in os.listdir(small_inputs["challenge"]) if fn.endswith(".p")]
+    parsed = [span for span in tracer.spans if span[0] == "parser.parse_file"]
+    assert len(parsed) == len(files) > 0
+
+
+def test_parse_problem_file_is_wrapped_in_every_module_that_binds_it(layers):
+    from proofbench import corpus, harness, parser
+
+    tracer = layers.Tracer("t")
+    try:
+        layers.install_program_wrappers(tracer)
+        wrapped = {target for target, attr, _fn in tracer._installed
+                   if attr == "parse_problem_file"}
+    finally:
+        tracer.restore()
+    assert wrapped == {corpus, harness, parser}
 
 
 @pytest.fixture(scope="module")
