@@ -41,9 +41,7 @@ from .loop import (
     pruned_problems, run_loop, tally, walk_ladder, write_run_dir,
 )
 from .models import ModelStore, model_to_text
-# perfbench/layers.py wraps `parse_problem_file` here as well as in
-# `parser`; challenge runs read problems through `parse_problem_dir`
-from .parser import parse_problem_dir, parse_problem_file  # noqa: F401
+from .parser import parse_problem_dir, parse_problem_file
 # `prove` is bound here as well as in `loop` because perfbench/layers.py
 # traces every module binding a caller can go through
 from .prover import Limits, proof_from_text, proof_to_text, prove  # noqa: F401
@@ -395,7 +393,7 @@ def _rebuilder(run_dir: str):
     for the call; None when its config.json names no input.
 
     The run's mode decides the build: a challenge problem pruned to its
-    premises, the problem directory parsed once as the run parsed it; a
+    premises, each problem file parsed once through one statement table; a
     reprove theorem after its premises in the order given (the
     manifest's); any other corpus item after its premises in corpus
     order.  A library sub-run's config.json records no mode.
@@ -411,13 +409,14 @@ def _rebuilder(run_dir: str):
     if not root:
         return None
     if mode == "challenge":
-        build, parsed = pruned_problems(), {}
+        build, parsed, table = pruned_problems(), {}, {}
 
         def rebuild_pruned(item, premises) -> ClauseSet:
-            if not parsed:
-                parsed.update(parse_problem_dir(root))
             if item not in parsed:
-                raise HarnessError(f"no problem file {item}.p in {root!r}")
+                path = os.path.join(root, f"{item}.p")
+                if not os.path.exists(path):
+                    raise HarnessError(f"no problem file {item}.p in {root!r}")
+                parsed[item] = parse_problem_file(path, table=table)
             return build(item, parsed[item], premises)
         return rebuild_pruned
     loaded: dict = {}       # the corpus and its builder, at the first proof

@@ -61,14 +61,11 @@ class Token(NamedTuple):
     col: int
 
 
-def tokenize(text: str, source: str = "", start: int = 0, end=None,
-             line: int = 1, linestart: int = 0) -> list:
-    """The tokens of `text[start:end]`, located in the whole text: `line`
-    is the line `start` is on, and that line begins at `linestart`."""
-    end = len(text) if end is None else end
-    tokens, pos, new = [], start, tuple.__new__
-    for m in _TOKEN_RE.finditer(text, start, end):
-        start, stop = m.span()
+def tokenize(text: str, source: str = "") -> list:
+    tokens, new = [], tuple.__new__
+    pos, line, linestart = 0, 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        start, end = m.span()
         if start != pos:        # no token starts at pos
             break
         kind = m.lastgroup
@@ -78,8 +75,8 @@ def tokenize(text: str, source: str = "", start: int = 0, end=None,
         if "\n" in tok:
             line += tok.count("\n")
             linestart = start + tok.rindex("\n") + 1
-        pos = stop
-    if pos < end:
+        pos = end
+    if pos < len(text):
         raise ParseError(f"unexpected character {text[pos]!r}",
                          line, pos - linestart + 1, source)
     tokens.append(Token("eof", "", line, pos - linestart + 1))
@@ -274,9 +271,13 @@ class _Parser:
 
 
 # Blanks and comments, then one statement: the text up to the first `.`
-# outside a quoted atom and a comment (or else the end of the text).
+# outside a quoted atom and a comment (or else the end of the text).  Each
+# alternative starts on a character the others cannot, and a comment runs
+# to its line's end, so a failing match backtracks in linear time.
 _STATEMENT_RE = re.compile(
-    r"(?>\s+|%[^\n]*)*+(?:((?>[^.'%]+|'(?:[^'\\]|\\.)*'|%[^\n]*)*+\.)|\Z)")
+    r"\s*(?:%[^\n]*(?=\n|\Z)\s*)*"
+    r"(?:(?=[^\s%])([^.'%]*(?:(?:'[^'\\]*(?:\\.[^'\\]*)*'|%[^\n]*(?=\n|\Z))"
+    r"[^.'%]*)*\.)|\Z)")
 
 
 def _statements(text: str, source: str, table: dict) -> list:
@@ -284,7 +285,7 @@ def _statements(text: str, source: str, table: dict) -> list:
     parsed once per `table`, which maps its text to its parse.  A tail that
     does not split is parsed whole.  On a `ParseError` the whole text is
     parsed again, so the error raised is the whole-text parse's."""
-    out, pos, line, counted = [], 0, 1, 0
+    out, pos = [], 0
     try:
         while pos < len(text):
             m = _STATEMENT_RE.match(text, pos)
@@ -293,11 +294,7 @@ def _statements(text: str, source: str, table: dict) -> list:
             start, pos = m.span(1) if m else (pos, len(text))
             key = text[start:pos]
             if key not in table:
-                line += text.count("\n", counted, start)
-                counted = start
-                tokens = tokenize(text, source, start, pos, line,
-                                  text.rfind("\n", 0, start) + 1)
-                table[key] = _Parser(tokens, source).statements()
+                table[key] = _Parser(tokenize(key, source), source).statements()
             out += table[key]
         return out
     except ParseError as exc:

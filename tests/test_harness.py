@@ -171,6 +171,16 @@ def test_verify_names_a_missing_challenge_problem(neardup, tmp_path):
     assert (str(proof), why) in outcome["failures"]
 
 
+def test_verify_rebuilds_each_challenge_proof_from_its_own_file(neardup, tmp_path):
+    problems = tmp_path / "problems"
+    shutil.copytree(neardup, problems)
+    run_challenge(ExperimentSpec(mode="challenge", problems=str(problems),
+                                 out_dir=str(tmp_path / "ch"), loop=FAST_LOOP))
+    (problems / "zz_added_later.p").write_text("fof(broken, axiom, p(.\n")
+    outcome = verify_run(str(tmp_path / "ch"))
+    assert outcome["checked"] > 0 and outcome["failed"] == 0
+
+
 def test_challenge_learning_on_vs_off_reported_side_by_side(neardup, tmp_path):
     base = dict(axiom_ladder=(4, 8, 16), attempt_budgets=(2000,), max_depth=8,
                 total_inference_budget=200000)
