@@ -135,26 +135,6 @@ def atom(pred: str, *args: Term) -> Atom:
     return Atom(pred, tuple(args))
 
 
-def conj(parts) -> Formula:
-    parts = list(parts)
-    if not parts:
-        return TRUE
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
-
-
-def disj(parts) -> Formula:
-    parts = list(parts)
-    if not parts:
-        return FALSE
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Traversals
 
@@ -359,22 +339,10 @@ class Literal:
         return Literal(not self.positive, self.atom)
 
     @property
-    def pred_key(self) -> tuple:
-        """(predicate, arity) key; equality keys as ("=", 2)."""
-        if isinstance(self.atom, Eq):
-            return ("=", 2)
-        return (self.atom.pred, len(self.atom.args))
-
-    @property
     def args(self) -> tuple:
         if isinstance(self.atom, Eq):
             return (self.atom.lhs, self.atom.rhs)
         return self.atom.args
-
-
-def literal_vars(lit: Literal) -> Iterator[str]:
-    for a in lit.args:
-        yield from term_vars(a)
 
 
 @dataclass(frozen=True)
@@ -405,27 +373,34 @@ def clause_signature(clause: Clause) -> tuple:
     listed.  Terms are walked with an explicit stack."""
     sig: dict = {}          # ordered set
     for lit in clause.literals:
-        if isinstance(lit.atom, Atom):
-            sig[(lit.atom.pred, "predicate", len(lit.atom.args))] = None
-        todo = list(reversed(lit.args))
+        atom = lit.atom
+        if type(atom) is Eq:
+            todo = [atom.rhs, atom.lhs]
+        else:
+            sig[(atom.pred, "predicate", len(atom.args))] = None
+            todo = list(reversed(atom.args))
         while todo:
             t = todo.pop()
-            if isinstance(t, App):
+            if type(t) is not Var:
                 sig[(t.symbol, "function", len(t.args))] = None
                 todo.extend(reversed(t.args))
     return tuple(sig)
 
 
-def literal_as_formula(lit: Literal) -> Formula:
-    return lit.atom if lit.positive else Not(lit.atom)
-
-
-def clause_as_formula(c: Clause) -> Formula:
-    if not c.literals:
-        return FALSE
-    body = disj([literal_as_formula(l) for l in c.literals])
-    closed, _ = universal_closure(body)
-    return closed
+def clause_vars(clause: Clause) -> tuple:
+    """The distinct variable names of the clause in first-occurrence
+    order.  Terms are walked with an explicit stack."""
+    names: dict = {}        # ordered set
+    for lit in clause.literals:
+        atom = lit.atom
+        todo = [atom.rhs, atom.lhs] if type(atom) is Eq else list(reversed(atom.args))
+        while todo:
+            t = todo.pop()
+            if type(t) is Var:
+                names[t.name] = None
+            else:
+                todo.extend(reversed(t.args))
+    return tuple(names)
 
 
 # ---------------------------------------------------------------------------
@@ -460,16 +435,20 @@ class Problem:
         raise KeyError(name)
 
 
-def check_arities(formulas) -> None:
+def check_arities(formulas, signatures=None) -> None:
     """Enforce one arity per symbol, per namespace, across the given formulas.
 
     A name used both as a predicate and as a function is rejected: mixed use
-    is always a mistake in the corpora this package handles.
+    is always a mistake in the corpora this package handles.  `signatures`,
+    when given, holds each formula's `symbols_of` keys in their order, so a
+    caller that keeps them need not walk the formulas again.
     """
+    if signatures is None:
+        signatures = [symbols_of(af.formula) for af in formulas]
     funcs: dict = {}
     preds: dict = {}
-    for af in formulas:
-        for (name, kind, arity) in symbols_of(af.formula):
+    for af, signature in zip(formulas, signatures):
+        for (name, kind, arity) in signature:
             table, other = (funcs, preds) if kind == "function" else (preds, funcs)
             if name in other:
                 raise ArityError(
@@ -482,8 +461,9 @@ def check_arities(formulas) -> None:
                     f"but arity {arity} in {af.name!r}")
 
 
-def make_problem(formulas, warnings=()) -> Problem:
-    """Validate name uniqueness, conjecture uniqueness and arity consistency."""
+def make_problem(formulas, warnings=(), signatures=None) -> Problem:
+    """Validate name uniqueness, conjecture uniqueness and arity consistency
+    (from `signatures`, as `check_arities` takes them, when given)."""
     names = set()
     conjectures = 0
     for af in formulas:
@@ -494,5 +474,5 @@ def make_problem(formulas, warnings=()) -> Problem:
             conjectures += 1
     if conjectures > 1:
         raise MultipleConjecturesError(f"{conjectures} conjectures in one problem")
-    check_arities(formulas)
+    check_arities(formulas, signatures)
     return Problem(tuple(formulas), tuple(warnings))

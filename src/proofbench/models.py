@@ -9,11 +9,13 @@ for has no honest truth value in it.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .fol import (
     And, Atom, Clause, Eq, Exists, Forall, Iff, Implies, Literal, Not, Or,
-    TrueF, FalseF, Var, clause_signature, literal_vars, symbols_of,
+    TrueF, FalseF, Var, clause_signature, clause_vars, symbols_of,
 )
 
 DEFAULT_MAX_DOMAIN = 3
@@ -51,12 +53,21 @@ class FiniteModel:
     preds: dict   # symbol -> {arg tuple -> bool}
     provenance: str = ""
 
+    @cached_property
+    def signature(self) -> frozenset:
+        """(name, kind, arity) of each table, built on first use: a
+        model's tables are complete when it is made."""
+        return frozenset((sym, kind, len(next(iter(t))))
+                         for kind, tables in (("function", self.funcs),
+                                              ("predicate", self.preds))
+                         for sym, t in tables.items() if t)
+
     def has_symbols(self, symbols) -> bool:
-        for (name, kind, arity) in symbols:
-            if name == "=" and kind == "predicate":
-                continue
-            table = self.funcs if kind == "function" else self.preds
-            if name not in table:
+        """Whether every (name, kind, arity) of `symbols` has a table, at
+        that arity; equality is built in."""
+        signature = self.signature
+        for s in symbols:
+            if s not in signature and (s[0] != "=" or s[1] != "predicate"):
                 return False
         return True
 
@@ -75,119 +86,132 @@ def find_model(clauses, max_domain: int = DEFAULT_MAX_DOMAIN,
                provenance: str = "") -> FiniteModel | None:
     """Smallest-domain model of the clause set, or None within the cap.
 
-    Exhaustive backtracking over table cells (symbol-frequency order)
-    with unit propagation over the ground instances.
+    Each domain size from 1 up is searched by `_search_domain`.  A model
+    found is checked clause by clause through `evaluate`, the Tarskian
+    evaluator, a code path apart from the search; a clause it fails
+    raises `ModelCheckError`.  Each clause's signature is walked once per
+    call: it gives the symbol order, the occurrence lists and the check.
     """
     clauses = list(clauses)
+    signatures = [clause_signature(c) for c in clauses]
     funcs: dict = {}
     preds: dict = {}
     freq: dict = {}          # symbol -> number of clauses it occurs in
-    for c in clauses:
-        for sym, kind, arity in clause_signature(c):
+    for sig in signatures:
+        for sym, kind, arity in sig:
             (funcs if kind == "function" else preds)[sym] = arity
             freq[sym] = freq.get(sym, 0) + 1
     for n in range(1, max_domain + 1):
-        model = _search_domain(clauses, funcs, preds, freq, n)
+        model = _search_domain(clauses, signatures, funcs, preds, freq, n)
         if model is not None:
             model.provenance = provenance
-            # checked by the Tarskian evaluator, apart from the finder's search
-            for c in clauses:
-                if evaluate(c, model) is not True:
+            for c, sig in zip(clauses, signatures):
+                if evaluate(c, model, sig) is not True:
                     raise ModelCheckError(
                         f"domain-{n} model fails its own clause {c.clause_id!r}")
             return model
     return None
 
 
-def _search_domain(clauses, funcs, preds, freq, n):
+def _search_domain(clauses, signatures, funcs, preds, freq, n):
+    """A model of the clauses over domain `n`, or None.
+
+    Chronological backtracking assigns table cells in symbol-frequency
+    order, with unit propagation over the ground instances.  Each symbol
+    has an occurrence list: the ground clauses that read it.  The first
+    propagation visits every clause; after that a FIFO queue holds only
+    the readers of each newly assigned cell's symbol, each clause at most
+    once (Zhang & Stickel, "Implementing the Davis-Putnam method", JAR
+    2000).  Unit propagation is confluent, so the order of the visits
+    changes neither its fixpoint nor whether it conflicts.
+    """
     domain = range(n)
     grounding = 0
     ground: list = []
-    for c in clauses:
-        vs = sorted(set(v for lit in c.literals for v in literal_vars(lit)))
+    readers: dict = {}       # symbol -> indices of the ground clauses reading it
+    for c, sig in zip(clauses, signatures):
+        vs = sorted(clause_vars(c))
         grounding += n ** len(vs)
         if grounding > GROUNDING_GUARD:
             raise ResourceError(
                 f"grounding needs {grounding}+ instances at domain {n}")
+        first = len(ground)
         for vals in itertools.product(domain, repeat=len(vs)):
             env = dict(zip(vs, vals))
             ground.append([_ground_literal(lit, env) for lit in c.literals])
+        for sym, _kind, _arity in sig:
+            readers.setdefault(sym, []).extend(range(first, len(ground)))
 
-    cells = []
-    for sym, ar in funcs.items():
-        cells.extend(("f", sym, args) for args in itertools.product(domain, repeat=ar))
-    for sym, ar in preds.items():
-        cells.extend(("p", sym, args) for args in itertools.product(domain, repeat=ar))
-    ncells = len(cells)
+    # cells by symbol frequency, then kind, name and arguments
+    tables = sorted([(-freq[sym], "f", sym, ar) for sym, ar in funcs.items()]
+                    + [(-freq[sym], "p", sym, ar) for sym, ar in preds.items()])
+    ncells = sum(n ** ar for _f, _k, _s, ar in tables)
     if ncells > GROUNDING_GUARD:
         raise ResourceError(f"{ncells} table cells at domain {n}")
-
-    cells.sort(key=lambda cell: (-freq.get(cell[1], 0), cell[0], cell[1], cell[2]))
+    cells = [(kind, sym, args) for _f, kind, sym, ar in tables
+             for args in itertools.product(domain, repeat=ar)]
 
     assign: dict = {}
+    queue = deque(range(len(ground)))
+    queued = bytearray(b"\x01") * len(ground)
 
-    def eval_ground_term(t):
-        # returns (value, None) or (None, blocking cell)
-        sym, args = t
+    def elements(args):
+        # the ground terms' elements, or None while one reads an unassigned cell
         vals = []
         for a in args:
-            if isinstance(a, tuple):
-                v, blocked = eval_ground_term(a)
-                if v is None:
-                    return None, blocked
-            else:
-                v = a
-            vals.append(v)
-        cell = ("f", sym, tuple(vals))
-        if cell in assign:
-            return assign[cell], None
-        return None, cell
+            if type(a) is not int:
+                sub = elements(a[1])
+                a = None if sub is None else assign.get(("f", a[0], sub))
+                if a is None:
+                    return None
+            vals.append(a)
+        return tuple(vals)
 
     def eval_ground_literal(lit):
         # returns True/False/None (undecided), plus a forcing cell when the
         # only obstacle is a single predicate cell
         sign, pred, args = lit
-        vals = []
-        for a in args:
-            if isinstance(a, tuple):
-                v, _ = eval_ground_term(a)
-                if v is None:
-                    return None, None
-            else:
-                v = a
-            vals.append(v)
+        vals = elements(args)
+        if vals is None:
+            return None, None
         if pred == "=":
             return (vals[0] == vals[1]) == sign, None
-        cell = ("p", pred, tuple(vals))
-        if cell in assign:
-            return assign[cell] == sign, None
-        return None, (cell, sign)
+        cell = ("p", pred, vals)
+        value = assign.get(cell)
+        if value is None:
+            return None, (cell, sign)
+        return value == sign, None
+
+    def wake(sym):
+        for i in readers.get(sym, ()):
+            if not queued[i]:
+                queued[i] = 1
+                queue.append(i)
 
     def propagate(trail) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for lits in ground:
-                undecided = 0
-                force = None
-                satisfied = False
-                for lit in lits:
-                    val, f = eval_ground_literal(lit)
-                    if val is True:
-                        satisfied = True
-                        break
-                    if val is None:
-                        undecided += 1
-                        force = f
-                if satisfied:
-                    continue
+        while queue:
+            i = queue.popleft()
+            queued[i] = 0
+            undecided = 0
+            force = None
+            for lit in ground[i]:
+                val, f = eval_ground_literal(lit)
+                if val is True:
+                    break
+                if val is None:
+                    undecided += 1
+                    force = f
+            else:
                 if undecided == 0:
+                    for j in queue:
+                        queued[j] = 0
+                    queue.clear()
                     return False
                 if undecided == 1 and force is not None:
                     cell, sign = force
                     assign[cell] = sign
                     trail.append(cell)
-                    changed = True
+                    wake(cell[1])
         return True
 
     def solve(idx) -> bool:
@@ -200,64 +224,75 @@ def _search_domain(clauses, funcs, preds, freq, n):
         for v in values:
             assign[cells[idx]] = v
             trail = [cells[idx]]
+            wake(sym)
             if propagate(trail) and solve(idx + 1):
                 return True
             for cell in trail:
                 del assign[cell]
         return False
 
-    trail0: list = []
-    if not propagate(trail0):
+    if not propagate([]) or not solve(0):
         return None
-    if not solve(0):
-        return None
-    funcs_out = {sym: {} for sym in funcs}
-    preds_out = {sym: {} for sym in preds}
-    for (kind, sym, args), v in assign.items():
-        (funcs_out if kind == "f" else preds_out)[sym][args] = v
     # propagate may leave cells untouched when no clause constrains them
-    for sym, ar in funcs.items():
-        for args in itertools.product(domain, repeat=ar):
-            funcs_out[sym].setdefault(args, 0)
-    for sym, ar in preds.items():
-        for args in itertools.product(domain, repeat=ar):
-            preds_out[sym].setdefault(args, False)
-    return FiniteModel(n, funcs_out, preds_out)
+    return FiniteModel(
+        n,
+        {sym: {args: assign.get(("f", sym, args), 0)
+               for args in itertools.product(domain, repeat=ar)}
+         for sym, ar in funcs.items()},
+        {sym: {args: assign.get(("p", sym, args), False)
+               for args in itertools.product(domain, repeat=ar)}
+         for sym, ar in preds.items()})
 
 
 def _ground_literal(lit: Literal, env):
-    def g(t):
-        if isinstance(t, Var):
-            return env[t.name]
-        return (t.symbol, tuple(g(a) for a in t.args))
+    atom = lit.atom
+    if type(atom) is Eq:
+        return (lit.positive, "=", (_ground_term(atom.lhs, env),
+                                    _ground_term(atom.rhs, env)))
+    return (lit.positive, atom.pred, tuple([_ground_term(a, env) for a in atom.args]))
 
-    if isinstance(lit.atom, Eq):
-        return (lit.positive, "=", (g(lit.atom.lhs), g(lit.atom.rhs)))
-    return (lit.positive, lit.atom.pred, tuple(g(a) for a in lit.atom.args))
+
+def _ground_term(t, env):
+    # an element, or (symbol, ground arguments)
+    if type(t) is Var:
+        return env[t.name]
+    return (t.symbol, tuple([_ground_term(a, env) for a in t.args]))
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
 
-def evaluate(f, m: FiniteModel):
+def evaluate(f, m: FiniteModel, signature=None):
     """Tarskian truth value of a Formula or Clause in m, or UNDEFINED.
 
-    Undefined exactly when f mentions a symbol m has no table for;
-    clause variables are implicitly universal.
+    Undefined exactly when f mentions a symbol, at its arity, that m has
+    no table for; clause variables are implicitly universal.
     """
-    return evaluate_models(f, (m,))[0]
+    return evaluate_models(f, (m,), signature)[0]
 
 
-def evaluate_models(f, models) -> list:
-    """`evaluate(f, m)` for each m in `models`, in order.  The formula's
-    signature is walked once and tested against every model."""
-    if isinstance(f, Clause):
-        from .fol import clause_as_formula
-        f = clause_as_formula(f)
-    symbols = symbols_of(f)
-    return [_eval(f, m, {}) if m.has_symbols(symbols) else UNDEFINED
+def evaluate_models(f, models, signature=None) -> list:
+    """`evaluate(f, m)` for each m in `models`, in order.  The signature
+    of f is walked once (not at all when the caller passes it, as
+    `clause_signature` or `symbols_of` gives it) and tested against every
+    model.  A clause is evaluated directly: true iff every assignment of
+    its variables makes one of its literals true."""
+    clause = isinstance(f, Clause)
+    if signature is None:
+        signature = clause_signature(f) if clause else symbols_of(f)
+    return [UNDEFINED if not m.has_symbols(signature)
+            else _eval_clause(f, m) if clause else _eval(f, m, {})
             for m in models]
+
+
+def _eval_clause(c: Clause, m) -> bool:
+    names = clause_vars(c)
+    for values in itertools.product(range(m.size), repeat=len(names)):
+        env = dict(zip(names, values))
+        if not any(_eval(lit.atom, m, env) == lit.positive for lit in c.literals):
+            return False
+    return True
 
 
 def _eval_term(t, m, env) -> int:

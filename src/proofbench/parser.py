@@ -24,7 +24,8 @@ from typing import NamedTuple
 from .fol import (
     And, AnnotatedFormula, App, Atom, Eq, Exists, FALSE,
     Forall, Formula, Iff, Implies, Literal, Not, Or, Problem, ProblemError,
-    ROLES, TRUE, TrueF, FalseF, Term, Var, make_problem, universal_closure,
+    ROLES, TRUE, TrueF, FalseF, Term, Var, make_problem, symbols_of,
+    universal_closure,
 )
 
 
@@ -245,7 +246,8 @@ class _Parser:
             self.eat(")")
             self.eat(".")
             closed, closed_vars = universal_closure(f)
-            return ("fof", AnnotatedFormula(name, role, closed), closed_vars)
+            return ("fof", AnnotatedFormula(name, role, closed), closed_vars,
+                    tuple(symbols_of(closed)))
         if t.text == "include":
             self.take()
             self.eat("(")
@@ -306,9 +308,10 @@ def _statements(text: str, source: str, table: dict) -> list:
 def parse_problem(text: str, include_dirs=(), source: str = "<string>",
                   table=None) -> Problem:
     """Parse a problem, resolving includes and auto-closing free variables;
-    problems parsed with one statement `table` parse a shared statement once."""
+    problems parsed with one statement `table` parse a shared statement, and
+    walk its signature for the arity check, once."""
     table = {} if table is None else table
-    formulas, warnings, seen_files = [], [], set()
+    formulas, signatures, warnings, seen_files = [], [], [], set()
 
     def ingest(text, source, current_dir):
         for entry in _statements(text, source, table):
@@ -329,14 +332,15 @@ def parse_problem(text: str, include_dirs=(), source: str = "<string>",
                 else:
                     raise IncludeError(f"cannot resolve include {rel!r}")
             else:
-                _, af, closed_vars = entry
+                _, af, closed_vars, signature = entry
                 if closed_vars:
                     warnings.append(
                         f"{af.name}: free variables auto-closed: {', '.join(closed_vars)}")
                 formulas.append(af)
+                signatures.append(signature)
 
     ingest(text, source, None)
-    return make_problem(formulas, warnings)
+    return make_problem(formulas, warnings, signatures)
 
 
 def parse_problem_file(path: str, include_dirs=(), table=None) -> Problem:

@@ -300,10 +300,6 @@ def _compile(clauses: list) -> tuple:
     input order, as `(step, literal index, clause id, clause variables,
     the literal, the clause's literals)`."""
     numbers: dict = {}
-
-    def number(k):
-        return numbers.setdefault(k, len(numbers))
-
     compiled = []
     index: dict = {}
     for ci, c in enumerate(clauses):
@@ -312,14 +308,18 @@ def _compile(clauses: list) -> tuple:
         for lit in c.literals:
             t = _Lit()
             t.positive = positive = lit.positive
-            t.atom = lit.atom
-            pred = lit.pred_key
-            t.key = number((pred, positive))
-            t.complement = number((pred, not positive))
-            t.regular = number((positive, type(lit.atom), pred))
+            t.atom = atom = lit.atom
+            if type(atom) is Eq:
+                args, pred = (atom.lhs, atom.rhs), ("=", 2)
+            else:
+                args = atom.args
+                pred = (atom.pred, len(args))
+            t.key = numbers.setdefault((pred, positive), len(numbers))
+            t.complement = numbers.setdefault((pred, not positive), len(numbers))
+            t.regular = numbers.setdefault((positive, type(atom), pred), len(numbers))
             t.args = tuple([slots.setdefault(a.name, len(slots)) if type(a) is Var
                             else _template(a, slots) if a.args else a
-                            for a in lit.args])
+                            for a in args])
             t.tops = tuple([(i, a.symbol, len(a.args))
                             for i, a in enumerate(t.args) if type(a) is not int])
             lits.append(t)

@@ -14,8 +14,8 @@ import random
 
 from proofbench.fol import (
     And, App, Atom, Clause, Eq, Exists, FALSE, FalseF, Forall, Iff, Implies,
-    Literal, Not, Or, TRUE, TrueF, Var, alpha_normal, literal_as_formula,
-    make_clause,
+    Literal, Not, Or, TRUE, TrueF, Var, alpha_normal, make_clause,
+    universal_closure,
 )
 from proofbench.features import combine, symbol_features
 from proofbench.learner import (
@@ -266,7 +266,6 @@ def random_formula(rng: random.Random, vars_in_scope=(), depth=3,
 
 def random_closed_formula(rng: random.Random, depth=3, allow_eq=True,
                           unary_only=False):
-    from proofbench.fol import universal_closure
     f = random_formula(rng, (), depth, allow_eq, unary_only)
     closed, _ = universal_closure(f)
     return closed
@@ -301,6 +300,29 @@ def rename_bound_vars(f, suffix="R"):
 
 # ---------------------------------------------------------------------------
 # Oracles, printers and readers that only the tests use
+
+
+def disj(parts):
+    parts = list(parts)
+    if not parts:
+        return FALSE
+    out = parts[0]
+    for p in parts[1:]:
+        out = Or(out, p)
+    return out
+
+
+def literal_as_formula(lit: Literal):
+    return lit.atom if lit.positive else Not(lit.atom)
+
+
+def clause_as_formula(c: Clause):
+    """The clause as a closed formula: its literals' disjunction, closed
+    universally in first-occurrence order; the empty clause is $false."""
+    if not c.literals:
+        return FALSE
+    closed, _ = universal_closure(disj([literal_as_formula(l) for l in c.literals]))
+    return closed
 
 
 def alpha_equivalent(f, g) -> bool:

@@ -37,7 +37,7 @@ from proofbench.prover import (
 
 from helpers import (
     all_interpretations, alpha_equivalent, brute_clause_eval, brute_has_model,
-    prop_clause_satisfiable, random_closed_formula, random_prop_clauses,
+    clause_as_formula, prop_clause_satisfiable, random_closed_formula, random_prop_clauses,
     rename_bound_vars, train_batch,
 )
 
@@ -233,7 +233,7 @@ def test_criterion_04_canonical_skolem_property():
 
 def _symbol_multiset(form):
     from collections import Counter
-    from proofbench.fol import clause_as_formula, symbols_of
+    from proofbench.fol import symbols_of
     out = Counter()
     for c in form.clauses:
         out += symbols_of(clause_as_formula(c))

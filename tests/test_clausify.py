@@ -6,13 +6,14 @@ from proofbench.clausify import (
 )
 from proofbench.fol import (
     And, AnnotatedFormula, App, Atom, Eq, Exists, Forall, Iff, Implies,
-    Literal, Not, Or, Var, atom, conj, const, disj,
+    Literal, Not, Or, Var, atom, const,
     make_problem, symbols_of,
 )
 from proofbench.parser import parse_formula, parse_problem
 
 from helpers import (
-    alpha_equivalent, brute_clauses_have_model, brute_has_model, print_clause,
+    alpha_equivalent, brute_clauses_have_model, brute_has_model,
+    clause_as_formula, disj, print_clause,
     prop_clause_satisfiable, prop_equivalent, random_closed_formula,
     random_prop_clauses, rename_bound_vars,
 )
@@ -209,7 +210,6 @@ def test_equisatisfiability_against_brute_force():
 
 
 def _clause_symbols(clauses):
-    from proofbench.fol import clause_as_formula
     out = set()
     for c in clauses:
         out |= set(symbols_of(clause_as_formula(c)))

@@ -30,10 +30,23 @@ def test_find_model_single_fact():
 
 
 def test_found_model_checked_by_explicit_error(monkeypatch):
-    # an explicit check, unlike an assert, still runs under python -O
-    monkeypatch.setattr(models, "evaluate", lambda _f, _m: False)
+    # every clause goes through the Tarskian `evaluate`, and a failed check
+    # raises explicitly: unlike an assert, it still runs under python -O
+    clauses = [_cl([Literal(True, atom("p", const("c")))], "c0"),
+               _cl([Literal(False, atom("q", Var("X"), const("c")))], "c1")]
+    checked = []
+    real = models.evaluate
+
+    def counted(f, m, signature=None):
+        checked.append(f)
+        return real(f, m, signature)
+
+    monkeypatch.setattr(models, "evaluate", counted)
+    assert find_model(clauses, 3) is not None
+    assert checked == clauses
+    monkeypatch.setattr(models, "evaluate", lambda _f, _m, _signature=None: False)
     with pytest.raises(ModelCheckError):
-        find_model([_cl([Literal(True, atom("p", const("c")))])], 3)
+        find_model(clauses, 3)
 
 
 def test_find_model_contradiction():
@@ -109,6 +122,21 @@ def test_evaluate_forall_true():
 def test_evaluate_partial_signature_undefined():
     m = FiniteModel(2, {}, {"p": {(0,): True, (1,): True}})
     assert evaluate(atom("q", Var("X")), m) is UNDEFINED
+
+
+def test_evaluate_symbol_at_another_arity_undefined():
+    # the model's f is unary; f(X,X) has no table, so no truth value
+    m = FiniteModel(2, {"f": {(0,): 1, (1,): 0}}, {"p": {(0,): True, (1,): False}})
+    f_xx = App("f", (Var("X"), Var("X")))
+    assert evaluate(Forall("X", atom("p", f_xx)), m) is UNDEFINED
+    assert evaluate(_cl([Literal(True, atom("p", f_xx))]), m) is UNDEFINED
+    assert evaluate(_cl([Literal(True, atom("p", Var("X"), Var("X")))]), m) is UNDEFINED
+    assert evaluate(_cl([Literal(True, atom("p", App("f", (Var("X"),))))]), m) is False
+
+
+def test_evaluate_empty_clause_false_in_every_model():
+    for m in (FiniteModel(1, {}, {}), FiniteModel(2, {}, {"p": {(0,): True, (1,): True}})):
+        assert evaluate(Clause(()), m) is False
 
 
 def test_evaluate_equality_built_in():

@@ -13,7 +13,10 @@ from proofbench.parser import (
     ParseError, _TOKEN_RE, parse_formula, parse_problem, parse_problem_dir,
     parse_problem_file, print_formula, tokenize,
 )
-from proofbench.fol import ArityError, DuplicateNameError, MultipleConjecturesError
+from proofbench.fol import (
+    AnnotatedFormula, ArityError, DuplicateNameError, MultipleConjecturesError,
+    check_arities,
+)
 
 from helpers import alpha_equivalent, print_problem, random_closed_formula
 
@@ -226,6 +229,30 @@ def test_each_problem_warns_of_its_own_auto_closure(tmp_path):
     warned = {pid: problem.warnings for pid, problem in parse_problem_dir(str(tmp_path))}
     assert warned == {"a": ("free: free variables auto-closed: X",),
                       "b": ("free: free variables auto-closed: X",), "c": ()}
+
+
+ARITY_CLASHES = [
+    ("q(f(c,c))", "symbol 'f' used with arity 1 in 'ax' but arity 2 in 'h'"),
+    ("![X]: (f(X) | p(X))", "symbol 'f' used as both predicate and function (seen in 'h')"),
+]
+
+
+@pytest.mark.parametrize("clash, message", ARITY_CLASHES, ids=["arity", "namespace"])
+def test_batch_arity_errors_are_the_formula_walk_errors(clash, message, tmp_path):
+    # a batch checks arities from the signatures its statement table keeps;
+    # the error is the one `check_arities` gives walking the formulas itself
+    shared = "fof(ax, axiom, ![X]: p(f(X))).\n"
+    (tmp_path / "a.p").write_text(shared + "fof(g, conjecture, p(c)).\n")
+    (tmp_path / "b.p").write_text(shared + f"fof(h, axiom, {clash}).\n"
+                                  "fof(g, conjecture, p(c)).\n")
+    with pytest.raises(ArityError) as err:
+        parse_problem_dir(str(tmp_path))
+    assert str(err.value) == message
+    formulas = [AnnotatedFormula(name, "axiom", parse_formula(text))
+                for name, text in [("ax", "![X]: p(f(X))"), ("h", clash)]]
+    with pytest.raises(ArityError) as walked:
+        check_arities(formulas)
+    assert str(walked.value) == message
 
 
 ERRORS = [
