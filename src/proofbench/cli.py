@@ -132,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ladder_flags(t)
     t.add_argument("--split", required=True, help="split file (train/test lines)")
 
-    v = sub.add_parser("verify", help="re-check every stored proof in a run directory")
+    v = sub.add_parser("verify", help="re-check every stored proof and "
+                       "countermodel in a run directory")
     v.add_argument("--run", required=True)
 
     rep = sub.add_parser("report", help="render tables from run directories")
@@ -167,7 +168,8 @@ def cmd_run(args, mode: str) -> int:
 
 def cmd_verify(args) -> int:
     outcome = verify_run(args.run)
-    print(f"checked {outcome['checked']} proofs, {outcome['failed']} failures")
+    print(f"checked {outcome['checked']} proofs and {outcome['models_checked']} "
+          f"models, {outcome['failed']} failures")
     for path, why in outcome["failures"]:
         print(f"  FAIL {path}: {why}")
     return 1 if outcome["failed"] else 0

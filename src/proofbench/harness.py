@@ -17,8 +17,9 @@ Every mode runs its attempts through `loop.attempt`, and all but reprove
 schedule them with `loop.walk_ladder`; a mode supplies only its ranking
 policy and problem builder.  Results are append-only JSON lines in one
 schema (`loop.Attempt`); `verify` replays every stored proof through the
-independent checker.  Budgets count inferences only, so an identical
-spec gives byte-identical structured output.
+independent checker and re-evaluates every stored countermodel.  Budgets
+count inferences only, so an identical spec gives byte-identical
+structured output.
 """
 from __future__ import annotations
 
@@ -40,13 +41,14 @@ from .loop import (
     corpus_problems, fixpoint_report, item_features, prove_checked,
     pruned_problems, run_loop, tally, walk_ladder, write_run_dir,
 )
-from .models import ModelStore, model_to_text
+from .models import ModelStore, evaluate, model_from_text, model_to_text
 from .parser import parse_problem_dir, parse_problem_file
 # `prove` is bound here as well as in `loop` because perfbench/layers.py
 # traces every module binding a caller can go through
 from .prover import Limits, proof_from_text, proof_to_text, prove  # noqa: F401
 
 MODES = ("reprove", "library", "challenge", "traintest")
+PROOFS, MODELS = STREAMS = ("proofs.txt", "models.txt")
 
 
 class HarnessError(Exception):
@@ -100,31 +102,34 @@ def _write_spec(out: str, blob: dict) -> None:
 class _RecordWriter:
     """The run-directory writer: config.json, results.jsonl appended and
     flushed per record so interrupted runs stay auditable, and the proofs
-    and countermodels stored as each attempt happens.
+    and countermodels appended to their streams, `proofs.txt` and
+    `models.txt`, as each attempt happens.  A stored artifact is named
+    `<stream>#<key>`: the item for a proof, the model's index in its
+    stream for a countermodel.
 
     A library run opens one writer per configuration inside the top-level
     one (`parent`); each record then goes to both results.jsonl files,
-    artifact paths stay relative to the top-level directory, and the
+    artifact names stay relative to the top-level directory, and the
     top-level writer stores no artifacts (`artifacts=False`).
     """
 
     def __init__(self, out: str, blob: dict, parent=None, artifacts=True):
         os.makedirs(out, exist_ok=True)
         _write_spec(out, blob)
-        if artifacts:
-            for sub in ("proofs", "models"):
-                os.makedirs(os.path.join(out, sub), exist_ok=True)
         self.out = out
         self.prefix = os.path.relpath(out, parent.out) if parent else ""
         self.fh = open(os.path.join(out, "results.jsonl"), "w", encoding="utf-8")
         self.files = [self.fh] + (parent.files if parent else [])
+        self.streams = {name: open(os.path.join(out, name), "w", encoding="utf-8")
+                        for name in STREAMS} if artifacts else {}
         self.models = 0
 
     def __enter__(self):
         return self
 
     def __exit__(self, *_exc):
-        self.fh.close()
+        for fh in [self.fh, *self.streams.values()]:
+            fh.close()
 
     def write(self, record: Attempt) -> None:
         line = record.to_json() + "\n"
@@ -133,28 +138,28 @@ class _RecordWriter:
             fh.flush()
 
     def store_proof(self, item: str, proof, premises_given) -> str:
-        return os.path.join(self.prefix,
-                            _store_proof(self.out, item, proof, premises_given))
+        _store_proof(self.streams[PROOFS], item, proof, premises_given)
+        return os.path.join(self.prefix, f"{PROOFS}#{item}")
 
-    def store_model(self, model) -> str:
-        rel = _store_model(self.out, self.models, model)
+    def store_model(self, item: str, model, premises_given) -> str:
+        _store_model(self.streams[MODELS], item, model, premises_given)
         self.models += 1
-        return os.path.join(self.prefix, rel)
+        return os.path.join(self.prefix, f"{MODELS}#{self.models - 1}")
 
 
-def _store_proof(out: str, item: str, proof, premises_given) -> str:
-    rel = os.path.join("proofs", f"{item}.proof")
-    with open(os.path.join(out, rel), "w", encoding="utf-8") as fh:
-        fh.write(f"% item {item}\n% premises_given {' '.join(premises_given)}\n")
-        fh.write(proof_to_text(proof))
-    return rel
+def _store_proof(fh, item: str, proof, premises_given) -> None:
+    _append_record(fh, item, premises_given, proof_to_text(proof))
 
 
-def _store_model(out: str, idx: int, model) -> str:
-    rel = os.path.join("models", f"{idx}.model")
-    with open(os.path.join(out, rel), "w", encoding="utf-8") as fh:
-        fh.write(model_to_text(model))
-    return rel
+def _store_model(fh, item: str, model, premises_given) -> None:
+    _append_record(fh, item, premises_given, model_to_text(model))
+
+
+def _append_record(fh, item: str, premises_given, body: str) -> None:
+    """One stream record, flushed before the results.jsonl line that names
+    it is written: the header lines, then the artifact's text."""
+    fh.write(f"% item {item}\n% premises_given {' '.join(premises_given)}\n{body}")
+    fh.flush()
 
 
 def _keep_every(_model, _record) -> bool:
@@ -340,57 +345,124 @@ def run_traintest(spec: ExperimentSpec) -> dict:
 
 
 def verify_run(run_dir: str) -> dict:
-    """Re-check every stored proof in a run directory, independently.
+    """Re-check every stored artifact in a run directory, independently.
 
-    A corpus is loaded at most once per call, so a corpus edited between
-    two calls is read afresh.
+    Each record of every `proofs.txt` and `models.txt` under `run_dir` is
+    checked against its clause set, rebuilt from the record's item and
+    given premises: a proof is replayed by the checker, and a countermodel
+    must make every clause true under `models.evaluate`.  Each artifact
+    that `run_dir`'s results.jsonl names must be in its stream.  A record
+    that fails, a malformed or truncated one included, is a failure named
+    `<stream path>#<key>`.  A corpus is loaded at most once per call, so a
+    corpus edited between two calls is read afresh.
     """
     rebuild = _rebuilder(run_dir)
-    checked = failed = 0
-    failures = []
-    for dirpath, _dirs, files in os.walk(run_dir):
-        for fn in files:
-            if not fn.endswith(".proof"):
+    # where the names in results.jsonl start: a library sub-run's
+    # config.json records no mode, and its records name artifacts from
+    # the run directory above it
+    top = os.path.abspath(run_dir)
+    config = _run_config(run_dir)
+    if config is not None and "mode" not in config:
+        top = os.path.dirname(top)
+    counts = {PROOFS: 0, MODELS: 0}
+    failures: list = []
+    stored: set = set()        # absolute names of the records on disk
+    for dirpath, dirs, files in os.walk(run_dir):
+        dirs.sort()
+        for stream in STREAMS:
+            if stream not in files:
                 continue
-            path = os.path.join(dirpath, fn)
-            item, premises, proof = _read_proof_file(path)
-            if rebuild is None:
-                failures.append((path, "no corpus recorded in config.json"))
-                failed += 1
-                continue
-            try:
-                cs = rebuild(item, premises)
-                ok = check_proof(proof, cs)
-            except Exception as exc:
-                ok = False
-                failures.append((path, f"rebuild failed: {exc}"))
-            checked += 1
-            if not ok:
-                failed += 1
-                if not failures or failures[-1][0] != path:
-                    failures.append((path, "checker rejected proof"))
-    return {"checked": checked, "failed": failed, "failures": failures}
+            path = os.path.join(dirpath, stream)
+            for key, item, premises, body, why in _read_stream(path, stream):
+                name = f"{path}#{key}"
+                stored.add(f"{os.path.abspath(path)}#{key}")
+                counts[stream] += 1
+                why = why or _check_record(stream, item, premises, body, rebuild)
+                if why:
+                    failures.append((name, why))
+    results = os.path.join(run_dir, "results.jsonl")
+    if os.path.exists(results):
+        with open(results, encoding="utf-8") as fh:
+            for n, line in enumerate(fh, 1):
+                try:
+                    record = json.loads(line)
+                    names = (record["proof_file"], record["model_file"])
+                except (ValueError, KeyError, TypeError):
+                    failures.append((f"{results}:{n}", "malformed record"))
+                    continue
+                for name in names:
+                    if name and os.path.join(top, name) not in stored:
+                        failures.append((os.path.join(top, name),
+                                         "named in results.jsonl but not stored"))
+    return {"checked": counts[PROOFS], "models_checked": counts[MODELS],
+            "failed": len(failures), "failures": failures}
 
 
-def _read_proof_file(path: str):
-    item = ""
-    premises: list = []
-    body = []
+def _read_stream(path: str, stream: str) -> list:
+    """The records of an artifact stream, in order, as (key, item,
+    premises_given, body, why): `why` says what is wrong with the record's
+    framing, "" when nothing.  Text before the first header is a record
+    of its own, keyed "-"."""
+    head: list = []
+    records: list = []          # [item, lines after the item line]
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if line.startswith("% item "):
-                item = line.split(" ", 2)[2].strip()
-            elif line.startswith("% premises_given"):
-                premises = line.split()[2:]
+                records.append([line[7:].rstrip("\n"), []])
             else:
-                body.append(line)
-    return item, premises, proof_from_text("".join(body))
+                (records[-1][1] if records else head).append(line)
+    out = [("-", None, [], "", "malformed record: text before the first header")
+           ] if head else []
+    for index, (item, lines) in enumerate(records):
+        key = item if stream == PROOFS else str(index)
+        premises = lines[0].split()[2:] if lines else []
+        if not (lines and lines[-1].endswith("\n")):
+            why = "truncated record"
+        elif not lines[0].startswith("% premises_given"):
+            why = "malformed record: no premises_given line"
+        else:
+            why = ""
+        out.append((key, item, premises, "".join(lines[1:]), why))
+    return out
+
+
+def _check_record(stream: str, item: str, premises, body: str, rebuild) -> str:
+    """Why a stored proof or countermodel fails its clause set, or ""."""
+    if rebuild is None:
+        return "no corpus recorded in config.json"
+    try:
+        artifact = (proof_from_text if stream == PROOFS else model_from_text)(body)
+    except Exception as exc:
+        return f"malformed record: {exc}"
+    try:
+        cs = rebuild(item, premises)
+    except Exception as exc:
+        return f"rebuild failed: {exc}"
+    try:
+        if stream == PROOFS:
+            ok = check_proof(artifact, cs)
+        else:
+            ok = all(evaluate(c, artifact) is True for c in cs.clauses)
+    except Exception as exc:
+        return f"check failed: {exc!r}"
+    if ok:
+        return ""
+    return "checker rejected proof" if stream == PROOFS else "model fails a clause"
+
+
+def _run_config(run_dir: str) -> dict | None:
+    """The run's config.json, None when it has none."""
+    path = os.path.join(run_dir, "config.json")
+    if not os.path.exists(path):
+        return None
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _rebuilder(run_dir: str):
-    """`rebuild(item, premises)`, the clause set of a stored proof of the
-    run in `run_dir`, built as the run built it, with clausal forms cached
-    for the call; None when its config.json names no input.
+    """`rebuild(item, premises)`, the clause set of a stored artifact of
+    the run in `run_dir`, built as the run built it, with clausal forms
+    cached for the call; None when its config.json names no input.
 
     The run's mode decides the build: a challenge problem pruned to its
     premises, each problem file parsed once through one statement table; a
@@ -398,11 +470,7 @@ def _rebuilder(run_dir: str):
     manifest's); any other corpus item after its premises in corpus
     order.  A library sub-run's config.json records no mode.
     """
-    cfg_path = os.path.join(run_dir, "config.json")
-    if not os.path.exists(cfg_path):
-        return None
-    with open(cfg_path, encoding="utf-8") as fh:
-        blob = json.load(fh)
+    blob = _run_config(run_dir) or {}
     mode = blob.get("mode", "library")
     # the directory the run read: a challenge run prefers its problems
     root = (mode == "challenge" and blob.get("problems")) or blob.get("corpus")

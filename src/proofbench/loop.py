@@ -77,8 +77,9 @@ class Attempt:
     """One prover call: where it sat in the run and what came of it.
 
     This is the one `results.jsonl` record.  `rung` is the axiom-count
-    cap (reprove: the reference premise count); artifact paths are
-    relative to the top-level run directory, "" when nothing was stored.
+    cap (reprove: the reference premise count); an artifact is named as
+    `<stream>#<key>`, the stream relative to the top-level run directory,
+    "" when nothing was stored.
     """
     config: str
     iteration: int
@@ -252,7 +253,8 @@ def attempt(record: Attempt, cs: ClauseSet | None = None,
     elif (res.status == COUNTER_SATISFIABLE and res.model is not None
           and keep_model is not None and keep_model(res.model, record)):
         if writer is not None:
-            record.model_file = writer.store_model(res.model)
+            record.model_file = writer.store_model(record.item, res.model,
+                                                   record.premises_given)
     if writer is not None:
         writer.write(record)
     return res

@@ -117,12 +117,13 @@ def _search_domain(clauses, signatures, funcs, preds, freq, n):
     """A model of the clauses over domain `n`, or None.
 
     Chronological backtracking assigns table cells in symbol-frequency
-    order, with unit propagation over the ground instances.  Each symbol
-    has an occurrence list: the ground clauses that read it.  The first
-    propagation visits every clause; after that a FIFO queue holds only
-    the readers of each newly assigned cell's symbol, each clause at most
-    once (Zhang & Stickel, "Implementing the Davis-Putnam method", JAR
-    2000).  Unit propagation is confluent, so the order of the visits
+    order, with unit propagation over the ground instances; the decisions
+    live on an explicit stack, so no clause count can exhaust Python's
+    recursion limit.  Each symbol has an occurrence list: the ground
+    clauses that read it.  The first propagation visits every clause;
+    after that a FIFO queue holds only the readers of each newly assigned
+    cell's symbol, each clause at most once (Zhang & Stickel,
+    "Implementing the Davis-Putnam method", JAR 2000).  Unit propagation is confluent, so the order of the visits
     changes neither its fixpoint nor whether it conflicts.
     """
     domain = range(n)
@@ -214,24 +215,36 @@ def _search_domain(clauses, signatures, funcs, preds, freq, n):
                     wake(cell[1])
         return True
 
-    def solve(idx) -> bool:
-        while idx < ncells and cells[idx] in assign:
-            idx += 1
-        if idx == ncells:
-            return True
-        kind, sym, args = cells[idx]
-        values = [False, True] if kind == "p" else list(domain)
-        for v in values:
-            assign[cells[idx]] = v
-            trail = [cells[idx]]
-            wake(sym)
-            if propagate(trail) and solve(idx + 1):
+    def solve() -> bool:
+        # one frame per decided cell: [cell index, values tried, trail]
+        stack: list = []
+        idx = 0
+        while True:
+            while idx < ncells and cells[idx] in assign:
+                idx += 1
+            if idx == ncells:
                 return True
-            for cell in trail:
-                del assign[cell]
-        return False
+            stack.append([idx, 0, ()])
+            while True:         # the top frame's next value, or backtrack
+                i, tried, trail = frame = stack[-1]
+                for cell in trail:
+                    del assign[cell]
+                kind, sym, _args = cell = cells[i]
+                values = (False, True) if kind == "p" else domain
+                if tried == len(values):
+                    stack.pop()
+                    if not stack:
+                        return False
+                    continue
+                assign[cell] = values[tried]
+                frame[1] = tried + 1
+                frame[2] = trail = [cell]
+                wake(sym)
+                if propagate(trail):
+                    idx = i + 1
+                    break
 
-    if not propagate([]) or not solve(0):
+    if not propagate([]) or not solve():
         return None
     # propagate may leave cells untouched when no clause constrains them
     return FiniteModel(

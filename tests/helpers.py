@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 
 from proofbench.fol import (
@@ -477,3 +478,35 @@ def read_feature_cache(path: str) -> dict:
                 vec[fid] = float(w)
             out[name] = vec
     return out
+
+
+# ---------------------------------------------------------------------------
+# Artifact streams of a run directory (`proofs.txt`, `models.txt`)
+
+
+def read_stream(path: str) -> list:
+    """The records of an artifact stream, in order, each as its lines:
+    `% item`, `% premises_given`, then the artifact's text."""
+    records: list = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("% item "):
+                records.append([])
+            records[-1].append(line.rstrip("\n"))
+    return records
+
+
+def write_stream(path: str, records) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join("\n".join(lines) + "\n" for lines in records))
+
+
+def stored_record(run_dir: str, name: str) -> list:
+    """The lines of the record that a results.jsonl `proof_file` or
+    `model_file` names, `<stream>#<key>`: the key is the item of a proof
+    and the index of a countermodel in its stream."""
+    stream, key = name.rsplit("#", 1)
+    records = read_stream(os.path.join(run_dir, stream))
+    if os.path.basename(stream) == "models.txt":
+        return records[int(key)]
+    return next(lines for lines in records if lines[0] == f"% item {key}")

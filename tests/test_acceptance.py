@@ -38,7 +38,7 @@ from proofbench.prover import (
 from helpers import (
     all_interpretations, alpha_equivalent, brute_clause_eval, brute_has_model,
     clause_as_formula, prop_clause_satisfiable, random_closed_formula, random_prop_clauses,
-    rename_bound_vars, train_batch,
+    read_stream, rename_bound_vars, train_batch,
 )
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -78,9 +78,7 @@ def proof_pool(mixed30, neardup50, tmp_path_factory):
     by_name = {i.name: i for i in corpus.items}
     from proofbench.fol import make_problem
     from proofbench.prover import proof_from_text
-    for fn in sorted(os.listdir(out / "re" / "proofs")):
-        with open(out / "re" / "proofs" / fn, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+    for lines in sorted(read_stream(out / "re" / "proofs.txt")):
         item = lines[0].split()[-1]
         premises = lines[1].split()[2:]
         proof = proof_from_text("\n".join(lines[2:]))

@@ -6,6 +6,8 @@ import pytest
 
 from proofbench.cli import build_parser, main
 
+from helpers import read_stream, write_stream
+
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
@@ -30,24 +32,40 @@ def test_reprove_and_verify_roundtrip(corpus, tmp_path, capsys):
     table = capsys.readouterr().out
     assert "description" in table and "proved" in table
     assert main(["verify", "--run", out]) == 0
-    assert "0 failures" in capsys.readouterr().out
+    assert re.search(r"checked [1-9]\d* proofs and \d+ models, 0 failures",
+                     capsys.readouterr().out)
 
 
 def test_verify_nonzero_exit_on_corruption(corpus, tmp_path, capsys):
     out = str(tmp_path / "re")
     assert main(["reprove", "--corpus", corpus, "--out", out, "--depth", "6"]) == 0
     capsys.readouterr()
-    victim = next(p for p in sorted((tmp_path / "re" / "proofs").iterdir()))
-    lines = victim.read_text().splitlines()
+    stream = tmp_path / "re" / "proofs.txt"
+    records = sorted(read_stream(stream))
+    lines = records[0]
     for i, line in enumerate(lines):
         if line.startswith("ext "):
             head, goal, binds = line[4:].split(" | ")
             cid, li = head.rsplit(" ", 1)
             lines[i] = f"ext {cid} 999 | {goal} | {binds}"
             break
-    victim.write_text("\n".join(lines) + "\n")
+    write_stream(stream, records)
     assert main(["verify", "--run", out]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_names_a_malformed_record_and_exits_nonzero(corpus, tmp_path,
+                                                          capsys):
+    out = str(tmp_path / "re")
+    assert main(["reprove", "--corpus", corpus, "--out", out, "--depth", "6"]) == 0
+    capsys.readouterr()
+    stream = tmp_path / "re" / "proofs.txt"
+    item = read_stream(stream)[-1][0].split()[-1]
+    with open(stream, "a", encoding="utf-8") as fh:
+        fh.write("garbage line\n")
+    assert main(["verify", "--run", out]) == 1
+    text = capsys.readouterr().out
+    assert f"FAIL {stream}#{item}: malformed record: bad proof line" in text
 
 
 def test_report_merges_runs(corpus, tmp_path, capsys):

@@ -20,10 +20,7 @@ PROGRAM = PACKAGE + sorted(
     if not os.path.basename(p).startswith("test_"))
 
 # name -> why it stays without a caller
-ALLOWED = {
-    "model_from_text": "the reader of stored countermodels, which `verify` "
-                       "is to check through it (ROADMAP item 4)",
-}
+ALLOWED: dict = {}
 
 
 def _without_imports(source: str) -> str:

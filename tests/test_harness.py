@@ -16,7 +16,10 @@ from proofbench.harness import (
 from proofbench.loop import (
     ClausalCache, LoopConfig, assemble_problem, pruned_problems,
 )
+from proofbench.models import evaluate, model_from_text
 from proofbench.parser import parse_problem_file
+
+from helpers import read_stream, stored_record, write_stream
 
 FAST_LOOP = LoopConfig(axiom_ladder=(4, 8, 16), attempt_budgets=(500, 1000, 2000),
                        max_depth=8, max_iterations=6,
@@ -27,6 +30,13 @@ FAST_LOOP = LoopConfig(axiom_ladder=(4, 8, 16), attempt_budgets=(500, 1000, 2000
 def mixed30(tmp_path_factory):
     root = str(tmp_path_factory.mktemp("corpus") / "mixed30")
     generate_corpus("mixed", 30, 0, root, verify=False)
+    return root
+
+
+@pytest.fixture(scope="module")
+def neardup50(tmp_path_factory):
+    root = str(tmp_path_factory.mktemp("probs") / "neardup50")
+    generate_corpus("neardup", 50, 0, root, verify=False)
     return root
 
 
@@ -59,7 +69,10 @@ def test_reprove_mode(mixed30, tmp_path):
     assert outcome["checked"] == 13 and outcome["failed"] == 0
 
 
-def test_reprove_missing_premise_yields_countersat(tmp_path):
+def _reprove_missing_premise(tmp_path) -> dict:
+    """A reprove run to tmp_path/out whose one theorem `t` is
+    counter-satisfiable: its reference set omits the rule it needs, and
+    the pruned set has a small model."""
     root = tmp_path / "c"
     root.mkdir()
     for name, role, formula in [
@@ -67,20 +80,44 @@ def test_reprove_missing_premise_yields_countersat(tmp_path):
             ("rule", "axiom", "![X]: (p0(X) => p1(X))"),
             ("t", "conjecture", "p1(c)")]:
         (root / f"{name}.p").write_text(f"fof({name}, {role}, {formula}).\n")
-    # reference set omits the needed rule; the pruned set has a small model
     write_manifest(str(root), [("base", "base.p", []), ("rule", "rule.p", []),
                                ("t", "t.p", ["base"])])
     spec = ExperimentSpec(mode="reprove", corpus=str(root),
                           out_dir=str(tmp_path / "out"),
                           loop=LoopConfig(max_depth=8))
-    results = run_reprove(spec)
+    return run_reprove(spec)
+
+
+def test_reprove_missing_premise_yields_countersat(tmp_path):
+    results = _reprove_missing_premise(tmp_path)
     tally = results["configs"][0]
     assert tally["counter_satisfiable"] == 1
     record = json.loads(
         (tmp_path / "out" / "results.jsonl").read_text().splitlines()[0])
     assert record["status"] == "counter_satisfiable"
     assert record["model_file"]
-    assert (tmp_path / "out" / record["model_file"]).exists()
+    assert stored_record(str(tmp_path / "out"), record["model_file"])[:2] == [
+        "% item t", "% premises_given base"]
+
+
+def test_verify_rejects_a_mutated_model(tmp_path):
+    _reprove_missing_premise(tmp_path)
+    out = str(tmp_path / "out")
+    assert verify_run(out) == {"checked": 0, "models_checked": 1, "failed": 0,
+                               "failures": []}
+    stream = tmp_path / "out" / "models.txt"
+    records = read_stream(stream)
+    lines = records[0]
+    lines[lines.index("pred p0(0) = true")] = "pred p0(0) = false"
+    # the mutation breaks the model: the premise p0(c) is false in it
+    cs = harness._rebuilder(out)("t", ["base"])
+    mutated = model_from_text("\n".join(lines[2:]))
+    assert [evaluate(c, mutated) for c in cs.clauses].count(False) == 1
+    write_stream(stream, records)
+    outcome = verify_run(out)
+    assert outcome["models_checked"] == 1
+    assert outcome["failures"] == [(f"{stream}#0", "model fails a clause")]
+    assert outcome["failed"] == 1
 
 
 def test_reprove_workers_match_sequential(mixed30, tmp_path):
@@ -131,9 +168,10 @@ def test_library_records_share_one_schema(mixed30, tmp_path):
         record = json.loads(line)
         assert set(record) == fields
         if record["proof_file"]:
-            assert (tmp_path / "lib" / record["proof_file"]).exists()
-    assert not (tmp_path / "lib" / "proofs").exists()
-    assert not (tmp_path / "lib" / "models").exists()
+            assert stored_record(str(tmp_path / "lib"), record["proof_file"])[0] \
+                == f"% item {record['item']}"
+    assert not (tmp_path / "lib" / "proofs.txt").exists()
+    assert not (tmp_path / "lib" / "models.txt").exists()
 
 
 def test_run_dir_verifiable_from_any_directory(mixed30, tmp_path, monkeypatch):
@@ -156,7 +194,10 @@ def test_challenge_mode(neardup, tmp_path):
     results = run_challenge(spec)
     tally = results["configs"][0]
     assert tally["proved"] == 10
-    assert verify_run(str(tmp_path / "ch"))["failed"] == 0
+    outcome = verify_run(str(tmp_path / "ch"))
+    assert outcome["failed"] == 0 and outcome["checked"] == 10
+    models = sum(1 for r in _records(tmp_path / "ch") if r["model_file"])
+    assert outcome["models_checked"] == models > 0
 
 
 def test_verify_names_a_missing_challenge_problem(neardup, tmp_path):
@@ -164,11 +205,11 @@ def test_verify_names_a_missing_challenge_problem(neardup, tmp_path):
     shutil.copytree(neardup, problems)
     run_challenge(ExperimentSpec(mode="challenge", problems=str(problems),
                                  out_dir=str(tmp_path / "ch"), loop=FAST_LOOP))
-    proof = sorted((tmp_path / "ch" / "proofs").iterdir())[0]
-    (problems / f"{proof.stem}.p").unlink()
+    item = sorted(read_stream(tmp_path / "ch" / "proofs.txt"))[0][0].split()[-1]
+    (problems / f"{item}.p").unlink()
     outcome = verify_run(str(tmp_path / "ch"))
-    why = f"rebuild failed: no problem file {proof.stem}.p in {str(problems)!r}"
-    assert (str(proof), why) in outcome["failures"]
+    why = f"rebuild failed: no problem file {item}.p in {str(problems)!r}"
+    assert (f"{tmp_path / 'ch' / 'proofs.txt'}#{item}", why) in outcome["failures"]
 
 
 def test_verify_rebuilds_each_challenge_proof_from_its_own_file(neardup, tmp_path):
@@ -342,10 +383,9 @@ def test_verify_detects_corruption(mixed30, tmp_path):
                           out_dir=str(tmp_path / "v"),
                           loop=LoopConfig(max_depth=8))
     run_reprove(spec)
-    proof_dir = tmp_path / "v" / "proofs"
-    victim = sorted(proof_dir.glob("*.proof"))[0]
-    text = victim.read_text()
-    lines = text.splitlines()
+    stream = tmp_path / "v" / "proofs.txt"
+    records = sorted(read_stream(stream))
+    lines = records[0]
     for i, line in enumerate(lines):
         if line.startswith("ext "):
             parts = line.split(" | ")
@@ -356,9 +396,141 @@ def test_verify_detects_corruption(mixed30, tmp_path):
     else:
         # single-step proofs: corrupt the start clause instead
         lines[2] = "start eq_refl"
-    victim.write_text("\n".join(lines) + "\n")
+    write_stream(stream, records)
     outcome = verify_run(str(tmp_path / "v"))
     assert outcome["failed"] >= 1
+
+
+@pytest.fixture(scope="module")
+def challenge_run(neardup, tmp_path_factory):
+    """A challenge run that stores both proofs and countermodels."""
+    out = tmp_path_factory.mktemp("stored") / "ch"
+    run_challenge(ExperimentSpec(mode="challenge", problems=neardup,
+                                 out_dir=str(out), loop=FAST_LOOP))
+    return out
+
+
+def _damaged_copy(challenge_run, tmp_path, stream_name):
+    out = tmp_path / "ch"
+    shutil.copytree(challenge_run, out)
+    assert verify_run(str(out))["failures"] == []
+    stream = out / stream_name
+    records = read_stream(stream)
+    assert len(records) >= 2
+    keys = [lines[0].split()[-1] for lines in records] \
+        if stream_name == "proofs.txt" else [str(i) for i in range(len(records))]
+    return out, stream, records, keys
+
+
+@pytest.mark.parametrize("stream_name", ["proofs.txt", "models.txt"])
+def test_verify_names_a_garbled_record(challenge_run, tmp_path, stream_name):
+    out, stream, records, keys = _damaged_copy(challenge_run, tmp_path,
+                                               stream_name)
+    records[0].append("garbage line")
+    write_stream(stream, records)
+    outcome = verify_run(str(out))
+    [(name, why)] = outcome["failures"]
+    assert name == f"{stream}#{keys[0]}"
+    assert why.startswith("malformed record: ")
+    assert outcome["failed"] == 1
+
+
+@pytest.mark.parametrize("stream_name", ["proofs.txt", "models.txt"])
+def test_verify_names_a_truncated_last_record(challenge_run, tmp_path,
+                                              stream_name):
+    out, stream, _records, keys = _damaged_copy(challenge_run, tmp_path,
+                                                stream_name)
+    stream.write_text(stream.read_text()[:-5])
+    outcome = verify_run(str(out))
+    assert outcome["failures"] == [(f"{stream}#{keys[-1]}", "truncated record")]
+
+
+@pytest.mark.parametrize("stream_name", ["proofs.txt", "models.txt"])
+def test_verify_names_a_record_missing_from_its_stream(challenge_run, tmp_path,
+                                                       stream_name):
+    out, stream, records, keys = _damaged_copy(challenge_run, tmp_path,
+                                               stream_name)
+    write_stream(stream, records[:-1])
+    outcome = verify_run(str(out))
+    assert outcome["failures"] == [
+        (f"{stream}#{keys[-1]}", "named in results.jsonl but not stored")]
+
+
+def test_verify_names_a_malformed_results_line(challenge_run, tmp_path):
+    out, _stream, _records, _keys = _damaged_copy(challenge_run, tmp_path,
+                                                  "proofs.txt")
+    results = out / "results.jsonl"
+    lines = results.read_text().splitlines()
+    results.write_text("\n".join(lines + ["{\"item\": "]) + "\n")
+    outcome = verify_run(str(out))
+    assert outcome["failures"] == [(f"{results}:{len(lines) + 1}",
+                                    "malformed record")]
+
+
+def test_verify_names_text_before_the_first_record(challenge_run, tmp_path):
+    out, stream, _records, _keys = _damaged_copy(challenge_run, tmp_path,
+                                                 "models.txt")
+    stream.write_text("garbage line\n" + stream.read_text())
+    outcome = verify_run(str(out))
+    assert outcome["failures"] == [
+        (f"{stream}#-", "malformed record: text before the first header")]
+
+
+@pytest.mark.parametrize("mode", ["challenge", "library"])
+def test_every_named_artifact_is_on_disk_while_the_run_writes(
+        mode, neardup, mixed30, tmp_path, monkeypatch):
+    # a run killed after any record leaves a directory that verifies
+    out = str(tmp_path / mode)
+    seen = []
+    original = harness._RecordWriter.write
+
+    def write_then_verify(writer, record):
+        original(writer, record)
+        outcome = verify_run(out)
+        assert outcome["failures"] == []
+        seen.append(outcome["checked"] + outcome["models_checked"])
+
+    monkeypatch.setattr(harness._RecordWriter, "write", write_then_verify)
+    if mode == "challenge":
+        run_challenge(ExperimentSpec(mode="challenge", problems=neardup,
+                                     out_dir=out, loop=FAST_LOOP))
+    else:
+        run_library(ExperimentSpec(mode="library", corpus=mixed30, out_dir=out,
+                                   loop=FAST_LOOP))
+    records = _records(tmp_path / mode)
+    assert len(seen) == len(records)
+    assert seen[-1] >= sum(1 for r in records if r["proof_file"] or r["model_file"]) > 0
+
+
+def _files_under(root) -> list:
+    return sorted(os.path.relpath(os.path.join(d, f), root)
+                  for d, _dirs, files in os.walk(root) for f in files)
+
+
+def test_a_run_writes_a_fixed_set_of_files(neardup50, mixed30, tmp_path):
+    # one stream per artifact kind, however many attempts store artifacts
+    stored_counts = []
+    for ladder in ((4,), (4, 8, 16)):
+        loop_config = LoopConfig(axiom_ladder=ladder, attempt_budgets=(2000,))
+        tag = len(ladder)
+        ch = tmp_path / f"ch{tag}"
+        run_challenge(ExperimentSpec(mode="challenge", problems=neardup50,
+                                     out_dir=str(ch), loop=loop_config))
+        assert _files_under(ch) == [
+            "config.json", "models.txt", "proofs.txt", "report.json",
+            "report.txt", "results.jsonl"]
+        lib = tmp_path / f"lib{tag}"
+        run_library(ExperimentSpec(mode="library", corpus=mixed30,
+                                   out_dir=str(lib), loop=loop_config))
+        per_config = ["config.json", "features.cache", "learner/final.json",
+                      "models.txt", "proofs.txt", "results.jsonl"]
+        assert _files_under(lib) == sorted(
+            ["config.json", "report.json", "report.txt", "results.jsonl"]
+            + [f"{name}/{fn}" for name in ("learning", "recency")
+               for fn in per_config])
+        stored_counts.append(sum(1 for r in _records(ch) + _records(lib)
+                                 if r["proof_file"] or r["model_file"]))
+    assert 20 < stored_counts[0] < stored_counts[1]
 
 
 def test_verify_rereads_an_edited_corpus(tmp_path):
@@ -368,14 +540,14 @@ def test_verify_rereads_an_edited_corpus(tmp_path):
                           out_dir=str(tmp_path / "run"),
                           loop=LoopConfig(max_depth=8))
     run_reprove(spec)
-    assert (tmp_path / "run" / "proofs" / "fa_th1.proof").exists()
+    assert stored_record(str(tmp_path / "run"), "proofs.txt#fa_th1")
     assert verify_run(str(tmp_path / "run"))["failed"] == 0
     # reverse the rule that fa_th1's stored proof uses
     (root / "fa_rule1.p").write_text(
         "fof(fa_rule1, axiom, ![X]: (fa1(X) => fa0(X))).\n")
     outcome = verify_run(str(tmp_path / "run"))
     assert outcome["failed"] >= 1
-    assert any(path.endswith("fa_th1.proof") for path, _why in outcome["failures"])
+    assert any(path.endswith("proofs.txt#fa_th1") for path, _why in outcome["failures"])
 
 
 def test_false_conjecture_ends_counter_satisfiable(tmp_path):
@@ -504,4 +676,6 @@ def test_corpus_run_and_verify_build_the_same_clause_sets(
         rebuild = harness._rebuilder(str(run_dir))
         for record, cs in zip(run_records, run_built, strict=True):
             assert rebuild(record["item"], record["premises_given"]) == cs
-    assert verify_run(str(out))["failed"] == 0
+        outcome = verify_run(str(run_dir))
+        assert outcome["failures"] == []
+        assert outcome["checked"] == sum(1 for r in run_records if r["proof_file"])

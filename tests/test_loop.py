@@ -12,7 +12,7 @@ from proofbench.loop import (
     rank_eligible, refresh_features, run_loop,
 )
 
-from helpers import index_of
+from helpers import index_of, read_stream
 
 MIXED30 = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                        "corpora", "mixed30")
@@ -207,7 +207,7 @@ def test_run_dir_layout(tmp_path):
     assert os.path.exists(os.path.join(run_dir, "results.jsonl"))
     assert os.path.exists(os.path.join(run_dir, "learner", "final.json"))
     assert os.path.exists(os.path.join(run_dir, "features.cache"))
-    proofs = os.listdir(os.path.join(run_dir, "proofs"))
+    proofs = read_stream(os.path.join(run_dir, "proofs.txt"))
     assert len(proofs) == len(results["solved"]["learning"])
     # artifacts live per configuration only
     assert sorted(os.listdir(str(tmp_path / "run"))) == [

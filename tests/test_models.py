@@ -248,3 +248,13 @@ def test_model_dump_roundtrip():
     assert back.size == m.size
     assert back.funcs == m.funcs
     assert back.preds == m.preds
+
+
+def test_wide_clause_set_finds_its_model_without_recursion():
+    # one decision per cell: a search that recursed per decision would
+    # exhaust Python's recursion limit here
+    clauses = [_cl([Literal(True, atom(f"p{i}")), Literal(True, atom(f"q{i}"))],
+                   f"c{i}") for i in range(1500)]
+    m = find_model(clauses, 1)
+    assert m is not None and m.size == 1
+    assert all(evaluate(c, m) is True for c in clauses)
