@@ -74,10 +74,16 @@ def structural_features(f, depth: int = STR_DEPTH_DEFAULT) -> FeatureVector:
     return out
 
 
-def semantic_features(f, store: ModelStore, start: int = 0) -> FeatureVector:
-    """MOD:i:T / MOD:i:F per model i >= start; Undefined contributes nothing."""
+def semantic_features(f, store: ModelStore, indices=None,
+                      signature=None) -> FeatureVector:
+    """MOD:i:T / MOD:i:F per model i of `indices` (ascending; default every
+    model); Undefined contributes nothing.  `signature` is f's
+    `symbols_of`, when the caller keeps it."""
+    if indices is None:
+        indices = range(len(store))
+    values = evaluate_models(f, [store.models[i] for i in indices], signature)
     out: FeatureVector = {}
-    for i, v in enumerate(evaluate_models(f, store.models[start:]), start):
+    for i, v in zip(indices, values):
         if v is not UNDEFINED:
             out[f"MOD:{i}:{'T' if v else 'F'}"] = 1.0
     return out

@@ -48,6 +48,16 @@ def _write_item(root: str, name: str, role: str, formula_text: str) -> str:
     return relpath
 
 
+def _write_first(root: str, family: str, entries: list, size: int) -> list:
+    """Records of the first `size` of a family's (name, role, formula
+    text, references) entries, each written to its file."""
+    if size > len(entries):
+        raise GeneratorError(f"the {family} family has at most {len(entries)} "
+                             f"items, not {size}")
+    return [(name, _write_item(root, name, role, formula), refs)
+            for name, role, formula, refs in entries[:size]]
+
+
 def _verify_corpus(root: str) -> None:
     corpus = load_corpus(root)
     by_name = {item.name: item for item in corpus.items}
@@ -95,10 +105,11 @@ def _gen_chain(root: str, size: int, prefix: str = "p", const: str = "c",
 # group
 
 
-def _gen_group(root: str, size: int, tag: str = "") -> list:
-    """Left identity + left inverse, then instance/symmetry/transitivity lemmas."""
-    ident = f"{tag}ident"
-    inv = f"{tag}inv"
+def _gen_group(root: str, size: int) -> list:
+    """Left identity + left inverse, then instance/symmetry/transitivity
+    lemmas; the first `size` of them."""
+    ident = "ident"
+    inv = "inv"
     consts = ["c", "d", "g", "h"]
     templates = [
         # (suffix, formula pattern, references)
@@ -108,19 +119,13 @@ def _gen_group(root: str, size: int, tag: str = "") -> list:
         ("sym", "{c} = mult(e,{c})", [ident]),
         ("trans", "mult(e,mult(inv({c}),{c})) = e", [ident, inv]),
     ]
-    most = 2 + len(consts) * len(templates)
-    if size > most:
-        raise GeneratorError(f"the group family has at most {most} items, "
-                             f"not {size}")
-    records = [(ident, _write_item(root, ident, "axiom", "![X]: mult(e,X) = X"), []),
-               (inv, _write_item(root, inv, "axiom", "![X]: mult(inv(X),X) = e"), [])]
-    for i in range(size - len(records)):
-        c = consts[i // len(templates)]
-        suffix, pattern, refs = templates[i % len(templates)]
-        name = f"{tag}lem_{c}_{suffix}"
-        records.append((name, _write_item(root, name, "conjecture",
-                                          pattern.format(c=c)), list(refs)))
-    return records
+    entries = [(ident, "axiom", "![X]: mult(e,X) = X", []),
+               (inv, "axiom", "![X]: mult(inv(X),X) = e", [])]
+    for c in consts:
+        for suffix, pattern, refs in templates:
+            entries.append((f"lem_{c}_{suffix}", "conjecture",
+                            pattern.format(c=c), list(refs)))
+    return _write_first(root, "group", entries, size)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +184,7 @@ def _gen_mixed(root: str, size: int) -> list:
             refs = refs + ["noise1"]
         entries.append((name, role, formula, refs))
 
-    if size > len(entries):
-        raise GeneratorError(f"the mixed family has at most {len(entries)} "
-                             f"items, not {size}")
-    return [(name, _write_item(root, name, role, formula), refs)
-            for name, role, formula, refs in entries[:size]]
+    return _write_first(root, "mixed", entries, size)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ problem is built from them.
 
 The library loop (`run_loop`) walks the ladder once per iteration.  Each
 iteration extends the run's feature table by the newly stored models,
-retrains the premise learner on every stored proof and ranks each theorem once.
+retrains the premise learner on every stored proof and ranks each theorem
+once.  That work follows what changed and what can score: a new model's
+column goes only to the items it can define, and a ranking scores only
+the names that can rise above the fixed order of the rest.
 Counter-satisfiable pruned attempts contribute their countermodel as a
 new semantic feature column (a pruned problem being satisfiable says
 nothing about the theorem, so the item stays unsolved).  Iterations stop
@@ -23,8 +26,10 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 from .checker import check_proof
 from .clausify import ClauseSet, cnf, join_forms
@@ -33,8 +38,11 @@ from .features import (
     combine, semantic_features, structural_features, symbol_features,
     write_feature_cache,
 )
+from .fol import symbols_of
 from .guidance import Advisor
-from .learner import BayesModel, rank_premises, save_model, train_incremental
+from .learner import (
+    BayesModel, rank_premises, save_model, score, train_incremental,
+)
 from .models import ModelStore
 from .prover import COUNTER_SATISFIABLE, Limits, PROVED, prove
 
@@ -109,59 +117,126 @@ class LoopState:
     stopped_because: str = ""
     features: dict = field(default_factory=dict)  # name -> vector
     models_featured: int = 0      # the vectors cover store.models[:this]
-    symbols: dict = field(default_factory=dict)   # name -> its SYM: ids
-    holders: dict = field(default_factory=dict)   # SYM: id -> names with it
+    # the corpus, by position, indexed with the first feature table
+    names: list = field(default_factory=list)     # position -> name
+    position: dict = field(default_factory=dict)  # name -> position
+    symbols: list = field(default_factory=list)   # position -> its SYM: ids
+    holders: dict = field(default_factory=dict)   # SYM: id -> positions, ascending
+    anywhere: list = field(default_factory=list)  # positions with no symbol but =
+    signatures: dict = field(default_factory=dict)  # position -> symbols_of keys
+    labeled: list = field(default_factory=list)   # positions the learner labels
 
 
 def item_features(item, config: LoopConfig, store: ModelStore,
-                  known: dict | None = None, seen: int = 0) -> dict:
+                  known: dict | None = None, columns=None,
+                  signature=None) -> dict:
     """The item's SYM+STR+MOD vector against `store`.  `known`, its vector
-    against the first `seen` models, only gains the newer models' columns:
-    the store is append-only, so an old column never changes."""
+    without the models whose indices `columns` lists (ascending; default
+    every model), only gains their columns: the store is append-only, so
+    an old column never changes.  `signature` is the formula's
+    `symbols_of`, when the caller keeps it."""
     vec = known if known is not None else combine(
         symbol_features(item.formula), structural_features(item.formula))
-    if config.semantic and len(store) > seen:
-        vec = combine(vec, semantic_features(item.formula, store, seen))
+    if columns is None:
+        columns = range(len(store))
+    if config.semantic and columns:
+        vec = combine(vec, semantic_features(item.formula, store, columns,
+                                             signature))
     return vec
 
 
 def refresh_features(state: LoopState, corpus: Corpus,
                      config: LoopConfig) -> dict:
     """The run's feature table, extended to the current store.  Key order
-    (SYM, STR, MOD by index) is a fresh vector's: the learner sums in it."""
+    (SYM, STR, MOD by index) is a fresh vector's: the learner sums in it.
+
+    A model can define only the items whose every symbol it has a table
+    for, or that have no symbol but equality, so a new model's column
+    goes only to the items holding one of its symbols and to those.  Each
+    formula's signature is walked once per run, when it is first needed.
+    """
+    if not state.features:
+        for i, item in enumerate(corpus.items):
+            vec = state.features[item.name] = item_features(
+                item, config, state.store, columns=())
+            symbols = {f for f in vec if f.startswith("SYM:")}
+            state.names.append(item.name)
+            state.position[item.name] = i
+            state.symbols.append(symbols)
+            for fid in symbols:
+                state.holders.setdefault(fid, []).append(i)
+            if symbols <= {"SYM:="}:
+                state.anywhere.append(i)
     seen = state.models_featured
-    if state.features and (not config.semantic or seen == len(state.store)):
+    if not config.semantic or seen == len(state.store):
         return state.features
-    for item in corpus.items:
+    touched: dict = {}      # position -> the new models that may define it
+    for j in range(seen, len(state.store)):
+        model = state.store.models[j]
+        candidates = set(state.anywhere)
+        for sym in chain(model.funcs, model.preds):
+            candidates.update(state.holders.get("SYM:" + sym, ()))
+        for i in candidates:
+            touched.setdefault(i, []).append(j)
+    for i, indices in touched.items():
+        item = corpus.items[i]
+        signature = state.signatures.get(i)
+        if signature is None:
+            signature = state.signatures[i] = tuple(symbols_of(item.formula))
         state.features[item.name] = item_features(
-            item, config, state.store, state.features.get(item.name), seen)
+            item, config, state.store, state.features[item.name], indices,
+            signature)
     state.models_featured = len(state.store)
-    if not state.symbols:
-        for name, vec in state.features.items():
-            state.symbols[name] = {f for f in vec if f.startswith("SYM:")}
-            for fid in state.symbols[name]:
-                state.holders.setdefault(fid, []).append(name)
     return state.features
 
 
-def rank_eligible(item, eligible, state: LoopState, config: LoopConfig) -> list:
-    """Premise names for `item`, most relevant first."""
-    names = [p.name for p in eligible]
+def retrain(state: LoopState, theorems) -> None:
+    """A fresh learner trained on every stored proof, theorems in corpus
+    order, and the corpus positions it has a label for."""
+    model = BayesModel()
+    for _i, item in theorems:
+        solved = state.solved.get(item.name)
+        if solved is not None:
+            train_incremental(model, state.features[item.name],
+                              solved.premises_used)
+    state.model = model
+    state.labeled = sorted(state.position[n] for n in model.label_count)
+
+
+def rank_eligible(position: int, k: int, state: LoopState,
+                  config: LoopConfig) -> list:
+    """The first `k` premise names, most relevant first, for the corpus
+    item at `position`; every earlier item is eligible.  Only the names
+    that can score are scored: the rest follow in a fixed order."""
+    names = state.names
     if not config.learning:
-        return list(reversed(names))      # chronological recency
+        return names[max(0, position - k):position][::-1]  # chronological recency
     if state.model.total_examples == 0:
-        # cold start: Jaccard overlap of SYM: sets; names sharing no
-        # symbol with the item score 0.0 and come last, latest first
-        query = state.symbols[item.name]
-        common = Counter(n for fid in query for n in state.holders[fid])
-        latest_first = names[::-1]
-        hits = [n for n in latest_first if n in common]
-        hits.sort(key=lambda n: common[n] / (
-            len(query) + len(state.symbols[n]) - common[n]),
-            reverse=True)                     # stable: ties stay latest first
-        return hits + [n for n in latest_first if n not in common]
-    ranking = rank_premises(state.model, state.features[item.name], names)
-    return [n for n, _s in ranking]
+        # cold start: Jaccard overlap of SYM: sets, ties latest first; the
+        # names sharing no symbol with the item score 0.0 and follow,
+        # latest first
+        query = state.symbols[position]
+        common: Counter = Counter()
+        for fid in query:
+            holders = state.holders[fid]
+            common.update(holders[:bisect_left(holders, position)])
+        hits = sorted(common, key=lambda i: (-(common[i] / (
+            len(query) + len(state.symbols[i]) - common[i])), -i))[:k]
+        rest = (i for i in range(position - 1, -1, -1) if i not in common)
+        return [names[i] for i in chain(hits, islice(rest, k - len(hits)))]
+    # learned: a name without a label scores the prior alone, so only the
+    # labeled names are scored; the others tie at the prior, in corpus order
+    labeled = state.labeled[:bisect_left(state.labeled, position)]
+    taken = set(labeled)
+    unlabeled = list(islice((i for i in range(position) if i not in taken), k))
+    query = state.features[names[position]]
+    ranking = rank_premises(state.model, query, [names[i] for i in labeled])
+    prior = (score(state.model, query, names[unlabeled[0]]) if unlabeled
+             else float("-inf"))
+    tied = sorted([state.position[n] for n, s in ranking if s == prior]
+                  + unlabeled)
+    return ([n for n, s in ranking if s > prior] + [names[i] for i in tied]
+            + [n for n, s in ranking if s < prior])[:k]
 
 
 class ClausalCache:
@@ -329,22 +404,16 @@ def run_loop(corpus: Corpus, config: LoopConfig, writer=None,
         iteration = state.iterations_run + 1
 
         # (1) retrain the relevance learner on all stored proofs
-        model = BayesModel()
-        features = refresh_features(state, corpus, config)
-        for _i, item in theorems:
-            if item.name in state.solved:
-                train_incremental(model, features[item.name],
-                                  state.solved[item.name].premises_used)
-        state.model = model
+        refresh_features(state, corpus, config)
+        retrain(state, theorems)
         # the learner and the features stay fixed until the next iteration
         # (no on_proved), so each theorem is ranked once, to the top rung
         rankings: dict = {}
 
         def select(name, entry, k) -> tuple:
             if name not in rankings:
-                i, item = entry
-                ranking = rank_eligible(item, corpus.eligible(i), state, config)
-                rankings[name] = ranking[:config.axiom_ladder[-1]]
+                rankings[name] = rank_eligible(entry[0], config.axiom_ladder[-1],
+                                               state, config)
             return tuple(rankings[name][:k])
 
         # (2) walk the ladder with what was learned

@@ -3,7 +3,7 @@ import os
 import pytest
 
 from proofbench.clausify import clausal_problem
-from proofbench.corpus import load_corpus
+from proofbench.corpus import MANIFEST_NAME, load_corpus
 from proofbench.fol import make_problem
 from proofbench.generator import FAMILIES, GeneratorError, generate_corpus
 from proofbench.prover import Limits, PROVED, prove
@@ -99,3 +99,19 @@ def test_generation_time_verification_catches_unprovable(tmp_path, monkeypatch):
     monkeypatch.setattr(gen, "_gen_chain", broken_chain)
     with pytest.raises(GeneratorError, match="not provable"):
         generate_corpus("chain", 5, 0, str(tmp_path / "broken"))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_family_writes_exactly_size_items(family, tmp_path):
+    for size in range(4):
+        root = str(tmp_path / f"{family}{size}")
+        generate_corpus(family, size, 0, root)
+        problems = sorted(fn for fn in os.listdir(root) if fn.endswith(".p"))
+        if family == "neardup":
+            assert len(problems) == size
+            continue
+        with open(os.path.join(root, MANIFEST_NAME), encoding="utf-8") as fh:
+            records = [line.split() for line in fh if line.strip()]
+        assert len(records) == size, (family, size)
+        assert sorted(r[1] for r in records) == problems
+        assert len(load_corpus(root).items) == size

@@ -1,16 +1,19 @@
 import os
+from collections import Counter
 
 import pytest
 
 from proofbench.checker import check_proof
 from proofbench.corpus import load_corpus, write_manifest
 from proofbench.generator import generate_corpus
-from proofbench import loop, models
+from proofbench import learner, loop, models
 from proofbench.harness import ExperimentSpec, run_library
+from proofbench.learner import rank_premises
 from proofbench.loop import (
-    ClausalCache, LoopConfig, LoopState, assemble_problem, fixpoint_report,
-    rank_eligible, refresh_features, run_loop,
+    ClausalCache, LoopConfig, LoopState, SolvedItem, assemble_problem,
+    fixpoint_report, rank_eligible, refresh_features, retrain, run_loop,
 )
+from proofbench.models import FiniteModel
 
 from helpers import index_of, read_stream
 
@@ -229,14 +232,67 @@ def test_feature_table_extended_per_model_matches_fresh_vectors():
     assert any(f.startswith("MOD:") for vec in table.values() for f in vec)
 
 
+def test_mod_columns_reach_exactly_the_items_a_model_defines(tmp_path):
+    corpus = _write_corpus(tmp_path, [
+        ("none0", "axiom", "$true", []),
+        ("refl", "axiom", "![X]: X = X", []),
+        ("a", "axiom", "p(c)", []),
+        ("b", "axiom", "![X]: (p(X) => q(X))", []),
+        ("e", "axiom", "c = d", []),
+        ("f", "axiom", "r(c,d)", []),
+        ("g", "axiom", "q(f(c))", []),
+        ("t1", "conjecture", "q(c)", []),
+        ("t2", "conjecture", "~r(d,c) | p(d)", []),
+    ])
+    one, two = {(0,): 0, (1,): 1}, {(0,): 1, (1,): 0}
+    batches = [
+        [FiniteModel(1, {"c": {(): 0}}, {"p": {(0,): True}})],
+        [FiniteModel(2, {"c": {(): 0}, "d": {(): 1}, "f": two},
+                     {"p": {(0,): True, (1,): False},
+                      "q": {(0,): False, (1,): True}}),
+         # r at arity 1, where the corpus has it at arity 2
+         FiniteModel(2, {"c": {(): 0}, "d": {(): 1}},
+                     {"r": {(0,): True, (1,): False}})],
+        # only symbols no item uses
+        [FiniteModel(1, {"k": {(): 0}}, {"zz": {(0,): True}})],
+        [FiniteModel(1, {}, {}),
+         FiniteModel(2, {"c": {(): 1}, "d": {(): 0}, "f": one},
+                     {"p": {(0, 0): True, (0, 1): False, (1, 0): False,
+                            (1, 1): True},
+                      "q": {(0,): True, (1,): True},
+                      "r": {(0, 0): False, (0, 1): True, (1, 0): True,
+                            (1, 1): False}})],
+    ]
+    state = LoopState()
+    for batch in [[]] + batches + [[]]:
+        for m in batch:
+            assert state.store.add(m) is not None
+        table = refresh_features(state, corpus, PRUNING_CONFIG)
+        for item in corpus.items:
+            fresh = loop.item_features(item, PRUNING_CONFIG, state.store)
+            assert list(table[item.name].items()) == list(fresh.items()), \
+                (item.name, len(state.store))
+
+    def columns(name):
+        return [f for f in table[name] if f.startswith("MOD:")]
+
+    assert columns("none0") == [f"MOD:{i}:T" for i in range(6)]
+    assert columns("refl") == [f"MOD:{i}:T" for i in range(6)]
+    assert columns("f") == ["MOD:5:T"]
+    assert columns("t2") == []          # p is binary in model 5
+    assert columns("a") == ["MOD:0:T", "MOD:1:T"]
+    assert columns("e") == ["MOD:1:F", "MOD:2:F", "MOD:5:F"]
+
+
 def test_each_theorem_ranked_once_per_iteration(monkeypatch):
     corpus = load_corpus(MIXED30)
     ranked = []
     real = loop.rank_eligible
 
-    def counted(item, eligible, state, config):
-        ranked.append((item.name, state.iterations_run + 1))
-        return real(item, eligible, state, config)
+    def counted(position, k, state, config):
+        assert k == config.axiom_ladder[-1]
+        ranked.append((corpus.items[position].name, state.iterations_run + 1))
+        return real(position, k, state, config)
 
     monkeypatch.setattr(loop, "rank_eligible", counted)
     state = run_loop(corpus, PRUNING_CONFIG)
@@ -270,15 +326,24 @@ def _jaccard_reference(item, eligible, features):
     return sorted(latest_first, key=overlap, reverse=True)
 
 
+def _prefixes_match(state, config, corpus, reference):
+    """`rank_eligible` at k = 1, at each rung and at k = i (every eligible
+    name) is the prefix of the brute-force `reference(item, eligible)`."""
+    for i, item in enumerate(corpus.items):
+        expected = reference(item, corpus.eligible(i))
+        assert len(expected) == i
+        for k in sorted({1, *config.axiom_ladder, i}):
+            assert rank_eligible(i, k, state, config) == expected[:k], \
+                (item.name, k)
+
+
 def _cold_start_orders_match(corpus):
     config = LoopConfig()
     state = LoopState()
     features = refresh_features(state, corpus, config)
     assert state.model.total_examples == 0
-    for i, item in enumerate(corpus.items):
-        eligible = corpus.eligible(i)
-        assert rank_eligible(item, eligible, state, config) == \
-            _jaccard_reference(item, eligible, features), item.name
+    _prefixes_match(state, config, corpus, lambda item, eligible:
+                    _jaccard_reference(item, eligible, features))
 
 
 def test_cold_start_ranking_matches_brute_force_jaccard(tmp_path):
@@ -300,27 +365,136 @@ def test_cold_start_ranking_matches_brute_force_jaccard(tmp_path):
     ]))
 
 
+def test_recency_ranking_is_latest_first():
+    corpus = load_corpus(MIXED30)
+    config = LoopConfig(learning=False)
+    state = LoopState()
+    refresh_features(state, corpus, config)
+    _prefixes_match(state, config, corpus, lambda _item, eligible:
+                    [p.name for p in reversed(eligible)])
+
+
+def _learned_state(corpus, used: dict) -> LoopState:
+    """A state whose learner is trained on proofs of the theorems in
+    `used` from the premises listed there."""
+    state = LoopState()
+    refresh_features(state, corpus, LoopConfig())
+    for name, premises in used.items():
+        state.solved[name] = SolvedItem(None, tuple(premises),
+                                        tuple(premises), 1)
+    retrain(state, corpus.theorems())
+    assert state.model.total_examples == len(used)
+    return state
+
+
+def _learned_reference(state):
+    """The learner's order by brute force: every eligible name scored."""
+    def reference(item, eligible):
+        ranking = rank_premises(state.model, state.features[item.name],
+                                [p.name for p in eligible])
+        return [n for n, _s in ranking]
+    return reference
+
+
+# labeled premises that tie (same proofs), premises sharing no symbol
+# with later theorems, and labels that score below the prior that every
+# unlabeled name shares (trained on theorems of another signature)
+LEARNED_CORPUS = [
+    ("none0", "axiom", "$true", []),
+    ("a", "axiom", "p(c)", []),
+    ("r", "axiom", "![X]: (p(X) => q(X))", []),
+    ("u", "axiom", "s(k)", []),
+    ("v", "axiom", "![X]: (s(X) => w(X))", []),
+    ("t1", "conjecture", "q(c)", ["a", "r"]),
+    ("z0", "axiom", "zz(k)", []),
+    ("t2", "conjecture", "w(k)", ["u", "v"]),
+    ("e", "axiom", "c = d", []),
+    ("z1", "axiom", "zz(d)", []),
+    ("t3", "conjecture", "q(d)", []),
+    ("t4", "conjecture", "w(c) | zz(c)", []),
+    ("t5", "conjecture", "$true", []),
+]
+
+
+def test_learned_ranking_matches_brute_force(tmp_path):
+    corpus = _write_corpus(tmp_path, LEARNED_CORPUS)
+    state = _learned_state(corpus, {"t1": ["a", "r"], "t2": ["u", "v"]})
+    config = LoopConfig()
+    _prefixes_match(state, config, corpus, _learned_reference(state))
+    # below the prior: t3 is t1's kind, so t2's premises score below the
+    # names with no label
+    q = state.features["t3"]
+    prior = learner.score(state.model, q, "e")
+    assert learner.score(state.model, q, "u") < prior
+    assert learner.score(state.model, q, "a") > prior
+    assert learner.score(state.model, q, "u") == learner.score(state.model, q, "v")
+    # mixed30, trained on the proofs of a run
+    corpus = load_corpus(MIXED30)
+    solved = run_loop(corpus, PRUNING_CONFIG).solved
+    state = _learned_state(corpus, {n: s.premises_used for n, s in solved.items()})
+    _prefixes_match(state, config, corpus, _learned_reference(state))
+
+
+def test_learned_ranking_places_labels_that_tie_the_prior(tmp_path, monkeypatch):
+    # a labeled name that scores exactly the prior ties every unlabeled
+    # name and takes its corpus place among them
+    corpus = _write_corpus(tmp_path, LEARNED_CORPUS)
+    state = _learned_state(corpus, {"t1": ["a", "r"], "t2": ["u", "v"]})
+    real = learner.score
+    prior = real(state.model, {}, "none0")
+
+    def score(model, features, candidate):
+        if candidate in ("r", "u"):
+            return prior
+        return real(model, features, candidate)
+
+    monkeypatch.setattr(learner, "score", score)
+    monkeypatch.setattr(loop, "score", score)
+    reference = _learned_reference(state)
+    tied = reference(corpus.items[10], corpus.eligible(10))
+    assert tied.index("r") < tied.index("u") < tied.index("e")
+    assert tied.index("a") < tied.index("none0") < tied.index("r")
+    assert tied.index("v") == len(tied) - 1
+    _prefixes_match(state, LoopConfig(), corpus, reference)
+
+
 def test_mod_columns_walk_each_formula_once_per_refresh(monkeypatch, tmp_path):
-    # the signature walk is per formula, not per (formula, model) pair
-    walks = []          # (signature walks, models evaluated) per call
+    # the signature walk is per formula and per run, not per (formula,
+    # model) pair nor per refresh, and a formula meets all of a refresh's
+    # new models in one batch
+    walks = Counter()       # formula -> signature walks
+    calls = Counter()       # formula -> semantic_features calls
+    batches = []            # models per semantic_features call
     real_symbols = models.symbols_of
     real_semantic = loop.semantic_features
-    calls = [0]
 
     def counted_symbols(f):
-        calls[0] += 1
+        walks[id(f)] += 1
         return real_symbols(f)
 
-    def counted_semantic(f, store, start=0):
-        before = calls[0]
-        vec = real_semantic(f, store, start)
-        walks.append((calls[0] - before, len(store) - start))
-        return vec
+    def counted_semantic(f, store, indices=None, signature=None):
+        calls[id(f)] += 1
+        batches.append(len(store) if indices is None else len(indices))
+        return real_semantic(f, store, indices, signature)
 
     monkeypatch.setattr(models, "symbols_of", counted_symbols)
+    monkeypatch.setattr(loop, "symbols_of", counted_symbols)
     monkeypatch.setattr(loop, "semantic_features", counted_semantic)
+    corpus = load_corpus(MIXED30)
     run_library(ExperimentSpec(
         mode="library", corpus=MIXED30, out_dir=str(tmp_path / "run"),
         loop=PRUNING_CONFIG, baseline=False))
-    assert max(batch for _w, batch in walks) > 1
-    assert all(w == 1 for w, _batch in walks)
+    assert max(batches) > 1
+    assert set(walks) == set(calls)
+    assert max(walks.values()) == 1
+    # a store that grows over many refreshes still walks each formula once
+    stored = list(run_loop(corpus, PRUNING_CONFIG).store)
+    walks.clear()
+    calls.clear()
+    state = LoopState()
+    for m in stored:
+        state.store.add(m)
+        refresh_features(state, corpus, PRUNING_CONFIG)
+    assert max(calls.values()) > 1
+    assert set(walks) == set(calls)
+    assert max(walks.values()) == 1
