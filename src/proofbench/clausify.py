@@ -357,12 +357,6 @@ class ClauseSet:
     clauses: tuple
     start_ids: frozenset
 
-    def by_id(self, cid: str) -> Clause:
-        for c in self.clauses:
-            if c.clause_id == cid:
-                return c
-        raise KeyError(cid)
-
 
 def join_forms(forms, negated: ClausalForm | None) -> ClauseSet:
     """The one constructor of prover input: the clauses of `forms` in the
@@ -386,12 +380,21 @@ def join_forms(forms, negated: ClausalForm | None) -> ClauseSet:
                      frozenset(c.clause_id for c in starts))
 
 
-def clausal_problem(problem: Problem) -> ClauseSet:
-    """Clausify a whole problem for refutation, the conjecture negated."""
+def clausal_problem(problem: Problem, form=None) -> ClauseSet:
+    """Clausify a whole problem for refutation, the conjecture negated.
+
+    `form(af, negate)`, a `loop.ClausalCache`'s `form`, gives the
+    clausal form of each annotated formula when passed; without it each
+    is clausified afresh.  The clause set is the same either way.
+    """
     forms, negated = [], None
     for af in problem.formulas:
-        form = cnf(af.formula, name=af.name, negate=af.role == "conjecture")
-        forms.append(form)
-        if af.role == "conjecture":
-            negated = form
+        conjecture = af.role == "conjecture"
+        if form is None:
+            clausal = cnf(af.formula, name=af.name, negate=conjecture)
+        else:
+            clausal = form(af, conjecture)
+        forms.append(clausal)
+        if conjecture:
+            negated = clausal
     return join_forms(forms, negated)

@@ -188,17 +188,13 @@ def cmd_report(args) -> int:
 
 
 def cmd_speedup(args) -> int:
-    from .clausify import join_forms
+    from .clausify import clausal_problem
     from .loop import ClausalCache
     from .parser import parse_problem_dir
 
-    clausifier, problems = ClausalCache(), []
-    for pid, problem in parse_problem_dir(args.problems):
-        # `clausal_problem`'s clause set: file order, the conjecture negated
-        conj = problem.conjecture
-        forms = [clausifier.form(af, af is conj) for af in problem.formulas]
-        negated = clausifier.form(conj, True) if conj else None
-        problems.append((pid, join_forms(forms, negated)))
+    clausifier = ClausalCache()
+    problems = [(pid, clausal_problem(problem, clausifier.form))
+                for pid, problem in parse_problem_dir(args.problems)]
     limits = Limits(inference_budget=args.budget, max_depth=args.depth)
     outcome = measure_speedup(problems, limits, train_count=args.train_count,
                               training_enabled=not args.no_training)

@@ -47,14 +47,6 @@ class App:
 Term = Union[Var, App]
 
 
-def app(symbol: str, *args: Term) -> App:
-    return App(symbol, tuple(args))
-
-
-def const(symbol: str) -> App:
-    return App(symbol, ())
-
-
 # ---------------------------------------------------------------------------
 # Formulas
 
@@ -131,10 +123,6 @@ BINARY = (And, Or, Implies, Iff)
 QUANT = (Forall, Exists)
 
 
-def atom(pred: str, *args: Term) -> Atom:
-    return Atom(pred, tuple(args))
-
-
 # ---------------------------------------------------------------------------
 # Traversals
 
@@ -145,17 +133,6 @@ def term_vars(t: Term) -> Iterator[str]:
     else:
         for a in t.args:
             yield from term_vars(a)
-
-
-def subformulas(f: Formula) -> Iterator[Formula]:
-    yield f
-    if isinstance(f, Not):
-        yield from subformulas(f.sub)
-    elif isinstance(f, BINARY):
-        yield from subformulas(f.lhs)
-        yield from subformulas(f.rhs)
-    elif isinstance(f, QUANT):
-        yield from subformulas(f.body)
 
 
 def free_vars_ordered(f: Formula) -> list:
@@ -334,9 +311,6 @@ def alpha_normal(f: Formula) -> Formula:
 class Literal:
     positive: bool
     atom: Union[Atom, Eq]
-
-    def complement(self) -> "Literal":
-        return Literal(not self.positive, self.atom)
 
     @property
     def args(self) -> tuple:

@@ -18,19 +18,21 @@ Families:
            dead ends.
 
 Every generated theorem is verified provable from its reference premises
-at generation time (disable with verify=False).  Identical family, size
-and seed give byte-identical output.
+at generation time, and every standalone problem from its axioms, with
+each proof replayed by the independent checker (disable with
+verify=False).  Identical family, size and seed give byte-identical
+output.
 """
 from __future__ import annotations
 
 import os
 
 from .clausify import clausal_problem
-from .checker import check_proof
 from .corpus import SPLIT_NAME, load_corpus, write_manifest
-from .fol import make_problem
+from .loop import ClausalCache, clause_set_builder, prove_checked
+from .models import DEFAULT_MAX_DOMAIN
 from .parser import parse_problem_dir
-from .prover import Limits, PROVED, prove
+from .prover import Limits, PROVED
 
 FAMILIES = ("chain", "group", "mixed", "neardup")
 
@@ -59,45 +61,41 @@ def _write_first(root: str, family: str, entries: list, size: int) -> list:
 
 
 def _verify_corpus(root: str) -> None:
+    """Each theorem, proved from its reference premises as `reprove`
+    builds it; a proof the checker rejects raises `LoopInvariantError`."""
     corpus = load_corpus(root)
-    by_name = {item.name: item for item in corpus.items}
+    build = clause_set_builder("reprove", corpus)
     for _i, item in corpus.theorems():
-        premises = [by_name[r].as_axiom() for r in item.reference_premises]
-        cs = clausal_problem(make_problem(premises + [item.as_conjecture()]))
-        res = prove(cs, VERIFY_LIMITS)
+        res = prove_checked(build(item.name, item.reference_premises),
+                            VERIFY_LIMITS, DEFAULT_MAX_DOMAIN, item.name)
         if res.status != PROVED:
             raise GeneratorError(
                 f"{item.name} not provable from its reference premises "
                 f"({res.status})")
-        if not check_proof(res.proof, cs):
-            raise GeneratorError(f"{item.name}: generated proof failed checking")
 
 
 # ---------------------------------------------------------------------------
 # chain
 
 
-def _gen_chain(root: str, size: int, prefix: str = "p", const: str = "c",
-               tag: str = "") -> list:
+def _gen_chain(root: str, size: int) -> list:
     """Records for a chain: base fact, then (rule, theorem) pairs."""
     records = []
     if size <= 0:
         return records
-    base = f"{tag}base"
-    records.append((base, _write_item(root, base, "axiom", f"{prefix}0({const})"), []))
+    records.append(("base", _write_item(root, "base", "axiom", "p0(c)"), []))
     k = 0
     while len(records) < size:
         k += 1
-        rule = f"{tag}rule{k}"
+        rule = f"rule{k}"
         records.append((rule, _write_item(
-            root, rule, "axiom",
-            f"![X]: ({prefix}{k - 1}(X) => {prefix}{k}(X))"), []))
+            root, rule, "axiom", f"![X]: (p{k - 1}(X) => p{k}(X))"), []))
         if len(records) >= size:
             break
-        th = f"{tag}th{k}"
-        prev = f"{tag}th{k - 1}" if k > 1 else base
-        records.append((th, _write_item(root, th, "conjecture",
-                                        f"{prefix}{k}({const})"), [prev, rule]))
+        th = f"th{k}"
+        prev = f"th{k - 1}" if k > 1 else "base"
+        records.append((th, _write_item(root, th, "conjecture", f"p{k}(c)"),
+                        [prev, rule]))
     return records
 
 
@@ -221,8 +219,11 @@ def _gen_neardup(root: str, size: int) -> None:
 
 
 def _verify_problems(root: str) -> None:
+    """Each problem, proved from all of its axioms."""
+    clausifier = ClausalCache()
     for pid, problem in parse_problem_dir(root):
-        res = prove(clausal_problem(problem), VERIFY_LIMITS)
+        res = prove_checked(clausal_problem(problem, clausifier.form),
+                            VERIFY_LIMITS, DEFAULT_MAX_DOMAIN, pid)
         if res.status != PROVED:
             raise GeneratorError(f"{pid}.p not provable ({res.status})")
 

@@ -15,11 +15,12 @@ Four experiment shapes over generated corpora:
 
 Every mode runs its attempts through `loop.attempt`, and all but reprove
 schedule them with `loop.walk_ladder`; a mode supplies only its ranking
-policy and problem builder.  Results are append-only JSON lines in one
-schema (`loop.Attempt`); `verify` replays every stored proof through the
-independent checker and re-evaluates every stored countermodel.  Budgets
-count inferences only, so an identical spec gives byte-identical
-structured output.
+policy, and builds its clause sets through `loop.clause_set_builder`.
+Results are append-only JSON lines in one schema (`loop.Attempt`);
+`verify` rebuilds each stored artifact's clause set through the same
+builder, replays every stored proof through the independent checker and
+re-evaluates every stored countermodel.  Budgets count inferences only,
+so an identical spec gives byte-identical structured output.
 """
 from __future__ import annotations
 
@@ -31,15 +32,14 @@ from itertools import repeat
 
 from .checker import check_proof
 # perfbench/layers.py wraps `clausal_problem` here as well as in
-# `clausify`; every mode builds through `loop.assemble_problem` instead
-from .clausify import ClauseSet, clausal_problem  # noqa: F401
+# `clausify`; every mode builds through `loop.clause_set_builder` instead
+from .clausify import clausal_problem  # noqa: F401
 from .corpus import load_corpus, load_split
 from .features import combine, structural_features, symbol_features
 from .learner import BayesModel, rank_premises, train_incremental
 from .loop import (
-    Attempt, ClausalCache, LoopConfig, assemble_problem, attempt,
-    corpus_problems, fixpoint_report, item_features, prove_checked,
-    pruned_problems, run_loop, tally, walk_ladder, write_run_dir,
+    Attempt, LoopConfig, attempt, clause_set_builder, fixpoint_report,
+    item_features, prove_checked, run_loop, tally, walk_ladder, write_run_dir,
 )
 from .models import ModelStore, evaluate, model_from_text, model_to_text
 from .parser import parse_problem_dir, parse_problem_file
@@ -178,26 +178,22 @@ def _one_config(mode: str, name: str, records, **extra) -> dict:
 
 
 def run_reprove(spec: ExperimentSpec) -> dict:
-    """One prover call per theorem with exactly its reference premises.
+    """One prover call per theorem with exactly its reference premises,
+    in their manifest order.
 
-    Each clause set is built here, the reference premises in their
-    manifest order and then the negated theorem, from clausal forms
-    cached for the run.  With several workers only proving and checking
-    run in the pool; records and artifacts are written here, in theorem
-    order.
+    Clause sets are built here; with several workers only proving and
+    checking run in the pool.  Records and artifacts are written here, in
+    theorem order.
     """
     out = _out_dir(spec)
     corpus = load_corpus(spec.corpus)
-    by_name = {item.name: item for item in corpus.items}
-    clausifier = ClausalCache()
+    build = clause_set_builder("reprove", corpus)
     limits = Limits(inference_budget=spec.per_problem_budget,
                     max_depth=spec.loop.max_depth)
     records = [Attempt("reprove", 1, item.name, len(item.reference_premises),
                        spec.per_problem_budget, tuple(item.reference_premises))
                for _i, item in corpus.theorems()]
-    problems = (assemble_problem(by_name[r.item],
-                                 [by_name[p] for p in r.premises_given],
-                                 clausifier) for r in records)
+    problems = (build(r.item, r.premises_given) for r in records)
     pool = ProcessPoolExecutor(max_workers=spec.workers) if spec.workers > 1 else None
     try:
         outcomes = (pool.map if pool else map)(
@@ -278,7 +274,9 @@ def run_challenge(spec: ExperimentSpec) -> dict:
     records: list = []
     with _RecordWriter(out, asdict(spec)) as writer:
         spent, _ran_out = walk_ladder(
-            problems, cfg, select, pruned_problems(), records, {}, name=name,
+            problems, cfg, select,
+            clause_set_builder("challenge", dict(problems).__getitem__),
+            records, {}, name=name,
             budget_left=cfg.total_inference_budget, writer=writer,
             keep_model=_keep_every, on_proved=learn)
     budget_left = cfg.total_inference_budget
@@ -332,8 +330,9 @@ def run_traintest(spec: ExperimentSpec) -> dict:
                if item.name in test_set]
     records: list = []
     with _RecordWriter(out, asdict(spec)) as writer:
-        walk_ladder(entries, cfg, select, corpus_problems(corpus),
-                    records, {}, name="traintest",
+        walk_ladder(entries, cfg, select,
+                    clause_set_builder("traintest", corpus), records, {},
+                    name="traintest",
                     budget_left=cfg.total_inference_budget, writer=writer)
     return _finish(out, _one_config("traintest", "traintest", records,
                                     train_size=len(train_names),
@@ -461,14 +460,14 @@ def _run_config(run_dir: str) -> dict | None:
 
 def _rebuilder(run_dir: str):
     """`rebuild(item, premises)`, the clause set of a stored artifact of
-    the run in `run_dir`, built as the run built it, with clausal forms
-    cached for the call; None when its config.json names no input.
+    the run in `run_dir`, built by the run's own builder,
+    `loop.clause_set_builder` for the run's mode; None when its
+    config.json names no input.  A library sub-run's config.json records
+    no mode.
 
-    The run's mode decides the build: a challenge problem pruned to its
-    premises, each problem file parsed once through one statement table; a
-    reprove theorem after its premises in the order given (the
-    manifest's); any other corpus item after its premises in corpus
-    order.  A library sub-run's config.json records no mode.
+    A challenge problem file is parsed when a record first needs it, all
+    through one statement table; a corpus is loaded at the first record,
+    and a premise that is not an earlier corpus item is an error.
     """
     blob = _run_config(run_dir) or {}
     mode = blob.get("mode", "library")
@@ -477,33 +476,28 @@ def _rebuilder(run_dir: str):
     if not root:
         return None
     if mode == "challenge":
-        build, parsed, table = pruned_problems(), {}, {}
+        parsed, table = {}, {}
 
-        def rebuild_pruned(item, premises) -> ClauseSet:
+        def problem(item):
             if item not in parsed:
                 path = os.path.join(root, f"{item}.p")
                 if not os.path.exists(path):
                     raise HarnessError(f"no problem file {item}.p in {root!r}")
                 parsed[item] = parse_problem_file(path, table=table)
-            return build(item, parsed[item], premises)
-        return rebuild_pruned
-    loaded: dict = {}       # the corpus and its builder, at the first proof
-    clausifier = ClausalCache()
+            return parsed[item]
+        return clause_set_builder(mode, problem)
+    loaded: dict = {}       # item positions and the builder, at the first record
 
-    def rebuild(item, premises) -> ClauseSet:
+    def rebuild(item, premises):
         if not loaded:
             corpus = load_corpus(root)
-            loaded["position"] = {it.name: (i, it)
+            loaded["position"] = {it.name: i
                                   for i, it in enumerate(corpus.items)}
-            loaded["build"] = corpus_problems(corpus)
+            loaded["build"] = clause_set_builder(mode, corpus)
         position = loaded["position"]
-        if any(position[p][0] >= position[item][0] for p in premises):
+        if any(position[p] >= position[item] for p in premises):
             raise HarnessError(f"a premise of {item} is not an earlier item")
-        if mode == "reprove":
-            return assemble_problem(position[item][1],
-                                    [position[p][1] for p in premises],
-                                    clausifier)
-        return loaded["build"](item, position[item], premises)
+        return loaded["build"](item, premises)
     return rebuild
 
 

@@ -27,7 +27,6 @@ class BayesModel:
     feature_totals: dict = field(default_factory=dict)    # fid -> weight
     total_examples: float = 0.0
     sigma: float = SIGMA_DEFAULT
-    binarize: bool = False
 
     def snapshot_id(self) -> tuple:
         return (int(self.total_examples * 1000), len(self.label_count),
@@ -36,8 +35,6 @@ class BayesModel:
 
 def train_incremental(model: BayesModel, features: dict, used_premises) -> BayesModel:
     """Add one (conjecture features, premises used) example; returns model."""
-    if model.binarize:
-        features = {fid: 1.0 for fid in features}
     model.total_examples += 1.0
     for fid, w in features.items():
         model.feature_totals[fid] = model.feature_totals.get(fid, 0.0) + w
@@ -55,8 +52,6 @@ def score(model: BayesModel, features: dict, candidate: str) -> float:
     prior = math.log((label + s) / (model.total_examples + s))
     if label == 0.0:
         return prior
-    if model.binarize:
-        features = {fid: 1.0 for fid in features}
     total = prior
     for fid, w in features.items():
         if fid not in model.feature_totals:
@@ -84,7 +79,7 @@ def save_model(model: BayesModel, path: str) -> None:
     blob = {
         "version": 1,
         "sigma": model.sigma,
-        "binarize": model.binarize,
+        "binarize": False,      # checkpoint format version 1 keeps this key
         "total_examples": model.total_examples,
         "label_count": model.label_count,
         "feature_totals": model.feature_totals,

@@ -6,9 +6,10 @@ any proof, names the given premises the proof used, stores the proof or
 countermodel and yields one `Attempt` record.  `walk_ladder` schedules
 attempts breadth-first over the axiom-count ladder: every pending item
 is tried at the smallest rung before anything escalates, which is how a
-shared budget is spread in a batch setting.  The caller supplies what
-differs between modes: how premises are ranked and picked, and how the
-problem is built from them.
+shared budget is spread in a batch setting.  Which formulas go into a
+clause set, in which order, is one rule per mode, written once in
+`clause_set_builder`; every run, `verify` and the generator's self-check
+build through it, so a mode supplies only its ranking policy.
 
 The library loop (`run_loop`) walks the ladder once per iteration.  Each
 iteration extends the run's feature table by the newly stored models,
@@ -263,29 +264,33 @@ def assemble_problem(item, premise_items, clausifier: ClausalCache) -> ClauseSet
     return join_forms(forms + [negated], negated)
 
 
-def corpus_problems(corpus: Corpus):
-    """Problem builder for corpus items: the chosen premises in corpus
-    order, then the negated item, with clausal forms cached for the run.
-    Entries are (corpus index, item) pairs."""
+def clause_set_builder(mode: str, source):
+    """`build(item, premises)`, the clause set on which `mode` proves the
+    item named `item` from the premises named, with clausal forms cached
+    for the builder's life.
+
+    `source` is the run's `Corpus`, or, for challenge, a lookup from a
+    problem's name to its parsed `Problem`.  The premises go in the order
+    given (reprove), in corpus order (library, traintest), or, for a
+    challenge problem, as its axioms in file order; the negated item or
+    conjecture comes last.
+    """
     clausifier = ClausalCache()
-    position = {item.name: i for i, item in enumerate(corpus.items)}
+    if mode == "challenge":
+        def build(item, premises) -> ClauseSet:
+            problem = source(item)
+            axioms = [af for af in problem.formulas
+                      if af.role != "conjecture" and af.name in premises]
+            return assemble_problem(problem.conjecture, axioms, clausifier)
+        return build
+    items = {item.name: (i, item) for i, item in enumerate(source.items)}
 
-    def build(_name, entry, chosen) -> ClauseSet:
-        premises = [corpus.items[i] for i in sorted(position[n] for n in chosen)]
-        return assemble_problem(entry[1], premises, clausifier)
-    return build
-
-
-def pruned_problems():
-    """Problem builder for standalone problems (entries are parsed
-    `Problem`s): the chosen axioms in file order, then the negated
-    conjecture, with clausal forms cached for the run."""
-    clausifier = ClausalCache()
-
-    def build(_name, problem, chosen) -> ClauseSet:
-        axioms = [af for af in problem.formulas
-                  if af.role != "conjecture" and af.name in chosen]
-        return assemble_problem(problem.conjecture, axioms, clausifier)
+    def build(item, premises) -> ClauseSet:
+        if mode != "reprove":
+            premises = sorted(premises, key=lambda name: items[name][0])
+        return assemble_problem(items[item][1],
+                                [items[name][1] for name in premises],
+                                clausifier)
     return build
 
 
@@ -344,13 +349,13 @@ def walk_ladder(entries, config: LoopConfig, select, build, records: list,
 
     `entries` are (name, entry) pairs in attempt order.  The caller's
     policy is `select(name, entry, k)`, the premise names given at rung
-    k, called once per attempt, and `build(name, entry, chosen)`, the
-    clause set to prove.  Records under config `name` are appended to
-    `records`; proved entries join `solved`, and `on_proved(name,
-    record)` learns from them.  With `guide_model`, an advisor consults
-    it during each search and gives back what it saw.  Stops when the
-    shared `budget_left` runs out; returns (inferences spent, whether it
-    ran out).
+    k, called once per attempt; `build(name, chosen)`, from
+    `clause_set_builder`, makes the clause set to prove.  Records under
+    config `name` are appended to `records`; proved entries join
+    `solved`, and `on_proved(name, record)` learns from them.  With
+    `guide_model`, an advisor consults it during each search and gives
+    back what it saw.  Stops when the shared `budget_left` runs out;
+    returns (inferences spent, whether it ran out).
     """
     spent = 0
     for rung_idx, k in enumerate(config.axiom_ladder):
@@ -365,7 +370,7 @@ def walk_ladder(entries, config: LoopConfig, select, build, records: list,
                     return spent, True
                 limit = min(budget, budget_left - spent)
             chosen = select(key, entry, k)
-            cs = build(key, entry, chosen)
+            cs = build(key, chosen)
             advisor = None
             if guide_model is not None:
                 advisor = Advisor(guide_model)
@@ -392,7 +397,7 @@ def run_loop(corpus: Corpus, config: LoopConfig, writer=None,
              name: str = "learning") -> LoopState:
     """The library loop; records go to `writer` under config `name`."""
     state = LoopState()
-    build = corpus_problems(corpus)
+    build = clause_set_builder("library", corpus)
     theorems = corpus.theorems()
     entries = [(item.name, (i, item)) for i, item in theorems]
 

@@ -14,9 +14,9 @@ import os
 import random
 
 from proofbench.fol import (
-    And, App, Atom, Clause, Eq, Exists, FALSE, FalseF, Forall, Iff, Implies,
-    Literal, Not, Or, TRUE, TrueF, Var, alpha_normal, make_clause,
-    universal_closure,
+    BINARY, QUANT, And, App, Atom, Clause, Eq, Exists, FALSE, FalseF, Forall,
+    Iff, Implies, Literal, Not, Or, TRUE, TrueF, Var, alpha_normal,
+    make_clause, universal_closure,
 )
 from proofbench.features import combine, symbol_features
 from proofbench.learner import (
@@ -24,6 +24,45 @@ from proofbench.learner import (
 )
 from proofbench.parser import _print_symbol, print_formula, print_literal
 from proofbench.prover import _Cell, _Lit, _unify, resolve_term
+
+
+# ---------------------------------------------------------------------------
+# Term, formula and clause shorthands
+
+
+def app(symbol: str, *args) -> App:
+    return App(symbol, tuple(args))
+
+
+def const(symbol: str) -> App:
+    return App(symbol, ())
+
+
+def atom(pred: str, *args) -> Atom:
+    return Atom(pred, tuple(args))
+
+
+def subformulas(f):
+    """`f` and every formula below it, pre-order."""
+    yield f
+    if isinstance(f, Not):
+        yield from subformulas(f.sub)
+    elif isinstance(f, BINARY):
+        yield from subformulas(f.lhs)
+        yield from subformulas(f.rhs)
+    elif isinstance(f, QUANT):
+        yield from subformulas(f.body)
+
+
+def complement(lit: Literal) -> Literal:
+    return Literal(not lit.positive, lit.atom)
+
+
+def clause_by_id(clause_set, cid: str) -> Clause:
+    for c in clause_set.clauses:
+        if c.clause_id == cid:
+            return c
+    raise KeyError(cid)
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +434,8 @@ def index_of(corpus, name: str) -> int:
     raise KeyError(name)
 
 
-def train_batch(examples, sigma: float = SIGMA_DEFAULT,
-                binarize: bool = False) -> BayesModel:
-    model = BayesModel(sigma=sigma, binarize=binarize)
+def train_batch(examples, sigma: float = SIGMA_DEFAULT) -> BayesModel:
+    model = BayesModel(sigma=sigma)
     for features, used in examples:
         train_incremental(model, features, used)
     return model
@@ -453,7 +491,7 @@ def load_model(path: str) -> BayesModel:
         blob = json.load(fh)
     if blob.get("version") != 1:
         raise ValueError(f"unsupported checkpoint version {blob.get('version')!r}")
-    model = BayesModel(sigma=blob["sigma"], binarize=blob["binarize"],
+    model = BayesModel(sigma=blob["sigma"],
                        total_examples=blob["total_examples"],
                        label_count=dict(blob["label_count"]),
                        feature_totals=dict(blob["feature_totals"]))

@@ -18,7 +18,7 @@ from proofbench.checker import check_proof
 from proofbench.clausify import ClauseSet, clausal_problem, cnf
 from proofbench.corpus import load_corpus
 from proofbench.features import semantic_features
-from proofbench.fol import Literal, Var, atom, const, make_clause
+from proofbench.fol import Literal, Var, make_clause
 from proofbench.generator import generate_corpus
 from proofbench.harness import (
     ExperimentSpec, report, run_challenge, run_library, run_reprove,
@@ -36,8 +36,9 @@ from proofbench.prover import (
 )
 
 from helpers import (
-    all_interpretations, alpha_equivalent, brute_clause_eval, brute_has_model,
-    clause_as_formula, prop_clause_satisfiable, random_closed_formula, random_prop_clauses,
+    all_interpretations, alpha_equivalent, atom, brute_clause_eval,
+    brute_has_model, clause_as_formula, clause_by_id, complement, const,
+    prop_clause_satisfiable, random_closed_formula, random_prop_clauses,
     read_stream, rename_bound_vars, train_batch,
 )
 
@@ -143,18 +144,18 @@ def _corrupt(step, steps, cs, k):
     if isinstance(step, StartStep):
         different = [c for c in cs.clauses
                      if c.clause_id != step.clause_id and
-                     (c.origin != cs.by_id(step.clause_id).origin or
-                      c.literals != cs.by_id(step.clause_id).literals)]
+                     (c.origin != clause_by_id(cs, step.clause_id).origin or
+                      c.literals != clause_by_id(cs, step.clause_id).literals)]
         if not different:
             return None
         return StartStep(different[0].clause_id)
     if isinstance(step, ExtensionStep):
         if k % 2 == 0:
-            return ExtensionStep(step.goal.complement(), step.clause_id,
+            return ExtensionStep(complement(step.goal), step.clause_id,
                                  step.lit_index, step.bindings)
         return ExtensionStep(step.goal, step.clause_id, 999, step.bindings)
     if k % 2 == 0:
-        return ReductionStep(step.goal.complement(), step.path_index,
+        return ReductionStep(complement(step.goal), step.path_index,
                              step.bindings)
     return ReductionStep(step.goal, 999, step.bindings)
 

@@ -6,16 +6,15 @@ from proofbench.clausify import (
 )
 from proofbench.fol import (
     And, AnnotatedFormula, App, Atom, Eq, Exists, Forall, Iff, Implies,
-    Literal, Not, Or, Var, atom, const,
-    make_problem, symbols_of,
+    Literal, Not, Or, Var, make_problem, symbols_of,
 )
 from proofbench.parser import parse_formula, parse_problem
 
 from helpers import (
-    alpha_equivalent, brute_clauses_have_model, brute_has_model,
-    clause_as_formula, disj, print_clause,
+    alpha_equivalent, atom, brute_clauses_have_model, brute_has_model,
+    clause_as_formula, clause_by_id, disj, print_clause,
     prop_clause_satisfiable, prop_equivalent, random_closed_formula,
-    random_prop_clauses, rename_bound_vars,
+    random_prop_clauses, rename_bound_vars, subformulas,
 )
 
 
@@ -152,7 +151,7 @@ def test_clause_count_linear_in_connectives():
 
 
 def _connectives(f):
-    from proofbench.fol import subformulas, BINARY
+    from proofbench.fol import BINARY
     for g in subformulas(f):
         if isinstance(g, (BINARY, Not)):
             yield g
@@ -225,5 +224,5 @@ def test_clause_dump_format():
 def test_conjecture_start_clauses_marked():
     p = parse_problem("fof(a, axiom, p(c)). fof(t, conjecture, p(c)).")
     cs = clausal_problem(p)
-    starts = {cs.by_id(cid).origin for cid in cs.start_ids}
+    starts = {clause_by_id(cs, cid).origin for cid in cs.start_ids}
     assert starts == {"t"}

@@ -1,43 +1,45 @@
 """Every public function and method of the package has a caller in the
 program.
 
-A caller is any use of the name in `src/` or `perfbench/` other than its
-own `def` and other than an import: importing a name does not call it.
-perfbench's tracer installs its wrappers by name
-(`tracer.install(harness, "prove", ...)`), so a quoted name counts, and
-the match is by word.  perfbench's own tests are not callers.  What only
-the tests call lives in `tests/helpers.py`.
+References are resolved through the syntax tree of `src/` and
+`perfbench/`; perfbench's own tests are not callers.
+
+- A module-level function is referenced by a name that resolves to it:
+  in its own module, or where it is imported from there, unless a
+  function scope binds that name itself (a parameter or a local
+  variable).  An attribute of its module (`clausify.cnf`) references it
+  too.
+- A method is referenced by an attribute of its name.  When the program
+  also keeps a data attribute of that name (a field, a slot, an
+  assignment `x.name = ...`), only a call `x.name(...)` counts, unless
+  the method is a property.
+- A function's references inside its own body, a string in the package
+  and an import are not callers.  perfbench's tracer installs its
+  wrappers by name (`tracer.install(harness, "prove", ...)`), so a
+  string in perfbench counts.
+
+What only the tests call lives in `tests/helpers.py`.
 """
 import ast
 import glob
 import os
-import re
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 PACKAGE = sorted(glob.glob(os.path.join(ROOT, "src", "proofbench", "*.py")))
-PROGRAM = PACKAGE + sorted(
+PERFBENCH = sorted(
     p for p in glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
     if not os.path.basename(p).startswith("test_"))
+PROGRAM = PACKAGE + PERFBENCH
 
-# name -> why it stays without a caller
-ALLOWED: dict = {}
+# qualified name -> why it stays without a caller
+ALLOWED: dict = {
+    "corpus.CorpusItem.as_conjecture":
+        "perfbench/test_gen.py builds its reference problems with it, and "
+        "perfbench/ changes only together with the benchmark",
+}
 
-
-def _without_imports(source: str) -> str:
-    lines = source.splitlines()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for i in range(node.lineno - 1, node.end_lineno):
-                lines[i] = ""
-    return "\n".join(lines)
-
-
-def _public_defs(source: str) -> list:
-    names = []
-    for node in ast.parse(source).body:
-        body = node.body if isinstance(node, ast.ClassDef) else [node]
-        names += [n.name for n in body if isinstance(n, ast.FunctionDef)]
-    return [n for n in names if not n.startswith("_")]
+FUNCTIONS = (ast.FunctionDef, ast.Lambda)
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
 def _read(path: str) -> str:
@@ -45,14 +47,139 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def test_every_public_function_has_a_caller_in_the_program():
-    program = "\n".join(_without_imports(_read(p)) for p in PROGRAM)
-    uncalled = set()
+TREES = {path: ast.parse(_read(path)) for path in PROGRAM}
+
+
+def _module(path: str) -> str:
+    return os.path.splitext(os.path.basename(path))[0]
+
+
+def _definitions() -> dict:
+    """(module, class or None, name) -> def node of each public function
+    and method of the package."""
+    defs = {}
     for path in PACKAGE:
-        for name in _public_defs(_read(path)):
-            uses = len(re.findall(rf"\b{name}\b", program))
-            if uses == len(re.findall(rf"\bdef {name}\b", program)):
-                uncalled.add(name)
+        for node in TREES[path].body:
+            cls = node.name if isinstance(node, ast.ClassDef) else None
+            for fn in node.body if cls else [node]:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    defs[(_module(path), cls, fn.name)] = fn
+    return defs
+
+
+def _locals(scope) -> set:
+    """The names a function or comprehension scope binds itself; a name
+    bound by an import still resolves to what it imports."""
+    if isinstance(scope, FUNCTIONS):
+        a = scope.args
+        names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+        names |= {x.arg for x in (a.vararg, a.kwarg) if x}
+        todo = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    else:
+        names, todo = set(), list(scope.generators)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif not isinstance(node, FUNCTIONS + COMPREHENSIONS):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _references(path: str) -> list:
+    """(key, enclosing def nodes) of each reference in the file.  Keys:
+    ("def", module, name), ("attr", name), ("call", name), ("string", name)."""
+    module = _module(path)
+    imported: dict = {}     # bound name -> (module, name)
+    modules: dict = {}      # bound name -> module
+    for node in ast.walk(TREES[path]):
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").rsplit(".", 1)[-1]
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if source in ("", "proofbench"):
+                    modules[bound] = alias.name
+                else:
+                    imported[bound] = (source, alias.name)
+    refs: list = []
+
+    def visit(node, scopes: tuple, inside: tuple) -> None:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            return
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if not any(node.id in s for s in scopes):
+                refs.append((("def",) + imported.get(node.id, (module, node.id)),
+                             inside))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            refs.append((("attr", node.attr), inside))
+            value = node.value
+            if (isinstance(value, ast.Name) and value.id in modules
+                    and not any(value.id in s for s in scopes)):
+                refs.append((("def", modules[value.id], node.attr), inside))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            refs.append((("call", node.func.attr), inside))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and path in PERFBENCH):
+            refs.append((("string", node.value), inside))
+        if isinstance(node, FUNCTIONS + COMPREHENSIONS):
+            scopes += (_locals(node),)
+            if not isinstance(node, COMPREHENSIONS):
+                inside += (node,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scopes, inside)
+
+    visit(TREES[path], (), ())
+    return refs
+
+
+def _data_attributes() -> set:
+    """Attribute names the program stores data under: fields and other
+    class-level assignments, and every `x.name = ...`."""
+    names = set()
+    for path in PROGRAM:
+        for node in ast.walk(TREES[path]):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    targets = ([stmt.target] if isinstance(stmt, ast.AnnAssign)
+                               else stmt.targets if isinstance(stmt, ast.Assign)
+                               else [])
+                    names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _is_property(fn) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "property"
+               for d in fn.decorator_list)
+
+
+def _uncalled() -> set:
+    where: dict = {}        # key -> enclosing def nodes of each reference
+    for path in PROGRAM:
+        for key, inside in _references(path):
+            where.setdefault(key, []).append(inside)
+    data = _data_attributes()
+    uncalled = set()
+    for (module, cls, name), fn in _definitions().items():
+        if cls is None:
+            keys = [("def", module, name)]
+        elif name in data and not _is_property(fn):
+            keys = [("call", name)]
+        else:
+            keys = [("attr", name)]
+        keys.append(("string", name))
+        if not any(fn not in inside for key in keys for inside in where.get(key, ())):
+            uncalled.add(".".join(filter(None, (module, cls, name))))
+    return uncalled
+
+
+def test_every_public_function_has_a_caller_in_the_program():
+    uncalled = _uncalled()
     assert sorted(uncalled - set(ALLOWED)) == []
     # an exception that gained a caller, or went away, leaves the list
     assert sorted(set(ALLOWED) - uncalled) == []

@@ -10,7 +10,9 @@ from proofbench.fol import Exists, Forall, free_vars_ordered
 from proofbench.parser import IncludeError, parse_problem, parse_problem_file
 from proofbench.prover import Limits, PROVED, StartStep, prove
 
-from helpers import all_interpretations, brute_eval, random_closed_formula
+from helpers import (
+    all_interpretations, atom, brute_eval, random_closed_formula, subformulas,
+)
 
 
 def test_miniscope_preserves_equivalence():
@@ -30,7 +32,7 @@ def test_miniscope_preserves_equivalence():
 def test_miniscope_reduces_skolem_arity():
     # ![X]: ?[Y]: (p(Y) | q(X)) -- after miniscoping, X no longer governs Y,
     # so Y's skolem term must be a constant rather than sk(X)
-    from proofbench.fol import App, Atom, Or, Var, atom, subformulas
+    from proofbench.fol import App, Atom, Or, Var
     f = Forall("X", Exists("Y", Or(atom("p", Var("Y")), atom("q", Var("X")))))
     out = skolemize(miniscope(f))
     sk_args = [t.args for g in subformulas(out) if isinstance(g, Atom)

@@ -1,8 +1,6 @@
 import random
 
-from proofbench.fol import (
-    And, Eq, Forall, Var, app, atom, const,
-)
+from proofbench.fol import And, Eq, Forall, Var
 from proofbench.features import (
     branch_features, combine, semantic_features, structural_features,
     symbol_features, write_feature_cache,
@@ -10,8 +8,8 @@ from proofbench.features import (
 from proofbench.models import FiniteModel, ModelStore, UNDEFINED, evaluate
 
 from helpers import (
-    alpha_equivalent, cell_literal, goals_of, random_closed_formula,
-    read_feature_cache, rename_bound_vars,
+    alpha_equivalent, app, atom, cell_literal, const, goals_of,
+    random_closed_formula, read_feature_cache, rename_bound_vars,
 )
 
 

@@ -5,11 +5,13 @@ import pytest
 from proofbench.fol import (
     And, AnnotatedFormula, App, ArityError, Atom, DuplicateNameError, Eq,
     Exists, Forall, Implies, Literal, MultipleConjecturesError, Not, Or, Var,
-    alpha_normal, app, atom, const, free_vars_ordered,
-    make_clause, make_problem, subst_formula, symbols_of, universal_closure,
+    alpha_normal, free_vars_ordered, make_clause, make_problem, subst_formula,
+    symbols_of, universal_closure,
 )
 
-from helpers import alpha_equivalent, rename_bound_vars
+from helpers import (
+    alpha_equivalent, app, atom, complement, const, rename_bound_vars,
+)
 
 
 def test_symbols_of_simple():
@@ -97,8 +99,8 @@ def test_subst_formula_avoids_capture():
 
 def test_make_clause_deduplicates():
     lit = Literal(True, atom("p", const("c")))
-    c = make_clause([lit, lit, lit.complement()])
-    assert c.literals == (lit, lit.complement())
+    c = make_clause([lit, lit, complement(lit)])
+    assert c.literals == (lit, complement(lit))
 
 
 def test_problem_duplicate_name_rejected():

@@ -89,8 +89,8 @@ def test_generation_time_verification_catches_unprovable(tmp_path, monkeypatch):
 
     real_chain = gen._gen_chain
 
-    def broken_chain(root, size, prefix="p", const="c", tag=""):
-        records = real_chain(root, size, prefix, const, tag)
+    def broken_chain(root, size):
+        records = real_chain(root, size)
         # drop a reference so the last theorem loses a needed premise
         name, path, refs = records[-1]
         records[-1] = (name, path, refs[:1])
@@ -99,6 +99,22 @@ def test_generation_time_verification_catches_unprovable(tmp_path, monkeypatch):
     monkeypatch.setattr(gen, "_gen_chain", broken_chain)
     with pytest.raises(GeneratorError, match="not provable"):
         generate_corpus("chain", 5, 0, str(tmp_path / "broken"))
+
+
+def test_neardup_verification_replays_every_proof(tmp_path, monkeypatch):
+    # the independent checker that `loop.prove_checked` calls rejects the
+    # third problem's proof: generation fails and names that problem
+    import proofbench.loop as loop
+
+    checked = []
+
+    def checker(proof, cs):
+        checked.append(proof)
+        return len(checked) < 3
+    monkeypatch.setattr(loop, "check_proof", checker)
+    with pytest.raises(loop.LoopInvariantError, match="prob_002"):
+        generate_corpus("neardup", 5, 0, str(tmp_path / "nd"))
+    assert len(checked) == 3
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -7,7 +7,7 @@ import pytest
 from proofbench import guidance
 from proofbench.clausify import ClauseSet, clausal_problem
 from proofbench.features import branch_features
-from proofbench.fol import App, Atom, Eq, Literal, Var, atom, const, make_clause
+from proofbench.fol import App, Atom, Eq, Literal, Var, make_clause
 from proofbench.guidance import (
     CONSULT_MAX_DEPTH, MIN_CANDIDATES, Advisor, ON_CLOSED_BRANCH,
     ON_FAILED_BRANCH, StateQuery, advise, measure_speedup, throttle_policy,

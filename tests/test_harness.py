@@ -14,7 +14,7 @@ from proofbench.harness import (
     run_reprove, run_traintest, together_count, verify_run,
 )
 from proofbench.loop import (
-    ClausalCache, LoopConfig, assemble_problem, pruned_problems,
+    ClausalCache, LoopConfig, assemble_problem, clause_set_builder,
 )
 from proofbench.models import evaluate, model_from_text
 from proofbench.parser import parse_problem_file
@@ -593,21 +593,23 @@ def test_challenge_builder_matches_problem_clausification(neardup, tmp_path):
         "fof(route_fact, axiom, c0 = c1).\n"
         "fof(flag_fact, axiom, flag_a(c1)).\n"
         "fof(goal_eq, conjecture, top(c1)).\n")
-    problems = [parse_problem_file(str(p)) for p in sorted(root.glob("*.p"))]
-    assert len({p.by_name("route_fact").formula for p in problems}) > 2
-    build = pruned_problems()
+    problems = {p.stem: parse_problem_file(str(p))
+                for p in sorted(root.glob("*.p"))}
+    assert len({p.by_name("route_fact").formula
+                for p in problems.values()}) > 2
+    build = clause_set_builder("challenge", problems.__getitem__)
     for k in range(13):             # rung-major, as `loop.walk_ladder` runs
-        for problem in problems:
+        for pid, problem in problems.items():
             axioms = [af for af in problem.formulas if af.role != "conjecture"]
             for chosen in (axioms[:k], axioms[k:]):
                 names = tuple(sorted(af.name for af in chosen))
-                assert build("p", problem, names) == clausal_problem(
+                assert build(pid, names) == clausal_problem(
                     Problem(tuple(chosen) + (problem.conjecture,)))
 
 
 def _built_clause_sets(monkeypatch, run) -> list:
     """Every clause set that `run()` builds, in order: each mode builds
-    through `assemble_problem`, bound in `loop` and in `harness`."""
+    through `loop.clause_set_builder`, which calls `loop.assemble_problem`."""
     built = []
 
     def recording(build):
@@ -617,8 +619,7 @@ def _built_clause_sets(monkeypatch, run) -> list:
         return record
 
     with monkeypatch.context() as m:
-        for mod in (loop, harness):
-            m.setattr(mod, "assemble_problem", recording(mod.assemble_problem))
+        m.setattr(loop, "assemble_problem", recording(loop.assemble_problem))
         run()
     return built
 

@@ -5,7 +5,9 @@ from proofbench.learner import (
     BayesModel, rank_premises, save_model, score, train_incremental,
 )
 
-from helpers import evaluate_selection, load_model, select_top, train_batch
+from helpers import (
+    atom, const, evaluate_selection, load_model, select_top, train_batch,
+)
 
 
 def test_single_example_counters():
@@ -167,7 +169,6 @@ class _GroupCorpus:
     """
 
     def __init__(self, groups, members):
-        from proofbench.fol import atom, const
         self.items = []
         for g in range(groups):
             self.items.append(_Item(f"b{g}", "conjecture",
@@ -199,7 +200,6 @@ def test_evaluate_selection_informative_groups():
 
 
 def test_evaluate_selection_random_features_near_baseline():
-    from proofbench.fol import atom, const
     rng = random.Random(6)
     items = [_Item("t0", "conjecture", atom("p0", const("c")), ())]
     for i in range(1, 30):

@@ -6,7 +6,7 @@ import pytest
 from proofbench import models
 from proofbench.fol import (
     FALSE, TRUE, And, App, Atom, Clause, Eq, Exists, Forall, Literal, Not, Or,
-    Var, atom, const, make_clause,
+    Var, make_clause,
 )
 from proofbench.models import (
     UNDEFINED, FiniteModel, ModelCheckError, ModelStore, ResourceError, evaluate,
@@ -14,7 +14,8 @@ from proofbench.models import (
 )
 
 from helpers import (
-    all_interpretations, brute_clause_eval, brute_eval, random_closed_formula,
+    all_interpretations, atom, brute_clause_eval, brute_eval, const,
+    random_closed_formula,
 )
 
 

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from proofbench.fol import (
-    And, Atom, Forall, Implies, Not, Or, ProblemError, Var, atom, const,
+    And, Atom, Forall, Implies, Not, Or, ProblemError, Var,
 )
 from proofbench.generator import generate_corpus
 from proofbench.parser import (
@@ -18,7 +18,9 @@ from proofbench.fol import (
     check_arities,
 )
 
-from helpers import alpha_equivalent, print_problem, random_closed_formula
+from helpers import (
+    alpha_equivalent, atom, const, print_problem, random_closed_formula,
+)
 
 
 def test_smallest_statement():

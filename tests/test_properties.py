@@ -6,15 +6,15 @@ from proofbench.clausify import nnf
 from proofbench.features import combine, symbol_features
 from proofbench.fol import (
     And, Atom, Eq, Exists, Forall, Iff, Implies, Literal, Not, Or, Var,
-    alpha_normal, app, atom, const, make_clause, symbols_of, universal_closure,
+    alpha_normal, make_clause, symbols_of, universal_closure,
 )
 from proofbench.models import UNDEFINED, FiniteModel, evaluate
 from proofbench.parser import parse_formula, print_formula
 from proofbench.prover import resolve_term
 
 from helpers import (
-    all_interpretations, alpha_equivalent, brute_clause_eval, clause_as_formula,
-    prop_equivalent, unify_terms, with_cells,
+    all_interpretations, alpha_equivalent, app, atom, brute_clause_eval,
+    clause_as_formula, const, prop_equivalent, unify_terms, with_cells,
 )
 
 SETTINGS = settings(max_examples=150, derandomize=True)

@@ -5,7 +5,7 @@ import pytest
 from proofbench.checker import check_proof
 from proofbench.clausify import ClauseSet, clausal_problem
 from proofbench.fol import (
-    App, Atom, Clause, Exists, Literal, Not, Var, atom, const, make_clause,
+    App, Atom, Clause, Exists, Literal, Not, Var, make_clause,
 )
 from proofbench.models import find_model
 from proofbench.parser import parse_problem
@@ -18,7 +18,7 @@ from proofbench.prover import (
 )
 
 from helpers import (
-    cell_literal, prop_clause_satisfiable, random_prop_clauses,
+    atom, cell_literal, const, prop_clause_satisfiable, random_prop_clauses,
     resolve_literal, unify_terms,
 )
 

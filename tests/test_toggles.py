@@ -1,10 +1,8 @@
-import math
-
 import pytest
 
 from proofbench.features import write_feature_cache
 from proofbench.guidance import Advisor
-from proofbench.learner import BayesModel, score, train_incremental
+from proofbench.learner import BayesModel, train_incremental
 from proofbench.prover import Limits
 
 
@@ -14,21 +12,6 @@ def test_limits_validation():
     with pytest.raises(ValueError):
         Limits(max_depth=0)
     Limits()   # all-default is fine
-
-
-def test_binarize_toggle_flattens_weights():
-    weighted = BayesModel()
-    binary = BayesModel(binarize=True)
-    feats = {"SYM:p": 5.0, "SYM:q": 2.0}
-    train_incremental(weighted, feats, {"ax"})
-    train_incremental(binary, feats, {"ax"})
-    assert weighted.cooccurrence[("ax", "SYM:p")] == 5.0
-    assert binary.cooccurrence[("ax", "SYM:p")] == 1.0
-    # binarized scoring also flattens the query weights
-    s = binary.sigma
-    expected = math.log((1 + s) / (1 + s)) + \
-        2 * math.log((1 + s) / (1 + 2 * s))
-    assert abs(score(binary, feats, "ax") - expected) < 1e-9
 
 
 def test_advisor_rejects_stale_snapshot():
