@@ -15,6 +15,7 @@ threshold, then switches to definitional naming of offending disjuncts
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .fol import (
@@ -242,7 +243,7 @@ class _Distributor:
         if isinstance(f, Or):
             parts = _flatten_or(f)
             counts = [clause_count_estimate(p) for p in parts]
-            if _product(counts) > self.threshold:
+            if math.prod(counts) > self.threshold:
                 # definitional mode: name every multi-clause disjunct
                 parts = [self.name_subformula(p) if c > 1 else p
                          for p, c in zip(parts, counts)]
@@ -257,13 +258,6 @@ def _flatten_or(f: Formula) -> list:
     if isinstance(f, Or):
         return _flatten_or(f.lhs) + _flatten_or(f.rhs)
     return [f]
-
-
-def _product(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 def _is_tautology(literals) -> bool:

@@ -32,8 +32,6 @@ class CorpusItem:
     role: str                      # axiom-like items are facts, never attempted
     formula: Formula
     reference_premises: tuple
-    path: str = ""
-    source_tag: str = ""
 
     def as_axiom(self) -> AnnotatedFormula:
         return AnnotatedFormula(self.name, "axiom", self.formula)
@@ -45,7 +43,6 @@ class CorpusItem:
 @dataclass
 class Corpus:
     items: list = field(default_factory=list)
-    root: str = ""
 
     def eligible(self, i: int) -> list:
         """Items usable as premises for item i: everything strictly earlier."""
@@ -97,10 +94,9 @@ def load_corpus(root: str) -> Corpus:
         except KeyError:
             raise CorpusError(f"{path}: no formula named {name!r}") from None
         role = "conjecture" if af.role == "conjecture" else "axiom"
-        items.append(CorpusItem(name, role, af.formula, tuple(refs),
-                                path=relpath, source_tag=relpath))
+        items.append(CorpusItem(name, role, af.formula, tuple(refs)))
     check_arities([item.as_axiom() for item in items])
-    return Corpus(items, root)
+    return Corpus(items)
 
 
 def load_split(path: str, corpus: Corpus) -> tuple:

@@ -8,14 +8,16 @@ origin).  Querying a learner is orders of magnitude slower than a tableau
 extension step, so a throttle restricts consultation to shallow, branchy
 choice points, and advice is memoized per model snapshot.
 
-Choices and their eventual outcomes (subtree closed or failed) are
-buffered as training records and flushed to a learner only between proof
-attempts, never mid-search.
+Learning is from proofs, as in MaLeCoP: when a search returns a proof,
+the prover reports the clause chosen at each of the proof's advised
+choice points, and each becomes a training record (branch symbols ->
+chosen clause's origin).  A search that finds no proof reports nothing.
+Records are flushed to a learner only between proof attempts, never
+mid-search.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,10 +26,6 @@ from .learner import BayesModel, score, train_incremental
 
 CONSULT_MAX_DEPTH = 3
 MIN_CANDIDATES = 3
-BUFFER_CAPACITY = 100000     # oldest records are dropped beyond this
-
-ON_CLOSED_BRANCH = "on_closed_branch"
-ON_FAILED_BRANCH = "on_failed_branch"
 
 
 class StateQuery(NamedTuple):
@@ -42,7 +40,6 @@ class Advice:
 class TrainingRecord(NamedTuple):
     query: StateQuery
     chosen: str
-    outcome: str
 
 
 def throttle_policy(depth: int, n_candidates: int) -> bool:
@@ -81,7 +78,7 @@ class Advisor:
         self.model = model
         self.record_only = record_only
         self.origins: dict = {}
-        self.buffer = deque(maxlen=BUFFER_CAPACITY)
+        self.buffer: list = []      # at most one record per proof step
         self._cache: dict = {}
         self._model_mark = self.model.snapshot_id()
 
@@ -111,24 +108,19 @@ class Advisor:
             self._cache[key] = order
         return list(order), query
 
-    def outcome(self, token, clause_id, closed: bool) -> None:
-        self.record(token, clause_id,
-                    ON_CLOSED_BRANCH if closed else ON_FAILED_BRANCH)
+    def outcome(self, token, clause_id) -> None:
+        """The returned proof took `clause_id` at the advised choice point
+        whose consult answered `token`."""
+        self.buffer.append(TrainingRecord(token, clause_id))
 
-    # -- training capture ----------------------------------------------------
-
-    def record(self, query: StateQuery, chosen: str, outcome: str) -> None:
-        self.buffer.append(TrainingRecord(query, chosen, outcome))
+    # -- training ------------------------------------------------------------
 
     def flush_to(self, model: BayesModel) -> int:
-        """Train one example per closed-branch record; returns examples
-        trained.  Failed branches are not trained as negative examples."""
-        trained = 0
+        """Train one example per buffered record; returns examples trained."""
+        trained = len(self.buffer)
         for rec in self.buffer:
-            if rec.outcome == ON_CLOSED_BRANCH:
-                label = self.origins.get(rec.chosen, rec.chosen)
-                train_incremental(model, dict(rec.query.branch_symbols), {label})
-                trained += 1
+            label = self.origins.get(rec.chosen, rec.chosen)
+            train_incremental(model, dict(rec.query.branch_symbols), {label})
         self.buffer.clear()
         return trained
 
@@ -151,11 +143,14 @@ def measure_speedup(problems, limits, train_count: int | None = None,
 
     `problems` is an ordered list of (problem_id, ClauseSet).  Phase one
     runs every problem with a record-only advisor (search order identical
-    to no advisor at all); records from the first `train_count` problems
-    train the guidance model.  Phase two reruns everything guided.  With
+    to no advisor at all), each proof replayed by the independent
+    checker; the proofs of the first `train_count` problems train the
+    guidance model.  Phase two reruns everything guided.  With
     training disabled the guidance model stays empty and advice degrades
     to input order, so every ratio is exactly 1.0.
     """
+    from .loop import prove_checked
+    from .models import DEFAULT_MAX_DOMAIN
     from .prover import PROVED, prove
 
     if train_count is None:
@@ -166,9 +161,9 @@ def measure_speedup(problems, limits, train_count: int | None = None,
     for idx, (pid, cs) in enumerate(problems):
         recorder = Advisor(BayesModel(), record_only=True)
         recorder.register_clauses(cs.clauses)
-        res = prove(cs, limits, advisor=recorder)
-        unguided[pid] = res
-        if training_enabled and idx < train_count and res.status == PROVED:
+        unguided[pid] = prove_checked(cs, limits, DEFAULT_MAX_DOMAIN, pid,
+                                      advisor=recorder)
+        if training_enabled and idx < train_count:
             recorder.flush_to(guide_model)
 
     rows = []

@@ -353,9 +353,10 @@ def walk_ladder(entries, config: LoopConfig, select, build, records: list,
     `clause_set_builder`, makes the clause set to prove.  Records under
     config `name` are appended to `records`; proved entries join
     `solved`, and `on_proved(name, record)` learns from them.  With
-    `guide_model`, an advisor consults it during each search and gives
-    back what it saw.  Stops when the shared `budget_left` runs out;
-    returns (inferences spent, whether it ran out).
+    `guide_model`, an advisor consults it during each search, and the
+    advised choice points of each checked proof train it.  Stops when the
+    shared `budget_left` runs out; returns (inferences spent, whether it
+    ran out).
     """
     spent = 0
     for rung_idx, k in enumerate(config.axiom_ladder):

@@ -5,7 +5,10 @@ tableau, extension steps attach a renamed input clause through a
 complementary unifiable literal, reduction steps close a goal against a
 complementary path literal.  Search deepens on path length 1, 2, 3, ...
 Without an advisor the search order is fixed by input clause order and
-literal index, so identical inputs give identical statistics.  No
+literal index, so identical inputs give identical statistics.  An
+advisor may reorder the extension candidates of a choice point; when
+the search returns a proof, it tells the advisor which clause each of
+the proof's advised choice points took, and nothing else.  No
 literal repeats on a branch (regularity), and backtracking is complete:
 the search uses neither lemmata nor restricted backtracking.
 
@@ -350,14 +353,6 @@ class _Budget(Exception):
     """The inference budget ran out."""
 
 
-class _Marker:
-    """Agenda sentinel: popping it means the advised goal's subtree closed."""
-    __slots__ = ("armed",)
-
-    def __init__(self):
-        self.armed = False
-
-
 class _Choice:
     """The choice point of one goal: where its agenda node was, what to
     undo to, and which alternative comes next.  Reductions count `pos`
@@ -365,7 +360,7 @@ class _Choice:
     `complement` key; then `exts` (set once the reductions are spent) are
     tried from index `next`."""
     __slots__ = ("goal", "path", "keys", "rest", "mark", "steps_mark", "base",
-                 "pos", "exts", "next", "token", "marker", "clause_id",
+                 "pos", "exts", "next", "token", "clause_id",
                  "new_path", "new_keys")
 
     def __init__(self, node, mark, steps_mark, base):
@@ -386,10 +381,10 @@ class _Search:
     """Clausal connection tableaux over an explicit choice-point stack.
 
     The agenda of open goals is an immutable linked list of nodes
-    `(goal, path, keys, next)` (or `(_Marker, None, None, next)`); bit `k`
-    of `keys` is set iff a literal of `path` has key `k`.  Cells come from
-    a pool whose top returns to a choice point's `base` when the search
-    backtracks into it, so each pool cell is built once per search.
+    `(goal, path, keys, next)`; bit `k` of `keys` is set iff a literal of
+    `path` has key `k`.  Cells come from a pool whose top returns to a
+    choice point's `base` when the search backtracks into it, so each
+    pool cell is built once per search.
     """
 
     def __init__(self, clause_set: ClauseSet, limits: Limits, advisor=None):
@@ -441,9 +436,9 @@ class _Search:
         rank = {cid: i for i, cid in enumerate(order)}
         return sorted(exts, key=lambda e: (rank.get(e[2], len(rank)), e[1])), token
 
-    def report_outcome(self, token, clause_id, closed):
+    def report_outcome(self, token, clause_id):
         try:
-            self.advisor.outcome(token, clause_id, closed)
+            self.advisor.outcome(token, clause_id)
         except Exception:
             self.stats.advisor_errors += 1
 
@@ -471,8 +466,6 @@ class _Search:
                 self.cutoff = True
                 return _FAIL
             cp.exts, cp.token = self.candidates_for(goal, path)
-            # only an advised choice point learns whether its subtree closed
-            cp.marker = _Marker() if cp.token is not None else None
             cp.new_path = path + (goal,)
             cp.new_keys = cp.keys | 1 << lit.key
             cp.next = 0
@@ -494,9 +487,6 @@ class _Search:
             self.steps.append(step)
             cp.clause_id = clause_id
             node = cp.rest
-            if cp.marker is not None:
-                cp.marker.armed = False
-                node = (cp.marker, None, None, node)
             for g in reversed(goals):
                 node = (g, new_path, new_keys, node)
             self.top = base + nvars
@@ -510,14 +500,11 @@ class _Search:
         trail, steps = self.trail, self.steps
         stack: list = []
         while True:
-            while node is not None and type(node[0]) is _Marker:
-                node[0].armed = True
-                node = node[3]
             if node is None:
-                # innermost first, as the closed subtrees return
+                # the proof's advised choice points, innermost first
                 for cp in reversed(stack):
                     if cp.token is not None:
-                        self.report_outcome(cp.token, cp.clause_id, True)
+                        self.report_outcome(cp.token, cp.clause_id)
                 return True
             goal, path, keys, _rest = node
             if len(path) < self.depth_limit or keys >> goal[0].complement & 1:
@@ -532,8 +519,6 @@ class _Search:
                 if not stack:
                     return False
                 cp = stack[-1]
-                if cp.token is not None:
-                    self.report_outcome(cp.token, cp.clause_id, cp.marker.armed)
                 _undo(trail, cp.mark)
                 del steps[cp.steps_mark:]
                 node = self.advance(cp)

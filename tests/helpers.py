@@ -15,7 +15,7 @@ import random
 
 from proofbench.fol import (
     BINARY, QUANT, And, App, Atom, Clause, Eq, Exists, FALSE, FalseF, Forall,
-    Iff, Implies, Literal, Not, Or, TRUE, TrueF, Var, alpha_normal,
+    Iff, Implies, Literal, Not, Or, TrueF, Var, alpha_normal,
     make_clause, universal_closure,
 )
 from proofbench.features import combine, symbol_features

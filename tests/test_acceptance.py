@@ -5,7 +5,6 @@ lines.  Golden counts for the bundled corpus live in tests/golden/ and
 were recorded by the first verified run; the tests regenerate everything
 from seed and compare.
 """
-import itertools
 import json
 import math
 import os
@@ -21,8 +20,8 @@ from proofbench.features import semantic_features
 from proofbench.fol import Literal, Var, make_clause
 from proofbench.generator import generate_corpus
 from proofbench.harness import (
-    ExperimentSpec, report, run_challenge, run_library, run_reprove,
-    run_traintest, together_count, verify_run,
+    ExperimentSpec, report, run_library, run_reprove, together_count,
+    verify_run,
 )
 from proofbench.learner import (
     BayesModel, rank_premises, score, train_incremental,

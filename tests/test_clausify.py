@@ -1,20 +1,20 @@
 import random
 
 from proofbench.clausify import (
-    ClausalForm, clausal_problem, clause_count_estimate, cnf, equality_axioms,
-    miniscope, nnf, skolemize, uses_equality,
+    clausal_problem, clause_count_estimate, cnf, equality_axioms, nnf,
+    skolemize,
 )
 from proofbench.fol import (
-    And, AnnotatedFormula, App, Atom, Eq, Exists, Forall, Iff, Implies,
-    Literal, Not, Or, Var, make_problem, symbols_of,
+    And, App, Atom, Eq, Exists, Forall, Iff, Implies, Literal, Not, Or, Var,
+    symbols_of,
 )
-from proofbench.parser import parse_formula, parse_problem
+from proofbench.parser import parse_problem
 
 from helpers import (
     alpha_equivalent, atom, brute_clauses_have_model, brute_has_model,
     clause_as_formula, clause_by_id, disj, print_clause,
     prop_clause_satisfiable, prop_equivalent, random_closed_formula,
-    random_prop_clauses, rename_bound_vars, subformulas,
+    rename_bound_vars, subformulas,
 )
 
 

@@ -3,7 +3,7 @@ import os
 import pytest
 
 from proofbench.corpus import (
-    Corpus, CorpusError, load_corpus, load_split, write_manifest,
+    CorpusError, load_corpus, load_split, write_manifest,
 )
 
 

@@ -19,10 +19,15 @@ References are resolved through the syntax tree of `src/` and
   string in perfbench counts.
 
 What only the tests call lives in `tests/helpers.py`.
+
+Every name an import binds in the package or in `tests/` is also read
+there, except on a line marked `# noqa` (bare or naming F401, as flake8
+reads it): `harness` binds names for perfbench's tracer to wrap.
 """
 import ast
 import glob
 import os
+import re
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 PACKAGE = sorted(glob.glob(os.path.join(ROOT, "src", "proofbench", "*.py")))
@@ -30,6 +35,7 @@ PERFBENCH = sorted(
     p for p in glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
     if not os.path.basename(p).startswith("test_"))
 PROGRAM = PACKAGE + PERFBENCH
+TESTS = sorted(glob.glob(os.path.join(ROOT, "tests", "*.py")))
 
 # qualified name -> why it stays without a caller
 ALLOWED: dict = {
@@ -183,3 +189,29 @@ def test_every_public_function_has_a_caller_in_the_program():
     assert sorted(uncalled - set(ALLOWED)) == []
     # an exception that gained a caller, or went away, leaves the list
     assert sorted(set(ALLOWED) - uncalled) == []
+
+
+def _unused_imports(path: str) -> list:
+    """`file:line name` for each name an import in `path` binds and no
+    expression of the module reads."""
+    text = _read(path)
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    unused = []
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or getattr(node, "module", None) == "__future__"
+                or any(re.search(r"# noqa(?!:)|# noqa:.*\bF401\b", line)
+                       for line in lines[node.lineno - 1:node.end_lineno])):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                unused.append(f"{os.path.relpath(path, ROOT)}:{node.lineno} {name}")
+    return unused
+
+
+def test_every_import_is_used():
+    assert [u for path in PACKAGE + TESTS for u in _unused_imports(path)] == []

@@ -4,7 +4,7 @@ import pytest
 
 from proofbench.fol import (
     And, AnnotatedFormula, App, ArityError, Atom, DuplicateNameError, Eq,
-    Exists, Forall, Implies, Literal, MultipleConjecturesError, Not, Or, Var,
+    Exists, Forall, Implies, Literal, MultipleConjecturesError, Or, Var,
     alpha_normal, free_vars_ordered, make_clause, make_problem, subst_formula,
     symbols_of, universal_closure,
 )

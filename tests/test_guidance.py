@@ -4,17 +4,19 @@ import random
 
 import pytest
 
-from proofbench import guidance
-from proofbench.clausify import ClauseSet, clausal_problem
+from proofbench import loop
+from proofbench.clausify import clausal_problem
 from proofbench.features import branch_features
-from proofbench.fol import App, Atom, Eq, Literal, Var, make_clause
+from proofbench.fol import App, Atom, Eq, Literal, Var
 from proofbench.guidance import (
-    CONSULT_MAX_DEPTH, MIN_CANDIDATES, Advisor, ON_CLOSED_BRANCH,
-    ON_FAILED_BRANCH, StateQuery, advise, measure_speedup, throttle_policy,
+    CONSULT_MAX_DEPTH, MIN_CANDIDATES, Advisor, StateQuery, advise,
+    measure_speedup, throttle_policy,
 )
 from proofbench.learner import BayesModel, train_incremental
 from proofbench.parser import parse_problem
-from proofbench.prover import _Cell, _symbols, Limits, PROVED, prove
+from proofbench.prover import (
+    _Cell, _symbols, ExtensionStep, INFERENCE_LIMIT, Limits, PROVED, prove,
+)
 
 from helpers import (
     cell_literal, goals_of, resolved_branch_features, unify_terms, with_cells,
@@ -206,24 +208,15 @@ def test_search_walks_the_branch_only_for_consults_the_throttle_passes():
 def test_record_and_flush_counts():
     advisor = Advisor(BayesModel())
     advisor.origins = {"c1": "ax1"}
-    q = _query([("SYM:p", 2.0)])
-    advisor.record(q, "c1", ON_CLOSED_BRANCH)
-    advisor.record(q, "c1", ON_FAILED_BRANCH)
+    advisor.outcome(_query([("SYM:p", 2.0)]), "c1")
+    advisor.outcome(_query([("SYM:q", 1.0)]), "c2")     # no origin: its own label
     target = BayesModel()
     trained = advisor.flush_to(target)
-    assert trained == 1
-    assert target.label_count == {"ax1": 1.0}
-    assert target.cooccurrence == {("ax1", "SYM:p"): 2.0}
-    assert list(advisor.buffer) == []
+    assert trained == 2
+    assert target.label_count == {"ax1": 1.0, "c2": 1.0}
+    assert target.cooccurrence == {("ax1", "SYM:p"): 2.0, ("c2", "SYM:q"): 1.0}
+    assert advisor.buffer == []
     assert advisor.flush_to(target) == 0
-
-
-def test_buffer_overflow_drops_oldest(monkeypatch):
-    monkeypatch.setattr(guidance, "BUFFER_CAPACITY", 2)
-    advisor = Advisor(BayesModel())
-    for i in range(4):
-        advisor.record(_query(), f"c{i}", ON_CLOSED_BRANCH)
-    assert [r.chosen for r in advisor.buffer] == ["c2", "c3"]
 
 
 def test_advisor_failure_degrades_to_input_order():
@@ -285,7 +278,7 @@ def test_record_only_advisor_keeps_search_identical():
     recorded = prove(cs1, Limits(max_depth=6), advisor=recorder)
     assert recorded.stats.inferences == plain.stats.inferences
     assert recorded.proof == plain.proof
-    assert any(r.outcome == ON_CLOSED_BRANCH for r in recorder.buffer)
+    assert recorder.buffer
 
 
 def _neardup_problems(tmp_path, size):
@@ -302,6 +295,43 @@ def _neardup_problems(tmp_path, size):
             out.append((fn[:-2],
                         clausal_problem(parse_problem_file(os.path.join(root, fn)))))
     return out
+
+
+def test_advisor_learns_only_the_returned_proofs_choices(tmp_path):
+    # r1 and r2 are tried at g(c) and fail before r3 closes it; a search
+    # cut short by its budget returns no proof, so it teaches nothing
+    problems = [("g", clausal_problem(parse_problem("""
+    fof(r1, axiom, ![X]: (a(X) => g(X))).
+    fof(r2, axiom, ![X]: (b(X) => g(X))).
+    fof(r3, axiom, ![X]: (m(X) => g(X))).
+    fof(f1, axiom, m(c)).
+    fof(goal, conjecture, g(c)).
+    """)))] + _neardup_problems(tmp_path, 6)
+    for _pid, cs in problems:
+        recorder = Advisor(BayesModel(), record_only=True)
+        recorder.register_clauses(cs.clauses)
+        res = prove(cs, Limits(inference_budget=50000, max_depth=10),
+                    advisor=recorder)
+        assert res.status == PROVED
+        taken = [s.clause_id for s in res.proof.steps
+                 if isinstance(s, ExtensionStep)]
+        assert recorder.buffer
+        assert len(recorder.buffer) <= len(taken)
+        assert all(r.chosen in taken for r in recorder.buffer)
+
+        cut = Advisor(BayesModel(), record_only=True)
+        cut.register_clauses(cs.clauses)
+        short = prove(cs, Limits(inference_budget=res.stats.inferences - 1,
+                                 max_depth=10), advisor=cut)
+        assert short.status == INFERENCE_LIMIT
+        assert cut.flush_to(BayesModel()) == 0
+
+
+def test_measure_speedup_trains_only_on_checked_proofs(tmp_path, monkeypatch):
+    problems = _neardup_problems(tmp_path, 4)
+    monkeypatch.setattr(loop, "check_proof", lambda proof, cs: False)
+    with pytest.raises(loop.LoopInvariantError, match="failed independent checking"):
+        measure_speedup(problems, Limits(inference_budget=50000, max_depth=10))
 
 
 def test_measure_speedup_reports_and_disabled_training_is_exact_unity(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from proofbench.checker import check_proof
 from proofbench.clausify import ClauseSet, clausal_problem
 from proofbench.fol import (
-    App, Atom, Clause, Exists, Literal, Not, Var, make_clause,
+    App, Atom, Clause, Literal, Var, make_clause,
 )
 from proofbench.models import find_model
 from proofbench.parser import parse_problem

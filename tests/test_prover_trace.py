@@ -1,10 +1,11 @@
 """The prover's exact search, locked against a recorded trace.
 
 Search order is a contract: inference counts feed every budget, report
-and benchmark digest, and the advisor learns from the outcomes it is
-told.  `golden/prover_trace.json` holds, for fixed inputs, what each
-`prove()` call returned, the `(clause id, closed)` outcomes an advisor
-received and the queries a record-only advisor buffered.  A change that
+and benchmark digest, and the advisor learns from the proof's choices it
+is told.  `golden/prover_trace.json` holds, for fixed inputs, what each
+`prove()` call returned, the clause ids an advisor was told the returned
+proof took at its advised choice points, and the queries a record-only
+advisor buffered.  A change that
 alters any of them changes the search or what the advisor learns.
 
 Re-record (only for a deliberate search change) with
@@ -26,7 +27,7 @@ from proofbench.corpus import load_corpus  # noqa: E402
 from proofbench.fol import make_problem  # noqa: E402
 from proofbench.guidance import Advisor  # noqa: E402
 from proofbench.learner import BayesModel  # noqa: E402
-from proofbench.prover import PROVED, Limits, proof_to_text, prove  # noqa: E402
+from proofbench.prover import Limits, proof_to_text, prove  # noqa: E402
 
 from helpers import random_prop_clauses  # noqa: E402
 
@@ -89,9 +90,9 @@ class _LoggingAdvisor(Advisor):
         super().__init__(model, record_only)
         self.outcomes: list = []
 
-    def outcome(self, token, clause_id, closed):
-        self.outcomes.append(f"{clause_id} {'closed' if closed else 'failed'}")
-        super().outcome(token, clause_id, closed)
+    def outcome(self, token, clause_id):
+        self.outcomes.append(clause_id)
+        super().outcome(token, clause_id)
 
 
 def _advised_runs(problems, limits, out: dict, queries: dict, tag: str) -> None:
@@ -107,8 +108,7 @@ def _advised_runs(problems, limits, out: dict, queries: dict, tag: str) -> None:
         queries[f"{tag}:record:{pid}"] = [
             " ".join(f"{fid}:{w!r}" for fid, w in r.query.branch_symbols)
             for r in rec.buffer]
-        if res.status == PROVED:
-            rec.flush_to(guide)
+        rec.flush_to(guide)
         out[f"{tag}:record:{pid}"] = dict(_facts(res), outcomes=rec.outcomes)
     for pid, cs in problems:
         adv = _LoggingAdvisor(guide)
