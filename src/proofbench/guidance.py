@@ -142,12 +142,12 @@ def measure_speedup(problems, limits, train_count: int | None = None,
     """Per-problem inference counts unguided vs guided, plus geometric mean.
 
     `problems` is an ordered list of (problem_id, ClauseSet).  Phase one
-    runs every problem with a record-only advisor (search order identical
-    to no advisor at all), each proof replayed by the independent
-    checker; the proofs of the first `train_count` problems train the
-    guidance model.  Phase two reruns everything guided.  With
-    training disabled the guidance model stays empty and advice degrades
-    to input order, so every ratio is exactly 1.0.
+    runs every problem unguided, each proof replayed by the independent
+    checker; the first `train_count` problems run with a record-only
+    advisor (search order identical to no advisor at all), and their
+    proofs train the guidance model.  Phase two reruns everything
+    guided.  With training disabled the guidance model stays empty and
+    advice degrades to input order, so every ratio is exactly 1.0.
     """
     from .loop import prove_checked
     from .models import DEFAULT_MAX_DOMAIN
@@ -159,11 +159,13 @@ def measure_speedup(problems, limits, train_count: int | None = None,
     guide_model = BayesModel()
     unguided: dict = {}
     for idx, (pid, cs) in enumerate(problems):
-        recorder = Advisor(BayesModel(), record_only=True)
-        recorder.register_clauses(cs.clauses)
+        recorder = None
+        if training_enabled and idx < train_count:
+            recorder = Advisor(BayesModel(), record_only=True)
+            recorder.register_clauses(cs.clauses)
         unguided[pid] = prove_checked(cs, limits, DEFAULT_MAX_DOMAIN, pid,
                                       advisor=recorder)
-        if training_enabled and idx < train_count:
+        if recorder is not None:
             recorder.flush_to(guide_model)
 
     rows = []

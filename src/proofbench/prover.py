@@ -21,9 +21,15 @@ holds its binding, and undoing the trail clears the slots.  Input
 clauses are compiled once per search into templates.  An extension
 attempt skips a candidate whose template clashes with the goal on an
 argument's top symbol, unifies the goal with the template itself, and
-instantiates the clause's other literals only once that succeeds.
-Proof normalization replays the steps through the same unifier.  No
-step recurses, so a wide clause or a deep term costs heap, not stack.
+instantiates the clause's other literals only once that succeeds.  The
+template's cells are fresh, so until the unification binds a cell of
+the goal, a template variable met unbound is bound with no occurs
+check; every other binding, and every reduction, runs the check.
+Regularity compares a new goal with a path literal of its sign and
+predicate through the first argument pair, and compares the whole
+literal only when those agree.  Proof normalization replays the steps
+through the same unifier.  No step recurses, so a wide clause or a
+deep term costs heap, not stack.
 
 An inference is one extension or reduction attempt, including failed
 unifications and clashes; this is the resource unit all budgets and
@@ -31,6 +37,7 @@ reports use.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -182,13 +189,23 @@ def _unify(todo: list, trail: list, pool=None, base: int = 0) -> bool:
     """Unify the pairs on `todo`, last first, argument pairs left to right.
     A pair's second term may be a template (below), its slots at
     `pool[base:]`, instantiated only where a cell is bound to it.
-    Bindings made before a failure stay on the trail."""
+    Bindings made before a failure stay on the trail.
+
+    The slots start unbound, and no first term reaches them.  That stays
+    so until a cell of the first terms is bound, so up to then a slot met
+    unbound through its index is bound without an occurs check: the term
+    cannot contain it.  Every other binding is checked."""
+    fresh = True                # no first-term cell bound yet
     while todo:
         a, b = todo.pop()
         while type(a) is _Cell and a.ref is not None:
             a = a.ref
         if type(b) is int:
             b = pool[base + b]
+            if fresh and b.ref is None and type(a) is not _Cell:
+                b.ref = a
+                trail.append(b)
+                continue
         while type(b) is _Cell and b.ref is not None:
             b = b.ref
         if a is b:
@@ -200,6 +217,7 @@ def _unify(todo: list, trail: list, pool=None, base: int = 0) -> bool:
                 return False
             a.ref = b
             trail.append(a)
+            fresh = False
         elif type(b) is _Cell:
             if a.args and _occurs(b, a):
                 return False
@@ -390,6 +408,8 @@ class _Search:
     def __init__(self, clause_set: ClauseSet, limits: Limits, advisor=None):
         clauses = list(clause_set.clauses)
         self.limits = limits
+        self.budget = (math.inf if limits.inference_budget is None
+                       else limits.inference_budget)
         self.advisor = advisor
         self.stats = Stats()
         self.compiled, self.index = _compile(clauses)
@@ -405,12 +425,6 @@ class _Search:
         self.cutoff = False
 
     # -- bookkeeping --------------------------------------------------------
-
-    def charge(self):
-        lim = self.limits
-        if lim.inference_budget is not None and self.stats.inferences >= lim.inference_budget:
-            raise _Budget
-        self.stats.inferences += 1
 
     def reserve(self, top: int) -> list:
         """The cell pool, grown to at least `top` cells."""
@@ -448,15 +462,18 @@ class _Search:
         """Apply `cp`'s next alternative that succeeds and return the agenda
         after it, or `_FAIL` when none is left.  Reductions come first,
         innermost path literal first, then regular extensions.  Every
-        attempt is charged, also one whose arguments clash on sight."""
-        trail = self.trail
+        attempt is charged against the budget, also one whose arguments
+        clash on sight."""
+        trail, stats, budget = self.trail, self.stats, self.budget
         goal, path = cp.goal, cp.path
         lit, args = goal
         while cp.pos >= 0:
             cp.pos -= 1
             plit, pargs = path[cp.pos + 1]
             if plit.key == lit.complement:
-                self.charge()
+                if stats.inferences >= budget:
+                    raise _Budget
+                stats.inferences += 1
                 if _unify_args(args, pargs, trail):
                     self.steps.append(("red", cp.pos + 1))
                     self.top = cp.base
@@ -470,28 +487,33 @@ class _Search:
             cp.new_keys = cp.keys | 1 << lit.key
             cp.next = 0
         exts, new_path, new_keys, base = cp.exts, cp.new_path, cp.new_keys, cp.base
+        pool = self.pool
         for i in range(cp.next, len(exts)):
             step, _li, clause_id, nvars, t, lits = exts[i]
-            self.charge()
-            if _clashes(args, t.tops):
+            if stats.inferences >= budget:
+                raise _Budget
+            stats.inferences += 1
+            if t.tops and _clashes(args, t.tops):
                 continue
-            pool = self.reserve(base + nvars)
+            if len(pool) < base + nvars:
+                self.reserve(base + nvars)
             if not _unify_args(args, t.args, trail, pool, base):
                 continue
             goals = [(o, _instance_args(o.args, pool, base))
                      for o in lits if o is not t]
-            if any(new_keys >> g[0].key & 1 and _on_branch(g, new_path)
-                   for g in goals):
-                _undo(trail, cp.mark)
-                continue
-            self.steps.append(step)
-            cp.clause_id = clause_id
-            node = cp.rest
-            for g in reversed(goals):
-                node = (g, new_path, new_keys, node)
-            self.top = base + nvars
-            cp.next = i + 1
-            return node
+            for g in goals:
+                if new_keys >> g[0].key & 1 and _on_branch(g, new_path):
+                    _undo(trail, cp.mark)
+                    break
+            else:               # every new goal is regular
+                self.steps.append(step)
+                cp.clause_id = clause_id
+                node = cp.rest
+                for g in reversed(goals):
+                    node = (g, new_path, new_keys, node)
+                self.top = base + nvars
+                cp.next = i + 1
+                return node
         return _FAIL
 
     def solve(self, node) -> bool:
@@ -547,10 +569,31 @@ class _Search:
 
 
 def _on_branch(goal, path) -> bool:
-    """Whether `goal` repeats a literal of `path` (regularity)."""
+    """Whether `goal` repeats a literal of `path` (regularity).  The first
+    argument pair decides most path literals with the goal's `regular`:
+    two different cells, or a cell and a term, or two different top
+    symbols, are not identical.  Only a path literal whose first argument
+    agrees goes on to `_identical`."""
     lit, args = goal
+    regular = lit.regular
+    if not args:            # a nullary literal is its `regular`
+        for plit, _pargs in path:
+            if plit.regular == regular:
+                return True
+        return False
+    a = args[0]
+    while type(a) is _Cell and a.ref is not None:
+        a = a.ref
     for plit, pargs in path:
-        if plit.regular == lit.regular and _identical(args, pargs):
+        if plit.regular != regular:
+            continue
+        b = pargs[0]
+        while type(b) is _Cell and b.ref is not None:
+            b = b.ref
+        if a is not b and (type(a) is _Cell or type(b) is _Cell
+                           or a.symbol != b.symbol):
+            continue
+        if _identical(args, pargs):
             return True
     return False
 

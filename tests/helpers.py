@@ -23,7 +23,7 @@ from proofbench.learner import (
     SIGMA_DEFAULT, BayesModel, rank_premises, train_incremental,
 )
 from proofbench.parser import _print_symbol, print_formula, print_literal
-from proofbench.prover import _Cell, _Lit, _unify, resolve_term
+from proofbench.prover import _Cell, _deref, _Lit, _unify, resolve_term
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +373,36 @@ def unify_terms(a, b, trail: list) -> bool:
     """The prover's unifier on one term pair of cell terms; bindings made
     before a failure stay on the trail."""
     return _unify([(a, b)], trail)
+
+
+def _occurs_in(cell: _Cell, t) -> bool:
+    t = _deref(t)
+    return t is cell or isinstance(t, App) and any(_occurs_in(cell, a) for a in t.args)
+
+
+def reference_unify(pairs, trail: list) -> bool:
+    """Robinson unification of cell-term pairs, left to right and depth
+    first, that runs the occurs check on every binding.  Like the prover,
+    it binds the first term of a pair when that is an unbound cell, so on
+    success both leave the same bindings.  Bindings made before a failure
+    stay on the trail."""
+    todo = list(reversed(pairs))
+    while todo:
+        a, b = todo.pop()
+        a, b = _deref(a), _deref(b)
+        if a is b:
+            continue
+        if isinstance(a, _Cell) or isinstance(b, _Cell):
+            cell, term = (a, b) if isinstance(a, _Cell) else (b, a)
+            if _occurs_in(cell, term):
+                return False
+            cell.ref = term
+            trail.append(cell)
+        elif a.symbol != b.symbol or len(a.args) != len(b.args):
+            return False
+        else:
+            todo.extend(reversed(list(zip(a.args, b.args))))
+    return True
 
 
 def with_cells(t, cells: dict, tag: str = ""):

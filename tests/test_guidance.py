@@ -334,6 +334,38 @@ def test_measure_speedup_trains_only_on_checked_proofs(tmp_path, monkeypatch):
         measure_speedup(problems, Limits(inference_budget=50000, max_depth=10))
 
 
+def test_measure_speedup_records_only_the_problems_it_trains_on(tmp_path,
+                                                              monkeypatch):
+    problems = _neardup_problems(tmp_path, 8)
+    limits = Limits(inference_budget=50000, max_depth=10)
+    prove_checked = loop.prove_checked
+    advisors = {}
+
+    def logged(cs, limits, max_domain, pid, advisor=None):
+        advisors[pid] = advisor
+        return prove_checked(cs, limits, max_domain, pid, advisor)
+
+    def recording_all(cs, limits, max_domain, pid, advisor=None):
+        if advisor is None:
+            advisor = Advisor(BayesModel(), record_only=True)
+            advisor.register_clauses(cs.clauses)
+        return prove_checked(cs, limits, max_domain, pid, advisor)
+
+    monkeypatch.setattr(loop, "prove_checked", logged)
+    out = measure_speedup(problems, limits, train_count=3)
+    assert [advisors[pid] is not None for pid, _cs in problems] \
+        == [True] * 3 + [False] * 5
+    assert all(advisors[pid].record_only for pid, _cs in problems[:3])
+    measure_speedup(problems, limits, train_count=3, training_enabled=False)
+    assert all(a is None for a in advisors.values())
+
+    # a record-only advisor on every problem, as phase one once ran
+    monkeypatch.setattr(loop, "prove_checked", recording_all)
+    everywhere = measure_speedup(problems, limits, train_count=3)
+    assert out["rows"] == everywhere["rows"]
+    assert out["trained_examples"] == everywhere["trained_examples"]
+
+
 def test_measure_speedup_reports_and_disabled_training_is_exact_unity(tmp_path):
     problems = _neardup_problems(tmp_path, 12)
     limits = Limits(inference_budget=50000, max_depth=10)

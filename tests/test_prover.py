@@ -13,13 +13,13 @@ from proofbench import prover
 from proofbench.prover import (
     COUNTER_SATISFIABLE, INFERENCE_LIMIT, ExtensionStep, Limits, PROVED,
     ProofObject, ProverError, ReductionStep, StartStep, _Cell, _clashes,
-    _deref, _occurs, _unify_args, proof_from_text, proof_to_text, prove,
-    resolve_term,
+    _compile, _deref, _identical, _Lit, _occurs, _on_branch, _unify_args,
+    proof_from_text, proof_to_text, prove, resolve_term,
 )
 
 from helpers import (
     atom, cell_literal, const, prop_clause_satisfiable, random_prop_clauses,
-    resolve_literal, unify_terms,
+    reference_unify, resolve_literal, unify_terms, with_cells,
 )
 
 
@@ -339,6 +339,142 @@ def test_unifier_on_deep_terms():
     assert not unify_terms(x, _tower(n, x), [])
     assert not unify_terms(_tower(n, x), x, [])
     assert x.ref is None
+
+
+def _small_term(rng, names, depth=3):
+    """A random term over variables `names`, with f/1, g/2 and constants."""
+    r = rng.random()
+    if depth == 0 or r < 0.4:
+        return Var(rng.choice(names)) if rng.random() < 0.75 else const(rng.choice("ab"))
+    if r < 0.7:
+        return App("f", (_small_term(rng, names, depth - 1),))
+    return App("g", (_small_term(rng, names, depth - 1),
+                     _small_term(rng, names, depth - 1)))
+
+
+def _unify_with_template(goal_args, template_args, prebound, unify):
+    """Unify goal arguments, over variables A, B, ... with the bindings
+    `prebound` made beforehand, with a template literal's arguments.  With
+    `unify` None this is the search's extension: the template is compiled
+    as the search compiles it and its slots follow the goal's cells in the
+    pool.  Otherwise `unify(pairs, trail)` gets the template instantiated
+    up front.  Returns whether it succeeded and every variable's cell."""
+    goal_cells: dict = {}
+    args = tuple(with_cells(a, goal_cells) for a in goal_args)
+    for name, term in prebound:
+        with_cells(Var(name), goal_cells).ref = with_cells(term, goal_cells)
+    trail: list = []
+    if unify is None:
+        clause = Clause((Literal(True, atom("p", *template_args)),), "t", "t_0")
+        (names, (lit,)), = _compile([clause])[0]
+        pool = list(goal_cells.values()) + [_Cell(name) for name in names]
+        ok = _unify_args(args, lit.args, trail, pool, len(goal_cells))
+        cells = pool
+    else:
+        slot_cells: dict = {}
+        targs = tuple(with_cells(a, slot_cells) for a in template_args)
+        ok = unify(list(zip(args, targs)), trail)
+        cells = list(goal_cells.values()) + list(slot_cells.values())
+    return ok, cells
+
+
+def _agrees_with_reference(goal_args, template_args, prebound=()):
+    ok, cells = _unify_with_template(goal_args, template_args, prebound, None)
+    ref_ok, ref_cells = _unify_with_template(goal_args, template_args, prebound,
+                                             reference_unify)
+    # compared before anything is resolved: a binding cycle never resolves
+    assert ok == ref_ok
+    if ok:
+        assert {c.name: resolve_term(c) for c in cells} \
+            == {c.name: resolve_term(c) for c in ref_cells}
+    return ok
+
+
+def test_unifier_agrees_with_an_always_checking_reference():
+    A, X = Var("A"), Var("X")
+    f = lambda t: App("f", (t,))
+    # a goal-side cell bound during the unification leads back to a slot
+    assert not _agrees_with_reference((A, f(A)), (X, X))
+    assert not _agrees_with_reference((f(A), A), (X, X))
+    assert not _agrees_with_reference((A, A), (X, f(X)))
+    assert _agrees_with_reference((f(A), f(A)), (X, X))
+    rng = random.Random(20)
+    goal_names, template_names = ("A", "B", "C"), ("X", "Y", "Z")
+    outcomes = set()
+    for _ in range(3000):
+        arity = rng.randint(1, 3)
+        goal_args = [_small_term(rng, goal_names) for _ in range(arity)]
+        template_args = [_small_term(rng, template_names) for _ in range(arity)]
+        # each of A, B may be bound beforehand, to a term over later names
+        prebound = [(name, _small_term(rng, goal_names[i + 1:], 2))
+                    for i, name in enumerate(goal_names[:-1]) if rng.random() < 0.3]
+        outcomes.add(_agrees_with_reference(goal_args, template_args, prebound))
+    assert outcomes == {True, False}
+
+
+def _goal(regular, args):
+    lit = _Lit()
+    lit.regular = regular
+    return (lit, tuple(args))
+
+
+def _brute_on_branch(goal, path):
+    lit, args = goal
+    return any(plit.regular == lit.regular and _identical(args, pargs)
+               for plit, pargs in path)
+
+
+def test_regularity_filter_agrees_with_a_brute_force_scan():
+    a, b = const("a"), const("b")
+    f = lambda *ts: App("f", ts)
+    X, Y, Z = _Cell("X"), _Cell("Y"), _Cell("Z")
+    X.ref, Z.ref = f(a), Y
+    cases = [
+        # nullary predicates: only `regular` tells them apart
+        (_goal(0, ()), [_goal(1, ()), _goal(0, ())], True),
+        (_goal(0, ()), [_goal(1, ())], False),
+        # equal first arguments that differ deeper
+        (_goal(1, (f(a), a)), [_goal(1, (f(a), b))], False),
+        (_goal(1, (f(f(a)), a)), [_goal(1, (f(f(b)), a))], False),
+        (_goal(1, (f(f(a)), a)), [_goal(1, (f(f(b)), a)), _goal(1, (f(f(a)), a))],
+         True),
+        # one symbol, two arities
+        (_goal(1, (f(a), a)), [_goal(1, (f(a, a), a))], False),
+        # bound cells on either side, and cells reached through a chain
+        (_goal(1, (X, a)), [_goal(1, (f(a), a))], True),
+        (_goal(1, (f(a), a)), [_goal(1, (X, a))], True),
+        (_goal(1, (Y, a)), [_goal(1, (Z, a))], True),
+        (_goal(1, (Y, a)), [_goal(1, (X, a)), _goal(2, (Y, a))], False),
+        (_goal(1, (Y, a)), [_goal(1, (Y, b))], False),
+    ]
+    for goal, path, expected in cases:
+        assert _on_branch(goal, path) is expected
+        assert _brute_on_branch(goal, path) is expected
+
+    rng = random.Random(21)
+    names = ("A", "B", "C", "D")
+    hits = 0
+    for _ in range(1500):
+        cells: dict = {}
+        for i, name in enumerate(names[:-2]):       # bind some, acyclically
+            cell = cells.setdefault(name, _Cell(name))
+            if rng.random() < 0.5:
+                cell.ref = with_cells(_small_term(rng, names[i + 1:], 2), cells)
+
+        def literal():
+            regular = rng.randint(0, 2)
+            return _goal(regular, [with_cells(_small_term(rng, names, 2), cells)
+                                   for _ in range(regular)])
+
+        path = [literal() for _ in range(rng.randint(0, 6))]
+        goal = literal()
+        if path and rng.random() < 0.3:         # a repeat, read through cells
+            plit, pargs = rng.choice(path)
+            goal = (plit, tuple(with_cells(resolve_term(t), cells) for t in pargs))
+        expected = _brute_on_branch(goal, path)
+        assert _on_branch(goal, path) is expected
+        hits += expected
+    assert 100 < hits < 1400
 
 
 def _deep_set(n):
