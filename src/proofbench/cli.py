@@ -2,10 +2,13 @@
 
 Subcommands: generate, reprove, library, challenge, traintest, verify,
 report, speedup.  Every run is deterministic: budgets count inferences,
-never wall-clock time.  Apart from the ignored --seed, each option is
-registered only on the subcommands that read it.  The exit code
-reflects invariant violations (a failed proof check, a broken run
-directory), never unsolved problems.
+never wall-clock time.  Each option is registered only on the
+subcommands that read it.  A run option sets the `LoopConfig` or
+`ExperimentSpec` field it is stored under; one not given leaves the
+field's default.  A setting that `Limits` or those classes reject ends
+the command with exit code 2 before anything is written; otherwise the
+exit code reflects invariant violations (a failed proof check, a broken
+run directory), never unsolved problems.
 
 Environment: PROOFBENCH_OUTPUT_ROOT prefixes relative --out paths.
 """
@@ -15,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .generator import FAMILIES, generate_corpus
 from .guidance import measure_speedup
@@ -30,60 +34,39 @@ def _int_list(text: str) -> tuple:
     return tuple(int(x) for x in text.split(",") if x)
 
 
-def _loop_config(args) -> LoopConfig:
-    kw = {}
-    if getattr(args, "ladder", None):
-        kw["axiom_ladder"] = _int_list(args.ladder)
-    if getattr(args, "budgets", None):
-        kw["attempt_budgets"] = _int_list(args.budgets)
-    if getattr(args, "iterations", None):
-        kw["max_iterations"] = args.iterations
-    if getattr(args, "total_budget", None):
-        kw["total_inference_budget"] = args.total_budget
-    if getattr(args, "depth", None):
-        kw["max_depth"] = args.depth
-    if getattr(args, "max_domain", None):
-        kw["model_max_domain"] = args.max_domain
-    if getattr(args, "no_semantic", False):
-        kw["semantic"] = False
-    if getattr(args, "guidance", False):
-        kw["guidance"] = True
-    if getattr(args, "no_learning", False):
-        kw["learning"] = False
-    return LoopConfig(**kw)
+def _spec(args) -> ExperimentSpec:
+    """The run's settings: each option given sets the field it names."""
+    given = vars(args)
+
+    def fields_of(cls) -> dict:
+        return {f.name: given[f.name] for f in fields(cls) if f.name in given}
+
+    return ExperimentSpec(mode=args.command,
+                          loop=LoopConfig(**fields_of(LoopConfig)),
+                          **fields_of(ExperimentSpec))
 
 
-def _spec(args, mode: str) -> ExperimentSpec:
-    return ExperimentSpec(
-        mode=mode,
-        corpus=getattr(args, "corpus", "") or "",
-        problems=getattr(args, "problems", "") or "",
-        out_dir=args.out,
-        split=getattr(args, "split", "") or "",
-        workers=getattr(args, "workers", 1) or 1,
-        per_problem_budget=getattr(args, "budget", None) or 20000,
-        loop=_loop_config(args),
-        baseline=not getattr(args, "no_baseline", False),
-    )
+def _field(p, flag: str, dest: str, **kw):
+    """An option that sets the field `dest` only when it is given."""
+    p.add_argument(flag, dest=dest, default=argparse.SUPPRESS, **kw)
 
 
 def _add_common(p, corpus=True):
     if corpus:
-        p.add_argument("--corpus", required=True, help="corpus directory")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted and ignored: runs are deterministic")
-    p.add_argument("--depth", type=int, default=10, help="max tableau path depth")
-    p.add_argument("--max-domain", type=int, default=3, dest="max_domain",
-                   help="model finder domain cap")
+        _field(p, "--corpus", "corpus", required=True, help="corpus directory")
+    _field(p, "--out", "out_dir", required=True, help="output directory")
+    _field(p, "--depth", "max_depth", type=int, help="max tableau path depth")
+    _field(p, "--max-domain", "model_max_domain", type=int,
+           help="model finder domain cap")
 
 
 def _add_ladder_flags(p):
-    p.add_argument("--ladder", default=None, help="axiom-count ladder, e.g. 4,8,16")
-    p.add_argument("--budgets", default=None,
-                   help="per-rung inference budgets, e.g. 500,1000,2000")
-    p.add_argument("--total-budget", type=int, default=None, dest="total_budget",
-                   help="shared inference budget for the whole run")
+    _field(p, "--ladder", "axiom_ladder", type=_int_list,
+           help="axiom-count ladder, e.g. 4,8,16")
+    _field(p, "--budgets", "attempt_budgets", type=_int_list,
+           help="per-rung inference budgets, e.g. 500,1000,2000")
+    _field(p, "--total-budget", "total_inference_budget", type=int,
+           help="shared inference budget for the whole run")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,42 +78,42 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="write a synthetic corpus")
     g.add_argument("--family", choices=FAMILIES, required=True)
     g.add_argument("--size", type=int, required=True)
-    g.add_argument("--seed", type=int, default=0,
-                   help="accepted and ignored: every family is deterministic")
     g.add_argument("--out", required=True)
     g.add_argument("--no-verify", action="store_true",
                    help="skip generation-time provability checks")
 
     r = sub.add_parser("reprove", help="re-prove each theorem from its reference premises")
     _add_common(r)
-    r.add_argument("--budget", type=int, default=20000,
-                   help="per-problem inference budget")
-    r.add_argument("--workers", type=int, default=1,
-                   help="worker processes that prove and check attempts")
+    _field(r, "--budget", "per_problem_budget", type=int,
+           help="per-problem inference budget")
+    _field(r, "--workers", "workers", type=int,
+           help="worker processes that prove and check attempts")
 
     l = sub.add_parser("library", help="full selection loop over the corpus")
     _add_common(l)
     _add_ladder_flags(l)
-    l.add_argument("--iterations", type=int, default=None,
-                   help="cap on learning iterations")
-    l.add_argument("--no-semantic", action="store_true", dest="no_semantic",
-                   help="disable countermodel (MOD) features")
-    l.add_argument("--guidance", action="store_true",
-                   help="enable clause-choice guidance inside the prover")
-    l.add_argument("--no-baseline", action="store_true", dest="no_baseline",
-                   help="skip the chronological-recency comparison run")
+    _field(l, "--iterations", "max_iterations", type=int,
+           help="cap on learning iterations")
+    _field(l, "--no-semantic", "semantic", action="store_false",
+           help="disable countermodel (MOD) features")
+    _field(l, "--guidance", "guidance", action="store_true",
+           help="enable clause-choice guidance inside the prover")
+    _field(l, "--no-baseline", "baseline", action="store_false",
+           help="skip the chronological-recency comparison run")
 
     c = sub.add_parser("challenge", help="shared-budget batch of standalone problems")
-    c.add_argument("--problems", required=True, help="directory of .p files")
+    _field(c, "--problems", "problems", required=True,
+           help="directory of .p files")
     _add_common(c, corpus=False)
     _add_ladder_flags(c)
-    c.add_argument("--no-learning", action="store_true", dest="no_learning",
-                   help="fixed axiom order instead of learned ranking")
+    _field(c, "--no-learning", "learning", action="store_false",
+           help="fixed axiom order instead of learned ranking")
 
     t = sub.add_parser("traintest", help="train on a declared split, evaluate the rest")
     _add_common(t)
     _add_ladder_flags(t)
-    t.add_argument("--split", required=True, help="split file (train/test lines)")
+    _field(t, "--split", "split", required=True,
+           help="split file (train/test lines)")
 
     v = sub.add_parser("verify", help="re-check every stored proof and "
                        "countermodel in a run directory")
@@ -151,16 +134,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
-    generate_corpus(args.family, args.size, args.seed, args.out,
-                    verify=not args.no_verify)
+    generate_corpus(args.family, args.size, args.out, verify=not args.no_verify)
     print(f"wrote {args.family} corpus of size {args.size} to {args.out}")
     return 0
 
 
-def cmd_run(args, mode: str) -> int:
-    spec = _spec(args, mode)
+def cmd_run(spec: ExperimentSpec) -> int:
     runner = {"reprove": run_reprove, "library": run_library,
-              "challenge": run_challenge, "traintest": run_traintest}[mode]
+              "challenge": run_challenge, "traintest": run_traintest}[spec.mode]
     results = runner(spec)
     print(report(results))
     return 0
@@ -187,7 +168,7 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_speedup(args) -> int:
+def cmd_speedup(args, limits: Limits) -> int:
     from .clausify import clausal_problem
     from .loop import ClausalCache
     from .parser import parse_problem_dir
@@ -195,7 +176,6 @@ def cmd_speedup(args) -> int:
     clausifier = ClausalCache()
     problems = [(pid, clausal_problem(problem, clausifier.form))
                 for pid, problem in parse_problem_dir(args.problems)]
-    limits = Limits(inference_budget=args.budget, max_depth=args.depth)
     outcome = measure_speedup(problems, limits, train_count=args.train_count,
                               training_enabled=not args.no_training)
     os.makedirs(args.out, exist_ok=True)
@@ -218,18 +198,20 @@ def cmd_speedup(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "generate":
-        return cmd_generate(args)
-    if args.command in ("reprove", "library", "challenge", "traintest"):
-        return cmd_run(args, args.command)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "report":
-        return cmd_report(args)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    command = {"generate": cmd_generate, "verify": cmd_verify,
+               "report": cmd_report}.get(args.command)
+    if command is not None:
+        return command(args)
+    try:        # a setting the program rejects ends the run before any output
+        settings = (Limits(inference_budget=args.budget, max_depth=args.depth)
+                    if args.command == "speedup" else _spec(args))
+    except ValueError as exc:
+        ap.error(f"{args.command}: {exc}")
     if args.command == "speedup":
-        return cmd_speedup(args)
-    raise AssertionError(args.command)
+        return cmd_speedup(args, settings)
+    return cmd_run(settings)
 
 
 if __name__ == "__main__":

@@ -1,17 +1,15 @@
 """Sparse formula characterizations over three namespaces.
 
-SYM counts symbol occurrences, STR counts directed parent->child symbol
-chains in the term tree (variables abstracted to VAR), MOD records truth
+SYM counts symbol occurrences, STR counts parent->child symbol pairs in
+the term tree (variables abstracted to VAR), MOD records truth
 values in stored models.  All three are invariant under bound-variable
 renaming, which is what lets canonically-skolemized alpha-variants share
 every feature.
 """
 from __future__ import annotations
 
-from .fol import Atom, BINARY, Eq, Not, QUANT, Var, symbols_of
+from .fol import App, Atom, BINARY, Eq, Not, QUANT, Var, symbols_of
 from .models import UNDEFINED, ModelStore, evaluate_models
-
-STR_DEPTH_DEFAULT = 2
 
 FeatureVector = dict   # feature id -> positive weight
 
@@ -24,53 +22,33 @@ def symbol_features(f) -> FeatureVector:
     return out
 
 
-def structural_features(f, depth: int = STR_DEPTH_DEFAULT) -> FeatureVector:
-    """Directed symbol chains of 2..depth nodes in the term tree."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+def structural_features(f) -> FeatureVector:
+    """One STR:a>b feature per parent->child symbol pair of the term tree;
+    weight = occurrence count.  Atoms (an equation as "=") are the parents
+    of their arguments; a variable child is VAR.  Keys come in preorder,
+    each node's pairs before its children's."""
     out: FeatureVector = {}
-
-    def token(t):
-        return "VAR" if isinstance(t, Var) else t.symbol
-
-    def chains(t):
-        # emit chains rooted at t's symbol, then at every deeper symbol
-        if isinstance(t, Var) or not t.args:
-            return
-        for a in t.args:
-            _extend([token(t)], a)
-        for a in t.args:
-            chains(a)
-
-    def _extend(prefix, t):
-        chain = prefix + [token(t)]
-        if len(chain) <= depth:
-            fid = "STR:" + ">".join(chain)
-            out[fid] = out.get(fid, 0.0) + 1.0
-            if not isinstance(t, Var):
-                for a in t.args:
-                    _extend(chain, a)
-
-    def walk(g):
-        if isinstance(g, Atom):
-            for a in g.args:
-                _extend([g.pred], a)
-            for a in g.args:
-                chains(a)
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, App):
+            parent, children = g.symbol, g.args
+        elif isinstance(g, Atom):
+            parent, children = g.pred, g.args
         elif isinstance(g, Eq):
-            for a in (g.lhs, g.rhs):
-                _extend(["="], a)
-            for a in (g.lhs, g.rhs):
-                chains(a)
-        elif isinstance(g, Not):
-            walk(g.sub)
-        elif isinstance(g, BINARY):
-            walk(g.lhs)
-            walk(g.rhs)
-        elif isinstance(g, QUANT):
-            walk(g.body)
-
-    walk(f)
+            parent, children = "=", (g.lhs, g.rhs)
+        else:
+            if isinstance(g, Not):
+                todo.append(g.sub)
+            elif isinstance(g, BINARY):
+                todo += (g.rhs, g.lhs)
+            elif isinstance(g, QUANT):
+                todo.append(g.body)
+            continue        # a variable, true or false has no pairs
+        for a in children:
+            fid = f"STR:{parent}>{'VAR' if isinstance(a, Var) else a.symbol}"
+            out[fid] = out.get(fid, 0.0) + 1.0
+        todo.extend(reversed(children))
     return out
 
 

@@ -20,8 +20,8 @@ Families:
 Every generated theorem is verified provable from its reference premises
 at generation time, and every standalone problem from its axioms, with
 each proof replayed by the independent checker (disable with
-verify=False).  Identical family, size and seed give byte-identical
-output.
+verify=False).  No family draws random numbers: identical family and
+size give byte-identical output.
 """
 from __future__ import annotations
 
@@ -232,7 +232,7 @@ def _verify_problems(root: str) -> None:
 # entry point
 
 
-def generate_corpus(family: str, size: int, seed: int, out_dir: str,
+def generate_corpus(family: str, size: int, out_dir: str,
                     verify: bool = True) -> str:
     """Write a corpus (or problem directory) under out_dir; returns out_dir."""
     if family not in FAMILIES:

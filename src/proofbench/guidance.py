@@ -4,9 +4,11 @@ The prover hands the advisor the branch's symbol names (path literals and
 open goal, as a stream read only if the consult goes ahead), the depth
 and candidate clause ids; the advisor answers with a permutation of the
 candidates ranked by a naive-Bayes model over (branch symbols -> clause
-origin).  Querying a learner is orders of magnitude slower than a tableau
-extension step, so a throttle restricts consultation to shallow, branchy
-choice points, and advice is memoized per model snapshot.
+origin); over a model with no examples it answers None, and the search
+runs as without an advisor.  Querying a learner is orders of magnitude
+slower than a tableau extension step, so a throttle restricts
+consultation to shallow, branchy choice points, and advice is memoized
+per model snapshot.
 
 Learning is from proofs, as in MaLeCoP: when a search returns a proof,
 the prover reports the clause chosen at each of the proof's advised
@@ -49,15 +51,9 @@ def throttle_policy(depth: int, n_candidates: int) -> bool:
 
 def advise(model: BayesModel, query: StateQuery, candidates,
            origins: dict) -> Advice:
-    """Permutation of candidates by learner score of their origin label.
-
-    An empty model (or candidates with no evidence) falls back to input
-    order via stable sorting.
-    """
+    """Permutation of candidates by learner score of their origin label;
+    candidates with no evidence keep input order (stable sorting)."""
     feats = dict(query.branch_symbols)
-    if model.total_examples == 0:
-        ranking = tuple((cid, 0.0) for cid in candidates)
-        return Advice(ranking)
     scored = [(cid, score(model, feats, origins.get(cid, cid)))
               for cid in candidates]
     order = sorted(range(len(scored)), key=lambda i: (-scored[i][1], i))
@@ -70,13 +66,12 @@ class Advisor:
     Holds an immutable model snapshot for the duration of a search; the
     orchestrator builds a new advisor for each attempt.  Exceptions
     raised here are caught by the prover, which then falls back to input
-    order.  A `record_only` advisor captures training data but gives no
-    advice, so the search runs as without an advisor.
+    order.  Over a model with no examples it gives no advice but still
+    records what the proof teaches.
     """
 
-    def __init__(self, model: BayesModel, record_only: bool = False):
+    def __init__(self, model: BayesModel):
         self.model = model
-        self.record_only = record_only
         self.origins: dict = {}
         self.buffer: list = []      # at most one record per proof step
         self._cache: dict = {}
@@ -98,7 +93,7 @@ class Advisor:
             "learner changed during search"
         feats = tuple(sorted(branch_features(symbols).items()))
         query = StateQuery(feats)
-        if self.record_only:
+        if self.model.total_examples == 0:
             return None, query
         key = (feats, tuple(candidate_ids))
         order = self._cache.get(key)
@@ -142,16 +137,16 @@ def measure_speedup(problems, limits, train_count: int | None = None,
     """Per-problem inference counts unguided vs guided, plus geometric mean.
 
     `problems` is an ordered list of (problem_id, ClauseSet).  Phase one
-    runs every problem unguided, each proof replayed by the independent
-    checker; the first `train_count` problems run with a record-only
-    advisor (search order identical to no advisor at all), and their
-    proofs train the guidance model.  Phase two reruns everything
-    guided.  With training disabled the guidance model stays empty and
-    advice degrades to input order, so every ratio is exactly 1.0.
+    runs every problem unguided; the first `train_count` problems run
+    with an advisor over an empty model, which gives no advice, and their
+    proofs train the guidance model.  Phase two reruns everything guided.
+    The independent checker replays every proof of both phases.  With
+    training disabled the guidance model stays empty, so every ratio is
+    exactly 1.0.
     """
     from .loop import prove_checked
     from .models import DEFAULT_MAX_DOMAIN
-    from .prover import PROVED, prove
+    from .prover import PROVED
 
     if train_count is None:
         train_count = len(problems) // 2
@@ -161,7 +156,7 @@ def measure_speedup(problems, limits, train_count: int | None = None,
     for idx, (pid, cs) in enumerate(problems):
         recorder = None
         if training_enabled and idx < train_count:
-            recorder = Advisor(BayesModel(), record_only=True)
+            recorder = Advisor(BayesModel())
             recorder.register_clauses(cs.clauses)
         unguided[pid] = prove_checked(cs, limits, DEFAULT_MAX_DOMAIN, pid,
                                       advisor=recorder)
@@ -173,7 +168,7 @@ def measure_speedup(problems, limits, train_count: int | None = None,
     for pid, cs in problems:
         advisor = Advisor(guide_model)
         advisor.register_clauses(cs.clauses)
-        res = prove(cs, limits, advisor=advisor)
+        res = prove_checked(cs, limits, DEFAULT_MAX_DOMAIN, pid, advisor=advisor)
         u = unguided[pid]
         both = u.status == PROVED and res.status == PROVED
         ratio = (u.stats.inferences / res.stats.inferences) if both else None

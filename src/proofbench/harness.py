@@ -76,6 +76,8 @@ class ExperimentSpec:
             raise HarnessError("challenge mode requires a problem directory")
         if self.mode == "traintest" and not self.split:
             raise HarnessError("traintest mode requires a split file")
+        Limits(inference_budget=self.per_problem_budget,     # Limits says
+               max_depth=self.loop.max_depth)                # what is valid
 
 
 def _out_dir(spec: ExperimentSpec) -> str:

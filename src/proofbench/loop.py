@@ -44,7 +44,7 @@ from .guidance import Advisor
 from .learner import (
     BayesModel, rank_premises, save_model, score, train_incremental,
 )
-from .models import ModelStore
+from .models import DEFAULT_MAX_DOMAIN, ModelStore
 from .prover import COUNTER_SATISFIABLE, Limits, PROVED, prove
 
 
@@ -59,7 +59,7 @@ class LoopConfig:
     max_depth: int = 10
     total_inference_budget: int | None = None
     max_iterations: int = 10
-    model_max_domain: int = 3
+    model_max_domain: int = DEFAULT_MAX_DOMAIN
     semantic: bool = True
     guidance: bool = False
     learning: bool = True                 # False: chronological-recency baseline
@@ -71,6 +71,11 @@ class LoopConfig:
                 raise ValueError(f"{name} must be non-empty")
             if list(ladder) != sorted(set(ladder)):
                 raise ValueError(f"{name} must be strictly increasing")
+        for budget in self.attempt_budgets:     # Limits says what is valid
+            Limits(inference_budget=budget, max_depth=self.max_depth)
+        total = self.total_inference_budget
+        if total is not None and total < 0:
+            raise ValueError(f"total_inference_budget must be >= 0, got {total!r}")
 
 
 @dataclass
@@ -309,7 +314,7 @@ def prove_checked(cs: ClauseSet, limits: Limits, model_max_domain: int,
 
 
 def attempt(record: Attempt, cs: ClauseSet | None = None,
-            limits: Limits | None = None, *, model_max_domain: int = 3,
+            limits: Limits | None = None, *, model_max_domain=DEFAULT_MAX_DOMAIN,
             advisor=None, writer=None, keep_model=None, result=None):
     """Complete `record`, which arrives with the attempt's coordinates.
 

@@ -82,8 +82,7 @@ class FiniteModel:
 # Model search
 
 
-def find_model(clauses, max_domain: int = DEFAULT_MAX_DOMAIN,
-               provenance: str = "") -> FiniteModel | None:
+def find_model(clauses, max_domain: int = DEFAULT_MAX_DOMAIN) -> FiniteModel | None:
     """Smallest-domain model of the clause set, or None within the cap.
 
     Each domain size from 1 up is searched by `_search_domain`.  A model
@@ -104,7 +103,6 @@ def find_model(clauses, max_domain: int = DEFAULT_MAX_DOMAIN,
     for n in range(1, max_domain + 1):
         model = _search_domain(clauses, signatures, funcs, preds, freq, n)
         if model is not None:
-            model.provenance = provenance
             for c, sig in zip(clauses, signatures):
                 if evaluate(c, model, sig) is not True:
                     raise ModelCheckError(

@@ -343,11 +343,10 @@ def parse_problem(text: str, include_dirs=(), source: str = "<string>",
     return make_problem(formulas, warnings, signatures)
 
 
-def parse_problem_file(path: str, include_dirs=(), table=None) -> Problem:
+def parse_problem_file(path: str, table=None) -> Problem:
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    dirs = [os.path.dirname(path)] + list(include_dirs)
-    return parse_problem(text, dirs, source=path, table=table)
+    return parse_problem(text, [os.path.dirname(path)], source=path, table=table)
 
 
 def parse_problem_dir(root: str) -> list:

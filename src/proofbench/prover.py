@@ -670,10 +670,11 @@ def normalize_proof(clause_set: ClauseSet, compiled: list,
     return ProofObject(tuple(steps), frozenset(used))
 
 
-def _push(lits, cells, agenda, path=(), keys=0):
-    """`agenda` with goals for `lits`, instantiated with `cells`, in front."""
+def _push(lits, cells, agenda, path=()):
+    """`agenda` with goals for `lits`, instantiated with `cells`, in front;
+    `keys` 0 fits a start's empty path (`normalize_proof` reads none)."""
     for o in reversed(lits):
-        agenda = ((o, _instance_args(o.args, cells, 0)), path, keys, agenda)
+        agenda = ((o, _instance_args(o.args, cells, 0)), path, 0, agenda)
     return agenda
 
 

@@ -55,14 +55,14 @@ def _ok(n, text):
 @pytest.fixture(scope="module")
 def mixed30(tmp_path_factory):
     root = str(tmp_path_factory.mktemp("accept") / "mixed30")
-    generate_corpus("mixed", 30, 0, root, verify=False)
+    generate_corpus("mixed", 30, root, verify=False)
     return root
 
 
 @pytest.fixture(scope="module")
 def neardup50(tmp_path_factory):
     root = str(tmp_path_factory.mktemp("accept") / "neardup50")
-    generate_corpus("neardup", 50, 0, root, verify=False)
+    generate_corpus("neardup", 50, root, verify=False)
     return root
 
 
@@ -419,32 +419,30 @@ def test_criterion_10_subcommand_determinism(tmp_path):
         return blob
 
     gen_a, gen_b = run_twice(lambda out: [
-        "generate", "--family", "mixed", "--size", "30", "--seed", "0",
+        "generate", "--family", "mixed", "--size", "30",
         "--out", os.path.join(out, "corpus"), "--no-verify"])
     assert tree_bytes(gen_a) == tree_bytes(gen_b)
     corpus = os.path.join(gen_a, "corpus")
 
     rep_a, rep_b = run_twice(lambda out: [
         "reprove", "--corpus", corpus, "--out", os.path.join(out, "re"),
-        "--depth", "8", "--seed", "0"])
+        "--depth", "8"])
     assert tree_bytes(rep_a) == tree_bytes(rep_b)
 
     lib_a, lib_b = run_twice(lambda out: [
         "library", "--corpus", corpus, "--out", os.path.join(out, "lib"),
         "--ladder", "4,8,16", "--budgets", "500,1000,2000",
-        "--total-budget", "60000", "--iterations", "6", "--depth", "8",
-        "--seed", "0"])
+        "--total-budget", "60000", "--iterations", "6", "--depth", "8"])
     assert tree_bytes(lib_a) == tree_bytes(lib_b)
 
     tt_a, tt_b = run_twice(lambda out: [
         "traintest", "--corpus", corpus, "--split",
         os.path.join(corpus, "split.txt"), "--out", os.path.join(out, "tt"),
-        "--ladder", "4,8,16", "--budgets", "500,1000,2000", "--depth", "8",
-        "--seed", "0"])
+        "--ladder", "4,8,16", "--budgets", "500,1000,2000", "--depth", "8"])
     assert tree_bytes(tt_a) == tree_bytes(tt_b)
 
     nd_a, nd_b = run_twice(lambda out: [
-        "generate", "--family", "neardup", "--size", "10", "--seed", "0",
+        "generate", "--family", "neardup", "--size", "10",
         "--out", os.path.join(out, "nd"), "--no-verify"])
     assert tree_bytes(nd_a) == tree_bytes(nd_b)
     problems = os.path.join(nd_a, "nd")
@@ -452,7 +450,7 @@ def test_criterion_10_subcommand_determinism(tmp_path):
     ch_a, ch_b = run_twice(lambda out: [
         "challenge", "--problems", problems, "--out", os.path.join(out, "ch"),
         "--ladder", "4,8,16", "--budgets", "2000", "--total-budget", "200000",
-        "--depth", "8", "--seed", "0"])
+        "--depth", "8"])
     assert tree_bytes(ch_a) == tree_bytes(ch_b)
 
     sp_a, sp_b = run_twice(lambda out: [

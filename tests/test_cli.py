@@ -12,7 +12,7 @@ from helpers import read_stream, write_stream
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     root = str(tmp_path_factory.mktemp("cli") / "chain")
-    assert main(["generate", "--family", "chain", "--size", "7", "--seed", "0",
+    assert main(["generate", "--family", "chain", "--size", "7",
                  "--out", root]) == 0
     return root
 
@@ -109,7 +109,7 @@ def test_library_cli_flags(corpus, tmp_path, capsys):
 def test_speedup_cli_writes_json(tmp_path, capsys):
     probs = str(tmp_path / "nd")
     assert main(["generate", "--family", "neardup", "--size", "6",
-                 "--seed", "0", "--out", probs]) == 0
+                 "--out", probs]) == 0
     out = str(tmp_path / "sp")
     assert main(["speedup", "--problems", probs, "--out", out,
                  "--train-count", "3", "--budget", "50000"]) == 0
@@ -126,7 +126,7 @@ def test_speedup_cli_builds_clausal_problems_from_cached_forms(
 
     probs = tmp_path / "nd"
     assert main(["generate", "--family", "neardup", "--size", "6",
-                 "--seed", "0", "--out", str(probs)]) == 0
+                 "--out", str(probs)]) == 0
     # a conjecture that is not the last formula keeps its place
     (probs / "mid.p").write_text(
         "fof(a1, axiom, p(c)).\nfof(goal, conjecture, q(c)).\n"
@@ -213,3 +213,45 @@ def test_empty_problems_directory_is_an_empty_run(command, tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main([command, "--problems", str(empty), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("flags, field, value, attempts", [
+    (["--total-budget", "0"], "total_inference_budget", 0, False),
+    (["--iterations", "0"], "max_iterations", 0, False),
+    (["--max-domain", "0"], "model_max_domain", 0, True),
+    (["--ladder", "2,4", "--budgets", "300,600"], "attempt_budgets", [300, 600],
+     True),
+])
+def test_a_value_given_reaches_its_field(corpus, tmp_path, capsys, flags,
+                                         field, value, attempts):
+    out = tmp_path / "lib"
+    assert main(["library", "--corpus", corpus, "--out", str(out),
+                 "--no-baseline", *flags]) == 0
+    assert json.loads((out / "config.json").read_text())["loop"][field] == value
+    assert bool((out / "results.jsonl").read_text()) == attempts
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["library", "--budgets", "0"], "inference_budget must be positive, got 0"),
+    (["library", "--depth", "0"], "max_depth must be positive, got 0"),
+    (["library", "--ladder", ""], "axiom_ladder must be non-empty"),
+    (["challenge", "--budgets", "100,0"], "attempt_budgets must be strictly"),
+    (["challenge", "--total-budget", "-1"], "total_inference_budget must be >= 0"),
+    (["traintest", "--depth", "-3"], "max_depth must be positive, got -3"),
+    (["reprove", "--budget", "0"], "inference_budget must be positive, got 0"),
+    (["speedup", "--depth", "0"], "max_depth must be positive, got 0"),
+])
+def test_an_invalid_value_exits_2_before_any_output(corpus, tmp_path, capsys,
+                                                    argv, message):
+    command, *flags = argv
+    inputs = {"challenge": ["--problems", corpus],
+              "speedup": ["--problems", corpus],
+              "traintest": ["--corpus", corpus,
+                            "--split", os.path.join(corpus, "split.txt")]}
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs.get(command, ["--corpus", corpus]),
+              "--out", str(out), *flags])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

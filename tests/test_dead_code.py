@@ -20,6 +20,12 @@ References are resolved through the syntax tree of `src/` and
 
 What only the tests call lives in `tests/helpers.py`.
 
+Every parameter with a default of a public module-level function of the
+package is passed, by position or by keyword, by some call in the
+program that resolves to the function as above (a `*args` or `**kw`
+call passes every parameter of its kind).  A parameter only tests pass
+selects code the program never runs.
+
 Every name an import binds in the package or in `tests/` is also read
 there, except on a line marked `# noqa` (bare or naming F401, as flake8
 reads it): `harness` binds names for perfbench's tracer to wrap.
@@ -42,6 +48,18 @@ ALLOWED: dict = {
     "corpus.CorpusItem.as_conjecture":
         "perfbench/test_gen.py builds its reference problems with it, and "
         "perfbench/ changes only together with the benchmark",
+}
+
+# "module.function(parameter)" -> why it stays although the program never
+# passes it
+ALLOWED_PARAMETERS: dict = {
+    "clausify.cnf(threshold)":
+        "the product of clause counts above which distribution names a "
+        "disjunct instead; tests vary it to reach both sides of the switch "
+        "on small formulas, which the program meets only on large ones",
+    "cli.main(argv)":
+        "the console script calls main() with no arguments; the default "
+        "reads sys.argv",
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.Lambda)
@@ -98,7 +116,10 @@ def _locals(scope) -> set:
 
 def _references(path: str) -> list:
     """(key, enclosing def nodes) of each reference in the file.  Keys:
-    ("def", module, name), ("attr", name), ("call", name), ("string", name)."""
+    ("def", module, name), ("attr", name), ("call", name), ("string", name);
+    a call of a module-level function also gives ("positional", module,
+    name, count) and one ("keyword", module, name, keyword) per keyword,
+    None for `**kw` (count None for `*args`)."""
     module = _module(path)
     imported: dict = {}     # bound name -> (module, name)
     modules: dict = {}      # bound name -> module
@@ -113,9 +134,26 @@ def _references(path: str) -> list:
                     imported[bound] = (source, alias.name)
     refs: list = []
 
+    def target(func, scopes: tuple):
+        """(module, name) of the module-level function `func` names."""
+        if isinstance(func, ast.Name):
+            if not any(func.id in s for s in scopes):
+                return imported.get(func.id, (module, func.id))
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id in modules
+              and not any(func.value.id in s for s in scopes)):
+            return modules[func.value.id], func.attr
+        return None
+
     def visit(node, scopes: tuple, inside: tuple) -> None:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             return
+        if isinstance(node, ast.Call) and (called := target(node.func, scopes)):
+            count = (None if any(isinstance(a, ast.Starred) for a in node.args)
+                     else len(node.args))
+            refs.append((("positional", *called, count), inside))
+            refs.extend((("keyword", *called, k.arg), inside)
+                        for k in node.keywords)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             if not any(node.id in s for s in scopes):
                 refs.append((("def",) + imported.get(node.id, (module, node.id)),
@@ -159,6 +197,36 @@ def _data_attributes() -> set:
     return names
 
 
+def _unpassed() -> set:
+    """"module.function(parameter)" for each parameter with a default of a
+    public module-level function that no call in the program passes."""
+    passes: dict = {}       # (module, name) -> positional counts, keywords
+    for path in PROGRAM:
+        for key, inside in _references(path):
+            if key[0] in ("positional", "keyword"):
+                passes.setdefault(key[1:3], []).append((key[0], key[3], inside))
+    unpassed = set()
+    for (module, cls, name), fn in _definitions().items():
+        if cls is not None:
+            continue
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        defaulted = [(i, x.arg) for i, x in enumerate(positional)
+                     if i >= len(positional) - len(a.defaults)]
+        defaulted += [(None, x.arg) for x, d in zip(a.kwonlyargs, a.kw_defaults)
+                      if d is not None]
+        calls = [(kind, value) for kind, value, inside
+                 in passes.get((module, name), ()) if fn not in inside]
+        for i, param in defaulted:
+            if not any(
+                    (kind == "keyword" and value in (param, None))
+                    or (kind == "positional" and i is not None
+                        and (value is None or value > i))
+                    for kind, value in calls):
+                unpassed.add(f"{module}.{name}({param})")
+    return unpassed
+
+
 def _is_property(fn) -> bool:
     return any(isinstance(d, ast.Name) and d.id == "property"
                for d in fn.decorator_list)
@@ -189,6 +257,12 @@ def test_every_public_function_has_a_caller_in_the_program():
     assert sorted(uncalled - set(ALLOWED)) == []
     # an exception that gained a caller, or went away, leaves the list
     assert sorted(set(ALLOWED) - uncalled) == []
+
+
+def test_every_parameter_default_is_overridden_by_the_program():
+    unpassed = _unpassed()
+    assert sorted(unpassed - set(ALLOWED_PARAMETERS)) == []
+    assert sorted(set(ALLOWED_PARAMETERS) - unpassed) == []
 
 
 def _unused_imports(path: str) -> list:

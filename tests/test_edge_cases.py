@@ -45,7 +45,7 @@ def test_equality_proofs_check(tmp_path):
     from proofbench.corpus import load_corpus
     from proofbench.fol import make_problem
 
-    generate_corpus("group", 12, 0, str(tmp_path / "g"), verify=False)
+    generate_corpus("group", 12, str(tmp_path / "g"), verify=False)
     corpus = load_corpus(str(tmp_path / "g"))
     by_name = {i.name: i for i in corpus.items}
     for _i, item in corpus.theorems():

@@ -36,25 +36,32 @@ def test_symbol_features_complex_arith_schema():
 
 def test_structural_paths_depth2():
     f = atom("p", app("f", const("c")))
-    assert structural_features(f, 2) == {"STR:p>f": 1.0, "STR:f>c": 1.0}
-
-
-def test_structural_paths_depth3_includes_long_chain():
-    f = atom("p", app("f", const("c")))
-    assert structural_features(f, 3) == {
-        "STR:p>f": 1.0, "STR:f>c": 1.0, "STR:p>f>c": 1.0,
-    }
+    assert structural_features(f) == {"STR:p>f": 1.0, "STR:f>c": 1.0}
 
 
 def test_structural_variable_abstraction():
-    assert structural_features(atom("p", Var("X")), 2) == {"STR:p>VAR": 1.0}
+    assert structural_features(atom("p", Var("X"))) == {"STR:p>VAR": 1.0}
 
 
 def test_structural_hand_enumeration():
     f = atom("q", app("f", Var("X")), app("f", const("c")))
-    assert structural_features(f, 2) == {
+    assert structural_features(f) == {
         "STR:q>f": 2.0, "STR:f>VAR": 1.0, "STR:f>c": 1.0,
     }
+    # preorder: a node's pairs before its children's
+    assert list(structural_features(f)) == ["STR:q>f", "STR:f>VAR", "STR:f>c"]
+
+
+def test_structural_features_of_deep_terms_and_long_conjunctions():
+    t = const("c")
+    for _ in range(10_000):
+        t = app("f", t)
+    assert structural_features(Eq(t, Var("X"))) == {
+        "STR:=>f": 1.0, "STR:=>VAR": 1.0, "STR:f>f": 9_999.0, "STR:f>c": 1.0}
+    f = atom("p", const("c"))
+    for _ in range(9_999):          # 10 000 conjuncts, nested to the left
+        f = And(f, Forall("X", atom("q", Var("X"))))
+    assert structural_features(f) == {"STR:p>c": 1.0, "STR:q>VAR": 9_999.0}
 
 
 def test_semantic_features_skip_undefined():

@@ -21,17 +21,17 @@ def _tree(root):
 
 def test_unknown_family_rejected(tmp_path):
     with pytest.raises(GeneratorError):
-        generate_corpus("nonsense", 5, 0, str(tmp_path))
+        generate_corpus("nonsense", 5, str(tmp_path))
 
 
 def test_size_zero_empty_corpus(tmp_path):
-    generate_corpus("chain", 0, 0, str(tmp_path / "c"))
+    generate_corpus("chain", 0, str(tmp_path / "c"))
     corpus = load_corpus(str(tmp_path / "c"))
     assert corpus.items == []
 
 
 def test_chain_of_five_provable_shallow(tmp_path):
-    generate_corpus("chain", 5, 0, str(tmp_path / "c"))   # verification on
+    generate_corpus("chain", 5, str(tmp_path / "c"))   # verification on
     corpus = load_corpus(str(tmp_path / "c"))
     by_name = {i.name: i for i in corpus.items}
     for _i, item in corpus.theorems():
@@ -43,27 +43,27 @@ def test_chain_of_five_provable_shallow(tmp_path):
 
 
 def test_group_family_verifies(tmp_path):
-    generate_corpus("group", 8, 0, str(tmp_path / "g"))
+    generate_corpus("group", 8, str(tmp_path / "g"))
     corpus = load_corpus(str(tmp_path / "g"))
     assert len(corpus.items) == 8
     assert len(corpus.theorems()) == 6
 
 
 def test_group_family_size_beyond_capacity_rejected(tmp_path):
-    generate_corpus("group", 22, 0, str(tmp_path / "full"), verify=False)
+    generate_corpus("group", 22, str(tmp_path / "full"), verify=False)
     assert len(load_corpus(str(tmp_path / "full")).items) == 22
     with pytest.raises(GeneratorError, match="at most 22"):
-        generate_corpus("group", 30, 0, str(tmp_path / "over"), verify=False)
+        generate_corpus("group", 30, str(tmp_path / "over"), verify=False)
     assert os.listdir(str(tmp_path / "over")) == []
 
 
 def test_mixed_family_size_beyond_capacity_rejected(tmp_path):
-    generate_corpus("mixed", 30, 0, str(tmp_path / "full"), verify=False)
+    generate_corpus("mixed", 30, str(tmp_path / "full"), verify=False)
     assert len(load_corpus(str(tmp_path / "full")).items) == 30
     for size in (31, 40):
         over = tmp_path / f"over{size}"
         with pytest.raises(GeneratorError, match="at most 30"):
-            generate_corpus("mixed", size, 0, str(over), verify=False)
+            generate_corpus("mixed", size, str(over), verify=False)
         assert os.listdir(str(over)) == []
 
 
@@ -71,8 +71,8 @@ def test_same_seed_byte_identical(tmp_path):
     for family in FAMILIES:
         a = str(tmp_path / f"{family}_a")
         b = str(tmp_path / f"{family}_b")
-        generate_corpus(family, 10, 3, a, verify=False)
-        generate_corpus(family, 10, 3, b, verify=False)
+        generate_corpus(family, 10, a, verify=False)
+        generate_corpus(family, 10, b, verify=False)
         assert _tree(a) == _tree(b), family
 
 
@@ -80,7 +80,7 @@ def test_bundled_corpus_matches_regeneration(tmp_path):
     bundled = os.path.join(os.path.dirname(__file__), os.pardir,
                            "corpora", "mixed30")
     regen = str(tmp_path / "mixed30")
-    generate_corpus("mixed", 30, 0, regen, verify=False)
+    generate_corpus("mixed", 30, regen, verify=False)
     assert _tree(bundled) == _tree(regen)
 
 
@@ -98,7 +98,7 @@ def test_generation_time_verification_catches_unprovable(tmp_path, monkeypatch):
 
     monkeypatch.setattr(gen, "_gen_chain", broken_chain)
     with pytest.raises(GeneratorError, match="not provable"):
-        generate_corpus("chain", 5, 0, str(tmp_path / "broken"))
+        generate_corpus("chain", 5, str(tmp_path / "broken"))
 
 
 def test_neardup_verification_replays_every_proof(tmp_path, monkeypatch):
@@ -113,7 +113,7 @@ def test_neardup_verification_replays_every_proof(tmp_path, monkeypatch):
         return len(checked) < 3
     monkeypatch.setattr(loop, "check_proof", checker)
     with pytest.raises(loop.LoopInvariantError, match="prob_002"):
-        generate_corpus("neardup", 5, 0, str(tmp_path / "nd"))
+        generate_corpus("neardup", 5, str(tmp_path / "nd"))
     assert len(checked) == 3
 
 
@@ -121,7 +121,7 @@ def test_neardup_verification_replays_every_proof(tmp_path, monkeypatch):
 def test_every_family_writes_exactly_size_items(family, tmp_path):
     for size in range(4):
         root = str(tmp_path / f"{family}{size}")
-        generate_corpus(family, size, 0, root)
+        generate_corpus(family, size, root)
         problems = sorted(fn for fn in os.listdir(root) if fn.endswith(".p"))
         if family == "neardup":
             assert len(problems) == size

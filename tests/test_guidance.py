@@ -188,7 +188,7 @@ def test_search_walks_the_branch_only_for_consults_the_throttle_passes():
 
     class Watching(Advisor):
         def __init__(self, model):
-            super().__init__(model, record_only=True)
+            super().__init__(model)
             self.log = []       # (passed the throttle, walked the branch)
 
         def consult(self, symbols, depth, candidate_ids):
@@ -264,7 +264,7 @@ def test_no_mid_search_training():
     assert before == after
 
 
-def test_record_only_advisor_keeps_search_identical():
+def test_advisor_over_an_empty_model_keeps_search_identical():
     cs1 = clausal_problem(parse_problem("""
     fof(r1, axiom, ![X]: (a(X) => g(X))).
     fof(r2, axiom, ![X]: (b(X) => g(X))).
@@ -273,7 +273,7 @@ def test_record_only_advisor_keeps_search_identical():
     fof(goal, conjecture, g(c)).
     """))
     plain = prove(cs1, Limits(max_depth=6))
-    recorder = Advisor(BayesModel(), record_only=True)
+    recorder = Advisor(BayesModel())
     recorder.register_clauses(cs1.clauses)
     recorded = prove(cs1, Limits(max_depth=6), advisor=recorder)
     assert recorded.stats.inferences == plain.stats.inferences
@@ -288,7 +288,7 @@ def _neardup_problems(tmp_path, size):
     from proofbench.parser import parse_problem_file
 
     root = str(tmp_path / "neardup")
-    generate_corpus("neardup", size, 0, root, verify=False)
+    generate_corpus("neardup", size, root, verify=False)
     out = []
     for fn in sorted(os.listdir(root)):
         if fn.endswith(".p"):
@@ -308,7 +308,7 @@ def test_advisor_learns_only_the_returned_proofs_choices(tmp_path):
     fof(goal, conjecture, g(c)).
     """)))] + _neardup_problems(tmp_path, 6)
     for _pid, cs in problems:
-        recorder = Advisor(BayesModel(), record_only=True)
+        recorder = Advisor(BayesModel())
         recorder.register_clauses(cs.clauses)
         res = prove(cs, Limits(inference_budget=50000, max_depth=10),
                     advisor=recorder)
@@ -319,7 +319,7 @@ def test_advisor_learns_only_the_returned_proofs_choices(tmp_path):
         assert len(recorder.buffer) <= len(taken)
         assert all(r.chosen in taken for r in recorder.buffer)
 
-        cut = Advisor(BayesModel(), record_only=True)
+        cut = Advisor(BayesModel())
         cut.register_clauses(cs.clauses)
         short = prove(cs, Limits(inference_budget=res.stats.inferences - 1,
                                  max_depth=10), advisor=cut)
@@ -334,32 +334,55 @@ def test_measure_speedup_trains_only_on_checked_proofs(tmp_path, monkeypatch):
         measure_speedup(problems, Limits(inference_budget=50000, max_depth=10))
 
 
+def test_measure_speedup_checks_every_guided_proof(tmp_path, monkeypatch):
+    problems = _neardup_problems(tmp_path, 4)
+    check_proof = loop.check_proof
+    seen = set()
+
+    def rejects_guided(proof, cs):
+        # phase one proves each clause set first: a second proof is guided
+        guided = id(cs) in seen
+        seen.add(id(cs))
+        return check_proof(proof, cs) and not guided
+
+    monkeypatch.setattr(loop, "check_proof", rejects_guided)
+    with pytest.raises(loop.LoopInvariantError, match="failed independent checking"):
+        measure_speedup(problems, Limits(inference_budget=50000, max_depth=10))
+
+
 def test_measure_speedup_records_only_the_problems_it_trains_on(tmp_path,
                                                               monkeypatch):
     problems = _neardup_problems(tmp_path, 8)
     limits = Limits(inference_budget=50000, max_depth=10)
     prove_checked = loop.prove_checked
-    advisors = {}
+    calls = []      # (pid, advisor) of each call, both phases
 
     def logged(cs, limits, max_domain, pid, advisor=None):
-        advisors[pid] = advisor
+        calls.append((pid, advisor))
         return prove_checked(cs, limits, max_domain, pid, advisor)
+
+    def phase_one() -> dict:
+        advisors = dict(calls[:len(problems)])
+        calls.clear()
+        return advisors
 
     def recording_all(cs, limits, max_domain, pid, advisor=None):
         if advisor is None:
-            advisor = Advisor(BayesModel(), record_only=True)
+            advisor = Advisor(BayesModel())
             advisor.register_clauses(cs.clauses)
         return prove_checked(cs, limits, max_domain, pid, advisor)
 
     monkeypatch.setattr(loop, "prove_checked", logged)
     out = measure_speedup(problems, limits, train_count=3)
+    advisors = phase_one()
     assert [advisors[pid] is not None for pid, _cs in problems] \
         == [True] * 3 + [False] * 5
-    assert all(advisors[pid].record_only for pid, _cs in problems[:3])
+    assert all(advisors[pid].model.total_examples == 0
+               for pid, _cs in problems[:3])
     measure_speedup(problems, limits, train_count=3, training_enabled=False)
-    assert all(a is None for a in advisors.values())
+    assert all(a is None for a in phase_one().values())
 
-    # a record-only advisor on every problem, as phase one once ran
+    # an advisor over an empty model on every problem, as phase one once ran
     monkeypatch.setattr(loop, "prove_checked", recording_all)
     everywhere = measure_speedup(problems, limits, train_count=3)
     assert out["rows"] == everywhere["rows"]
@@ -398,7 +421,7 @@ def test_guided_proofs_remain_checkable(tmp_path):
     limits = Limits(inference_budget=50000, max_depth=10)
     guide = BayesModel()
     for _pid, cs in problems[:4]:
-        rec = Advisor(BayesModel(), record_only=True)
+        rec = Advisor(BayesModel())
         rec.register_clauses(cs.clauses)
         res = prove(cs, limits, advisor=rec)
         assert res.status == PROVED

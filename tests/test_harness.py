@@ -29,21 +29,21 @@ FAST_LOOP = LoopConfig(axiom_ladder=(4, 8, 16), attempt_budgets=(500, 1000, 2000
 @pytest.fixture(scope="module")
 def mixed30(tmp_path_factory):
     root = str(tmp_path_factory.mktemp("corpus") / "mixed30")
-    generate_corpus("mixed", 30, 0, root, verify=False)
+    generate_corpus("mixed", 30, root, verify=False)
     return root
 
 
 @pytest.fixture(scope="module")
 def neardup50(tmp_path_factory):
     root = str(tmp_path_factory.mktemp("probs") / "neardup50")
-    generate_corpus("neardup", 50, 0, root, verify=False)
+    generate_corpus("neardup", 50, root, verify=False)
     return root
 
 
 @pytest.fixture(scope="module")
 def neardup(tmp_path_factory):
     root = str(tmp_path_factory.mktemp("probs") / "neardup")
-    generate_corpus("neardup", 10, 0, root, verify=False)
+    generate_corpus("neardup", 10, root, verify=False)
     return root
 
 
@@ -535,7 +535,7 @@ def test_a_run_writes_a_fixed_set_of_files(neardup50, mixed30, tmp_path):
 
 def test_verify_rereads_an_edited_corpus(tmp_path):
     root = tmp_path / "mixed30"
-    generate_corpus("mixed", 30, 0, str(root), verify=False)
+    generate_corpus("mixed", 30, str(root), verify=False)
     spec = ExperimentSpec(mode="reprove", corpus=str(root),
                           out_dir=str(tmp_path / "run"),
                           loop=LoopConfig(max_depth=8))

@@ -80,7 +80,7 @@ def test_symbol_match_brings_premise_in_by_iteration_two(tmp_path):
 
 
 def test_solved_items_never_revert_and_proofs_check(tmp_path):
-    generate_corpus("mixed", 30, 0, str(tmp_path / "c"), verify=False)
+    generate_corpus("mixed", 30, str(tmp_path / "c"), verify=False)
     corpus = load_corpus(str(tmp_path / "c"))
     cfg = LoopConfig(axiom_ladder=(4, 8, 16), attempt_budgets=(500, 1000, 2000),
                      max_depth=8, max_iterations=6,
@@ -100,7 +100,7 @@ def test_solved_items_never_revert_and_proofs_check(tmp_path):
 
 
 def test_budget_accounting(tmp_path):
-    generate_corpus("mixed", 30, 0, str(tmp_path / "c"), verify=False)
+    generate_corpus("mixed", 30, str(tmp_path / "c"), verify=False)
     corpus = load_corpus(str(tmp_path / "c"))
     cfg = LoopConfig(axiom_ladder=(4, 8), attempt_budgets=(200, 400),
                      max_depth=8, max_iterations=3,
@@ -111,7 +111,7 @@ def test_budget_accounting(tmp_path):
 
 
 def test_learning_beats_recency_on_mixed(tmp_path):
-    generate_corpus("mixed", 30, 0, str(tmp_path / "c"), verify=False)
+    generate_corpus("mixed", 30, str(tmp_path / "c"), verify=False)
     corpus = load_corpus(str(tmp_path / "c"))
     kw = dict(axiom_ladder=(4, 8, 16), attempt_budgets=(500, 1000, 2000),
               max_depth=8, max_iterations=6, total_inference_budget=60000)
@@ -160,7 +160,7 @@ def test_fixpoint_report_empty_state(tmp_path):
 
 
 def test_shortening_recount_matches_stored_proofs(tmp_path):
-    generate_corpus("mixed", 30, 0, str(tmp_path / "c"), verify=False)
+    generate_corpus("mixed", 30, str(tmp_path / "c"), verify=False)
     corpus = load_corpus(str(tmp_path / "c"))
     cfg = LoopConfig(axiom_ladder=(4, 8, 16), attempt_budgets=(500, 1000, 2000),
                      max_depth=8, max_iterations=6)
@@ -177,7 +177,7 @@ def test_shortening_recount_matches_stored_proofs(tmp_path):
 
 
 def test_deterministic_states(tmp_path):
-    generate_corpus("mixed", 30, 0, str(tmp_path / "c"), verify=False)
+    generate_corpus("mixed", 30, str(tmp_path / "c"), verify=False)
     corpus = load_corpus(str(tmp_path / "c"))
     cfg = LoopConfig(axiom_ladder=(4, 8), attempt_budgets=(300, 600),
                      max_depth=8, max_iterations=3)
@@ -189,7 +189,7 @@ def test_deterministic_states(tmp_path):
 
 
 def test_loop_with_guidance_stays_sound(tmp_path):
-    generate_corpus("mixed", 30, 0, str(tmp_path / "c"), verify=False)
+    generate_corpus("mixed", 30, str(tmp_path / "c"), verify=False)
     corpus = load_corpus(str(tmp_path / "c"))
     cfg = LoopConfig(axiom_ladder=(4, 8, 16), attempt_budgets=(500, 1000, 2000),
                      max_depth=8, max_iterations=6, guidance=True)
@@ -201,7 +201,7 @@ def test_loop_with_guidance_stays_sound(tmp_path):
 
 
 def test_run_dir_layout(tmp_path):
-    generate_corpus("chain", 7, 0, str(tmp_path / "c"), verify=False)
+    generate_corpus("chain", 7, str(tmp_path / "c"), verify=False)
     results = run_library(ExperimentSpec(
         mode="library", corpus=str(tmp_path / "c"), out_dir=str(tmp_path / "run"),
         loop=SMALL_CONFIG, baseline=False))

@@ -77,10 +77,13 @@ def _wide_set() -> list:
 
 def _result(clauses, cap: int):
     try:
-        m = find_model(clauses, cap, provenance=f"cap{cap}")
+        m = find_model(clauses, cap)
     except ResourceError as exc:
         return f"ResourceError: {exc}"
-    return None if m is None else model_to_text(m)
+    if m is None:
+        return None
+    m.provenance = f"cap{cap}"
+    return model_to_text(m)
 
 
 def _caps(clauses) -> tuple:

@@ -204,7 +204,7 @@ def _challenge_batch(root: str) -> str:
 def test_batch_problems_equal_their_lone_parses(batch, tmp_path):
     root = str(tmp_path / batch)
     if batch == "neardup50":
-        generate_corpus("neardup", 50, 0, root, verify=False)
+        generate_corpus("neardup", 50, root, verify=False)
     else:
         _challenge_batch(root)
     names = sorted(fn for fn in os.listdir(root) if fn.endswith(".p"))

@@ -109,8 +109,8 @@ def small_inputs(tmp_path_factory):
     from proofbench.generator import generate_corpus
 
     root = tmp_path_factory.mktemp("bench_inputs")
-    generate_corpus("mixed", 30, 0, str(root / "mixed30"), verify=False)
-    generate_corpus("neardup", 6, 0, str(root / "neardup6"), verify=False)
+    generate_corpus("mixed", 30, str(root / "mixed30"), verify=False)
+    generate_corpus("neardup", 6, str(root / "neardup6"), verify=False)
     return {"library": str(root / "mixed30"), "challenge": str(root / "neardup6"),
             "speedup": str(root / "neardup6")}
 

@@ -4,8 +4,8 @@ Search order is a contract: inference counts feed every budget, report
 and benchmark digest, and the advisor learns from the proof's choices it
 is told.  `golden/prover_trace.json` holds, for fixed inputs, what each
 `prove()` call returned, the clause ids an advisor was told the returned
-proof took at its advised choice points, and the queries a record-only
-advisor buffered.  A change that
+proof took at its advised choice points, and the queries an advisor
+over an empty model (which gives no advice) buffered.  A change that
 alters any of them changes the search or what the advisor learns.
 
 Re-record (only for a deliberate search change) with
@@ -86,8 +86,8 @@ def _random_sets() -> list:
 
 
 class _LoggingAdvisor(Advisor):
-    def __init__(self, model, record_only=False):
-        super().__init__(model, record_only)
+    def __init__(self, model):
+        super().__init__(model)
         self.outcomes: list = []
 
     def outcome(self, token, clause_id):
@@ -96,13 +96,13 @@ class _LoggingAdvisor(Advisor):
 
 
 def _advised_runs(problems, limits, out: dict, queries: dict, tag: str) -> None:
-    """Record-only runs train a model; guided runs consult it.  `queries`
-    gets each record-only run's buffered `branch_symbols`, in buffer order,
+    """Runs whose advisor has an empty model train a model; guided runs
+    consult it.  `queries` gets each training run's buffered `branch_symbols`, in buffer order,
     one `feature:weight ...` string per record."""
     guide = BayesModel()
     half = len(problems) // 2
     for pid, cs in problems[:half]:
-        rec = _LoggingAdvisor(BayesModel(), record_only=True)
+        rec = _LoggingAdvisor(BayesModel())
         rec.register_clauses(cs.clauses)
         res = prove(cs, limits, advisor=rec)
         queries[f"{tag}:record:{pid}"] = [
@@ -123,7 +123,7 @@ def _advised(tmp_dir: str) -> tuple:
     from proofbench.parser import parse_problem_file
 
     root = os.path.join(tmp_dir, "neardup")
-    generate_corpus("neardup", 8, 0, root, verify=False)
+    generate_corpus("neardup", 8, root, verify=False)
     neardup = [(fn[:-2], clausal_problem(parse_problem_file(os.path.join(root, fn))))
                for fn in sorted(os.listdir(root)) if fn.endswith(".p")]
     out: dict = {}
