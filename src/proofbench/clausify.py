@@ -7,7 +7,8 @@ here are derived from a stable 64-bit fingerprint of the alpha-normalized
 existential subformula plus the positional roles of its governing
 universal variables, so equal content gets equal names in any problem.
 
-Pipeline: nnf -> simplify -> miniscope -> skolemize -> distribute.
+Pipeline: nnf (with constant folding and miniscoping) -> skolemize (which
+also drops the universals) -> distribute.
 Distribution is naive while the estimated clause count stays within a
 threshold, then switches to definitional naming of offending disjuncts
 (definitional predicates are fingerprint-named too).
@@ -35,16 +36,19 @@ class ClausalForm:
     whether the source formula uses equality."""
     clauses: tuple
     skolem_map: dict = field(default_factory=dict)
-    defined: dict = field(default_factory=dict)
     equality: bool = False
 
 
 # ---------------------------------------------------------------------------
-# Negation normal form
+# Negation normal form, constant folding and miniscoping in one walk
 
 
 def nnf(f: Formula) -> Formula:
-    """Push negations to atoms, eliminating => and <=>."""
+    """Negation normal form, built bottom-up: => and <=> are eliminated,
+    negations pushed to atoms, boolean constants folded (`$true` or
+    `$false` is left only as the whole result) and every quantifier
+    scope shrunk to cut skolem arity (miniscoping).  Equivalence-
+    preserving."""
     return _nnf(f, True)
 
 
@@ -57,85 +61,53 @@ def _nnf(f: Formula, positive: bool) -> Formula:
         return FALSE if positive else TRUE
     if isinstance(f, Not):
         return _nnf(f.sub, not positive)
-    if isinstance(f, And):
-        cls = And if positive else Or
-        return cls(_nnf(f.lhs, positive), _nnf(f.rhs, positive))
-    if isinstance(f, Or):
-        cls = Or if positive else And
-        return cls(_nnf(f.lhs, positive), _nnf(f.rhs, positive))
+    if isinstance(f, (And, Or)):
+        conjunction = isinstance(f, And) == positive
+        return _junction(And if conjunction else Or,
+                         _nnf(f.lhs, positive), _nnf(f.rhs, positive))
     if isinstance(f, Implies):
-        if positive:
-            return Or(_nnf(f.lhs, False), _nnf(f.rhs, True))
-        return And(_nnf(f.lhs, True), _nnf(f.rhs, False))
-    if isinstance(f, Iff):
-        if positive:
-            return And(Or(_nnf(f.lhs, False), _nnf(f.rhs, True)),
-                       Or(_nnf(f.rhs, False), _nnf(f.lhs, True)))
-        return And(Or(_nnf(f.lhs, True), _nnf(f.rhs, True)),
-                   Or(_nnf(f.lhs, False), _nnf(f.rhs, False)))
-    if isinstance(f, Forall):
-        cls = Forall if positive else Exists
-        return cls(f.var, _nnf(f.body, positive))
-    if isinstance(f, Exists):
-        cls = Exists if positive else Forall
-        return cls(f.var, _nnf(f.body, positive))
+        return _nnf(Or(Not(f.lhs), f.rhs), positive)
+    if isinstance(f, Iff):      # ~(l <=> r) is (l | r) & ~(l & r)
+        l, r = f.lhs, f.rhs
+        return _nnf(And(Implies(l, r), Implies(r, l)) if positive
+                    else And(Or(l, r), Not(And(l, r))), True)
+    if isinstance(f, QUANT):
+        universal = isinstance(f, Forall) == positive
+        return _scope(Forall if universal else Exists, f.var,
+                      _nnf(f.body, positive))
     raise TypeError(f"not a formula: {f!r}")
 
 
-def simplify(f: Formula) -> Formula:
-    """Fold boolean constants; equivalence-preserving."""
-    if isinstance(f, (And, Or)):
-        l, r = simplify(f.lhs), simplify(f.rhs)
-        unit, absorb = (TRUE, FALSE) if isinstance(f, And) else (FALSE, TRUE)
-        if l == absorb or r == absorb:
-            return absorb
-        if l == unit:
-            return r
-        if r == unit:
-            return l
-        return type(f)(l, r)
-    if isinstance(f, Not):
-        s = simplify(f.sub)
-        if isinstance(s, TrueF):
-            return FALSE
-        if isinstance(s, FalseF):
-            return TRUE
-        return Not(s)
-    if isinstance(f, QUANT):
-        b = simplify(f.body)
-        if isinstance(b, (TrueF, FalseF)):
-            return b
-        return type(f)(f.var, b)
-    if isinstance(f, (Implies, Iff)):
-        return type(f)(simplify(f.lhs), simplify(f.rhs))
-    return f
+def _junction(cls, lhs: Formula, rhs: Formula) -> Formula:
+    """`cls(lhs, rhs)` for cls And or Or, with a constant operand folded."""
+    unit, absorb = (TRUE, FALSE) if cls is And else (FALSE, TRUE)
+    if lhs == absorb or rhs == absorb:
+        return absorb
+    if lhs == unit:
+        return rhs
+    if rhs == unit:
+        return lhs
+    return cls(lhs, rhs)
 
 
-# ---------------------------------------------------------------------------
-# Miniscoping (on NNF): shrink quantifier scopes to cut skolem arity.
-
-
-def miniscope(f: Formula) -> Formula:
-    if isinstance(f, (And, Or)):
-        return type(f)(miniscope(f.lhs), miniscope(f.rhs))
-    if isinstance(f, QUANT):
-        body = miniscope(f.body)
-        v = f.var
-        if v not in free_vars_ordered(body):
-            return body
-        dist = And if isinstance(f, Forall) else Or
-        if isinstance(body, dist):
-            return type(body)(miniscope(type(f)(v, body.lhs)),
-                              miniscope(type(f)(v, body.rhs)))
-        if isinstance(body, (And, Or)):
-            in_l = v in free_vars_ordered(body.lhs)
-            in_r = v in free_vars_ordered(body.rhs)
-            if in_l and not in_r:
-                return type(body)(miniscope(type(f)(v, body.lhs)), body.rhs)
-            if in_r and not in_l:
-                return type(body)(body.lhs, miniscope(type(f)(v, body.rhs)))
-        return type(f)(v, body)
-    return f
+def _scope(quant, v: str, body: Formula) -> Formula:
+    """`quant v. body` over an already folded and miniscoped body: dropped
+    when v does not occur (so a constant body stays constant), distributed
+    over And (Forall) or Or (Exists), and otherwise pushed into the one
+    side v occurs in."""
+    if v not in free_vars_ordered(body):
+        return body
+    dist = And if quant is Forall else Or
+    if isinstance(body, dist):
+        return dist(_scope(quant, v, body.lhs), _scope(quant, v, body.rhs))
+    if isinstance(body, (And, Or)):
+        in_l = v in free_vars_ordered(body.lhs)
+        in_r = v in free_vars_ordered(body.rhs)
+        if in_l and not in_r:
+            return type(body)(_scope(quant, v, body.lhs), body.rhs)
+        if in_r and not in_l:
+            return type(body)(body.lhs, _scope(quant, v, body.rhs))
+    return quant(v, body)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +133,9 @@ def skolem_fingerprint(existential: Formula, governing) -> str:
 
 
 def skolemize(f: Formula, skolem_map: dict | None = None) -> Formula:
-    """Remove existentials from a closed NNF formula.
+    """The quantifier-free matrix of a closed NNF formula: each existential
+    is replaced by a skolem term over the universals it depends on, and
+    the universals are dropped, so the matrix's variables read universally.
 
     The skolem symbol for an occurrence depends only on the alpha-class of
     the existential subformula and the positions of the governing
@@ -172,7 +146,7 @@ def skolemize(f: Formula, skolem_map: dict | None = None) -> Formula:
 
     def walk(g, universals):
         if isinstance(g, Forall):
-            return Forall(g.var, walk(g.body, universals + [g.var]))
+            return walk(g.body, universals + [g.var])
         if isinstance(g, Exists):
             deps = [u for u in universals if u in free_vars_ordered(g.body)]
             fp = skolem_fingerprint(g, deps)
@@ -191,14 +165,6 @@ def skolemize(f: Formula, skolem_map: dict | None = None) -> Formula:
 # Distribution to clauses
 
 
-def _strip_universals(f: Formula) -> Formula:
-    while isinstance(f, Forall):
-        f = f.body
-    if isinstance(f, (And, Or)):
-        return type(f)(_strip_universals(f.lhs), _strip_universals(f.rhs))
-    return f
-
-
 def clause_count_estimate(f: Formula) -> int:
     """Clause count of naive distribution for a quantifier-free NNF matrix."""
     if isinstance(f, And):
@@ -208,16 +174,10 @@ def clause_count_estimate(f: Formula) -> int:
     return 1
 
 
-def _as_literal(f: Formula) -> Literal:
-    if isinstance(f, Not):
-        return Literal(False, f.sub)
-    return Literal(True, f)
-
-
 class _Distributor:
     def __init__(self, threshold: int):
         self.threshold = threshold
-        self.defined: dict = {}
+        self.defined: set = set()       # definition names emitted
         self.extra_clauses: list = []
 
     def name_subformula(self, f: Formula) -> Formula:
@@ -227,7 +187,7 @@ class _Distributor:
         name = f"df_{fp}"
         head = Atom(name, tuple(Var(v) for v in fvs))
         if name not in self.defined:
-            self.defined[name] = fp
+            self.defined.add(name)
             # one-sided definition suffices in NNF: def -> f
             for cl in self.clauses(f):
                 self.extra_clauses.append([Literal(False, head)] + cl)
@@ -251,7 +211,9 @@ class _Distributor:
             for p in parts:
                 result = [rc + pc for rc in result for pc in self.clauses(p)]
             return result
-        return [[_as_literal(f)]]
+        if isinstance(f, Not):
+            return [[Literal(False, f.sub)]]
+        return [[Literal(True, f)]]
 
 
 def _flatten_or(f: Formula) -> list:
@@ -273,30 +235,18 @@ def cnf(f: Formula, name: str = "f",
     Clause ids are `{name}_{i}` in emission order; satisfiability is
     preserved, clause count stays within the definitional threshold rule.
     """
-    g = Not(f) if negate else f
-    matrix = simplify(nnf(g))
-    matrix = miniscope(matrix)
     skolem_map: dict = {}
-    matrix = skolemize(matrix, skolem_map)
-    matrix = _strip_universals(matrix)
+    matrix = skolemize(nnf(Not(f) if negate else f), skolem_map)
     dist = _Distributor(threshold)
-    raw = dist.clauses(matrix) + dist.extra_clauses
-    clauses = []
-    for lits in raw:
-        cl = make_clause(lits, origin=name)
-        if _is_tautology(cl.literals):
+    clauses, seen = [], set()
+    # dedupe literals, drop tautologies, dedupe clauses, then number
+    for lits in dist.clauses(matrix) + dist.extra_clauses:
+        literals = make_clause(lits).literals
+        if literals in seen or _is_tautology(literals):
             continue
-        clauses.append(cl)
-    # dedup identical clauses, then freeze ids
-    seen = set()
-    unique = []
-    for cl in clauses:
-        if cl.literals not in seen:
-            seen.add(cl.literals)
-            unique.append(cl)
-    final = tuple(Clause(cl.literals, name, f"{name}_{i}")
-                  for i, cl in enumerate(unique))
-    return ClausalForm(final, skolem_map, dist.defined, uses_equality(f))
+        seen.add(literals)
+        clauses.append(Clause(literals, name, f"{name}_{len(clauses)}"))
+    return ClausalForm(tuple(clauses), skolem_map, uses_equality(f))
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ report, speedup.  Every run is deterministic: budgets count inferences,
 never wall-clock time.  Each option is registered only on the
 subcommands that read it.  A run option sets the `LoopConfig` or
 `ExperimentSpec` field it is stored under; one not given leaves the
-field's default.  A setting that `Limits` or those classes reject ends
-the command with exit code 2 before anything is written; otherwise the
-exit code reflects invariant violations (a failed proof check, a broken
-run directory), never unsolved problems.
+field's default.  A setting that `Limits`, those classes or the
+generator's `check_size` reject ends the command with exit code 2
+before anything is written; otherwise the exit code reflects invariant
+violations (a failed proof check, a broken run directory), never
+unsolved problems.
 
 Environment: PROOFBENCH_OUTPUT_ROOT prefixes relative --out paths.
 """
@@ -20,7 +21,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .generator import FAMILIES, generate_corpus
+from .generator import FAMILIES, GeneratorError, check_size, generate_corpus
 from .guidance import measure_speedup
 from .harness import (
     ExperimentSpec, report, run_challenge, run_library, run_reprove,
@@ -44,6 +45,16 @@ def _spec(args) -> ExperimentSpec:
     return ExperimentSpec(mode=args.command,
                           loop=LoopConfig(**fields_of(LoopConfig)),
                           **fields_of(ExperimentSpec))
+
+
+def _settings(args):
+    """The checked settings of a command that writes output: raises on a
+    value that `Limits`, the run classes or the generator reject."""
+    if args.command == "generate":
+        return check_size(args.family, args.size)
+    if args.command == "speedup":
+        return Limits(inference_budget=args.budget, max_depth=args.depth)
+    return _spec(args)
 
 
 def _field(p, flag: str, dest: str, **kw):
@@ -200,15 +211,15 @@ def cmd_speedup(args, limits: Limits) -> int:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    command = {"generate": cmd_generate, "verify": cmd_verify,
-               "report": cmd_report}.get(args.command)
+    command = {"verify": cmd_verify, "report": cmd_report}.get(args.command)
     if command is not None:
         return command(args)
     try:        # a setting the program rejects ends the run before any output
-        settings = (Limits(inference_budget=args.budget, max_depth=args.depth)
-                    if args.command == "speedup" else _spec(args))
-    except ValueError as exc:
+        settings = _settings(args)
+    except (ValueError, GeneratorError) as exc:
         ap.error(f"{args.command}: {exc}")
+    if args.command == "generate":
+        return cmd_generate(args)
     if args.command == "speedup":
         return cmd_speedup(args, settings)
     return cmd_run(settings)

@@ -50,16 +50,6 @@ def _write_item(root: str, name: str, role: str, formula_text: str) -> str:
     return relpath
 
 
-def _write_first(root: str, family: str, entries: list, size: int) -> list:
-    """Records of the first `size` of a family's (name, role, formula
-    text, references) entries, each written to its file."""
-    if size > len(entries):
-        raise GeneratorError(f"the {family} family has at most {len(entries)} "
-                             f"items, not {size}")
-    return [(name, _write_item(root, name, role, formula), refs)
-            for name, role, formula, refs in entries[:size]]
-
-
 def _verify_corpus(root: str) -> None:
     """Each theorem, proved from its reference premises as `reprove`
     builds it; a proof the checker rejects raises `LoopInvariantError`."""
@@ -78,34 +68,26 @@ def _verify_corpus(root: str) -> None:
 # chain
 
 
-def _gen_chain(root: str, size: int) -> list:
-    """Records for a chain: base fact, then (rule, theorem) pairs."""
-    records = []
-    if size <= 0:
-        return records
-    records.append(("base", _write_item(root, "base", "axiom", "p0(c)"), []))
+def _chain_entries(size: int) -> list:
+    """The first `size` entries of a chain: base fact, then (rule,
+    theorem) pairs."""
+    entries = [("base", "axiom", "p0(c)", [])]
     k = 0
-    while len(records) < size:
+    while len(entries) < size:
         k += 1
-        rule = f"rule{k}"
-        records.append((rule, _write_item(
-            root, rule, "axiom", f"![X]: (p{k - 1}(X) => p{k}(X))"), []))
-        if len(records) >= size:
-            break
-        th = f"th{k}"
         prev = f"th{k - 1}" if k > 1 else "base"
-        records.append((th, _write_item(root, th, "conjecture", f"p{k}(c)"),
-                        [prev, rule]))
-    return records
+        entries += [(f"rule{k}", "axiom", f"![X]: (p{k - 1}(X) => p{k}(X))", []),
+                    (f"th{k}", "conjecture", f"p{k}(c)", [prev, f"rule{k}"])]
+    return entries[:size]
 
 
 # ---------------------------------------------------------------------------
 # group
 
 
-def _gen_group(root: str, size: int) -> list:
+def _group_entries() -> list:
     """Left identity + left inverse, then instance/symmetry/transitivity
-    lemmas; the first `size` of them."""
+    lemmas."""
     ident = "ident"
     inv = "inv"
     consts = ["c", "d", "g", "h"]
@@ -123,14 +105,14 @@ def _gen_group(root: str, size: int) -> list:
         for suffix, pattern, refs in templates:
             entries.append((f"lem_{c}_{suffix}", "conjecture",
                             pattern.format(c=c), list(refs)))
-    return _write_first(root, "group", entries, size)
+    return entries
 
 
 # ---------------------------------------------------------------------------
 # mixed (the bundled acceptance corpus shape)
 
 
-def _gen_mixed(root: str, size: int) -> list:
+def _mixed_entries() -> list:
     """Interleaved chains + equational items + tautologies + distractors.
 
     Rule axioms are emitted long before the theorems that need them, and
@@ -181,8 +163,11 @@ def _gen_mixed(root: str, size: int) -> list:
             # padded reference set: the found proof will be strictly shorter
             refs = refs + ["noise1"]
         entries.append((name, role, formula, refs))
+    return entries
 
-    return _write_first(root, "mixed", entries, size)
+
+# families with a fixed item list; a corpus is its first `size` items
+_FIXED = {"group": _group_entries, "mixed": _mixed_entries}
 
 
 # ---------------------------------------------------------------------------
@@ -232,25 +217,35 @@ def _verify_problems(root: str) -> None:
 # entry point
 
 
-def generate_corpus(family: str, size: int, out_dir: str,
-                    verify: bool = True) -> str:
-    """Write a corpus (or problem directory) under out_dir; returns out_dir."""
+def check_size(family: str, size: int) -> None:
+    """Raise `GeneratorError` unless `family` is known and can make a
+    corpus of `size` items."""
     if family not in FAMILIES:
         raise GeneratorError(f"unknown family {family!r}; choose from {FAMILIES}")
     if size < 0:
-        raise GeneratorError("size must be >= 0")
+        raise GeneratorError(f"size must be >= 0, got {size}")
+    capacity = len(_FIXED[family]()) if family in _FIXED else size
+    if size > capacity:
+        raise GeneratorError(f"the {family} family has at most {capacity} "
+                             f"items, not {size}")
+
+
+def generate_corpus(family: str, size: int, out_dir: str,
+                    verify: bool = True) -> str:
+    """Write a corpus (or problem directory) under out_dir; returns out_dir.
+    A family or size that `check_size` rejects writes nothing."""
+    check_size(family, size)
     os.makedirs(out_dir, exist_ok=True)
     if family == "neardup":
         _gen_neardup(out_dir, size)
         if verify and size:
             _verify_problems(out_dir)
         return out_dir
-    if family == "chain":
-        records = _gen_chain(out_dir, size)
-    elif family == "group":
-        records = _gen_group(out_dir, size)
-    else:
-        records = _gen_mixed(out_dir, size)
+    # (name, role, formula text, references) of each item, in order
+    entries = (_chain_entries(size) if family == "chain"
+               else _FIXED[family]()[:size])
+    records = [(name, _write_item(out_dir, name, role, formula), refs)
+               for name, role, formula, refs in entries]
     write_manifest(out_dir, records)
     _write_split(out_dir, records)
     if verify and records:

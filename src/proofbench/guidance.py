@@ -88,9 +88,10 @@ class Advisor:
         included; it is read only if the throttle lets the consult through."""
         if not throttle_policy(depth, len(candidate_ids)):
             return None, None
-        # mid-search training would invalidate snapshot purity
-        assert self._model_mark == self.model.snapshot_id(), \
-            "learner changed during search"
+        # mid-search training would invalidate snapshot purity; the
+        # prover counts the error and keeps input order
+        if self._model_mark != self.model.snapshot_id():
+            raise RuntimeError("learner changed during search")
         feats = tuple(sorted(branch_features(symbols).items()))
         query = StateQuery(feats)
         if self.model.total_examples == 0:

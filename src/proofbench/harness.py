@@ -38,8 +38,9 @@ from .corpus import load_corpus, load_split
 from .features import combine, structural_features, symbol_features
 from .learner import BayesModel, rank_premises, train_incremental
 from .loop import (
-    Attempt, LoopConfig, attempt, clause_set_builder, fixpoint_report,
-    item_features, prove_checked, run_loop, tally, walk_ladder, write_run_dir,
+    Attempt, LoopConfig, LoopInvariantError, attempt, clause_set_builder,
+    fixpoint_report, item_features, prove_checked, run_loop, tally,
+    walk_ladder, write_run_dir,
 )
 from .models import ModelStore, evaluate, model_from_text, model_to_text
 from .parser import parse_problem_dir, parse_problem_file
@@ -316,8 +317,8 @@ def run_traintest(spec: ExperimentSpec) -> dict:
 
     def select(name, entry, k) -> tuple:
         if name not in ranking:
-            assert model.total_examples == trained_examples, \
-                "test evaluation must not train"
+            if model.total_examples != trained_examples:
+                raise LoopInvariantError("test evaluation must not train")
             names = [p.name for p in corpus.eligible(entry[0])
                      if p.name not in test_set]
             if model.total_examples > 0:

@@ -447,9 +447,9 @@ def run_loop(corpus: Corpus, config: LoopConfig, writer=None,
             break
     else:
         state.stopped_because = "iteration cap"
-    if config.total_inference_budget is not None:
-        assert state.inferences_used <= config.total_inference_budget, \
-            "budget accounting overflow"
+    if (config.total_inference_budget is not None
+            and state.inferences_used > config.total_inference_budget):
+        raise LoopInvariantError("budget accounting overflow")
     return state
 
 

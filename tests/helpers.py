@@ -15,8 +15,8 @@ import random
 
 from proofbench.fol import (
     BINARY, QUANT, And, App, Atom, Clause, Eq, Exists, FALSE, FalseF, Forall,
-    Iff, Implies, Literal, Not, Or, TrueF, Var, alpha_normal,
-    make_clause, universal_closure,
+    Iff, Implies, Literal, Not, Or, TRUE, TrueF, Var, alpha_normal,
+    free_vars_ordered, make_clause, subst_formula, universal_closure,
 )
 from proofbench.features import combine, symbol_features
 from proofbench.learner import (
@@ -578,3 +578,130 @@ def stored_record(run_dir: str, name: str) -> list:
     if os.path.basename(stream) == "models.txt":
         return records[int(key)]
     return next(lines for lines in records if lines[0] == f"% item {key}")
+
+
+# ---------------------------------------------------------------------------
+# Reference clausifier: the textbook pipeline, one walk per step
+# (nnf -> simplify -> miniscope -> skolemize -> strip universals), then
+# clausify's own distributor and a three-pass finalize.  `cnf` must equal it.
+
+
+def reference_cnf(f, name: str = "f", threshold: int = 64,
+                  negate: bool = False):
+    from proofbench.clausify import (
+        ClausalForm, _Distributor, _is_tautology, skolem_fingerprint,
+        uses_equality,
+    )
+    skolem_map: dict = {}
+    matrix = _ref_nnf(Not(f) if negate else f, True)
+    matrix = _ref_miniscope(_ref_simplify(matrix))
+    matrix = _ref_strip_universals(_ref_skolemize(matrix, skolem_map,
+                                                  skolem_fingerprint))
+    dist = _Distributor(threshold)
+    raw = dist.clauses(matrix) + dist.extra_clauses
+    clauses = [cl for cl in (make_clause(lits, origin=name) for lits in raw)
+               if not _is_tautology(cl.literals)]
+    seen, unique = set(), []
+    for cl in clauses:
+        if cl.literals not in seen:
+            seen.add(cl.literals)
+            unique.append(cl)
+    final = tuple(Clause(cl.literals, name, f"{name}_{i}")
+                  for i, cl in enumerate(unique))
+    return ClausalForm(final, skolem_map, uses_equality(f))
+
+
+def _ref_nnf(f, positive: bool):
+    if isinstance(f, (Atom, Eq)):
+        return f if positive else Not(f)
+    if isinstance(f, TrueF):
+        return TRUE if positive else FALSE
+    if isinstance(f, FalseF):
+        return FALSE if positive else TRUE
+    if isinstance(f, Not):
+        return _ref_nnf(f.sub, not positive)
+    if isinstance(f, (And, Or)):
+        cls = type(f) if positive else (Or if isinstance(f, And) else And)
+        return cls(_ref_nnf(f.lhs, positive), _ref_nnf(f.rhs, positive))
+    if isinstance(f, Implies):
+        if positive:
+            return Or(_ref_nnf(f.lhs, False), _ref_nnf(f.rhs, True))
+        return And(_ref_nnf(f.lhs, True), _ref_nnf(f.rhs, False))
+    if isinstance(f, Iff):
+        if positive:
+            return And(Or(_ref_nnf(f.lhs, False), _ref_nnf(f.rhs, True)),
+                       Or(_ref_nnf(f.rhs, False), _ref_nnf(f.lhs, True)))
+        return And(Or(_ref_nnf(f.lhs, True), _ref_nnf(f.rhs, True)),
+                   Or(_ref_nnf(f.lhs, False), _ref_nnf(f.rhs, False)))
+    cls = type(f) if positive else (Exists if isinstance(f, Forall) else Forall)
+    return cls(f.var, _ref_nnf(f.body, positive))
+
+
+def _ref_simplify(f):
+    if isinstance(f, (And, Or)):
+        l, r = _ref_simplify(f.lhs), _ref_simplify(f.rhs)
+        unit, absorb = (TRUE, FALSE) if isinstance(f, And) else (FALSE, TRUE)
+        if l == absorb or r == absorb:
+            return absorb
+        if l == unit:
+            return r
+        if r == unit:
+            return l
+        return type(f)(l, r)
+    if isinstance(f, QUANT):
+        b = _ref_simplify(f.body)
+        if isinstance(b, (TrueF, FalseF)):
+            return b
+        return type(f)(f.var, b)
+    return f
+
+
+def _ref_miniscope(f):
+    if isinstance(f, (And, Or)):
+        return type(f)(_ref_miniscope(f.lhs), _ref_miniscope(f.rhs))
+    if isinstance(f, QUANT):
+        body = _ref_miniscope(f.body)
+        v = f.var
+        if v not in free_vars_ordered(body):
+            return body
+        dist = And if isinstance(f, Forall) else Or
+        if isinstance(body, dist):
+            return type(body)(_ref_miniscope(type(f)(v, body.lhs)),
+                              _ref_miniscope(type(f)(v, body.rhs)))
+        if isinstance(body, (And, Or)):
+            in_l = v in free_vars_ordered(body.lhs)
+            in_r = v in free_vars_ordered(body.rhs)
+            if in_l and not in_r:
+                return type(body)(_ref_miniscope(type(f)(v, body.lhs)),
+                                  body.rhs)
+            if in_r and not in_l:
+                return type(body)(body.lhs,
+                                  _ref_miniscope(type(f)(v, body.rhs)))
+        return type(f)(v, body)
+    return f
+
+
+def _ref_skolemize(f, skolem_map: dict, fingerprint):
+    def walk(g, universals):
+        if isinstance(g, Forall):
+            return Forall(g.var, walk(g.body, universals + [g.var]))
+        if isinstance(g, Exists):
+            deps = [u for u in universals if u in free_vars_ordered(g.body)]
+            fp = fingerprint(g, deps)
+            skolem_map[f"sk_{fp}"] = fp
+            term = App(f"sk_{fp}", tuple(Var(u) for u in deps))
+            return walk(subst_formula(g.body, {g.var: term}), universals)
+        if isinstance(g, (And, Or)):
+            return type(g)(walk(g.lhs, universals), walk(g.rhs, universals))
+        return g
+
+    return walk(f, [])
+
+
+def _ref_strip_universals(f):
+    while isinstance(f, Forall):
+        f = f.body
+    if isinstance(f, (And, Or)):
+        return type(f)(_ref_strip_universals(f.lhs),
+                       _ref_strip_universals(f.rhs))
+    return f

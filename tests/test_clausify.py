@@ -1,3 +1,4 @@
+import os
 import random
 
 from proofbench.clausify import (
@@ -5,17 +6,20 @@ from proofbench.clausify import (
     skolemize,
 )
 from proofbench.fol import (
-    And, App, Atom, Eq, Exists, Forall, Iff, Implies, Literal, Not, Or, Var,
-    symbols_of,
+    And, App, Atom, Eq, Exists, FALSE, Forall, Iff, Implies, Literal, Not, Or,
+    TRUE, Var, symbols_of, universal_closure,
 )
-from proofbench.parser import parse_problem
+from proofbench.parser import parse_problem, parse_problem_dir
 
 from helpers import (
     alpha_equivalent, atom, brute_clauses_have_model, brute_has_model,
     clause_as_formula, clause_by_id, disj, print_clause,
     prop_clause_satisfiable, prop_equivalent, random_closed_formula,
-    rename_bound_vars, subformulas,
+    reference_cnf, rename_bound_vars, subformulas,
 )
+
+MIXED30 = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "corpora", "mixed30")
 
 
 P, Q = Atom("p", ()), Atom("q", ())
@@ -67,10 +71,9 @@ def test_skolemize_ground_constant():
 def test_skolemize_one_dependency():
     f = Forall("X", Exists("Y", atom("q", Var("X"), Var("Y"))))
     out = skolemize(f)
-    assert isinstance(out, Forall)
-    body = out.body
-    assert body.args[0] == Var("X")
-    sk = body.args[1]
+    assert isinstance(out, Atom)
+    assert out.args[0] == Var("X")
+    sk = out.args[1]
     assert sk.symbol.startswith("sk_") and sk.args == (Var("X"),)
 
 
@@ -82,7 +85,7 @@ def test_skolem_names_shared_across_alpha_variants():
     s1 = skolemize(nnf(f), m1)
     s2 = skolemize(nnf(g), m2)
     assert set(m1) == set(m2)
-    assert alpha_equivalent(s1, s2)
+    assert alpha_equivalent(universal_closure(s1)[0], universal_closure(s2)[0])
 
 
 def test_skolem_names_differ_for_different_content():
@@ -119,15 +122,59 @@ def _tautology(f):
                for bits in itertools.product([False, True], repeat=len(atoms)))
 
 
+def test_cnf_equals_reference_pipeline():
+    # cnf's two walks before distribution give exactly the clauses, ids,
+    # skolem names and equality flag of the one-walk-per-step pipeline
+    formulas = [af.formula for _name, problem in parse_problem_dir(MIXED30)
+                for af in problem.formulas]
+    rng = random.Random(2022)
+    for _ in range(1500):
+        f = random_closed_formula(rng, depth=rng.choice([3, 4, 5]))
+        formulas.append(_with_constants(rng, f) if rng.random() < 0.7 else f)
+    assert any(_has_constant(f) for f in formulas)
+    for f in formulas:
+        for negate in (False, True):
+            for threshold in (2, 64):
+                got = cnf(f, "x", threshold, negate)
+                want = reference_cnf(f, "x", threshold, negate)
+                assert got == want, (f, negate, threshold)
+
+
+def _with_constants(rng, f):
+    """`f` with some subformulas replaced by `$true` or `$false` and some
+    wrapped in a quantifier whose variable does not occur."""
+    roll = rng.random()
+    if roll < 0.1:
+        return rng.choice([TRUE, FALSE])
+    if roll < 0.18:
+        return rng.choice([Forall, Exists])("V", _with_constants(rng, f))
+    if isinstance(f, Not):
+        return Not(_with_constants(rng, f.sub))
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return type(f)(_with_constants(rng, f.lhs), _with_constants(rng, f.rhs))
+    if isinstance(f, (Forall, Exists)):
+        return type(f)(f.var, _with_constants(rng, f.body))
+    return f
+
+
+def _has_constant(f):
+    return any(g in (TRUE, FALSE) for g in subformulas(f))
+
+
 def test_definitional_bound_on_wide_disjunction():
     parts = [And(Atom(f"a{i}", ()), Atom(f"b{i}", ())) for i in range(1, 7)]
     f = disj(parts)
     assert clause_count_estimate(nnf(f)) == 64
     naive = cnf(f, name="w", threshold=64)
-    assert len(naive.clauses) == 64 and not naive.defined
+    assert len(naive.clauses) == 64 and not _definitions(naive)
     named = cnf(f, name="w", threshold=32)
-    assert named.defined
+    assert _definitions(named)
     assert len(named.clauses) <= 19
+
+
+def _definitions(form):
+    return {l.atom.pred for c in form.clauses for l in c.literals
+            if l.atom.pred.startswith("df_")}
 
 
 def test_definitional_preserves_satisfiability():

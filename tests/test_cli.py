@@ -240,11 +240,15 @@ def test_a_value_given_reaches_its_field(corpus, tmp_path, capsys, flags,
     (["traintest", "--depth", "-3"], "max_depth must be positive, got -3"),
     (["reprove", "--budget", "0"], "inference_budget must be positive, got 0"),
     (["speedup", "--depth", "0"], "max_depth must be positive, got 0"),
+    (["generate", "--family", "chain", "--size", "-1"], "size must be >= 0, got -1"),
+    (["generate", "--family", "group", "--size", "99"],
+     "the group family has at most 22 items, not 99"),
 ])
 def test_an_invalid_value_exits_2_before_any_output(corpus, tmp_path, capsys,
                                                     argv, message):
     command, *flags = argv
-    inputs = {"challenge": ["--problems", corpus],
+    inputs = {"generate": [],
+              "challenge": ["--problems", corpus],
               "speedup": ["--problems", corpus],
               "traintest": ["--corpus", corpus,
                             "--split", os.path.join(corpus, "split.txt")]}

@@ -29,6 +29,9 @@ selects code the program never runs.
 Every name an import binds in the package or in `tests/` is also read
 there, except on a line marked `# noqa` (bare or naming F401, as flake8
 reads it): `harness` binds names for perfbench's tracer to wrap.
+
+No module of the package gates an invariant with an `assert` statement:
+`python -O` strips them, so a gate raises explicitly.
 """
 import ast
 import glob
@@ -289,3 +292,10 @@ def _unused_imports(path: str) -> list:
 
 def test_every_import_is_used():
     assert [u for path in PACKAGE + TESTS for u in _unused_imports(path)] == []
+
+
+def test_no_assert_statement_in_the_package():
+    found = [f"{os.path.relpath(path, ROOT)}:{node.lineno}"
+             for path in PACKAGE for node in ast.walk(ast.parse(_read(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from proofbench.checker import check_proof
-from proofbench.clausify import clausal_problem, miniscope, nnf, skolemize
+from proofbench.clausify import clausal_problem, nnf, skolemize
 from proofbench.fol import Exists, Forall, free_vars_ordered
 from proofbench.parser import IncludeError, parse_problem, parse_problem_file
 from proofbench.prover import Limits, PROVED, StartStep, prove
@@ -16,14 +16,14 @@ from helpers import (
 
 
 def test_miniscope_preserves_equivalence():
-    # miniscoping must not change truth in any interpretation
+    # nnf's miniscoping must not change truth in any interpretation
     rng = random.Random(31)
     funcs = {"c": 0, "f": 1}
     preds = {"p": 1, "q": 1}
     for _ in range(120):
-        f = nnf(random_closed_formula(rng, depth=3, allow_eq=False,
-                                      unary_only=True))
-        g = miniscope(f)
+        f = random_closed_formula(rng, depth=3, allow_eq=False,
+                                  unary_only=True)
+        g = nnf(f)
         for n in (1, 2):
             for ft, pt in all_interpretations(funcs, preds, n):
                 assert brute_eval(f, ft, pt, n) == brute_eval(g, ft, pt, n)
@@ -34,7 +34,7 @@ def test_miniscope_reduces_skolem_arity():
     # so Y's skolem term must be a constant rather than sk(X)
     from proofbench.fol import App, Atom, Or, Var
     f = Forall("X", Exists("Y", Or(atom("p", Var("Y")), atom("q", Var("X")))))
-    out = skolemize(miniscope(f))
+    out = skolemize(nnf(f))
     sk_args = [t.args for g in subformulas(out) if isinstance(g, Atom)
                for t in g.args if isinstance(t, App) and t.symbol.startswith("sk_")]
     assert sk_args and all(args == () for args in sk_args)

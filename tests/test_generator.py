@@ -54,7 +54,7 @@ def test_group_family_size_beyond_capacity_rejected(tmp_path):
     assert len(load_corpus(str(tmp_path / "full")).items) == 22
     with pytest.raises(GeneratorError, match="at most 22"):
         generate_corpus("group", 30, str(tmp_path / "over"), verify=False)
-    assert os.listdir(str(tmp_path / "over")) == []
+    assert not (tmp_path / "over").exists()
 
 
 def test_mixed_family_size_beyond_capacity_rejected(tmp_path):
@@ -64,7 +64,7 @@ def test_mixed_family_size_beyond_capacity_rejected(tmp_path):
         over = tmp_path / f"over{size}"
         with pytest.raises(GeneratorError, match="at most 30"):
             generate_corpus("mixed", size, str(over), verify=False)
-        assert os.listdir(str(over)) == []
+        assert not over.exists()
 
 
 def test_same_seed_byte_identical(tmp_path):
@@ -87,16 +87,16 @@ def test_bundled_corpus_matches_regeneration(tmp_path):
 def test_generation_time_verification_catches_unprovable(tmp_path, monkeypatch):
     import proofbench.generator as gen
 
-    real_chain = gen._gen_chain
+    real_chain = gen._chain_entries
 
-    def broken_chain(root, size):
-        records = real_chain(root, size)
+    def broken_chain(size):
+        entries = real_chain(size)
         # drop a reference so the last theorem loses a needed premise
-        name, path, refs = records[-1]
-        records[-1] = (name, path, refs[:1])
-        return records
+        name, role, formula, refs = entries[-1]
+        entries[-1] = (name, role, formula, refs[:1])
+        return entries
 
-    monkeypatch.setattr(gen, "_gen_chain", broken_chain)
+    monkeypatch.setattr(gen, "_chain_entries", broken_chain)
     with pytest.raises(GeneratorError, match="not provable"):
         generate_corpus("chain", 5, str(tmp_path / "broken"))
 
