@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 from .fol import (
     And, App, Atom, Clause, Eq, Exists, FALSE, FalseF, Forall, Formula, Iff,
     Implies, Literal, Not, Or, Problem, QUANT, TRUE, TrueF, Var, alpha_normal,
-    clause_signature, free_vars_ordered, make_clause, subst_formula,
-    symbols_of,
+    free_vars_ordered, make_clause, subst_formula,
 )
 from .parser import print_formula
 
@@ -94,20 +93,17 @@ def _scope(quant, v: str, body: Formula) -> Formula:
     """`quant v. body` over an already folded and miniscoped body: dropped
     when v does not occur (so a constant body stays constant), distributed
     over And (Forall) or Or (Exists), and otherwise pushed into the one
-    side v occurs in."""
-    if v not in free_vars_ordered(body):
+    side v occurs in.  Each level tests each side for v once."""
+    if not isinstance(body, (And, Or)):
+        return quant(v, body) if v in free_vars_ordered(body) else body
+    in_l = v in free_vars_ordered(body.lhs)
+    in_r = v in free_vars_ordered(body.rhs)
+    if not (in_l or in_r):
         return body
-    dist = And if quant is Forall else Or
-    if isinstance(body, dist):
-        return dist(_scope(quant, v, body.lhs), _scope(quant, v, body.rhs))
-    if isinstance(body, (And, Or)):
-        in_l = v in free_vars_ordered(body.lhs)
-        in_r = v in free_vars_ordered(body.rhs)
-        if in_l and not in_r:
-            return type(body)(_scope(quant, v, body.lhs), body.rhs)
-        if in_r and not in_l:
-            return type(body)(body.lhs, _scope(quant, v, body.rhs))
-    return quant(v, body)
+    if in_l and in_r and not isinstance(body, And if quant is Forall else Or):
+        return quant(v, body)
+    return type(body)(_scope(quant, v, body.lhs) if in_l else body.lhs,
+                      _scope(quant, v, body.rhs) if in_r else body.rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +250,7 @@ def cnf(f: Formula, name: str = "f",
 
 
 def uses_equality(f: Formula) -> bool:
-    return any((s[0], s[1]) == ("=", "predicate") for s in symbols_of(f))
+    return ("=", "predicate", 2) in f.signature
 
 
 def equality_axioms(signature) -> list:
@@ -315,7 +311,7 @@ def join_forms(forms, negated: ClausalForm | None) -> ClauseSet:
     """
     clauses = [c for form in forms for c in form.clauses]
     if any(form.equality for form in forms):
-        signature = {s for c in clauses for s in clause_signature(c)}
+        signature = {s for c in clauses for s in c.signature}
         clauses.extend(equality_axioms(signature))
     starts = negated.clauses if negated is not None else ()
     if not starts:

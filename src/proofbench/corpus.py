@@ -106,7 +106,7 @@ def load_split(path: str, corpus: Corpus) -> tuple:
     """
     train: list = []
     test: list = []
-    known = {item.name for item in corpus.items}
+    roles = {item.name: item.role for item in corpus.items}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -116,8 +116,10 @@ def load_split(path: str, corpus: Corpus) -> tuple:
             name = name.strip()
             if side not in ("train", "test") or not name:
                 raise CorpusError(f"{path}:{lineno}: expected `train <name>` or `test <name>`")
-            if name not in known:
+            if name not in roles:
                 raise CorpusError(f"{path}:{lineno}: unknown item {name!r}")
+            if roles[name] != "conjecture":
+                raise CorpusError(f"{path}:{lineno}: {name!r} is not a theorem")
             (train if side == "train" else test).append(name)
     overlap = set(train) & set(test)
     if overlap:

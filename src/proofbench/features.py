@@ -52,14 +52,12 @@ def structural_features(f) -> FeatureVector:
     return out
 
 
-def semantic_features(f, store: ModelStore, indices=None,
-                      signature=None) -> FeatureVector:
+def semantic_features(f, store: ModelStore, indices=None) -> FeatureVector:
     """MOD:i:T / MOD:i:F per model i of `indices` (ascending; default every
-    model); Undefined contributes nothing.  `signature` is f's
-    `symbols_of`, when the caller keeps it."""
+    model); Undefined contributes nothing."""
     if indices is None:
         indices = range(len(store))
-    values = evaluate_models(f, [store.models[i] for i in indices], signature)
+    values = evaluate_models(f, [store.models[i] for i in indices])
     out: FeatureVector = {}
     for i, v in zip(indices, values):
         if v is not UNDEFINED:

@@ -5,11 +5,16 @@ is the only mutation point, so values can be shared freely between workers
 and caches.  Variables are plain names bound by the enclosing quantifier;
 the lexical convention (variables start uppercase) is enforced by the
 parser, not here.
+
+A formula keeps its `signature` and a clause its `signature` and
+`variables`: each is walked on first read and kept by the object, however
+many readers ask.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Union
 
 
@@ -51,66 +56,75 @@ Term = Union[Var, App]
 # Formulas
 
 
+class _Formula:
+    """Base of the formula classes."""
+
+    @cached_property
+    def signature(self) -> tuple:
+        """The distinct `symbols_of` keys in first-occurrence order."""
+        return tuple(symbols_of(self))
+
+
 @dataclass(frozen=True)
-class Atom:
+class Atom(_Formula):
     pred: str
     args: tuple = ()
 
 
 @dataclass(frozen=True)
-class Eq:
+class Eq(_Formula):
     lhs: Term
     rhs: Term
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Formula):
     sub: "Formula"
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Formula):
     lhs: "Formula"
     rhs: "Formula"
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Formula):
     lhs: "Formula"
     rhs: "Formula"
 
 
 @dataclass(frozen=True)
-class Implies:
+class Implies(_Formula):
     lhs: "Formula"
     rhs: "Formula"
 
 
 @dataclass(frozen=True)
-class Iff:
+class Iff(_Formula):
     lhs: "Formula"
     rhs: "Formula"
 
 
 @dataclass(frozen=True)
-class Forall:
+class Forall(_Formula):
     var: str
     body: "Formula"
 
 
 @dataclass(frozen=True)
-class Exists:
+class Exists(_Formula):
     var: str
     body: "Formula"
 
 
 @dataclass(frozen=True)
-class TrueF:
+class TrueF(_Formula):
     pass
 
 
 @dataclass(frozen=True)
-class FalseF:
+class FalseF(_Formula):
     pass
 
 
@@ -124,7 +138,7 @@ QUANT = (Forall, Exists)
 
 
 # ---------------------------------------------------------------------------
-# Traversals
+# Traversals (recursive; a formula's signature is kept, see `_Formula`)
 
 
 def term_vars(t: Term) -> Iterator[str]:
@@ -329,6 +343,35 @@ class Clause:
     def is_negative(self) -> bool:
         return all(not l.positive for l in self.literals)
 
+    @cached_property
+    def signature(self) -> tuple:
+        """The distinct (symbol, kind, arity) of its predicates and functions
+        in first-occurrence order; equality is built in and not listed."""
+        sig: dict = {}          # ordered set
+        for lit in self.literals:
+            if type(lit.atom) is not Eq:
+                sig[(lit.atom.pred, "predicate", len(lit.args))] = None
+            for t in _subterms(lit):
+                if type(t) is not Var:
+                    sig[(t.symbol, "function", len(t.args))] = None
+        return tuple(sig)
+
+    @cached_property
+    def variables(self) -> tuple:
+        """The distinct variable names in first-occurrence order."""
+        return tuple({t.name: None for lit in self.literals
+                      for t in _subterms(lit) if type(t) is Var})
+
+
+def _subterms(lit: Literal) -> Iterator[Term]:
+    """The literal's terms in preorder, walked with an explicit stack."""
+    todo = list(reversed(lit.args))
+    while todo:
+        t = todo.pop()
+        yield t
+        if type(t) is not Var:
+            todo.extend(reversed(t.args))
+
 
 def make_clause(literals, origin: str = "", clause_id: str = "") -> Clause:
     """Normalize: drop duplicate literals, keep first-occurrence order."""
@@ -339,42 +382,6 @@ def make_clause(literals, origin: str = "", clause_id: str = "") -> Clause:
             seen.add(l)
             out.append(l)
     return Clause(tuple(out), origin, clause_id)
-
-
-def clause_signature(clause: Clause) -> tuple:
-    """The distinct (symbol, kind, arity) of the clause's predicates and
-    functions in first-occurrence order; equality is built in and not
-    listed.  Terms are walked with an explicit stack."""
-    sig: dict = {}          # ordered set
-    for lit in clause.literals:
-        atom = lit.atom
-        if type(atom) is Eq:
-            todo = [atom.rhs, atom.lhs]
-        else:
-            sig[(atom.pred, "predicate", len(atom.args))] = None
-            todo = list(reversed(atom.args))
-        while todo:
-            t = todo.pop()
-            if type(t) is not Var:
-                sig[(t.symbol, "function", len(t.args))] = None
-                todo.extend(reversed(t.args))
-    return tuple(sig)
-
-
-def clause_vars(clause: Clause) -> tuple:
-    """The distinct variable names of the clause in first-occurrence
-    order.  Terms are walked with an explicit stack."""
-    names: dict = {}        # ordered set
-    for lit in clause.literals:
-        atom = lit.atom
-        todo = [atom.rhs, atom.lhs] if type(atom) is Eq else list(reversed(atom.args))
-        while todo:
-            t = todo.pop()
-            if type(t) is Var:
-                names[t.name] = None
-            else:
-                todo.extend(reversed(t.args))
-    return tuple(names)
 
 
 # ---------------------------------------------------------------------------
@@ -409,20 +416,16 @@ class Problem:
         raise KeyError(name)
 
 
-def check_arities(formulas, signatures=None) -> None:
+def check_arities(formulas) -> None:
     """Enforce one arity per symbol, per namespace, across the given formulas.
 
     A name used both as a predicate and as a function is rejected: mixed use
-    is always a mistake in the corpora this package handles.  `signatures`,
-    when given, holds each formula's `symbols_of` keys in their order, so a
-    caller that keeps them need not walk the formulas again.
+    is always a mistake in the corpora this package handles.
     """
-    if signatures is None:
-        signatures = [symbols_of(af.formula) for af in formulas]
     funcs: dict = {}
     preds: dict = {}
-    for af, signature in zip(formulas, signatures):
-        for (name, kind, arity) in signature:
+    for af in formulas:
+        for (name, kind, arity) in af.formula.signature:
             table, other = (funcs, preds) if kind == "function" else (preds, funcs)
             if name in other:
                 raise ArityError(
@@ -435,9 +438,8 @@ def check_arities(formulas, signatures=None) -> None:
                     f"but arity {arity} in {af.name!r}")
 
 
-def make_problem(formulas, warnings=(), signatures=None) -> Problem:
-    """Validate name uniqueness, conjecture uniqueness and arity consistency
-    (from `signatures`, as `check_arities` takes them, when given)."""
+def make_problem(formulas, warnings=()) -> Problem:
+    """Validate name uniqueness, conjecture uniqueness and arity consistency."""
     names = set()
     conjectures = 0
     for af in formulas:
@@ -448,5 +450,5 @@ def make_problem(formulas, warnings=(), signatures=None) -> Problem:
             conjectures += 1
     if conjectures > 1:
         raise MultipleConjecturesError(f"{conjectures} conjectures in one problem")
-    check_arities(formulas, signatures)
+    check_arities(formulas)
     return Problem(tuple(formulas), tuple(warnings))

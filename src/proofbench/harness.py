@@ -43,7 +43,9 @@ from .loop import (
     walk_ladder, write_run_dir,
 )
 from .models import ModelStore, evaluate, model_from_text, model_to_text
-from .parser import parse_problem_dir, parse_problem_file
+from .parser import (
+    ParseError, parse_problem_dir, parse_problem_file, print_name, read_names,
+)
 # `prove` is bound here as well as in `loop` because perfbench/layers.py
 # traces every module binding a caller can go through
 from .prover import Limits, proof_from_text, proof_to_text, prove  # noqa: F401
@@ -160,8 +162,10 @@ def _store_model(fh, item: str, model, premises_given) -> None:
 
 def _append_record(fh, item: str, premises_given, body: str) -> None:
     """One stream record, flushed before the results.jsonl line that names
-    it is written: the header lines, then the artifact's text."""
-    fh.write(f"% item {item}\n% premises_given {' '.join(premises_given)}\n{body}")
+    it is written: the header lines, then the artifact's text.  Names are
+    written as the printer writes a symbol."""
+    names = " ".join(print_name(p) for p in premises_given)
+    fh.write(f"% item {print_name(item)}\n% premises_given {names}\n{body}")
     fh.flush()
 
 
@@ -406,24 +410,30 @@ def _read_stream(path: str, stream: str) -> list:
     framing, "" when nothing.  Text before the first header is a record
     of its own, keyed "-"."""
     head: list = []
-    records: list = []          # [item, lines after the item line]
+    records: list = []          # [item text, lines after the item line]
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if line.startswith("% item "):
-                records.append([line[7:].rstrip("\n"), []])
+                records.append([line[7:], []])
             else:
                 (records[-1][1] if records else head).append(line)
     out = [("-", None, [], "", "malformed record: text before the first header")
            ] if head else []
     for index, (item, lines) in enumerate(records):
-        key = item if stream == PROOFS else str(index)
-        premises = lines[0].split()[2:] if lines else []
         if not (lines and lines[-1].endswith("\n")):
             why = "truncated record"
         elif not lines[0].startswith("% premises_given"):
             why = "malformed record: no premises_given line"
         else:
             why = ""
+        try:
+            (item,) = read_names(item)
+            premises = [] if why else read_names(
+                lines[0][len("% premises_given"):])
+        except (ParseError, ValueError) as exc:
+            item, premises = item.rstrip("\n"), []
+            why = why or f"malformed record: {exc}"
+        key = item if stream == PROOFS else str(index)
         out.append((key, item, premises, "".join(lines[1:]), why))
     return out
 

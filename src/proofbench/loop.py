@@ -39,7 +39,6 @@ from .features import (
     combine, semantic_features, structural_features, symbol_features,
     write_feature_cache,
 )
-from .fol import symbols_of
 from .guidance import Advisor
 from .learner import (
     BayesModel, rank_premises, save_model, score, train_incremental,
@@ -129,25 +128,21 @@ class LoopState:
     symbols: list = field(default_factory=list)   # position -> its SYM: ids
     holders: dict = field(default_factory=dict)   # SYM: id -> positions, ascending
     anywhere: list = field(default_factory=list)  # positions with no symbol but =
-    signatures: dict = field(default_factory=dict)  # position -> symbols_of keys
     labeled: list = field(default_factory=list)   # positions the learner labels
 
 
 def item_features(item, config: LoopConfig, store: ModelStore,
-                  known: dict | None = None, columns=None,
-                  signature=None) -> dict:
+                  known: dict | None = None, columns=None) -> dict:
     """The item's SYM+STR+MOD vector against `store`.  `known`, its vector
     without the models whose indices `columns` lists (ascending; default
     every model), only gains their columns: the store is append-only, so
-    an old column never changes.  `signature` is the formula's
-    `symbols_of`, when the caller keeps it."""
+    an old column never changes."""
     vec = known if known is not None else combine(
         symbol_features(item.formula), structural_features(item.formula))
     if columns is None:
         columns = range(len(store))
     if config.semantic and columns:
-        vec = combine(vec, semantic_features(item.formula, store, columns,
-                                             signature))
+        vec = combine(vec, semantic_features(item.formula, store, columns))
     return vec
 
 
@@ -158,8 +153,8 @@ def refresh_features(state: LoopState, corpus: Corpus,
 
     A model can define only the items whose every symbol it has a table
     for, or that have no symbol but equality, so a new model's column
-    goes only to the items holding one of its symbols and to those.  Each
-    formula's signature is walked once per run, when it is first needed.
+    goes only to the items holding one of its symbols and to those.  The
+    models test each formula against the signature the formula keeps.
     """
     if not state.features:
         for i, item in enumerate(corpus.items):
@@ -186,12 +181,8 @@ def refresh_features(state: LoopState, corpus: Corpus,
             touched.setdefault(i, []).append(j)
     for i, indices in touched.items():
         item = corpus.items[i]
-        signature = state.signatures.get(i)
-        if signature is None:
-            signature = state.signatures[i] = tuple(symbols_of(item.formula))
         state.features[item.name] = item_features(
-            item, config, state.store, state.features[item.name], indices,
-            signature)
+            item, config, state.store, state.features[item.name], indices)
     state.models_featured = len(state.store)
     return state.features
 

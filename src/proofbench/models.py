@@ -15,8 +15,9 @@ from functools import cached_property
 
 from .fol import (
     And, Atom, Clause, Eq, Exists, Forall, Iff, Implies, Literal, Not, Or,
-    TrueF, FalseF, Var, clause_signature, clause_vars, symbols_of,
+    TrueF, FalseF, Var,
 )
+from .parser import normalize_name, print_name, tokenize
 
 DEFAULT_MAX_DOMAIN = 3
 GROUNDING_GUARD = 10 ** 6
@@ -88,30 +89,29 @@ def find_model(clauses, max_domain: int = DEFAULT_MAX_DOMAIN) -> FiniteModel | N
     Each domain size from 1 up is searched by `_search_domain`.  A model
     found is checked clause by clause through `evaluate`, the Tarskian
     evaluator, a code path apart from the search; a clause it fails
-    raises `ModelCheckError`.  Each clause's signature is walked once per
-    call: it gives the symbol order, the occurrence lists and the check.
+    raises `ModelCheckError`.  Each clause's kept signature gives the
+    symbol order, the occurrence lists and the check.
     """
     clauses = list(clauses)
-    signatures = [clause_signature(c) for c in clauses]
     funcs: dict = {}
     preds: dict = {}
     freq: dict = {}          # symbol -> number of clauses it occurs in
-    for sig in signatures:
-        for sym, kind, arity in sig:
+    for c in clauses:
+        for sym, kind, arity in c.signature:
             (funcs if kind == "function" else preds)[sym] = arity
             freq[sym] = freq.get(sym, 0) + 1
     for n in range(1, max_domain + 1):
-        model = _search_domain(clauses, signatures, funcs, preds, freq, n)
+        model = _search_domain(clauses, funcs, preds, freq, n)
         if model is not None:
-            for c, sig in zip(clauses, signatures):
-                if evaluate(c, model, sig) is not True:
+            for c in clauses:
+                if evaluate(c, model) is not True:
                     raise ModelCheckError(
                         f"domain-{n} model fails its own clause {c.clause_id!r}")
             return model
     return None
 
 
-def _search_domain(clauses, signatures, funcs, preds, freq, n):
+def _search_domain(clauses, funcs, preds, freq, n):
     """A model of the clauses over domain `n`, or None.
 
     Chronological backtracking assigns table cells in symbol-frequency
@@ -128,8 +128,8 @@ def _search_domain(clauses, signatures, funcs, preds, freq, n):
     grounding = 0
     ground: list = []
     readers: dict = {}       # symbol -> indices of the ground clauses reading it
-    for c, sig in zip(clauses, signatures):
-        vs = sorted(clause_vars(c))
+    for c in clauses:
+        vs = sorted(c.variables)
         grounding += n ** len(vs)
         if grounding > GROUNDING_GUARD:
             raise ResourceError(
@@ -138,7 +138,7 @@ def _search_domain(clauses, signatures, funcs, preds, freq, n):
         for vals in itertools.product(domain, repeat=len(vs)):
             env = dict(zip(vs, vals))
             ground.append([_ground_literal(lit, env) for lit in c.literals])
-        for sym, _kind, _arity in sig:
+        for sym, _kind, _arity in c.signature:
             readers.setdefault(sym, []).extend(range(first, len(ground)))
 
     # cells by symbol frequency, then kind, name and arguments
@@ -274,31 +274,27 @@ def _ground_term(t, env):
 # Evaluation
 
 
-def evaluate(f, m: FiniteModel, signature=None):
+def evaluate(f, m: FiniteModel):
     """Tarskian truth value of a Formula or Clause in m, or UNDEFINED.
 
     Undefined exactly when f mentions a symbol, at its arity, that m has
     no table for; clause variables are implicitly universal.
     """
-    return evaluate_models(f, (m,), signature)[0]
+    return evaluate_models(f, (m,))[0]
 
 
-def evaluate_models(f, models, signature=None) -> list:
-    """`evaluate(f, m)` for each m in `models`, in order.  The signature
-    of f is walked once (not at all when the caller passes it, as
-    `clause_signature` or `symbols_of` gives it) and tested against every
-    model.  A clause is evaluated directly: true iff every assignment of
-    its variables makes one of its literals true."""
+def evaluate_models(f, models) -> list:
+    """`evaluate(f, m)` for each m in `models`, in order, each m tested
+    against the signature f keeps.  A clause is evaluated directly: true
+    iff every assignment of its variables makes one of its literals true."""
     clause = isinstance(f, Clause)
-    if signature is None:
-        signature = clause_signature(f) if clause else symbols_of(f)
-    return [UNDEFINED if not m.has_symbols(signature)
+    return [UNDEFINED if not m.has_symbols(f.signature)
             else _eval_clause(f, m) if clause else _eval(f, m, {})
             for m in models]
 
 
 def _eval_clause(c: Clause, m) -> bool:
-    names = clause_vars(c)
+    names = c.variables
     for values in itertools.product(range(m.size), repeat=len(names)):
         env = dict(zip(names, values))
         if not any(_eval(lit.atom, m, env) == lit.positive for lit in c.literals):
@@ -375,12 +371,12 @@ def model_to_text(m: FiniteModel) -> str:
     for sym in sorted(m.funcs):
         for args in sorted(m.funcs[sym]):
             a = ",".join(str(x) for x in args)
-            lines.append(f"fun {sym}({a}) = {m.funcs[sym][args]}")
+            lines.append(f"fun {print_name(sym)}({a}) = {m.funcs[sym][args]}")
     for sym in sorted(m.preds):
         for args in sorted(m.preds[sym]):
             a = ",".join(str(x) for x in args)
             val = "true" if m.preds[sym][args] else "false"
-            lines.append(f"pred {sym}({a}) = {val}")
+            lines.append(f"pred {print_name(sym)}({a}) = {val}")
     return "\n".join(lines) + "\n"
 
 
@@ -399,11 +395,20 @@ def model_from_text(text: str) -> FiniteModel:
         elif kind == "provenance":
             provenance = rest
         else:
-            head, val = rest.split(" = ")
-            sym, argtext = head[:-1].split("(", 1)
-            args = tuple(int(x) for x in argtext.split(",")) if argtext else ()
+            sym, args, val = _read_cell(rest)
             if kind == "fun":
                 funcs.setdefault(sym, {})[args] = int(val)
             else:
                 preds.setdefault(sym, {})[args] = (val == "true")
     return FiniteModel(size, funcs, preds, provenance)
+
+
+def _read_cell(text: str) -> tuple:
+    """(symbol, arguments, value) of a table line's `sym(a,...) = value`."""
+    texts = [t.text for t in tokenize(text)][:-1]
+    close = texts.index(")")
+    args = texts[2:close:2]
+    if (texts[1] != "(" or texts[3:close:2] != [","] * (len(args) - 1)
+            or texts[close + 1:-1] != ["="]):
+        raise ValueError(f"malformed table line {text!r}")
+    return normalize_name(texts[0]), tuple(int(a) for a in args), texts[-1]

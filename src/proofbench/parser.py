@@ -24,8 +24,7 @@ from typing import NamedTuple
 from .fol import (
     And, AnnotatedFormula, App, Atom, Eq, Exists, FALSE,
     Forall, Formula, Iff, Implies, Literal, Not, Or, Problem, ProblemError,
-    ROLES, TRUE, TrueF, FalseF, Term, Var, make_problem, symbols_of,
-    universal_closure,
+    ROLES, TRUE, TrueF, FalseF, Term, Var, make_problem, universal_closure,
 )
 
 
@@ -94,6 +93,15 @@ _IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 def normalize_name(text: str) -> str:
     """Quoted atoms collapse to bare identifiers when possible."""
     return _unquote(text) if text.startswith("'") else text
+
+
+def read_names(text: str) -> list:
+    """The names `text` lists, each written as `print_name` writes it."""
+    tokens = tokenize(text)[:-1]
+    for t in tokens:
+        if t.kind not in ("lower", "quoted", "dollar"):
+            raise ParseError(f"expected name, found {t.text!r}", t.line, t.col)
+    return [normalize_name(t.text) for t in tokens]
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +254,10 @@ class _Parser:
             self.eat(")")
             self.eat(".")
             closed, closed_vars = universal_closure(f)
-            return ("fof", AnnotatedFormula(name, role, closed), closed_vars,
-                    tuple(symbols_of(closed)))
+            # read here, inside the RecursionError guard of `statements`, so
+            # that a formula too deep to walk is a located ParseError
+            closed.signature
+            return ("fof", AnnotatedFormula(name, role, closed), closed_vars)
         if t.text == "include":
             self.take()
             self.eat("(")
@@ -308,10 +318,10 @@ def _statements(text: str, source: str, table: dict) -> list:
 def parse_problem(text: str, include_dirs=(), source: str = "<string>",
                   table=None) -> Problem:
     """Parse a problem, resolving includes and auto-closing free variables;
-    problems parsed with one statement `table` parse a shared statement, and
-    walk its signature for the arity check, once."""
+    problems parsed with one statement `table` parse a shared statement
+    once, and share its formula object."""
     table = {} if table is None else table
-    formulas, signatures, warnings, seen_files = [], [], [], set()
+    formulas, warnings, seen_files = [], [], set()
 
     def ingest(text, source, current_dir):
         for entry in _statements(text, source, table):
@@ -332,15 +342,14 @@ def parse_problem(text: str, include_dirs=(), source: str = "<string>",
                 else:
                     raise IncludeError(f"cannot resolve include {rel!r}")
             else:
-                _, af, closed_vars, signature = entry
+                _, af, closed_vars = entry
                 if closed_vars:
                     warnings.append(
                         f"{af.name}: free variables auto-closed: {', '.join(closed_vars)}")
                 formulas.append(af)
-                signatures.append(signature)
 
     ingest(text, source, None)
-    return make_problem(formulas, warnings, signatures)
+    return make_problem(formulas, warnings)
 
 
 def parse_problem_file(path: str, table=None) -> Problem:
@@ -368,6 +377,19 @@ def parse_formula(text: str) -> Formula:
     return f
 
 
+def parse_bindings(text: str) -> tuple:
+    """The (variable, term) pairs of a `X=term,...` list."""
+    p = _Parser(tokenize(text), "<bindings>")
+    bindings: list = []
+    while p.cur.kind != "eof":
+        if bindings:
+            p.eat(",")
+        name = p.variable()
+        p.eat("=")
+        bindings.append((name, p.term()))
+    return tuple(bindings)
+
+
 # ---------------------------------------------------------------------------
 # Printer
 
@@ -376,6 +398,14 @@ def _print_symbol(name: str) -> str:
         return name
     body = name.replace("\\", "\\\\").replace("'", "\\'")
     return f"'{body}'"
+
+
+def print_name(name: str) -> str:
+    """`name` as `read_names` reads it back: written as a symbol, except
+    that a `$word` name (the equality axioms' origin) stays bare."""
+    if name[:1] == "$" and _IDENT_RE.match(name, 1):
+        return name
+    return _print_symbol(name)
 
 
 def print_term(t: Term) -> str:

@@ -44,7 +44,10 @@ from dataclasses import dataclass, field
 from . import models as models_mod
 from .clausify import ClauseSet
 from .fol import App, Atom, Eq, Literal, Not, Term, Var
-from .parser import parse_formula, print_literal, print_term
+from .parser import (
+    parse_bindings, parse_formula, print_literal, print_name, print_term,
+    read_names,
+)
 
 PROVED = "proved"
 COUNTER_SATISFIABLE = "counter_satisfiable"
@@ -726,30 +729,32 @@ def proof_to_text(proof: ProofObject) -> str:
     lines = []
     for s in proof.steps:
         if isinstance(s, StartStep):
-            lines.append(f"start {s.clause_id}")
+            lines.append(f"start {print_name(s.clause_id)}")
             continue
         b = ",".join(f"{n}={print_term(t)}" for n, t in s.bindings) or "-"
         if isinstance(s, ExtensionStep):
-            lines.append(f"ext {s.clause_id} {s.lit_index} | {print_literal(s.goal)} | {b}")
+            lines.append(f"ext {print_name(s.clause_id)} {s.lit_index} | "
+                         f"{print_literal(s.goal)} | {b}")
         else:
             lines.append(f"red {s.path_index} | {print_literal(s.goal)} | {b}")
-    lines.append("premises " + " ".join(sorted(proof.used_premises)))
+    lines.append("premises " + " ".join(print_name(p) for p in
+                                        sorted(proof.used_premises)))
     return "\n".join(lines) + "\n"
 
 
-def _parse_proof_literal(text: str) -> Literal:
-    f = parse_formula(text)
-    return Literal(False, f.sub) if isinstance(f, Not) else Literal(True, f)
+# a step line's `head | goal | bindings`, cut at the bars outside quoted names
+_STEP_RE = re.compile(r"((?:[^'|]|'(?:[^'\\]|\\.)*')*)\|" * 2 + "(.*)")
 
 
-def _parse_bindings(text: str) -> tuple:
-    text = text.strip()
-    if not text or text == "-":
-        return ()
-    # a comma that starts the next `name=` ends a binding; terms hold no `=`
-    parts = (part.split("=", 1) for part in re.split(r",(?=\s*\w+\s*=)", text))
-    return tuple((name.strip(), parse_formula(f"dummy({term})").args[0])
-                 for name, term in parts)
+def _parse_step(text: str) -> tuple:
+    """(head, goal literal, bindings) of a step line's fields."""
+    m = _STEP_RE.fullmatch(text)
+    if m is None:
+        raise ProverError(f"bad proof step: {text!r}")
+    head, goal, binds = m.groups()
+    f = parse_formula(goal)
+    literal = Literal(False, f.sub) if isinstance(f, Not) else Literal(True, f)
+    return head, literal, () if binds.strip() == "-" else parse_bindings(binds)
 
 
 def proof_from_text(text: str) -> ProofObject:
@@ -760,18 +765,17 @@ def proof_from_text(text: str) -> ProofObject:
         if not line or line.startswith("%"):
             continue
         if line.startswith("start "):
-            steps.append(StartStep(line[6:].strip()))
+            (cid,) = read_names(line[6:])
+            steps.append(StartStep(cid))
         elif line.startswith("ext "):
-            head, goal, binds = line[4:].split(" | ")
-            cid, li = head.rsplit(" ", 1)
-            steps.append(ExtensionStep(_parse_proof_literal(goal), cid.strip(),
-                                       int(li), _parse_bindings(binds)))
+            head, goal, bindings = _parse_step(line[4:])
+            cid, li = read_names(head)      # the literal index lexes as a name
+            steps.append(ExtensionStep(goal, cid, int(li), bindings))
         elif line.startswith("red "):
-            head, goal, binds = line[4:].split(" | ")
-            steps.append(ReductionStep(_parse_proof_literal(goal), int(head),
-                                       _parse_bindings(binds)))
+            head, goal, bindings = _parse_step(line[4:])
+            steps.append(ReductionStep(goal, int(head), bindings))
         elif line.startswith("premises"):
-            premises = frozenset(line.split()[1:])
+            premises = frozenset(read_names(line[8:]))
         else:
             raise ProverError(f"bad proof line: {line!r}")
     return ProofObject(tuple(steps), premises)

@@ -259,3 +259,28 @@ def test_an_invalid_value_exits_2_before_any_output(corpus, tmp_path, capsys,
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, constant", [
+    ("ax", "'f(x'"),            # a symbol with a parenthesis
+    ("ax", "'a = b'"),          # a symbol with ` = `
+    ("'my ax'", "c"),           # a name with a space
+    ("'a | b'", "c"),           # a name with ` | `
+    ("ax", "'u, W=v'"),         # a symbol that reads like a next binding
+], ids=["paren", "equals", "space", "bar", "binding"])
+def test_quoted_names_survive_the_run_directory(name, constant, tmp_path,
+                                                capsys):
+    # every name and symbol in the streams and the proof text is written
+    # as the printer writes a symbol, so a correct run verifies
+    problems = tmp_path / "problems"
+    problems.mkdir()
+    rule = f"fof({name}, axiom, ![X]: (p(X) => q(X))).\n"
+    goal = f"fof(goal, conjecture, q({constant})).\n"
+    (problems / "proved.p").write_text(
+        rule + f"fof(fact, axiom, p({constant})).\n" + goal)
+    (problems / "refuted.p").write_text(rule + goal)
+    out = str(tmp_path / "ch")
+    assert main(["challenge", "--problems", str(problems), "--out", out]) == 0
+    assert main(["verify", "--run", out]) == 0
+    assert re.search(r"checked 1 proofs and [1-9]\d* models, 0 failures",
+                     capsys.readouterr().out)

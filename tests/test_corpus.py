@@ -113,3 +113,15 @@ def test_split_file(tmp_path):
     bad = _write(root, "bad.txt", "train t1\ntest t1\n")
     with pytest.raises(CorpusError, match="overlap"):
         load_split(bad, corpus)
+
+
+def test_split_rejects_an_item_that_is_not_a_theorem(tmp_path):
+    # an axiom on the test side would shrink the evaluated set below the
+    # test_size reported: the error names the file, the line and the item
+    corpus = load_corpus(os.path.join(os.path.dirname(__file__), "..",
+                                      "corpora", "mixed30"))
+    split = _write(str(tmp_path), "split.txt",
+                   "train fa_th1\ntest fb_th1\ntest fa_base\n")
+    with pytest.raises(CorpusError) as err:
+        load_split(split, corpus)
+    assert str(err.value) == f"{split}:3: 'fa_base' is not a theorem"

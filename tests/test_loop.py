@@ -1,13 +1,14 @@
 import os
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
 from proofbench.checker import check_proof
 from proofbench.corpus import load_corpus, write_manifest
 from proofbench.generator import generate_corpus
-from proofbench import learner, loop, models
-from proofbench.harness import ExperimentSpec, run_library
+from proofbench import fol, learner, loop
+from proofbench.harness import ExperimentSpec, run_challenge, run_library
 from proofbench.learner import rank_premises
 from proofbench.loop import (
     ClausalCache, LoopConfig, LoopState, SolvedItem, assemble_problem,
@@ -458,43 +459,52 @@ def test_learned_ranking_places_labels_that_tie_the_prior(tmp_path, monkeypatch)
     _prefixes_match(state, LoopConfig(), corpus, reference)
 
 
-def test_mod_columns_walk_each_formula_once_per_refresh(monkeypatch, tmp_path):
-    # the signature walk is per formula and per run, not per (formula,
-    # model) pair nor per refresh, and a formula meets all of a refresh's
-    # new models in one batch
-    walks = Counter()       # formula -> signature walks
-    calls = Counter()       # formula -> semantic_features calls
+def _count_computations(monkeypatch, cls, attr) -> Counter:
+    """Patch `cls.attr`, a cached property, to count its computations by
+    value: equal objects share a count."""
+    counts: Counter = Counter()
+    real = cls.__dict__[attr].func
+
+    def counted(obj):
+        counts[obj] += 1
+        return real(obj)
+
+    prop = cached_property(counted)
+    prop.__set_name__(cls, attr)
+    monkeypatch.setattr(cls, attr, prop)
+    return counts
+
+
+def test_each_formula_and_clause_is_walked_once_per_run(monkeypatch, tmp_path):
+    # a formula keeps its signature, and equal statements parse to one
+    # object, so each formula is walked once per run whoever reads it: the
+    # arity checks, the countermodel columns and the equality test.  A
+    # clause keeps its signature and its variables, which the equality
+    # axioms, the model finder and the finder's own check read
+    formulas = _count_computations(monkeypatch, fol._Formula, "signature")
     batches = []            # models per semantic_features call
-    real_symbols = models.symbols_of
     real_semantic = loop.semantic_features
 
-    def counted_symbols(f):
-        walks[id(f)] += 1
-        return real_symbols(f)
-
-    def counted_semantic(f, store, indices=None, signature=None):
-        calls[id(f)] += 1
+    def counted_semantic(f, store, indices=None):
         batches.append(len(store) if indices is None else len(indices))
-        return real_semantic(f, store, indices, signature)
+        return real_semantic(f, store, indices)
 
-    monkeypatch.setattr(models, "symbols_of", counted_symbols)
-    monkeypatch.setattr(loop, "symbols_of", counted_symbols)
     monkeypatch.setattr(loop, "semantic_features", counted_semantic)
     corpus = load_corpus(MIXED30)
-    run_library(ExperimentSpec(
-        mode="library", corpus=MIXED30, out_dir=str(tmp_path / "run"),
-        loop=PRUNING_CONFIG, baseline=False))
+    assert len(run_loop(corpus, PRUNING_CONFIG).store) > 0
+    # a formula meets all of a refresh's new models in one batch
     assert max(batches) > 1
-    assert set(walks) == set(calls)
-    assert max(walks.values()) == 1
-    # a store that grows over many refreshes still walks each formula once
-    stored = list(run_loop(corpus, PRUNING_CONFIG).store)
-    walks.clear()
-    calls.clear()
-    state = LoopState()
-    for m in stored:
-        state.store.add(m)
-        refresh_features(state, corpus, PRUNING_CONFIG)
-    assert max(calls.values()) > 1
-    assert set(walks) == set(calls)
-    assert max(walks.values()) == 1
+    assert set(formulas) == {item.formula for item in corpus.items}
+    assert max(formulas.values()) == 1
+
+    formulas.clear()
+    signatures = _count_computations(monkeypatch, fol.Clause, "signature")
+    variables = _count_computations(monkeypatch, fol.Clause, "variables")
+    problems = str(tmp_path / "neardup")
+    generate_corpus("neardup", 10, problems, verify=False)
+    run_challenge(ExperimentSpec(mode="challenge", problems=problems,
+                                 out_dir=str(tmp_path / "ch"),
+                                 loop=LoopConfig(axiom_ladder=(2, 4, 16))))
+    assert formulas and max(formulas.values()) == 1
+    assert variables, "the model finder ran"
+    assert max(signatures.values()) == max(variables.values()) == 1

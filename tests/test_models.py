@@ -38,14 +38,14 @@ def test_found_model_checked_by_explicit_error(monkeypatch):
     checked = []
     real = models.evaluate
 
-    def counted(f, m, signature=None):
+    def counted(f, m):
         checked.append(f)
-        return real(f, m, signature)
+        return real(f, m)
 
     monkeypatch.setattr(models, "evaluate", counted)
     assert find_model(clauses, 3) is not None
     assert checked == clauses
-    monkeypatch.setattr(models, "evaluate", lambda _f, _m, _signature=None: False)
+    monkeypatch.setattr(models, "evaluate", lambda _f, _m: False)
     with pytest.raises(ModelCheckError):
         find_model(clauses, 3)
 

@@ -19,7 +19,7 @@ import os
 import random
 import sys
 
-from proofbench.fol import App, Atom, Eq, Literal, Var, clause_signature, make_clause
+from proofbench.fol import App, Atom, Eq, Literal, Var, make_clause
 from proofbench.models import ResourceError, find_model, model_to_text
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -89,7 +89,7 @@ def _result(clauses, cap: int):
 def _caps(clauses) -> tuple:
     # a domain-3 table of g has 3^9 fillings, and chronological
     # backtracking may try them all before an unsatisfiable set fails
-    uses_g = any(s[0] == "g" for c in clauses for s in clause_signature(c))
+    uses_g = any(s[0] == "g" for c in clauses for s in c.signature)
     return (1, 2) if uses_g else (1, 2, 3)
 
 

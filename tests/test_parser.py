@@ -241,8 +241,8 @@ ARITY_CLASHES = [
 
 @pytest.mark.parametrize("clash, message", ARITY_CLASHES, ids=["arity", "namespace"])
 def test_batch_arity_errors_are_the_formula_walk_errors(clash, message, tmp_path):
-    # a batch checks arities from the signatures its statement table keeps;
-    # the error is the one `check_arities` gives walking the formulas itself
+    # a batch checks arities from the signatures its shared statements
+    # keep; the error is the one `check_arities` gives on fresh formulas
     shared = "fof(ax, axiom, ![X]: p(f(X))).\n"
     (tmp_path / "a.p").write_text(shared + "fof(g, conjecture, p(c)).\n")
     (tmp_path / "b.p").write_text(shared + f"fof(h, axiom, {clash}).\n"
