@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fol import (
     And, App, Atom, Clause, Eq, Exists, FALSE, FalseF, Forall, Formula, Iff,
@@ -31,10 +31,9 @@ DEFAULT_DEFINITIONAL_THRESHOLD = 64
 
 @dataclass
 class ClausalForm:
-    """Clauses for one source formula plus the naming it introduced, and
-    whether the source formula uses equality."""
+    """Clauses for one source formula, and whether the source formula
+    uses equality."""
     clauses: tuple
-    skolem_map: dict = field(default_factory=dict)
     equality: bool = False
 
 
@@ -128,7 +127,7 @@ def skolem_fingerprint(existential: Formula, governing) -> str:
 # Skolemization
 
 
-def skolemize(f: Formula, skolem_map: dict | None = None) -> Formula:
+def skolemize(f: Formula) -> Formula:
     """The quantifier-free matrix of a closed NNF formula: each existential
     is replaced by a skolem term over the universals it depends on, and
     the universals are dropped, so the matrix's variables read universally.
@@ -137,18 +136,13 @@ def skolemize(f: Formula, skolem_map: dict | None = None) -> Formula:
     the existential subformula and the positions of the governing
     universals, so alpha-variant inputs produce identical symbols.
     """
-    if skolem_map is None:
-        skolem_map = {}
-
     def walk(g, universals):
         if isinstance(g, Forall):
             return walk(g.body, universals + [g.var])
         if isinstance(g, Exists):
             deps = [u for u in universals if u in free_vars_ordered(g.body)]
-            fp = skolem_fingerprint(g, deps)
-            name = f"sk_{fp}"
-            skolem_map[name] = fp
-            term = App(name, tuple(Var(u) for u in deps))
+            term = App(f"sk_{skolem_fingerprint(g, deps)}",
+                       tuple(Var(u) for u in deps))
             return walk(subst_formula(g.body, {g.var: term}), universals)
         if isinstance(g, (And, Or)):
             return type(g)(walk(g.lhs, universals), walk(g.rhs, universals))
@@ -231,8 +225,7 @@ def cnf(f: Formula, name: str = "f",
     Clause ids are `{name}_{i}` in emission order; satisfiability is
     preserved, clause count stays within the definitional threshold rule.
     """
-    skolem_map: dict = {}
-    matrix = skolemize(nnf(Not(f) if negate else f), skolem_map)
+    matrix = skolemize(nnf(Not(f) if negate else f))
     dist = _Distributor(threshold)
     clauses, seen = [], set()
     # dedupe literals, drop tautologies, dedupe clauses, then number
@@ -242,7 +235,7 @@ def cnf(f: Formula, name: str = "f",
             continue
         seen.add(literals)
         clauses.append(Clause(literals, name, f"{name}_{len(clauses)}"))
-    return ClausalForm(tuple(clauses), skolem_map, uses_equality(f))
+    return ClausalForm(tuple(clauses), uses_equality(f))
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,8 @@ def _settings(args):
     if args.command == "generate":
         return check_size(args.family, args.size)
     if args.command == "speedup":
+        if args.train_count is not None and args.train_count < 0:
+            raise ValueError(f"--train-count must be >= 0, got {args.train_count}")
         return Limits(inference_budget=args.budget, max_depth=args.depth)
     return _spec(args)
 
@@ -140,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--train-count", type=int, default=None, dest="train_count")
     sp.add_argument("--budget", type=int, default=50000)
     sp.add_argument("--depth", type=int, default=10)
-    sp.add_argument("--no-training", action="store_true", dest="no_training")
     return ap
 
 
@@ -187,8 +188,7 @@ def cmd_speedup(args, limits: Limits) -> int:
     clausifier = ClausalCache()
     problems = [(pid, clausal_problem(problem, clausifier.form))
                 for pid, problem in parse_problem_dir(args.problems)]
-    outcome = measure_speedup(problems, limits, train_count=args.train_count,
-                              training_enabled=not args.no_training)
+    outcome = measure_speedup(problems, limits, train_count=args.train_count)
     os.makedirs(args.out, exist_ok=True)
     rows = [{"problem": r.problem_id, "unguided": r.unguided_inferences,
              "guided": r.guided_inferences, "ratio": r.ratio}

@@ -10,18 +10,22 @@ slower than a tableau extension step, so a throttle restricts
 consultation to shallow, branchy choice points, and advice is memoized
 per model snapshot.
 
+Every value on the channel is plain: a consult's token is the branch's
+sorted (feature id, weight) pairs, and `advise` returns (clause id,
+score) pairs, best first.  The advisor knows each clause's origin from
+the clause set it is built over.
+
 Learning is from proofs, as in MaLeCoP: when a search returns a proof,
 the prover reports the clause chosen at each of the proof's advised
-choice points, and each becomes a training record (branch symbols ->
-chosen clause's origin).  A search that finds no proof reports nothing.
-Records are flushed to a learner only between proof attempts, never
-mid-search.
+choice points, and each (token, chosen clause id) pair is buffered as a
+training record (branch symbols -> chosen clause's origin).  A search
+that finds no proof reports nothing.  Records are flushed to a learner
+only between proof attempts, never mid-search.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .features import branch_features
 from .learner import BayesModel, score, train_incremental
@@ -30,34 +34,20 @@ CONSULT_MAX_DEPTH = 3
 MIN_CANDIDATES = 3
 
 
-class StateQuery(NamedTuple):
-    branch_symbols: tuple      # sorted (feature id, weight) pairs
-
-
-@dataclass(frozen=True)
-class Advice:
-    ranking: tuple             # (clause_id, score) pairs, best first
-
-
-class TrainingRecord(NamedTuple):
-    query: StateQuery
-    chosen: str
-
-
 def throttle_policy(depth: int, n_candidates: int) -> bool:
     """Consult only at shallow, branchy choice points."""
     return depth <= CONSULT_MAX_DEPTH and n_candidates >= MIN_CANDIDATES
 
 
-def advise(model: BayesModel, query: StateQuery, candidates,
-           origins: dict) -> Advice:
-    """Permutation of candidates by learner score of their origin label;
-    candidates with no evidence keep input order (stable sorting)."""
-    feats = dict(query.branch_symbols)
+def advise(model: BayesModel, query: tuple, candidates, origins: dict) -> list:
+    """The (clause id, score) pairs of the candidates, best first, each
+    scored by its origin label against `query`, the branch's sorted
+    (feature id, weight) pairs; candidates with no evidence keep input
+    order (stable sorting)."""
+    feats = dict(query)
     scored = [(cid, score(model, feats, origins.get(cid, cid)))
               for cid in candidates]
-    order = sorted(range(len(scored)), key=lambda i: (-scored[i][1], i))
-    return Advice(tuple(scored[i] for i in order))
+    return sorted(scored, key=lambda pair: -pair[1])
 
 
 class Advisor:
@@ -70,16 +60,12 @@ class Advisor:
     records what the proof teaches.
     """
 
-    def __init__(self, model: BayesModel):
+    def __init__(self, model: BayesModel, clauses):
         self.model = model
-        self.origins: dict = {}
-        self.buffer: list = []      # at most one record per proof step
+        self.origins = {c.clause_id: c.origin for c in clauses}
+        self.buffer: list = []      # (query, clause id), at most one per proof step
         self._cache: dict = {}
         self._model_mark = self.model.snapshot_id()
-
-    def register_clauses(self, clauses) -> None:
-        for c in clauses:
-            self.origins[c.clause_id] = c.origin
 
     # -- prover protocol ----------------------------------------------------
 
@@ -92,31 +78,30 @@ class Advisor:
         # prover counts the error and keeps input order
         if self._model_mark != self.model.snapshot_id():
             raise RuntimeError("learner changed during search")
-        feats = tuple(sorted(branch_features(symbols).items()))
-        query = StateQuery(feats)
+        query = tuple(sorted(branch_features(symbols).items()))
         if self.model.total_examples == 0:
             return None, query
-        key = (feats, tuple(candidate_ids))
+        key = (query, tuple(candidate_ids))
         order = self._cache.get(key)
         if order is None:
-            adv = advise(self.model, query, candidate_ids, self.origins)
-            order = [cid for cid, _s in adv.ranking]
+            ranking = advise(self.model, query, candidate_ids, self.origins)
+            order = [cid for cid, _s in ranking]
             self._cache[key] = order
         return list(order), query
 
     def outcome(self, token, clause_id) -> None:
         """The returned proof took `clause_id` at the advised choice point
         whose consult answered `token`."""
-        self.buffer.append(TrainingRecord(token, clause_id))
+        self.buffer.append((token, clause_id))
 
     # -- training ------------------------------------------------------------
 
     def flush_to(self, model: BayesModel) -> int:
         """Train one example per buffered record; returns examples trained."""
         trained = len(self.buffer)
-        for rec in self.buffer:
-            label = self.origins.get(rec.chosen, rec.chosen)
-            train_incremental(model, dict(rec.query.branch_symbols), {label})
+        for query, chosen in self.buffer:
+            train_incremental(model, dict(query),
+                              {self.origins.get(chosen, chosen)})
         self.buffer.clear()
         return trained
 
@@ -133,17 +118,16 @@ class SpeedupRow:
     ratio: float | None        # unguided / guided; None unless both solved
 
 
-def measure_speedup(problems, limits, train_count: int | None = None,
-                    training_enabled: bool = True) -> dict:
+def measure_speedup(problems, limits, train_count: int | None = None) -> dict:
     """Per-problem inference counts unguided vs guided, plus geometric mean.
 
     `problems` is an ordered list of (problem_id, ClauseSet).  Phase one
-    runs every problem unguided; the first `train_count` problems run
-    with an advisor over an empty model, which gives no advice, and their
-    proofs train the guidance model.  Phase two reruns everything guided.
-    The independent checker replays every proof of both phases.  With
-    training disabled the guidance model stays empty, so every ratio is
-    exactly 1.0.
+    runs every problem unguided; the first `train_count` problems (default
+    half) run with an advisor over an empty model, which gives no advice,
+    and their proofs train the guidance model.  Phase two reruns
+    everything guided.  The independent checker replays every proof of
+    both phases.  With `train_count` 0 the guidance model stays empty, so
+    every ratio is exactly 1.0.
     """
     from .loop import prove_checked
     from .models import DEFAULT_MAX_DOMAIN
@@ -155,10 +139,7 @@ def measure_speedup(problems, limits, train_count: int | None = None,
     guide_model = BayesModel()
     unguided: dict = {}
     for idx, (pid, cs) in enumerate(problems):
-        recorder = None
-        if training_enabled and idx < train_count:
-            recorder = Advisor(BayesModel())
-            recorder.register_clauses(cs.clauses)
+        recorder = Advisor(BayesModel(), cs.clauses) if idx < train_count else None
         unguided[pid] = prove_checked(cs, limits, DEFAULT_MAX_DOMAIN, pid,
                                       advisor=recorder)
         if recorder is not None:
@@ -167,9 +148,8 @@ def measure_speedup(problems, limits, train_count: int | None = None,
     rows = []
     ratios = []
     for pid, cs in problems:
-        advisor = Advisor(guide_model)
-        advisor.register_clauses(cs.clauses)
-        res = prove_checked(cs, limits, DEFAULT_MAX_DOMAIN, pid, advisor=advisor)
+        res = prove_checked(cs, limits, DEFAULT_MAX_DOMAIN, pid,
+                            advisor=Advisor(guide_model, cs.clauses))
         u = unguided[pid]
         both = u.status == PROVED and res.status == PROVED
         ratio = (u.stats.inferences / res.stats.inferences) if both else None

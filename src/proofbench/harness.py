@@ -75,7 +75,7 @@ class ExperimentSpec:
             raise HarnessError(f"unknown mode {self.mode!r}")
         if self.mode in ("reprove", "library", "traintest") and not self.corpus:
             raise HarnessError(f"mode {self.mode!r} requires a corpus")
-        if self.mode == "challenge" and not (self.problems or self.corpus):
+        if self.mode == "challenge" and not self.problems:
             raise HarnessError("challenge mode requires a problem directory")
         if self.mode == "traintest" and not self.split:
             raise HarnessError("traintest mode requires a split file")
@@ -254,7 +254,7 @@ def run_challenge(spec: ExperimentSpec) -> dict:
     proof, axioms keep file order.
     """
     out = _out_dir(spec)
-    problems = parse_problem_dir(spec.problems or spec.corpus)
+    problems = parse_problem_dir(spec.problems)
     for pid, problem in problems:
         if problem.conjecture is None:
             raise HarnessError(f"{pid}.p: challenge problems need a conjecture")
@@ -475,8 +475,8 @@ def _rebuilder(run_dir: str):
     """`rebuild(item, premises)`, the clause set of a stored artifact of
     the run in `run_dir`, built by the run's own builder,
     `loop.clause_set_builder` for the run's mode; None when its
-    config.json names no input.  A library sub-run's config.json records
-    no mode.
+    config.json names no input, a challenge run's `problems` or another
+    run's `corpus`.  A library sub-run's config.json records no mode.
 
     A challenge problem file is parsed when a record first needs it, all
     through one statement table; a corpus is loaded at the first record,
@@ -484,8 +484,7 @@ def _rebuilder(run_dir: str):
     """
     blob = _run_config(run_dir) or {}
     mode = blob.get("mode", "library")
-    # the directory the run read: a challenge run prefers its problems
-    root = (mode == "challenge" and blob.get("problems")) or blob.get("corpus")
+    root = blob.get("problems" if mode == "challenge" else "corpus")
     if not root:
         return None
     if mode == "challenge":

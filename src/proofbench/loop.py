@@ -3,7 +3,8 @@ inductive-deductive loop over an ordered corpus.
 
 One attempt proves a pruned problem, has the independent checker replay
 any proof, names the given premises the proof used, stores the proof or
-countermodel and yields one `Attempt` record.  `walk_ladder` schedules
+countermodel and yields one `Attempt` record; a proved item's record is
+also its entry in the run's solved map.  `walk_ladder` schedules
 attempts breadth-first over the axiom-count ladder: every pending item
 is tried at the smallest rung before anything escalates, which is how a
 shared budget is spread in a batch setting.  Which formulas go into a
@@ -78,14 +79,6 @@ class LoopConfig:
 
 
 @dataclass
-class SolvedItem:
-    proof: object
-    premises_given: tuple
-    premises_used: tuple      # the given premises the proof used
-    iteration: int
-
-
-@dataclass
 class Attempt:
     """One prover call: where it sat in the run and what came of it.
 
@@ -112,7 +105,7 @@ class Attempt:
 
 @dataclass
 class LoopState:
-    solved: dict = field(default_factory=dict)    # name -> SolvedItem
+    solved: dict = field(default_factory=dict)    # name -> its proving Attempt
     store: ModelStore = field(default_factory=ModelStore)
     model: BayesModel = field(default_factory=BayesModel)
     guide_model: BayesModel = field(default_factory=BayesModel)
@@ -347,8 +340,9 @@ def walk_ladder(entries, config: LoopConfig, select, build, records: list,
     policy is `select(name, entry, k)`, the premise names given at rung
     k, called once per attempt; `build(name, chosen)`, from
     `clause_set_builder`, makes the clause set to prove.  Records under
-    config `name` are appended to `records`; proved entries join
-    `solved`, and `on_proved(name, record)` learns from them.  With
+    config `name` are appended to `records`; a proved entry joins
+    `solved` as its proving record, and `on_proved(name, record)` learns
+    from it.  With
     `guide_model`, an advisor consults it during each search, and the
     advised choice points of each checked proof train it.  Stops when the
     shared `budget_left` runs out; returns (inferences spent, whether it
@@ -370,8 +364,7 @@ def walk_ladder(entries, config: LoopConfig, select, build, records: list,
             cs = build(key, chosen)
             advisor = None
             if guide_model is not None:
-                advisor = Advisor(guide_model)
-                advisor.register_clauses(cs.clauses)
+                advisor = Advisor(guide_model, cs.clauses)
             record = Attempt(name, iteration, key, k, limit, chosen)
             res = attempt(record, cs,
                           Limits(inference_budget=limit,
@@ -383,8 +376,7 @@ def walk_ladder(entries, config: LoopConfig, select, build, records: list,
             spent += record.inferences
             records.append(record)
             if res.status == PROVED:
-                solved[key] = SolvedItem(res.proof, chosen,
-                                         record.premises_used, iteration)
+                solved[key] = record
                 if on_proved is not None:
                     on_proved(key, record)
     return spent, False

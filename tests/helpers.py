@@ -12,6 +12,7 @@ import itertools
 import json
 import os
 import random
+import re
 
 from proofbench.fol import (
     BINARY, QUANT, And, App, Atom, Clause, Eq, Exists, FALSE, FalseF, Forall,
@@ -22,7 +23,9 @@ from proofbench.features import combine, symbol_features
 from proofbench.learner import (
     SIGMA_DEFAULT, BayesModel, rank_premises, train_incremental,
 )
-from proofbench.parser import _print_symbol, print_formula, print_literal
+from proofbench.parser import (
+    _print_symbol, normalize_name, print_formula, print_literal,
+)
 from proofbench.prover import _Cell, _deref, _Lit, _unify, resolve_term
 
 
@@ -531,6 +534,11 @@ def load_model(path: str) -> BayesModel:
     return model
 
 
+# a pair is `fid:weight`, the fid quoted as an atom when it holds
+# whitespace, `'` or `\`; the weight is the last colon's right side
+_CACHE_PAIR = re.compile(r"('(?:[^'\\]|\\.)*'|\S+):(\S+)")
+
+
 def read_feature_cache(path: str) -> dict:
     """Read back a feature cache written by `features.write_feature_cache`."""
     out: dict = {}
@@ -540,11 +548,10 @@ def read_feature_cache(path: str) -> dict:
             if not line:
                 continue
             name, _, rest = line.partition("\t")
-            vec: dict = {}
-            for pair in rest.split():
-                fid, _, w = pair.rpartition(":")
-                vec[fid] = float(w)
-            out[name] = vec
+            pairs = _CACHE_PAIR.findall(rest)
+            if " ".join(f"{fid}:{w}" for fid, w in pairs) != rest:
+                raise ValueError(f"malformed feature cache record {line!r}")
+            out[name] = {normalize_name(fid): float(w) for fid, w in pairs}
     return out
 
 
@@ -592,11 +599,9 @@ def reference_cnf(f, name: str = "f", threshold: int = 64,
         ClausalForm, _Distributor, _is_tautology, skolem_fingerprint,
         uses_equality,
     )
-    skolem_map: dict = {}
     matrix = _ref_nnf(Not(f) if negate else f, True)
     matrix = _ref_miniscope(_ref_simplify(matrix))
-    matrix = _ref_strip_universals(_ref_skolemize(matrix, skolem_map,
-                                                  skolem_fingerprint))
+    matrix = _ref_strip_universals(_ref_skolemize(matrix, skolem_fingerprint))
     dist = _Distributor(threshold)
     raw = dist.clauses(matrix) + dist.extra_clauses
     clauses = [cl for cl in (make_clause(lits, origin=name) for lits in raw)
@@ -608,7 +613,7 @@ def reference_cnf(f, name: str = "f", threshold: int = 64,
             unique.append(cl)
     final = tuple(Clause(cl.literals, name, f"{name}_{i}")
                   for i, cl in enumerate(unique))
-    return ClausalForm(final, skolem_map, uses_equality(f))
+    return ClausalForm(final, uses_equality(f))
 
 
 def _ref_nnf(f, positive: bool):
@@ -681,15 +686,13 @@ def _ref_miniscope(f):
     return f
 
 
-def _ref_skolemize(f, skolem_map: dict, fingerprint):
+def _ref_skolemize(f, fingerprint):
     def walk(g, universals):
         if isinstance(g, Forall):
             return Forall(g.var, walk(g.body, universals + [g.var]))
         if isinstance(g, Exists):
             deps = [u for u in universals if u in free_vars_ordered(g.body)]
-            fp = fingerprint(g, deps)
-            skolem_map[f"sk_{fp}"] = fp
-            term = App(f"sk_{fp}", tuple(Var(u) for u in deps))
+            term = App(f"sk_{fingerprint(g, deps)}", tuple(Var(u) for u in deps))
             return walk(subst_formula(g.body, {g.var: term}), universals)
         if isinstance(g, (And, Or)):
             return type(g)(walk(g.lhs, universals), walk(g.rhs, universals))

@@ -77,22 +77,27 @@ def test_skolemize_one_dependency():
     assert sk.symbol.startswith("sk_") and sk.args == (Var("X"),)
 
 
+def _skolems(f) -> set:
+    """The skolem symbols that occur in `f`."""
+    return {name for name, _kind, _arity in symbols_of(f)
+            if name.startswith("sk_")}
+
+
 def test_skolem_names_shared_across_alpha_variants():
     f = Forall("X", Exists("Y", And(atom("q", Var("X"), Var("Y")),
                                     Exists("Z", atom("p", Var("Z"))))))
     g = rename_bound_vars(f)
-    m1, m2 = {}, {}
-    s1 = skolemize(nnf(f), m1)
-    s2 = skolemize(nnf(g), m2)
-    assert set(m1) == set(m2)
+    s1 = skolemize(nnf(f))
+    s2 = skolemize(nnf(g))
+    assert len(_skolems(s1)) == 2
+    assert _skolems(s1) == _skolems(s2)
     assert alpha_equivalent(universal_closure(s1)[0], universal_closure(s2)[0])
 
 
 def test_skolem_names_differ_for_different_content():
-    m1, m2 = {}, {}
-    skolemize(Exists("X", atom("p", Var("X"))), m1)
-    skolemize(Exists("X", atom("r", Var("X"))), m2)
-    assert set(m1) != set(m2)
+    s1 = skolemize(Exists("X", atom("p", Var("X"))))
+    s2 = skolemize(Exists("X", atom("r", Var("X"))))
+    assert _skolems(s1) != _skolems(s2)
 
 
 def test_cnf_simple_distribution():

@@ -243,6 +243,7 @@ def test_a_value_given_reaches_its_field(corpus, tmp_path, capsys, flags,
     (["generate", "--family", "chain", "--size", "-1"], "size must be >= 0, got -1"),
     (["generate", "--family", "group", "--size", "99"],
      "the group family has at most 22 items, not 99"),
+    (["speedup", "--train-count", "-1"], "--train-count must be >= 0, got -1"),
 ])
 def test_an_invalid_value_exits_2_before_any_output(corpus, tmp_path, capsys,
                                                     argv, message):

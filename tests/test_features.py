@@ -5,6 +5,9 @@ from proofbench.features import (
     branch_features, combine, semantic_features, structural_features,
     symbol_features, write_feature_cache,
 )
+from proofbench.corpus import load_corpus, write_manifest
+from proofbench.harness import ExperimentSpec, run_library
+from proofbench.loop import LoopConfig, item_features
 from proofbench.models import FiniteModel, ModelStore, UNDEFINED, evaluate
 
 from helpers import (
@@ -144,3 +147,33 @@ def test_feature_cache_roundtrip(tmp_path):
     path = str(tmp_path / "cache.txt")
     write_feature_cache(path, vectors)
     assert read_feature_cache(path) == vectors
+
+
+def test_feature_cache_quotes_only_the_ids_that_would_split(tmp_path):
+    vectors = {"t": {"SYM:a b": 1.0, "SYM:it's": 2.0, "SYM:x\\y": 1.0,
+                     "SYM:p": 1.0, "STR:p>VAR": 3.0}}
+    path = str(tmp_path / "cache.txt")
+    write_feature_cache(path, vectors)
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == ("t\tSTR:p>VAR:3.0 'SYM:a b':1.0 'SYM:it\\'s':2.0 "
+                             "SYM:p:1.0 'SYM:x\\\\y':1.0\n")
+    assert read_feature_cache(path) == vectors
+
+
+def test_library_feature_cache_reads_back_a_symbol_with_a_space(tmp_path):
+    # written bare, `SYM:a b:1.0` would read back as the pairs `SYM:a`
+    # and `b:1.0`
+    corpus = tmp_path / "c"
+    corpus.mkdir()
+    for name, role in [("ax", "axiom"), ("t", "conjecture")]:
+        (corpus / f"{name}.p").write_text(f"fof({name}, {role}, p('a b')).\n")
+    write_manifest(str(corpus), [("ax", "ax.p", []), ("t", "t.p", ["ax"])])
+    out = tmp_path / "run"
+    results = run_library(ExperimentSpec(mode="library", corpus=str(corpus),
+                                         out_dir=str(out), baseline=False))
+    assert results["solved"]["learning"] == ["t"]
+    expected = {item.name: item_features(item, LoopConfig(), ModelStore())
+                for item in load_corpus(str(corpus)).items}
+    assert expected["t"] == {"SYM:p": 1.0, "SYM:a b": 1.0, "STR:p>a b": 1.0}
+    cache = read_feature_cache(str(out / "learning" / "features.cache"))
+    assert cache == expected

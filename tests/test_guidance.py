@@ -7,9 +7,9 @@ import pytest
 from proofbench import loop
 from proofbench.clausify import clausal_problem
 from proofbench.features import branch_features
-from proofbench.fol import App, Atom, Eq, Literal, Var
+from proofbench.fol import App, Atom, Eq, Literal, Var, make_clause
 from proofbench.guidance import (
-    CONSULT_MAX_DEPTH, MIN_CANDIDATES, Advisor, StateQuery, advise,
+    CONSULT_MAX_DEPTH, MIN_CANDIDATES, Advisor, advise,
     measure_speedup, throttle_policy,
 )
 from proofbench.learner import BayesModel, train_incremental
@@ -23,20 +23,16 @@ from helpers import (
 )
 
 
-def _query(feats=()):
-    return StateQuery(tuple(feats))
-
-
 def test_advise_empty_model_preserves_order():
-    adv = advise(BayesModel(), _query(), ["c1", "c2", "c3"], {})
-    assert [cid for cid, _s in adv.ranking] == ["c1", "c2", "c3"]
+    ranking = advise(BayesModel(), (), ["c1", "c2", "c3"], {})
+    assert [cid for cid, _s in ranking] == ["c1", "c2", "c3"]
 
 
 def test_advise_single_candidate():
     model = BayesModel()
     train_incremental(model, {"SYM:p": 1.0}, {"ax"})
-    adv = advise(model, _query(), ["only"], {"only": "ax"})
-    assert [cid for cid, _s in adv.ranking] == ["only"]
+    ranking = advise(model, (), ["only"], {"only": "ax"})
+    assert [cid for cid, _s in ranking] == ["only"]
 
 
 def test_advise_prefers_cooccurring_origin():
@@ -44,15 +40,15 @@ def test_advise_prefers_cooccurring_origin():
     model = BayesModel()
     train_incremental(model, {"SYM:p": 1.0}, {"ax2"})
     train_incremental(model, {"SYM:q": 1.0}, {"ax1"})
-    query = _query([("SYM:p", 1.0)])
-    adv = advise(model, query, ["c1", "c2"], {"c1": "ax1", "c2": "ax2"})
-    assert adv.ranking[0][0] == "c2"
+    query = (("SYM:p", 1.0),)
+    ranking = advise(model, query, ["c1", "c2"], {"c1": "ax1", "c2": "ax2"})
+    assert ranking[0][0] == "c2"
     # hand-recompute both scores with the learner's formula
     s = model.sigma
     t = model.total_examples
     expect_ax2 = math.log((1 + s) / (t + s)) + 1.0 * math.log((1 + s) / (1 + 2 * s))
     expect_ax1 = math.log((1 + s) / (t + s)) + 1.0 * math.log((0 + s) / (1 + 2 * s))
-    got = dict(adv.ranking)
+    got = dict(ranking)
     assert abs(got["c2"] - expect_ax2) < 1e-9
     assert abs(got["c1"] - expect_ax1) < 1e-9
 
@@ -61,8 +57,8 @@ def test_advice_is_permutation():
     model = BayesModel()
     train_incremental(model, {"SYM:p": 2.0}, {"a"})
     cands = ["x", "y", "z", "w"]
-    adv = advise(model, _query([("SYM:p", 1.0)]), cands, {"x": "a"})
-    assert sorted(cid for cid, _s in adv.ranking) == sorted(cands)
+    ranking = advise(model, (("SYM:p", 1.0),), cands, {"x": "a"})
+    assert sorted(cid for cid, _s in ranking) == sorted(cands)
 
 
 def test_throttle_policy_examples():
@@ -81,8 +77,8 @@ def test_choice_log_matches_policy_pointwise():
     fof(goal, conjecture, g(c)).
     """))
     class LoggingAdvisor(Advisor):
-        def __init__(self, model):
-            super().__init__(model)
+        def __init__(self, model, clauses):
+            super().__init__(model, clauses)
             self.choice_log = []    # (depth, n_candidates, consulted)
 
         def consult(self, symbols, depth, candidate_ids):
@@ -90,8 +86,7 @@ def test_choice_log_matches_policy_pointwise():
             self.choice_log.append((depth, len(candidate_ids), token is not None))
             return order, token
 
-    advisor = LoggingAdvisor(BayesModel())
-    advisor.register_clauses(cs.clauses)
+    advisor = LoggingAdvisor(BayesModel(), cs.clauses)
     res = prove(cs, Limits(max_depth=6), advisor=advisor)
     assert res.status == PROVED
     assert res.stats.advisor_errors == 0
@@ -167,7 +162,7 @@ class _Unreadable:
 
 
 def test_declined_consult_reads_no_symbols():
-    advisor = Advisor(BayesModel())
+    advisor = Advisor(BayesModel(), ())
     many = [f"c{i}" for i in range(MIN_CANDIDATES)]
     assert advisor.consult(_Unreadable(), CONSULT_MAX_DEPTH + 1, many) == (None, None)
     assert advisor.consult(_Unreadable(), 0, many[1:]) == (None, None)
@@ -187,8 +182,8 @@ def test_search_walks_the_branch_only_for_consults_the_throttle_passes():
         "fof(goal, conjecture, q0(c)).\n"))
 
     class Watching(Advisor):
-        def __init__(self, model):
-            super().__init__(model)
+        def __init__(self, model, clauses):
+            super().__init__(model, clauses)
             self.log = []       # (passed the throttle, walked the branch)
 
         def consult(self, symbols, depth, candidate_ids):
@@ -197,7 +192,7 @@ def test_search_walks_the_branch_only_for_consults_the_throttle_passes():
                              inspect.getgeneratorstate(symbols) != "GEN_CREATED"))
             return out
 
-    advisor = Watching(BayesModel())
+    advisor = Watching(BayesModel(), cs.clauses)
     res = prove(cs, Limits(max_depth=10), advisor=advisor)
     assert res.status == PROVED
     assert res.stats.consults == len(advisor.log)
@@ -206,10 +201,10 @@ def test_search_walks_the_branch_only_for_consults_the_throttle_passes():
 
 
 def test_record_and_flush_counts():
-    advisor = Advisor(BayesModel())
-    advisor.origins = {"c1": "ax1"}
-    advisor.outcome(_query([("SYM:p", 2.0)]), "c1")
-    advisor.outcome(_query([("SYM:q", 1.0)]), "c2")     # no origin: its own label
+    advisor = Advisor(BayesModel(), [make_clause([], "ax1", "c1")])
+    assert advisor.origins == {"c1": "ax1"}
+    advisor.outcome((("SYM:p", 2.0),), "c1")
+    advisor.outcome((("SYM:q", 1.0),), "c2")     # no origin: its own label
     target = BayesModel()
     trained = advisor.flush_to(target)
     assert trained == 2
@@ -254,8 +249,7 @@ def test_no_mid_search_training():
     train_incremental(model, {"SYM:g": 1.0}, {"r3"})
     before = (dict(model.label_count), dict(model.cooccurrence),
               model.total_examples)
-    advisor = Advisor(model)
-    advisor.register_clauses(cs.clauses)
+    advisor = Advisor(model, cs.clauses)
     res = prove(cs, Limits(max_depth=6), advisor=advisor)
     assert res.status == PROVED
     assert res.stats.advisor_errors == 0
@@ -273,8 +267,7 @@ def test_advisor_over_an_empty_model_keeps_search_identical():
     fof(goal, conjecture, g(c)).
     """))
     plain = prove(cs1, Limits(max_depth=6))
-    recorder = Advisor(BayesModel())
-    recorder.register_clauses(cs1.clauses)
+    recorder = Advisor(BayesModel(), cs1.clauses)
     recorded = prove(cs1, Limits(max_depth=6), advisor=recorder)
     assert recorded.stats.inferences == plain.stats.inferences
     assert recorded.proof == plain.proof
@@ -308,8 +301,7 @@ def test_advisor_learns_only_the_returned_proofs_choices(tmp_path):
     fof(goal, conjecture, g(c)).
     """)))] + _neardup_problems(tmp_path, 6)
     for _pid, cs in problems:
-        recorder = Advisor(BayesModel())
-        recorder.register_clauses(cs.clauses)
+        recorder = Advisor(BayesModel(), cs.clauses)
         res = prove(cs, Limits(inference_budget=50000, max_depth=10),
                     advisor=recorder)
         assert res.status == PROVED
@@ -317,10 +309,9 @@ def test_advisor_learns_only_the_returned_proofs_choices(tmp_path):
                  if isinstance(s, ExtensionStep)]
         assert recorder.buffer
         assert len(recorder.buffer) <= len(taken)
-        assert all(r.chosen in taken for r in recorder.buffer)
+        assert all(chosen in taken for _query, chosen in recorder.buffer)
 
-        cut = Advisor(BayesModel())
-        cut.register_clauses(cs.clauses)
+        cut = Advisor(BayesModel(), cs.clauses)
         short = prove(cs, Limits(inference_budget=res.stats.inferences - 1,
                                  max_depth=10), advisor=cut)
         assert short.status == INFERENCE_LIMIT
@@ -368,8 +359,7 @@ def test_measure_speedup_records_only_the_problems_it_trains_on(tmp_path,
 
     def recording_all(cs, limits, max_domain, pid, advisor=None):
         if advisor is None:
-            advisor = Advisor(BayesModel())
-            advisor.register_clauses(cs.clauses)
+            advisor = Advisor(BayesModel(), cs.clauses)
         return prove_checked(cs, limits, max_domain, pid, advisor)
 
     monkeypatch.setattr(loop, "prove_checked", logged)
@@ -379,7 +369,7 @@ def test_measure_speedup_records_only_the_problems_it_trains_on(tmp_path,
         == [True] * 3 + [False] * 5
     assert all(advisors[pid].model.total_examples == 0
                for pid, _cs in problems[:3])
-    measure_speedup(problems, limits, train_count=3, training_enabled=False)
+    measure_speedup(problems, limits, train_count=0)
     assert all(a is None for a in phase_one().values())
 
     # an advisor over an empty model on every problem, as phase one once ran
@@ -396,8 +386,7 @@ def test_measure_speedup_reports_and_disabled_training_is_exact_unity(tmp_path):
     assert len(out["rows"]) == 12
     assert out["solved_both"] == 12
     assert out["geometric_mean_ratio"] is not None
-    disabled = measure_speedup(problems, limits, train_count=6,
-                               training_enabled=False)
+    disabled = measure_speedup(problems, limits, train_count=0)
     for row in disabled["rows"]:
         assert row.ratio == 1.0
     assert disabled["geometric_mean_ratio"] == 1.0
@@ -421,14 +410,12 @@ def test_guided_proofs_remain_checkable(tmp_path):
     limits = Limits(inference_budget=50000, max_depth=10)
     guide = BayesModel()
     for _pid, cs in problems[:4]:
-        rec = Advisor(BayesModel())
-        rec.register_clauses(cs.clauses)
+        rec = Advisor(BayesModel(), cs.clauses)
         res = prove(cs, limits, advisor=rec)
         assert res.status == PROVED
         rec.flush_to(guide)
     for _pid, cs in problems:
-        advisor = Advisor(guide)
-        advisor.register_clauses(cs.clauses)
+        advisor = Advisor(guide, cs.clauses)
         res = prove(cs, limits, advisor=advisor)
         assert res.status == PROVED
         assert res.stats.advisor_errors == 0

@@ -11,10 +11,11 @@ from proofbench import fol, learner, loop
 from proofbench.harness import ExperimentSpec, run_challenge, run_library
 from proofbench.learner import rank_premises
 from proofbench.loop import (
-    ClausalCache, LoopConfig, LoopState, SolvedItem, assemble_problem,
+    Attempt, ClausalCache, LoopConfig, LoopState, assemble_problem,
     fixpoint_report, rank_eligible, refresh_features, retrain, run_loop,
 )
 from proofbench.models import FiniteModel
+from proofbench.prover import PROVED
 
 from helpers import index_of, read_stream
 
@@ -80,13 +81,32 @@ def test_symbol_match_brings_premise_in_by_iteration_two(tmp_path):
     assert set(state.solved["b"].premises_used) == {"a", "rule_b"}
 
 
+class _ProofKeeper:
+    """A run writer that keeps each stored proof in memory, by its name."""
+
+    def __init__(self):
+        self.proofs: dict = {}
+
+    def store_proof(self, item, proof, premises_given) -> str:
+        name = f"proofs.txt#{item}"
+        self.proofs[name] = proof
+        return name
+
+    def store_model(self, item, model, premises_given) -> str:
+        return ""
+
+    def write(self, record) -> None:
+        pass
+
+
 def test_solved_items_never_revert_and_proofs_check(tmp_path):
     generate_corpus("mixed", 30, str(tmp_path / "c"), verify=False)
     corpus = load_corpus(str(tmp_path / "c"))
     cfg = LoopConfig(axiom_ladder=(4, 8, 16), attempt_budgets=(500, 1000, 2000),
                      max_depth=8, max_iterations=6,
                      total_inference_budget=60000)
-    state = run_loop(corpus, cfg)
+    keeper = _ProofKeeper()
+    state = run_loop(corpus, cfg, keeper)
     assert state.solved
     by_name = {item.name: item for item in corpus.items}
     cache = ClausalCache()
@@ -97,7 +117,16 @@ def test_solved_items_never_revert_and_proofs_check(tmp_path):
         premise_items = [p for p in corpus.eligible(i)
                          if p.name in set(solved.premises_given)]
         cs = assemble_problem(by_name[name], premise_items, cache)
-        assert check_proof(solved.proof, cs)
+        assert check_proof(keeper.proofs[solved.proof_file], cs)
+
+
+def test_solved_map_holds_each_items_proving_attempt():
+    state = run_loop(load_corpus(MIXED30), PRUNING_CONFIG)
+    proving = {a.item: a for a in state.attempts if a.status == PROVED}
+    assert state.solved and sorted(state.solved) == sorted(proving)
+    for name, record in state.solved.items():
+        assert record is proving[name]
+        assert record.status == PROVED
 
 
 def test_budget_accounting(tmp_path):
@@ -381,8 +410,9 @@ def _learned_state(corpus, used: dict) -> LoopState:
     state = LoopState()
     refresh_features(state, corpus, LoopConfig())
     for name, premises in used.items():
-        state.solved[name] = SolvedItem(None, tuple(premises),
-                                        tuple(premises), 1)
+        state.solved[name] = Attempt("learning", 1, name, len(premises), 1,
+                                     tuple(premises), PROVED,
+                                     premises_used=tuple(premises))
     retrain(state, corpus.theorems())
     assert state.model.total_examples == len(used)
     return state

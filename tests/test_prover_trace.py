@@ -86,8 +86,8 @@ def _random_sets() -> list:
 
 
 class _LoggingAdvisor(Advisor):
-    def __init__(self, model):
-        super().__init__(model)
+    def __init__(self, model, clauses):
+        super().__init__(model, clauses)
         self.outcomes: list = []
 
     def outcome(self, token, clause_id):
@@ -97,22 +97,20 @@ class _LoggingAdvisor(Advisor):
 
 def _advised_runs(problems, limits, out: dict, queries: dict, tag: str) -> None:
     """Runs whose advisor has an empty model train a model; guided runs
-    consult it.  `queries` gets each training run's buffered `branch_symbols`, in buffer order,
-    one `feature:weight ...` string per record."""
+    consult it.  `queries` gets each training run's buffered queries, in
+    buffer order, one `feature:weight ...` string per record."""
     guide = BayesModel()
     half = len(problems) // 2
     for pid, cs in problems[:half]:
-        rec = _LoggingAdvisor(BayesModel())
-        rec.register_clauses(cs.clauses)
+        rec = _LoggingAdvisor(BayesModel(), cs.clauses)
         res = prove(cs, limits, advisor=rec)
         queries[f"{tag}:record:{pid}"] = [
-            " ".join(f"{fid}:{w!r}" for fid, w in r.query.branch_symbols)
-            for r in rec.buffer]
+            " ".join(f"{fid}:{w!r}" for fid, w in query)
+            for query, _chosen in rec.buffer]
         rec.flush_to(guide)
         out[f"{tag}:record:{pid}"] = dict(_facts(res), outcomes=rec.outcomes)
     for pid, cs in problems:
-        adv = _LoggingAdvisor(guide)
-        adv.register_clauses(cs.clauses)
+        adv = _LoggingAdvisor(guide, cs.clauses)
         res = prove(cs, limits, advisor=adv)
         out[f"{tag}:guided:{pid}"] = dict(_facts(res), outcomes=adv.outcomes)
 

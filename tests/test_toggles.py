@@ -18,7 +18,7 @@ def test_limits_validation():
 
 def test_advisor_rejects_stale_snapshot():
     model = BayesModel()
-    advisor = Advisor(model)
+    advisor = Advisor(model, ())
     order1, _tok = advisor.consult(["g", "c"], 0, ["c1", "c2", "c3"])
     assert order1 is None       # an empty model gives no advice
     train_incremental(model, {"SYM:p": 1.0}, {"ax2"})
