@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
 
@@ -201,7 +200,10 @@ def run_reprove(spec: ExperimentSpec) -> dict:
                        spec.per_problem_budget, tuple(item.reference_premises))
                for _i, item in corpus.theorems()]
     problems = (build(r.item, r.premises_given) for r in records)
-    pool = ProcessPoolExecutor(max_workers=spec.workers) if spec.workers > 1 else None
+    pool = None
+    if spec.workers > 1:        # the process machinery loads only for a pool
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=spec.workers)
     try:
         outcomes = (pool.map if pool else map)(
             prove_checked, problems, repeat(limits),

@@ -21,6 +21,7 @@ from .parser import normalize_name, print_name, tokenize
 
 DEFAULT_MAX_DOMAIN = 3
 GROUNDING_GUARD = 10 ** 6
+DECISION_GUARD = 10 ** 5     # values tried on decided cells, per domain size
 
 
 class Undefined:
@@ -121,8 +122,11 @@ def _search_domain(clauses, funcs, preds, freq, n):
     clauses that read it.  The first propagation visits every clause;
     after that a FIFO queue holds only the readers of each newly assigned
     cell's symbol, each clause at most once (Zhang & Stickel,
-    "Implementing the Davis-Putnam method", JAR 2000).  Unit propagation is confluent, so the order of the visits
-    changes neither its fixpoint nor whether it conflicts.
+    "Implementing the Davis-Putnam method", JAR 2000).  Unit propagation
+    is confluent, so the order of the visits changes neither its fixpoint
+    nor whether it conflicts.  A search that needs more than
+    `DECISION_GUARD` decisions raises `ResourceError`, as a grounding past
+    `GROUNDING_GUARD` does.
     """
     domain = range(n)
     grounding = 0
@@ -217,6 +221,7 @@ def _search_domain(clauses, funcs, preds, freq, n):
         # one frame per decided cell: [cell index, values tried, trail]
         stack: list = []
         idx = 0
+        decisions = 0
         while True:
             while idx < ncells and cells[idx] in assign:
                 idx += 1
@@ -234,6 +239,10 @@ def _search_domain(clauses, funcs, preds, freq, n):
                     if not stack:
                         return False
                     continue
+                decisions += 1
+                if decisions > DECISION_GUARD:
+                    raise ResourceError(
+                        f"more than {DECISION_GUARD} decisions at domain {n}")
                 assign[cell] = values[tried]
                 frame[1] = tried + 1
                 frame[2] = trail = [cell]

@@ -44,13 +44,14 @@ class IncludeError(ProblemError):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
+# a quoted atom ends on its line: TPTP's `sq_char` holds no line break
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+|%[^\n]*)
   | (?P<op><=>|<~>|=>|<=|!=|=|&|\||~|!|\?|\(|\)|\[|\]|,|\.|:)
   | (?P<dollar>\$[a-z][a-zA-Z0-9_]*)
   | (?P<upper>[A-Z][a-zA-Z0-9_]*)
   | (?P<lower>[a-z0-9][a-zA-Z0-9_]*)
-  | (?P<quoted>'(?:[^'\\]|\\.)*')
+  | (?P<quoted>'(?:[^'\\\n\r]|\\[^\n\r])*')
 """, re.VERBOSE)
 
 

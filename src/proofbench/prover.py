@@ -17,14 +17,17 @@ The search is iterative, after leanCoP's prover (Otten & Bibel, JSC
 extension shares, and each goal gets one entry on an explicit
 choice-point stack that backtracking resumes.  Variables are bound in
 place, as in the WAM: a clause-instance variable is a cell whose slot
-holds its binding, and undoing the trail clears the slots.  Input
-clauses are compiled once per search into templates.  An extension
-attempt skips a candidate whose template clashes with the goal on an
-argument's top symbol, unifies the goal with the template itself, and
-instantiates the clause's other literals only once that succeeds.  The
-template's cells are fresh, so until the unification binds a cell of
-the goal, a template variable met unbound is bound with no occurs
-check; every other binding, and every reduction, runs the check.
+holds its binding, and undoing the trail clears the slots.  Once per
+search, the input clauses that a start clause reaches are compiled into
+templates: a clause is reached when one of its literals is complementary,
+by predicate and sign, to a literal of a reached clause, and no goal can
+ever use another clause.  An extension attempt skips a candidate whose
+template clashes with the goal on an argument's top symbol, unifies the
+goal with the template itself, and instantiates the clause's other
+literals only once that succeeds.  The template's cells are fresh, so
+until the unification binds a cell of the goal, a template variable met
+unbound is bound with no occurs check; every other binding, and every
+reduction, runs the check.
 Regularity compares a new goal with a path literal of its sign and
 predicate through the first argument pair, and compares the whole
 literal only when those agree.  Proof normalization replays the steps
@@ -278,10 +281,10 @@ def _literal(positive: bool, atom, args: tuple) -> Literal:
 
 
 # ---------------------------------------------------------------------------
-# Clause templates, compiled once per search: a variable is its slot
-# number in the clause, a ground subterm a term shared by every instance,
-# any other subterm a `_Template`.  An instance fills slot j from
-# `pool[base + j]`.
+# Clause templates, compiled once per search for the clauses a start
+# clause reaches: a variable is its slot number in the clause, a ground
+# subterm a term shared by every instance, any other subterm a
+# `_Template`.  An instance fills slot j from `pool[base + j]`.
 
 
 class _Template(App):
@@ -309,38 +312,69 @@ def _instance_args(targs: tuple, pool: list, base: int) -> tuple:
 class _Lit:
     """A compiled input literal; every goal is a pair (`_Lit`, arguments).
 
-    `key` numbers (predicate, sign) and `complement` the opposite sign's.
-    Only literals with equal `regular`, numbering (sign, atom kind,
-    predicate), and so with equal `key`, can be identical.  `tops` holds
+    `key` is twice the number of its predicate plus its sign, and
+    `complement` the opposite sign's, `key ^ 1`.  Only literals with equal
+    `regular`, the `key` of an atom and `~key` of an equation, and so with
+    equal `key`, can be identical.  `tops` holds
     `(argument index, symbol, arity)` per argument that is not a variable.
     """
     __slots__ = ("positive", "atom", "key", "complement", "regular", "args",
                  "tops")
 
 
-def _compile(clauses: list) -> tuple:
-    """Per input clause (its variable names in slot order, its `_Lit`s),
-    and the extension index: for each `key`, the input literals with it in
-    input order, as `(step, literal index, clause id, clause variables,
-    the literal, the clause's literals)`."""
-    numbers: dict = {}
+def _compile(clauses: list, starts: list) -> tuple:
+    """Per input clause (its variable names in slot order, its `_Lit`s), or
+    None for a clause no start clause reaches, and the extension index: for
+    each `key`, the reached input literals with it in input order, as
+    `(step, literal index, clause id, clause variables, the literal, the
+    clause's literals)`.
+
+    A start clause is reached, and so is every clause with a literal whose
+    key is the complement of a reached clause's literal.  A goal is a
+    literal of a reached clause and reads only its complement's entries,
+    so no other clause is ever read."""
+    preds: dict = {}
+    keys = []                   # per clause, its literals' keys
+    holders: list = []          # per key, the clauses with a literal of it
+    for ci, c in enumerate(clauses):
+        ks = []
+        for lit in c.literals:
+            atom = lit.atom
+            pred = ("=", 2) if type(atom) is Eq else (atom.pred, len(atom.args))
+            p = preds.get(pred)
+            if p is None:
+                p = preds[pred] = len(preds)
+                holders += [], []
+            k = 2 * p + lit.positive
+            ks.append(k)
+            holders[k].append(ci)
+        keys.append(ks)
+    reached, todo = set(starts), list(starts)
+    while todo:
+        for k in keys[todo.pop()]:
+            for cj in holders[k ^ 1]:
+                if cj not in reached:
+                    reached.add(cj)
+                    todo.append(cj)
+            holders[k ^ 1] = ()         # each key is looked up once
     compiled = []
     index: dict = {}
     for ci, c in enumerate(clauses):
+        if ci not in reached:
+            compiled.append(None)
+            continue
         slots: dict = {}
         lits = []
-        for lit in c.literals:
+        for lit, k in zip(c.literals, keys[ci]):
             t = _Lit()
-            t.positive = positive = lit.positive
+            t.positive = lit.positive
             t.atom = atom = lit.atom
+            t.key = k
+            t.complement = k ^ 1
             if type(atom) is Eq:
-                args, pred = (atom.lhs, atom.rhs), ("=", 2)
+                args, t.regular = (atom.lhs, atom.rhs), ~k
             else:
-                args = atom.args
-                pred = (atom.pred, len(args))
-            t.key = numbers.setdefault((pred, positive), len(numbers))
-            t.complement = numbers.setdefault((pred, not positive), len(numbers))
-            t.regular = numbers.setdefault((positive, type(atom), pred), len(numbers))
+                args, t.regular = atom.args, k
             t.args = tuple([slots.setdefault(a.name, len(slots)) if type(a) is Var
                             else _template(a, slots) if a.args else a
                             for a in args])
@@ -415,11 +449,11 @@ class _Search:
                        else limits.inference_budget)
         self.advisor = advisor
         self.stats = Stats()
-        self.compiled, self.index = _compile(clauses)
         self.starts = [ci for ci, c in enumerate(clauses)
                        if c.clause_id in clause_set.start_ids]
         if clauses and not self.starts:     # an empty set is satisfiable
             raise ProverError("malformed clause set: no start clauses")
+        self.compiled, self.index = _compile(clauses, self.starts)
         self.trail: list = []
         self.steps: list = []
         self.pool: list = []

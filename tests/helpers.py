@@ -45,6 +45,22 @@ def atom(pred: str, *args) -> Atom:
     return Atom(pred, tuple(args))
 
 
+def finder_blowup_clauses() -> list:
+    """`{q(Y,f(c)), q(Y,c) | r, ~r, ~p(Y), p(d) | p(g(d,c))}`, ids `c0`..`c4`:
+    unsatisfiable only through `p(g(d,c))`, but chronological backtracking
+    enumerates `g`'s tables, which at domain 3 ran for minutes unbounded."""
+    Y, c, d = Var("Y"), const("c"), const("d")
+    literals = [
+        [Literal(True, atom("q", Y, app("f", c)))],
+        [Literal(True, atom("q", Y, c)), Literal(True, atom("r"))],
+        [Literal(False, atom("r"))],
+        [Literal(False, atom("p", Y))],
+        [Literal(True, atom("p", d)), Literal(True, atom("p", app("g", d, c)))],
+    ]
+    return [make_clause(lits, origin=f"c{i}", clause_id=f"c{i}")
+            for i, lits in enumerate(literals)]
+
+
 def subformulas(f):
     """`f` and every formula below it, pre-order."""
     yield f

@@ -1,9 +1,12 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import proofbench
 from proofbench import harness, loop
 from proofbench.clausify import clausal_problem
 from proofbench.corpus import load_corpus, write_manifest
@@ -132,6 +135,20 @@ def test_reprove_workers_match_sequential(mixed30, tmp_path):
     r1 = (tmp_path / "w1" / "results.jsonl").read_text()
     r2 = (tmp_path / "w2" / "results.jsonl").read_text()
     assert r1 == r2
+
+
+def test_no_process_pool_machinery_is_loaded_outside_a_pool():
+    # only `reprove --workers N` with N > 1 imports the pool
+    code = ("import sys\n"
+            "import proofbench.cli, proofbench.guidance, proofbench.harness, "
+            "proofbench.loop\n"
+            "print(sorted(m for m in ('concurrent.futures.process', "
+            "'multiprocessing') if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(proofbench.__file__))
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_library_mode_learning_vs_baseline(mixed30, tmp_path):

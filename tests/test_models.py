@@ -15,7 +15,7 @@ from proofbench.models import (
 
 from helpers import (
     all_interpretations, atom, brute_clause_eval, brute_eval, const,
-    random_closed_formula,
+    finder_blowup_clauses, random_closed_formula,
 )
 
 
@@ -259,3 +259,10 @@ def test_wide_clause_set_finds_its_model_without_recursion():
     m = find_model(clauses, 1)
     assert m is not None and m.size == 1
     assert all(evaluate(c, m) is True for c in clauses)
+
+
+def test_decision_guard():
+    clauses = finder_blowup_clauses()
+    assert find_model(clauses, 2) is None
+    with pytest.raises(ResourceError, match="decisions at domain 3"):
+        find_model(clauses, 3)

@@ -153,7 +153,6 @@ CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 @pytest.mark.parametrize("text", [
     "% a comment\n\n\nfof(a, axiom, p(c)). % trailing\n\n% last",
     "fof(a, axiom, p(c)).\r\nfof(b, axiom,\r\n  q(c)).\r\n",
-    "fof('two\nlines', axiom, p('x\ny', c)).\nfof(b, axiom, q(c)).",
     "% comment\nfof(a, axiom, p(c)).",
     "",
     " \n\t",
@@ -173,8 +172,11 @@ def test_tokenize_matches_reference_on_corpus_files():
 @pytest.mark.parametrize("text, where", [
     ("fof(a, axiom, p(c)).\n  fof(b, axiom, q(c) # r).", (2, 22)),
     ("fof(a, axiom,\r\n p(c) @ q).", (2, 7)),
-    ("% c\nfof('x\ny', axiom, p(c)). 'open", (3, 19)),
+    # this case and the last two: a quoted atom ends on its line
+    ("% c\nfof('x\ny', axiom, p(c)). 'open", (2, 5)),
     ("#", (1, 1)),
+    ("fof('two\nlines', axiom, p('x\ny', c)).\nfof(b, axiom, q(c)).", (1, 5)),
+    ("fof(a, axiom, p('x\r\ny')).", (1, 17)),
 ])
 def test_tokenize_error_location_matches_reference(text, where):
     with pytest.raises(ParseError) as ref:
@@ -266,8 +268,11 @@ ERRORS = [
      "unexpected character '#'", 3, 20),
     ("fof(a, axiom, p(c)).\nfof(b, axiom, 'p(c)).\n", "unexpected character \"'\"", 2, 15),
     ("fof(a, axiom, p(c)).\nfof(b, axiom, q(c))\n", "expected '.', found ''", 3, 1),
+    ("fof(a, axiom, p(c)).\nfof(b, axiom, p('a\nb')).\n", "unexpected character \"'\"",
+     2, 17),
 ]
-ERROR_IDS = ["syntax", "lexical-after-syntax", "unterminated-quote", "no-final-dot"]
+ERROR_IDS = ["syntax", "lexical-after-syntax", "unterminated-quote", "no-final-dot",
+             "line-break-in-quote"]
 
 
 @pytest.mark.parametrize("text, message, line, col", ERRORS, ids=ERROR_IDS)

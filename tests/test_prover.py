@@ -1,26 +1,34 @@
+import os
 import random
 
 import pytest
 
 from proofbench.checker import check_proof
 from proofbench.clausify import ClauseSet, clausal_problem
+from proofbench.corpus import load_corpus
 from proofbench.fol import (
     App, Atom, Clause, Literal, Var, make_clause,
 )
+from proofbench.generator import generate_corpus
+from proofbench.loop import clause_set_builder
 from proofbench.models import find_model
-from proofbench.parser import parse_problem
+from proofbench.parser import parse_problem, parse_problem_dir
 from proofbench import prover
 from proofbench.prover import (
     COUNTER_SATISFIABLE, INFERENCE_LIMIT, ExtensionStep, Limits, PROVED,
-    ProofObject, ProverError, ReductionStep, StartStep, _Cell, _clashes,
-    _compile, _deref, _identical, _Lit, _occurs, _on_branch, _unify_args,
-    proof_from_text, proof_to_text, prove, resolve_term,
+    ProofObject, ProverError, ReductionStep, StartStep, TIMEOUT, _Cell,
+    _clashes, _compile, _deref, _identical, _Lit, _occurs, _on_branch,
+    _unify_args, proof_from_text, proof_to_text, prove, resolve_term,
 )
 
 from helpers import (
-    atom, cell_literal, const, prop_clause_satisfiable, random_prop_clauses,
-    reference_unify, resolve_literal, unify_terms, with_cells,
+    atom, cell_literal, const, finder_blowup_clauses, prop_clause_satisfiable,
+    random_prop_clauses, random_term, reference_unify, resolve_literal,
+    unify_terms, with_cells,
 )
+
+MIXED30 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "corpora", "mixed30")
 
 
 def _cl(lits, cid, origin=None):
@@ -147,6 +155,14 @@ def test_saturation_yields_countermodel():
     assert res.model is not None and res.model.size == 1
     assert res.model.preds["p"][(0,)] is True
     assert res.model.preds["q"][(0,)] is False
+
+
+def test_saturation_past_the_finders_decision_guard_is_a_timeout():
+    # the start clause ~r saturates at once; the model finder gives up
+    cs = _clause_set(finder_blowup_clauses(), start_ids={"c2"})
+    res = prove(cs, Limits(max_depth=8))
+    assert res.status == TIMEOUT and res.model is None
+    assert res.stats.stop_reason == "saturated"
 
 
 def test_counter_satisfiable_helper():
@@ -366,7 +382,7 @@ def _unify_with_template(goal_args, template_args, prebound, unify):
     trail: list = []
     if unify is None:
         clause = Clause((Literal(True, atom("p", *template_args)),), "t", "t_0")
-        (names, (lit,)), = _compile([clause])[0]
+        (names, (lit,)), = _compile([clause], [0])[0]
         pool = list(goal_cells.values()) + [_Cell(name) for name in names]
         ok = _unify_args(args, lit.args, trail, pool, len(goal_cells))
         cells = pool
@@ -632,3 +648,96 @@ def test_no_pool_cell_left_bound(monkeypatch, case):
     (search,) = searches
     assert search.pool and search.trail == []
     assert all(cell.ref is None for cell in search.pool)
+
+
+# ---------------------------------------------------------------------------
+# Only the clauses a start clause reaches are compiled
+
+
+def test_unreached_clause_gets_no_template_and_no_index_entry():
+    X = Var("X")
+    clauses = [
+        _cl([Literal(True, atom("s", X)), Literal(True, atom("t"))], "u1_0"),
+        _cl([Literal(True, atom("p", const("a"))), Literal(True, atom("q", X))],
+            "r1_0"),
+        _cl([Literal(False, atom("t"))], "u2_0"),
+        _cl([Literal(False, atom("q", const("b"))), Literal(True, atom("r"))],
+            "r2_0"),
+        _cl([Literal(False, atom("p", X))], "g_0"),
+    ]
+    compiled, index = _compile(clauses, [4])
+    assert [ci for ci, entry in enumerate(compiled) if entry is None] == [0, 2]
+    indexed = [e[2] for entries in index.values() for e in entries]
+    assert sorted(indexed) == ["g_0", "r1_0", "r1_0", "r2_0", "r2_0"]
+    # a reached literal has the candidates a compile of every clause gives
+    _compiled, full = _compile(clauses, range(len(clauses)))
+    for _names, lits in (compiled[1], compiled[3], compiled[4]):
+        for lit in lits:
+            assert ([e[2] for e in index.get(lit.complement, ())]
+                    == [e[2] for e in full.get(lit.complement, ())])
+    res = prove(_clause_set(clauses, {"g_0"}), Limits(max_depth=4))
+    assert res.status == COUNTER_SATISFIABLE
+
+
+def _outcome(cs: ClauseSet, limits: Limits) -> tuple:
+    res = prove(cs, limits, model_max_domain=1)
+    return (res.status, res.stats.inferences, res.stats.depth_reached,
+            res.stats.stop_reason, res.proof and proof_to_text(res.proof))
+
+
+def _random_first_order_set(rng: random.Random) -> ClauseSet:
+    signature = [("p", 1), ("q", 1), ("r", 2), ("s", 0), ("t", 1)]
+    clauses = []
+    for i in range(rng.randint(2, 8)):
+        lits = []
+        for _ in range(rng.randint(1, 3)):
+            pred, arity = rng.choice(signature)
+            args = tuple(random_term(rng, ["X", "Y"], 1) for _ in range(arity))
+            lits.append(Literal(rng.random() < 0.5, Atom(pred, args)))
+        clauses.append(_cl(lits, f"c{i}_0", f"c{i}"))
+    negative = [c.clause_id for c in clauses if c.is_negative()]
+    return _clause_set(clauses, {rng.choice(negative or [clauses[-1].clause_id])})
+
+
+def _pruning_sets(tmp_path) -> list:
+    """Seeded random clause sets; every mixed30 theorem from its latest 2,
+    4 and 8 eligible premises and from all of them; and every neardup
+    problem with each suffix of its axioms, as a challenge rung takes."""
+    rng = random.Random(25)
+    sets = [_random_first_order_set(rng) for _ in range(300)]
+    corpus = load_corpus(MIXED30)
+    build = clause_set_builder("library", corpus)
+    for i, item in corpus.theorems():
+        eligible = [e.name for e in corpus.eligible(i)]
+        sets += [build(item.name, premises) for premises in
+                 (eligible[-2:], eligible[-4:], eligible[-8:], eligible)]
+    root = str(tmp_path / "neardup")
+    generate_corpus("neardup", 10, root, verify=False)
+    problems = dict(parse_problem_dir(root))
+    build = clause_set_builder("challenge", problems.__getitem__)
+    for pid, problem in problems.items():
+        axioms = [af.name for af in problem.formulas if af.role != "conjecture"]
+        sets += [build(pid, axioms[k:]) for k in range(len(axioms))]
+    return sets
+
+
+def test_pruned_compile_matches_compiling_every_clause(monkeypatch, tmp_path):
+    limits = Limits(max_depth=6, inference_budget=3000)
+    sets = _pruning_sets(tmp_path)
+    real = prover._compile
+    unreached = []
+
+    def recorded(clauses, starts):
+        compiled, index = real(clauses, starts)
+        unreached.append(compiled.count(None))
+        return compiled, index
+
+    monkeypatch.setattr(prover, "_compile", recorded)
+    got = [_outcome(cs, limits) for cs in sets]
+    monkeypatch.setattr(prover, "_compile",
+                        lambda clauses, _starts: real(clauses, range(len(clauses))))
+    assert got == [_outcome(cs, limits) for cs in sets]
+    # the sets do leave clauses out, and end both ways
+    assert sum(1 for n in unreached[:300] if n) >= 100
+    assert sum(1 for n in unreached[300:] if n) >= 100
+    assert {PROVED, COUNTER_SATISFIABLE} <= {o[0] for o in got}
