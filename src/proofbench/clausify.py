@@ -313,21 +313,14 @@ def join_forms(forms, negated: ClausalForm | None) -> ClauseSet:
                      frozenset(c.clause_id for c in starts))
 
 
-def clausal_problem(problem: Problem, form=None) -> ClauseSet:
-    """Clausify a whole problem for refutation, the conjecture negated.
-
-    `form(af, negate)`, a `loop.ClausalCache`'s `form`, gives the
-    clausal form of each annotated formula when passed; without it each
-    is clausified afresh.  The clause set is the same either way.
-    """
+def clausal_problem(problem: Problem) -> ClauseSet:
+    """Clausify a whole problem afresh for refutation: every formula in
+    file order, the conjecture negated.  The runs build their clause sets
+    through `loop.clause_set_builder` instead, which reuses clausal forms."""
     forms, negated = [], None
     for af in problem.formulas:
         conjecture = af.role == "conjecture"
-        if form is None:
-            clausal = cnf(af.formula, name=af.name, negate=conjecture)
-        else:
-            clausal = form(af, conjecture)
-        forms.append(clausal)
+        forms.append(cnf(af.formula, name=af.name, negate=conjecture))
         if conjecture:
-            negated = clausal
+            negated = forms[-1]
     return join_forms(forms, negated)

@@ -27,7 +27,8 @@ from .harness import (
     ExperimentSpec, report, run_challenge, run_library, run_reprove,
     run_traintest, verify_run,
 )
-from .loop import LoopConfig
+from .loop import LoopConfig, whole_problems
+from .parser import parse_problem_dir
 from .prover import Limits
 
 
@@ -181,13 +182,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_speedup(args, limits: Limits) -> int:
-    from .clausify import clausal_problem
-    from .loop import ClausalCache
-    from .parser import parse_problem_dir
-
-    clausifier = ClausalCache()
-    problems = [(pid, clausal_problem(problem, clausifier.form))
-                for pid, problem in parse_problem_dir(args.problems)]
+    problems = whole_problems(parse_problem_dir(args.problems))
     outcome = measure_speedup(problems, limits, train_count=args.train_count)
     os.makedirs(args.out, exist_ok=True)
     rows = [{"problem": r.problem_id, "unguided": r.unguided_inferences,

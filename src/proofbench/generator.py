@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import os
 
-from .clausify import clausal_problem
 from .corpus import SPLIT_NAME, load_corpus, write_manifest
-from .loop import ClausalCache, clause_set_builder, prove_checked
+from .loop import clause_set_builder, prove_checked, whole_problems
 from .models import DEFAULT_MAX_DOMAIN
 from .parser import parse_problem_dir
 from .prover import Limits, PROVED
@@ -204,11 +203,9 @@ def _gen_neardup(root: str, size: int) -> None:
 
 
 def _verify_problems(root: str) -> None:
-    """Each problem, proved from all of its axioms."""
-    clausifier = ClausalCache()
-    for pid, problem in parse_problem_dir(root):
-        res = prove_checked(clausal_problem(problem, clausifier.form),
-                            VERIFY_LIMITS, DEFAULT_MAX_DOMAIN, pid)
+    """Each problem, proved from all of its axioms as `speedup` builds it."""
+    for pid, cs in whole_problems(parse_problem_dir(root)):
+        res = prove_checked(cs, VERIFY_LIMITS, DEFAULT_MAX_DOMAIN, pid)
         if res.status != PROVED:
             raise GeneratorError(f"{pid}.p not provable ({res.status})")
 

@@ -15,7 +15,8 @@ Four experiment shapes over generated corpora:
 
 Every mode runs its attempts through `loop.attempt`, and all but reprove
 schedule them with `loop.walk_ladder`; a mode supplies only its ranking
-policy, and builds its clause sets through `loop.clause_set_builder`.
+policy, and builds its clause sets through one `loop.clause_set_builder`
+per run, whose clausal forms a library run's two configurations share.
 Results are append-only JSON lines in one schema (`loop.Attempt`);
 `verify` rebuilds each stored artifact's clause set through the same
 builder, replays every stored proof through the independent checker and
@@ -27,19 +28,19 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
+from functools import cache
 from itertools import repeat
 
 from .checker import check_proof
-# perfbench/layers.py wraps `clausal_problem` here as well as in
-# `clausify`; every mode builds through `loop.clause_set_builder` instead
+# bound for perfbench/layers.py to wrap; runs build through `loop`
 from .clausify import clausal_problem  # noqa: F401
 from .corpus import load_corpus, load_split
 from .features import combine, structural_features, symbol_features
 from .learner import BayesModel, rank_premises, train_incremental
 from .loop import (
     Attempt, LoopConfig, LoopInvariantError, attempt, clause_set_builder,
-    fixpoint_report, item_features, prove_checked, run_loop, tally,
-    walk_ladder, write_run_dir,
+    conjecture_of, fixpoint_report, item_features, prove_checked, run_loop,
+    tally, walk_ladder, write_run_dir,
 )
 from .models import ModelStore, evaluate, model_from_text, model_to_text
 from .parser import (
@@ -222,9 +223,12 @@ def run_reprove(spec: ExperimentSpec) -> dict:
 
 
 def run_library(spec: ExperimentSpec) -> dict:
-    """Full loop with learning, plus the recency baseline for comparison."""
+    """Full loop with learning, plus the recency baseline for comparison;
+    the configurations share one builder, so each formula is clausified
+    once per run."""
     out = _out_dir(spec)
     corpus = load_corpus(spec.corpus)
+    build = clause_set_builder("library", corpus)
     configs = [("learning", spec.loop)]
     if spec.baseline:
         configs.append(("recency", replace(spec.loop, learning=False,
@@ -235,7 +239,7 @@ def run_library(spec: ExperimentSpec) -> dict:
             sub = os.path.join(out, config_name)
             blob = {"corpus": spec.corpus, "config": asdict(cfg)}
             with _RecordWriter(sub, blob, parent=top) as writer:
-                state = run_loop(corpus, cfg, writer, config_name)
+                state = run_loop(corpus, cfg, writer, config_name, build)
             write_run_dir(sub, state, corpus, cfg)
             results["reports"][config_name] = fixpoint_report(state, corpus)
             results["configs"].append(tally(config_name, state.attempts))
@@ -258,8 +262,7 @@ def run_challenge(spec: ExperimentSpec) -> dict:
     out = _out_dir(spec)
     problems = parse_problem_dir(spec.problems)
     for pid, problem in problems:
-        if problem.conjecture is None:
-            raise HarnessError(f"{pid}.p: challenge problems need a conjecture")
+        conjecture_of(pid, problem)     # refuse before anything is written
 
     cfg = spec.loop
     name = "learning" if cfg.learning else "fixed-order"
@@ -481,8 +484,7 @@ def _rebuilder(run_dir: str):
     run's `corpus`.  A library sub-run's config.json records no mode.
 
     A challenge problem file is parsed when a record first needs it, all
-    through one statement table; a corpus is loaded at the first record,
-    and a premise that is not an earlier corpus item is an error.
+    through one statement table; a corpus is loaded at the first record.
     """
     blob = _run_config(run_dir) or {}
     mode = blob.get("mode", "library")
@@ -490,29 +492,17 @@ def _rebuilder(run_dir: str):
     if not root:
         return None
     if mode == "challenge":
-        parsed, table = {}, {}
+        table: dict = {}
 
+        @cache
         def problem(item):
-            if item not in parsed:
-                path = os.path.join(root, f"{item}.p")
-                if not os.path.exists(path):
-                    raise HarnessError(f"no problem file {item}.p in {root!r}")
-                parsed[item] = parse_problem_file(path, table=table)
-            return parsed[item]
+            path = os.path.join(root, f"{item}.p")
+            if not os.path.exists(path):
+                raise HarnessError(f"no problem file {item}.p in {root!r}")
+            return parse_problem_file(path, table=table)
         return clause_set_builder(mode, problem)
-    loaded: dict = {}       # item positions and the builder, at the first record
-
-    def rebuild(item, premises):
-        if not loaded:
-            corpus = load_corpus(root)
-            loaded["position"] = {it.name: i
-                                  for i, it in enumerate(corpus.items)}
-            loaded["build"] = clause_set_builder(mode, corpus)
-        position = loaded["position"]
-        if any(position[p] >= position[item] for p in premises):
-            raise HarnessError(f"a premise of {item} is not an earlier item")
-        return loaded["build"](item, premises)
-    return rebuild
+    build = cache(lambda: clause_set_builder(mode, load_corpus(root)))
+    return lambda item, premises: build()(item, premises)
 
 
 # ---------------------------------------------------------------------------

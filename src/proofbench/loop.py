@@ -9,8 +9,9 @@ attempts breadth-first over the axiom-count ladder: every pending item
 is tried at the smallest rung before anything escalates, which is how a
 shared budget is spread in a batch setting.  Which formulas go into a
 clause set, in which order, is one rule per mode, written once in
-`clause_set_builder`; every run, `verify` and the generator's self-check
-build through it, so a mode supplies only its ranking policy.
+`clause_set_builder`, which also owns the clausal forms it makes; every
+run, `verify`, `speedup` and the generator's self-check build through
+it, so a mode supplies only its ranking policy.
 
 The library loop (`run_loop`) walks the ladder once per iteration.  Each
 iteration extends the run's feature table by the newly stored models,
@@ -40,6 +41,7 @@ from .features import (
     combine, semantic_features, structural_features, symbol_features,
     write_feature_cache,
 )
+from .fol import ProblemError
 from .guidance import Advisor
 from .learner import (
     BayesModel, rank_premises, save_model, score, train_incremental,
@@ -229,58 +231,76 @@ def rank_eligible(position: int, k: int, state: LoopState,
             + [n for n, s in ranking if s < prior])[:k]
 
 
-class ClausalCache:
-    """Clausal forms keyed by content, (name, formula, negated): `cnf` is
-    a pure function of the key, so reuse is exact across problems too."""
-
-    def __init__(self):
-        self.forms: dict = {}
-
-    def form(self, item, negate: bool = False):
-        key = (item.name, item.formula, negate)
-        form = self.forms.get(key)
-        if form is None:
-            form = self.forms[key] = cnf(item.formula, name=item.name,
-                                         negate=negate)
-        return form
-
-
-def assemble_problem(item, premise_items, clausifier: ClausalCache) -> ClauseSet:
+def assemble_problem(item, premise_items, form) -> ClauseSet:
     """The clause set of `item` proved from `premise_items`: the premises
-    in the order given, then the negated item."""
-    forms = [clausifier.form(p) for p in premise_items]
-    negated = clausifier.form(item, negate=True)
+    in the order given, then the negated item.  `form(af, negate)` gives
+    the clausal form of an annotated formula or a corpus item."""
+    forms = [form(p, False) for p in premise_items]
+    negated = form(item, True)
     return join_forms(forms + [negated], negated)
+
+
+def conjecture_of(pid: str, problem):
+    """The conjecture of challenge problem `pid`, which must have one."""
+    if problem.conjecture is None:
+        raise ProblemError(f"{pid}.p: challenge problems need a conjecture")
+    return problem.conjecture
 
 
 def clause_set_builder(mode: str, source):
     """`build(item, premises)`, the clause set on which `mode` proves the
-    item named `item` from the premises named, with clausal forms cached
-    for the builder's life.
+    item named `item` from the premises named.
 
     `source` is the run's `Corpus`, or, for challenge, a lookup from a
     problem's name to its parsed `Problem`.  The premises go in the order
     given (reprove), in corpus order (library, traintest), or, for a
     challenge problem, as its axioms in file order; the negated item or
-    conjecture comes last.
+    conjecture comes last.  A premise that is not an earlier corpus item,
+    or not an axiom of the challenge problem, is refused by name.  Each
+    clausal form is made once per builder, keyed by content (name,
+    formula, negated), of which `cnf` is a pure function.
     """
-    clausifier = ClausalCache()
+    forms: dict = {}
+
+    def form(af, negate: bool):
+        key = (af.name, af.formula, negate)
+        clausal = forms.get(key)
+        if clausal is None:
+            clausal = forms[key] = cnf(af.formula, name=af.name, negate=negate)
+        return clausal
+
     if mode == "challenge":
         def build(item, premises) -> ClauseSet:
             problem = source(item)
+            conjecture = conjecture_of(item, problem)
+            chosen = set(premises)
             axioms = [af for af in problem.formulas
-                      if af.role != "conjecture" and af.name in premises]
-            return assemble_problem(problem.conjecture, axioms, clausifier)
+                      if af is not conjecture and af.name in chosen]
+            if len(axioms) < len(chosen):
+                unknown = chosen - {af.name for af in axioms}
+                raise ProblemError(f"{item}.p has no axiom {min(unknown)!r}")
+            return assemble_problem(conjecture, axioms, form)
         return build
     items = {item.name: (i, item) for i, item in enumerate(source.items)}
 
     def build(item, premises) -> ClauseSet:
+        position = items[item][0]
+        for name in premises:
+            if name not in items or items[name][0] >= position:
+                raise ProblemError(f"{name!r} is not an item before {item!r}")
         if mode != "reprove":
             premises = sorted(premises, key=lambda name: items[name][0])
         return assemble_problem(items[item][1],
-                                [items[name][1] for name in premises],
-                                clausifier)
+                                [items[name][1] for name in premises], form)
     return build
+
+
+def whole_problems(problems) -> list:
+    """(name, clause set) of each (name, `Problem`) pair: the challenge
+    rule's, every axiom given, all through one builder."""
+    build = clause_set_builder("challenge", dict(problems).__getitem__)
+    return [(pid, build(pid, [af.name for af in p.formulas if af.role != "conjecture"]))
+            for pid, p in problems]
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +403,11 @@ def walk_ladder(entries, config: LoopConfig, select, build, records: list,
 
 
 def run_loop(corpus: Corpus, config: LoopConfig, writer=None,
-             name: str = "learning") -> LoopState:
-    """The library loop; records go to `writer` under config `name`."""
+             name: str = "learning", build=None) -> LoopState:
+    """The library loop; records go to `writer` under config `name`, and
+    clause sets come from `build`, the run's library builder."""
     state = LoopState()
-    build = clause_set_builder("library", corpus)
+    build = build or clause_set_builder("library", corpus)
     theorems = corpus.theorems()
     entries = [(item.name, (i, item)) for i, item in theorems]
 

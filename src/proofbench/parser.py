@@ -115,8 +115,8 @@ class _Parser:
         self.cur = tokens[0]
         self.source = source
 
-    def error(self, msg: str):
-        t = self.cur
+    def error(self, msg: str, t=None):
+        t = t or self.cur
         raise ParseError(msg, t.line, t.col, self.source)
 
     def eat(self, text: str) -> Token:
@@ -201,6 +201,7 @@ class _Parser:
         return t.text
 
     def atomic(self) -> Formula:
+        start = self.cur
         lhs = self.term()
         if self.cur.text == "=":
             self.take()
@@ -210,6 +211,8 @@ class _Parser:
             return Not(Eq(lhs, self.term()))
         if isinstance(lhs, Var):
             self.error(f"variable {lhs.name!r} cannot stand as a formula")
+        if lhs.symbol == "=":
+            self.error("equality is written infix, not as a predicate '='", start)
         return Atom(lhs.symbol, lhs.args)
 
     def term(self) -> Term:

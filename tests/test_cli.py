@@ -122,12 +122,13 @@ def test_speedup_cli_writes_json(tmp_path, capsys):
 def test_speedup_cli_builds_clausal_problems_from_cached_forms(
         tmp_path, monkeypatch, capsys):
     from proofbench import cli, clausify, loop
+    from proofbench.fol import Problem
     from proofbench.parser import parse_problem_file
 
     probs = tmp_path / "nd"
     assert main(["generate", "--family", "neardup", "--size", "6",
                  "--out", str(probs)]) == 0
-    # a conjecture that is not the last formula keeps its place
+    # as in challenge, the axioms go in file order, then the conjecture
     (probs / "mid.p").write_text(
         "fof(a1, axiom, p(c)).\nfof(goal, conjecture, q(c)).\n"
         "fof(a2, axiom, ![X]: (p(X) => q(X))).\n")
@@ -150,8 +151,27 @@ def test_speedup_cli_builds_clausal_problems_from_cached_forms(
     for fn in names:
         problem = parse_problem_file(str(probs / fn))
         formulas += len(problem.formulas)
-        assert built[fn[:-2]] == clausify.clausal_problem(problem), fn
+        axioms = [af for af in problem.formulas if af.role != "conjecture"]
+        assert built[fn[:-2]] == clausify.clausal_problem(
+            Problem(tuple(axioms) + (problem.conjecture,))), fn
+    assert built["mid"] != clausify.clausal_problem(
+        parse_problem_file(str(probs / "mid.p")))
     assert 0 < len(cnf_calls) < formulas
+
+
+@pytest.mark.parametrize("command", ["challenge", "speedup"])
+def test_a_problem_without_a_conjecture_is_refused(command, tmp_path):
+    from proofbench.fol import ProblemError
+
+    probs = tmp_path / "nd"
+    assert main(["generate", "--family", "neardup", "--size", "2",
+                 "--out", str(probs)]) == 0
+    (probs / "no_goal.p").write_text("fof(a1, axiom, p(c)).\n")
+    out = tmp_path / "out"
+    with pytest.raises(ProblemError,
+                       match=r"^no_goal\.p: challenge problems need a conjecture$"):
+        main([command, "--problems", str(probs), "--out", str(out)])
+    assert not out.exists()
 
 
 # the required inputs of each run subcommand

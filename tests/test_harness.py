@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import proofbench
-from proofbench import harness, loop
+from proofbench import clausify, harness, loop
 from proofbench.clausify import clausal_problem
 from proofbench.corpus import load_corpus, write_manifest
 from proofbench.fol import Problem, make_problem
@@ -16,9 +16,7 @@ from proofbench.harness import (
     ExperimentSpec, HarnessError, report, run_challenge, run_library,
     run_reprove, run_traintest, together_count, verify_run,
 )
-from proofbench.loop import (
-    ClausalCache, LoopConfig, assemble_problem, clause_set_builder,
-)
+from proofbench.loop import LoopConfig, clause_set_builder
 from proofbench.models import evaluate, model_from_text
 from proofbench.parser import parse_problem_file
 
@@ -151,12 +149,20 @@ def test_no_process_pool_machinery_is_loaded_outside_a_pool():
     assert out.stdout.strip() == "[]"
 
 
-def test_library_mode_learning_vs_baseline(mixed30, tmp_path):
+def test_library_mode_learning_vs_baseline(mixed30, tmp_path, monkeypatch):
+    forms = []
+
+    def counted_cnf(f, name, negate):
+        forms.append((name, negate))
+        return clausify.cnf(f, name=name, negate=negate)
+    monkeypatch.setattr(loop, "cnf", counted_cnf)
     spec = ExperimentSpec(mode="library", corpus=mixed30,
                           out_dir=str(tmp_path / "lib"), loop=FAST_LOOP)
     results = run_library(spec)
     names = [c["name"] for c in results["configs"]]
     assert names == ["learning", "recency"]
+    # the two configurations share one builder: each form is made once
+    assert forms and len(forms) == len(set(forms))
     learn, base = results["configs"]
     assert learn["proved"] >= base["proved"]
     shortening = results["reports"]["learning"]["shortening"]
@@ -592,13 +598,36 @@ def test_false_conjecture_ends_counter_satisfiable(tmp_path):
 def test_corpus_joiner_matches_problem_clausification(mixed30):
     corpus = load_corpus(mixed30)
     by_name = {item.name: item for item in corpus.items}
-    clausifier = ClausalCache()
+    build = clause_set_builder("reprove", corpus)
     for _i, item in corpus.theorems():
         premises = [by_name[r] for r in item.reference_premises]
         problem = make_problem([p.as_axiom() for p in premises]
                                + [item.as_conjecture()])
-        assert assemble_problem(item, premises, clausifier) == \
+        assert build(item.name, item.reference_premises) == \
             clausal_problem(problem)
+
+
+@pytest.mark.parametrize("mode", ["challenge", "reprove"])
+def test_verify_names_a_premise_the_rule_does_not_know(
+        mode, challenge_run, mixed30, tmp_path):
+    # a tampered premises_given line fails verify, naming the premise
+    if mode == "challenge":
+        out = tmp_path / "ch"
+        shutil.copytree(challenge_run, out)
+    else:
+        out = tmp_path / "rp"
+        run_reprove(ExperimentSpec(mode="reprove", corpus=mixed30,
+                                   out_dir=str(out), loop=LoopConfig(max_depth=8)))
+    stream = out / "proofs.txt"
+    records = read_stream(stream)
+    item = records[0][0].split()[-1]
+    records[0][1] += " no_such_axiom"
+    write_stream(stream, records)
+    outcome = verify_run(str(out))
+    why = (f"rebuild failed: {item}.p has no axiom 'no_such_axiom'"
+           if mode == "challenge" else
+           f"rebuild failed: 'no_such_axiom' is not an item before {item!r}")
+    assert outcome["failures"] == [(f"{stream}#{item}", why)]
 
 
 def test_challenge_builder_matches_problem_clausification(neardup, tmp_path):

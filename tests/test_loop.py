@@ -11,8 +11,8 @@ from proofbench import fol, learner, loop
 from proofbench.harness import ExperimentSpec, run_challenge, run_library
 from proofbench.learner import rank_premises
 from proofbench.loop import (
-    Attempt, ClausalCache, LoopConfig, LoopState, assemble_problem,
-    fixpoint_report, rank_eligible, refresh_features, retrain, run_loop,
+    Attempt, LoopConfig, LoopState, clause_set_builder, fixpoint_report,
+    rank_eligible, refresh_features, retrain, run_loop,
 )
 from proofbench.models import FiniteModel
 from proofbench.prover import PROVED
@@ -108,15 +108,12 @@ def test_solved_items_never_revert_and_proofs_check(tmp_path):
     keeper = _ProofKeeper()
     state = run_loop(corpus, cfg, keeper)
     assert state.solved
-    by_name = {item.name: item for item in corpus.items}
-    cache = ClausalCache()
+    build = clause_set_builder("library", corpus)
     for name, solved in state.solved.items():
         i = index_of(corpus, name)
         eligible = {p.name for p in corpus.eligible(i)}
         assert set(solved.premises_used) <= eligible
-        premise_items = [p for p in corpus.eligible(i)
-                         if p.name in set(solved.premises_given)]
-        cs = assemble_problem(by_name[name], premise_items, cache)
+        cs = build(name, solved.premises_given)
         assert check_proof(keeper.proofs[solved.proof_file], cs)
 
 

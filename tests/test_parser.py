@@ -6,7 +6,7 @@ import re
 import pytest
 
 from proofbench.fol import (
-    And, Atom, Forall, Implies, Not, Or, ProblemError, Var,
+    And, App, Atom, Forall, Implies, Not, Or, ProblemError, Var,
 )
 from proofbench.generator import generate_corpus
 from proofbench.parser import (
@@ -270,9 +270,15 @@ ERRORS = [
     ("fof(a, axiom, p(c)).\nfof(b, axiom, q(c))\n", "expected '.', found ''", 3, 1),
     ("fof(a, axiom, p(c)).\nfof(b, axiom, p('a\nb')).\n", "unexpected character \"'\"",
      2, 17),
+    # a predicate named '=' would be taken for equality: the prover let it
+    # close c != d, and the model finder failed on the nullary one
+    ("fof(a, axiom, '='(c, d)).\nfof(g, conjecture, c = d).\n",
+     "equality is written infix, not as a predicate '='", 1, 15),
+    ("fof(a, axiom, '=' | q).\nfof(g, conjecture, q).\n",
+     "equality is written infix, not as a predicate '='", 1, 15),
 ]
 ERROR_IDS = ["syntax", "lexical-after-syntax", "unterminated-quote", "no-final-dot",
-             "line-break-in-quote"]
+             "line-break-in-quote", "predicate-named-eq", "nullary-predicate-named-eq"]
 
 
 @pytest.mark.parametrize("text, message, line, col", ERRORS, ids=ERROR_IDS)
@@ -294,6 +300,13 @@ def test_parse_errors_in_a_warm_batch_are_the_whole_text_errors(
     path = str(tmp_path / "p2.p")
     assert (str(err.value), err.value.line, err.value.col) == (
         f"{path}:{line}:{col}: {message}", line, col)
+
+
+def test_a_function_named_eq_still_parses():
+    p = parse_problem("fof(a, axiom, p('='(c))). fof(g, conjecture, ~ q('='(d))).")
+    assert [af.formula for af in p.formulas] == [
+        atom("p", App("=", (const("c"),))),
+        Not(atom("q", App("=", (const("d"),))))]
 
 
 def test_dots_and_percents_in_quotes_and_comments_split_correctly():
