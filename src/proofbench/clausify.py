@@ -7,8 +7,8 @@ here are derived from a stable 64-bit fingerprint of the alpha-normalized
 existential subformula plus the positional roles of its governing
 universal variables, so equal content gets equal names in any problem.
 
-Pipeline: nnf (with constant folding and miniscoping) -> skolemize (which
-also drops the universals) -> distribute.
+Pipeline: nnf (with constant folding and miniscoping) -> skolemize (one
+walk, which also drops the universals and renames them apart) -> distribute.
 Distribution is naive while the estimated clause count stays within a
 threshold, then switches to definitional naming of offending disjuncts
 (definitional predicates are fingerprint-named too).
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .fol import (
     And, App, Atom, Clause, Eq, Exists, FALSE, FalseF, Forall, Formula, Iff,
     Implies, Literal, Not, Or, Problem, QUANT, TRUE, TrueF, Var, alpha_normal,
-    free_vars_ordered, make_clause, subst_formula,
+    free_vars_ordered, make_clause, subst_term, term_vars,
 )
 from .parser import print_formula
 
@@ -113,14 +113,13 @@ def _fingerprint(text: str) -> str:
     return hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
 
 
-def _positional(f: Formula, outer_vars) -> str:
-    """Canonical text of f with the given outer variables renamed by position."""
-    ren = {u: Var(f"U{i + 1}") for i, u in enumerate(outer_vars)}
-    return print_formula(alpha_normal(subst_formula(f, ren)))
-
-
-def skolem_fingerprint(existential: Formula, governing) -> str:
-    return _fingerprint("sk|" + _positional(existential, governing))
+def _positional(f: Formula, governing, env: dict) -> str:
+    """Canonical text of f, each free variable read through `env` (bound
+    name -> term; absent names stand for themselves) and the governing
+    variables then renamed U1, U2, ... by position."""
+    pos = {u: Var(f"U{i + 1}") for i, u in enumerate(governing)}
+    images = {**pos, **{n: subst_term(t, pos) for n, t in env.items()}}
+    return print_formula(alpha_normal(f, images))
 
 
 # ---------------------------------------------------------------------------
@@ -128,27 +127,54 @@ def skolem_fingerprint(existential: Formula, governing) -> str:
 
 
 def skolemize(f: Formula) -> Formula:
-    """The quantifier-free matrix of a closed NNF formula: each existential
-    is replaced by a skolem term over the universals it depends on, and
-    the universals are dropped, so the matrix's variables read universally.
+    """The quantifier-free matrix of a closed NNF formula, in one top-down
+    walk.  An environment maps each bound name it changes to the term that
+    replaces it, and is applied only at the literals, so no substituted
+    body is built and nothing is captured: a universal's variable is read
+    as a clause variable, an existential's as a skolem term over the
+    universals that occur in its body as the environment reads it.  A
+    universal keeps its name unless one it could share a clause with (one
+    above it, or one in an earlier disjunct of an enclosing `|`) holds it;
+    then X takes the first free `X_1`, `X_2`, ...
 
-    The skolem symbol for an occurrence depends only on the alpha-class of
-    the existential subformula and the positions of the governing
-    universals, so alpha-variant inputs produce identical symbols.
+    The skolem symbol depends only on the alpha-class of the existential
+    subformula, read through the environment, and the positions of the
+    governing universals, so alpha-variant inputs get identical symbols.
     """
-    def walk(g, universals):
-        if isinstance(g, Forall):
-            return walk(g.body, universals + [g.var])
-        if isinstance(g, Exists):
-            deps = [u for u in universals if u in free_vars_ordered(g.body)]
-            term = App(f"sk_{skolem_fingerprint(g, deps)}",
-                       tuple(Var(u) for u in deps))
-            return walk(subst_formula(g.body, {g.var: term}), universals)
-        if isinstance(g, (And, Or)):
-            return type(g)(walk(g.lhs, universals), walk(g.rhs, universals))
-        return g
+    return _skolemized(f, {}, [])
 
-    return walk(f, [])
+
+def _skolemized(g: Formula, env: dict, held: list) -> Formula:
+    """`skolemize`'s walk; `held` lists the clause variables a universal
+    in g could meet."""
+    if isinstance(g, Forall):
+        name, i = g.var, 0
+        while name in held:
+            i += 1
+            name = f"{g.var}_{i}"
+        if name != g.var or g.var in env:   # renamed, or shadowing
+            env = {**env, g.var: Var(name)}
+        held.append(name)       # kept for the disjuncts that follow
+        return _skolemized(g.body, env, held)
+    if isinstance(g, Exists):
+        occurring = {v for n in free_vars_ordered(g)
+                     for v in term_vars(env.get(n, Var(n)))}
+        # the universals above, in order: no other held name occurs here
+        deps = [u for u in held if u in occurring]
+        fingerprint = _fingerprint("sk|" + _positional(g, deps, env))
+        term = App(f"sk_{fingerprint}", tuple(Var(u) for u in deps))
+        return _skolemized(g.body, {**env, g.var: term}, held)
+    if isinstance(g, And):      # a conjunct's universals meet no other's
+        mark = len(held)
+        lhs = _skolemized(g.lhs, env, held)
+        taken = held[mark:]
+        del held[mark:]
+        rhs = _skolemized(g.rhs, env, held)
+        held[mark:mark] = taken
+        return And(lhs, rhs)
+    if isinstance(g, Or):
+        return Or(_skolemized(g.lhs, env, held), _skolemized(g.rhs, env, held))
+    return alpha_normal(g, env) if env else g     # a literal binds nothing
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +199,7 @@ class _Distributor:
     def name_subformula(self, f: Formula) -> Formula:
         """Replace f by a fingerprint-named predicate over its free variables."""
         fvs = free_vars_ordered(f)
-        fp = _fingerprint("df|" + _positional(f, fvs))
+        fp = _fingerprint("df|" + _positional(f, fvs, {}))
         name = f"df_{fp}"
         head = Atom(name, tuple(Var(v) for v in fvs))
         if name not in self.defined:

@@ -7,9 +7,11 @@ subcommands that read it.  A run option sets the `LoopConfig` or
 `ExperimentSpec` field it is stored under; one not given leaves the
 field's default.  A setting that `Limits`, those classes or the
 generator's `check_size` reject ends the command with exit code 2
-before anything is written; otherwise the exit code reflects invariant
-violations (a failed proof check, a broken run directory), never
-unsolved problems.
+before anything is written, and so does an input the program cannot
+read (any `fol.ProblemError`: a parse, include, arity or corpus error,
+a missing directory, a problem with no conjecture); otherwise the exit
+code reflects invariant violations (a failed proof check, a broken run
+directory), never unsolved problems.
 
 Environment: PROOFBENCH_OUTPUT_ROOT prefixes relative --out paths.
 """
@@ -21,6 +23,7 @@ import os
 import sys
 from dataclasses import fields
 
+from .fol import ProblemError
 from .generator import FAMILIES, GeneratorError, check_size, generate_corpus
 from .guidance import measure_speedup
 from .harness import (
@@ -213,11 +216,14 @@ def main(argv=None) -> int:
         settings = _settings(args)
     except (ValueError, GeneratorError) as exc:
         ap.error(f"{args.command}: {exc}")
-    if args.command == "generate":
-        return cmd_generate(args)
-    if args.command == "speedup":
-        return cmd_speedup(args, settings)
-    return cmd_run(settings)
+    try:        # so does an input it cannot read
+        if args.command == "generate":
+            return cmd_generate(args)
+        if args.command == "speedup":
+            return cmd_speedup(args, settings)
+        return cmd_run(settings)
+    except ProblemError as exc:
+        ap.error(f"{args.command}: {exc}")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@ Terms, formulas, literals and clauses are frozen dataclasses: construction
 is the only mutation point, so values can be shared freely between workers
 and caches.  Variables are plain names bound by the enclosing quantifier;
 the lexical convention (variables start uppercase) is enforced by the
-parser, not here.
+parser, not here.  Substitution works on terms only (`subst_term`):
+`alpha_normal` replaces a formula's free variables by given terms in the
+walk that renames its bound ones, so no binder can capture them.
 
 A formula keeps its `signature` and a clause its `signature` and
 `variables`: each is walked on first read and kept by the object, however
@@ -225,7 +227,7 @@ def symbols_of(f: Formula) -> Counter:
 
 
 # ---------------------------------------------------------------------------
-# Substitution
+# Substitution and alpha normalization
 
 
 def subst_term(t: Term, mapping: dict) -> Term:
@@ -237,58 +239,18 @@ def subst_term(t: Term, mapping: dict) -> Term:
     return App(t.symbol, tuple(subst_term(a, mapping) for a in t.args))
 
 
-def _fresh_name(base: str, used: set) -> str:
-    i = 0
-    name = base
-    while name in used:
-        i += 1
-        name = f"{base}_{i}"
-    used.add(name)
-    return name
-
-
-def subst_formula(f: Formula, mapping: dict) -> Formula:
-    """Capture-avoiding substitution of free variables by terms."""
-    if not mapping:
-        return f
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(subst_term(a, mapping) for a in f.args))
-    if isinstance(f, Eq):
-        return Eq(subst_term(f.lhs, mapping), subst_term(f.rhs, mapping))
-    if isinstance(f, Not):
-        return Not(subst_formula(f.sub, mapping))
-    if isinstance(f, BINARY):
-        return type(f)(subst_formula(f.lhs, mapping), subst_formula(f.rhs, mapping))
-    if isinstance(f, QUANT):
-        inner = {k: v for k, v in mapping.items() if k != f.var}
-        if not inner:
-            return f
-        # rename the binder if it would capture a variable of an image term
-        clash = any(f.var in term_vars(v) for v in inner.values())
-        var, body = f.var, f.body
-        if clash:
-            used = set(free_vars_ordered(body))
-            for v in inner.values():
-                used.update(term_vars(v))
-            used.add(var)
-            new = _fresh_name(var, used)
-            body = subst_formula(body, {var: Var(new)})
-            var = new
-        return type(f)(var, subst_formula(body, inner))
-    return f
-
-
-# ---------------------------------------------------------------------------
-# Alpha normalization
-
-
-def alpha_normal(f: Formula) -> Formula:
-    """Rename bound variables canonically (V1, V2, ... in traversal order).
+def alpha_normal(f: Formula, images=None) -> Formula:
+    """Rename bound variables canonically (V1, V2, ... in traversal order)
+    and replace each free variable named in `images` (name -> Term) by its
+    image, in one walk.
 
     Two formulas are alpha-equivalent iff their normal forms are equal.
-    The canonical base is extended until it cannot collide with free names.
+    The canonical base is extended until it cannot collide with the free
+    names of the result.
     """
-    free = set(free_vars_ordered(f))
+    images = images or {}
+    free = {v for n in free_vars_ordered(f)
+            for v in term_vars(images.get(n, Var(n)))}
     base = "V"
     while any(n.startswith(base) and n[len(base):].isdigit() for n in free):
         base += "V"
@@ -296,9 +258,9 @@ def alpha_normal(f: Formula) -> Formula:
 
     def walk(g, env):
         if isinstance(g, Atom):
-            return Atom(g.pred, tuple(walk_term(a, env) for a in g.args))
+            return Atom(g.pred, tuple(subst_term(a, env) for a in g.args))
         if isinstance(g, Eq):
-            return Eq(walk_term(g.lhs, env), walk_term(g.rhs, env))
+            return Eq(subst_term(g.lhs, env), subst_term(g.rhs, env))
         if isinstance(g, Not):
             return Not(walk(g.sub, env))
         if isinstance(g, BINARY):
@@ -306,15 +268,10 @@ def alpha_normal(f: Formula) -> Formula:
         if isinstance(g, QUANT):
             counter[0] += 1
             new = f"{base}{counter[0]}"
-            return type(g)(new, walk(g.body, {**env, g.var: new}))
+            return type(g)(new, walk(g.body, {**env, g.var: Var(new)}))
         return g
 
-    def walk_term(t, env):
-        if isinstance(t, Var):
-            return Var(env.get(t.name, t.name))
-        return App(t.symbol, tuple(walk_term(a, env) for a in t.args))
-
-    return walk(f, {})
+    return walk(f, images)
 
 
 # ---------------------------------------------------------------------------

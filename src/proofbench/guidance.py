@@ -156,7 +156,7 @@ def measure_speedup(problems, limits, train_count: int | None = None) -> dict:
         rows.append(SpeedupRow(pid, u.stats.inferences, res.stats.inferences, ratio))
         if ratio is not None:
             ratios.append(ratio)
-    gmean = math.exp(sum(math.log(r) for r in ratios) / len(ratios)) if ratios else None
+    gmean = math.exp(math.fsum(math.log(r) for r in ratios) / len(ratios)) if ratios else None
     return {
         "rows": rows,
         "geometric_mean_ratio": gmean,

@@ -255,10 +255,11 @@ def clause_set_builder(mode: str, source):
     problem's name to its parsed `Problem`.  The premises go in the order
     given (reprove), in corpus order (library, traintest), or, for a
     challenge problem, as its axioms in file order; the negated item or
-    conjecture comes last.  A premise that is not an earlier corpus item,
-    or not an axiom of the challenge problem, is refused by name.  Each
-    clausal form is made once per builder, keyed by content (name,
-    formula, negated), of which `cnf` is a pure function.
+    conjecture comes last.  An item that is not a corpus item, and a
+    premise that is not an earlier corpus item or not an axiom of the
+    challenge problem, is refused by name.  Each clausal form is made once
+    per builder, keyed by content (name, formula, negated), of which `cnf`
+    is a pure function.
     """
     forms: dict = {}
 
@@ -284,6 +285,8 @@ def clause_set_builder(mode: str, source):
     items = {item.name: (i, item) for i, item in enumerate(source.items)}
 
     def build(item, premises) -> ClauseSet:
+        if item not in items:
+            raise ProblemError(f"{item!r} is not a corpus item")
         position = items[item][0]
         for name in premises:
             if name not in items or items[name][0] >= position:

@@ -17,7 +17,7 @@ import re
 from proofbench.fol import (
     BINARY, QUANT, And, App, Atom, Clause, Eq, Exists, FALSE, FalseF, Forall,
     Iff, Implies, Literal, Not, Or, TRUE, TrueF, Var, alpha_normal,
-    free_vars_ordered, make_clause, subst_formula, universal_closure,
+    free_vars_ordered, make_clause, subst_term, term_vars, universal_closure,
 )
 from proofbench.features import combine, symbol_features
 from proofbench.learner import (
@@ -612,12 +612,11 @@ def stored_record(run_dir: str, name: str) -> list:
 def reference_cnf(f, name: str = "f", threshold: int = 64,
                   negate: bool = False):
     from proofbench.clausify import (
-        ClausalForm, _Distributor, _is_tautology, skolem_fingerprint,
-        uses_equality,
+        ClausalForm, _Distributor, _is_tautology, uses_equality,
     )
     matrix = _ref_nnf(Not(f) if negate else f, True)
-    matrix = _ref_miniscope(_ref_simplify(matrix))
-    matrix = _ref_strip_universals(_ref_skolemize(matrix, skolem_fingerprint))
+    matrix = _ref_rename_apart(_ref_miniscope(_ref_simplify(matrix)))
+    matrix = _ref_strip_universals(_ref_skolemize(matrix))
     dist = _Distributor(threshold)
     raw = dist.clauses(matrix) + dist.extra_clauses
     clauses = [cl for cl in (make_clause(lits, origin=name) for lits in raw)
@@ -702,13 +701,84 @@ def _ref_miniscope(f):
     return f
 
 
-def _ref_skolemize(f, fingerprint):
+def _fresh_name(base: str, used: set) -> str:
+    """`base`, or the first of `base_1`, `base_2`, ... not in `used`."""
+    name, i = base, 0
+    while name in used:
+        i += 1
+        name = f"{base}_{i}"
+    return name
+
+
+def subst_formula(f, mapping: dict):
+    """Capture-avoiding substitution of free variables by terms."""
+    if not mapping:
+        return f
+    if isinstance(f, Atom):
+        return Atom(f.pred, tuple(subst_term(a, mapping) for a in f.args))
+    if isinstance(f, Eq):
+        return Eq(subst_term(f.lhs, mapping), subst_term(f.rhs, mapping))
+    if isinstance(f, Not):
+        return Not(subst_formula(f.sub, mapping))
+    if isinstance(f, BINARY):
+        return type(f)(subst_formula(f.lhs, mapping),
+                       subst_formula(f.rhs, mapping))
+    if isinstance(f, QUANT):
+        inner = {k: v for k, v in mapping.items() if k != f.var}
+        if not inner:
+            return f
+        # rename the binder if it would capture a variable of an image term
+        var, body = f.var, f.body
+        if any(var in term_vars(v) for v in inner.values()):
+            used = set(free_vars_ordered(body)) | {var}
+            for v in inner.values():
+                used.update(term_vars(v))
+            var = _fresh_name(var, used)
+            body = subst_formula(body, {f.var: Var(var)})
+        return type(f)(var, subst_formula(body, inner))
+    return f
+
+
+def _ref_rename_apart(f):
+    """f with each universal renamed apart from the universals it could
+    share a clause with (those above it and those in an earlier disjunct
+    of an enclosing `|`), and each existential renamed apart from the
+    universals above it; a renamed X takes the first free X_1, X_2, ..."""
+    def walk(g, above, held):
+        """(g renamed, the names g's universals take)"""
+        if isinstance(g, Forall):
+            name = _fresh_name(g.var, held)
+            body = g.body if name == g.var else subst_formula(
+                g.body, {g.var: Var(name)})
+            body, taken = walk(body, above | {name}, held | {name})
+            return Forall(name, body), taken | {name}
+        if isinstance(g, Exists):
+            name, body = g.var, g.body
+            if name in above:
+                name = _fresh_name(name, above | set(free_vars_ordered(body)))
+                body = subst_formula(body, {g.var: Var(name)})
+            body, taken = walk(body, above, held)
+            return Exists(name, body), taken
+        if isinstance(g, (And, Or)):
+            lhs, taken = walk(g.lhs, above, held)
+            rhs, more = walk(g.rhs, above,
+                             held | taken if isinstance(g, Or) else held)
+            return type(g)(lhs, rhs), taken | more
+        return g, set()
+
+    return walk(f, set(), set())[0]
+
+
+def _ref_skolemize(f):
+    from proofbench.clausify import _fingerprint, _positional
+
     def walk(g, universals):
         if isinstance(g, Forall):
             return Forall(g.var, walk(g.body, universals + [g.var]))
         if isinstance(g, Exists):
             deps = [u for u in universals if u in free_vars_ordered(g.body)]
-            term = App(f"sk_{fingerprint(g, deps)}", tuple(Var(u) for u in deps))
+            fingerprint = _fingerprint("sk|" + _positional(g, deps, {}))
+            term = App(f"sk_{fingerprint}", tuple(Var(u) for u in deps))
             return walk(subst_formula(g.body, {g.var: term}), universals)
         if isinstance(g, (And, Or)):
             return type(g)(walk(g.lhs, universals), walk(g.rhs, universals))

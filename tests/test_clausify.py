@@ -1,15 +1,20 @@
+import glob
 import os
 import random
 
 from proofbench.clausify import (
-    clausal_problem, clause_count_estimate, cnf, equality_axioms, nnf,
-    skolemize,
+    clausal_problem, clause_count_estimate, cnf, equality_axioms, join_forms,
+    nnf, skolemize,
 )
 from proofbench.fol import (
     And, App, Atom, Eq, Exists, FALSE, Forall, Iff, Implies, Literal, Not, Or,
     TRUE, Var, symbols_of, universal_closure,
 )
-from proofbench.parser import parse_problem, parse_problem_dir
+from proofbench.generator import FAMILIES, generate_corpus
+from proofbench.models import evaluate, find_model
+from proofbench.parser import (
+    parse_formula, parse_problem, parse_problem_dir, parse_problem_file,
+)
 
 from helpers import (
     alpha_equivalent, atom, brute_clauses_have_model, brute_has_model,
@@ -98,6 +103,60 @@ def test_skolem_names_differ_for_different_content():
     s1 = skolemize(Exists("X", atom("p", Var("X"))))
     s2 = skolemize(Exists("X", atom("r", Var("X"))))
     assert _skolems(s1) != _skolems(s2)
+
+
+def test_skolem_argument_stays_apart_from_a_rebound_universal():
+    # the inner X is not the outer X that Y's skolem term depends on
+    f = parse_formula("![X]: ?[Y]: (p(X,Y) & ![X]: q(X,Y))")
+    out = skolemize(nnf(f))
+    p, q = out.lhs, out.rhs
+    x, sk = p.args
+    assert isinstance(x, Var) and sk.args == (x,)
+    assert q.args[1] == sk
+    assert isinstance(q.args[0], Var) and q.args[0] != x
+
+
+def _clause_vars(form) -> list:
+    return [[t.name for lit in c.literals for t in lit.args] for c in form.clauses]
+
+
+def test_a_universal_is_renamed_apart_only_where_it_shares_a_clause():
+    # the second X under `|` shares the clause with the first and takes X_1;
+    # under `&` the two go to different clauses and keep their name
+    shared = cnf(parse_formula("(![X]: p(X)) | (![X]: q(X))"))
+    assert _clause_vars(shared) == [["X", "X_1"]]
+    apart = cnf(parse_formula("(![X]: p(X)) & (![X]: q(X))"))
+    assert _clause_vars(apart) == [["X"], ["X"]]
+    nested = cnf(parse_formula("![X]: (r(X) | (s(X) & ![X]: t(X)))"))
+    assert _clause_vars(nested) == [["X", "X"], ["X", "X_1"]]
+
+
+def test_a_model_of_a_clausal_form_satisfies_its_source(tmp_path):
+    # the clauses of a formula imply it: no model of them (domains 1-2)
+    # makes it false
+    paths = sorted(glob.glob(os.path.join(MIXED30, "**", "*.p"), recursive=True))
+    for family in FAMILIES:
+        generate_corpus(family, 12, str(tmp_path / family), verify=False)
+        paths += sorted(glob.glob(str(tmp_path / family / "**" / "*.p"),
+                                  recursive=True))
+    formulas = [af.formula for path in paths
+                for af in parse_problem_file(path).formulas]
+    formulas += [parse_formula(text) for text in (
+        "(![X]: p(X)) | (![X]: q(X))",
+        "((![X]: p(X)) | (![X]: q(X))) & ~p(a) & ~q(b)")]
+    rng = random.Random(14)
+    formulas += [random_closed_formula(rng, depth=rng.choice([3, 4]))
+                 for _ in range(200)]
+    satisfied = 0
+    for f in formulas:
+        for negate in (False, True):
+            clauses = join_forms([cnf(f, negate=negate)], None).clauses
+            model = find_model(clauses, max_domain=2)
+            if model is not None:
+                assert evaluate(Not(f) if negate else f, model) is not False, \
+                    (f, negate)
+                satisfied += 1
+    assert satisfied > len(formulas)
 
 
 def test_cnf_simple_distribution():

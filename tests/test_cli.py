@@ -159,19 +159,27 @@ def test_speedup_cli_builds_clausal_problems_from_cached_forms(
     assert 0 < len(cnf_calls) < formulas
 
 
-@pytest.mark.parametrize("command", ["challenge", "speedup"])
-def test_a_problem_without_a_conjecture_is_refused(command, tmp_path):
-    from proofbench.fol import ProblemError
+def _refused(capsys, argv, out, message) -> None:
+    """`argv` exits 2 with a one-line error naming `message`, no traceback,
+    and writes no `out`."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert message in line and "Traceback" not in err
+    assert not out.exists()
 
+
+@pytest.mark.parametrize("command", ["challenge", "speedup"])
+def test_a_problem_without_a_conjecture_is_refused(command, tmp_path, capsys):
     probs = tmp_path / "nd"
     assert main(["generate", "--family", "neardup", "--size", "2",
                  "--out", str(probs)]) == 0
     (probs / "no_goal.p").write_text("fof(a1, axiom, p(c)).\n")
-    out = tmp_path / "out"
-    with pytest.raises(ProblemError,
-                       match=r"^no_goal\.p: challenge problems need a conjecture$"):
-        main([command, "--problems", str(probs), "--out", str(out)])
-    assert not out.exists()
+    capsys.readouterr()
+    _refused(capsys, [command, "--problems", str(probs)], tmp_path / "out",
+             f"{command}: no_goal.p: challenge problems need a conjecture")
 
 
 # the required inputs of each run subcommand
@@ -220,12 +228,37 @@ def test_loop_flags_are_library_only(capsys):
 
 
 @pytest.mark.parametrize("command", ["challenge", "speedup"])
-def test_missing_problems_directory_is_a_problem_error(command, tmp_path):
-    from proofbench.fol import ProblemError
-
+def test_missing_problems_directory_is_a_problem_error(command, tmp_path,
+                                                       capsys):
     missing = str(tmp_path / "missing")
-    with pytest.raises(ProblemError, match=re.escape(missing)):
-        main([command, "--problems", missing, "--out", str(tmp_path / "out")])
+    _refused(capsys, [command, "--problems", missing], tmp_path / "out", missing)
+
+
+def test_missing_corpus_directory_is_a_problem_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    _refused(capsys, ["library", "--corpus", missing], tmp_path / "out", missing)
+
+
+def test_a_name_bound_twice_under_or_keeps_its_meaning(tmp_path, capsys):
+    # `(![X]: p(X)) | (![X]: q(X))` is one clause over two variables: it
+    # proves itself, and it contradicts ~p(a) & ~q(b)
+    problems = tmp_path / "probs"
+    problems.mkdir()
+    axiom = "fof(a, axiom, (![X]: p(X)) | (![X]: q(X))).\n"
+    (problems / "aa.p").write_text(
+        axiom + "fof(g, conjecture, (![X]: p(X)) | (![X]: q(X))).\n")
+    (problems / "bb.p").write_text(
+        axiom + "fof(na, axiom, ~p(a)).\nfof(nb, axiom, ~q(b)).\n"
+        "fof(g, conjecture, $false).\n")
+    out = tmp_path / "out"
+    assert main(["challenge", "--problems", str(problems), "--out", str(out)]) == 0
+    records = [json.loads(line)
+               for line in (out / "results.jsonl").read_text().splitlines()]
+    assert {r["item"]: r["status"] for r in records} == \
+        {"aa": "proved", "bb": "proved"}
+    capsys.readouterr()
+    assert main(["verify", "--run", str(out)]) == 0
+    assert "checked 2 proofs and 0 models, 0 failures" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["challenge", "speedup"])

@@ -5,12 +5,13 @@ import pytest
 from proofbench.fol import (
     And, AnnotatedFormula, App, ArityError, Atom, DuplicateNameError, Eq,
     Exists, Forall, Implies, Literal, MultipleConjecturesError, Or, Var,
-    alpha_normal, free_vars_ordered, make_clause, make_problem, subst_formula,
-    symbols_of, universal_closure,
+    alpha_normal, free_vars_ordered, make_clause, make_problem, symbols_of,
+    universal_closure,
 )
 
 from helpers import (
     alpha_equivalent, app, atom, complement, const, rename_bound_vars,
+    subst_formula,
 )
 
 

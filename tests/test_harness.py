@@ -630,6 +630,20 @@ def test_verify_names_a_premise_the_rule_does_not_know(
     assert outcome["failures"] == [(f"{stream}#{item}", why)]
 
 
+def test_verify_names_an_item_the_corpus_does_not_have(mixed30, tmp_path):
+    out = tmp_path / "rp"
+    run_reprove(ExperimentSpec(mode="reprove", corpus=mixed30,
+                               out_dir=str(out), loop=LoopConfig(max_depth=8)))
+    stream = out / "proofs.txt"
+    records = read_stream(stream)
+    records[0][0] = "% item no_such_item"
+    write_stream(stream, records)
+    outcome = verify_run(str(out))
+    assert (f"{stream}#no_such_item",
+            "rebuild failed: 'no_such_item' is not a corpus item") \
+        in outcome["failures"]
+
+
 def test_challenge_builder_matches_problem_clausification(neardup, tmp_path):
     # route_fact and flag_fact name a different formula in each problem;
     # in prob_eq route_fact is an equation, which adds the equality axioms
