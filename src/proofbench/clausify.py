@@ -60,11 +60,11 @@ def _nnf(f: Formula, positive: bool) -> Formula:
     if isinstance(f, Not):
         return _nnf(f.sub, not positive)
     if isinstance(f, (And, Or)):
-        conjunction = isinstance(f, And) == positive
-        return _junction(And if conjunction else Or,
-                         _nnf(f.lhs, positive), _nnf(f.rhs, positive))
-    if isinstance(f, Implies):
-        return _nnf(Or(Not(f.lhs), f.rhs), positive)
+        cls = And if isinstance(f, And) == positive else Or
+        return _junction(cls, [_nnf(p, positive) for p in f.parts])
+    if isinstance(f, Implies):      # l => r is ~l | r
+        return _junction(Or if positive else And,
+                         [_nnf(f.lhs, not positive), _nnf(f.rhs, positive)])
     if isinstance(f, Iff):      # ~(l <=> r) is (l | r) & ~(l & r)
         l, r = f.lhs, f.rhs
         return _nnf(And(Implies(l, r), Implies(r, l)) if positive
@@ -76,33 +76,32 @@ def _nnf(f: Formula, positive: bool) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _junction(cls, lhs: Formula, rhs: Formula) -> Formula:
-    """`cls(lhs, rhs)` for cls And or Or, with a constant operand folded."""
+def _junction(cls, parts: list) -> Formula:
+    """`cls(*parts)` for cls And or Or, with constant operands folded."""
     unit, absorb = (TRUE, FALSE) if cls is And else (FALSE, TRUE)
-    if lhs == absorb or rhs == absorb:
+    if absorb in parts:
         return absorb
-    if lhs == unit:
-        return rhs
-    if rhs == unit:
-        return lhs
-    return cls(lhs, rhs)
+    parts = [p for p in parts if p != unit]
+    return cls(*parts) if len(parts) > 1 else parts[0] if parts else unit
 
 
 def _scope(quant, v: str, body: Formula) -> Formula:
     """`quant v. body` over an already folded and miniscoped body: dropped
     when v does not occur (so a constant body stays constant), distributed
-    over And (Forall) or Or (Exists), and otherwise pushed into the one
-    side v occurs in.  Each level tests each side for v once."""
+    over And (Forall) or Or (Exists), and pushed into the one operand v
+    occurs in; otherwise put over the operands up to the last one v occurs
+    in.  Each operand is tested for v once."""
     if not isinstance(body, (And, Or)):
         return quant(v, body) if v in free_vars_ordered(body) else body
-    in_l = v in free_vars_ordered(body.lhs)
-    in_r = v in free_vars_ordered(body.rhs)
-    if not (in_l or in_r):
-        return body
-    if in_l and in_r and not isinstance(body, And if quant is Forall else Or):
-        return quant(v, body)
-    return type(body)(_scope(quant, v, body.lhs) if in_l else body.lhs,
-                      _scope(quant, v, body.rhs) if in_r else body.rhs)
+    cls, parts = type(body), list(body.parts)
+    holding = [i for i, p in enumerate(parts) if v in free_vars_ordered(p)]
+    if len(holding) > 1 and cls is not (And if quant is Forall else Or):
+        end = holding[-1] + 1
+        return (quant(v, body) if end == len(parts)
+                else cls(quant(v, cls(*parts[:end])), *parts[end:]))
+    for i in holding:
+        parts[i] = _scope(quant, v, parts[i])
+    return cls(*parts)
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +164,15 @@ def _skolemized(g: Formula, env: dict, held: list) -> Formula:
         term = App(f"sk_{fingerprint}", tuple(Var(u) for u in deps))
         return _skolemized(g.body, {**env, g.var: term}, held)
     if isinstance(g, And):      # a conjunct's universals meet no other's
-        mark = len(held)
-        lhs = _skolemized(g.lhs, env, held)
-        taken = held[mark:]
-        del held[mark:]
-        rhs = _skolemized(g.rhs, env, held)
-        held[mark:mark] = taken
-        return And(lhs, rhs)
+        mark, parts, taken = len(held), [], []
+        for p in g.parts:
+            parts.append(_skolemized(p, env, held))
+            taken += held[mark:]
+            del held[mark:]
+        held += taken
+        return And(*parts)
     if isinstance(g, Or):
-        return Or(_skolemized(g.lhs, env, held), _skolemized(g.rhs, env, held))
+        return Or(*[_skolemized(p, env, held) for p in g.parts])
     return alpha_normal(g, env) if env else g     # a literal binds nothing
 
 
@@ -184,9 +183,9 @@ def _skolemized(g: Formula, env: dict, held: list) -> Formula:
 def clause_count_estimate(f: Formula) -> int:
     """Clause count of naive distribution for a quantifier-free NNF matrix."""
     if isinstance(f, And):
-        return clause_count_estimate(f.lhs) + clause_count_estimate(f.rhs)
+        return sum(map(clause_count_estimate, f.parts))
     if isinstance(f, Or):
-        return clause_count_estimate(f.lhs) * clause_count_estimate(f.rhs)
+        return math.prod(map(clause_count_estimate, f.parts))
     return 1
 
 
@@ -215,7 +214,7 @@ class _Distributor:
         if isinstance(f, FalseF):
             return [[]]
         if isinstance(f, And):
-            return self.clauses(f.lhs) + self.clauses(f.rhs)
+            return [c for p in f.parts for c in self.clauses(p)]
         if isinstance(f, Or):
             parts = _flatten_or(f)
             counts = [clause_count_estimate(p) for p in parts]
@@ -234,7 +233,7 @@ class _Distributor:
 
 def _flatten_or(f: Formula) -> list:
     if isinstance(f, Or):
-        return _flatten_or(f.lhs) + _flatten_or(f.rhs)
+        return [q for p in f.parts for q in _flatten_or(p)]
     return [f]
 
 
@@ -323,16 +322,18 @@ def join_forms(forms, negated: ClausalForm | None) -> ClauseSet:
     equality axioms, with congruence covering skolem and definitional
     symbols too.
 
-    Start candidates are the clauses of `negated`, the negated conjecture
-    among `forms`; else the all-negative clauses; else every clause.  A
-    set with no all-negative clause is satisfiable, so starting anywhere
-    lets the search saturate and the model finder show it.
+    Start candidates are the empty clauses, each a refutation by itself;
+    else the clauses of `negated`, the negated conjecture among `forms`;
+    else the all-negative clauses; else every clause.  A set with no
+    all-negative clause is satisfiable, so starting anywhere lets the
+    search saturate and the model finder show it.
     """
     clauses = [c for form in forms for c in form.clauses]
     if any(form.equality for form in forms):
         signature = {s for c in clauses for s in c.signature}
         clauses.extend(equality_axioms(signature))
-    starts = negated.clauses if negated is not None else ()
+    starts = [c for c in clauses if not c.literals] or (
+        negated.clauses if negated is not None else ())
     if not starts:
         starts = [c for c in clauses if c.is_negative()] or clauses
     return ClauseSet(tuple(clauses),

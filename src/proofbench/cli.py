@@ -9,9 +9,10 @@ field's default.  A setting that `Limits`, those classes or the
 generator's `check_size` reject ends the command with exit code 2
 before anything is written, and so does an input the program cannot
 read (any `fol.ProblemError`: a parse, include, arity or corpus error,
-a missing directory, a problem with no conjecture); otherwise the exit
-code reflects invariant violations (a failed proof check, a broken run
-directory), never unsolved problems.
+a missing directory, a problem with no conjecture, a `verify` path with
+no config.json or a `report` path with no report.json); otherwise the
+exit code reflects invariant violations (a failed proof check, a broken
+run directory), never unsolved problems.
 
 Environment: PROOFBENCH_OUTPUT_ROOT prefixes relative --out paths.
 """
@@ -54,6 +55,8 @@ def _spec(args) -> ExperimentSpec:
 def _settings(args):
     """The checked settings of a command that writes output: raises on a
     value that `Limits`, the run classes or the generator reject."""
+    if args.command in ("verify", "report"):
+        return None
     if args.command == "generate":
         return check_size(args.family, args.size)
     if args.command == "speedup":
@@ -163,7 +166,14 @@ def cmd_run(spec: ExperimentSpec) -> int:
     return 0
 
 
+def _run_dir(run: str, name: str) -> None:
+    """Raise `ProblemError` unless `run` holds the file `name`."""
+    if not os.path.isfile(os.path.join(run, name)):
+        raise ProblemError(f"{run!r} is not a run directory: it holds no {name}")
+
+
 def cmd_verify(args) -> int:
+    _run_dir(args.run, "config.json")
     outcome = verify_run(args.run)
     print(f"checked {outcome['checked']} proofs and {outcome['models_checked']} "
           f"models, {outcome['failed']} failures")
@@ -175,7 +185,8 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     configs = []
     merged = {"configs": configs, "reports": {}}
-    for run in args.run:
+    for run in args.run:        # nothing is printed before every run is read
+        _run_dir(run, "report.json")
         with open(os.path.join(run, "report.json"), encoding="utf-8") as fh:
             blob = json.load(fh)
         configs.extend(blob.get("configs", []))
@@ -209,16 +220,14 @@ def cmd_speedup(args, limits: Limits) -> int:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    command = {"verify": cmd_verify, "report": cmd_report}.get(args.command)
-    if command is not None:
-        return command(args)
     try:        # a setting the program rejects ends the run before any output
         settings = _settings(args)
     except (ValueError, GeneratorError) as exc:
         ap.error(f"{args.command}: {exc}")
     try:        # so does an input it cannot read
-        if args.command == "generate":
-            return cmd_generate(args)
+        if args.command in ("generate", "verify", "report"):
+            return {"generate": cmd_generate, "verify": cmd_verify,
+                    "report": cmd_report}[args.command](args)
         if args.command == "speedup":
             return cmd_speedup(args, settings)
         return cmd_run(settings)

@@ -44,7 +44,7 @@ def structural_features(f) -> FeatureVector:
             if isinstance(g, Not):
                 todo.append(g.sub)
             elif isinstance(g, BINARY):
-                todo += (g.rhs, g.lhs)
+                todo += reversed(g.parts)
             elif isinstance(g, QUANT):
                 todo.append(g.body)
             continue        # a variable, true or false has no pairs

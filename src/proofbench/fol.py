@@ -84,26 +84,38 @@ class Not(_Formula):
     sub: "Formula"
 
 
+class _Chain(_Formula):
+    """An `&` or `|` chain of two or more `parts`; a first operand of the
+    same connective joins it (`And(And(a, b), c)` is `And(a, b, c)`)."""
+
+    def __init__(self, *parts):
+        if type(parts[0]) is type(self):
+            parts = parts[0].parts + parts[1:]
+        object.__setattr__(self, "parts", parts)
+
+
+@dataclass(frozen=True, init=False)
+class And(_Chain):
+    parts: tuple
+
+
+@dataclass(frozen=True, init=False)
+class Or(_Chain):
+    parts: tuple
+
+
+class _Pair(_Formula):      # `=>` and `<=>`, read through `parts` like a chain
+    parts = property(lambda self: (self.lhs, self.rhs))
+
+
 @dataclass(frozen=True)
-class And(_Formula):
+class Implies(_Pair):
     lhs: "Formula"
     rhs: "Formula"
 
 
 @dataclass(frozen=True)
-class Or(_Formula):
-    lhs: "Formula"
-    rhs: "Formula"
-
-
-@dataclass(frozen=True)
-class Implies(_Formula):
-    lhs: "Formula"
-    rhs: "Formula"
-
-
-@dataclass(frozen=True)
-class Iff(_Formula):
+class Iff(_Pair):
     lhs: "Formula"
     rhs: "Formula"
 
@@ -173,8 +185,8 @@ def free_vars_ordered(f: Formula) -> list:
         elif isinstance(g, Not):
             walk(g.sub, scope)
         elif isinstance(g, BINARY):
-            walk(g.lhs, scope)
-            walk(g.rhs, scope)
+            for p in g.parts:
+                walk(p, scope)
         elif isinstance(g, QUANT):
             walk(g.body, scope | {g.var})
 
@@ -217,8 +229,8 @@ def symbols_of(f: Formula) -> Counter:
         elif isinstance(g, Not):
             walk(g.sub)
         elif isinstance(g, BINARY):
-            walk(g.lhs)
-            walk(g.rhs)
+            for p in g.parts:
+                walk(p)
         elif isinstance(g, QUANT):
             walk(g.body)
 
@@ -264,7 +276,7 @@ def alpha_normal(f: Formula, images=None) -> Formula:
         if isinstance(g, Not):
             return Not(walk(g.sub, env))
         if isinstance(g, BINARY):
-            return type(g)(walk(g.lhs, env), walk(g.rhs, env))
+            return type(g)(*[walk(p, env) for p in g.parts])
         if isinstance(g, QUANT):
             counter[0] += 1
             new = f"{base}{counter[0]}"

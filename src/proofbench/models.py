@@ -331,9 +331,9 @@ def _eval(f, m, env) -> bool:
     if isinstance(f, Not):
         return not _eval(f.sub, m, env)
     if isinstance(f, And):
-        return _eval(f.lhs, m, env) and _eval(f.rhs, m, env)
+        return all(_eval(p, m, env) for p in f.parts)
     if isinstance(f, Or):
-        return _eval(f.lhs, m, env) or _eval(f.rhs, m, env)
+        return any(_eval(p, m, env) for p in f.parts)
     if isinstance(f, Implies):
         return (not _eval(f.lhs, m, env)) or _eval(f.rhs, m, env)
     if isinstance(f, Iff):

@@ -8,8 +8,15 @@ Accepted statements:
 
 Formula grammar is the plain FOF core: quantifiers `![X]:`/`?[X]:`,
 connectives `~ & | => <= <=> <~>`, equality `= !=`, `$true`/`$false`,
-parentheses.  `&` and `|` chains associate left; mixing distinct binary
-connectives without parentheses is a syntax error, as in TPTP.
+parentheses.  An `&` or `|` chain is one `And` or `Or` node over its
+operands; mixing distinct binary connectives without parentheses is a
+syntax error, as in TPTP.
+
+A statement nests at most `MAX_DEPTH` levels: each term level,
+negation, quantified or auto-closed variable and parenthesized formula
+or chain is one level, so a whole chain is one.  A deeper statement is a
+`ParseError` at its start, before any walk of it can exhaust Python's
+recursion limit.
 
 Free variables in a formula are universally closed with a recorded
 warning rather than rejected.  Quoted atoms ('foo') are normalized to
@@ -22,7 +29,7 @@ import re
 from typing import NamedTuple
 
 from .fol import (
-    And, AnnotatedFormula, App, Atom, Eq, Exists, FALSE,
+    BINARY, And, AnnotatedFormula, App, Atom, Eq, Exists, FALSE,
     Forall, Formula, Iff, Implies, Literal, Not, Or, Problem, ProblemError,
     ROLES, TRUE, TrueF, FalseF, Term, Var, make_problem, universal_closure,
 )
@@ -39,6 +46,11 @@ class ParseError(ProblemError):
 
 class IncludeError(ProblemError):
     pass
+
+
+# at this many levels, every walk from parsing to proof checking stays
+# within about 600 of the 1 000 frames Python allows by default
+MAX_DEPTH = 256
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +121,14 @@ def read_names(text: str) -> list:
 # Parser
 
 class _Parser:
-    def __init__(self, tokens, source=""):
+    def __init__(self, tokens, source="", cap=MAX_DEPTH):
         self.tokens = tokens
         self.pos = 0
         self.cur = tokens[0]
         self.source = source
+        self.cap = cap
+        self.start = tokens[0]  # the first token of the statement being read
+        self.deepest = 0        # the most levels that statement has reached
 
     def error(self, msg: str, t=None):
         t = t or self.cur
@@ -130,25 +145,32 @@ class _Parser:
         self.cur = self.tokens[self.pos]
         return t
 
+    def nest(self, depth: int) -> int:
+        """`depth` + 1, refused past the cap at the statement's start."""
+        depth += 1
+        if depth > self.cap:
+            self.error(f"statement nested too deeply (more than {self.cap} "
+                       f"levels)", self.start)
+        self.deepest = max(self.deepest, depth)
+        return depth
+
     # -- formulas ----------------------------------------------------------
 
-    def formula(self) -> Formula:
-        lhs = self.unitary()
+    def formula(self, depth: int = 0) -> Formula:
+        depth = self.nest(depth)
+        lhs = self.unitary(depth)
         op = self.cur.text
         if op in ("&", "|"):
             parts = [lhs]
             while self.cur.text == op:
                 self.take()
-                parts.append(self.unitary())
+                parts.append(self.unitary(depth))
             if self.cur.text in ("&", "|", "=>", "<=", "<=>", "<~>"):
                 self.error(f"cannot mix {op!r} with {self.cur.text!r} without parentheses")
-            out = parts[0]
-            for p in parts[1:]:
-                out = (And if op == "&" else Or)(out, p)
-            return out
+            return (And if op == "&" else Or)(*parts)
         if op in ("=>", "<=", "<=>", "<~>"):
             self.take()
-            rhs = self.unitary()
+            rhs = self.unitary(depth)
             if self.cur.text in ("&", "|", "=>", "<=", "<=>", "<~>"):
                 self.error(f"{op!r} is non-associative; use parentheses")
             if op == "=>":
@@ -160,16 +182,16 @@ class _Parser:
             return Not(Iff(lhs, rhs))
         return lhs
 
-    def unitary(self) -> Formula:
+    def unitary(self, depth: int) -> Formula:
         t = self.cur
         if t.text == "(":
             self.take()
-            f = self.formula()
+            f = self.formula(depth)
             self.eat(")")
             return f
         if t.text == "~":
             self.take()
-            return Not(self.unitary())
+            return Not(self.unitary(self.nest(depth)))
         if t.text in ("!", "?"):
             quant = Forall if t.text == "!" else Exists
             self.take()
@@ -180,7 +202,7 @@ class _Parser:
                 names.append(self.variable())
             self.eat("]")
             self.eat(":")
-            body = self.unitary()
+            body = self.unitary(self.nest(depth + len(names) - 1))
             for name in reversed(names):
                 body = quant(name, body)
             return body
@@ -191,7 +213,7 @@ class _Parser:
             if t.text == "$false":
                 return FALSE
             self.error(f"unknown defined constant {t.text!r}")
-        return self.atomic()
+        return self.atomic(depth)
 
     def variable(self) -> str:
         t = self.cur
@@ -200,22 +222,23 @@ class _Parser:
         self.take()
         return t.text
 
-    def atomic(self) -> Formula:
+    def atomic(self, depth: int) -> Formula:
         start = self.cur
-        lhs = self.term()
+        lhs = self.term(depth)
         if self.cur.text == "=":
             self.take()
-            return Eq(lhs, self.term())
+            return Eq(lhs, self.term(depth))
         if self.cur.text == "!=":
             self.take()
-            return Not(Eq(lhs, self.term()))
+            return Not(Eq(lhs, self.term(depth)))
         if isinstance(lhs, Var):
             self.error(f"variable {lhs.name!r} cannot stand as a formula")
         if lhs.symbol == "=":
             self.error("equality is written infix, not as a predicate '='", start)
         return Atom(lhs.symbol, lhs.args)
 
-    def term(self) -> Term:
+    def term(self, depth: int = 0) -> Term:
+        depth = self.nest(depth)
         t = self.cur
         if t.kind == "upper":
             self.take()
@@ -226,10 +249,10 @@ class _Parser:
             args = []
             if self.cur.text == "(":
                 self.take()
-                args.append(self.term())
+                args.append(self.term(depth))
                 while self.cur.text == ",":
                     self.take()
-                    args.append(self.term())
+                    args.append(self.term(depth))
                 self.eat(")")
             return App(name, tuple(args))
         self.error(f"expected term, found {t.text!r}")
@@ -244,7 +267,8 @@ class _Parser:
         self.error(f"expected name, found {t.text!r}")
 
     def statement(self):
-        t = self.cur
+        t = self.start = self.cur
+        self.deepest = 0
         if t.text == "fof":
             self.take()
             self.eat("(")
@@ -258,9 +282,8 @@ class _Parser:
             self.eat(")")
             self.eat(".")
             closed, closed_vars = universal_closure(f)
-            # read here, inside the RecursionError guard of `statements`, so
-            # that a formula too deep to walk is a located ParseError
-            closed.signature
+            # each auto-closed variable is one more level
+            self.nest(self.deepest + len(closed_vars) - 1)
             return ("fof", AnnotatedFormula(name, role, closed), closed_vars)
         if t.text == "include":
             self.take()
@@ -277,12 +300,7 @@ class _Parser:
     def statements(self):
         out = []
         while self.cur.kind != "eof":
-            t = self.cur
-            try:
-                out.append(self.statement())
-            except RecursionError:
-                raise ParseError("statement nested too deeply",
-                                 t.line, t.col, self.source) from None
+            out.append(self.statement())
         return out
 
 
@@ -373,8 +391,9 @@ def parse_problem_dir(root: str) -> list:
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse a bare formula (no fof wrapper); free variables left open."""
-    p = _Parser(tokenize(text), "<formula>")
+    """Parse a bare formula (no fof wrapper), free variables left open and
+    no nesting cap: like `parse_bindings`, it reads proof steps written."""
+    p = _Parser(tokenize(text), "<formula>", cap=float("inf"))
     f = p.formula()
     if p.cur.kind != "eof":
         p.error(f"trailing input {p.cur.text!r}")
@@ -383,7 +402,7 @@ def parse_formula(text: str) -> Formula:
 
 def parse_bindings(text: str) -> tuple:
     """The (variable, term) pairs of a `X=term,...` list."""
-    p = _Parser(tokenize(text), "<bindings>")
+    p = _Parser(tokenize(text), "<bindings>", cap=float("inf"))
     bindings: list = []
     while p.cur.kind != "eof":
         if bindings:
@@ -417,19 +436,19 @@ def print_term(t: Term) -> str:
         return t.name
     if not t.args:
         return _print_symbol(t.symbol)
-    return f"{_print_symbol(t.symbol)}({','.join(print_term(a) for a in t.args)})"
+    return f"{_print_symbol(t.symbol)}({','.join(map(print_term, t.args))})"
 
 
 def print_formula(f: Formula) -> str:
     """Emit text that reparses to an alpha-equivalent formula.
 
-    Binary connectives are fully parenthesized except same-operator left
-    spines, which print as flat chains and re-fold identically.
+    Every connective is parenthesized, an `&` or `|` chain once around
+    the whole chain.
     """
     if isinstance(f, Atom):
         if not f.args:
             return _print_symbol(f.pred)
-        return f"{_print_symbol(f.pred)}({','.join(print_term(a) for a in f.args)})"
+        return f"{_print_symbol(f.pred)}({','.join(map(print_term, f.args))})"
     if isinstance(f, Eq):
         return f"{print_term(f.lhs)} = {print_term(f.rhs)}"
     if isinstance(f, TrueF):
@@ -440,20 +459,9 @@ def print_formula(f: Formula) -> str:
         if isinstance(f.sub, Eq):
             return f"{print_term(f.sub.lhs)} != {print_term(f.sub.rhs)}"
         return f"~ {print_formula(f.sub)}"
-    if isinstance(f, (And, Or)):
-        op, cls = ("&", And) if isinstance(f, And) else ("|", Or)
-        parts = []
-        g = f
-        while isinstance(g, cls):
-            parts.append(g.rhs)
-            g = g.lhs
-        parts.append(g)
-        parts.reverse()
-        return "(" + f" {op} ".join(print_formula(p) for p in parts) + ")"
-    if isinstance(f, Implies):
-        return f"({print_formula(f.lhs)} => {print_formula(f.rhs)})"
-    if isinstance(f, Iff):
-        return f"({print_formula(f.lhs)} <=> {print_formula(f.rhs)})"
+    if isinstance(f, BINARY):
+        op = {And: " & ", Or: " | ", Implies: " => ", Iff: " <=> "}[type(f)]
+        return "(" + op.join(map(print_formula, f.parts)) + ")"
     if isinstance(f, Forall):
         return f"![{f.var}]: {print_formula(f.body)}"
     if isinstance(f, Exists):

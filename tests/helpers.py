@@ -67,10 +67,20 @@ def subformulas(f):
     if isinstance(f, Not):
         yield from subformulas(f.sub)
     elif isinstance(f, BINARY):
-        yield from subformulas(f.lhs)
-        yield from subformulas(f.rhs)
+        for p in f.parts:
+            yield from subformulas(p)
     elif isinstance(f, QUANT):
         yield from subformulas(f.body)
+
+
+def halves(f) -> tuple:
+    """A connective read as binary: `=>` and `<=>` as their two sides, an
+    `&` or `|` chain as its operands but the last (one chain when more
+    than one) and its last, which is how `a & b & c` nests to the left."""
+    if isinstance(f, (And, Or)):
+        *init, last = f.parts
+        return (init[0] if len(init) == 1 else type(f)(*init)), last
+    return f.lhs, f.rhs
 
 
 def complement(lit: Literal) -> Literal:
@@ -116,9 +126,9 @@ def prop_formula_atoms(f) -> list:
                 out.append(g.pred)
         elif isinstance(g, Not):
             walk(g.sub)
-        elif isinstance(g, (And, Or, Implies, Iff)):
-            walk(g.lhs)
-            walk(g.rhs)
+        elif isinstance(g, BINARY):
+            for p in g.parts:
+                walk(p)
 
     walk(f)
     return out
@@ -134,9 +144,9 @@ def prop_eval(f, val: dict) -> bool:
     if isinstance(f, Not):
         return not prop_eval(f.sub, val)
     if isinstance(f, And):
-        return prop_eval(f.lhs, val) and prop_eval(f.rhs, val)
+        return all(prop_eval(p, val) for p in f.parts)
     if isinstance(f, Or):
-        return prop_eval(f.lhs, val) or prop_eval(f.rhs, val)
+        return any(prop_eval(p, val) for p in f.parts)
     if isinstance(f, Implies):
         return (not prop_eval(f.lhs, val)) or prop_eval(f.rhs, val)
     if isinstance(f, Iff):
@@ -196,11 +206,9 @@ def brute_eval(f, funcs_t, preds_t, n, env=None) -> bool:
     if isinstance(f, Not):
         return not brute_eval(f.sub, funcs_t, preds_t, n, env)
     if isinstance(f, And):
-        return brute_eval(f.lhs, funcs_t, preds_t, n, env) and \
-            brute_eval(f.rhs, funcs_t, preds_t, n, env)
+        return all(brute_eval(p, funcs_t, preds_t, n, env) for p in f.parts)
     if isinstance(f, Or):
-        return brute_eval(f.lhs, funcs_t, preds_t, n, env) or \
-            brute_eval(f.rhs, funcs_t, preds_t, n, env)
+        return any(brute_eval(p, funcs_t, preds_t, n, env) for p in f.parts)
     if isinstance(f, Implies):
         return (not brute_eval(f.lhs, funcs_t, preds_t, n, env)) or \
             brute_eval(f.rhs, funcs_t, preds_t, n, env)
@@ -330,6 +338,35 @@ def random_closed_formula(rng: random.Random, depth=3, allow_eq=True,
     return closed
 
 
+def seeded_random_formulas() -> list:
+    """The 1 500 closed formulas of seed 2022 that the clausifier is
+    checked on: depth 3 to 5, about 70% of them passed through
+    `with_constants`."""
+    rng = random.Random(2022)
+    out = []
+    for _ in range(1500):
+        f = random_closed_formula(rng, depth=rng.choice([3, 4, 5]))
+        out.append(with_constants(rng, f) if rng.random() < 0.7 else f)
+    return out
+
+
+def with_constants(rng: random.Random, f):
+    """`f` with some subformulas replaced by `$true` or `$false` and some
+    wrapped in a quantifier whose variable does not occur."""
+    roll = rng.random()
+    if roll < 0.1:
+        return rng.choice([TRUE, FALSE])
+    if roll < 0.18:
+        return rng.choice([Forall, Exists])("V", with_constants(rng, f))
+    if isinstance(f, Not):
+        return Not(with_constants(rng, f.sub))
+    if isinstance(f, BINARY):
+        return type(f)(*[with_constants(rng, g) for g in halves(f)])
+    if isinstance(f, (Forall, Exists)):
+        return type(f)(f.var, with_constants(rng, f.body))
+    return f
+
+
 def rename_bound_vars(f, suffix="R"):
     """Systematic alpha-variant: every binder gets a fresh decorated name."""
     counter = [0]
@@ -341,8 +378,8 @@ def rename_bound_vars(f, suffix="R"):
             return Eq(walk_t(g.lhs, env), walk_t(g.rhs, env))
         if isinstance(g, Not):
             return Not(walk(g.sub, env))
-        if isinstance(g, (And, Or, Implies, Iff)):
-            return type(g)(walk(g.lhs, env), walk(g.rhs, env))
+        if isinstance(g, BINARY):
+            return type(g)(*[walk(p, env) for p in g.parts])
         if isinstance(g, (Forall, Exists)):
             counter[0] += 1
             new = f"{suffix}{counter[0]}"
@@ -358,17 +395,41 @@ def rename_bound_vars(f, suffix="R"):
 
 
 # ---------------------------------------------------------------------------
+# Statements nested to a given depth, as the parser counts levels: the
+# statement's formula is one, and so is each parenthesized formula or
+# chain, negation, quantified or auto-closed variable and term level
+
+
+def nested_formula(shape: str, depth: int) -> str:
+    """A formula text of `shape`, `depth` >= 5 levels deep."""
+    n = depth - 3       # beside the statement's formula and an atom's two
+    if shape == "term":
+        return "p(" + "f(" * n + "c" + ")" * n + ")"
+    if shape == "negations":
+        return "~ " * n + "p(c)"
+    if shape == "parentheses":      # `&` and `|` alternate, p0(c) innermost
+        out = "p0(c)"
+        for i in range(n, 0, -1):
+            out = f"(p{i}(c) {'&|'[i % 2]} {out})"
+        return out
+    if shape == "prefix":           # `!` and `?` alternate
+        prefix = "".join(f"{'!?'[i % 2]}[X{i}]: " for i in range(n))
+        return prefix + f"q(X0,X{n - 1})"
+    if shape == "closed":           # n free variables, closed by the parser
+        return " | ".join(f"r(X{i})" for i in range(n))
+    raise ValueError(shape)
+
+
+NESTING_SHAPES = ("term", "negations", "parentheses", "prefix", "closed")
+
+
+# ---------------------------------------------------------------------------
 # Oracles, printers and readers that only the tests use
 
 
 def disj(parts):
     parts = list(parts)
-    if not parts:
-        return FALSE
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    return Or(*parts) if len(parts) > 1 else parts[0] if parts else FALSE
 
 
 def literal_as_formula(lit: Literal):
@@ -642,7 +703,7 @@ def _ref_nnf(f, positive: bool):
         return _ref_nnf(f.sub, not positive)
     if isinstance(f, (And, Or)):
         cls = type(f) if positive else (Or if isinstance(f, And) else And)
-        return cls(_ref_nnf(f.lhs, positive), _ref_nnf(f.rhs, positive))
+        return cls(*[_ref_nnf(g, positive) for g in halves(f)])
     if isinstance(f, Implies):
         if positive:
             return Or(_ref_nnf(f.lhs, False), _ref_nnf(f.rhs, True))
@@ -659,7 +720,7 @@ def _ref_nnf(f, positive: bool):
 
 def _ref_simplify(f):
     if isinstance(f, (And, Or)):
-        l, r = _ref_simplify(f.lhs), _ref_simplify(f.rhs)
+        l, r = (_ref_simplify(g) for g in halves(f))
         unit, absorb = (TRUE, FALSE) if isinstance(f, And) else (FALSE, TRUE)
         if l == absorb or r == absorb:
             return absorb
@@ -678,7 +739,7 @@ def _ref_simplify(f):
 
 def _ref_miniscope(f):
     if isinstance(f, (And, Or)):
-        return type(f)(_ref_miniscope(f.lhs), _ref_miniscope(f.rhs))
+        return type(f)(*[_ref_miniscope(g) for g in halves(f)])
     if isinstance(f, QUANT):
         body = _ref_miniscope(f.body)
         v = f.var
@@ -686,17 +747,16 @@ def _ref_miniscope(f):
             return body
         dist = And if isinstance(f, Forall) else Or
         if isinstance(body, dist):
-            return type(body)(_ref_miniscope(type(f)(v, body.lhs)),
-                              _ref_miniscope(type(f)(v, body.rhs)))
+            return type(body)(*[_ref_miniscope(type(f)(v, g))
+                                for g in halves(body)])
         if isinstance(body, (And, Or)):
-            in_l = v in free_vars_ordered(body.lhs)
-            in_r = v in free_vars_ordered(body.rhs)
+            lhs, rhs = halves(body)
+            in_l = v in free_vars_ordered(lhs)
+            in_r = v in free_vars_ordered(rhs)
             if in_l and not in_r:
-                return type(body)(_ref_miniscope(type(f)(v, body.lhs)),
-                                  body.rhs)
+                return type(body)(_ref_miniscope(type(f)(v, lhs)), rhs)
             if in_r and not in_l:
-                return type(body)(body.lhs,
-                                  _ref_miniscope(type(f)(v, body.rhs)))
+                return type(body)(lhs, _ref_miniscope(type(f)(v, rhs)))
         return type(f)(v, body)
     return f
 
@@ -721,8 +781,7 @@ def subst_formula(f, mapping: dict):
     if isinstance(f, Not):
         return Not(subst_formula(f.sub, mapping))
     if isinstance(f, BINARY):
-        return type(f)(subst_formula(f.lhs, mapping),
-                       subst_formula(f.rhs, mapping))
+        return type(f)(*[subst_formula(p, mapping) for p in f.parts])
     if isinstance(f, QUANT):
         inner = {k: v for k, v in mapping.items() if k != f.var}
         if not inner:
@@ -760,8 +819,9 @@ def _ref_rename_apart(f):
             body, taken = walk(body, above, held)
             return Exists(name, body), taken
         if isinstance(g, (And, Or)):
-            lhs, taken = walk(g.lhs, above, held)
-            rhs, more = walk(g.rhs, above,
+            lhs, rhs = halves(g)
+            lhs, taken = walk(lhs, above, held)
+            rhs, more = walk(rhs, above,
                              held | taken if isinstance(g, Or) else held)
             return type(g)(lhs, rhs), taken | more
         return g, set()
@@ -781,7 +841,7 @@ def _ref_skolemize(f):
             term = App(f"sk_{fingerprint}", tuple(Var(u) for u in deps))
             return walk(subst_formula(g.body, {g.var: term}), universals)
         if isinstance(g, (And, Or)):
-            return type(g)(walk(g.lhs, universals), walk(g.rhs, universals))
+            return type(g)(*[walk(h, universals) for h in halves(g)])
         return g
 
     return walk(f, [])
@@ -791,6 +851,5 @@ def _ref_strip_universals(f):
     while isinstance(f, Forall):
         f = f.body
     if isinstance(f, (And, Or)):
-        return type(f)(_ref_strip_universals(f.lhs),
-                       _ref_strip_universals(f.rhs))
+        return type(f)(*[_ref_strip_universals(g) for g in halves(f)])
     return f

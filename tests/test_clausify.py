@@ -20,7 +20,7 @@ from helpers import (
     alpha_equivalent, atom, brute_clauses_have_model, brute_has_model,
     clause_as_formula, clause_by_id, disj, print_clause,
     prop_clause_satisfiable, prop_equivalent, random_closed_formula,
-    reference_cnf, rename_bound_vars, subformulas,
+    reference_cnf, rename_bound_vars, seeded_random_formulas, subformulas,
 )
 
 MIXED30 = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -109,7 +109,7 @@ def test_skolem_argument_stays_apart_from_a_rebound_universal():
     # the inner X is not the outer X that Y's skolem term depends on
     f = parse_formula("![X]: ?[Y]: (p(X,Y) & ![X]: q(X,Y))")
     out = skolemize(nnf(f))
-    p, q = out.lhs, out.rhs
+    p, q = out.parts
     x, sk = p.args
     assert isinstance(x, Var) and sk.args == (x,)
     assert q.args[1] == sk
@@ -190,39 +190,14 @@ def test_cnf_equals_reference_pipeline():
     # cnf's two walks before distribution give exactly the clauses, ids,
     # skolem names and equality flag of the one-walk-per-step pipeline
     formulas = [af.formula for _name, problem in parse_problem_dir(MIXED30)
-                for af in problem.formulas]
-    rng = random.Random(2022)
-    for _ in range(1500):
-        f = random_closed_formula(rng, depth=rng.choice([3, 4, 5]))
-        formulas.append(_with_constants(rng, f) if rng.random() < 0.7 else f)
-    assert any(_has_constant(f) for f in formulas)
+                for af in problem.formulas] + seeded_random_formulas()
+    assert any(g in (TRUE, FALSE) for f in formulas for g in subformulas(f))
     for f in formulas:
         for negate in (False, True):
             for threshold in (2, 64):
                 got = cnf(f, "x", threshold, negate)
                 want = reference_cnf(f, "x", threshold, negate)
                 assert got == want, (f, negate, threshold)
-
-
-def _with_constants(rng, f):
-    """`f` with some subformulas replaced by `$true` or `$false` and some
-    wrapped in a quantifier whose variable does not occur."""
-    roll = rng.random()
-    if roll < 0.1:
-        return rng.choice([TRUE, FALSE])
-    if roll < 0.18:
-        return rng.choice([Forall, Exists])("V", _with_constants(rng, f))
-    if isinstance(f, Not):
-        return Not(_with_constants(rng, f.sub))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(_with_constants(rng, f.lhs), _with_constants(rng, f.rhs))
-    if isinstance(f, (Forall, Exists)):
-        return type(f)(f.var, _with_constants(rng, f.body))
-    return f
-
-
-def _has_constant(f):
-    return any(g in (TRUE, FALSE) for g in subformulas(f))
 
 
 def test_definitional_bound_on_wide_disjunction():
@@ -256,16 +231,18 @@ def test_clause_count_linear_in_connectives():
     thr = 8
     for _ in range(100):
         f = random_closed_formula(rng, depth=4, allow_eq=False)
-        n_conn = sum(1 for _ in _connectives(f))
+        n_conn = sum(_connectives(f))
         form = cnf(f, name="x", threshold=thr)
         assert len(form.clauses) <= thr * (1 + n_conn)
 
 
 def _connectives(f):
+    """The connective count of each subformula: one for `~`, one less than
+    the operands for the others."""
     from proofbench.fol import BINARY
     for g in subformulas(f):
         if isinstance(g, (BINARY, Not)):
-            yield g
+            yield len(g.parts) - 1 if isinstance(g, BINARY) else 1
 
 
 def test_equality_axioms_textbook_set():

@@ -5,8 +5,9 @@ import re
 import pytest
 
 from proofbench.cli import build_parser, main
+from proofbench.parser import MAX_DEPTH
 
-from helpers import read_stream, write_stream
+from helpers import NESTING_SHAPES, nested_formula, read_stream, write_stream
 
 
 @pytest.fixture(scope="module")
@@ -338,3 +339,78 @@ def test_quoted_names_survive_the_run_directory(name, constant, tmp_path,
     assert main(["verify", "--run", out]) == 0
     assert re.search(r"checked 1 proofs and [1-9]\d* models, 0 failures",
                      capsys.readouterr().out)
+
+
+def _challenge_and_verify(problems, out, capsys, *flags) -> list:
+    """Run `challenge` and then `verify` on it, both exiting 0 and verify
+    finding no failure; the run's records."""
+    assert main(["challenge", "--problems", str(problems), "--out", str(out),
+                 *flags]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--run", str(out)]) == 0
+    assert re.search(r"checked \d+ proofs and \d+ models, 0 failures",
+                     capsys.readouterr().out)
+    return [json.loads(line)
+            for line in (out / "results.jsonl").read_text().splitlines()]
+
+
+def test_wide_chains_are_proved_and_verified(tmp_path, capsys):
+    # a chain is one formula node, so its width costs no recursion depth
+    n = 1000
+    problems = tmp_path / "wide"
+    problems.mkdir()
+    (problems / "conjunction.p").write_text(
+        "fof(ax, axiom, ![X]: ({})).\n".format(
+            " & ".join(f"p{i}(X)" for i in range(n)))
+        + "fof(goal, conjecture, {}).\n".format(
+            " & ".join(f"p{i}(c)" for i in range(n))))
+    (problems / "disjunction.p").write_text(
+        "fof(ax, axiom, {}).\n".format(" | ".join(f"q{i}(c)" for i in range(n)))
+        + "".join(f"fof(n{i}, axiom, ~ q{i}(c)).\n" for i in range(1, n))
+        + "fof(goal, conjecture, q0(c)).\n")
+    records = _challenge_and_verify(problems, tmp_path / "out", capsys,
+                                    "--ladder", str(n), "--budgets", str(3 * n))
+    assert {r["item"]: r["status"] for r in records} == \
+        {"conjunction": "proved", "disjunction": "proved"}
+
+
+@pytest.mark.parametrize("shape", NESTING_SHAPES)
+def test_a_statement_at_the_nesting_cap_runs_and_one_past_is_refused(
+        shape, tmp_path, capsys):
+    for depth, where in ((MAX_DEPTH, "at"), (MAX_DEPTH + 1, "past")):
+        problems = tmp_path / where
+        problems.mkdir()
+        f = nested_formula(shape, depth)
+        (problems / f"{shape}.p").write_text(
+            f"fof(ax, axiom, {f}).\nfof(goal, conjecture, {f}).\n")
+    _challenge_and_verify(tmp_path / "at", tmp_path / "out", capsys)
+    _refused(capsys, ["challenge", "--problems", str(tmp_path / "past")],
+             tmp_path / "refused",
+             f"nested too deeply (more than {MAX_DEPTH} levels)")
+
+
+def test_an_empty_input_clause_starts_the_search(tmp_path, capsys):
+    # `$false` clausifies to the empty clause, a refutation by itself
+    problems = tmp_path / "probs"
+    problems.mkdir()
+    (problems / "f.p").write_text(
+        "fof(ax, axiom, $false).\nfof(g, conjecture, p(c)).\n")
+    (record,) = _challenge_and_verify(problems, tmp_path / "out", capsys)
+    assert (record["status"], record["inferences"], record["premises_used"]) \
+        == ("proved", 0, ["ax"])
+
+
+@pytest.mark.parametrize("command, needs", [("verify", "config.json"),
+                                            ("report", "report.json")])
+@pytest.mark.parametrize("exists", [False, True], ids=["missing", "empty"])
+def test_a_path_that_is_not_a_run_is_refused(command, needs, exists, tmp_path,
+                                             capsys):
+    path = tmp_path / "not_a_run"
+    if exists:
+        path.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--run", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert str(path) in line and needs in line and "Traceback" not in err

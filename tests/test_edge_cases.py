@@ -89,14 +89,15 @@ def test_true_conjecture_immediately_proved():
 
 
 def test_false_axiom_cannot_produce_a_countermodel():
-    # an empty axiom clause falsifies every interpretation; conjecture-start
-    # search cannot connect to it (a known start-relevance limit), but the
-    # outcome must never be a counter-satisfiability claim
+    # an empty axiom clause falsifies every interpretation: it is the start
+    # clause, and closes the tableau at once
     cs = clausal_problem(parse_problem(
         "fof(bad, axiom, $false). fof(t, conjecture, q(c))."))
+    assert cs.start_ids == {"bad_0"}
     res = prove(cs, Limits(max_depth=6))
-    assert res.status in (PROVED, "timeout")
+    assert res.status == PROVED and res.stats.inferences == 0
     assert res.model is None
+    assert check_proof(res.proof, cs)
 
 
 def test_console_script_invocation():

@@ -10,8 +10,8 @@ from proofbench.fol import (
 )
 from proofbench.generator import generate_corpus
 from proofbench.parser import (
-    ParseError, _TOKEN_RE, parse_formula, parse_problem, parse_problem_dir,
-    parse_problem_file, print_formula, tokenize,
+    MAX_DEPTH, ParseError, _TOKEN_RE, parse_formula, parse_problem,
+    parse_problem_dir, parse_problem_file, print_formula, tokenize,
 )
 from proofbench.fol import (
     AnnotatedFormula, ArityError, DuplicateNameError, MultipleConjecturesError,
@@ -19,7 +19,8 @@ from proofbench.fol import (
 )
 
 from helpers import (
-    alpha_equivalent, atom, const, print_problem, random_closed_formula,
+    NESTING_SHAPES, alpha_equivalent, atom, const, nested_formula,
+    print_problem, random_closed_formula,
 )
 
 
@@ -335,9 +336,27 @@ def test_a_too_deep_statement_is_a_located_parse_error(formula):
     assert "nested too deeply" in str(err.value)
 
 
-def test_a_term_600_deep_parses():
-    p = parse_problem(f"fof(deep, axiom, p({_deep_term(600)})).")
+@pytest.mark.parametrize("shape", NESTING_SHAPES)
+def test_the_nesting_cap_admits_its_depth_and_refuses_one_more(shape):
+    p = parse_problem(f"fof(deep, axiom, {nested_formula(shape, MAX_DEPTH)}).")
     assert p.formulas[0].name == "deep"
+    with pytest.raises(ParseError) as err:
+        parse_problem(f"fof(a, axiom, p(c)).\n  fof(deep, axiom, "
+                      f"{nested_formula(shape, MAX_DEPTH + 1)}).\n")
+    assert (err.value.line, err.value.col) == (2, 3)
+    assert f"nested too deeply (more than {MAX_DEPTH} levels)" in str(err.value)
+
+
+def test_a_chain_is_one_node_and_one_level_however_wide():
+    text = " | ".join(f"p{i}(c)" for i in range(5000))
+    f = parse_problem(f"fof(wide, axiom, {text}).").formulas[0].formula
+    assert isinstance(f, Or) and len(f.parts) == 5000
+    assert print_formula(f) == f"({text})"
+    # a first operand of the same connective joins the chain, a later nests
+    p, q, r = (Atom(name, ()) for name in "pqr")
+    assert parse_formula("p & q & r") == And(And(p, q), r) == And(p, q, r)
+    assert parse_formula("p & (q & r)") == And(p, And(q, r)) != And(p, q, r)
+    assert print_formula(And(p, And(q, r))) == "(p & (q & r))"
 
 
 def test_missing_problems_directory_is_named(tmp_path):
