@@ -2,22 +2,27 @@
 
 This module re-derives a proof from scratch: it renames clause instances
 by its own counter, recomputes every unifier, and tracks the tableau
-agenda itself, trusting nothing from the proof object beyond clause ids,
-literal indices and path positions.  It shares no step-application code
-with the search; the substitution here is a triangular map, resolved
-by rebuilding each term it is applied to, rather than the prover's
+agenda itself, taking from the proof object only clause ids, literal
+indices and path positions; the goals and bindings it records are
+checked, never used.  It shares no step-application code with the
+search; the substitution here is a triangular map, resolved by
+rebuilding each term it is applied to, rather than the prover's
 trail-and-walk bindings, so a defect in one side's unification cannot
 hide in the other.
 
-A proof checks iff replaying its steps closes every branch and its
-used_premises field matches the origins of the clauses it references.
+A proof checks iff replaying its steps closes every branch, each step's
+goal is the replay's agenda head, each binding `X=t` a step records
+holds under the replay's unifier (X and t resolve to one term: two most
+general unifiers differ only by a renaming, so this holds whichever way
+the search bound a variable pair), and its used_premises field matches
+the origins of the clauses it references.
 Terms are walked with explicit stacks, so a proof over terms thousands of
 symbols deep checks within Python's recursion limit.
 """
 from __future__ import annotations
 
 from .clausify import ClauseSet
-from .fol import App, Atom, Eq, Literal, Term, Var
+from .fol import App, Atom, Literal, Term, Var
 from .prover import ExtensionStep, ProofObject, ReductionStep, StartStep
 
 
@@ -115,9 +120,8 @@ def _same_terms(pairs) -> bool:
 
 
 def _same_literal(a: Literal, b: Literal) -> bool:
-    return (a.positive == b.positive and type(a.atom) is type(b.atom)
-            and _lit_key(a) == _lit_key(b)
-            and _same_terms(zip(_lit_args(a), _lit_args(b))))
+    return (a.positive == b.positive and _lit_key(a) == _lit_key(b)
+            and _same_terms(zip(a.args, b.args)))
 
 
 def _mgu(pairs) -> dict | None:
@@ -150,15 +154,7 @@ def _mgu(pairs) -> dict | None:
     return theta
 
 
-def _lit_args(lit: Literal) -> tuple:
-    if isinstance(lit.atom, Eq):
-        return (lit.atom.lhs, lit.atom.rhs)
-    return lit.atom.args
-
-
 def _lit_key(lit: Literal) -> tuple:
-    if isinstance(lit.atom, Eq):
-        return ("=", 2)
     return (lit.atom.pred, len(lit.atom.args))
 
 
@@ -166,8 +162,6 @@ def _rename(lit: Literal, k: int) -> Literal:
     def r(t):
         return _map_vars(t, lambda v: Var(f"{v.name}_i{k}"))
 
-    if isinstance(lit.atom, Eq):
-        return Literal(lit.positive, Eq(r(lit.atom.lhs), r(lit.atom.rhs)))
     return Literal(lit.positive,
                    Atom(lit.atom.pred, tuple(r(a) for a in lit.atom.args)))
 
@@ -206,33 +200,27 @@ def check_proof(proof: ProofObject, clause_set: ClauseSet) -> bool:
                 return False
             counter += 1
             lits = [_rename(l, counter) for l in clause.literals]
-            target = lits[step.lit_index]
-            if target.positive == goal.positive or _lit_key(target) != _lit_key(goal):
-                return False
-            pairs = [( _apply(theta, a), _apply(theta, b))
-                     for a, b in zip(_lit_args(goal), _lit_args(target))]
-            delta = _mgu(pairs)
-            if delta is None:
-                return False
-            theta.update(delta)
-            used.add(clause.origin)
-            new_path = path + (goal,)
-            rest = lits[:step.lit_index] + lits[step.lit_index + 1:]
-            agenda.extend((l, new_path) for l in reversed(rest))
+            mate = lits.pop(step.lit_index)
         elif isinstance(step, ReductionStep):
             if not (0 <= step.path_index < len(path)):
                 return False
-            plit = path[step.path_index]
-            if plit.positive == goal.positive or _lit_key(plit) != _lit_key(goal):
-                return False
-            pairs = [(_apply(theta, a), _apply(theta, b))
-                     for a, b in zip(_lit_args(goal), _lit_args(plit))]
-            delta = _mgu(pairs)
-            if delta is None:
-                return False
-            theta.update(delta)
+            mate = path[step.path_index]
         else:
             raise CheckError(f"unknown step type {type(step).__name__}")
+        if mate.positive == goal.positive or _lit_key(mate) != _lit_key(goal):
+            return False
+        delta = _mgu([(_apply(theta, a), _apply(theta, b))
+                      for a, b in zip(goal.args, mate.args)])
+        if delta is None:
+            return False
+        theta.update(delta)
+        # every recorded binding holds under this replay's own unifier
+        if not _same_terms((_apply(theta, Var(name)), _apply(theta, t))
+                           for name, t in step.bindings):
+            return False
+        if isinstance(step, ExtensionStep):
+            used.add(clause.origin)
+            agenda.extend((l, path + (goal,)) for l in reversed(lits))
     if not started or agenda:
         return False
     return used == set(proof.used_premises)

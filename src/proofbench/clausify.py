@@ -51,7 +51,7 @@ def nnf(f: Formula) -> Formula:
 
 
 def _nnf(f: Formula, positive: bool) -> Formula:
-    if isinstance(f, (Atom, Eq)):
+    if isinstance(f, Atom):
         return f if positive else Not(f)
     if isinstance(f, TrueF):
         return TRUE if positive else FALSE

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .fol import App, Atom, BINARY, Eq, Not, QUANT, Var, symbols_of
+from .fol import App, Atom, BINARY, Not, QUANT, Var, symbols_of
 from .models import UNDEFINED, ModelStore, evaluate_models
 from .parser import print_name
 
@@ -38,8 +38,6 @@ def structural_features(f) -> FeatureVector:
             parent, children = g.symbol, g.args
         elif isinstance(g, Atom):
             parent, children = g.pred, g.args
-        elif isinstance(g, Eq):
-            parent, children = "=", (g.lhs, g.rhs)
         else:
             if isinstance(g, Not):
                 todo.append(g.sub)

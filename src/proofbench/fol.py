@@ -73,10 +73,10 @@ class Atom(_Formula):
     args: tuple = ()
 
 
-@dataclass(frozen=True)
-class Eq(_Formula):
-    lhs: Term
-    rhs: Term
+def Eq(lhs: Term, rhs: Term) -> Atom:
+    """The equation `lhs = rhs`: the atom of the built-in predicate `=`,
+    a name the parser reserves, so no input can name it."""
+    return Atom("=", (lhs, rhs))
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ class FalseF(_Formula):
 TRUE = TrueF()
 FALSE = FalseF()
 
-Formula = Union[Atom, Eq, Not, And, Or, Implies, Iff, Forall, Exists, TrueF, FalseF]
+Formula = Union[Atom, Not, And, Or, Implies, Iff, Forall, Exists, TrueF, FalseF]
 
 BINARY = (And, Or, Implies, Iff)
 QUANT = (Forall, Exists)
@@ -179,9 +179,6 @@ def free_vars_ordered(f: Formula) -> list:
         if isinstance(g, Atom):
             for a in g.args:
                 collect(a, scope)
-        elif isinstance(g, Eq):
-            collect(g.lhs, scope)
-            collect(g.rhs, scope)
         elif isinstance(g, Not):
             walk(g.sub, scope)
         elif isinstance(g, BINARY):
@@ -206,7 +203,7 @@ def universal_closure(f: Formula) -> tuple:
 def symbols_of(f: Formula) -> Counter:
     """Multiset of (identifier, kind, arity) occurrences; variables excluded.
 
-    Equality counts as the built-in predicate "=" of arity 2.
+    An equation counts as the predicate "=" of arity 2.
     """
     out: Counter = Counter()
 
@@ -222,10 +219,6 @@ def symbols_of(f: Formula) -> Counter:
             out[(g.pred, "predicate", len(g.args))] += 1
             for a in g.args:
                 walk_term(a)
-        elif isinstance(g, Eq):
-            out[("=", "predicate", 2)] += 1
-            walk_term(g.lhs)
-            walk_term(g.rhs)
         elif isinstance(g, Not):
             walk(g.sub)
         elif isinstance(g, BINARY):
@@ -271,8 +264,6 @@ def alpha_normal(f: Formula, images=None) -> Formula:
     def walk(g, env):
         if isinstance(g, Atom):
             return Atom(g.pred, tuple(subst_term(a, env) for a in g.args))
-        if isinstance(g, Eq):
-            return Eq(subst_term(g.lhs, env), subst_term(g.rhs, env))
         if isinstance(g, Not):
             return Not(walk(g.sub, env))
         if isinstance(g, BINARY):
@@ -293,12 +284,10 @@ def alpha_normal(f: Formula, images=None) -> Formula:
 @dataclass(frozen=True)
 class Literal:
     positive: bool
-    atom: Union[Atom, Eq]
+    atom: Atom
 
     @property
     def args(self) -> tuple:
-        if isinstance(self.atom, Eq):
-            return (self.atom.lhs, self.atom.rhs)
         return self.atom.args
 
 
@@ -318,7 +307,7 @@ class Clause:
         in first-occurrence order; equality is built in and not listed."""
         sig: dict = {}          # ordered set
         for lit in self.literals:
-            if type(lit.atom) is not Eq:
+            if lit.atom.pred != "=":
                 sig[(lit.atom.pred, "predicate", len(lit.args))] = None
             for t in _subterms(lit):
                 if type(t) is not Var:

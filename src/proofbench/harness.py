@@ -79,6 +79,8 @@ class ExperimentSpec:
             raise HarnessError("challenge mode requires a problem directory")
         if self.mode == "traintest" and not self.split:
             raise HarnessError("traintest mode requires a split file")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         Limits(inference_budget=self.per_problem_budget,     # Limits says
                max_depth=self.loop.max_depth)                # what is valid
 

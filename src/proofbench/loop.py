@@ -73,6 +73,9 @@ class LoopConfig:
                 raise ValueError(f"{name} must be non-empty")
             if list(ladder) != sorted(set(ladder)):
                 raise ValueError(f"{name} must be strictly increasing")
+        if self.axiom_ladder[0] < 0:
+            raise ValueError("axiom_ladder rungs must be >= 0, "
+                             f"got {self.axiom_ladder[0]}")
         for budget in self.attempt_budgets:     # Limits says what is valid
             Limits(inference_budget=budget, max_depth=self.max_depth)
         total = self.total_inference_budget

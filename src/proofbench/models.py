@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .fol import (
-    And, Atom, Clause, Eq, Exists, Forall, Iff, Implies, Literal, Not, Or,
+    And, Atom, Clause, Exists, Forall, Iff, Implies, Literal, Not, Or,
     TrueF, FalseF, Var,
 )
 from .parser import normalize_name, print_name, tokenize
@@ -266,9 +266,6 @@ def _search_domain(clauses, funcs, preds, freq, n):
 
 def _ground_literal(lit: Literal, env):
     atom = lit.atom
-    if type(atom) is Eq:
-        return (lit.positive, "=", (_ground_term(atom.lhs, env),
-                                    _ground_term(atom.rhs, env)))
     return (lit.positive, atom.pred, tuple([_ground_term(a, env) for a in atom.args]))
 
 
@@ -321,9 +318,7 @@ def _eval_term(t, m, env) -> int:
 def _eval(f, m, env) -> bool:
     if isinstance(f, Atom):
         args = tuple(_eval_term(a, m, env) for a in f.args)
-        return m.preds[f.pred][args]
-    if isinstance(f, Eq):
-        return _eval_term(f.lhs, m, env) == _eval_term(f.rhs, m, env)
+        return args[0] == args[1] if f.pred == "=" else m.preds[f.pred][args]
     if isinstance(f, TrueF):
         return True
     if isinstance(f, FalseF):

@@ -446,18 +446,18 @@ def print_formula(f: Formula) -> str:
     the whole chain.
     """
     if isinstance(f, Atom):
+        if f.pred == "=":
+            return " = ".join(map(print_term, f.args))
         if not f.args:
             return _print_symbol(f.pred)
         return f"{_print_symbol(f.pred)}({','.join(map(print_term, f.args))})"
-    if isinstance(f, Eq):
-        return f"{print_term(f.lhs)} = {print_term(f.rhs)}"
     if isinstance(f, TrueF):
         return "$true"
     if isinstance(f, FalseF):
         return "$false"
     if isinstance(f, Not):
-        if isinstance(f.sub, Eq):
-            return f"{print_term(f.sub.lhs)} != {print_term(f.sub.rhs)}"
+        if isinstance(f.sub, Atom) and f.sub.pred == "=":
+            return " != ".join(map(print_term, f.sub.args))
         return f"~ {print_formula(f.sub)}"
     if isinstance(f, BINARY):
         op = {And: " & ", Or: " | ", Implies: " => ", Iff: " <=> "}[type(f)]
@@ -470,9 +470,5 @@ def print_formula(f: Formula) -> str:
 
 
 def print_literal(lit: Literal) -> str:
-    if isinstance(lit.atom, Eq):
-        op = "=" if lit.positive else "!="
-        return f"{print_term(lit.atom.lhs)} {op} {print_term(lit.atom.rhs)}"
-    body = print_formula(lit.atom)
-    return body if lit.positive else f"~ {body}"
+    return print_formula(lit.atom if lit.positive else Not(lit.atom))
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 from . import models as models_mod
 from .clausify import ClauseSet
-from .fol import App, Atom, Eq, Literal, Not, Term, Var
+from .fol import App, Atom, Literal, Not, Term, Var
 from .parser import (
     parse_bindings, parse_formula, print_literal, print_name, print_term,
     read_names,
@@ -274,12 +274,6 @@ def _identical(args1, args2) -> bool:
         args1, args2, todo = todo
 
 
-def _literal(positive: bool, atom, args: tuple) -> Literal:
-    """A literal like `atom`'s, with arguments `args`."""
-    return Literal(positive, Eq(*args) if isinstance(atom, Eq)
-                   else Atom(atom.pred, args))
-
-
 # ---------------------------------------------------------------------------
 # Clause templates, compiled once per search for the clauses a start
 # clause reaches: a variable is its slot number in the clause, a ground
@@ -314,12 +308,10 @@ class _Lit:
 
     `key` is twice the number of its predicate plus its sign, and
     `complement` the opposite sign's, `key ^ 1`.  Only literals with equal
-    `regular`, the `key` of an atom and `~key` of an equation, and so with
-    equal `key`, can be identical.  `tops` holds
-    `(argument index, symbol, arity)` per argument that is not a variable.
+    `key` can be identical.  `tops` holds `(argument index, symbol, arity)`
+    per argument that is not a variable.
     """
-    __slots__ = ("positive", "atom", "key", "complement", "regular", "args",
-                 "tops")
+    __slots__ = ("positive", "atom", "key", "complement", "args", "tops")
 
 
 def _compile(clauses: list, starts: list) -> tuple:
@@ -339,8 +331,7 @@ def _compile(clauses: list, starts: list) -> tuple:
     for ci, c in enumerate(clauses):
         ks = []
         for lit in c.literals:
-            atom = lit.atom
-            pred = ("=", 2) if type(atom) is Eq else (atom.pred, len(atom.args))
+            pred = (lit.atom.pred, len(lit.atom.args))
             p = preds.get(pred)
             if p is None:
                 p = preds[pred] = len(preds)
@@ -368,16 +359,12 @@ def _compile(clauses: list, starts: list) -> tuple:
         for lit, k in zip(c.literals, keys[ci]):
             t = _Lit()
             t.positive = lit.positive
-            t.atom = atom = lit.atom
+            t.atom = lit.atom
             t.key = k
             t.complement = k ^ 1
-            if type(atom) is Eq:
-                args, t.regular = (atom.lhs, atom.rhs), ~k
-            else:
-                args, t.regular = atom.args, k
             t.args = tuple([slots.setdefault(a.name, len(slots)) if type(a) is Var
                             else _template(a, slots) if a.args else a
-                            for a in args])
+                            for a in lit.atom.args])
             t.tops = tuple([(i, a.symbol, len(a.args))
                             for i, a in enumerate(t.args) if type(a) is not int])
             lits.append(t)
@@ -607,22 +594,22 @@ class _Search:
 
 def _on_branch(goal, path) -> bool:
     """Whether `goal` repeats a literal of `path` (regularity).  The first
-    argument pair decides most path literals with the goal's `regular`:
-    two different cells, or a cell and a term, or two different top
-    symbols, are not identical.  Only a path literal whose first argument
-    agrees goes on to `_identical`."""
+    argument pair decides most path literals with the goal's `key`: two
+    different cells, or a cell and a term, or two different top symbols,
+    are not identical.  Only a path literal whose first argument agrees
+    goes on to `_identical`."""
     lit, args = goal
-    regular = lit.regular
-    if not args:            # a nullary literal is its `regular`
+    key = lit.key
+    if not args:            # a nullary literal is its `key`
         for plit, _pargs in path:
-            if plit.regular == regular:
+            if plit.key == key:
                 return True
         return False
     a = args[0]
     while type(a) is _Cell and a.ref is not None:
         a = a.ref
     for plit, pargs in path:
-        if plit.regular != regular:
+        if plit.key != key:
             continue
         b = pargs[0]
         while type(b) is _Cell and b.ref is not None:
@@ -637,10 +624,10 @@ def _on_branch(goal, path) -> bool:
 
 def _symbols(goals):
     """The symbol names of `goals` read in place, one per occurrence: the
-    predicate ("=" for an equality) and each function symbol; an unbound
-    cell gives none.  A generator: nothing is read until it is iterated."""
+    predicate and each function symbol; an unbound cell gives none.  A
+    generator: nothing is read until it is iterated."""
     for lit, args in goals:
-        yield "=" if type(lit.atom) is Eq else lit.atom.pred
+        yield lit.atom.pred
         todo = list(args)
         while todo:
             t = todo.pop()
@@ -693,7 +680,8 @@ def normalize_proof(clause_set: ClauseSet, compiled: list,
             raise ProverError(f"bad skeleton entry {entry!r}")
         if not ok:
             raise ProverError(f"skeleton replay failed to unify {entry!r}")
-        goal_lit = _literal(lit.positive, lit.atom, tuple(_named(a) for a in args))
+        goal_lit = Literal(lit.positive,
+                           Atom(lit.atom.pred, tuple(_named(a) for a in args)))
         bindings = tuple((c.name, resolve_term(c.ref)) for c in trail[mark:])
         if kind == "red":
             steps.append(ReductionStep(goal_lit, ci, bindings))

@@ -196,9 +196,7 @@ def brute_eval(f, funcs_t, preds_t, n, env=None) -> bool:
     env = env or {}
     if isinstance(f, Atom):
         args = tuple(brute_eval_term(a, funcs_t, env) for a in f.args)
-        return preds_t[f.pred][args]
-    if isinstance(f, Eq):
-        return brute_eval_term(f.lhs, funcs_t, env) == brute_eval_term(f.rhs, funcs_t, env)
+        return args[0] == args[1] if f.pred == "=" else preds_t[f.pred][args]
     if isinstance(f, TrueF):
         return True
     if isinstance(f, FalseF):
@@ -230,12 +228,9 @@ def brute_clause_eval(c: Clause, funcs_t, preds_t, n) -> bool:
         env = dict(zip(vs, vals))
         ok = False
         for lit in c.literals:
-            if isinstance(lit.atom, Eq):
-                val = brute_eval_term(lit.atom.lhs, funcs_t, env) == \
-                    brute_eval_term(lit.atom.rhs, funcs_t, env)
-            else:
-                args = tuple(brute_eval_term(a, funcs_t, env) for a in lit.atom.args)
-                val = preds_t[lit.atom.pred][args]
+            args = tuple(brute_eval_term(a, funcs_t, env) for a in lit.atom.args)
+            val = (args[0] == args[1] if lit.atom.pred == "="
+                   else preds_t[lit.atom.pred][args])
             if val == lit.positive:
                 ok = True
                 break
@@ -374,8 +369,6 @@ def rename_bound_vars(f, suffix="R"):
     def walk(g, env):
         if isinstance(g, Atom):
             return Atom(g.pred, tuple(walk_t(a, env) for a in g.args))
-        if isinstance(g, Eq):
-            return Eq(walk_t(g.lhs, env), walk_t(g.rhs, env))
         if isinstance(g, Not):
             return Not(walk(g.sub, env))
         if isinstance(g, BINARY):
@@ -495,14 +488,12 @@ def with_cells(t, cells: dict, tag: str = ""):
 
 def cell_literal(lit: Literal, cells: dict, tag: str = "") -> Literal:
     args = tuple(with_cells(a, cells, tag) for a in lit.args)
-    atom = Eq(*args) if isinstance(lit.atom, Eq) else Atom(lit.atom.pred, args)
-    return Literal(lit.positive, atom)
+    return Literal(lit.positive, Atom(lit.atom.pred, args))
 
 
 def resolve_literal(lit: Literal) -> Literal:
     args = tuple(resolve_term(a) for a in lit.args)
-    atom = Eq(*args) if isinstance(lit.atom, Eq) else Atom(lit.atom.pred, args)
-    return Literal(lit.positive, atom)
+    return Literal(lit.positive, Atom(lit.atom.pred, args))
 
 
 def goals_of(lits) -> list:
@@ -693,7 +684,7 @@ def reference_cnf(f, name: str = "f", threshold: int = 64,
 
 
 def _ref_nnf(f, positive: bool):
-    if isinstance(f, (Atom, Eq)):
+    if isinstance(f, Atom):
         return f if positive else Not(f)
     if isinstance(f, TrueF):
         return TRUE if positive else FALSE
@@ -776,8 +767,6 @@ def subst_formula(f, mapping: dict):
         return f
     if isinstance(f, Atom):
         return Atom(f.pred, tuple(subst_term(a, mapping) for a in f.args))
-    if isinstance(f, Eq):
-        return Eq(subst_term(f.lhs, mapping), subst_term(f.rhs, mapping))
     if isinstance(f, Not):
         return Not(subst_formula(f.sub, mapping))
     if isinstance(f, BINARY):

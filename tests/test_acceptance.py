@@ -10,6 +10,7 @@ import math
 import os
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -159,24 +160,33 @@ def _corrupt(step, steps, cs, k):
     return ReductionStep(step.goal, 999, step.bindings)
 
 
+def _rebind(step):
+    """The step with its first recorded binding's term replaced by a
+    fresh constant, or None for a step that records none."""
+    if isinstance(step, StartStep) or not step.bindings:
+        return None
+    (name, _term), *rest = step.bindings
+    return replace(step, bindings=((name, const("zz_fresh")), *rest))
+
+
 def test_criterion_02_checker_accepts_all_and_rejects_mutants(proof_pool):
     assert len(proof_pool) >= 100
     mutations = 0
     for proof, cs in proof_pool:
         assert check_proof(proof, cs) is True
         for i, step in enumerate(proof.steps):
-            bad_step = _corrupt(step, proof.steps, cs, i)
-            if bad_step is None:
-                continue
-            mutated = ProofObject(
-                proof.steps[:i] + (bad_step,) + proof.steps[i + 1:],
-                proof.used_premises)
-            try:
-                verdict = check_proof(mutated, cs)
-            except Exception:
-                verdict = False
-            assert verdict is False, f"mutation at step {i} accepted"
-            mutations += 1
+            for bad_step in (_corrupt(step, proof.steps, cs, i), _rebind(step)):
+                if bad_step is None:
+                    continue
+                mutated = ProofObject(
+                    proof.steps[:i] + (bad_step,) + proof.steps[i + 1:],
+                    proof.used_premises)
+                try:
+                    verdict = check_proof(mutated, cs)
+                except Exception:
+                    verdict = False
+                assert verdict is False, f"mutation at step {i} accepted"
+                mutations += 1
     assert mutations >= 100
     _ok(2, f"{len(proof_pool)} proofs all check; {mutations} single-step "
            f"mutations all rejected")

@@ -55,6 +55,22 @@ def test_verify_nonzero_exit_on_corruption(corpus, tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("binding", ["X_i2=zzz", "Q_i9=g(h)"])
+def test_verify_rejects_a_tampered_binding(corpus, tmp_path, capsys, binding):
+    # each recorded binding must hold under the checker's own unifier
+    out = str(tmp_path / "re")
+    assert main(["reprove", "--corpus", corpus, "--out", out, "--depth", "6"]) == 0
+    capsys.readouterr()
+    stream = tmp_path / "re" / "proofs.txt"
+    records = read_stream(stream)
+    item = records[0][0].split()[-1]
+    assert records[0][3] == "ext rule1_0 1 | ~ p1(c) | X_i2=c"
+    records[0][3] = f"ext rule1_0 1 | ~ p1(c) | {binding}"
+    write_stream(stream, records)
+    assert main(["verify", "--run", out]) == 1
+    assert f"FAIL {stream}#{item}: checker rejected proof" in capsys.readouterr().out
+
+
 def test_verify_names_a_malformed_record_and_exits_nonzero(corpus, tmp_path,
                                                           capsys):
     out = str(tmp_path / "re")
@@ -183,6 +199,16 @@ def test_a_problem_without_a_conjecture_is_refused(command, tmp_path, capsys):
              f"{command}: no_goal.p: challenge problems need a conjecture")
 
 
+def test_a_negative_rung_is_refused(tmp_path, capsys):
+    # the ladder cuts each ranking at a rung: -2 would keep all but two
+    probs = tmp_path / "nd"
+    assert main(["generate", "--family", "neardup", "--size", "4",
+                 "--out", str(probs)]) == 0
+    capsys.readouterr()
+    _refused(capsys, ["challenge", "--problems", str(probs), "--ladder=-2,0,3"],
+             tmp_path / "out", "challenge: axiom_ladder rungs must be >= 0, got -2")
+
+
 # the required inputs of each run subcommand
 RUN_ARGS = {
     "reprove": ["--corpus", "c"],
@@ -298,6 +324,7 @@ def test_a_value_given_reaches_its_field(corpus, tmp_path, capsys, flags,
     (["generate", "--family", "group", "--size", "99"],
      "the group family has at most 22 items, not 99"),
     (["speedup", "--train-count", "-1"], "--train-count must be >= 0, got -1"),
+    (["reprove", "--workers", "0"], "workers must be >= 1, got 0"),
 ])
 def test_an_invalid_value_exits_2_before_any_output(corpus, tmp_path, capsys,
                                                     argv, message):

@@ -5,14 +5,16 @@ import re
 
 import pytest
 
+from proofbench.clausify import equality_axioms
 from proofbench.fol import (
-    And, App, Atom, Forall, Implies, Not, Or, ProblemError, Var,
+    And, App, Atom, Eq, Forall, Implies, Literal, Not, Or, ProblemError, Var,
 )
 from proofbench.generator import generate_corpus
 from proofbench.parser import (
     MAX_DEPTH, ParseError, _TOKEN_RE, parse_formula, parse_problem,
     parse_problem_dir, parse_problem_file, print_formula, tokenize,
 )
+from proofbench.prover import proof_from_text
 from proofbench.fol import (
     AnnotatedFormula, ArityError, DuplicateNameError, MultipleConjecturesError,
     check_arities,
@@ -364,3 +366,19 @@ def test_missing_problems_directory_is_named(tmp_path):
     with pytest.raises(ProblemError, match=re.escape(missing)):
         parse_problem_dir(missing)
     assert parse_problem_dir(str(tmp_path)) == []
+
+
+def test_an_equation_is_the_atom_named_equals_wherever_it_is_made():
+    a, b, X = const("a"), const("b"), Var("X")
+    eq = Atom("=", (a, b))
+    assert Eq(a, b) == eq
+    assert parse_problem("fof(g, conjecture, a = b).").conjecture.formula == eq
+    assert equality_axioms([])[0].literals == (Literal(True, Atom("=", (X, X))),)
+    proof = proof_from_text("start g_0\next eq_refl 0 | a != b | -\npremises g\n")
+    assert proof.steps[1].goal == Literal(False, eq)
+    assert parse_formula("a != b") == Not(eq)
+    for text in ("a = b", "a != b"):
+        assert print_formula(parse_formula(text)) == text
+    # the proof reader, like the problem reader, refuses the prefix form
+    with pytest.raises(ParseError, match="written infix"):
+        proof_from_text("start g_0\next eq_refl 0 | ~ '='(a, b) | -\n")

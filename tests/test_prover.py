@@ -428,15 +428,15 @@ def test_unifier_agrees_with_an_always_checking_reference():
     assert outcomes == {True, False}
 
 
-def _goal(regular, args):
+def _goal(key, args):
     lit = _Lit()
-    lit.regular = regular
+    lit.key = key
     return (lit, tuple(args))
 
 
 def _brute_on_branch(goal, path):
     lit, args = goal
-    return any(plit.regular == lit.regular and _identical(args, pargs)
+    return any(plit.key == lit.key and _identical(args, pargs)
                for plit, pargs in path)
 
 
@@ -446,7 +446,7 @@ def test_regularity_filter_agrees_with_a_brute_force_scan():
     X, Y, Z = _Cell("X"), _Cell("Y"), _Cell("Z")
     X.ref, Z.ref = f(a), Y
     cases = [
-        # nullary predicates: only `regular` tells them apart
+        # nullary predicates: only `key` tells them apart
         (_goal(0, ()), [_goal(1, ()), _goal(0, ())], True),
         (_goal(0, ()), [_goal(1, ())], False),
         # equal first arguments that differ deeper
@@ -478,9 +478,9 @@ def test_regularity_filter_agrees_with_a_brute_force_scan():
                 cell.ref = with_cells(_small_term(rng, names[i + 1:], 2), cells)
 
         def literal():
-            regular = rng.randint(0, 2)
-            return _goal(regular, [with_cells(_small_term(rng, names, 2), cells)
-                                   for _ in range(regular)])
+            key = rng.randint(0, 2)
+            return _goal(key, [with_cells(_small_term(rng, names, 2), cells)
+                               for _ in range(key)])
 
         path = [literal() for _ in range(rng.randint(0, 6))]
         goal = literal()
