@@ -358,7 +358,6 @@ class AnnotatedFormula:
 @dataclass(frozen=True)
 class Problem:
     formulas: tuple
-    warnings: tuple = ()
 
     @property
     def conjecture(self):
@@ -396,7 +395,7 @@ def check_arities(formulas) -> None:
                     f"but arity {arity} in {af.name!r}")
 
 
-def make_problem(formulas, warnings=()) -> Problem:
+def make_problem(formulas) -> Problem:
     """Validate name uniqueness, conjecture uniqueness and arity consistency."""
     names = set()
     conjectures = 0
@@ -409,4 +408,4 @@ def make_problem(formulas, warnings=()) -> Problem:
     if conjectures > 1:
         raise MultipleConjecturesError(f"{conjectures} conjectures in one problem")
     check_arities(formulas)
-    return Problem(tuple(formulas), tuple(warnings))
+    return Problem(tuple(formulas))

@@ -244,19 +244,15 @@ def generate_corpus(family: str, size: int, out_dir: str,
     records = [(name, _write_item(out_dir, name, role, formula), refs)
                for name, role, formula, refs in entries]
     write_manifest(out_dir, records)
-    _write_split(out_dir, records)
+    _write_split(out_dir, [name for name, role, _f, _r in entries
+                           if role == "conjecture"])
     if verify and records:
         _verify_corpus(out_dir)
     return out_dir
 
 
-def _write_split(root: str, records) -> None:
-    """Default 2:1 train/test split over theorem items, chronological."""
-    theorem_names = []
-    for name, relpath, _refs in records:
-        with open(os.path.join(root, relpath), encoding="utf-8") as fh:
-            if ", conjecture," in fh.read():
-                theorem_names.append(name)
+def _write_split(root: str, theorem_names: list) -> None:
+    """Default 2:1 train/test split over the theorem items, chronological."""
     if not theorem_names:
         return
     cut = max(1, (2 * len(theorem_names)) // 3)

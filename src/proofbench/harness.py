@@ -42,7 +42,7 @@ from .loop import (
     conjecture_of, fixpoint_report, item_features, prove_checked, run_loop,
     tally, walk_ladder, write_run_dir,
 )
-from .models import ModelStore, evaluate, model_from_text, model_to_text
+from .models import evaluate, model_from_text, model_to_text
 from .parser import (
     ParseError, parse_problem_dir, parse_problem_file, print_name, read_names,
 )
@@ -316,8 +316,7 @@ def run_traintest(spec: ExperimentSpec) -> dict:
     cfg = spec.loop
 
     model = BayesModel()
-    feature_cache = {item.name: item_features(item, cfg, ModelStore())
-                     for item in corpus.items}
+    feature_cache = {item.name: item_features(item) for item in corpus.items}
     # training phase: declared reference proofs of the train split
     for _i, item in corpus.theorems():
         if item.name in train_set:

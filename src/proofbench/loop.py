@@ -16,9 +16,10 @@ it, so a mode supplies only its ranking policy.
 The library loop (`run_loop`) walks the ladder once per iteration.  Each
 iteration extends the run's feature table by the newly stored models,
 retrains the premise learner on every stored proof and ranks each theorem
-once.  That work follows what changed and what can score: a new model's
-column goes only to the items it can define, and a ranking scores only
-the names that can rise above the fixed order of the rest.
+once.  A new model's column goes only to the items it can define.  Until
+the learner has a proof, a ranking scores only the names that share a
+symbol with the theorem, and the rest follow latest first; after that,
+`learner.rank_premises` scores every earlier name.
 Counter-satisfiable pruned attempts contribute their countermodel as a
 new semantic feature column (a pruned problem being satisfiable says
 nothing about the theorem, so the item stays unsolved).  Iterations stop
@@ -43,9 +44,7 @@ from .features import (
 )
 from .fol import ProblemError
 from .guidance import Advisor
-from .learner import (
-    BayesModel, rank_premises, save_model, score, train_incremental,
-)
+from .learner import BayesModel, rank_premises, save_model, train_incremental
 from .models import DEFAULT_MAX_DOMAIN, ModelStore
 from .prover import COUNTER_SATISFIABLE, Limits, PROVED, prove
 
@@ -81,6 +80,10 @@ class LoopConfig:
         total = self.total_inference_budget
         if total is not None and total < 0:
             raise ValueError(f"total_inference_budget must be >= 0, got {total!r}")
+        for name in ("max_iterations", "model_max_domain"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass
@@ -122,24 +125,20 @@ class LoopState:
     models_featured: int = 0      # the vectors cover store.models[:this]
     # the corpus, by position, indexed with the first feature table
     names: list = field(default_factory=list)     # position -> name
-    position: dict = field(default_factory=dict)  # name -> position
     symbols: list = field(default_factory=list)   # position -> its SYM: ids
     holders: dict = field(default_factory=dict)   # SYM: id -> positions, ascending
     anywhere: list = field(default_factory=list)  # positions with no symbol but =
-    labeled: list = field(default_factory=list)   # positions the learner labels
 
 
-def item_features(item, config: LoopConfig, store: ModelStore,
-                  known: dict | None = None, columns=None) -> dict:
-    """The item's SYM+STR+MOD vector against `store`.  `known`, its vector
-    without the models whose indices `columns` lists (ascending; default
-    every model), only gains their columns: the store is append-only, so
+def item_features(item, store: ModelStore | None = None,
+                  known: dict | None = None, columns=()) -> dict:
+    """The item's SYM+STR vector and the MOD columns of the models of
+    `store` whose indices `columns` lists (ascending).  `known`, its vector
+    without those columns, only gains them: the store is append-only, so
     an old column never changes."""
     vec = known if known is not None else combine(
         symbol_features(item.formula), structural_features(item.formula))
-    if columns is None:
-        columns = range(len(store))
-    if config.semantic and columns:
+    if columns:
         vec = combine(vec, semantic_features(item.formula, store, columns))
     return vec
 
@@ -156,11 +155,9 @@ def refresh_features(state: LoopState, corpus: Corpus,
     """
     if not state.features:
         for i, item in enumerate(corpus.items):
-            vec = state.features[item.name] = item_features(
-                item, config, state.store, columns=())
+            vec = state.features[item.name] = item_features(item)
             symbols = {f for f in vec if f.startswith("SYM:")}
             state.names.append(item.name)
-            state.position[item.name] = i
             state.symbols.append(symbols)
             for fid in symbols:
                 state.holders.setdefault(fid, []).append(i)
@@ -180,14 +177,14 @@ def refresh_features(state: LoopState, corpus: Corpus,
     for i, indices in touched.items():
         item = corpus.items[i]
         state.features[item.name] = item_features(
-            item, config, state.store, state.features[item.name], indices)
+            item, state.store, state.features[item.name], indices)
     state.models_featured = len(state.store)
     return state.features
 
 
 def retrain(state: LoopState, theorems) -> None:
     """A fresh learner trained on every stored proof, theorems in corpus
-    order, and the corpus positions it has a label for."""
+    order."""
     model = BayesModel()
     for _i, item in theorems:
         solved = state.solved.get(item.name)
@@ -195,14 +192,15 @@ def retrain(state: LoopState, theorems) -> None:
             train_incremental(model, state.features[item.name],
                               solved.premises_used)
     state.model = model
-    state.labeled = sorted(state.position[n] for n in model.label_count)
 
 
 def rank_eligible(position: int, k: int, state: LoopState,
                   config: LoopConfig) -> list:
     """The first `k` premise names, most relevant first, for the corpus
-    item at `position`; every earlier item is eligible.  Only the names
-    that can score are scored: the rest follow in a fixed order."""
+    item at `position`; every earlier item is eligible.  Until the learner
+    has a proof, only the names sharing a symbol with the item are scored
+    and the rest follow latest first; after that, the learner scores every
+    eligible name and ties keep corpus order."""
     names = state.names
     if not config.learning:
         return names[max(0, position - k):position][::-1]  # chronological recency
@@ -219,19 +217,9 @@ def rank_eligible(position: int, k: int, state: LoopState,
             len(query) + len(state.symbols[i]) - common[i])), -i))[:k]
         rest = (i for i in range(position - 1, -1, -1) if i not in common)
         return [names[i] for i in chain(hits, islice(rest, k - len(hits)))]
-    # learned: a name without a label scores the prior alone, so only the
-    # labeled names are scored; the others tie at the prior, in corpus order
-    labeled = state.labeled[:bisect_left(state.labeled, position)]
-    taken = set(labeled)
-    unlabeled = list(islice((i for i in range(position) if i not in taken), k))
-    query = state.features[names[position]]
-    ranking = rank_premises(state.model, query, [names[i] for i in labeled])
-    prior = (score(state.model, query, names[unlabeled[0]]) if unlabeled
-             else float("-inf"))
-    tied = sorted([state.position[n] for n, s in ranking if s == prior]
-                  + unlabeled)
-    return ([n for n, s in ranking if s > prior] + [names[i] for i in tied]
-            + [n for n, s in ranking if s < prior])[:k]
+    ranking = rank_premises(state.model, state.features[names[position]],
+                            names[:position])
+    return [n for n, _s in ranking[:k]]
 
 
 def assemble_problem(item, premise_items, form) -> ClauseSet:

@@ -18,9 +18,9 @@ or chain is one level, so a whole chain is one.  A deeper statement is a
 `ParseError` at its start, before any walk of it can exhaust Python's
 recursion limit.
 
-Free variables in a formula are universally closed with a recorded
-warning rather than rejected.  Quoted atoms ('foo') are normalized to
-bare identifiers when the quoted text already is one.
+Free variables in a formula are universally closed rather than
+rejected.  Quoted atoms ('foo') are normalized to bare identifiers when
+the quoted text already is one.
 """
 from __future__ import annotations
 
@@ -284,7 +284,7 @@ class _Parser:
             closed, closed_vars = universal_closure(f)
             # each auto-closed variable is one more level
             self.nest(self.deepest + len(closed_vars) - 1)
-            return ("fof", AnnotatedFormula(name, role, closed), closed_vars)
+            return ("fof", AnnotatedFormula(name, role, closed))
         if t.text == "include":
             self.take()
             self.eat("(")
@@ -343,7 +343,7 @@ def parse_problem(text: str, include_dirs=(), source: str = "<string>",
     problems parsed with one statement `table` parse a shared statement
     once, and share its formula object."""
     table = {} if table is None else table
-    formulas, warnings, seen_files = [], [], set()
+    formulas, seen_files = [], set()
 
     def ingest(text, source, current_dir):
         for entry in _statements(text, source, table):
@@ -364,14 +364,10 @@ def parse_problem(text: str, include_dirs=(), source: str = "<string>",
                 else:
                     raise IncludeError(f"cannot resolve include {rel!r}")
             else:
-                _, af, closed_vars = entry
-                if closed_vars:
-                    warnings.append(
-                        f"{af.name}: free variables auto-closed: {', '.join(closed_vars)}")
-                formulas.append(af)
+                formulas.append(entry[1])
 
     ingest(text, source, None)
-    return make_problem(formulas, warnings)
+    return make_problem(formulas)
 
 
 def parse_problem_file(path: str, table=None) -> Problem:

@@ -325,6 +325,8 @@ def test_a_value_given_reaches_its_field(corpus, tmp_path, capsys, flags,
      "the group family has at most 22 items, not 99"),
     (["speedup", "--train-count", "-1"], "--train-count must be >= 0, got -1"),
     (["reprove", "--workers", "0"], "workers must be >= 1, got 0"),
+    (["library", "--iterations", "-2"], "max_iterations must be >= 0, got -2"),
+    (["challenge", "--max-domain", "-1"], "model_max_domain must be >= 0, got -1"),
 ])
 def test_an_invalid_value_exits_2_before_any_output(corpus, tmp_path, capsys,
                                                     argv, message):

@@ -30,6 +30,14 @@ Every name an import binds in the package or in `tests/` is also read
 there, except on a line marked `# noqa` (bare or naming F401, as flake8
 reads it): `harness` binds names for perfbench's tracer to wrap.
 
+Every field of the package is read by the program.  A field is a
+dataclass field, a `__slots__` entry or an attribute the package assigns
+(`x.name = ...`).  A read is an attribute load of its name in `src/` or
+non-test `perfbench/`, or `vars` or `asdict` of the whole object: of
+`self`, or of a parameter annotated with the field's class (`asdict`
+also reads each nested dataclass field whole).  A field that nothing
+reads is kept up to date for no one.
+
 No module of the package gates an invariant with an `assert` statement:
 `python -O` strips them, so a gate raises explicitly.
 """
@@ -64,6 +72,14 @@ ALLOWED_PARAMETERS: dict = {
         "the console script calls main() with no arguments; the default "
         "reads sys.argv",
 }
+
+# "module.Class.field" -> why it stays although the program never reads it
+ALLOWED_FIELDS: dict = dict.fromkeys(
+    ("prover.Stats.depth_reached", "prover.Stats.consults",
+     "prover.Stats.advisor_errors"),
+    "only the tests that pin the search read it; per-attempt search "
+    "telemetry in the run's records is the open item that gives it a "
+    "program reader")
 
 FUNCTIONS = (ast.FunctionDef, ast.Lambda)
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -255,6 +271,99 @@ def _uncalled() -> set:
     return uncalled
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in cls.decorator_list)
+
+
+def _is_assigned(node) -> bool:
+    return isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+
+
+def _fields() -> dict:
+    """"module.Class.name" -> name for each field of a package class: its
+    dataclass fields, its `__slots__` and what its methods assign to
+    `self`; "module.name" -> name for an attribute the module assigns to
+    an object outside its class's methods, when no class has that field."""
+    fields: dict = {}
+    others: dict = {}
+    for path in PACKAGE:
+        module, owned = _module(path), set()
+        for cls in ast.walk(TREES[path]):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = []
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.AnnAssign) and _is_dataclass(cls)
+                        and isinstance(stmt.target, ast.Name)):
+                    names.append(stmt.target.id)
+                elif isinstance(stmt, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in stmt.targets):
+                    names += [e.value for e in stmt.value.elts]
+            for node in ast.walk(cls):
+                if (_is_assigned(node) and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"):
+                    names.append(node.attr)
+                    owned.add(node)
+            fields.update((f"{module}.{cls.name}.{n}", n) for n in names)
+        others.update((f"{module}.{node.attr}", node.attr)
+                      for node in ast.walk(TREES[path])
+                      if _is_assigned(node) and node not in owned)
+    named = set(fields.values())
+    fields.update((k, n) for k, n in others.items() if n not in named)
+    return fields
+
+
+def _whole_reads() -> set:
+    """Names of the package classes whose objects the program reads whole:
+    `vars(x)` or `asdict(x)` of `self` in a method of the class or of a
+    parameter annotated with it, and the dataclasses an `asdict` reaches
+    through an annotated field."""
+    nested: dict = {}       # dataclass name -> annotations of its fields
+    for path in PACKAGE:
+        for cls in ast.walk(TREES[path]):
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                nested[cls.name] = {ast.unparse(s.annotation) for s in cls.body
+                                    if isinstance(s, ast.AnnAssign)}
+    whole = set()
+
+    def visit(node, cls, params: dict) -> None:
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.FunctionDef):
+            a = node.args
+            params = {**params, **{x.arg: ast.unparse(x.annotation)
+                                   for x in a.posonlyargs + a.args + a.kwonlyargs
+                                   if x.annotation is not None}}
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("vars", "asdict") and len(node.args) == 1
+              and isinstance(node.args[0], ast.Name)):
+            name = node.args[0].id
+            todo = [cls if name == "self" else params.get(name)]
+            while todo:
+                owner = todo.pop()
+                if owner in nested and owner not in whole:
+                    whole.add(owner)
+                    if node.func.id == "asdict":
+                        todo.extend(nested[owner])
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, params)
+
+    for path in PROGRAM:
+        visit(TREES[path], None, {})
+    return whole
+
+
+def _unread_fields() -> set:
+    loaded = {node.attr for path in PROGRAM for node in ast.walk(TREES[path])
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    whole = _whole_reads()
+    return {key for key, name in _fields().items()
+            if name not in loaded and key.split(".")[-2] not in whole}
+
+
 def test_every_public_function_has_a_caller_in_the_program():
     uncalled = _uncalled()
     assert sorted(uncalled - set(ALLOWED)) == []
@@ -266,6 +375,12 @@ def test_every_parameter_default_is_overridden_by_the_program():
     unpassed = _unpassed()
     assert sorted(unpassed - set(ALLOWED_PARAMETERS)) == []
     assert sorted(set(ALLOWED_PARAMETERS) - unpassed) == []
+
+
+def test_every_field_is_read_by_the_program():
+    unread = _unread_fields()
+    assert sorted(unread - set(ALLOWED_FIELDS)) == []
+    assert sorted(set(ALLOWED_FIELDS) - unread) == []
 
 
 def _unused_imports(path: str) -> list:

@@ -7,7 +7,7 @@ from proofbench.features import (
 )
 from proofbench.corpus import load_corpus, write_manifest
 from proofbench.harness import ExperimentSpec, run_library
-from proofbench.loop import LoopConfig, item_features
+from proofbench.loop import item_features
 from proofbench.models import FiniteModel, ModelStore, UNDEFINED, evaluate
 
 from helpers import (
@@ -172,7 +172,7 @@ def test_library_feature_cache_reads_back_a_symbol_with_a_space(tmp_path):
     results = run_library(ExperimentSpec(mode="library", corpus=str(corpus),
                                          out_dir=str(out), baseline=False))
     assert results["solved"]["learning"] == ["t"]
-    expected = {item.name: item_features(item, LoopConfig(), ModelStore())
+    expected = {item.name: item_features(item)
                 for item in load_corpus(str(corpus)).items}
     assert expected["t"] == {"SYM:p": 1.0, "SYM:a b": 1.0, "STR:p>a b": 1.0}
     cache = read_feature_cache(str(out / "learning" / "features.cache"))

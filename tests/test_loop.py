@@ -254,7 +254,8 @@ def test_feature_table_extended_per_model_matches_fresh_vectors():
         state.store.add(m)
         table = refresh_features(state, corpus, PRUNING_CONFIG)
         for item in corpus.items:
-            fresh = loop.item_features(item, PRUNING_CONFIG, state.store)
+            fresh = loop.item_features(item, state.store,
+                                       columns=range(len(state.store)))
             assert list(table[item.name].items()) == list(fresh.items())
     assert any(f.startswith("MOD:") for vec in table.values() for f in vec)
 
@@ -296,7 +297,8 @@ def test_mod_columns_reach_exactly_the_items_a_model_defines(tmp_path):
             assert state.store.add(m) is not None
         table = refresh_features(state, corpus, PRUNING_CONFIG)
         for item in corpus.items:
-            fresh = loop.item_features(item, PRUNING_CONFIG, state.store)
+            fresh = loop.item_features(item, state.store,
+                                       columns=range(len(state.store)))
             assert list(table[item.name].items()) == list(fresh.items()), \
                 (item.name, len(state.store))
 
@@ -477,7 +479,6 @@ def test_learned_ranking_places_labels_that_tie_the_prior(tmp_path, monkeypatch)
         return real(model, features, candidate)
 
     monkeypatch.setattr(learner, "score", score)
-    monkeypatch.setattr(loop, "score", score)
     reference = _learned_reference(state)
     tied = reference(corpus.items[10], corpus.eligible(10))
     assert tied.index("r") < tied.index("u") < tied.index("e")

@@ -41,11 +41,10 @@ def test_conjecture_tautology():
     assert af.formula == Forall("X", Implies(atom("p", Var("X")), atom("p", Var("X"))))
 
 
-def test_auto_closure_warns_and_prints_closed():
+def test_auto_closure_prints_closed():
     p = parse_problem("fof(a, axiom, p(X)).")
     af = p.formulas[0]
     assert af.formula == Forall("X", atom("p", Var("X")))
-    assert len(p.warnings) == 1 and "auto-closed" in p.warnings[0]
     assert print_formula(af.formula) == "![X]: p(X)"
 
 
@@ -227,15 +226,6 @@ def test_equal_statements_of_a_batch_are_one_object(tmp_path):
     assert first.formulas[0] is second.formulas[0]
     assert first.formulas[1] != second.formulas[1]
     assert parse_problem_dir(str(tmp_path))[0][1].formulas[0] is not first.formulas[0]
-
-
-def test_each_problem_warns_of_its_own_auto_closure(tmp_path):
-    for name in ("a", "b"):
-        (tmp_path / f"{name}.p").write_text(f"fof(free, axiom, p(X)).\nfof(g, conjecture, p({name})).\n")
-    (tmp_path / "c.p").write_text("fof(g, conjecture, p(c)).\n")
-    warned = {pid: problem.warnings for pid, problem in parse_problem_dir(str(tmp_path))}
-    assert warned == {"a": ("free: free variables auto-closed: X",),
-                      "b": ("free: free variables auto-closed: X",), "c": ()}
 
 
 ARITY_CLASHES = [
