@@ -8,11 +8,8 @@ every feature.
 """
 from __future__ import annotations
 
-import re
-
 from .fol import App, Atom, BINARY, Not, QUANT, Var, symbols_of
 from .models import UNDEFINED, ModelStore, evaluate_models
-from .parser import print_name
 
 FeatureVector = dict   # feature id -> positive weight
 
@@ -86,28 +83,4 @@ def branch_features(names) -> FeatureVector:
         fid = "SYM:" + name
         out[fid] = out.get(fid, 0.0) + 1.0
     return out
-
-
-# ---------------------------------------------------------------------------
-# Feature cache file: one record per formula name
-
-
-# a feature id that holds one of these is written quoted, as
-# `parser.print_name` quotes an atom, so that a record's pairs split apart
-_QUOTE_ID = re.compile(r"[\s'\\]")
-
-
-def _cache_id(fid: str) -> str:
-    return print_name(fid) if _QUOTE_ID.search(fid) else fid
-
-
-def write_feature_cache(path: str, vectors: dict) -> None:
-    """`name<TAB>fid:weight ...`; names must be whitespace-free."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for name in sorted(vectors):
-            if any(ch.isspace() for ch in name):
-                raise ValueError(f"cache format cannot hold name {name!r}")
-            pairs = " ".join(f"{_cache_id(fid)}:{w!r}"
-                             for fid, w in sorted(vectors[name].items()))
-            fh.write(f"{name}\t{pairs}\n")
 

@@ -17,11 +17,14 @@ Every mode runs its attempts through `loop.attempt`, and all but reprove
 schedule them with `loop.walk_ladder`; a mode supplies only its ranking
 policy, and builds its clause sets through one `loop.clause_set_builder`
 per run, whose clausal forms a library run's two configurations share.
-Results are append-only JSON lines in one schema (`loop.Attempt`);
-`verify` rebuilds each stored artifact's clause set through the same
-builder, replays every stored proof through the independent checker and
-re-evaluates every stored countermodel.  Budgets count inferences only,
-so an identical spec gives byte-identical structured output.
+Results are append-only JSON lines in one schema (`loop.Attempt`), one
+results.jsonl per run directory, which names the proofs and
+countermodels stored beside it; a library run keeps one such directory
+per configuration.  `verify` rebuilds each stored artifact's clause set
+through the same builder, replays every stored proof through the
+independent checker and re-evaluates every stored countermodel.  Budgets
+count inferences only, so an identical spec gives byte-identical
+structured output.
 """
 from __future__ import annotations
 
@@ -107,28 +110,22 @@ def _write_spec(out: str, blob: dict) -> None:
 
 
 class _RecordWriter:
-    """The run-directory writer: config.json, results.jsonl appended and
-    flushed per record so interrupted runs stay auditable, and the proofs
-    and countermodels appended to their streams, `proofs.txt` and
-    `models.txt`, as each attempt happens.  A stored artifact is named
-    `<stream>#<key>`: the item for a proof, the model's index in its
-    stream for a countermodel.
-
-    A library run opens one writer per configuration inside the top-level
-    one (`parent`); each record then goes to both results.jsonl files,
-    artifact names stay relative to the top-level directory, and the
-    top-level writer stores no artifacts (`artifacts=False`).
+    """The writer of one run directory: config.json, results.jsonl
+    appended and flushed per record so interrupted runs stay auditable,
+    and the proofs and countermodels appended to their streams,
+    `proofs.txt` and `models.txt`, as each attempt happens.  A stored
+    artifact is named `<stream>#<key>`, the stream in the writer's own
+    directory: the key is the item for a proof, the model's index in its
+    stream for a countermodel.  A library run opens one writer per
+    configuration.
     """
 
-    def __init__(self, out: str, blob: dict, parent=None, artifacts=True):
+    def __init__(self, out: str, blob: dict):
         os.makedirs(out, exist_ok=True)
         _write_spec(out, blob)
-        self.out = out
-        self.prefix = os.path.relpath(out, parent.out) if parent else ""
         self.fh = open(os.path.join(out, "results.jsonl"), "w", encoding="utf-8")
-        self.files = [self.fh] + (parent.files if parent else [])
         self.streams = {name: open(os.path.join(out, name), "w", encoding="utf-8")
-                        for name in STREAMS} if artifacts else {}
+                        for name in STREAMS}
         self.models = 0
 
     def __enter__(self):
@@ -139,19 +136,17 @@ class _RecordWriter:
             fh.close()
 
     def write(self, record: Attempt) -> None:
-        line = record.to_json() + "\n"
-        for fh in self.files:
-            fh.write(line)
-            fh.flush()
+        self.fh.write(record.to_json() + "\n")
+        self.fh.flush()
 
     def store_proof(self, item: str, proof, premises_given) -> str:
         _store_proof(self.streams[PROOFS], item, proof, premises_given)
-        return os.path.join(self.prefix, f"{PROOFS}#{item}")
+        return f"{PROOFS}#{item}"
 
     def store_model(self, item: str, model, premises_given) -> str:
         _store_model(self.streams[MODELS], item, model, premises_given)
         self.models += 1
-        return os.path.join(self.prefix, f"{MODELS}#{self.models - 1}")
+        return f"{MODELS}#{self.models - 1}"
 
 
 def _store_proof(fh, item: str, proof, premises_given) -> None:
@@ -227,7 +222,8 @@ def run_reprove(spec: ExperimentSpec) -> dict:
 def run_library(spec: ExperimentSpec) -> dict:
     """Full loop with learning, plus the recency baseline for comparison;
     the configurations share one builder, so each formula is clausified
-    once per run."""
+    once per run.  Each configuration is a run directory of its own,
+    `<out>/<config>`, holding its records and artifacts."""
     out = _out_dir(spec)
     corpus = load_corpus(spec.corpus)
     build = clause_set_builder("library", corpus)
@@ -236,16 +232,17 @@ def run_library(spec: ExperimentSpec) -> dict:
         configs.append(("recency", replace(spec.loop, learning=False,
                                            semantic=False)))
     results = {"mode": "library", "configs": [], "solved": {}, "reports": {}}
-    with _RecordWriter(out, asdict(spec), artifacts=False) as top:
-        for config_name, cfg in configs:
-            sub = os.path.join(out, config_name)
-            blob = {"corpus": spec.corpus, "config": asdict(cfg)}
-            with _RecordWriter(sub, blob, parent=top) as writer:
-                state = run_loop(corpus, cfg, writer, config_name, build)
-            write_run_dir(sub, state, corpus, cfg)
-            results["reports"][config_name] = fixpoint_report(state, corpus)
-            results["configs"].append(tally(config_name, state.attempts))
-            results["solved"][config_name] = sorted(state.solved)
+    os.makedirs(out, exist_ok=True)
+    _write_spec(out, asdict(spec))
+    for config_name, cfg in configs:
+        sub = os.path.join(out, config_name)
+        blob = {"corpus": spec.corpus, "config": asdict(cfg)}
+        with _RecordWriter(sub, blob) as writer:
+            state = run_loop(corpus, cfg, writer, config_name, build)
+        write_run_dir(sub, state)
+        results["reports"][config_name] = fixpoint_report(state, corpus)
+        results["configs"].append(tally(config_name, state.attempts))
+        results["solved"][config_name] = sorted(state.solved)
     return _finish(out, results)
 
 
@@ -363,37 +360,33 @@ def verify_run(run_dir: str) -> dict:
     checked against its clause set, rebuilt from the record's item and
     given premises: a proof is replayed by the checker, and a countermodel
     must make every clause true under `models.evaluate`.  Each artifact
-    that `run_dir`'s results.jsonl names must be in its stream.  A record
-    that fails, a malformed or truncated one included, is a failure named
-    `<stream path>#<key>`.  A corpus is loaded at most once per call, so a
-    corpus edited between two calls is read afresh.
+    that a results.jsonl under `run_dir` names must be in the stream of
+    that name in the same directory.  A stored record that fails, a
+    malformed or truncated one included, is a failure named
+    `<stream path>#<key>`; a results.jsonl line that cannot be read is
+    named `<results.jsonl path>:<line>`.  A corpus is loaded at most once
+    per call, so a corpus edited between two calls is read afresh.
     """
     rebuild = _rebuilder(run_dir)
-    # where the names in results.jsonl start: a library sub-run's
-    # config.json records no mode, and its records name artifacts from
-    # the run directory above it
-    top = os.path.abspath(run_dir)
-    config = _run_config(run_dir)
-    if config is not None and "mode" not in config:
-        top = os.path.dirname(top)
     counts = {PROOFS: 0, MODELS: 0}
     failures: list = []
-    stored: set = set()        # absolute names of the records on disk
     for dirpath, dirs, files in os.walk(run_dir):
         dirs.sort()
+        stored: set = set()        # the names of this directory's records
         for stream in STREAMS:
             if stream not in files:
                 continue
             path = os.path.join(dirpath, stream)
             for key, item, premises, body, why in _read_stream(path, stream):
-                name = f"{path}#{key}"
-                stored.add(f"{os.path.abspath(path)}#{key}")
+                stored.add(f"{stream}#{key}")
                 counts[stream] += 1
                 why = why or _check_record(stream, item, premises, body, rebuild)
                 if why:
-                    failures.append((name, why))
-    results = os.path.join(run_dir, "results.jsonl")
-    if os.path.exists(results):
+                    failures.append((f"{path}#{key}", why))
+        if "results.jsonl" not in files:
+            continue
+        results = os.path.join(dirpath, "results.jsonl")
+        here = os.path.abspath(dirpath)
         with open(results, encoding="utf-8") as fh:
             for n, line in enumerate(fh, 1):
                 try:
@@ -403,8 +396,8 @@ def verify_run(run_dir: str) -> dict:
                     failures.append((f"{results}:{n}", "malformed record"))
                     continue
                 for name in names:
-                    if name and os.path.join(top, name) not in stored:
-                        failures.append((os.path.join(top, name),
+                    if name and name not in stored:
+                        failures.append((os.path.join(here, name),
                                          "named in results.jsonl but not stored"))
     return {"checked": counts[PROOFS], "models_checked": counts[MODELS],
             "failed": len(failures), "failures": failures}
@@ -468,15 +461,6 @@ def _check_record(stream: str, item: str, premises, body: str, rebuild) -> str:
     return "checker rejected proof" if stream == PROOFS else "model fails a clause"
 
 
-def _run_config(run_dir: str) -> dict | None:
-    """The run's config.json, None when it has none."""
-    path = os.path.join(run_dir, "config.json")
-    if not os.path.exists(path):
-        return None
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _rebuilder(run_dir: str):
     """`rebuild(item, premises)`, the clause set of a stored artifact of
     the run in `run_dir`, built by the run's own builder,
@@ -487,7 +471,11 @@ def _rebuilder(run_dir: str):
     A challenge problem file is parsed when a record first needs it, all
     through one statement table; a corpus is loaded at the first record.
     """
-    blob = _run_config(run_dir) or {}
+    blob: dict = {}
+    path = os.path.join(run_dir, "config.json")
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            blob = json.load(fh)
     mode = blob.get("mode", "library")
     root = blob.get("problems" if mode == "challenge" else "corpus")
     if not root:

@@ -40,7 +40,6 @@ from .clausify import ClauseSet, cnf, join_forms
 from .corpus import Corpus
 from .features import (
     combine, semantic_features, structural_features, symbol_features,
-    write_feature_cache,
 )
 from .fol import ProblemError
 from .guidance import Advisor
@@ -92,8 +91,8 @@ class Attempt:
 
     This is the one `results.jsonl` record.  `rung` is the axiom-count
     cap (reprove: the reference premise count); an artifact is named as
-    `<stream>#<key>`, the stream relative to the top-level run directory,
-    "" when nothing was stored.
+    `<stream>#<key>`, the stream in the directory of the results.jsonl
+    that holds the record, "" when nothing was stored.
     """
     config: str
     iteration: int
@@ -519,14 +518,10 @@ def fixpoint_report(state: LoopState, corpus: Corpus) -> dict:
 # Run directory persistence
 
 
-def write_run_dir(run_dir: str, state: LoopState, corpus: Corpus,
-                  config: LoopConfig) -> None:
-    """What only the final state gives: the learner and the feature cache.
+def write_run_dir(run_dir: str, state: LoopState) -> None:
+    """What only the final state gives: the learner, `learner/final.json`.
 
     Records, proofs and countermodels are written as each attempt happens.
     """
     os.makedirs(os.path.join(run_dir, "learner"), exist_ok=True)
     save_model(state.model, os.path.join(run_dir, "learner", "final.json"))
-    # feature cache against the final model store
-    write_feature_cache(os.path.join(run_dir, "features.cache"),
-                        refresh_features(state, corpus, config))

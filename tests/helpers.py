@@ -24,7 +24,7 @@ from proofbench.learner import (
     SIGMA_DEFAULT, BayesModel, rank_premises, train_incremental,
 )
 from proofbench.parser import (
-    _print_symbol, normalize_name, print_formula, print_literal,
+    _print_symbol, print_formula, print_literal, print_name,
 )
 from proofbench.prover import _Cell, _deref, _Lit, _unify, resolve_term
 
@@ -602,25 +602,21 @@ def load_model(path: str) -> BayesModel:
     return model
 
 
-# a pair is `fid:weight`, the fid quoted as an atom when it holds
-# whitespace, `'` or `\`; the weight is the last colon's right side
-_CACHE_PAIR = re.compile(r"('(?:[^'\\]|\\.)*'|\S+):(\S+)")
+# an id that holds one of these is written quoted, as `parser.print_name`
+# quotes an atom, so that a line's pairs split apart
+_QUOTE_ID = re.compile(r"[\s'\\]")
 
 
-def read_feature_cache(path: str) -> dict:
-    """Read back a feature cache written by `features.write_feature_cache`."""
-    out: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            name, _, rest = line.partition("\t")
-            pairs = _CACHE_PAIR.findall(rest)
-            if " ".join(f"{fid}:{w}" for fid, w in pairs) != rest:
-                raise ValueError(f"malformed feature cache record {line!r}")
-            out[name] = {normalize_name(fid): float(w) for fid, w in pairs}
-    return out
+def feature_table_text(vectors: dict) -> str:
+    """A feature table as text, one `name<TAB>fid:weight ...` line per
+    name, names and each vector's ids sorted: what a library run's final
+    feature table hashes as in `golden/selection.json`."""
+    lines = []
+    for name in sorted(vectors):
+        pairs = " ".join(f"{print_name(fid) if _QUOTE_ID.search(fid) else fid}:{w!r}"
+                         for fid, w in sorted(vectors[name].items()))
+        lines.append(f"{name}\t{pairs}\n")
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -333,9 +333,10 @@ def test_criterion_07_loop_efficacy_with_goldens(mixed30, tmp_path):
     recency = next(c for c in r1["configs"] if c["name"] == "recency")
     assert learn["proved"] >= recency["proved"]
 
-    rec1 = (tmp_path / "run1" / "results.jsonl").read_bytes()
-    rec2 = (tmp_path / "run2" / "results.jsonl").read_bytes()
-    assert rec1 == rec2, "records are not bit-identical across runs"
+    for config in ("learning", "recency"):
+        rec1 = (tmp_path / "run1" / config / "results.jsonl").read_bytes()
+        rec2 = (tmp_path / "run2" / config / "results.jsonl").read_bytes()
+        assert rec1 == rec2, "records are not bit-identical across runs"
     rep1 = (tmp_path / "run1" / "report.json").read_bytes()
     rep2 = (tmp_path / "run2" / "report.json").read_bytes()
     assert rep1 == rep2

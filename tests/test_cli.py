@@ -308,7 +308,7 @@ def test_a_value_given_reaches_its_field(corpus, tmp_path, capsys, flags,
     assert main(["library", "--corpus", corpus, "--out", str(out),
                  "--no-baseline", *flags]) == 0
     assert json.loads((out / "config.json").read_text())["loop"][field] == value
-    assert bool((out / "results.jsonl").read_text()) == attempts
+    assert bool((out / "learning" / "results.jsonl").read_text()) == attempts
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -3,21 +3,23 @@ import random
 from proofbench.fol import And, Eq, Forall, Var
 from proofbench.features import (
     branch_features, combine, semantic_features, structural_features,
-    symbol_features, write_feature_cache,
+    symbol_features,
 )
-from proofbench.corpus import load_corpus, write_manifest
-from proofbench.harness import ExperimentSpec, run_library
-from proofbench.loop import item_features
 from proofbench.models import FiniteModel, ModelStore, UNDEFINED, evaluate
+from proofbench.parser import parse_problem
 
 from helpers import (
     alpha_equivalent, app, atom, cell_literal, const, goals_of,
-    random_closed_formula, read_feature_cache, rename_bound_vars,
+    random_closed_formula, rename_bound_vars,
 )
 
 
 def test_symbol_features_simple():
     assert symbol_features(atom("p", const("c"))) == {"SYM:p": 1.0, "SYM:c": 1.0}
+    # a quoted name keeps its space: one symbol, one feature
+    quoted = parse_problem("fof(t, conjecture, p('a b')).").conjecture.formula
+    assert combine(symbol_features(quoted), structural_features(quoted)) == \
+        {"SYM:p": 1.0, "SYM:a b": 1.0, "STR:p>a b": 1.0}
 
 
 def test_symbol_features_weights_count_occurrences():
@@ -137,43 +139,3 @@ def test_branch_features_sum_literal_symbols():
     lits = [cell_literal(Literal(True, atom("p", const("c"))), {}),
             cell_literal(Literal(False, atom("p", Var("X"))), {})]
     assert branch_features(_symbols(goals_of(lits))) == {"SYM:p": 2.0, "SYM:c": 1.0}
-
-
-def test_feature_cache_roundtrip(tmp_path):
-    vectors = {
-        "t1": {"SYM:p": 1.0, "MOD:0:T": 1.0},
-        "t2": {"STR:p>f": 2.0},
-    }
-    path = str(tmp_path / "cache.txt")
-    write_feature_cache(path, vectors)
-    assert read_feature_cache(path) == vectors
-
-
-def test_feature_cache_quotes_only_the_ids_that_would_split(tmp_path):
-    vectors = {"t": {"SYM:a b": 1.0, "SYM:it's": 2.0, "SYM:x\\y": 1.0,
-                     "SYM:p": 1.0, "STR:p>VAR": 3.0}}
-    path = str(tmp_path / "cache.txt")
-    write_feature_cache(path, vectors)
-    with open(path, encoding="utf-8") as fh:
-        assert fh.read() == ("t\tSTR:p>VAR:3.0 'SYM:a b':1.0 'SYM:it\\'s':2.0 "
-                             "SYM:p:1.0 'SYM:x\\\\y':1.0\n")
-    assert read_feature_cache(path) == vectors
-
-
-def test_library_feature_cache_reads_back_a_symbol_with_a_space(tmp_path):
-    # written bare, `SYM:a b:1.0` would read back as the pairs `SYM:a`
-    # and `b:1.0`
-    corpus = tmp_path / "c"
-    corpus.mkdir()
-    for name, role in [("ax", "axiom"), ("t", "conjecture")]:
-        (corpus / f"{name}.p").write_text(f"fof({name}, {role}, p('a b')).\n")
-    write_manifest(str(corpus), [("ax", "ax.p", []), ("t", "t.p", ["ax"])])
-    out = tmp_path / "run"
-    results = run_library(ExperimentSpec(mode="library", corpus=str(corpus),
-                                         out_dir=str(out), baseline=False))
-    assert results["solved"]["learning"] == ["t"]
-    expected = {item.name: item_features(item)
-                for item in load_corpus(str(corpus)).items}
-    assert expected["t"] == {"SYM:p": 1.0, "SYM:a b": 1.0, "STR:p>a b": 1.0}
-    cache = read_feature_cache(str(out / "learning" / "features.cache"))
-    assert cache == expected

@@ -177,22 +177,20 @@ def test_library_records_share_one_schema(mixed30, tmp_path):
     spec = ExperimentSpec(mode="library", corpus=mixed30,
                           out_dir=str(tmp_path / "lib"), loop=FAST_LOOP)
     run_library(spec)
-    top = (tmp_path / "lib" / "results.jsonl").read_text().splitlines()
-    per_config = []
-    for name in ("learning", "recency"):
-        lines = (tmp_path / "lib" / name / "results.jsonl").read_text().splitlines()
-        assert all(json.loads(line)["config"] == name for line in lines)
-        per_config += lines
-    assert top == per_config
     fields = {"config", "iteration", "item", "rung", "budget", "status",
               "inferences", "premises_given", "premises_used", "proof_file",
               "model_file"}
-    for line in top:
-        record = json.loads(line)
-        assert set(record) == fields
-        if record["proof_file"]:
-            assert stored_record(str(tmp_path / "lib"), record["proof_file"])[0] \
-                == f"% item {record['item']}"
+    for name in ("learning", "recency"):
+        lines = (tmp_path / "lib" / name / "results.jsonl").read_text().splitlines()
+        assert lines and all(json.loads(line)["config"] == name for line in lines)
+        for line in lines:
+            record = json.loads(line)
+            assert set(record) == fields
+            if record["proof_file"]:
+                assert stored_record(str(tmp_path / "lib" / name),
+                                     record["proof_file"])[0] \
+                    == f"% item {record['item']}"
+    assert not (tmp_path / "lib" / "results.jsonl").exists()
     assert not (tmp_path / "lib" / "proofs.txt").exists()
     assert not (tmp_path / "lib" / "models.txt").exists()
 
@@ -499,6 +497,29 @@ def test_verify_names_text_before_the_first_record(challenge_run, tmp_path):
         (f"{stream}#-", "malformed record: text before the first header")]
 
 
+def test_verify_names_what_is_wrong_in_a_library_configuration(mixed30,
+                                                               tmp_path):
+    # each configuration's results.jsonl is checked against the streams
+    # beside it, from the run directory and from the configuration's own
+    out = tmp_path / "lib"
+    run_library(ExperimentSpec(mode="library", corpus=mixed30,
+                               out_dir=str(out), loop=FAST_LOOP))
+    assert verify_run(str(out))["failures"] == []
+    results = out / "recency" / "results.jsonl"
+    text = results.read_text()
+    results.write_text(text + "{\"item\": \n")
+    assert verify_run(str(out))["failures"] == [
+        (f"{results}:{len(text.splitlines()) + 1}", "malformed record")]
+    results.write_text(text)
+    stream = out / "learning" / "proofs.txt"
+    records = read_stream(stream)
+    write_stream(stream, records[:-1])
+    missing = (f"{stream}#{records[-1][0].split()[-1]}",
+               "named in results.jsonl but not stored")
+    for run_dir in (out, out / "learning"):
+        assert verify_run(str(run_dir))["failures"] == [missing]
+
+
 @pytest.mark.parametrize("mode", ["challenge", "library"])
 def test_every_named_artifact_is_on_disk_while_the_run_writes(
         mode, neardup, mixed30, tmp_path, monkeypatch):
@@ -545,10 +566,10 @@ def test_a_run_writes_a_fixed_set_of_files(neardup50, mixed30, tmp_path):
         lib = tmp_path / f"lib{tag}"
         run_library(ExperimentSpec(mode="library", corpus=mixed30,
                                    out_dir=str(lib), loop=loop_config))
-        per_config = ["config.json", "features.cache", "learner/final.json",
-                      "models.txt", "proofs.txt", "results.jsonl"]
+        per_config = ["config.json", "learner/final.json", "models.txt",
+                      "proofs.txt", "results.jsonl"]
         assert _files_under(lib) == sorted(
-            ["config.json", "report.json", "report.txt", "results.jsonl"]
+            ["config.json", "report.json", "report.txt"]
             + [f"{name}/{fn}" for name in ("learning", "recency")
                for fn in per_config])
         stored_counts.append(sum(1 for r in _records(ch) + _records(lib)
@@ -590,8 +611,7 @@ def test_false_conjecture_ends_counter_satisfiable(tmp_path):
                                out_dir=str(tmp_path / "library"), baseline=False,
                                loop=LoopConfig(axiom_ladder=(1,))))
     for out in ("reprove", "library"):
-        lines = (tmp_path / out / "results.jsonl").read_text().splitlines()
-        assert [json.loads(line)["status"] for line in lines] == \
+        assert [r["status"] for r in _records(tmp_path / out)] == \
             ["counter_satisfiable"] * 2
 
 
@@ -685,6 +705,12 @@ def _built_clause_sets(monkeypatch, run) -> list:
 
 
 def _records(run_dir) -> list:
+    """A run directory's records; a library run's are its configurations',
+    in config order."""
+    config = json.loads((run_dir / "config.json").read_text())
+    if config.get("mode") == "library":
+        names = ("learning", "recency") if config["baseline"] else ("learning",)
+        return [r for name in names for r in _records(run_dir / name)]
     lines = (run_dir / "results.jsonl").read_text().splitlines()
     return [json.loads(line) for line in lines]
 

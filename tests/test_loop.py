@@ -236,12 +236,12 @@ def test_run_dir_layout(tmp_path):
     assert os.path.exists(os.path.join(run_dir, "config.json"))
     assert os.path.exists(os.path.join(run_dir, "results.jsonl"))
     assert os.path.exists(os.path.join(run_dir, "learner", "final.json"))
-    assert os.path.exists(os.path.join(run_dir, "features.cache"))
+    assert not os.path.exists(os.path.join(run_dir, "features.cache"))
     proofs = read_stream(os.path.join(run_dir, "proofs.txt"))
     assert len(proofs) == len(results["solved"]["learning"])
-    # artifacts live per configuration only
+    # records and artifacts live per configuration only
     assert sorted(os.listdir(str(tmp_path / "run"))) == [
-        "config.json", "learning", "report.json", "report.txt", "results.jsonl"]
+        "config.json", "learning", "report.json", "report.txt"]
 
 
 def test_feature_table_extended_per_model_matches_fresh_vectors():

@@ -6,9 +6,11 @@ countermodel columns as models are stored.  Which premises each attempt
 is given, the final feature table and the final learner are a contract:
 they decide every proof and model a run stores.  `golden/selection.json`
 holds, for `corpora/mixed30` under a pruning ladder and for a generated
-library of a few hundred items, per configuration: the sha256 of
-`features.cache` and of `learner/final.json`, and every attempt's
-`(iteration, item, rung, premises_given)`.
+library of a few hundred items, per configuration: the sha256 of the
+final feature table, extended to the final model store and written as
+`helpers.feature_table_text` writes it (the key `features.cache`), and
+of `learner/final.json`, and every attempt's `(iteration, item, rung,
+premises_given)`.
 
 Re-record (only for a deliberate change of selection) with
 `PYTHONPATH=src python3 tests/test_selection_golden.py --record`.
@@ -21,10 +23,14 @@ import os
 import random
 import sys
 import tempfile
+from unittest import mock
 
+from proofbench import harness
 from proofbench.corpus import write_manifest
 from proofbench.harness import ExperimentSpec, run_library
-from proofbench.loop import LoopConfig
+from proofbench.loop import LoopConfig, refresh_features
+
+from helpers import feature_table_text
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden", "selection.json")
@@ -96,15 +102,25 @@ def _sha256(path: str) -> str:
 
 
 def _selection(corpus: str, config: LoopConfig, out: str) -> dict:
-    run_library(ExperimentSpec(mode="library", corpus=corpus, out_dir=out,
-                               loop=config, baseline=True))
+    final = {}          # config name -> its final feature table
+    run_loop = harness.run_loop
+
+    def capture(corpus, cfg, writer, name, build):
+        state = run_loop(corpus, cfg, writer, name, build)
+        final[name] = refresh_features(state, corpus, cfg)
+        return state
+
+    with mock.patch.object(harness, "run_loop", capture):
+        run_library(ExperimentSpec(mode="library", corpus=corpus, out_dir=out,
+                                   loop=config, baseline=True))
     blob = {}
     for name in ("learning", "recency"):
         sub = os.path.join(out, name)
         with open(os.path.join(sub, "results.jsonl"), encoding="utf-8") as fh:
             records = [json.loads(line) for line in fh]
+        table = feature_table_text(final[name]).encode("utf-8")
         blob[name] = {
-            "features.cache": _sha256(os.path.join(sub, "features.cache")),
+            "features.cache": hashlib.sha256(table).hexdigest(),
             "learner/final.json": _sha256(os.path.join(sub, "learner",
                                                        "final.json")),
             "attempts": [[r["iteration"], r["item"], r["rung"],

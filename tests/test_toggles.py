@@ -1,7 +1,6 @@
 import pytest
 
 from proofbench.clausify import clausal_problem
-from proofbench.features import write_feature_cache
 from proofbench.guidance import Advisor
 from proofbench.learner import BayesModel, train_incremental
 from proofbench.parser import parse_problem
@@ -38,8 +37,3 @@ def test_advisor_rejects_stale_snapshot():
     assert stale.status == PROVED
     assert stale.stats.inferences == plain.stats.inferences
     assert stale.stats.advisor_errors > 0
-
-
-def test_feature_cache_rejects_whitespace_names(tmp_path):
-    with pytest.raises(ValueError):
-        write_feature_cache(str(tmp_path / "x"), {"bad name": {"SYM:p": 1.0}})
