@@ -63,7 +63,10 @@ def score(model: BayesModel, features: dict, candidate: str) -> float:
 
 def rank_premises(model: BayesModel, features: dict, candidates) -> list:
     """(name, score) pairs, best first; input order breaks ties."""
-    scored = [(name, score(model, features, name)) for name in candidates]
+    s, labels = model.sigma, model.label_count
+    unlabeled = math.log(s / (model.total_examples + s))  # `score` of an unused name
+    scored = [(name, score(model, features, name) if name in labels else unlabeled)
+              for name in candidates]
     order = sorted(range(len(scored)), key=lambda i: (-scored[i][1], i))
     return [scored[i] for i in order]
 

@@ -21,13 +21,17 @@ holds its binding, and undoing the trail clears the slots.  Once per
 search, the input clauses that a start clause reaches are compiled into
 templates: a clause is reached when one of its literals is complementary,
 by predicate and sign, to a literal of a reached clause, and no goal can
-ever use another clause.  An extension attempt skips a candidate whose
-template clashes with the goal on an argument's top symbol, unifies the
-goal with the template itself, and instantiates the clause's other
-literals only once that succeeds.  The template's cells are fresh, so
-until the unification binds a cell of the goal, a template variable met
-unbound is bound with no occurs check; every other binding, and every
-reduction, runs the check.
+ever use another clause.  Once a depth pass is cut off, an extension
+whose first new goal lands at the depth limit with no path literal of
+the complementary key can only fail, binding nothing: it is charged and
+skipped.  Before the cut-off it is searched, since its success is what
+tells a cut-off pass from a saturated one.  Any other extension attempt
+skips a candidate whose template clashes with the goal on an argument's
+top symbol, unifies the goal with the template itself, and instantiates
+the clause's other literals only once that succeeds.  The template's
+cells are fresh, so until the unification binds a cell of the goal, a
+template variable met unbound is bound with no occurs check; every other
+binding, and every reduction, runs the check.
 Regularity compares a new goal with a path literal of its sign and
 predicate through the first argument pair, and compares the whole
 literal only when those agree.  Proof normalization replays the steps
@@ -35,8 +39,8 @@ through the same unifier.  No step recurses, so a wide clause or a
 deep term costs heap, not stack.
 
 An inference is one extension or reduction attempt, including failed
-unifications and clashes; this is the resource unit all budgets and
-reports use.
+unifications, clashes and the extensions the depth bound refutes; this
+is the resource unit all budgets and reports use.
 """
 from __future__ import annotations
 
@@ -319,7 +323,8 @@ def _compile(clauses: list, starts: list) -> tuple:
     None for a clause no start clause reaches, and the extension index: for
     each `key`, the reached input literals with it in input order, as
     `(step, literal index, clause id, clause variables, the literal, the
-    clause's literals)`.
+    clause's literals, the complement key of the first other literal)`;
+    that literal becomes the agenda head, and a unit clause has -1.
 
     A start clause is reached, and so is every clause with a literal whose
     key is the complement of a reached clause's literal.  A goal is a
@@ -370,8 +375,9 @@ def _compile(clauses: list, starts: list) -> tuple:
             lits.append(t)
         compiled.append((tuple(slots), lits))
         for li, t in enumerate(lits):
+            head = lits[li == 0].complement if len(lits) > 1 else -1
             index.setdefault(t.key, []).append(
-                (("ext", ci, li), li, c.clause_id, len(slots), t, lits))
+                (("ext", ci, li), li, c.clause_id, len(slots), t, lits, head))
     return compiled, index
 
 
@@ -487,7 +493,7 @@ class _Search:
         after it, or `_FAIL` when none is left.  Reductions come first,
         innermost path literal first, then regular extensions.  Every
         attempt is charged against the budget, also one whose arguments
-        clash on sight."""
+        clash on sight or that the depth bound refutes."""
         trail, stats, budget = self.trail, self.stats, self.budget
         goal, path = cp.goal, cp.path
         lit, args = goal
@@ -511,12 +517,17 @@ class _Search:
             cp.new_keys = cp.keys | 1 << lit.key
             cp.next = 0
         exts, new_path, new_keys, base = cp.exts, cp.new_path, cp.new_keys, cp.base
+        # once the pass is cut off, a new head goal at the depth limit with
+        # no path literal to reduce against can only fail
+        refute = self.cutoff and len(new_path) >= self.depth_limit
         pool = self.pool
         for i in range(cp.next, len(exts)):
-            step, _li, clause_id, nvars, t, lits = exts[i]
+            step, _li, clause_id, nvars, t, lits, head = exts[i]
             if stats.inferences >= budget:
                 raise _Budget
             stats.inferences += 1
+            if refute and head >= 0 and not new_keys >> head & 1:
+                continue
             if t.tops and _clashes(args, t.tops):
                 continue
             if len(pool) < base + nvars:

@@ -615,6 +615,72 @@ def test_budget_ending_on_a_clash():
     assert res.status == PROVED and res.stats.inferences == 3
 
 
+def _depth_refuted_set():
+    # at depth 1, c1's goal ~q(a) fails at the depth limit and cuts the
+    # pass off; c2 and c3 would then each add a goal ~r(.) that fails
+    # there too, with no path literal r(.) to reduce against
+    X = Var("X")
+    return _clause_set([
+        _cl([Literal(False, atom("p", const("a")))], "g_0", "g"),
+        _cl([Literal(True, atom("p", X)), Literal(False, atom("q", X))], "c1_0", "c1"),
+        _cl([Literal(True, atom("p", const("b"))),
+             Literal(False, atom("r", const("b")))], "c2_0", "c2"),
+        _cl([Literal(True, atom("p", X)), Literal(False, atom("r", X))], "c3_0", "c3"),
+        _cl([Literal(True, atom("q", const("a")))], "c4_0", "c4"),
+    ], start_ids={"g_0"})
+
+
+def test_depth_refuted_extension_is_charged_without_search(monkeypatch):
+    log = _spy_attempts(monkeypatch)
+    res = prove(_depth_refuted_set(), Limits(max_depth=4))
+    assert res.status == PROVED
+    assert res.stats.inferences == 5 and res.stats.depth_reached == 2
+    # c2 (which would clash) and c3 (which would unify) reach neither
+    # `_clashes` nor `_unify_args`: depth 1 unifies c1 only, depth 2 c1, c4
+    assert log == [("unify", True)] * 3
+    assert proof_to_text(res.proof) == (
+        "start g_0\n"
+        "ext c1_0 0 | ~ p(a) | X_i2=a\n"
+        "ext c4_0 0 | ~ q(X_i2) | -\n"
+        "premises c1 c4 g\n")
+
+
+def test_budget_ending_on_a_depth_refuted_extension():
+    cs = _depth_refuted_set()
+    for k in (2, 3):        # the k-th attempt is refuted by the depth bound
+        res = prove(cs, Limits(max_depth=4, inference_budget=k))
+        assert res.status == INFERENCE_LIMIT
+        assert res.stats.inferences == k
+    res = prove(cs, Limits(max_depth=4, inference_budget=5))
+    assert res.status == PROVED and res.stats.inferences == 5
+
+
+@pytest.mark.parametrize("unit", [False, True])
+def test_first_extension_to_reach_the_depth_limit_cuts_the_pass_off(unit):
+    # ~p(a) and p(X) | ~p(f(X)) never saturate: each pass's one extension
+    # to reach the depth limit is the first the pass tries, and only its
+    # success tells the pass it was cut off.  With p(f(f(a))) the set is
+    # refutable at depth 3; without, it has a model.
+    X = Var("X")
+    clauses = [
+        _cl([Literal(False, atom("p", const("a")))], "g_0", "g"),
+        _cl([Literal(True, atom("p", X)),
+             Literal(False, atom("p", App("f", (X,))))], "c1_0", "c1"),
+    ]
+    if unit:
+        clauses.append(_cl([Literal(True, atom(
+            "p", App("f", (App("f", (const("a"),)),))))], "c2_0", "c2"))
+    cs = _clause_set(clauses, start_ids={"g_0"})
+    for depth, inferences in ((1, 1 + unit), (2, 3 + 3 * unit)):
+        res = prove(cs, Limits(max_depth=depth))
+        assert res.status == INFERENCE_LIMIT and res.model is None
+        assert res.stats.stop_reason == "depth exhausted"
+        assert res.stats.inferences == inferences
+    if unit:
+        res = prove(cs, Limits(max_depth=3))
+        assert res.status == PROVED and res.stats.inferences == 10
+
+
 @pytest.mark.parametrize("case", ["proved", "counter_satisfiable",
                                   "inference_limit"])
 def test_no_pool_cell_left_bound(monkeypatch, case):

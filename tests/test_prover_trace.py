@@ -157,25 +157,29 @@ def _clash_library() -> list:
     return lib
 
 
-def _clash() -> dict:
-    """Each theorem of `_clash_library` from the 4, 8 and 16 items before
-    it: the recency baseline's attempts, whose budgets run out in the
-    middle of extensions under the equality axioms."""
+def _clash_problems(recent: int) -> list:
+    """(name, clause set) per theorem of `_clash_library`, from the `recent`
+    items before it: the recency baseline's attempts, whose budgets run out
+    in the middle of extensions under the equality axioms."""
     from proofbench.parser import parse_problem
 
     lib = _clash_library()
-    limits = Limits(max_depth=16, inference_budget=2000)
-    out = {}
-    for recent in (4, 8, 16):
-        for i, (name, role, formula) in enumerate(lib):
-            if role != "conjecture":
-                continue
-            text = "".join(f"fof({n}, axiom, {f}).\n" for n, _r, f in
-                           lib[max(0, i - recent):i])
-            cs = clausal_problem(parse_problem(
-                text + f"fof({name}, conjecture, {formula}).\n"))
-            out[f"recent{recent}:{name}"] = _facts(prove(cs, limits))
+    out = []
+    for i, (name, role, formula) in enumerate(lib):
+        if role != "conjecture":
+            continue
+        text = "".join(f"fof({n}, axiom, {f}).\n" for n, _r, f in
+                       lib[max(0, i - recent):i])
+        out.append((name, clausal_problem(parse_problem(
+            text + f"fof({name}, conjecture, {formula}).\n"))))
     return out
+
+
+def _clash() -> dict:
+    """Each theorem of `_clash_library` from the 4, 8 and 16 items before it."""
+    limits = Limits(max_depth=16, inference_budget=2000)
+    return {f"recent{recent}:{name}": _facts(prove(cs, limits))
+            for recent in (4, 8, 16) for name, cs in _clash_problems(recent)}
 
 
 def trace(tmp_dir: str) -> dict:
@@ -190,6 +194,31 @@ def test_prover_trace_matches_golden(tmp_path):
     got = json.loads(json.dumps(trace(str(tmp_path))))
     for part in ("mixed30", "random_sets", "advised", "queries", "clash"):
         assert got[part] == golden[part], part
+
+
+def test_inference_budget_cuts_exactly():
+    """A run at budget L is the run at a larger budget when that used at
+    most L inferences, and otherwise stops at exactly L: every L up to
+    300, then seeded ones up to the larger budget, on the clash problems
+    and on mixed30 from the 4 items before each theorem.  The clash
+    library's third and fourth blocks of 7 theorems repeat its second
+    under new names, so they are left out."""
+    top = 2000
+    rng = random.Random(18)
+    inputs = [(name, cs, 16) for name, cs in _clash_problems(4)[:14]]
+    for depth in (3, 8):
+        inputs += [(f"depth{depth}:{name}", cs, depth)
+                   for name, cs in _mixed30_problems(4)]
+    for name, cs, depth in inputs:
+        full = _facts(prove(cs, Limits(max_depth=depth, inference_budget=top)))
+        for budget in list(range(1, 301)) + rng.sample(range(301, top), 3):
+            got = _facts(prove(cs, Limits(max_depth=depth, inference_budget=budget)))
+            if full["inferences"] <= budget:
+                assert got == full, (name, budget)
+            else:
+                assert (got["status"], got["inferences"], got["stop_reason"]) == (
+                    "inference_limit", budget, "inference budget exhausted"), \
+                    (name, budget)
 
 
 if __name__ == "__main__":
