@@ -10,9 +10,10 @@ generator's `check_size` reject ends the command with exit code 2
 before anything is written, and so does an input the program cannot
 read (any `fol.ProblemError`: a parse, include, arity or corpus error,
 a missing directory, a problem with no conjecture, a `verify` path with
-no config.json or a `report` path with no report.json); otherwise the
-exit code reflects invariant violations (a failed proof check, a broken
-run directory), never unsolved problems.
+no config.json, a `report` path with no report.json, or a run's `--out`
+that already holds a config.json); otherwise the exit code reflects
+invariant violations (a failed proof check, a broken run directory),
+never unsolved problems.
 
 Environment: PROOFBENCH_OUTPUT_ROOT prefixes relative --out paths.
 """

@@ -39,6 +39,7 @@ from .checker import check_proof
 from .clausify import clausal_problem  # noqa: F401
 from .corpus import load_corpus, load_split
 from .features import combine, structural_features, symbol_features
+from .fol import ProblemError
 from .learner import BayesModel, rank_premises, train_incremental
 from .loop import (
     Attempt, LoopConfig, LoopInvariantError, attempt, clause_set_builder,
@@ -89,12 +90,16 @@ class ExperimentSpec:
 
 
 def _out_dir(spec: ExperimentSpec) -> str:
+    """The run's directory; one that already holds a run is refused."""
     out = spec.out_dir
     if not out:
         raise HarnessError("no output directory given")
     root = os.environ.get("PROOFBENCH_OUTPUT_ROOT", "")
     if root and not os.path.isabs(out):
         out = os.path.join(root, out)
+    config = os.path.join(out, "config.json")
+    if os.path.exists(config):
+        raise ProblemError(f"{config!r} exists: {out!r} already holds a run")
     return out
 
 

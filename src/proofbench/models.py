@@ -409,7 +409,7 @@ def model_from_text(text: str) -> FiniteModel:
 
 def _read_cell(text: str) -> tuple:
     """(symbol, arguments, value) of a table line's `sym(a,...) = value`."""
-    texts = [t.text for t in tokenize(text)][:-1]
+    texts = tokenize(text)
     close = texts.index(")")
     args = texts[2:close:2]
     if (texts[1] != "(" or texts[3:close:2] != [","] * (len(args) - 1)

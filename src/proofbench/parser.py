@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import os
 import re
-from typing import NamedTuple
 
 from .fol import (
     BINARY, And, AnnotatedFormula, App, Atom, Eq, Exists, FALSE,
@@ -36,12 +35,7 @@ from .fol import (
 
 
 class ParseError(ProblemError):
-    def __init__(self, message: str, line: int = 0, col: int = 0, source: str = ""):
-        where = f"{source or '<input>'}:{line}:{col}" if line else (source or "<input>")
-        super().__init__(f"{where}: {message}")
-        self.line = line
-        self.col = col
-        self.source = source
+    """A text that does not read, named `source:line:column: message`."""
 
 
 class IncludeError(ProblemError):
@@ -56,44 +50,45 @@ MAX_DEPTH = 256
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-# a quoted atom ends on its line: TPTP's `sq_char` holds no line break
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+|%[^\n]*)
-  | (?P<op><=>|<~>|=>|<=|!=|=|&|\||~|!|\?|\(|\)|\[|\]|,|\.|:)
-  | (?P<dollar>\$[a-z][a-zA-Z0-9_]*)
-  | (?P<upper>[A-Z][a-zA-Z0-9_]*)
-  | (?P<lower>[a-z0-9][a-zA-Z0-9_]*)
-  | (?P<quoted>'(?:[^'\\\n\r]|\\[^\n\r])*')
-""", re.VERBOSE)
+# Blanks and comments, then one token, or one character that starts no
+# token, or the end of the text: the token "", found twice after trailing
+# blanks.  A token is a string whose first character tells its kind.  A
+# quoted atom ends on its line: TPTP's `sq_char` holds no line break.
+_TOKEN_RE = re.compile(r"""(?:\s+|%[^\n]*)*(
+    [a-zA-Z0-9][a-zA-Z0-9_]*
+  | <=>|<~>|=>|<=|!=|[=&|~!?()\[\],.:]
+  | '(?:[^'\\\n\r]|\\[^\n\r])*'
+  | \$[a-z][a-zA-Z0-9_]*
+  | .|\Z)""", re.VERBOSE | re.DOTALL)
+
+_UPPER = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_LOWER = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
+# every token of one character; any other is a character that starts none
+_SINGLES = _UPPER | _LOWER | frozenset("=&|~!?()[],.:")
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def tokenize(text: str, source: str = "") -> list:
-    tokens, new = [], tuple.__new__
-    pos, line, linestart = 0, 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        start, end = m.span()
-        if start != pos:        # no token starts at pos
+def _fail(text: str, index: int, message: str, source: str):
+    """Raise `message` at the `index`th token of `text`, unless a character
+    that starts no token stands anywhere in `text`: the first one is
+    refused instead, so a lexical error wins over a syntax error."""
+    for i, m in enumerate(_TOKEN_RE.finditer(text)):
+        t = m.group(1)
+        if len(t) == 1 and t not in _SINGLES:
+            at, message = m.start(1), f"unexpected character {t!r}"
             break
-        kind = m.lastgroup
-        tok = m.group()
-        if kind != "ws":        # Token(...) without its Python-level __new__
-            tokens.append(new(Token, (kind, tok, line, start - linestart + 1)))
-        if "\n" in tok:
-            line += tok.count("\n")
-            linestart = start + tok.rindex("\n") + 1
-        pos = end
-    if pos < len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}",
-                         line, pos - linestart + 1, source)
-    tokens.append(Token("eof", "", line, pos - linestart + 1))
-    return tokens
+        if i == index:
+            at = m.start(1)
+    line, col = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+    raise ParseError(f"{source}:{line}:{col}: {message}")
+
+
+def tokenize(text: str) -> list:
+    """The tokens of `text`; a character that starts no token is refused."""
+    tokens = _TOKEN_RE.findall(text)
+    for i, t in enumerate(tokens):
+        if len(t) == 1 and t not in _SINGLES:
+            _fail(text, i, f"unexpected character {t!r}", "<input>")
+    return tokens[:tokens.index("")]
 
 
 def _unquote(text: str) -> str:
@@ -108,38 +103,51 @@ def normalize_name(text: str) -> str:
     return _unquote(text) if text.startswith("'") else text
 
 
+def _name(t: str):
+    """The name the token `t` reads as, or None if `t` is no name."""
+    c = t[:1]
+    if c in _LOWER:
+        return t
+    if c == "'" and len(t) > 1:
+        return _unquote(t)
+    return None
+
+
 def read_names(text: str) -> list:
     """The names `text` lists, each written as `print_name` writes it."""
-    tokens = tokenize(text)[:-1]
-    for t in tokens:
-        if t.kind not in ("lower", "quoted", "dollar"):
-            raise ParseError(f"expected name, found {t.text!r}", t.line, t.col)
-    return [normalize_name(t.text) for t in tokens]
+    tokens = tokenize(text)
+    for i, t in enumerate(tokens):
+        if _name(t) is None and t[0] != "$":      # a name, or `$word`
+            _fail(text, i, f"expected name, found {t!r}", "<input>")
+    return [normalize_name(t) for t in tokens]
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
 class _Parser:
-    def __init__(self, tokens, source="", cap=MAX_DEPTH):
-        self.tokens = tokens
+    """A reader of `text`'s tokens, walked by index; a token's place in the
+    text is found only for an error."""
+
+    def __init__(self, text, source, cap=MAX_DEPTH):
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text)
         self.pos = 0
-        self.cur = tokens[0]
+        self.cur = self.tokens[0]
         self.source = source
         self.cap = cap
-        self.start = tokens[0]  # the first token of the statement being read
+        self.start = 0          # the index of the statement's first token
         self.deepest = 0        # the most levels that statement has reached
 
-    def error(self, msg: str, t=None):
-        t = t or self.cur
-        raise ParseError(msg, t.line, t.col, self.source)
+    def error(self, msg: str, at=None):
+        _fail(self.text, self.pos if at is None else at, msg, self.source)
 
-    def eat(self, text: str) -> Token:
-        if self.cur.text != text:
-            self.error(f"expected {text!r}, found {self.cur.text!r}")
+    def eat(self, text: str) -> str:
+        if self.cur != text:
+            self.error(f"expected {text!r}, found {self.cur!r}")
         return self.take()
 
-    def take(self) -> Token:
+    def take(self) -> str:
         t = self.cur
         self.pos += 1
         self.cur = self.tokens[self.pos]
@@ -159,19 +167,19 @@ class _Parser:
     def formula(self, depth: int = 0) -> Formula:
         depth = self.nest(depth)
         lhs = self.unitary(depth)
-        op = self.cur.text
+        op = self.cur
         if op in ("&", "|"):
             parts = [lhs]
-            while self.cur.text == op:
+            while self.cur == op:
                 self.take()
                 parts.append(self.unitary(depth))
-            if self.cur.text in ("&", "|", "=>", "<=", "<=>", "<~>"):
-                self.error(f"cannot mix {op!r} with {self.cur.text!r} without parentheses")
+            if self.cur in ("&", "|", "=>", "<=", "<=>", "<~>"):
+                self.error(f"cannot mix {op!r} with {self.cur!r} without parentheses")
             return (And if op == "&" else Or)(*parts)
         if op in ("=>", "<=", "<=>", "<~>"):
             self.take()
             rhs = self.unitary(depth)
-            if self.cur.text in ("&", "|", "=>", "<=", "<=>", "<~>"):
+            if self.cur in ("&", "|", "=>", "<=", "<=>", "<~>"):
                 self.error(f"{op!r} is non-associative; use parentheses")
             if op == "=>":
                 return Implies(lhs, rhs)
@@ -184,20 +192,20 @@ class _Parser:
 
     def unitary(self, depth: int) -> Formula:
         t = self.cur
-        if t.text == "(":
+        if t == "(":
             self.take()
             f = self.formula(depth)
             self.eat(")")
             return f
-        if t.text == "~":
+        if t == "~":
             self.take()
             return Not(self.unitary(self.nest(depth)))
-        if t.text in ("!", "?"):
-            quant = Forall if t.text == "!" else Exists
+        if t in ("!", "?"):
+            quant = Forall if t == "!" else Exists
             self.take()
             self.eat("[")
             names = [self.variable()]
-            while self.cur.text == ",":
+            while self.cur == ",":
                 self.take()
                 names.append(self.variable())
             self.eat("]")
@@ -206,29 +214,29 @@ class _Parser:
             for name in reversed(names):
                 body = quant(name, body)
             return body
-        if t.kind == "dollar":
+        if t[:1] == "$":
             self.take()
-            if t.text == "$true":
+            if t == "$true":
                 return TRUE
-            if t.text == "$false":
+            if t == "$false":
                 return FALSE
-            self.error(f"unknown defined constant {t.text!r}")
+            self.error(f"unknown defined constant {t!r}")
         return self.atomic(depth)
 
     def variable(self) -> str:
         t = self.cur
-        if t.kind != "upper":
-            self.error(f"expected variable, found {t.text!r}")
+        if t[:1] not in _UPPER:
+            self.error(f"expected variable, found {t!r}")
         self.take()
-        return t.text
+        return t
 
     def atomic(self, depth: int) -> Formula:
-        start = self.cur
+        start = self.pos
         lhs = self.term(depth)
-        if self.cur.text == "=":
+        if self.cur == "=":
             self.take()
             return Eq(lhs, self.term(depth))
-        if self.cur.text == "!=":
+        if self.cur == "!=":
             self.take()
             return Not(Eq(lhs, self.term(depth)))
         if isinstance(lhs, Var):
@@ -240,36 +248,37 @@ class _Parser:
     def term(self, depth: int = 0) -> Term:
         depth = self.nest(depth)
         t = self.cur
-        if t.kind == "upper":
+        if t[:1] in _UPPER:
             self.take()
-            return Var(t.text)
-        if t.kind in ("lower", "quoted"):
+            return Var(t)
+        name = _name(t)
+        if name is None:
+            self.error(f"expected term, found {t!r}")
+        self.take()
+        args = []
+        if self.cur == "(":
             self.take()
-            name = normalize_name(t.text)
-            args = []
-            if self.cur.text == "(":
+            args.append(self.term(depth))
+            while self.cur == ",":
                 self.take()
                 args.append(self.term(depth))
-                while self.cur.text == ",":
-                    self.take()
-                    args.append(self.term(depth))
-                self.eat(")")
-            return App(name, tuple(args))
-        self.error(f"expected term, found {t.text!r}")
+            self.eat(")")
+        return App(name, tuple(args))
 
     # -- statements ---------------------------------------------------------
 
     def name(self) -> str:
-        t = self.cur
-        if t.kind in ("lower", "quoted"):
-            self.take()
-            return normalize_name(t.text)
-        self.error(f"expected name, found {t.text!r}")
+        name = _name(self.cur)
+        if name is None:
+            self.error(f"expected name, found {self.cur!r}")
+        self.take()
+        return name
 
     def statement(self):
-        t = self.start = self.cur
+        self.start = self.pos
         self.deepest = 0
-        if t.text == "fof":
+        t = self.cur
+        if t == "fof":
             self.take()
             self.eat("(")
             name = self.name()
@@ -285,21 +294,21 @@ class _Parser:
             # each auto-closed variable is one more level
             self.nest(self.deepest + len(closed_vars) - 1)
             return ("fof", AnnotatedFormula(name, role, closed))
-        if t.text == "include":
+        if t == "include":
             self.take()
             self.eat("(")
             path = self.cur
-            if path.kind != "quoted":
+            if path[:1] != "'" or path == "'":
                 self.error("include path must be quoted")
             self.take()
             self.eat(")")
             self.eat(".")
-            return ("include", _unquote(path.text))
-        self.error(f"expected fof or include, found {t.text!r}")
+            return ("include", _unquote(path))
+        self.error(f"expected fof or include, found {t!r}")
 
     def statements(self):
         out = []
-        while self.cur.kind != "eof":
+        while self.cur:
             out.append(self.statement())
         return out
 
@@ -328,12 +337,12 @@ def _statements(text: str, source: str, table: dict) -> list:
             start, pos = m.span(1) if m else (pos, len(text))
             key = text[start:pos]
             if key not in table:
-                table[key] = _Parser(tokenize(key, source), source).statements()
+                table[key] = _Parser(key, source).statements()
             out += table[key]
         return out
     except ParseError as exc:
         error = exc
-    _Parser(tokenize(text, source), source).statements()
+    _Parser(text, source).statements()
     raise error
 
 
@@ -389,18 +398,18 @@ def parse_problem_dir(root: str) -> list:
 def parse_formula(text: str) -> Formula:
     """Parse a bare formula (no fof wrapper), free variables left open and
     no nesting cap: like `parse_bindings`, it reads proof steps written."""
-    p = _Parser(tokenize(text), "<formula>", cap=float("inf"))
+    p = _Parser(text, "<formula>", cap=float("inf"))
     f = p.formula()
-    if p.cur.kind != "eof":
-        p.error(f"trailing input {p.cur.text!r}")
+    if p.cur:
+        p.error(f"trailing input {p.cur!r}")
     return f
 
 
 def parse_bindings(text: str) -> tuple:
     """The (variable, term) pairs of a `X=term,...` list."""
-    p = _Parser(tokenize(text), "<bindings>", cap=float("inf"))
+    p = _Parser(text, "<bindings>", cap=float("inf"))
     bindings: list = []
-    while p.cur.kind != "eof":
+    while p.cur:
         if bindings:
             p.eat(",")
         name = p.variable()
@@ -413,7 +422,7 @@ def parse_bindings(text: str) -> tuple:
 # Printer
 
 def _print_symbol(name: str) -> str:
-    if _IDENT_RE.match(name) or name.isdigit():
+    if _IDENT_RE.match(name) or (name.isascii() and name.isdigit()):
         return name
     body = name.replace("\\", "\\\\").replace("'", "\\'")
     return f"'{body}'"

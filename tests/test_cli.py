@@ -9,6 +9,9 @@ from proofbench.parser import MAX_DEPTH
 
 from helpers import NESTING_SHAPES, nested_formula, read_stream, write_stream
 
+CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "corpora", "mixed30")
+
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
@@ -443,3 +446,57 @@ def test_a_path_that_is_not_a_run_is_refused(command, needs, exists, tmp_path,
     err = capsys.readouterr().err
     (line,) = [line for line in err.splitlines() if "error:" in line]
     assert str(path) in line and needs in line and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["²", "１"])
+def test_a_name_of_unicode_digits_survives_the_run_directory(name, tmp_path,
+                                                             capsys):
+    # `str.isdigit` holds for these names; printed bare, the proof's
+    # goal literal did not read back and verify failed the stored proof
+    problems = tmp_path / "problems"
+    problems.mkdir()
+    (problems / "p1.p").write_text(f"fof(a, axiom, p('{name}')).\n"
+                                   f"fof(g, conjecture, p('{name}')).\n")
+    (record,) = _challenge_and_verify(problems, tmp_path / "out", capsys)
+    assert record["status"] == "proved"
+
+
+def _files(root) -> dict:
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_a_run_into_a_directory_holding_a_run_is_refused(tmp_path, capsys):
+    # a second run used to write over the first and leave its stale
+    # `recency/`, which `verify` then checked and passed
+    out = tmp_path / "lib"
+    out.mkdir()             # an empty directory is accepted
+    library = ["library", "--corpus", CORPUS, "--out", str(out),
+               "--ladder", "4,8,16", "--depth", "8"]
+    assert main(library) == 0
+    before = _files(out)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(library + ["--no-baseline"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert str(out / "config.json") in line and "Traceback" not in err
+    assert _files(out) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["reprove", "--corpus", CORPUS],
+    ["challenge", "--problems", CORPUS],
+    ["traintest", "--corpus", CORPUS, "--split", os.path.join(CORPUS, "split.txt")],
+], ids=["reprove", "challenge", "traintest"])
+def test_every_run_command_refuses_a_directory_holding_a_run(argv, tmp_path,
+                                                             capsys):
+    out = tmp_path / "out"
+    out.mkdir()             # an empty directory is accepted
+    (out / "config.json").write_text("{}\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert str(out / "config.json") in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["config.json"]

@@ -1,9 +1,11 @@
 import importlib.util
+import itertools
 import os
 import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proofbench.clausify import equality_axioms
 from proofbench.fol import (
@@ -11,8 +13,9 @@ from proofbench.fol import (
 )
 from proofbench.generator import generate_corpus
 from proofbench.parser import (
-    MAX_DEPTH, ParseError, _TOKEN_RE, parse_formula, parse_problem,
-    parse_problem_dir, parse_problem_file, print_formula, tokenize,
+    MAX_DEPTH, ParseError, _fail, parse_formula, parse_problem,
+    parse_problem_dir, parse_problem_file, print_formula, print_name,
+    read_names, tokenize,
 )
 from proofbench.prover import proof_from_text
 from proofbench.fol import (
@@ -127,25 +130,51 @@ def test_problem_print_reparses():
         assert alpha_equivalent(af.formula, bf.formula)
 
 
-def _tokenize_per_match(text: str, source: str = "") -> list:
-    """Reference tokenizer: one anchored match at each position."""
+# The tokenizer's pattern as it stood when each token was a
+# `Token(kind, text, line, col)`: the reference keeps its own copy, so
+# that it does not move with the code under test.
+_REFERENCE_TOKEN_RE = re.compile(r"""
+    (?P<ws>\s+|%[^\n]*)
+  | (?P<op><=>|<~>|=>|<=|!=|=|&|\||~|!|\?|\(|\)|\[|\]|,|\.|:)
+  | (?P<dollar>\$[a-z][a-zA-Z0-9_]*)
+  | (?P<upper>[A-Z][a-zA-Z0-9_]*)
+  | (?P<lower>[a-z0-9][a-zA-Z0-9_]*)
+  | (?P<quoted>'(?:[^'\\\n\r]|\\[^\n\r])*')
+""", re.VERBOSE)
+
+
+def _tokenize_per_match(text: str, source: str = "<input>") -> list:
+    """Reference tokenizer: one anchored match at each position; each
+    token's (text, line, col), the last one "" at the end of the text, or
+    the `ParseError` of the first character that starts no token."""
     tokens = []
     pos, line, linestart = 0, 1, 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
         if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line, pos - linestart + 1, source)
+            raise ParseError(f"{source}:{line}:{pos - linestart + 1}: "
+                             f"unexpected character {text[pos]!r}")
         kind = m.lastgroup
         tok = m.group()
         if kind != "ws":
-            tokens.append((kind, tok, line, m.start() - linestart + 1))
+            tokens.append((tok, line, m.start() - linestart + 1))
         line += tok.count("\n")
         if "\n" in tok:
             linestart = m.start() + tok.rindex("\n") + 1
         pos = m.end()
-    tokens.append(("eof", "", line, pos - linestart + 1))
+    tokens.append(("", line, pos - linestart + 1))
     return tokens
+
+
+def _assert_tokens_are_the_reference(text: str) -> None:
+    """`tokenize` gives the reference's texts, and an error at each token,
+    the end of the text included, is placed where the reference puts it."""
+    ref = _tokenize_per_match(text)
+    assert tokenize(text) == [t for t, _line, _col in ref[:-1]]
+    for i, (_t, line, col) in enumerate(ref):
+        with pytest.raises(ParseError) as err:
+            _fail(text, i, "m", "s.p")
+        assert str(err.value) == f"s.p:{line}:{col}: m"
 
 
 CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -161,14 +190,13 @@ CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
     "fof(a, conjecture, ![X, Y]: ((p(X) & $true) <=> ~ (X != Y))).",
 ])
 def test_tokenize_matches_per_match_reference(text):
-    assert [tuple(t) for t in tokenize(text)] == _tokenize_per_match(text)
+    _assert_tokens_are_the_reference(text)
 
 
 def test_tokenize_matches_reference_on_corpus_files():
     for fn in sorted(os.listdir(CORPUS)):
         with open(os.path.join(CORPUS, fn), encoding="utf-8") as fh:
-            text = fh.read()
-        assert [tuple(t) for t in tokenize(text)] == _tokenize_per_match(text)
+            _assert_tokens_are_the_reference(fh.read())
 
 
 @pytest.mark.parametrize("text, where", [
@@ -179,14 +207,78 @@ def test_tokenize_matches_reference_on_corpus_files():
     ("#", (1, 1)),
     ("fof('two\nlines', axiom, p('x\ny', c)).\nfof(b, axiom, q(c)).", (1, 5)),
     ("fof(a, axiom, p('x\r\ny')).", (1, 17)),
+    # a lone quote or dollar reads as no name, path or defined constant
+    ("fof(a, axiom, p(')).", (1, 17)),
+    ("fof(', axiom, p).", (1, 5)),
+    ("include(').", (1, 9)),
+    ("fof(a, axiom, $).", (1, 15)),
 ])
 def test_tokenize_error_location_matches_reference(text, where):
     with pytest.raises(ParseError) as ref:
-        _tokenize_per_match(text, "s.p")
+        _tokenize_per_match(text)
     with pytest.raises(ParseError) as got:
-        tokenize(text, "s.p")
-    assert (got.value.line, got.value.col) == (ref.value.line, ref.value.col) == where
+        tokenize(text)
+    line, col = where
     assert str(got.value) == str(ref.value)
+    assert str(got.value).startswith(f"<input>:{line}:{col}: unexpected character ")
+    # the parser refuses the character at the same place, whatever precedes it
+    with pytest.raises(ParseError) as parsed:
+        parse_problem(text, source="s.p")
+    assert str(parsed.value) == "s.p" + str(ref.value)[len("<input>"):]
+
+
+# pieces of random texts: tokens, blanks and comments, characters that
+# start no token, and whole statements; pieces written next to each other
+# may fuse into one token
+_PIECES = st.sampled_from([
+    "fof(", "fof", "(", ")", ",", ".", "axiom", "conjecture", "p", "q(c)",
+    "f(X)", "X", "Y", "c", "12", "&", "|", "=>", "<=>", "<~>", "~", "!", "?",
+    "[", "]", ":", "=", "!=", "$true", "$false", "'a b'", "'x.y'", "'",
+    "'q\\'s'", "%", "% c.'\n", "\r\n", "\n", " ", "  ", "\t", "#", "$", "<",
+    "\u00b2", "-",
+])
+_STATEMENTS = st.sampled_from([
+    "fof(a, axiom, p(c)).", "fof(g, conjecture, ![X]: (p(X) => q(X))).\n",
+    "fof('h.1', axiom, c != 'd e' % c.'\n).\r\n", "fof(b, axiom, ~ q(Y)). ",
+    "fof(d, axiom, p(c) & $true | q(c)).", "\n% a comment\n",
+    "fof(e, axiom, p(')).\n", "include(').\n",
+])
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.lists(st.one_of(_PIECES, _STATEMENTS), max_size=16))
+def test_random_texts_read_as_the_reference_reads_them(pieces):
+    """Each text gives the reference's tokens or its error; the problem it
+    parses to, or the error it raises at a token, is the one its tokens
+    give laid out one space apart, the error placed at the same token."""
+    text = "".join(pieces)
+    try:
+        ref = _tokenize_per_match(text)
+    except ParseError as exc:
+        for read in (tokenize, lambda t: parse_problem(t, source="<input>")):
+            with pytest.raises(ParseError) as err:
+                read(text)
+            assert str(err.value) == str(exc)
+        return
+    tokens = [t for t, _line, _col in ref[:-1]]
+    assert tokenize(text) == tokens
+    spaced = " ".join(tokens)
+    # where each token of `spaced`, and its end, stands: line 1, `cols`
+    cols = list(itertools.accumulate([len(t) + 1 for t in tokens], initial=1))
+    cols[-1] = len(spaced) + 1
+    moved = {f"s.p:1:{c}:": f"s.p:{line}:{col}:"
+             for c, (_t, line, col) in zip(cols, ref)}
+    outcomes = []
+    for source in (text, spaced):
+        try:
+            outcomes.append(parse_problem(source, source="s.p"))
+        except ProblemError as exc:
+            outcomes.append((type(exc), str(exc)))
+    got, want = outcomes
+    if isinstance(want, tuple) and want[0] is ParseError:
+        where, message = want[1].split(" ", 1)
+        want = (ParseError, f"{moved[where]} {message}")
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +370,7 @@ ERROR_IDS = ["syntax", "lexical-after-syntax", "unterminated-quote", "no-final-d
 def test_parse_errors_are_the_whole_text_errors(text, message, line, col):
     with pytest.raises(ParseError) as err:
         parse_problem(text, source="s.p")
-    assert (str(err.value), err.value.line, err.value.col) == (
-        f"s.p:{line}:{col}: {message}", line, col)
+    assert str(err.value) == f"s.p:{line}:{col}: {message}"
 
 
 @pytest.mark.parametrize("text, message, line, col", ERRORS, ids=ERROR_IDS)
@@ -291,8 +382,7 @@ def test_parse_errors_in_a_warm_batch_are_the_whole_text_errors(
     with pytest.raises(ParseError) as err:
         parse_problem_dir(str(tmp_path))
     path = str(tmp_path / "p2.p")
-    assert (str(err.value), err.value.line, err.value.col) == (
-        f"{path}:{line}:{col}: {message}", line, col)
+    assert str(err.value) == f"{path}:{line}:{col}: {message}"
 
 
 def test_a_function_named_eq_still_parses():
@@ -324,8 +414,7 @@ def test_a_too_deep_statement_is_a_located_parse_error(formula):
     with pytest.raises(ParseError) as err:
         parse_problem(f"fof(a, axiom, p(c)).\n  fof(deep, axiom, {formula}).\n",
                       source="s.p")
-    assert (err.value.line, err.value.col) == (2, 3)
-    assert "nested too deeply" in str(err.value)
+    assert str(err.value).startswith("s.p:2:3: statement nested too deeply")
 
 
 @pytest.mark.parametrize("shape", NESTING_SHAPES)
@@ -335,8 +424,8 @@ def test_the_nesting_cap_admits_its_depth_and_refuses_one_more(shape):
     with pytest.raises(ParseError) as err:
         parse_problem(f"fof(a, axiom, p(c)).\n  fof(deep, axiom, "
                       f"{nested_formula(shape, MAX_DEPTH + 1)}).\n")
-    assert (err.value.line, err.value.col) == (2, 3)
-    assert f"nested too deeply (more than {MAX_DEPTH} levels)" in str(err.value)
+    assert str(err.value) == (f"<string>:2:3: statement nested too deeply "
+                              f"(more than {MAX_DEPTH} levels)")
 
 
 def test_a_chain_is_one_node_and_one_level_however_wide():
@@ -372,3 +461,13 @@ def test_an_equation_is_the_atom_named_equals_wherever_it_is_made():
     # the proof reader, like the problem reader, refuses the prefix form
     with pytest.raises(ParseError, match="written infix"):
         proof_from_text("start g_0\next eq_refl 0 | ~ '='(a, b) | -\n")
+
+
+@pytest.mark.parametrize("name", ["²", "٣", "１", "1²", "12", "0"])
+def test_a_name_is_printed_bare_only_when_it_reads_back(name):
+    # `str.isdigit` holds for the superscript two, the Arabic-Indic three
+    # and the fullwidth one, which the tokenizer does not read as a name
+    assert read_names(print_name(name)) == [name]
+    f = Atom("p", (App(name, ()),))
+    assert parse_formula(print_formula(f)) == f
+    assert print_name(name) == (name if name.isascii() else f"'{name}'")
