@@ -64,14 +64,11 @@ def semantic_features(f, store: ModelStore, indices=None) -> FeatureVector:
 
 
 def combine(*vectors: FeatureVector) -> FeatureVector:
+    """The sum of `vectors`, keys in order of first appearance."""
     out: FeatureVector = {}
     for v in vectors:
         for fid, w in v.items():
-            nw = out.get(fid, 0.0) + w
-            if nw == 0.0:
-                out.pop(fid, None)
-            else:
-                out[fid] = nw
+            out[fid] = out.get(fid, 0.0) + w
     return out
 
 

@@ -9,14 +9,16 @@ Four experiment shapes over generated corpora:
              proof-shortening section.
   challenge  a batch of standalone problems under one shared budget;
              axioms are ranked per problem and proofs found early train
-             the learner for later problems in the same batch.
-  traintest  learner trained on a declared train split only, test split
-             evaluated with no further training.
+             the run's learner for later problems in the same batch.
+  traintest  the run's learner trained on a declared train split only,
+             test split evaluated with no further training.
 
 Every mode runs its attempts through `loop.attempt`, and all but reprove
-schedule them with `loop.walk_ladder`; a mode supplies only its ranking
-policy, and builds its clause sets through one `loop.clause_set_builder`
-per run, whose clausal forms a library run's two configurations share.
+schedule them with `loop.walk_ladder` over one `loop.LoopState` per
+configuration, which also holds its learner; a mode supplies only its
+ranking policy, and builds its clause sets through one
+`loop.clause_set_builder` per run, whose clausal forms a library run's
+two configurations share.
 Results are append-only JSON lines in one schema (`loop.Attempt`), one
 results.jsonl per run directory, which names the proofs and
 countermodels stored beside it; a library run keeps one such directory
@@ -35,16 +37,19 @@ from functools import cache
 from itertools import repeat
 
 from .checker import check_proof
-# bound for perfbench/layers.py to wrap; runs build through `loop`
+# `clausal_problem` and the two feature functions are bound for
+# perfbench/layers.py to wrap; runs build and featurize through `loop`
 from .clausify import clausal_problem  # noqa: F401
 from .corpus import load_corpus, load_split
-from .features import combine, structural_features, symbol_features
+from .features import structural_features, symbol_features  # noqa: F401
 from .fol import ProblemError
-from .learner import BayesModel, rank_premises, train_incremental
+from .learner import rank_premises, train_incremental
+# challenge calls `item_features` through `loop`, where perfbench wraps it
+from . import loop as loop_mod
 from .loop import (
-    Attempt, LoopConfig, LoopInvariantError, attempt, clause_set_builder,
-    conjecture_of, fixpoint_report, item_features, prove_checked, run_loop,
-    tally, walk_ladder, write_run_dir,
+    Attempt, LoopConfig, LoopInvariantError, LoopState, attempt,
+    clause_set_builder, conjecture_of, fixpoint_report, prove_checked,
+    refresh_features, retrain, run_loop, tally, walk_ladder, write_run_dir,
 )
 from .models import evaluate, model_from_text, model_to_text
 from .parser import (
@@ -258,10 +263,10 @@ def run_library(spec: ExperimentSpec) -> dict:
 def run_challenge(spec: ExperimentSpec) -> dict:
     """Shared-budget batch; early solutions train selection for later ones.
 
-    Problems are standalone files; the learner ranks each problem's own
-    axioms by the conjecture's features, labels being axiom names, which
-    near-duplicate batches share.  Without learning, or before the first
-    proof, axioms keep file order.
+    Problems are standalone files; the run's learner ranks each problem's
+    own axioms by the conjecture's features, labels being axiom names,
+    which near-duplicate batches share.  Without learning, or before the
+    first proof, axioms keep file order.
     """
     out = _out_dir(spec)
     problems = parse_problem_dir(spec.problems)
@@ -270,35 +275,29 @@ def run_challenge(spec: ExperimentSpec) -> dict:
 
     cfg = spec.loop
     name = "learning" if cfg.learning else "fixed-order"
-    model = BayesModel()
-    features: dict = {}      # pid -> conjecture features, from its first attempt
+    state = LoopState()
 
     def select(pid, problem, k) -> tuple:
-        if pid not in features:
-            conj = problem.conjecture.formula
-            features[pid] = combine(symbol_features(conj),
-                                    structural_features(conj))
+        if pid not in state.features:   # the conjecture's, at its first attempt
+            state.features[pid] = loop_mod.item_features(problem.conjecture)
         names = [af.name for af in problem.formulas if af.role != "conjecture"]
-        if cfg.learning and model.total_examples > 0:
-            names = [n for n, _s in rank_premises(model, features[pid], names)]
+        if state.model.total_examples > 0:
+            names = [n for n, _s in rank_premises(state.model,
+                                                  state.features[pid], names)]
         return tuple(sorted(names[:k]))
 
     def learn(pid, record) -> None:
-        if cfg.learning:
-            train_incremental(model, features[pid], record.premises_used)
+        train_incremental(state.model, state.features[pid], record.premises_used)
 
-    records: list = []
     with _RecordWriter(out, asdict(spec)) as writer:
-        spent, _ran_out = walk_ladder(
-            problems, cfg, select,
-            clause_set_builder("challenge", dict(problems).__getitem__),
-            records, {}, name=name,
-            budget_left=cfg.total_inference_budget, writer=writer,
-            keep_model=_keep_every, on_proved=learn)
-    budget_left = cfg.total_inference_budget
+        walk_ladder(problems, cfg, select,
+                    clause_set_builder("challenge", dict(problems).__getitem__),
+                    state, name=name, writer=writer, keep_model=_keep_every,
+                    on_proved=learn if cfg.learning else None)
+    total = cfg.total_inference_budget
     return _finish(out, _one_config(
-        "challenge", name, records,
-        budget_left=None if budget_left is None else budget_left - spent))
+        "challenge", name, state.attempts,
+        budget_left=None if total is None else total - state.inferences_used))
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +307,9 @@ def run_challenge(spec: ExperimentSpec) -> dict:
 def run_traintest(spec: ExperimentSpec) -> dict:
     """Train on the declared train split only, then evaluate the test split.
 
-    The frozen model ranks each test item's eligible non-test premises
-    once, under the shared inference budget when one is set.
+    The run's learner, trained once on the train split's reference
+    premises, ranks each test item's eligible non-test premises once,
+    under the shared inference budget when one is set.
     """
     out = _out_dir(spec)
     corpus = load_corpus(spec.corpus)
@@ -317,25 +317,22 @@ def run_traintest(spec: ExperimentSpec) -> dict:
     train_set, test_set = set(train_names), set(test_names)
     cfg = spec.loop
 
-    model = BayesModel()
-    feature_cache = {item.name: item_features(item) for item in corpus.items}
-    # training phase: declared reference proofs of the train split
-    for _i, item in corpus.theorems():
-        if item.name in train_set:
-            train_incremental(model, feature_cache[item.name],
-                              item.reference_premises)
-    trained_examples = model.total_examples
+    state = LoopState()
+    refresh_features(state, corpus, cfg)
+    retrain(state, ((item.name, item.reference_premises)
+                    for _i, item in corpus.theorems() if item.name in train_set))
+    trained_examples = state.model.total_examples
     ranking: dict = {}
 
     def select(name, entry, k) -> tuple:
         if name not in ranking:
-            if model.total_examples != trained_examples:
+            if state.model.total_examples != trained_examples:
                 raise LoopInvariantError("test evaluation must not train")
             names = [p.name for p in corpus.eligible(entry[0])
                      if p.name not in test_set]
-            if model.total_examples > 0:
+            if state.model.total_examples > 0:
                 names = [n for n, _s in rank_premises(
-                    model, feature_cache[name], names)]
+                    state.model, state.features[name], names)]
             else:
                 names.reverse()
             ranking[name] = names
@@ -343,13 +340,11 @@ def run_traintest(spec: ExperimentSpec) -> dict:
 
     entries = [(item.name, (i, item)) for i, item in corpus.theorems()
                if item.name in test_set]
-    records: list = []
     with _RecordWriter(out, asdict(spec)) as writer:
         walk_ladder(entries, cfg, select,
-                    clause_set_builder("traintest", corpus), records, {},
-                    name="traintest",
-                    budget_left=cfg.total_inference_budget, writer=writer)
-    return _finish(out, _one_config("traintest", "traintest", records,
+                    clause_set_builder("traintest", corpus), state,
+                    name="traintest", writer=writer)
+    return _finish(out, _one_config("traintest", "traintest", state.attempts,
                                     train_size=len(train_names),
                                     test_size=len(test_names)))
 

@@ -7,7 +7,9 @@ countermodel and yields one `Attempt` record; a proved item's record is
 also its entry in the run's solved map.  `walk_ladder` schedules
 attempts breadth-first over the axiom-count ladder: every pending item
 is tried at the smallest rung before anything escalates, which is how a
-shared budget is spread in a batch setting.  Which formulas go into a
+shared budget is spread in a batch setting.  It reads and writes the
+run's one `LoopState`, where every ladder mode also keeps its feature
+vectors and premise learner.  Which formulas go into a
 clause set, in which order, is one rule per mode, written once in
 `clause_set_builder`, which also owns the clausal forms it makes; every
 run, `verify`, `speedup` and the generator's self-check build through
@@ -181,15 +183,12 @@ def refresh_features(state: LoopState, corpus: Corpus,
     return state.features
 
 
-def retrain(state: LoopState, theorems) -> None:
-    """A fresh learner trained on every stored proof, theorems in corpus
-    order."""
+def retrain(state: LoopState, examples) -> None:
+    """A fresh learner trained on each (item name, premises used) example,
+    in the order given."""
     model = BayesModel()
-    for _i, item in theorems:
-        solved = state.solved.get(item.name)
-        if solved is not None:
-            train_incremental(model, state.features[item.name],
-                              solved.premises_used)
+    for name, used in examples:
+        train_incremental(model, state.features[name], used)
     state.model = model
 
 
@@ -342,42 +341,44 @@ def attempt(record: Attempt, cs: ClauseSet | None = None,
     return res
 
 
-def walk_ladder(entries, config: LoopConfig, select, build, records: list,
-                solved: dict, *, name: str, iteration: int = 1,
-                budget_left: int | None = None, writer=None, keep_model=None,
-                guide_model: BayesModel | None = None, on_proved=None) -> tuple:
-    """Attempt every entry not yet in `solved`, breadth-first over the
-    axiom-count ladder: each at the smallest rung before any escalates.
+def walk_ladder(entries, config: LoopConfig, select, build, state: LoopState,
+                *, name: str, writer=None, keep_model=None,
+                on_proved=None) -> bool:
+    """Attempt every entry not yet in `state.solved`, breadth-first over
+    the axiom-count ladder: each at the smallest rung before any
+    escalates.
 
     `entries` are (name, entry) pairs in attempt order.  The caller's
     policy is `select(name, entry, k)`, the premise names given at rung
     k, called once per attempt; `build(name, chosen)`, from
-    `clause_set_builder`, makes the clause set to prove.  Records under
-    config `name` are appended to `records`; a proved entry joins
-    `solved` as its proving record, and `on_proved(name, record)` learns
-    from it.  With
-    `guide_model`, an advisor consults it during each search, and the
-    advised choice points of each checked proof train it.  Stops when the
-    shared `budget_left` runs out; returns (inferences spent, whether it
-    ran out).
+    `clause_set_builder`, makes the clause set to prove.  Each record,
+    under config `name` and iteration `state.iterations_run + 1`, joins
+    `state.attempts` and its inferences `state.inferences_used`; a proved
+    entry joins `state.solved` as its proving record, and
+    `on_proved(name, record)` learns from it.  With `config.guidance`, an
+    advisor consults `state.guide_model` during each search, and the
+    advised choice points of each checked proof train it.  Returns
+    whether the shared `config.total_inference_budget` ran out.
     """
-    spent = 0
+    iteration = state.iterations_run + 1
+    total = config.total_inference_budget
     for rung_idx, k in enumerate(config.axiom_ladder):
         budget = config.attempt_budgets[min(rung_idx,
                                             len(config.attempt_budgets) - 1)]
         for key, entry in entries:
-            if key in solved:
+            if key in state.solved:
                 continue
             limit = budget
-            if budget_left is not None:
-                if budget_left - spent <= 0:
-                    return spent, True
-                limit = min(budget, budget_left - spent)
+            if total is not None:
+                left = total - state.inferences_used
+                if left <= 0:
+                    return True
+                limit = min(budget, left)
             chosen = select(key, entry, k)
             cs = build(key, chosen)
             advisor = None
-            if guide_model is not None:
-                advisor = Advisor(guide_model, cs.clauses)
+            if config.guidance:
+                advisor = Advisor(state.guide_model, cs.clauses)
             record = Attempt(name, iteration, key, k, limit, chosen)
             res = attempt(record, cs,
                           Limits(inference_budget=limit,
@@ -385,14 +386,14 @@ def walk_ladder(entries, config: LoopConfig, select, build, records: list,
                           model_max_domain=config.model_max_domain,
                           advisor=advisor, writer=writer, keep_model=keep_model)
             if advisor is not None:
-                advisor.flush_to(guide_model)
-            spent += record.inferences
-            records.append(record)
+                advisor.flush_to(state.guide_model)
+            state.inferences_used += record.inferences
+            state.attempts.append(record)
             if res.status == PROVED:
-                solved[key] = record
+                state.solved[key] = record
                 if on_proved is not None:
                     on_proved(key, record)
-    return spent, False
+    return False
 
 
 def run_loop(corpus: Corpus, config: LoopConfig, writer=None,
@@ -401,19 +402,17 @@ def run_loop(corpus: Corpus, config: LoopConfig, writer=None,
     clause sets come from `build`, the run's library builder."""
     state = LoopState()
     build = build or clause_set_builder("library", corpus)
-    theorems = corpus.theorems()
-    entries = [(item.name, (i, item)) for i, item in theorems]
+    entries = [(item.name, (i, item)) for i, item in corpus.theorems()]
 
     def keep_model(model, record) -> bool:
         model.provenance = f"{record.item}@it{record.iteration}k{record.rung}"
         return state.store.add(model) is not None
 
     while state.iterations_run < config.max_iterations:
-        iteration = state.iterations_run + 1
-
         # (1) retrain the relevance learner on all stored proofs
         refresh_features(state, corpus, config)
-        retrain(state, theorems)
+        retrain(state, [(key, state.solved[key].premises_used)
+                        for key, _entry in entries if key in state.solved])
         # the learner and the features stay fixed until the next iteration
         # (no on_proved), so each theorem is ranked once, to the top rung
         rankings: dict = {}
@@ -426,16 +425,9 @@ def run_loop(corpus: Corpus, config: LoopConfig, writer=None,
 
         # (2) walk the ladder with what was learned
         solved_before = len(state.solved)
-        budget_left = None
-        if config.total_inference_budget is not None:
-            budget_left = config.total_inference_budget - state.inferences_used
-        spent, budget_out = walk_ladder(
-            entries, config, select, build, state.attempts, state.solved,
-            name=name, iteration=iteration, budget_left=budget_left,
-            writer=writer, keep_model=keep_model,
-            guide_model=state.guide_model if config.guidance else None)
-        state.inferences_used += spent
-        state.iterations_run = iteration
+        budget_out = walk_ladder(entries, config, select, build, state,
+                                 name=name, writer=writer, keep_model=keep_model)
+        state.iterations_run += 1
         if budget_out:
             state.stopped_because = "budget exhausted"
             break

@@ -385,34 +385,65 @@ def model_to_text(m: FiniteModel) -> str:
 
 
 def model_from_text(text: str) -> FiniteModel:
-    size = 0
+    """The model of a `model_to_text` text.  A text is refused with
+    `ValueError` unless it has exactly one `domain n` line with n >= 1,
+    every table argument and function value is an ASCII-decimal element
+    below n, every predicate value is `true` or `false`, no table cell is
+    written twice and no line is of another kind."""
+    sizes: list = []
+    cells: list = []
     provenance = ""
-    funcs: dict = {}
-    preds: dict = {}
     for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
         kind, _, rest = line.partition(" ")
         if kind == "domain":
-            size = int(rest)
+            sizes.append(rest)
         elif kind == "provenance":
             provenance = rest
+        elif kind in ("fun", "pred"):
+            cells.append((kind, rest))
         else:
-            sym, args, val = _read_cell(rest)
-            if kind == "fun":
-                funcs.setdefault(sym, {})[args] = int(val)
-            else:
-                preds.setdefault(sym, {})[args] = (val == "true")
+            raise ValueError(f"unknown model line {line!r}")
+    if len(sizes) != 1 or not _decimal(sizes[0]) or int(sizes[0]) < 1:
+        raise ValueError("a model has one `domain n` line, n >= 1")
+    size = int(sizes[0])
+    funcs: dict = {}
+    preds: dict = {}
+    for kind, rest in cells:
+        sym, args, val = _read_cell(rest)
+        args = tuple(_element(a, size) for a in args)
+        table = (funcs if kind == "fun" else preds).setdefault(sym, {})
+        if args in table:
+            raise ValueError(f"a second table line {rest!r}")
+        if kind == "fun":
+            table[args] = _element(val, size)
+        elif val in ("true", "false"):
+            table[args] = val == "true"
+        else:
+            raise ValueError(f"predicate value {val!r} is not true or false")
     return FiniteModel(size, funcs, preds, provenance)
 
 
+def _decimal(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
+def _element(text: str, size: int) -> int:
+    """The element of a domain of `size` that `text` writes in decimal."""
+    if not (_decimal(text) and int(text) < size):
+        raise ValueError(f"{text!r} is not an element of a domain of {size}")
+    return int(text)
+
+
 def _read_cell(text: str) -> tuple:
-    """(symbol, arguments, value) of a table line's `sym(a,...) = value`."""
+    """(symbol, argument texts, value text) of a table line's
+    `sym(a,...) = value`."""
     texts = tokenize(text)
     close = texts.index(")")
     args = texts[2:close:2]
     if (texts[1] != "(" or texts[3:close:2] != [","] * (len(args) - 1)
             or texts[close + 1:-1] != ["="]):
         raise ValueError(f"malformed table line {text!r}")
-    return normalize_name(texts[0]), tuple(int(a) for a in args), texts[-1]
+    return normalize_name(texts[0]), tuple(args), texts[-1]

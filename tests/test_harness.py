@@ -279,9 +279,9 @@ def test_challenge_reads_search_limits_from_loop(neardup, tmp_path):
 
 def test_challenge_features_computed_once_per_problem(neardup, tmp_path, monkeypatch):
     calls = []
-    original = harness.symbol_features
-    monkeypatch.setattr(harness, "symbol_features",
-                        lambda f: calls.append(f) or original(f))
+    original = loop.item_features
+    monkeypatch.setattr(loop, "item_features",
+                        lambda item: calls.append(item) or original(item))
     spec = ExperimentSpec(mode="challenge", problems=neardup,
                           out_dir=str(tmp_path / "once"),
                           loop=LoopConfig(axiom_ladder=(4, 8, 16),
@@ -454,6 +454,23 @@ def test_verify_names_a_garbled_record(challenge_run, tmp_path, stream_name):
     assert name == f"{stream}#{keys[0]}"
     assert why.startswith("malformed record: ")
     assert outcome["failed"] == 1
+
+
+@pytest.mark.parametrize("damage", ["no domain line", "a predicate value yes"])
+def test_verify_names_a_model_the_reader_refuses(challenge_run, tmp_path, damage):
+    out, stream, records, _keys = _damaged_copy(challenge_run, tmp_path,
+                                                "models.txt")
+    lines = records[0]
+    if damage == "no domain line":
+        lines.remove("domain 1")
+    else:
+        i = next(i for i, line in enumerate(lines) if line.startswith("pred "))
+        lines[i] = lines[i].rsplit(" = ", 1)[0] + " = yes"
+    write_stream(stream, records)
+    outcome = verify_run(str(out))
+    [(name, why)] = outcome["failures"]
+    assert name == f"{stream}#0"
+    assert why.startswith("malformed record: ")
 
 
 @pytest.mark.parametrize("stream_name", ["proofs.txt", "models.txt"])

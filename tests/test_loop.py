@@ -11,8 +11,8 @@ from proofbench import fol, learner, loop
 from proofbench.harness import ExperimentSpec, run_challenge, run_library
 from proofbench.learner import rank_premises
 from proofbench.loop import (
-    Attempt, LoopConfig, LoopState, clause_set_builder, fixpoint_report,
-    rank_eligible, refresh_features, retrain, run_loop,
+    LoopConfig, LoopState, clause_set_builder, fixpoint_report, rank_eligible,
+    refresh_features, retrain, run_loop,
 )
 from proofbench.models import FiniteModel
 from proofbench.prover import PROVED
@@ -405,14 +405,12 @@ def test_recency_ranking_is_latest_first():
 
 def _learned_state(corpus, used: dict) -> LoopState:
     """A state whose learner is trained on proofs of the theorems in
-    `used` from the premises listed there."""
+    `used` from the premises listed there, theorems in corpus order, as
+    the library loop trains it."""
     state = LoopState()
     refresh_features(state, corpus, LoopConfig())
-    for name, premises in used.items():
-        state.solved[name] = Attempt("learning", 1, name, len(premises), 1,
-                                     tuple(premises), PROVED,
-                                     premises_used=tuple(premises))
-    retrain(state, corpus.theorems())
+    retrain(state, [(item.name, tuple(used[item.name]))
+                    for _i, item in corpus.theorems() if item.name in used])
     assert state.model.total_examples == len(used)
     return state
 

@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 import random
 
 import pytest
@@ -249,6 +251,39 @@ def test_model_dump_roundtrip():
     assert back.size == m.size
     assert back.funcs == m.funcs
     assert back.preds == m.preds
+
+
+def test_every_golden_model_reads_back_as_written():
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "golden", "models.json"), encoding="utf-8") as fh:
+        texts = [t for t in json.load(fh).values()
+                 if t and not t.startswith("ResourceError")]
+    assert len(texts) > 100
+    for text in texts:
+        assert model_to_text(model_from_text(text)) == text
+
+
+WRITTEN_MODEL = ("domain 2\nprovenance x\nfun c() = 1\nfun f(1) = 0\n"
+                 "pred p(0) = true\npred r() = false\n")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("domain 2\n", ""),                    # once read as a domain of size 0
+    ("domain 2\n", "domain 2\ndomain 3\n"),
+    ("domain 2", "domain 0"),
+    ("domain 2", "domain \uff12"),          # a fullwidth 2
+    ("fun f(1)", "fun f(1_0)"),             # once read as f(10)
+    ("fun f(1)", "fun f(2)"),
+    ("fun c() = 1", "fun c() = 2"),
+    ("p(0) = true", "p(0) = yes"),          # once read as false
+    ("p(0) = true", "p(0) = True"),
+    ("pred r()", "prd r()"),                # once read as a predicate
+    ("fun c() = 1\n", "fun c() = 1\nfun c() = 0\n"),  # once the last won
+])
+def test_a_malformed_model_text_is_refused(old, new):
+    assert model_to_text(model_from_text(WRITTEN_MODEL)) == WRITTEN_MODEL
+    with pytest.raises(ValueError):
+        model_from_text(WRITTEN_MODEL.replace(old, new, 1))
 
 
 def test_wide_clause_set_finds_its_model_without_recursion():

@@ -10,7 +10,11 @@ library of a few hundred items, per configuration: the sha256 of the
 final feature table, extended to the final model store and written as
 `helpers.feature_table_text` writes it (the key `features.cache`), and
 of `learner/final.json`, and every attempt's `(iteration, item, rung,
-premises_given)`.
+premises_given)`.  It holds as well every attempt's `(config,
+iteration, item, rung, premises_given, status, inferences)` of a
+challenge batch, learning and fixed order, and of a traintest run on
+`corpora/mixed30` with its split: a learner that ranks one problem's
+axioms from the proofs of earlier ones, and one frozen on a train split.
 
 Re-record (only for a deliberate change of selection) with
 `PYTHONPATH=src python3 tests/test_selection_golden.py --record`.
@@ -23,11 +27,15 @@ import os
 import random
 import sys
 import tempfile
+from dataclasses import replace
 from unittest import mock
 
 from proofbench import harness
 from proofbench.corpus import write_manifest
-from proofbench.harness import ExperimentSpec, run_library
+from proofbench.generator import generate_corpus
+from proofbench.harness import (
+    ExperimentSpec, run_challenge, run_library, run_traintest,
+)
 from proofbench.loop import LoopConfig, refresh_features
 
 from helpers import feature_table_text
@@ -40,6 +48,14 @@ MIXED30 = os.path.join(HERE, os.pardir, "corpora", "mixed30")
 # selection run: small rungs prune needed premises, so models are stored
 PRUNING_CONFIG = LoopConfig(axiom_ladder=(1, 2, 4), max_depth=6)
 LIBRARY_CONFIG = LoopConfig(axiom_ladder=(4, 8, 16), attempt_budgets=(500,))
+# the first rung proves a problem only from its five needed axioms, so
+# only a learned ranking proves a neardup problem there; the shared
+# budget runs out in the fixed-order run's last rung
+CHALLENGE_CONFIG = LoopConfig(axiom_ladder=(6, 16), attempt_budgets=(2000,),
+                              total_inference_budget=900)
+# the shared budget runs out in the last rung
+TRAINTEST_CONFIG = LoopConfig(axiom_ladder=(1, 2, 4, 8), max_depth=6,
+                              total_inference_budget=25)
 
 
 def write_library(root: str) -> None:
@@ -96,6 +112,39 @@ def write_library(root: str) -> None:
     write_manifest(root, records)
 
 
+def write_challenge(root: str) -> None:
+    """A neardup batch of 20 problems led by two problems, `first_a` of
+    kind a and `first_b` of kind b, each listing first the five axioms
+    its proof needs.  File order proves these two at the first rung, and
+    no other problem.  Once the learner has `first_a`'s proof, it ranks
+    kind a's axioms first for every later problem, `first_b` included, so
+    learning proves every kind a problem at the first rung."""
+    generate_corpus("neardup", 20, root, verify=False)
+    with open(os.path.join(root, "prob_000.p"), encoding="utf-8") as fh:
+        rules = fh.read().splitlines()[:9]
+    for kind, route in (("a", 1), ("b", 2)):
+        c = f"cx_{kind}"
+        own = [rules[0 if kind == "a" else 1], rules[3 if kind == "a" else 4],
+               rules[5 + route],
+               f"fof(route_fact, axiom, route_{route}({c})).",
+               f"fof(flag_fact, axiom, flag_{kind}({c}))."]
+        lines = own + [r for r in rules if r not in own] + [
+            f"fof(goal_{kind}, conjecture, top({c}))."]
+        with open(os.path.join(root, f"first_{kind}.p"), "w",
+                  encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+
+def _attempts(out: str) -> dict:
+    """Every attempt's (config, iteration, item, rung, premises_given,
+    status, inferences) in the results.jsonl of run directory `out`."""
+    with open(os.path.join(out, "results.jsonl"), encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    return {"attempts": [[r["config"], r["iteration"], r["item"], r["rung"],
+                          r["premises_given"], r["status"], r["inferences"]]
+                         for r in records]}
+
+
 def _sha256(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -133,21 +182,36 @@ def results(root: str) -> dict:
     library = os.path.join(root, "library")
     os.makedirs(library)
     write_library(library)
+    problems = os.path.join(root, "neardup")
+    write_challenge(problems)
+    challenge = {}
+    for name, learning in (("learning", True), ("fixed-order", False)):
+        out = os.path.join(root, f"challenge-{name}")
+        run_challenge(ExperimentSpec(
+            mode="challenge", problems=problems, out_dir=out,
+            loop=replace(CHALLENGE_CONFIG, learning=learning)))
+        challenge[name] = _attempts(out)
+    traintest = os.path.join(root, "traintest-run")
+    run_traintest(ExperimentSpec(mode="traintest", corpus=MIXED30,
+                                 split=os.path.join(MIXED30, "split.txt"),
+                                 out_dir=traintest, loop=TRAINTEST_CONFIG))
     return {"mixed30": _selection(MIXED30, PRUNING_CONFIG,
                                   os.path.join(root, "mixed30-run")),
             "library": _selection(library, LIBRARY_CONFIG,
-                                  os.path.join(root, "library-run"))}
+                                  os.path.join(root, "library-run")),
+            "challenge": challenge,
+            "traintest": {"traintest": _attempts(traintest)}}
 
 
 def test_selection_matches_golden(tmp_path):
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)
     got = results(str(tmp_path))
-    for corpus in golden:
-        for config in golden[corpus]:
-            expected, actual = golden[corpus][config], got[corpus][config]
-            assert actual["attempts"] == expected["attempts"], (corpus, config)
-            assert actual == expected, (corpus, config)
+    for run in golden:
+        for config in golden[run]:
+            expected, actual = golden[run][config], got[run][config]
+            assert actual["attempts"] == expected["attempts"], (run, config)
+            assert actual == expected, (run, config)
     assert got == golden
 
 
