@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .fol import (
     And, App, Atom, Clause, Eq, Exists, FALSE, FalseF, Forall, Formula, Iff,
     Implies, Literal, Not, Or, Problem, QUANT, TRUE, TrueF, Var, alpha_normal,
-    free_vars_ordered, make_clause, subst_term, term_vars,
+    free_vars_ordered, make_clause, occurs_free, subst_term, term_vars,
 )
 from .parser import print_formula
 
@@ -92,9 +92,9 @@ def _scope(quant, v: str, body: Formula) -> Formula:
     occurs in; otherwise put over the operands up to the last one v occurs
     in.  Each operand is tested for v once."""
     if not isinstance(body, (And, Or)):
-        return quant(v, body) if v in free_vars_ordered(body) else body
+        return quant(v, body) if occurs_free(v, body) else body
     cls, parts = type(body), list(body.parts)
-    holding = [i for i, p in enumerate(parts) if v in free_vars_ordered(p)]
+    holding = [i for i, p in enumerate(parts) if occurs_free(v, p)]
     if len(holding) > 1 and cls is not (And if quant is Forall else Or):
         end = holding[-1] + 1
         return (quant(v, body) if end == len(parts)

@@ -191,6 +191,27 @@ def free_vars_ordered(f: Formula) -> list:
     return seen
 
 
+def occurs_free(name: str, f: Formula) -> bool:
+    """Whether the variable `name` occurs free in `f`: `name in
+    free_vars_ordered(f)`, answered at the first occurrence, with no list
+    built and no recursion."""
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, Var):
+            if g.name == name:
+                return True
+        elif isinstance(g, (App, Atom)):
+            todo.extend(g.args)
+        elif isinstance(g, Not):
+            todo.append(g.sub)
+        elif isinstance(g, BINARY):
+            todo.extend(g.parts)
+        elif isinstance(g, QUANT) and g.var != name:
+            todo.append(g.body)
+    return False
+
+
 def universal_closure(f: Formula) -> tuple:
     """Close free variables universally; returns (closed formula, names closed)."""
     names = free_vars_ordered(f)

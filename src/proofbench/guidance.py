@@ -7,8 +7,9 @@ candidates ranked by a naive-Bayes model over (branch symbols -> clause
 origin); over a model with no examples it answers None, and the search
 runs as without an advisor.  Querying a learner is orders of magnitude
 slower than a tableau extension step, so a throttle restricts
-consultation to shallow, branchy choice points, and advice is memoized
-per model snapshot.
+consultation to shallow, branchy choice points, advice is memoized per
+model snapshot, and scores come from the snapshot's score table
+(`learner.score_table`), as in FEMaLeCoP, which sums precomputed terms.
 
 Every value on the channel is plain: a consult's token is the branch's
 sorted (feature id, weight) pairs, and `advise` returns (clause id,
@@ -26,9 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .features import branch_features
-from .learner import BayesModel, score, train_incremental
+from .learner import BayesModel, score_table, train_incremental
 
 CONSULT_MAX_DEPTH = 3
 MIN_CANDIDATES = 3
@@ -43,11 +45,12 @@ def advise(model: BayesModel, query: tuple, candidates, origins: dict) -> list:
     """The (clause id, score) pairs of the candidates, best first, each
     scored by its origin label against `query`, the branch's sorted
     (feature id, weight) pairs; candidates with no evidence keep input
-    order (stable sorting)."""
-    feats = dict(query)
-    scored = [(cid, score(model, feats, origins.get(cid, cid)))
+    order (stable sorting).  Scores come from the score table of the
+    model's snapshot and equal `learner.score`'s."""
+    table = score_table(model)
+    scored = [(cid, table.score(query, origins.get(cid, cid)))
               for cid in candidates]
-    return sorted(scored, key=lambda pair: -pair[1])
+    return sorted(scored, key=itemgetter(1), reverse=True)  # ties keep input order
 
 
 class Advisor:
@@ -71,7 +74,9 @@ class Advisor:
 
     def consult(self, symbols, depth, candidate_ids):
         """`symbols` yields the symbol names of the branch, open goal
-        included; it is read only if the throttle lets the consult through."""
+        included; it is read only if the throttle lets the consult through.
+        The order returned is the advisor's cached tuple: the prover only
+        reads it."""
         if not throttle_policy(depth, len(candidate_ids)):
             return None, None
         # mid-search training would invalidate snapshot purity; the
@@ -85,9 +90,8 @@ class Advisor:
         order = self._cache.get(key)
         if order is None:
             ranking = advise(self.model, query, candidate_ids, self.origins)
-            order = [cid for cid, _s in ranking]
-            self._cache[key] = order
-        return list(order), query
+            order = self._cache[key] = tuple([cid for cid, _s in ranking])
+        return order, query
 
     def outcome(self, token, clause_id) -> None:
         """The returned proof took `clause_id` at the advised choice point

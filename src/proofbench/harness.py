@@ -278,7 +278,8 @@ def run_challenge(spec: ExperimentSpec) -> dict:
     state = LoopState()
 
     def select(pid, problem, k) -> tuple:
-        if pid not in state.features:   # the conjecture's, at its first attempt
+        # the conjecture's, at its first attempt; only a learner reads it
+        if cfg.learning and pid not in state.features:
             state.features[pid] = loop_mod.item_features(problem.conjecture)
         names = [af.name for af in problem.formulas if af.role != "conjecture"]
         if state.model.total_examples > 0:

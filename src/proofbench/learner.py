@@ -10,6 +10,9 @@ w as
 with additive smoothing s (default 0.05), summing only over query
 features seen in training; candidates never seen in training keep just
 the prior term.  Ties break by candidate input order.
+
+`score` is the reference; `score_table` gives the same scores from terms
+computed once per model snapshot.
 """
 from __future__ import annotations
 
@@ -27,10 +30,68 @@ class BayesModel:
     feature_totals: dict = field(default_factory=dict)    # fid -> weight
     total_examples: float = 0.0
     sigma: float = SIGMA_DEFAULT
+    # the score table of the current snapshot, built by `score_table`
+    table: ScoreTable | None = field(default=None, repr=False, compare=False)
 
     def snapshot_id(self) -> tuple:
         return (int(self.total_examples * 1000), len(self.label_count),
                 len(self.cooccurrence))
+
+
+class ScoreTable:
+    """`score` of one model snapshot as a table.  Per label, filled on its
+    first use: its prior and, per trained feature, its log term (for a
+    feature it never met, the term of a zero count).  `score` sums the
+    query's terms in the query's order with the reference's float
+    operations, so each score equals the reference's bit for bit.
+    Filling a label reads one co-occurrence count per trained feature,
+    never all of them, so a model that changes every attempt pays only
+    for the labels it is asked about."""
+
+    def __init__(self, model: BayesModel):
+        self.mark = model.snapshot_id()
+        self.model = model
+        self.labels: dict = {}      # name -> (prior, {feature id: term} or None)
+
+    def _fill(self, name: str) -> tuple:
+        model = self.model
+        s = model.sigma
+        label = model.label_count.get(name, 0.0)
+        prior = math.log((label + s) / (model.total_examples + s))
+        if label == 0.0:
+            return prior, None
+        denom = label + 2.0 * s
+        unmet = math.log(s / denom)
+        cooc = model.cooccurrence
+        terms = {}
+        for fid in model.feature_totals:
+            co = cooc.get((name, fid))
+            terms[fid] = unmet if co is None else math.log((co + s) / denom)
+        return prior, terms
+
+    def score(self, query, name: str) -> float:
+        """`score(model, dict(query), name)` for `query`, (feature id,
+        weight) pairs with distinct ids."""
+        entry = self.labels.get(name)
+        if entry is None:
+            entry = self.labels[name] = self._fill(name)
+        total, terms = entry
+        if terms is None:
+            return total
+        for fid, w in query:
+            term = terms.get(fid)
+            if term is not None:
+                total += w * term
+        return total
+
+
+def score_table(model: BayesModel) -> ScoreTable:
+    """The score table of the model's current snapshot, built on the first
+    call after a change."""
+    table = model.table
+    if table is None or table.mark != model.snapshot_id():
+        table = model.table = ScoreTable(model)
+    return table
 
 
 def train_incremental(model: BayesModel, features: dict, used_premises) -> BayesModel:

@@ -312,36 +312,49 @@ class _Lit:
 
     `key` is twice the number of its predicate plus its sign, and
     `complement` the opposite sign's, `key ^ 1`.  Only literals with equal
-    `key` can be identical.  `tops` holds `(argument index, symbol, arity)`
-    per argument that is not a variable.
+    `key` can be identical.  `args` are the literal's argument templates,
+    and `tops` holds `(argument index, symbol, arity)` per argument that
+    is not a variable.
     """
     __slots__ = ("positive", "atom", "key", "complement", "args", "tops")
+
+    def __init__(self, positive: bool, atom: Atom, key: int, args: tuple,
+                 tops: tuple):
+        self.positive = positive
+        self.atom = atom
+        self.key = key
+        self.complement = key ^ 1
+        self.args = args
+        self.tops = tops
 
 
 def _compile(clauses: list, starts: list) -> tuple:
     """Per input clause (its variable names in slot order, its `_Lit`s), or
     None for a clause no start clause reaches, and the extension index: for
     each `key`, the reached input literals with it in input order, as
-    `(step, literal index, clause id, clause variables, the literal, the
-    clause's literals, the complement key of the first other literal)`;
-    that literal becomes the agenda head, and a unit clause has -1.
+    `(clause index, literal index, clause id, clause variables, the
+    literal, the clause's literals, the complement key of the first other
+    literal)`; that literal becomes the agenda head, and a unit clause has
+    -1.  An entry holds no step: the search makes `("ext", clause index,
+    literal index)` only when the extension succeeds.
 
     A start clause is reached, and so is every clause with a literal whose
     key is the complement of a reached clause's literal.  A goal is a
     literal of a reached clause and reads only its complement's entries,
     so no other clause is ever read."""
-    preds: dict = {}
+    preds: dict = {}            # (predicate, arity) -> its negative key
     keys = []                   # per clause, its literals' keys
     holders: list = []          # per key, the clauses with a literal of it
     for ci, c in enumerate(clauses):
         ks = []
         for lit in c.literals:
-            pred = (lit.atom.pred, len(lit.atom.args))
-            p = preds.get(pred)
-            if p is None:
-                p = preds[pred] = len(preds)
+            pred = lit.atom.pred, len(lit.atom.args)
+            k = preds.get(pred)
+            if k is None:
+                k = preds[pred] = len(holders)
                 holders += [], []
-            k = 2 * p + lit.positive
+            if lit.positive:
+                k += 1
             ks.append(k)
             holders[k].append(ci)
         keys.append(ks)
@@ -362,22 +375,23 @@ def _compile(clauses: list, starts: list) -> tuple:
         slots: dict = {}
         lits = []
         for lit, k in zip(c.literals, keys[ci]):
-            t = _Lit()
-            t.positive = lit.positive
-            t.atom = lit.atom
-            t.key = k
-            t.complement = k ^ 1
-            t.args = tuple([slots.setdefault(a.name, len(slots)) if type(a) is Var
-                            else _template(a, slots) if a.args else a
-                            for a in lit.atom.args])
-            t.tops = tuple([(i, a.symbol, len(a.args))
-                            for i, a in enumerate(t.args) if type(a) is not int])
-            lits.append(t)
+            args = []
+            tops = []
+            for a in lit.atom.args:
+                if type(a) is Var:
+                    slot = slots.get(a.name)
+                    if slot is None:
+                        slot = slots[a.name] = len(slots)
+                    args.append(slot)
+                else:
+                    tops.append((len(args), a.symbol, len(a.args)))
+                    args.append(_template(a, slots) if a.args else a)
+            lits.append(_Lit(lit.positive, lit.atom, k, tuple(args), tuple(tops)))
         compiled.append((tuple(slots), lits))
+        cid, nvars = c.clause_id, len(slots)
         for li, t in enumerate(lits):
             head = lits[li == 0].complement if len(lits) > 1 else -1
-            index.setdefault(t.key, []).append(
-                (("ext", ci, li), li, c.clause_id, len(slots), t, lits, head))
+            index.setdefault(t.key, []).append((ci, li, cid, nvars, t, lits, head))
     return compiled, index
 
 
@@ -447,6 +461,7 @@ class _Search:
         if clauses and not self.starts:     # an empty set is satisfiable
             raise ProverError("malformed clause set: no start clauses")
         self.compiled, self.index = _compile(clauses, self.starts)
+        self.memo: dict = {}        # key -> (candidate ids, order -> entries)
         self.trail: list = []
         self.steps: list = []
         self.pool: list = []
@@ -463,22 +478,36 @@ class _Search:
             pool.append(_Cell(f"_{len(pool)}"))
         return pool
 
-    def candidates_for(self, goal, path) -> tuple:
-        exts = self.index.get(goal[0].complement, ())
+    def candidates_for(self, branch) -> tuple:
+        """The extension entries of the goal that ends `branch` in the
+        order to try them, and the consult's token.  Per complement key the
+        search keeps the candidate ids it offers and each advised order's
+        entries, so a consult that repeats one costs no sort."""
+        key = branch[-1][0].complement
+        exts = self.index.get(key, ())
         if self.advisor is None or len(exts) < 2:
             return exts, None
+        memo = self.memo.get(key)
+        if memo is None:
+            memo = self.memo[key] = (tuple(dict.fromkeys(e[2] for e in exts)), {})
+        candidate_ids, ordered = memo
         try:
             self.stats.consults += 1
             order, token = self.advisor.consult(
-                symbols=_symbols(path + (goal,)), depth=len(path),
-                candidate_ids=list(dict.fromkeys(e[2] for e in exts)))
+                symbols=_symbols(branch), depth=len(branch) - 1,
+                candidate_ids=candidate_ids)
         except Exception:
             self.stats.advisor_errors += 1
             return exts, None
         if order is None:
             return exts, token
-        rank = {cid: i for i, cid in enumerate(order)}
-        return sorted(exts, key=lambda e: (rank.get(e[2], len(rank)), e[1])), token
+        order = tuple(order)
+        ranked = ordered.get(order)
+        if ranked is None:
+            rank = {cid: i for i, cid in enumerate(order)}
+            ranked = ordered[order] = sorted(
+                exts, key=lambda e: (rank.get(e[2], len(rank)), e[1]))
+        return ranked, token
 
     def report_outcome(self, token, clause_id):
         try:
@@ -512,8 +541,8 @@ class _Search:
             if len(path) >= self.depth_limit:
                 self.cutoff = True
                 return _FAIL
-            cp.exts, cp.token = self.candidates_for(goal, path)
             cp.new_path = path + (goal,)
+            cp.exts, cp.token = self.candidates_for(cp.new_path)
             cp.new_keys = cp.keys | 1 << lit.key
             cp.next = 0
         exts, new_path, new_keys, base = cp.exts, cp.new_path, cp.new_keys, cp.base
@@ -522,7 +551,7 @@ class _Search:
         refute = self.cutoff and len(new_path) >= self.depth_limit
         pool = self.pool
         for i in range(cp.next, len(exts)):
-            step, _li, clause_id, nvars, t, lits, head = exts[i]
+            ci, li, clause_id, nvars, t, lits, head = exts[i]
             if stats.inferences >= budget:
                 raise _Budget
             stats.inferences += 1
@@ -541,7 +570,7 @@ class _Search:
                     _undo(trail, cp.mark)
                     break
             else:               # every new goal is regular
-                self.steps.append(step)
+                self.steps.append(("ext", ci, li))
                 cp.clause_id = clause_id
                 node = cp.rest
                 for g in reversed(goals):

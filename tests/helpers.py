@@ -501,9 +501,7 @@ def goals_of(lits) -> list:
     the search keeps its path and open goal."""
     goals = []
     for lit in lits:
-        compiled = _Lit()
-        compiled.atom = lit.atom
-        goals.append((compiled, lit.args))
+        goals.append((_Lit(lit.positive, lit.atom, 0, (), ()), lit.args))
     return goals
 
 

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -5,13 +6,13 @@ import pytest
 from proofbench.fol import (
     And, AnnotatedFormula, App, ArityError, Atom, DuplicateNameError, Eq,
     Exists, Forall, Implies, Literal, MultipleConjecturesError, Or, Var,
-    alpha_normal, free_vars_ordered, make_clause, make_problem, symbols_of,
-    universal_closure,
+    alpha_normal, free_vars_ordered, make_clause, make_problem, occurs_free,
+    symbols_of, universal_closure,
 )
 
 from helpers import (
-    alpha_equivalent, app, atom, complement, const, rename_bound_vars,
-    subst_formula,
+    alpha_equivalent, app, atom, complement, const, random_formula,
+    rename_bound_vars, subst_formula,
 )
 
 
@@ -61,6 +62,21 @@ def test_closure_idempotent():
 def test_free_vars_respect_scopes():
     f = And(Forall("X", atom("p", Var("X"))), atom("p", Var("X")))
     assert free_vars_ordered(f) == ["X"]
+
+
+def test_occurs_free_answers_what_the_free_variable_list_answers():
+    rng = random.Random(35)
+    seen = set()
+    for _ in range(2000):
+        f = random_formula(rng, ["X", "Y"], depth=rng.randint(0, 5))
+        free = free_vars_ordered(f)
+        for v in ("X", "Y", "Z", "W"):
+            assert occurs_free(v, f) == (v in free)
+            seen.add(v in free)
+    assert seen == {True, False}
+    # bound below a quantifier, free beside it
+    assert not occurs_free("X", Forall("X", atom("p", Var("X"))))
+    assert occurs_free("X", Or(Forall("X", atom("p", Var("X"))), atom("p", Var("X"))))
 
 
 def test_alpha_equivalence():

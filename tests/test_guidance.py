@@ -12,7 +12,7 @@ from proofbench.guidance import (
     CONSULT_MAX_DEPTH, MIN_CANDIDATES, Advisor, advise,
     measure_speedup, throttle_policy,
 )
-from proofbench.learner import BayesModel, train_incremental
+from proofbench.learner import BayesModel, score, train_incremental
 from proofbench.parser import parse_problem
 from proofbench.prover import (
     _Cell, _symbols, ExtensionStep, INFERENCE_LIMIT, Limits, PROVED, prove,
@@ -59,6 +59,51 @@ def test_advice_is_permutation():
     cands = ["x", "y", "z", "w"]
     ranking = advise(model, (("SYM:p", 1.0),), cands, {"x": "a"})
     assert sorted(cid for cid, _s in ranking) == sorted(cands)
+
+
+def _random_example(rng, fids, labels):
+    feats = {fid: rng.choice([1.0, 2.0, 3.0, rng.uniform(0.1, 5.0)])
+             for fid in rng.sample(fids, rng.randint(1, len(fids)))}
+    return feats, set(rng.sample(labels, rng.randint(1, 2)))
+
+
+def _reference_scores(model, query, candidates, origins):
+    return {cid: score(model, dict(query), origins.get(cid, cid))
+            for cid in candidates}
+
+
+def test_advise_scores_equal_the_reference_scores_exactly():
+    # labels ax0..ax3 are trained, ax4 never; features s6, s7 never; the
+    # clause ids differ from their origins, clause `ax0` has origin ax3,
+    # and `c9` has no origin, so its id is its label
+    rng = random.Random(35)
+    labels = [f"ax{i}" for i in range(5)]
+    fids = [f"SYM:s{i}" for i in range(8)]
+    origins = {**{f"c{i}": label for i, label in enumerate(labels)}, "ax0": "ax3"}
+    candidates = list(origins) + ["c9"]
+    unlabeled = untrained = 0
+    for _trial in range(300):
+        model = BayesModel(sigma=rng.choice([0.05, 0.3, 1.0]))
+        for _ in range(rng.randint(1, 10)):
+            train_incremental(model, *_random_example(rng, fids[:6], labels[:4]))
+        rng.shuffle(candidates)
+        for _query in range(3):
+            query = tuple(sorted({
+                fid: rng.choice([1.0, 2.0, rng.uniform(0.1, 5.0)])
+                for fid in rng.sample(fids, rng.randint(0, len(fids)))}.items()))
+            got = advise(model, query, candidates, origins)
+            want = _reference_scores(model, query, candidates, origins)
+            assert dict(got) == want
+            assert [cid for cid, _s in got] == sorted(
+                candidates, key=lambda cid: -want[cid])
+            unlabeled += any(model.label_count.get(origins.get(c, c), 0.0) == 0.0
+                             for c in candidates)
+            untrained += any(fid not in model.feature_totals for fid, _w in query)
+        # a table kept past its snapshot gives the old scores
+        train_incremental(model, *_random_example(rng, fids[:6], labels[:4]))
+        assert dict(advise(model, query, candidates, origins)) == \
+            _reference_scores(model, query, candidates, origins)
+    assert unlabeled and untrained
 
 
 def test_throttle_policy_examples():

@@ -293,6 +293,21 @@ def test_challenge_features_computed_once_per_problem(neardup, tmp_path, monkeyp
     assert len(calls) == 10
 
 
+def test_fixed_order_challenge_computes_no_features(neardup, tmp_path, monkeypatch):
+    calls = []
+    original = loop.item_features
+    monkeypatch.setattr(loop, "item_features",
+                        lambda item: calls.append(item) or original(item))
+    spec = ExperimentSpec(mode="challenge", problems=neardup,
+                          out_dir=str(tmp_path / "fixed"),
+                          loop=LoopConfig(axiom_ladder=(4, 8, 16),
+                                          attempt_budgets=(2000,), max_depth=8,
+                                          learning=False))
+    results = run_challenge(spec)
+    assert results["configs"][0]["proved"] > 0
+    assert calls == []
+
+
 def test_traintest_mode(mixed30, tmp_path):
     spec = ExperimentSpec(mode="traintest", corpus=mixed30,
                           split=os.path.join(mixed30, "split.txt"),

@@ -429,9 +429,7 @@ def test_unifier_agrees_with_an_always_checking_reference():
 
 
 def _goal(key, args):
-    lit = _Lit()
-    lit.key = key
-    return (lit, tuple(args))
+    return (_Lit(True, None, key, (), ()), tuple(args))
 
 
 def _brute_on_branch(goal, path):
