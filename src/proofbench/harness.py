@@ -13,10 +13,9 @@ Four experiment shapes over generated corpora:
   traintest  the run's learner trained on a declared train split only,
              test split evaluated with no further training.
 
-Every mode runs its attempts through `loop.attempt`, and all but reprove
-schedule them with `loop.walk_ladder` over one `loop.LoopState` per
-configuration, which also holds its learner; a mode supplies only its
-ranking policy, and builds its clause sets through one
+Every mode schedules its attempts with `loop.walk_ladder` over one
+`loop.LoopState` per configuration, which also holds its learner; a mode
+supplies only its premise policy, and builds its clause sets through one
 `loop.clause_set_builder` per run, whose clausal forms a library run's
 two configurations share.
 Results are append-only JSON lines in one schema (`loop.Attempt`), one
@@ -32,9 +31,9 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache
-from itertools import repeat
 
 from .checker import check_proof
 # `clausal_problem` and the two feature functions are bound for
@@ -47,9 +46,9 @@ from .learner import rank_premises, train_incremental
 # challenge calls `item_features` through `loop`, where perfbench wraps it
 from . import loop as loop_mod
 from .loop import (
-    Attempt, LoopConfig, LoopInvariantError, LoopState, attempt,
-    clause_set_builder, conjecture_of, fixpoint_report, prove_checked,
-    refresh_features, retrain, run_loop, tally, walk_ladder, write_run_dir,
+    Attempt, LoopConfig, LoopInvariantError, LoopState, clause_set_builder,
+    conjecture_of, fixpoint_report, refresh_features, retrain, run_loop,
+    tally, walk_ladder, write_run_dir,
 )
 from .models import evaluate, model_from_text, model_to_text
 from .parser import (
@@ -193,36 +192,28 @@ def _one_config(mode: str, name: str, records, **extra) -> dict:
 
 def run_reprove(spec: ExperimentSpec) -> dict:
     """One prover call per theorem with exactly its reference premises,
-    in their manifest order.
-
-    Clause sets are built here; with several workers only proving and
-    checking run in the pool.  Records and artifacts are written here, in
-    theorem order.
+    in their manifest order: one rung at `per_problem_budget`, with no
+    shared budget and no guidance.  With several workers, the attempts
+    are proved in a pool of at most one process per theorem.
     """
     out = _out_dir(spec)
     corpus = load_corpus(spec.corpus)
-    build = clause_set_builder("reprove", corpus)
-    limits = Limits(inference_budget=spec.per_problem_budget,
-                    max_depth=spec.loop.max_depth)
-    records = [Attempt("reprove", 1, item.name, len(item.reference_premises),
-                       spec.per_problem_budget, tuple(item.reference_premises))
-               for _i, item in corpus.theorems()]
-    problems = (build(r.item, r.premises_given) for r in records)
-    pool = None
-    if spec.workers > 1:        # the process machinery loads only for a pool
+    entries = [(item.name, item) for _i, item in corpus.theorems()]
+    cfg = replace(spec.loop, axiom_ladder=(0,),
+                  attempt_budgets=(spec.per_problem_budget,),
+                  total_inference_budget=None, guidance=False)
+    state = LoopState()
+    workers = min(spec.workers, len(entries))
+    pool = nullcontext()        # the process machinery loads only for a pool
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=spec.workers)
-    try:
-        outcomes = (pool.map if pool else map)(
-            prove_checked, problems, repeat(limits),
-            repeat(spec.loop.model_max_domain), [r.item for r in records])
-        with _RecordWriter(out, asdict(spec)) as writer:
-            for record, res in zip(records, outcomes):
-                attempt(record, result=res, writer=writer, keep_model=_keep_every)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return _finish(out, _one_config("reprove", "reprove", records))
+        pool = ProcessPoolExecutor(max_workers=workers)
+    with pool as executor, _RecordWriter(out, asdict(spec)) as writer:
+        walk_ladder(entries, cfg, lambda _name, item, _k: item.reference_premises,
+                    clause_set_builder("reprove", corpus), state,
+                    name="reprove", writer=writer, keep_model=_keep_every,
+                    pool=executor)
+    return _finish(out, _one_config("reprove", "reprove", state.attempts))
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,17 @@ inductive-deductive loop over an ordered corpus.
 One attempt proves a pruned problem, has the independent checker replay
 any proof, names the given premises the proof used, stores the proof or
 countermodel and yields one `Attempt` record; a proved item's record is
-also its entry in the run's solved map.  `walk_ladder` schedules
-attempts breadth-first over the axiom-count ladder: every pending item
-is tried at the smallest rung before anything escalates, which is how a
-shared budget is spread in a batch setting.  It reads and writes the
-run's one `LoopState`, where every ladder mode also keeps its feature
-vectors and premise learner.  Which formulas go into a
-clause set, in which order, is one rule per mode, written once in
-`clause_set_builder`, which also owns the clausal forms it makes; every
-run, `verify`, `speedup` and the generator's self-check build through
-it, so a mode supplies only its ranking policy.
+also its entry in the run's solved map.  `walk_ladder` schedules every
+mode's attempts breadth-first over the axiom-count ladder, in the run's
+one `LoopState`: every pending item is tried at the smallest rung before
+anything escalates, which is how a shared budget is spread in a batch
+setting.  Reprove's ladder is one rung, and only its attempts, which
+depend on no other, go to a process pool; the other modes also keep
+their feature vectors and premise learner in the state.  Which formulas
+go into a clause set, in which order, is one rule per mode, written once
+in `clause_set_builder`, which also owns the clausal forms it makes;
+every run, `verify`, `speedup` and the generator's self-check build
+through it, so a mode supplies only its premise policy.
 
 The library loop (`run_loop`) walks the ladder once per iteration.  Each
 iteration extends the run's feature table by the newly stored models,
@@ -309,19 +310,13 @@ def prove_checked(cs: ClauseSet, limits: Limits, model_max_domain: int,
     return res
 
 
-def attempt(record: Attempt, cs: ClauseSet | None = None,
-            limits: Limits | None = None, *, model_max_domain=DEFAULT_MAX_DOMAIN,
-            advisor=None, writer=None, keep_model=None, result=None):
-    """Complete `record`, which arrives with the attempt's coordinates.
-
-    Proves `cs` within `limits`, unless `result` already holds a proved
-    and checked outcome.  Names the given premises the proof used.  The
-    proof, and a countermodel when `keep_model(model, record)` is true,
+def attempt(record: Attempt, res, *, writer=None, keep_model=None) -> None:
+    """Complete `record`, which arrives with the attempt's coordinates, from
+    `res`, its checked outcome, naming the given premises the proof used.
+    The proof, and a countermodel when `keep_model(model, record)` is true,
     are stored through `writer`, which also gets the record; without a
-    writer the record stays in memory.  Returns the prover's result.
+    writer the record stays in memory.
     """
-    res = result if result is not None else prove_checked(
-        cs, limits, model_max_domain, record.item, advisor)
     record.status = res.status
     record.inferences = res.stats.inferences
     if res.status == PROVED:
@@ -338,12 +333,19 @@ def attempt(record: Attempt, cs: ClauseSet | None = None,
                                                    record.premises_given)
     if writer is not None:
         writer.write(record)
-    return res
+
+
+def _prove_job(job):
+    """(record, advisor, checked outcome) of an attempt of `walk_ladder`."""
+    record, cs, config, advisor = job
+    limits = Limits(inference_budget=record.budget, max_depth=config.max_depth)
+    return record, advisor, prove_checked(cs, limits, config.model_max_domain,
+                                          record.item, advisor)
 
 
 def walk_ladder(entries, config: LoopConfig, select, build, state: LoopState,
                 *, name: str, writer=None, keep_model=None,
-                on_proved=None) -> bool:
+                on_proved=None, pool=None) -> None:
     """Attempt every entry not yet in `state.solved`, breadth-first over
     the axiom-count ladder: each at the smallest rung before any
     escalates.
@@ -352,19 +354,22 @@ def walk_ladder(entries, config: LoopConfig, select, build, state: LoopState,
     policy is `select(name, entry, k)`, the premise names given at rung
     k, called once per attempt; `build(name, chosen)`, from
     `clause_set_builder`, makes the clause set to prove.  Each record,
-    under config `name` and iteration `state.iterations_run + 1`, joins
-    `state.attempts` and its inferences `state.inferences_used`; a proved
-    entry joins `state.solved` as its proving record, and
-    `on_proved(name, record)` learns from it.  With `config.guidance`, an
-    advisor consults `state.guide_model` during each search, and the
-    advised choice points of each checked proof train it.  Returns
-    whether the shared `config.total_inference_budget` ran out.
+    under config `name`, iteration `state.iterations_run + 1` and rung
+    `max(k, len(chosen))`, joins `state.attempts` and its inferences
+    `state.inferences_used`; a proved entry joins `state.solved` as its
+    proving record, and `on_proved(name, record)` learns from it.  With
+    `config.guidance`, an advisor consults `state.guide_model` during
+    each search, and the advised choice points of each checked proof
+    train it.  A rung's attempts are made lazily and proved by `map`,
+    one after the other, or by `pool.map`, which makes them all first:
+    a pool is for attempts that depend on no other.  When the shared
+    `config.total_inference_budget` runs out before an attempt, the walk
+    stops and `state.stopped_because` says so.
     """
     iteration = state.iterations_run + 1
     total = config.total_inference_budget
-    for rung_idx, k in enumerate(config.axiom_ladder):
-        budget = config.attempt_budgets[min(rung_idx,
-                                            len(config.attempt_budgets) - 1)]
+
+    def jobs(k: int, budget: int):
         for key, entry in entries:
             if key in state.solved:
                 continue
@@ -372,28 +377,33 @@ def walk_ladder(entries, config: LoopConfig, select, build, state: LoopState,
             if total is not None:
                 left = total - state.inferences_used
                 if left <= 0:
-                    return True
+                    state.stopped_because = "budget exhausted"
+                    return
                 limit = min(budget, left)
             chosen = select(key, entry, k)
             cs = build(key, chosen)
             advisor = None
             if config.guidance:
                 advisor = Advisor(state.guide_model, cs.clauses)
-            record = Attempt(name, iteration, key, k, limit, chosen)
-            res = attempt(record, cs,
-                          Limits(inference_budget=limit,
-                                 max_depth=config.max_depth),
-                          model_max_domain=config.model_max_domain,
-                          advisor=advisor, writer=writer, keep_model=keep_model)
+            yield (Attempt(name, iteration, key, max(k, len(chosen)), limit,
+                           chosen), cs, config, advisor)
+
+    for rung_idx, k in enumerate(config.axiom_ladder):
+        budget = config.attempt_budgets[min(rung_idx,
+                                            len(config.attempt_budgets) - 1)]
+        for record, advisor, res in (pool.map if pool else map)(
+                _prove_job, jobs(k, budget)):
+            attempt(record, res, writer=writer, keep_model=keep_model)
             if advisor is not None:
                 advisor.flush_to(state.guide_model)
             state.inferences_used += record.inferences
             state.attempts.append(record)
             if res.status == PROVED:
-                state.solved[key] = record
+                state.solved[record.item] = record
                 if on_proved is not None:
-                    on_proved(key, record)
-    return False
+                    on_proved(record.item, record)
+        if state.stopped_because:
+            return
 
 
 def run_loop(corpus: Corpus, config: LoopConfig, writer=None,
@@ -425,11 +435,10 @@ def run_loop(corpus: Corpus, config: LoopConfig, writer=None,
 
         # (2) walk the ladder with what was learned
         solved_before = len(state.solved)
-        budget_out = walk_ladder(entries, config, select, build, state,
-                                 name=name, writer=writer, keep_model=keep_model)
+        walk_ladder(entries, config, select, build, state, name=name,
+                    writer=writer, keep_model=keep_model)
         state.iterations_run += 1
-        if budget_out:
-            state.stopped_because = "budget exhausted"
+        if state.stopped_because:       # the shared budget ran out
             break
         if len(state.solved) == solved_before:
             state.stopped_because = "fixpoint: no new solutions"

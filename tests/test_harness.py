@@ -68,24 +68,36 @@ def test_reprove_mode(mixed30, tmp_path):
     assert os.path.exists(os.path.join(str(tmp_path / "r"), "results.jsonl"))
     outcome = verify_run(str(tmp_path / "r"))
     assert outcome["checked"] == 13 and outcome["failed"] == 0
+    # one attempt per theorem, in theorem order, each at the rung of its
+    # reference premise count and at the per-problem budget
+    theorems = [item for _i, item in load_corpus(mixed30).theorems()]
+    records = _records(tmp_path / "r")
+    assert [r["item"] for r in records] == [item.name for item in theorems]
+    for record, item in zip(records, theorems):
+        assert (record["config"], record["iteration"]) == ("reprove", 1)
+        assert record["premises_given"] == list(item.reference_premises)
+        assert record["rung"] == len(record["premises_given"]) \
+            == len(item.reference_premises)
+        assert record["budget"] == spec.per_problem_budget == 20000
 
 
-def _reprove_missing_premise(tmp_path) -> dict:
-    """A reprove run to tmp_path/out whose one theorem `t` is
-    counter-satisfiable: its reference set omits the rule it needs, and
-    the pruned set has a small model."""
+def _reprove_missing_premise(tmp_path, out="out", workers=1,
+                             theorems=("t",)) -> dict:
+    """A reprove run into tmp_path/<out> whose theorems (one, `t`, unless
+    told otherwise) are counter-satisfiable: each reference set omits the
+    rule it needs, and the pruned set has a small model."""
     root = tmp_path / "c"
-    root.mkdir()
+    root.mkdir(exist_ok=True)
     for name, role, formula in [
             ("base", "axiom", "p0(c)"),
-            ("rule", "axiom", "![X]: (p0(X) => p1(X))"),
-            ("t", "conjecture", "p1(c)")]:
+            ("rule", "axiom", "![X]: (p0(X) => p1(X))")] + [
+            (t, "conjecture", "p1(c)") for t in theorems]:
         (root / f"{name}.p").write_text(f"fof({name}, {role}, {formula}).\n")
-    write_manifest(str(root), [("base", "base.p", []), ("rule", "rule.p", []),
-                               ("t", "t.p", ["base"])])
+    write_manifest(str(root), [("base", "base.p", []), ("rule", "rule.p", [])]
+                   + [(t, f"{t}.p", ["base"]) for t in theorems])
     spec = ExperimentSpec(mode="reprove", corpus=str(root),
-                          out_dir=str(tmp_path / "out"),
-                          loop=LoopConfig(max_depth=8))
+                          out_dir=str(tmp_path / out),
+                          loop=LoopConfig(max_depth=8), workers=workers)
     return run_reprove(spec)
 
 
@@ -121,6 +133,13 @@ def test_verify_rejects_a_mutated_model(tmp_path):
     assert outcome["failed"] == 1
 
 
+def _run_files(run_dir) -> dict:
+    """Every file of a run directory but config.json, which names the
+    run's own directory: relative path -> bytes."""
+    return {name: (run_dir / name).read_bytes()
+            for name in _files_under(run_dir) if name != "config.json"}
+
+
 def test_reprove_workers_match_sequential(mixed30, tmp_path):
     s1 = ExperimentSpec(mode="reprove", corpus=mixed30,
                         out_dir=str(tmp_path / "w1"),
@@ -130,9 +149,44 @@ def test_reprove_workers_match_sequential(mixed30, tmp_path):
                         loop=LoopConfig(max_depth=8), workers=3)
     run_reprove(s1)
     run_reprove(s2)
-    r1 = (tmp_path / "w1" / "results.jsonl").read_text()
-    r2 = (tmp_path / "w2" / "results.jsonl").read_text()
-    assert r1 == r2
+    files = _run_files(tmp_path / "w1")
+    assert sorted(files) == ["models.txt", "proofs.txt", "report.json",
+                             "report.txt", "results.jsonl"]
+    assert _run_files(tmp_path / "w2") == files
+    # countermodels stored through the pool: two theorems, two workers
+    for out, workers in (("m1", 1), ("m2", 2)):
+        _reprove_missing_premise(tmp_path, out, workers, theorems=("t", "u"))
+    files = _run_files(tmp_path / "m1")
+    assert len(read_stream(tmp_path / "m1" / "models.txt")) == 2
+    assert _run_files(tmp_path / "m2") == files
+
+
+def test_reprove_pool_is_no_larger_than_its_work(mixed30, tmp_path, monkeypatch):
+    # a stand-in for the process pool that starts no process: it records
+    # its size and, as a pool does, takes every job before proving any
+    import concurrent.futures
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *_exc):
+            pass
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in list(jobs)]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    for out, workers in (("seq", 1), ("wide", 10**6)):
+        run_reprove(ExperimentSpec(mode="reprove", corpus=mixed30,
+                                   out_dir=str(tmp_path / out),
+                                   loop=LoopConfig(max_depth=8), workers=workers))
+    assert sizes == [13]        # one process per theorem at most
+    assert _run_files(tmp_path / "wide") == _run_files(tmp_path / "seq")
 
 
 def test_no_process_pool_machinery_is_loaded_outside_a_pool():

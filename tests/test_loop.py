@@ -1,5 +1,6 @@
 import os
 from collections import Counter
+from dataclasses import replace
 from functools import cached_property
 
 import pytest
@@ -135,6 +136,33 @@ def test_budget_accounting(tmp_path):
     state = run_loop(corpus, cfg)
     assert state.inferences_used <= 1500
     assert state.inferences_used == sum(a.inferences for a in state.attempts)
+
+
+def test_an_empty_budget_stops_the_walk_before_the_next_attempt():
+    corpus = load_corpus(MIXED30)
+    cfg = LoopConfig(axiom_ladder=(1, 2, 4), max_depth=6, max_iterations=1,
+                     learning=False)
+    free = run_loop(corpus, cfg)
+    assert (len(free.attempts), free.inferences_used, free.stopped_because) \
+        == (35, 32002, "iteration cap")
+    # a budget of exactly what the run spends stops it before the last two
+    # attempts, which would have cost nothing
+    spent = run_loop(corpus, replace(cfg, total_inference_budget=32002))
+    assert spent.stopped_because == "budget exhausted"
+    assert spent.attempts == free.attempts[:33]
+    assert [(a.status, a.inferences) for a in free.attempts[33:]] \
+        == [("counter_satisfiable", 0)] * 2
+    none = run_loop(corpus, replace(cfg, total_inference_budget=0))
+    assert (none.attempts, none.stopped_because) == ([], "budget exhausted")
+
+    # an empty budget chooses no premises and builds no clause set
+    def refuse(*_args):
+        raise AssertionError("no attempt is made on an empty budget")
+
+    state = LoopState()
+    loop.walk_ladder([("t", None)], replace(cfg, total_inference_budget=0),
+                     refuse, refuse, state, name="t")
+    assert (state.attempts, state.stopped_because) == ([], "budget exhausted")
 
 
 def test_learning_beats_recency_on_mixed(tmp_path):
