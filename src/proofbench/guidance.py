@@ -9,7 +9,7 @@ runs as without an advisor.  Querying a learner is orders of magnitude
 slower than a tableau extension step, so a throttle restricts
 consultation to shallow, branchy choice points, advice is memoized per
 model snapshot, and scores come from the snapshot's score table
-(`learner.score_table`), as in FEMaLeCoP, which sums precomputed terms.
+(`learner.score_table`), the one scorer that premise ranking reads too.
 
 Every value on the channel is plain: a consult's token is the branch's
 sorted (feature id, weight) pairs, and `advise` returns (clause id,
@@ -46,7 +46,7 @@ def advise(model: BayesModel, query: tuple, candidates, origins: dict) -> list:
     scored by its origin label against `query`, the branch's sorted
     (feature id, weight) pairs; candidates with no evidence keep input
     order (stable sorting).  Scores come from the score table of the
-    model's snapshot and equal `learner.score`'s."""
+    model's snapshot, as `learner.rank_premises`'s do."""
     table = score_table(model)
     scored = [(cid, table.score(query, origins.get(cid, cid)))
               for cid in candidates]

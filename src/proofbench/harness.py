@@ -179,9 +179,10 @@ def _keep_every(_model, _record) -> bool:
     return True
 
 
-def _one_config(mode: str, name: str, records, **extra) -> dict:
-    """Results of a mode that runs a single configuration."""
-    counts = tally(name, records)
+def _one_config(mode: str, name: str, records, entries, **extra) -> dict:
+    """Results of a mode that runs a single configuration over `entries`,
+    the (name, item) pairs its ladder walked."""
+    counts = tally(name, records, (key for key, _item in entries))
     return {"mode": mode, "configs": [counts],
             "solved": {name: counts["solved_items"]}, **extra}
 
@@ -213,7 +214,8 @@ def run_reprove(spec: ExperimentSpec) -> dict:
                     clause_set_builder("reprove", corpus), state,
                     name="reprove", writer=writer, keep_model=_keep_every,
                     pool=executor)
-    return _finish(out, _one_config("reprove", "reprove", state.attempts))
+    return _finish(out, _one_config("reprove", "reprove", state.attempts,
+                                    entries))
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +235,7 @@ def run_library(spec: ExperimentSpec) -> dict:
         configs.append(("recency", replace(spec.loop, learning=False,
                                            semantic=False)))
     results = {"mode": "library", "configs": [], "solved": {}, "reports": {}}
+    theorems = [item.name for _i, item in corpus.theorems()]
     os.makedirs(out, exist_ok=True)
     _write_spec(out, asdict(spec))
     for config_name, cfg in configs:
@@ -242,7 +245,7 @@ def run_library(spec: ExperimentSpec) -> dict:
             state = run_loop(corpus, cfg, writer, config_name, build)
         write_run_dir(sub, state)
         results["reports"][config_name] = fixpoint_report(state, corpus)
-        results["configs"].append(tally(config_name, state.attempts))
+        results["configs"].append(tally(config_name, state.attempts, theorems))
         results["solved"][config_name] = sorted(state.solved)
     return _finish(out, results)
 
@@ -288,7 +291,7 @@ def run_challenge(spec: ExperimentSpec) -> dict:
                     on_proved=learn if cfg.learning else None)
     total = cfg.total_inference_budget
     return _finish(out, _one_config(
-        "challenge", name, state.attempts,
+        "challenge", name, state.attempts, problems,
         budget_left=None if total is None else total - state.inferences_used))
 
 
@@ -337,7 +340,7 @@ def run_traintest(spec: ExperimentSpec) -> dict:
                     clause_set_builder("traintest", corpus), state,
                     name="traintest", writer=writer)
     return _finish(out, _one_config("traintest", "traintest", state.attempts,
-                                    train_size=len(train_names),
+                                    entries, train_size=len(train_names),
                                     test_size=len(test_names)))
 
 

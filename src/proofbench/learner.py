@@ -7,20 +7,23 @@ w as
 
     log((label[c]+s)/(total+s)) + sum_f w_f * log((cooc[c,f]+s)/(label[c]+2s))
 
-with additive smoothing s (default 0.05), summing only over query
-features seen in training; candidates never seen in training keep just
-the prior term.  Ties break by candidate input order.
+with additive smoothing s = `SIGMA`, summing only over query features
+seen in training; candidates never seen in training keep just the prior
+term.  Ties break by candidate input order.
 
-`score` is the reference; `score_table` gives the same scores from terms
-computed once per model snapshot.
+`ScoreTable` is the one scorer: premise ranking here and clause advice in
+`guidance` both read the table of the model's current snapshot, which
+stores each term the first time a query asks for it, as FEMaLeCoP sums
+precomputed terms.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
-SIGMA_DEFAULT = 0.05
+SIGMA = 0.05
 
 
 @dataclass
@@ -29,7 +32,6 @@ class BayesModel:
     cooccurrence: dict = field(default_factory=dict)      # (name, fid) -> weight
     feature_totals: dict = field(default_factory=dict)    # fid -> weight
     total_examples: float = 0.0
-    sigma: float = SIGMA_DEFAULT
     # the score table of the current snapshot, built by `score_table`
     table: ScoreTable | None = field(default=None, repr=False, compare=False)
 
@@ -39,49 +41,43 @@ class BayesModel:
 
 
 class ScoreTable:
-    """`score` of one model snapshot as a table.  Per label, filled on its
-    first use: its prior and, per trained feature, its log term (for a
-    feature it never met, the term of a zero count).  `score` sums the
-    query's terms in the query's order with the reference's float
-    operations, so each score equals the reference's bit for bit.
-    Filling a label reads one co-occurrence count per trained feature,
-    never all of them, so a model that changes every attempt pays only
-    for the labels it is asked about."""
+    """The scores of one model snapshot, filled lazily: a label's prior on
+    its first use, and a (label, feature) log term on the first query that
+    asks for it.  A name with no label scores the snapshot's one shared
+    prior and stores nothing; a query feature the model never trained on
+    is skipped and not stored.  `score` sums the query's terms in the
+    query's order with the float operations of the module's formula (a
+    co-occurrence never met counts 0.0), so a score does not depend on
+    what earlier queries filled."""
 
     def __init__(self, model: BayesModel):
         self.mark = model.snapshot_id()
         self.model = model
-        self.labels: dict = {}      # name -> (prior, {feature id: term} or None)
-
-    def _fill(self, name: str) -> tuple:
-        model = self.model
-        s = model.sigma
-        label = model.label_count.get(name, 0.0)
-        prior = math.log((label + s) / (model.total_examples + s))
-        if label == 0.0:
-            return prior, None
-        denom = label + 2.0 * s
-        unmet = math.log(s / denom)
-        cooc = model.cooccurrence
-        terms = {}
-        for fid in model.feature_totals:
-            co = cooc.get((name, fid))
-            terms[fid] = unmet if co is None else math.log((co + s) / denom)
-        return prior, terms
+        self.unlabeled = math.log(SIGMA / (model.total_examples + SIGMA))
+        self.labels: dict = {}      # name -> (prior, label + 2s, {feature id: term})
 
     def score(self, query, name: str) -> float:
-        """`score(model, dict(query), name)` for `query`, (feature id,
-        weight) pairs with distinct ids."""
+        """The score of `name` for `query`, (feature id, weight) pairs with
+        distinct ids."""
         entry = self.labels.get(name)
         if entry is None:
-            entry = self.labels[name] = self._fill(name)
-        total, terms = entry
-        if terms is None:
-            return total
+            model = self.model
+            label = model.label_count.get(name)
+            if not label:
+                return self.unlabeled
+            entry = self.labels[name] = (
+                math.log((label + SIGMA) / (model.total_examples + SIGMA)),
+                label + 2.0 * SIGMA, {})
+        total, denom, terms = entry
         for fid, w in query:
             term = terms.get(fid)
-            if term is not None:
-                total += w * term
+            if term is None:
+                model = self.model
+                if fid not in model.feature_totals:
+                    continue
+                co = model.cooccurrence.get((name, fid), 0.0)
+                term = terms[fid] = math.log((co + SIGMA) / denom)
+            total += w * term
         return total
 
 
@@ -107,29 +103,11 @@ def train_incremental(model: BayesModel, features: dict, used_premises) -> Bayes
     return model
 
 
-def score(model: BayesModel, features: dict, candidate: str) -> float:
-    s = model.sigma
-    label = model.label_count.get(candidate, 0.0)
-    prior = math.log((label + s) / (model.total_examples + s))
-    if label == 0.0:
-        return prior
-    total = prior
-    for fid, w in features.items():
-        if fid not in model.feature_totals:
-            continue
-        co = model.cooccurrence.get((candidate, fid), 0.0)
-        total += w * math.log((co + s) / (label + 2.0 * s))
-    return total
-
-
 def rank_premises(model: BayesModel, features: dict, candidates) -> list:
     """(name, score) pairs, best first; input order breaks ties."""
-    s, labels = model.sigma, model.label_count
-    unlabeled = math.log(s / (model.total_examples + s))  # `score` of an unused name
-    scored = [(name, score(model, features, name) if name in labels else unlabeled)
-              for name in candidates]
-    order = sorted(range(len(scored)), key=lambda i: (-scored[i][1], i))
-    return [scored[i] for i in order]
+    score, query = score_table(model).score, tuple(features.items())
+    return sorted(((name, score(query, name)) for name in candidates),
+                  key=itemgetter(1), reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +120,7 @@ def save_model(model: BayesModel, path: str) -> None:
         cooc.setdefault(name, {})[fid] = w
     blob = {
         "version": 1,
-        "sigma": model.sigma,
+        "sigma": SIGMA,
         "binarize": False,      # checkpoint format version 1 keeps this key
         "total_examples": model.total_examples,
         "label_count": model.label_count,

@@ -455,11 +455,13 @@ def run_loop(corpus: Corpus, config: LoopConfig, writer=None,
 # Reporting
 
 
-def tally(name: str, records) -> dict:
+def tally(name: str, records, items=()) -> dict:
     """Four-column counts of each item's best status (proved, then
-    counter-satisfiable, then anything else) over `records`."""
+    counter-satisfiable, then anything else) over `records`.  `items`
+    names what the run was given: one it never attempted, as when the
+    shared budget runs out first, counts under timeout_or_inference_out."""
     rank = {PROVED: 2, COUNTER_SATISFIABLE: 1}
-    best: dict = {}
+    best = dict.fromkeys(items)
     for r in records:
         if rank.get(r.status, 0) > rank.get(best.get(r.item), -1):
             best[r.item] = r.status
@@ -487,7 +489,7 @@ def fixpoint_report(state: LoopState, corpus: Corpus) -> dict:
         iterations.append({"iteration": it,
                            **{c: counts[c] for c in columns}})
     # cumulative: best status per item across the whole run, over all theorems
-    best = tally("", state.attempts)
+    best = tally("", state.attempts, [item.name for item in theorems])
     shortening = []
     for item in theorems:
         solved = state.solved.get(item.name)
@@ -501,13 +503,7 @@ def fixpoint_report(state: LoopState, corpus: Corpus) -> dict:
             })
     return {
         "iterations": iterations,
-        "cumulative": {
-            "proved": best["proved"],
-            "counter_satisfiable": best["counter_satisfiable"],
-            "timeout_or_inference_out": (len(theorems) - best["proved"]
-                                         - best["counter_satisfiable"]),
-            "total": len(theorems),
-        },
+        "cumulative": {c: best[c] for c in columns},
         "shortening": shortening,
         "models_stored": len(state.store),
         "inferences_used": state.inferences_used,

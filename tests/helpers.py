@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import random
 import re
@@ -21,7 +22,7 @@ from proofbench.fol import (
 )
 from proofbench.features import combine, symbol_features
 from proofbench.learner import (
-    SIGMA_DEFAULT, BayesModel, rank_premises, train_incremental,
+    SIGMA, BayesModel, rank_premises, train_incremental,
 )
 from proofbench.parser import (
     _print_symbol, print_formula, print_literal, print_name,
@@ -533,11 +534,29 @@ def index_of(corpus, name: str) -> int:
     raise KeyError(name)
 
 
-def train_batch(examples, sigma: float = SIGMA_DEFAULT) -> BayesModel:
-    model = BayesModel(sigma=sigma)
+def train_batch(examples) -> BayesModel:
+    model = BayesModel()
     for features, used in examples:
         train_incremental(model, features, used)
     return model
+
+
+def score(model: BayesModel, features: dict, candidate: str) -> float:
+    """The reference naive-Bayes score, term by term as `learner`'s
+    docstring states it: the prior, then, for a labeled candidate, the
+    log term of each query feature seen in training, in the query's
+    order."""
+    label = model.label_count.get(candidate, 0.0)
+    prior = math.log((label + SIGMA) / (model.total_examples + SIGMA))
+    if label == 0.0:
+        return prior
+    total = prior
+    for fid, w in features.items():
+        if fid not in model.feature_totals:
+            continue
+        co = model.cooccurrence.get((candidate, fid), 0.0)
+        total += w * math.log((co + SIGMA) / (label + 2.0 * SIGMA))
+    return total
 
 
 def select_top(ranking, k: int) -> list:
@@ -546,15 +565,14 @@ def select_top(ranking, k: int) -> list:
     return [name for name, _s in ranking[:k]]
 
 
-def evaluate_selection(corpus, k_values, feature_fn,
-                       sigma: float = SIGMA_DEFAULT) -> dict:
+def evaluate_selection(corpus, k_values, feature_fn) -> dict:
     """Chronological leave-one-out recall of reference premises.
 
     For item i the model has been trained only on items before i; the
     item's own reference premises then update the model.  Returns per k:
     full-recall fraction and mean coverage over items that have premises.
     """
-    model = BayesModel(sigma=sigma)
+    model = BayesModel()
     hits = {k: 0 for k in k_values}
     coverage = {k: 0.0 for k in k_values}
     counted = 0
@@ -590,8 +608,7 @@ def load_model(path: str) -> BayesModel:
         blob = json.load(fh)
     if blob.get("version") != 1:
         raise ValueError(f"unsupported checkpoint version {blob.get('version')!r}")
-    model = BayesModel(sigma=blob["sigma"],
-                       total_examples=blob["total_examples"],
+    model = BayesModel(total_examples=blob["total_examples"],
                        label_count=dict(blob["label_count"]),
                        feature_totals=dict(blob["feature_totals"]))
     for name, row in blob["cooccurrence"].items():

@@ -25,7 +25,7 @@ from proofbench.harness import (
     verify_run,
 )
 from proofbench.learner import (
-    BayesModel, rank_premises, score, train_incremental,
+    SIGMA, BayesModel, rank_premises, train_incremental,
 )
 from proofbench.loop import LoopConfig
 from proofbench.models import ModelStore, evaluate, find_model
@@ -278,7 +278,7 @@ def test_criterion_06_learner_exactness():
     train_incremental(model, {"SYM:p": 2.0, "SYM:c": 1.0}, {"ax1"})
     train_incremental(model, {"SYM:p": 1.0, "SYM:q": 1.0}, {"ax2"})
     train_incremental(model, {"SYM:q": 2.0}, {"ax3"})
-    s = model.sigma
+    s = SIGMA
     query = {"SYM:p": 2.0, "SYM:q": 1.0}
 
     def stated_formula(c):
@@ -293,8 +293,9 @@ def test_criterion_06_learner_exactness():
             out += w * math.log((co + s) / (label + 2.0 * s))
         return out
 
-    for c in ("ax1", "ax2", "ax3", "ax_unseen"):
-        assert abs(score(model, query, c) - stated_formula(c)) < 1e-9
+    scores = dict(rank_premises(model, query, ["ax1", "ax2", "ax3", "ax_unseen"]))
+    for c, got in scores.items():
+        assert abs(got - stated_formula(c)) < 1e-9
 
     rng = random.Random(66)
     examples = []

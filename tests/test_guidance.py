@@ -12,14 +12,15 @@ from proofbench.guidance import (
     CONSULT_MAX_DEPTH, MIN_CANDIDATES, Advisor, advise,
     measure_speedup, throttle_policy,
 )
-from proofbench.learner import BayesModel, score, train_incremental
+from proofbench.learner import SIGMA, BayesModel, train_incremental
 from proofbench.parser import parse_problem
 from proofbench.prover import (
     _Cell, _symbols, ExtensionStep, INFERENCE_LIMIT, Limits, PROVED, prove,
 )
 
 from helpers import (
-    cell_literal, goals_of, resolved_branch_features, unify_terms, with_cells,
+    cell_literal, goals_of, resolved_branch_features, score, unify_terms,
+    with_cells,
 )
 
 
@@ -44,7 +45,7 @@ def test_advise_prefers_cooccurring_origin():
     ranking = advise(model, query, ["c1", "c2"], {"c1": "ax1", "c2": "ax2"})
     assert ranking[0][0] == "c2"
     # hand-recompute both scores with the learner's formula
-    s = model.sigma
+    s = SIGMA
     t = model.total_examples
     expect_ax2 = math.log((1 + s) / (t + s)) + 1.0 * math.log((1 + s) / (1 + 2 * s))
     expect_ax1 = math.log((1 + s) / (t + s)) + 1.0 * math.log((0 + s) / (1 + 2 * s))
@@ -83,7 +84,7 @@ def test_advise_scores_equal_the_reference_scores_exactly():
     candidates = list(origins) + ["c9"]
     unlabeled = untrained = 0
     for _trial in range(300):
-        model = BayesModel(sigma=rng.choice([0.05, 0.3, 1.0]))
+        model = BayesModel()
         for _ in range(rng.randint(1, 10)):
             train_incremental(model, *_random_example(rng, fids[:6], labels[:4]))
         rng.shuffle(candidates)

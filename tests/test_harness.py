@@ -395,6 +395,53 @@ def test_traintest_honours_total_budget(mixed30, tmp_path):
     assert sum(json.loads(line)["inferences"] for line in lines) <= 10
 
 
+def _attempted(run_dir) -> set:
+    with open(os.path.join(run_dir, "results.jsonl"), encoding="utf-8") as fh:
+        return {json.loads(line)["item"] for line in fh}
+
+
+def _counts_every_item(row, given: int) -> None:
+    assert row["total"] == given
+    assert (row["proved"] + row["counter_satisfiable"]
+            + row["timeout_or_inference_out"]) == given
+
+
+def test_challenge_total_counts_problems_the_budget_never_reached(neardup, tmp_path):
+    spec = ExperimentSpec(mode="challenge", problems=neardup,
+                          out_dir=str(tmp_path / "ch30"),
+                          loop=LoopConfig(axiom_ladder=(16,),
+                                          total_inference_budget=30))
+    results = run_challenge(spec)
+    assert len(_attempted(tmp_path / "ch30")) < 10
+    _counts_every_item(results["configs"][0], 10)
+
+
+def test_traintest_total_counts_test_items_the_budget_never_reached(mixed30,
+                                                                   tmp_path):
+    spec = ExperimentSpec(mode="traintest", corpus=mixed30,
+                          split=os.path.join(mixed30, "split.txt"),
+                          out_dir=str(tmp_path / "tt5"),
+                          loop=LoopConfig(axiom_ladder=(4,),
+                                          total_inference_budget=5))
+    results = run_traintest(spec)
+    assert len(_attempted(tmp_path / "tt5")) < results["test_size"]
+    _counts_every_item(results["configs"][0], results["test_size"])
+
+
+def test_library_total_counts_theorems_the_budget_never_reached(mixed30, tmp_path):
+    spec = ExperimentSpec(mode="library", corpus=mixed30,
+                          out_dir=str(tmp_path / "lib300"),
+                          loop=LoopConfig(axiom_ladder=(4, 8, 16), max_depth=8,
+                                          total_inference_budget=300))
+    results = run_library(spec)
+    theorems = len(list(load_corpus(mixed30).theorems()))
+    assert len(_attempted(tmp_path / "lib300" / "recency")) < theorems
+    for row in results["configs"]:
+        _counts_every_item(row, theorems)
+        cumulative = results["reports"][row["name"]]["cumulative"]
+        assert cumulative == {c: row[c] for c in cumulative}
+
+
 def test_challenge_single_problem_equals_one_prove_call(tmp_path):
     from proofbench.clausify import clausal_problem
     from proofbench.parser import parse_problem_file

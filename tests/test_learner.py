@@ -1,12 +1,15 @@
 import math
 import random
 
+from proofbench.guidance import advise
 from proofbench.learner import (
-    BayesModel, rank_premises, save_model, score, train_incremental,
+    SIGMA, BayesModel, rank_premises, save_model, score_table,
+    train_incremental,
 )
 
 from helpers import (
-    atom, const, evaluate_selection, load_model, select_top, train_batch,
+    atom, const, evaluate_selection, load_model, score, select_top,
+    train_batch,
 )
 
 
@@ -77,7 +80,7 @@ def _hand_table_model():
 
 def test_scores_match_stated_formula():
     model = _hand_table_model()
-    s = 0.05
+    s = SIGMA
     query = {"SYM:p": 2.0, "SYM:q": 1.0}
 
     def expected(c):
@@ -92,8 +95,9 @@ def test_scores_match_stated_formula():
             out += w * math.log((co + s) / (label + 2 * s))
         return out
 
-    for c in ("ax1", "ax2", "ax3", "never_seen"):
-        assert abs(score(model, query, c) - expected(c)) < 1e-9
+    scores = dict(rank_premises(model, query, ["ax1", "ax2", "ax3", "never_seen"]))
+    for c, got in scores.items():
+        assert abs(got - expected(c)) < 1e-9
 
 
 def test_argmax_matches_exhaustive_recomputation():
@@ -125,11 +129,61 @@ def test_scaling_invariance_on_aligned_table():
 
 
 def test_scores_finite_for_positive_sigma():
-    for sigma in (1e-6, 0.05, 1.0):
-        model = BayesModel(sigma=sigma)
-        train_incremental(model, {"SYM:p": 1.0}, {"ax1"})
-        for c in ("ax1", "ax2"):
-            assert math.isfinite(score(model, {"SYM:p": 5.0, "SYM:q": 1.0}, c))
+    model = BayesModel()
+    train_incremental(model, {"SYM:p": 1.0}, {"ax1"})
+    for _c, s in rank_premises(model, {"SYM:p": 5.0, "SYM:q": 1.0}, ["ax1", "ax2"]):
+        assert math.isfinite(s)
+
+
+def test_ranking_equals_the_reference_and_the_table_holds_only_asked_terms():
+    # ax0 and ax1 are always trained together, so they tie; ax5 and ax6
+    # never get a label, so they tie at the prior; features s6 and s7 are
+    # never trained.  Every ranking must be the reference's: `score` per
+    # candidate, sorted by (-score, input position).  The snapshot's table
+    # must hold an entry only for a labeled name some query scored, and in
+    # it a term only for a trained feature some query scoring that name
+    # asked about.
+    rng = random.Random(37)
+    labels = [f"ax{i}" for i in range(7)]
+    fids = [f"SYM:s{i}" for i in range(8)]
+    ties = unlabeled = 0
+    for _trial in range(300):
+        model = BayesModel()
+        for _ in range(rng.randint(1, 10)):
+            feats = {fid: rng.choice([1.0, 2.0, rng.uniform(0.1, 5.0)])
+                     for fid in rng.sample(fids[:6], rng.randint(1, 6))}
+            used = set(rng.sample(labels[1:5], rng.randint(1, 2)))
+            if "ax1" in used:
+                used.add("ax0")
+            train_incremental(model, feats, used)
+        asked: dict = {}
+        for _query in range(3):
+            query = {fid: rng.choice([1.0, 2.0, rng.uniform(0.1, 5.0)])
+                     for fid in rng.sample(fids, rng.randint(0, len(fids)))}
+            candidates = rng.sample(labels, rng.randint(1, len(labels)))
+            want = [(name, score(model, query, name)) for name in candidates]
+            order = sorted(range(len(want)), key=lambda i: (-want[i][1], i))
+            got = rank_premises(model, query, candidates)
+            assert got == [want[i] for i in order]
+            ties += len({s for _n, s in got}) < len(got)
+            unlabeled += any(n not in model.label_count for n in candidates)
+            for name in candidates:
+                asked.setdefault(name, set()).update(query)
+            # clause advice reads the same table: clause ids c<i> name
+            # their origins, and `x` has none, so it is its own label
+            origins = {f"c{i}": rng.choice(labels) for i in range(3)}
+            advice_query = tuple(sorted(query.items()))
+            advice = advise(model, advice_query, [*origins, "x"], origins)
+            assert dict(advice) == {
+                cid: score(model, dict(advice_query), origins.get(cid, cid))
+                for cid in [*origins, "x"]}
+            for label in [*origins.values(), "x"]:
+                asked.setdefault(label, set()).update(query)
+        table = score_table(model)
+        assert set(table.labels) == {n for n in asked if n in model.label_count}
+        for name, (_prior, _denom, terms) in table.labels.items():
+            assert set(terms) == asked[name] & set(model.feature_totals)
+    assert ties and unlabeled
 
 
 def test_select_top():

@@ -479,11 +479,10 @@ def test_learned_ranking_matches_brute_force(tmp_path):
     _prefixes_match(state, config, corpus, _learned_reference(state))
     # below the prior: t3 is t1's kind, so t2's premises score below the
     # names with no label
-    q = state.features["t3"]
-    prior = learner.score(state.model, q, "e")
-    assert learner.score(state.model, q, "u") < prior
-    assert learner.score(state.model, q, "a") > prior
-    assert learner.score(state.model, q, "u") == learner.score(state.model, q, "v")
+    scores = dict(rank_premises(state.model, state.features["t3"],
+                                ["e", "u", "a", "v"]))
+    assert scores["u"] < scores["e"] < scores["a"]
+    assert scores["u"] == scores["v"]
     # mixed30, trained on the proofs of a run
     corpus = load_corpus(MIXED30)
     solved = run_loop(corpus, PRUNING_CONFIG).solved
@@ -496,15 +495,15 @@ def test_learned_ranking_places_labels_that_tie_the_prior(tmp_path, monkeypatch)
     # name and takes its corpus place among them
     corpus = _write_corpus(tmp_path, LEARNED_CORPUS)
     state = _learned_state(corpus, {"t1": ["a", "r"], "t2": ["u", "v"]})
-    real = learner.score
-    prior = real(state.model, {}, "none0")
+    real = learner.ScoreTable.score
+    prior = real(learner.score_table(state.model), (), "none0")
 
-    def score(model, features, candidate):
-        if candidate in ("r", "u"):
+    def score(table, query, name):
+        if name in ("r", "u"):
             return prior
-        return real(model, features, candidate)
+        return real(table, query, name)
 
-    monkeypatch.setattr(learner, "score", score)
+    monkeypatch.setattr(learner.ScoreTable, "score", score)
     reference = _learned_reference(state)
     tied = reference(corpus.items[10], corpus.eligible(10))
     assert tied.index("r") < tied.index("u") < tied.index("e")
