@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .fol import (
     And, App, Atom, Clause, Eq, Exists, FALSE, FalseF, Forall, Formula, Iff,
-    Implies, Literal, Not, Or, Problem, QUANT, TRUE, TrueF, Var, alpha_normal,
+    Implies, Literal, Not, Or, Problem, TRUE, TrueF, Var, alpha_normal,
     free_vars_ordered, make_clause, occurs_free, subst_term, term_vars,
 )
 from .parser import print_formula
@@ -51,38 +51,43 @@ def nnf(f: Formula) -> Formula:
 
 
 def _nnf(f: Formula, positive: bool) -> Formula:
-    if isinstance(f, Atom):
+    cls = type(f)
+    if cls is Atom:
         return f if positive else Not(f)
-    if isinstance(f, TrueF):
-        return TRUE if positive else FALSE
-    if isinstance(f, FalseF):
-        return FALSE if positive else TRUE
-    if isinstance(f, Not):
+    if cls is Not:
         return _nnf(f.sub, not positive)
-    if isinstance(f, (And, Or)):
-        cls = And if isinstance(f, And) == positive else Or
-        return _junction(cls, [_nnf(p, positive) for p in f.parts])
-    if isinstance(f, Implies):      # l => r is ~l | r
+    if cls is And or cls is Or:
+        return _junction(And if (cls is And) == positive else Or,
+                         [_nnf(p, positive) for p in f.parts])
+    if cls is Forall or cls is Exists:
+        universal = (cls is Forall) == positive
+        return _scope(Forall if universal else Exists, f.var,
+                      _nnf(f.body, positive))
+    if cls is Implies:      # l => r is ~l | r
         return _junction(Or if positive else And,
                          [_nnf(f.lhs, not positive), _nnf(f.rhs, positive)])
-    if isinstance(f, Iff):      # ~(l <=> r) is (l | r) & ~(l & r)
+    if cls is Iff:      # ~(l <=> r) is (l | r) & ~(l & r)
         l, r = f.lhs, f.rhs
         return _nnf(And(Implies(l, r), Implies(r, l)) if positive
                     else And(Or(l, r), Not(And(l, r))), True)
-    if isinstance(f, QUANT):
-        universal = isinstance(f, Forall) == positive
-        return _scope(Forall if universal else Exists, f.var,
-                      _nnf(f.body, positive))
+    if cls is TrueF:
+        return TRUE if positive else FALSE
+    if cls is FalseF:
+        return FALSE if positive else TRUE
     raise TypeError(f"not a formula: {f!r}")
 
 
 def _junction(cls, parts: list) -> Formula:
-    """`cls(*parts)` for cls And or Or, with constant operands folded."""
+    """`cls(*parts)` for cls And or Or, with constant operands folded: a
+    constant is told by its type, so no operand is compared."""
     unit, absorb = (TRUE, FALSE) if cls is And else (FALSE, TRUE)
-    if absorb in parts:
-        return absorb
-    parts = [p for p in parts if p != unit]
-    return cls(*parts) if len(parts) > 1 else parts[0] if parts else unit
+    kept = []
+    for p in parts:
+        if type(p) is type(absorb):
+            return absorb
+        if type(p) is not type(unit):
+            kept.append(p)
+    return cls(*kept) if len(kept) > 1 else kept[0] if kept else unit
 
 
 def _scope(quant, v: str, body: Formula) -> Formula:
@@ -91,9 +96,10 @@ def _scope(quant, v: str, body: Formula) -> Formula:
     over And (Forall) or Or (Exists), and pushed into the one operand v
     occurs in; otherwise put over the operands up to the last one v occurs
     in.  Each operand is tested for v once."""
-    if not isinstance(body, (And, Or)):
+    cls = type(body)
+    if cls is not And and cls is not Or:
         return quant(v, body) if occurs_free(v, body) else body
-    cls, parts = type(body), list(body.parts)
+    parts = list(body.parts)
     holding = [i for i, p in enumerate(parts) if occurs_free(v, p)]
     if len(holding) > 1 and cls is not (And if quant is Forall else Or):
         end = holding[-1] + 1
@@ -146,7 +152,8 @@ def skolemize(f: Formula) -> Formula:
 def _skolemized(g: Formula, env: dict, held: list) -> Formula:
     """`skolemize`'s walk; `held` lists the clause variables a universal
     in g could meet."""
-    if isinstance(g, Forall):
+    cls = type(g)
+    if cls is Forall:
         name, i = g.var, 0
         while name in held:
             i += 1
@@ -155,7 +162,7 @@ def _skolemized(g: Formula, env: dict, held: list) -> Formula:
             env = {**env, g.var: Var(name)}
         held.append(name)       # kept for the disjuncts that follow
         return _skolemized(g.body, env, held)
-    if isinstance(g, Exists):
+    if cls is Exists:
         occurring = {v for n in free_vars_ordered(g)
                      for v in term_vars(env.get(n, Var(n)))}
         # the universals above, in order: no other held name occurs here
@@ -163,7 +170,7 @@ def _skolemized(g: Formula, env: dict, held: list) -> Formula:
         fingerprint = _fingerprint("sk|" + _positional(g, deps, env))
         term = App(f"sk_{fingerprint}", tuple(Var(u) for u in deps))
         return _skolemized(g.body, {**env, g.var: term}, held)
-    if isinstance(g, And):      # a conjunct's universals meet no other's
+    if cls is And:      # a conjunct's universals meet no other's
         mark, parts, taken = len(held), [], []
         for p in g.parts:
             parts.append(_skolemized(p, env, held))
@@ -171,7 +178,7 @@ def _skolemized(g: Formula, env: dict, held: list) -> Formula:
             del held[mark:]
         held += taken
         return And(*parts)
-    if isinstance(g, Or):
+    if cls is Or:
         return Or(*[_skolemized(p, env, held) for p in g.parts])
     return alpha_normal(g, env) if env else g     # a literal binds nothing
 
@@ -182,9 +189,10 @@ def _skolemized(g: Formula, env: dict, held: list) -> Formula:
 
 def clause_count_estimate(f: Formula) -> int:
     """Clause count of naive distribution for a quantifier-free NNF matrix."""
-    if isinstance(f, And):
+    cls = type(f)
+    if cls is And:
         return sum(map(clause_count_estimate, f.parts))
-    if isinstance(f, Or):
+    if cls is Or:
         return math.prod(map(clause_count_estimate, f.parts))
     return 1
 
@@ -209,13 +217,14 @@ class _Distributor:
         return head
 
     def clauses(self, f: Formula) -> list:
-        if isinstance(f, TrueF):
-            return []
-        if isinstance(f, FalseF):
-            return [[]]
-        if isinstance(f, And):
+        cls = type(f)
+        if cls is Atom:
+            return [[Literal(True, f)]]
+        if cls is Not:
+            return [[Literal(False, f.sub)]]
+        if cls is And:
             return [c for p in f.parts for c in self.clauses(p)]
-        if isinstance(f, Or):
+        if cls is Or:
             parts = _flatten_or(f)
             counts = [clause_count_estimate(p) for p in parts]
             if math.prod(counts) > self.threshold:
@@ -226,20 +235,27 @@ class _Distributor:
             for p in parts:
                 result = [rc + pc for rc in result for pc in self.clauses(p)]
             return result
-        if isinstance(f, Not):
-            return [[Literal(False, f.sub)]]
+        if cls is TrueF:
+            return []
+        if cls is FalseF:
+            return [[]]
         return [[Literal(True, f)]]
 
 
 def _flatten_or(f: Formula) -> list:
-    if isinstance(f, Or):
+    if type(f) is Or:
         return [q for p in f.parts for q in _flatten_or(p)]
     return [f]
 
 
-def _is_tautology(literals) -> bool:
-    pos = {l.atom for l in literals if l.positive}
-    return any(not l.positive and l.atom in pos for l in literals)
+def _clause_literals(lits) -> tuple | None:
+    """`lits` without repeats, in first-occurrence order, or None when an
+    atom occurs in both signs (a tautology); each atom is hashed once."""
+    first: dict = {}        # atom -> its first literal
+    for l in lits:
+        if first.setdefault(l.atom, l).positive != l.positive:
+            return None
+    return tuple(first.values())
 
 
 def cnf(f: Formula, name: str = "f",
@@ -253,13 +269,16 @@ def cnf(f: Formula, name: str = "f",
     matrix = skolemize(nnf(Not(f) if negate else f))
     dist = _Distributor(threshold)
     clauses, seen = [], set()
-    # dedupe literals, drop tautologies, dedupe clauses, then number
+    # dedupe literals, drop tautologies, dedupe clauses, then number; each
+    # literal is hashed once, when `seen` takes its clause
     for lits in dist.clauses(matrix) + dist.extra_clauses:
-        literals = make_clause(lits).literals
-        if literals in seen or _is_tautology(literals):
+        literals = _clause_literals(lits)
+        if literals is None:
             continue
+        n = len(seen)
         seen.add(literals)
-        clauses.append(Clause(literals, name, f"{name}_{len(clauses)}"))
+        if len(seen) > n:
+            clauses.append(Clause(literals, name, f"{name}_{len(clauses)}"))
     return ClausalForm(tuple(clauses), uses_equality(f))
 
 

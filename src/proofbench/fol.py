@@ -64,7 +64,7 @@ class _Formula:
     @cached_property
     def signature(self) -> tuple:
         """The distinct `symbols_of` keys in first-occurrence order."""
-        return tuple(symbols_of(self))
+        return tuple(dict.fromkeys(_symbol_occurrences(self)))
 
 
 @dataclass(frozen=True)
@@ -152,43 +152,43 @@ QUANT = (Forall, Exists)
 
 
 # ---------------------------------------------------------------------------
-# Traversals (recursive; a formula's signature is kept, see `_Formula`)
+# Traversals (each an explicit-stack loop, so no depth exhausts Python's
+# recursion limit; a formula's signature is kept, see `_Formula`)
 
 
 def term_vars(t: Term) -> Iterator[str]:
-    if isinstance(t, Var):
-        yield t.name
-    else:
-        for a in t.args:
-            yield from term_vars(a)
+    """The variable names of `t` in preorder, repeats included."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if type(t) is Var:
+            yield t.name
+        else:
+            todo.extend(reversed(t.args))
 
 
 def free_vars_ordered(f: Formula) -> list:
     """Free variable names in first-occurrence order (auto-closure order)."""
-    seen: list = []
-
-    def collect(t, scope):
-        if isinstance(t, Var):
-            if t.name not in scope and t.name not in seen:
-                seen.append(t.name)
-        else:
-            for a in t.args:
-                collect(a, scope)
-
-    def walk(g, scope):
-        if isinstance(g, Atom):
-            for a in g.args:
-                collect(a, scope)
-        elif isinstance(g, Not):
-            walk(g.sub, scope)
-        elif isinstance(g, BINARY):
-            for p in g.parts:
-                walk(p, scope)
-        elif isinstance(g, QUANT):
-            walk(g.body, scope | {g.var})
-
-    walk(f, set())
-    return seen
+    seen: dict = {}         # ordered set
+    todo = [(f, frozenset())]       # (formula, the names bound above it)
+    while todo:
+        g, scope = todo.pop()
+        cls = type(g)
+        if cls is Atom:
+            terms = list(reversed(g.args))
+            while terms:
+                t = terms.pop()
+                if type(t) is not Var:
+                    terms.extend(reversed(t.args))
+                elif t.name not in scope:
+                    seen[t.name] = None
+        elif cls is Not:
+            todo.append((g.sub, scope))
+        elif cls is Forall or cls is Exists:
+            todo.append((g.body, scope | {g.var}))
+        elif cls in BINARY:
+            todo.extend([(p, scope) for p in reversed(g.parts)])
+    return list(seen)
 
 
 def occurs_free(name: str, f: Formula) -> bool:
@@ -198,17 +198,19 @@ def occurs_free(name: str, f: Formula) -> bool:
     todo = [f]
     while todo:
         g = todo.pop()
-        if isinstance(g, Var):
+        cls = type(g)
+        if cls is Var:
             if g.name == name:
                 return True
-        elif isinstance(g, (App, Atom)):
+        elif cls is App or cls is Atom:
             todo.extend(g.args)
-        elif isinstance(g, Not):
+        elif cls is Not:
             todo.append(g.sub)
-        elif isinstance(g, BINARY):
+        elif cls is Forall or cls is Exists:
+            if g.var != name:
+                todo.append(g.body)
+        elif cls in BINARY:
             todo.extend(g.parts)
-        elif isinstance(g, QUANT) and g.var != name:
-            todo.append(g.body)
     return False
 
 
@@ -222,34 +224,33 @@ def universal_closure(f: Formula) -> tuple:
 
 
 def symbols_of(f: Formula) -> Counter:
-    """Multiset of (identifier, kind, arity) occurrences; variables excluded.
+    """Multiset of (identifier, kind, arity) occurrences, in first-occurrence
+    order; variables excluded.
 
     An equation counts as the predicate "=" of arity 2.
     """
-    out: Counter = Counter()
+    return Counter(_symbol_occurrences(f))
 
-    def walk_term(t):
-        if isinstance(t, Var):
-            return
-        out[(t.symbol, "function", len(t.args))] += 1
-        for a in t.args:
-            walk_term(a)
 
-    def walk(g):
-        if isinstance(g, Atom):
-            out[(g.pred, "predicate", len(g.args))] += 1
-            for a in g.args:
-                walk_term(a)
-        elif isinstance(g, Not):
-            walk(g.sub)
-        elif isinstance(g, BINARY):
-            for p in g.parts:
-                walk(p)
-        elif isinstance(g, QUANT):
-            walk(g.body)
-
-    walk(f)
-    return out
+def _symbol_occurrences(f: Formula) -> Iterator[tuple]:
+    """The (identifier, kind, arity) of each predicate and function
+    occurrence of `f`, in preorder."""
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        cls = type(g)
+        if cls is App:
+            yield (g.symbol, "function", len(g.args))
+            todo.extend(reversed(g.args))
+        elif cls is Atom:
+            yield (g.pred, "predicate", len(g.args))
+            todo.extend(reversed(g.args))
+        elif cls is Not:
+            todo.append(g.sub)
+        elif cls is Forall or cls is Exists:
+            todo.append(g.body)
+        elif cls in BINARY:
+            todo.extend(reversed(g.parts))
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +355,7 @@ def _subterms(lit: Literal) -> Iterator[Term]:
 
 def make_clause(literals, origin: str = "", clause_id: str = "") -> Clause:
     """Normalize: drop duplicate literals, keep first-occurrence order."""
-    seen = set()
-    out = []
-    for l in literals:
-        if l not in seen:
-            seen.add(l)
-            out.append(l)
-    return Clause(tuple(out), origin, clause_id)
+    return Clause(tuple(dict.fromkeys(literals)), origin, clause_id)
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,10 @@ class SpeedupRow:
     problem_id: str
     unguided_inferences: int
     guided_inferences: int
-    ratio: float | None        # unguided / guided; None unless both solved
+    # unguided / guided, None unless both phases solved the problem; equal
+    # counts are 1.0, equal effort, so a problem both prove at zero
+    # inferences (an empty clause) counts in `solved_both` and the mean
+    ratio: float | None
 
 
 def measure_speedup(problems, limits, train_count: int | None = None) -> dict:
@@ -156,8 +159,9 @@ def measure_speedup(problems, limits, train_count: int | None = None) -> dict:
                             advisor=Advisor(guide_model, cs.clauses))
         u = unguided[pid]
         both = u.status == PROVED and res.status == PROVED
-        ratio = (u.stats.inferences / res.stats.inferences) if both else None
-        rows.append(SpeedupRow(pid, u.stats.inferences, res.stats.inferences, ratio))
+        before, after = u.stats.inferences, res.stats.inferences
+        ratio = (1.0 if before == after else before / after) if both else None
+        rows.append(SpeedupRow(pid, before, after, ratio))
         if ratio is not None:
             ratios.append(ratio)
     gmean = math.exp(math.fsum(math.log(r) for r in ratios) / len(ratios)) if ratios else None

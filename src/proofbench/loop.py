@@ -249,15 +249,21 @@ def clause_set_builder(mode: str, source):
     premise that is not an earlier corpus item or not an axiom of the
     challenge problem, is refused by name.  Each clausal form is made once
     per builder, keyed by content (name, formula, negated), of which `cnf`
-    is a pure function.
+    is a pure function.  A statement object met before finds its form by
+    identity, without hashing its formula again.
     """
     forms: dict = {}
+    met: dict = {}      # (id, negated) -> (statement, form); kept, so no id is reused
 
     def form(af, negate: bool):
+        hit = met.get((id(af), negate))
+        if hit is not None:
+            return hit[1]
         key = (af.name, af.formula, negate)
         clausal = forms.get(key)
         if clausal is None:
             clausal = forms[key] = cnf(af.formula, name=af.name, negate=negate)
+        met[id(af), negate] = (af, clausal)
         return clausal
 
     if mode == "challenge":

@@ -65,6 +65,8 @@ _UPPER = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _LOWER = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
 # every token of one character; any other is a character that starts none
 _SINGLES = _UPPER | _LOWER | frozenset("=&|~!?()[],.:")
+_CONNECTIVES = frozenset(("&", "|", "=>", "<=", "<=>", "<~>"))
+_EQUALS = frozenset(("=", "!="))
 
 
 def _fail(text: str, index: int, message: str, source: str):
@@ -127,7 +129,11 @@ def read_names(text: str) -> list:
 
 class _Parser:
     """A reader of `text`'s tokens, walked by index; a token's place in the
-    text is found only for an error."""
+    text is found only for an error.  `cur` is the token at `pos`.  The
+    formula productions move through the tokens inline, a term with an
+    explicit stack, and count levels as they go; a statement's deepest
+    level is recorded only at its leaves (a term without arguments,
+    `$true`, `$false`), since every level ends in one."""
 
     def __init__(self, text, source, cap=MAX_DEPTH):
         self.text = text
@@ -142,6 +148,10 @@ class _Parser:
     def error(self, msg: str, at=None):
         _fail(self.text, self.pos if at is None else at, msg, self.source)
 
+    def too_deep(self):
+        self.error(f"statement nested too deeply (more than {self.cap} "
+                   f"levels)", self.start)
+
     def eat(self, text: str) -> str:
         if self.cur != text:
             self.error(f"expected {text!r}, found {self.cur!r}")
@@ -153,33 +163,28 @@ class _Parser:
         self.cur = self.tokens[self.pos]
         return t
 
-    def nest(self, depth: int) -> int:
-        """`depth` + 1, refused past the cap at the statement's start."""
-        depth += 1
-        if depth > self.cap:
-            self.error(f"statement nested too deeply (more than {self.cap} "
-                       f"levels)", self.start)
-        self.deepest = max(self.deepest, depth)
-        return depth
-
     # -- formulas ----------------------------------------------------------
 
     def formula(self, depth: int = 0) -> Formula:
-        depth = self.nest(depth)
+        depth += 1
+        if depth > self.cap:
+            self.too_deep()
         lhs = self.unitary(depth)
         op = self.cur
-        if op in ("&", "|"):
-            parts = [lhs]
+        if op == "&" or op == "|":
+            tokens, parts = self.tokens, [lhs]
             while self.cur == op:
-                self.take()
+                self.pos += 1
+                self.cur = tokens[self.pos]
                 parts.append(self.unitary(depth))
-            if self.cur in ("&", "|", "=>", "<=", "<=>", "<~>"):
+            if self.cur in _CONNECTIVES:
                 self.error(f"cannot mix {op!r} with {self.cur!r} without parentheses")
             return (And if op == "&" else Or)(*parts)
-        if op in ("=>", "<=", "<=>", "<~>"):
-            self.take()
+        if op in _CONNECTIVES:
+            self.pos += 1
+            self.cur = self.tokens[self.pos]
             rhs = self.unitary(depth)
-            if self.cur in ("&", "|", "=>", "<=", "<=>", "<~>"):
+            if self.cur in _CONNECTIVES:
                 self.error(f"{op!r} is non-associative; use parentheses")
             if op == "=>":
                 return Implies(lhs, rhs)
@@ -191,31 +196,55 @@ class _Parser:
         return lhs
 
     def unitary(self, depth: int) -> Formula:
-        t = self.cur
+        tokens, t = self.tokens, self.cur
         if t == "(":
-            self.take()
+            self.pos += 1
+            self.cur = tokens[self.pos]
             f = self.formula(depth)
-            self.eat(")")
+            if self.cur != ")":
+                self.error(f"expected ')', found {self.cur!r}")
+            self.pos += 1
+            self.cur = tokens[self.pos]
             return f
         if t == "~":
-            self.take()
-            return Not(self.unitary(self.nest(depth)))
-        if t in ("!", "?"):
+            self.pos += 1
+            self.cur = tokens[self.pos]
+            depth += 1
+            if depth > self.cap:
+                self.too_deep()
+            return Not(self.unitary(depth))
+        if t == "!" or t == "?":
             quant = Forall if t == "!" else Exists
-            self.take()
-            self.eat("[")
-            names = [self.variable()]
-            while self.cur == ",":
-                self.take()
-                names.append(self.variable())
-            self.eat("]")
-            self.eat(":")
-            body = self.unitary(self.nest(depth + len(names) - 1))
+            pos = self.pos + 1
+            if tokens[pos] != "[":
+                self.error(f"expected '[', found {tokens[pos]!r}", pos)
+            names = []
+            while True:             # each variable after `[` or `,`
+                pos += 1
+                t = tokens[pos]
+                if t[:1] not in _UPPER:
+                    self.error(f"expected variable, found {t!r}", pos)
+                names.append(t)
+                pos += 1
+                if tokens[pos] != ",":
+                    break
+            for text in "]:":
+                if tokens[pos] != text:
+                    self.error(f"expected {text!r}, found {tokens[pos]!r}", pos)
+                pos += 1
+            self.pos, self.cur = pos, tokens[pos]
+            depth += len(names)         # each variable is one level
+            if depth > self.cap:
+                self.too_deep()
+            body = self.unitary(depth)
             for name in reversed(names):
                 body = quant(name, body)
             return body
         if t[:1] == "$":
-            self.take()
+            self.pos += 1
+            self.cur = tokens[self.pos]
+            if depth > self.deepest:
+                self.deepest = depth
             if t == "$true":
                 return TRUE
             if t == "$false":
@@ -227,43 +256,65 @@ class _Parser:
         t = self.cur
         if t[:1] not in _UPPER:
             self.error(f"expected variable, found {t!r}")
-        self.take()
-        return t
+        return self.take()
 
     def atomic(self, depth: int) -> Formula:
         start = self.pos
-        lhs = self.term(depth)
-        if self.cur == "=":
-            self.take()
-            return Eq(lhs, self.term(depth))
-        if self.cur == "!=":
-            self.take()
-            return Not(Eq(lhs, self.term(depth)))
-        if isinstance(lhs, Var):
-            self.error(f"variable {lhs.name!r} cannot stand as a formula")
-        if lhs.symbol == "=":
-            self.error("equality is written infix, not as a predicate '='", start)
-        return Atom(lhs.symbol, lhs.args)
+        lhs = self.term(depth, formula=True)
+        if type(lhs) is Atom:
+            if lhs.pred == "=":
+                self.error("equality is written infix, not as a predicate '='", start)
+            return lhs
+        op = self.cur
+        if op == "=" or op == "!=":
+            self.pos += 1
+            self.cur = self.tokens[self.pos]
+            eq = Eq(lhs, self.term(depth))
+            return eq if op == "=" else Not(eq)
+        self.error(f"variable {lhs.name!r} cannot stand as a formula")
 
-    def term(self, depth: int = 0) -> Term:
-        depth = self.nest(depth)
-        t = self.cur
-        if t[:1] in _UPPER:
-            self.take()
-            return Var(t)
-        name = _name(t)
-        if name is None:
-            self.error(f"expected term, found {t!r}")
-        self.take()
-        args = []
-        if self.cur == "(":
-            self.take()
-            args.append(self.term(depth))
-            while self.cur == ",":
-                self.take()
-                args.append(self.term(depth))
-            self.eat(")")
-        return App(name, tuple(args))
+    def term(self, depth: int = 0, formula: bool = False) -> Term:
+        """A term one level below `depth`, each argument one level below
+        its application.  With `formula` set, an outermost application that
+        `=` or `!=` does not follow is built as the `Atom` it reads as."""
+        tokens, pos, cap, deepest = self.tokens, self.pos, self.cap, self.deepest
+        open_apps = []      # (name, args so far, level) of each unclosed application
+        while True:
+            depth += 1
+            if depth > cap:
+                self.too_deep()
+            t = tokens[pos]
+            if t[:1] in _UPPER:
+                node = Var(t)
+            else:
+                name = _name(t)
+                if name is None:
+                    self.error(f"expected term, found {t!r}", pos)
+                if tokens[pos + 1] == "(":
+                    open_apps.append((name, [], depth))
+                    pos += 2
+                    continue
+                cls = App if open_apps or not formula or tokens[pos + 1] in _EQUALS else Atom
+                node = cls(name, ())
+            pos += 1
+            if depth > deepest:
+                deepest = depth
+            while open_apps:        # `node` ends an argument list, or not
+                name, args, depth = open_apps[-1]
+                args.append(node)
+                t = tokens[pos]
+                if t == ",":
+                    pos += 1
+                    break
+                if t != ")":
+                    self.error(f"expected ')', found {t!r}", pos)
+                pos += 1
+                open_apps.pop()
+                cls = App if open_apps or not formula or tokens[pos] in _EQUALS else Atom
+                node = cls(name, tuple(args))
+            else:
+                self.pos, self.cur, self.deepest = pos, tokens[pos], deepest
+                return node
 
     # -- statements ---------------------------------------------------------
 
@@ -292,7 +343,8 @@ class _Parser:
             self.eat(".")
             closed, closed_vars = universal_closure(f)
             # each auto-closed variable is one more level
-            self.nest(self.deepest + len(closed_vars) - 1)
+            if self.deepest + len(closed_vars) > self.cap:
+                self.too_deep()
             return ("fof", AnnotatedFormula(name, role, closed))
         if t == "include":
             self.take()

@@ -14,6 +14,7 @@ import math
 import os
 import random
 import re
+from collections import Counter
 
 from proofbench.fol import (
     BINARY, QUANT, And, App, Atom, Clause, Eq, Exists, FALSE, FalseF, Forall,
@@ -418,6 +419,71 @@ NESTING_SHAPES = ("term", "negations", "parentheses", "prefix", "closed")
 
 
 # ---------------------------------------------------------------------------
+# Recursive references of fol's traversals, which walk with explicit stacks
+
+
+def ref_symbols_of(f) -> Counter:
+    out: Counter = Counter()
+
+    def walk_term(t):
+        if isinstance(t, Var):
+            return
+        out[(t.symbol, "function", len(t.args))] += 1
+        for a in t.args:
+            walk_term(a)
+
+    def walk(g):
+        if isinstance(g, Atom):
+            out[(g.pred, "predicate", len(g.args))] += 1
+            for a in g.args:
+                walk_term(a)
+        elif isinstance(g, Not):
+            walk(g.sub)
+        elif isinstance(g, BINARY):
+            for p in g.parts:
+                walk(p)
+        elif isinstance(g, QUANT):
+            walk(g.body)
+
+    walk(f)
+    return out
+
+
+def ref_free_vars_ordered(f) -> list:
+    seen: list = []
+
+    def collect(t, scope):
+        if isinstance(t, Var):
+            if t.name not in scope and t.name not in seen:
+                seen.append(t.name)
+        else:
+            for a in t.args:
+                collect(a, scope)
+
+    def walk(g, scope):
+        if isinstance(g, Atom):
+            for a in g.args:
+                collect(a, scope)
+        elif isinstance(g, Not):
+            walk(g.sub, scope)
+        elif isinstance(g, BINARY):
+            for p in g.parts:
+                walk(p, scope)
+        elif isinstance(g, QUANT):
+            walk(g.body, scope | {g.var})
+
+    walk(f, set())
+    return seen
+
+
+def ref_universal_closure(f) -> tuple:
+    names = ref_free_vars_ordered(f)
+    for name in reversed(names):
+        f = Forall(name, f)
+    return f, names
+
+
+# ---------------------------------------------------------------------------
 # Oracles, printers and readers that only the tests use
 
 
@@ -674,16 +740,14 @@ def stored_record(run_dir: str, name: str) -> list:
 
 def reference_cnf(f, name: str = "f", threshold: int = 64,
                   negate: bool = False):
-    from proofbench.clausify import (
-        ClausalForm, _Distributor, _is_tautology, uses_equality,
-    )
+    from proofbench.clausify import ClausalForm, _Distributor, uses_equality
     matrix = _ref_nnf(Not(f) if negate else f, True)
     matrix = _ref_rename_apart(_ref_miniscope(_ref_simplify(matrix)))
     matrix = _ref_strip_universals(_ref_skolemize(matrix))
     dist = _Distributor(threshold)
     raw = dist.clauses(matrix) + dist.extra_clauses
     clauses = [cl for cl in (make_clause(lits, origin=name) for lits in raw)
-               if not _is_tautology(cl.literals)]
+               if not _ref_is_tautology(cl.literals)]
     seen, unique = set(), []
     for cl in clauses:
         if cl.literals not in seen:
@@ -692,6 +756,11 @@ def reference_cnf(f, name: str = "f", threshold: int = 64,
     final = tuple(Clause(cl.literals, name, f"{name}_{i}")
                   for i, cl in enumerate(unique))
     return ClausalForm(final, uses_equality(f))
+
+
+def _ref_is_tautology(literals) -> bool:
+    pos = {l.atom for l in literals if l.positive}
+    return any(not l.positive and l.atom in pos for l in literals)
 
 
 def _ref_nnf(f, positive: bool):

@@ -139,6 +139,25 @@ def test_speedup_cli_writes_json(tmp_path, capsys):
     assert len(blob["rows"]) == 6
 
 
+def test_speedup_counts_a_problem_proved_at_zero_inferences_as_equal_effort(
+        tmp_path, capsys):
+    # `$true`'s negation clausifies to the empty clause, a refutation that
+    # takes no inference in either phase
+    probs = tmp_path / "zero"
+    probs.mkdir()
+    (probs / "empty.p").write_text("fof(c, conjecture, $true).\n")
+    (probs / "unit.p").write_text("fof(a, axiom, p(c)).\nfof(g, conjecture, p(c)).\n")
+    assert main(["speedup", "--problems", str(probs),
+                 "--out", str(tmp_path / "sp")]) == 0
+    assert "geometric mean ratio: 1.000" in capsys.readouterr().out
+    blob = json.loads((tmp_path / "sp" / "speedup.json").read_text())
+    rows = {row["problem"]: row for row in blob["rows"]}
+    assert rows["empty"] == {"problem": "empty", "unguided": 0, "guided": 0,
+                             "ratio": 1.0}
+    assert rows["unit"]["ratio"] == 1.0
+    assert blob["solved_both"] == 2 and blob["geometric_mean_ratio"] == 1.0
+
+
 def test_speedup_cli_builds_clausal_problems_from_cached_forms(
         tmp_path, monkeypatch, capsys):
     from proofbench import cli, clausify, loop

@@ -1,3 +1,5 @@
+import glob
+import os
 import random
 from collections import Counter
 
@@ -5,15 +7,21 @@ import pytest
 
 from proofbench.fol import (
     And, AnnotatedFormula, App, ArityError, Atom, DuplicateNameError, Eq,
-    Exists, Forall, Implies, Literal, MultipleConjecturesError, Or, Var,
+    Exists, Forall, Implies, Literal, MultipleConjecturesError, Not, Or, Var,
     alpha_normal, free_vars_ordered, make_clause, make_problem, occurs_free,
     symbols_of, universal_closure,
 )
+from proofbench.generator import FAMILIES, generate_corpus
+from proofbench.parser import parse_problem_file
 
 from helpers import (
     alpha_equivalent, app, atom, complement, const, random_formula,
-    rename_bound_vars, subst_formula,
+    ref_free_vars_ordered, ref_symbols_of, ref_universal_closure,
+    rename_bound_vars, seeded_random_formulas, subformulas, subst_formula,
 )
+
+MIXED30 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "corpora", "mixed30")
 
 
 def test_symbols_of_simple():
@@ -43,6 +51,58 @@ def test_symbols_of_mixed_hand_count():
 def test_symbols_of_counts_equality():
     f = Eq(const("a"), const("b"))
     assert symbols_of(f)[("=", "predicate", 2)] == 1
+
+
+def test_walks_equal_their_recursive_references(tmp_path):
+    paths = glob.glob(os.path.join(MIXED30, "**", "*.p"), recursive=True)
+    for family in FAMILIES:
+        generate_corpus(family, 12, str(tmp_path / family), verify=False)
+        paths += glob.glob(str(tmp_path / family / "**" / "*.p"), recursive=True)
+    formulas = seeded_random_formulas() + [
+        af.formula for path in sorted(paths)
+        for af in parse_problem_file(path).formulas]
+    opened = 0
+    for f in formulas:
+        want = ref_symbols_of(f)
+        got = symbols_of(f)
+        assert list(got.items()) == list(want.items()), f
+        assert f.signature == tuple(want), f
+        for g in subformulas(f):    # open ones too, as under a binder
+            names = ref_free_vars_ordered(g)
+            opened += bool(names)
+            assert free_vars_ordered(g) == names, g
+            assert universal_closure(g) == ref_universal_closure(g), g
+    assert opened > 1000
+
+
+def _deep_formula(levels: int):
+    """`levels` nested connectives and quantifiers over `p(f^levels(Y), X)`:
+    ~, ![X]:, q(W) | and ?[Z]:, in turn from the inside."""
+    t = Var("Y")
+    for _ in range(levels):
+        t = App("f", (t,))
+    g = Atom("p", (t, Var("X")))
+    wrap = [Not, lambda g: Forall("X", g), lambda g: Or(atom("q", Var("W")), g),
+            lambda g: Exists("Z", g)]
+    for i in range(levels):
+        g = wrap[i % 4](g)
+    return g
+
+
+def test_walks_take_a_formula_past_the_recursion_limit():
+    f = _deep_formula(5000)
+    with pytest.raises(RecursionError):
+        ref_symbols_of(f)
+    with pytest.raises(RecursionError):
+        ref_free_vars_ordered(f)
+    want = [(("q", "predicate", 1), 1250), (("p", "predicate", 2), 1),
+            (("f", "function", 1), 5000)]
+    assert list(symbols_of(f).items()) == want
+    assert f.signature == tuple(key for key, _n in want)
+    assert free_vars_ordered(f) == ["W", "Y"]
+    closed, names = universal_closure(f)
+    assert names == ["W", "Y"]
+    assert (closed.var, closed.body.var) == ("W", "Y") and closed.body.body is f
 
 
 def test_universal_closure_orders_by_first_occurrence():

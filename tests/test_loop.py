@@ -8,7 +8,7 @@ import pytest
 from proofbench.checker import check_proof
 from proofbench.corpus import load_corpus, write_manifest
 from proofbench.generator import generate_corpus
-from proofbench import fol, learner, loop
+from proofbench import clausify, fol, learner, loop
 from proofbench.harness import ExperimentSpec, run_challenge, run_library
 from proofbench.learner import rank_premises
 from proofbench.loop import (
@@ -16,6 +16,7 @@ from proofbench.loop import (
     refresh_features, retrain, run_loop,
 )
 from proofbench.models import FiniteModel
+from proofbench.parser import parse_problem_dir
 from proofbench.prover import PROVED
 
 from helpers import index_of, read_stream
@@ -39,6 +40,65 @@ def _write_corpus(root, entries):
 
 SMALL_CONFIG = LoopConfig(axiom_ladder=(2, 4), attempt_budgets=(300, 600),
                           max_depth=6, max_iterations=4)
+
+
+
+def test_builder_clausifies_each_content_key_once(tmp_path, monkeypatch):
+    # `ax` and `goal` are one statement text, parsed once through the
+    # directory's table; `f1` is an equal formula written with other spacing
+    shared = "fof(ax, axiom, ![X]: (p(X) => q(X))).\n"
+    goal = "fof(goal, conjecture, q(c)).\n"
+    (tmp_path / "a.p").write_text(shared + "fof(f1, axiom, p(c)).\n" + goal)
+    (tmp_path / "b.p").write_text(shared + "fof(f1, axiom,  p( c )).\n" + goal)
+    problems = dict(parse_problem_dir(str(tmp_path)))
+    a, b = problems["a"], problems["b"]
+    assert a.by_name("ax") is b.by_name("ax") and a.conjecture is b.conjecture
+    assert a.by_name("f1") == b.by_name("f1")
+    assert a.by_name("f1") is not b.by_name("f1")
+    calls = Counter()
+
+    def counted_cnf(f, name, negate):
+        calls[name, f, negate] += 1
+        return clausify.cnf(f, name=name, negate=negate)
+    given = []      # (statement, negated, form) of each of the builder's lookups
+    lookups = []    # the builder's lookup
+    assemble = loop.assemble_problem
+
+    def recording(item, premise_items, form):
+        lookups.append(form)
+
+        def looked_up(af, negate):
+            given.append((af, negate, form(af, negate)))
+            return given[-1][2]
+        return assemble(item, premise_items, looked_up)
+    monkeypatch.setattr(loop, "cnf", counted_cnf)
+    monkeypatch.setattr(loop, "assemble_problem", recording)
+    build = clause_set_builder("challenge", problems.__getitem__)
+    for pid in ("a", "b"):
+        build(pid, ["ax", "f1"])
+    # the second time round, every statement is one met before: its form
+    # is found without hashing a formula
+    hashed = []
+    with monkeypatch.context() as m:
+        for cls in (fol.Forall, fol.Atom):
+            m.setattr(cls, "__hash__",
+                      lambda self, real=cls.__hash__: hashed.append(self) or real(self))
+        for pid in ("a", "b"):
+            build(pid, ["ax", "f1"])
+    assert hashed == []
+    forms: dict = {}        # content key -> each form the builder gave for it
+    for af, negate, got in given:
+        forms.setdefault((af.name, af.formula, negate), []).append(got)
+    assert len(forms) == 3 and set(calls) == set(forms)
+    assert set(calls.values()) == {1}
+    for key, got in forms.items():
+        assert len(got) == 4 and all(g is got[0] for g in got), key
+    # a statement met before, asked for its other polarity, is a new key
+    ax = a.by_name("ax")
+    negated = lookups[0](ax, True)
+    assert negated is lookups[0](ax, True)
+    assert negated is not forms["ax", ax.formula, False][0]
+    assert calls["ax", ax.formula, True] == 1
 
 
 def test_tautology_solved_first_iteration(tmp_path):
