@@ -315,10 +315,17 @@ class Literal:
 
 @dataclass(frozen=True)
 class Clause:
-    """Disjunction of literals; variables implicitly universal."""
+    """Disjunction of literals; variables implicitly universal.
+
+    The prover keeps the clause's compiled code as its attribute `code`;
+    the code holds numbers that are valid only in the process that built
+    it, so a pickled clause leaves it out."""
     literals: tuple
     origin: str = ""
     clause_id: str = ""
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "code"}
 
     def is_negative(self) -> bool:
         return all(not l.positive for l in self.literals)

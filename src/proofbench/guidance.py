@@ -133,12 +133,16 @@ def measure_speedup(problems, limits, train_count: int | None = None) -> dict:
     half) run with an advisor over an empty model, which gives no advice,
     and their proofs train the guidance model.  Phase two reruns
     everything guided.  The independent checker replays every proof of
-    both phases.  With `train_count` 0 the guidance model stays empty, so
-    every ratio is exactly 1.0.
+    both phases.  Of each result only (proved?, inferences) is kept, so
+    no proof outlives its check.  With `train_count` 0 the guidance model
+    stays empty, so every ratio is exactly 1.0.
     """
     from .loop import prove_checked
     from .models import DEFAULT_MAX_DOMAIN
     from .prover import PROVED
+
+    def effort(res) -> tuple:
+        return res.status == PROVED, res.stats.inferences
 
     if train_count is None:
         train_count = len(problems) // 2
@@ -147,19 +151,18 @@ def measure_speedup(problems, limits, train_count: int | None = None) -> dict:
     unguided: dict = {}
     for idx, (pid, cs) in enumerate(problems):
         recorder = Advisor(BayesModel(), cs.clauses) if idx < train_count else None
-        unguided[pid] = prove_checked(cs, limits, DEFAULT_MAX_DOMAIN, pid,
-                                      advisor=recorder)
+        unguided[pid] = effort(prove_checked(cs, limits, DEFAULT_MAX_DOMAIN, pid,
+                                             advisor=recorder))
         if recorder is not None:
             recorder.flush_to(guide_model)
 
     rows = []
     ratios = []
     for pid, cs in problems:
-        res = prove_checked(cs, limits, DEFAULT_MAX_DOMAIN, pid,
-                            advisor=Advisor(guide_model, cs.clauses))
-        u = unguided[pid]
-        both = u.status == PROVED and res.status == PROVED
-        before, after = u.stats.inferences, res.stats.inferences
+        proved, after = effort(prove_checked(cs, limits, DEFAULT_MAX_DOMAIN, pid,
+                                             advisor=Advisor(guide_model, cs.clauses)))
+        proved_before, before = unguided[pid]
+        both = proved_before and proved
         ratio = (1.0 if before == after else before / after) if both else None
         rows.append(SpeedupRow(pid, before, after, ratio))
         if ratio is not None:

@@ -17,9 +17,13 @@ The search is iterative, after leanCoP's prover (Otten & Bibel, JSC
 extension shares, and each goal gets one entry on an explicit
 choice-point stack that backtracking resumes.  Variables are bound in
 place, as in the WAM: a clause-instance variable is a cell whose slot
-holds its binding, and undoing the trail clears the slots.  Once per
-search, the input clauses that a start clause reaches are compiled into
-templates: a clause is reached when one of its literals is complementary,
+holds its binding, and undoing the trail clears the slots.  A clause is
+compiled once per process, by the first search that meets it, into its
+code: its variable names in slot order and its literals with argument
+templates.  The code is kept on the `Clause`, so every later search reads
+it, as E's term bank shares terms across a run (Schulz, AI Communications
+2002).  Once per search, the clauses that a start clause reaches are
+indexed: a clause is reached when one of its literals is complementary,
 by predicate and sign, to a literal of a reached clause, and no goal can
 ever use another clause.  Once a depth pass is cut off, an extension
 whose first new goal lands at the depth limit with no path literal of
@@ -279,10 +283,21 @@ def _identical(args1, args2) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Clause templates, compiled once per search for the clauses a start
-# clause reaches: a variable is its slot number in the clause, a ground
-# subterm a term shared by every instance, any other subterm a
-# `_Template`.  An instance fills slot j from `pool[base + j]`.
+# Clause code, built once per process by the first search that meets a
+# clause and kept on the `Clause` as `code`: its variable names in slot
+# order and its `_Lit`s.  In an argument template a variable is its slot
+# number in the clause, a ground subterm a term shared by every instance,
+# any other subterm a `_Template`; an instance fills slot j from
+# `pool[base + j]`.  Keys are numbered once per process, so a code is valid
+# only where it was built, and a pickled clause carries none: the workers
+# of a process pool number their keys on their own.  A code whose
+# literals have only variables and constants as arguments is interned by
+# its shape, so equal clauses of different clause sets share one code; a
+# compound argument is never hashed.
+
+_PRED_KEYS: dict = {}       # (predicate, arity) -> its negative key
+_CODES: dict = {}           # shape (see `_shape`) -> its interned code
+_INTERNED: dict = {}        # variable names, arguments and `tops`, each to itself
 
 
 class _Template(App):
@@ -310,85 +325,136 @@ def _instance_args(targs: tuple, pool: list, base: int) -> tuple:
 class _Lit:
     """A compiled input literal; every goal is a pair (`_Lit`, arguments).
 
-    `key` is twice the number of its predicate plus its sign, and
-    `complement` the opposite sign's, `key ^ 1`.  Only literals with equal
-    `key` can be identical.  `args` are the literal's argument templates,
-    and `tops` holds `(argument index, symbol, arity)` per argument that
-    is not a variable.
+    `key` is twice the process-wide number of its (predicate, arity) plus
+    its sign, and `complement` the opposite sign's, `key ^ 1`.  Only
+    literals with equal `key` can be identical.  `args` are the literal's
+    argument templates, and `tops` holds `(argument index, symbol, arity)`
+    per argument that is not a variable.  A `_Lit` serves every clause
+    that shares its code; a clause's literals are told apart by position,
+    never by identity.
     """
-    __slots__ = ("positive", "atom", "key", "complement", "args", "tops")
+    __slots__ = ("positive", "pred", "key", "complement", "args", "tops")
 
-    def __init__(self, positive: bool, atom: Atom, key: int, args: tuple,
+    def __init__(self, positive: bool, pred: str, key: int, args: tuple,
                  tops: tuple):
         self.positive = positive
-        self.atom = atom
+        self.pred = pred
         self.key = key
         self.complement = key ^ 1
         self.args = args
         self.tops = tops
 
 
-def _compile(clauses: list, starts: list) -> tuple:
-    """Per input clause (its variable names in slot order, its `_Lit`s), or
-    None for a clause no start clause reaches, and the extension index: for
-    each `key`, the reached input literals with it in input order, as
-    `(clause index, literal index, clause id, clause variables, the
-    literal, the clause's literals, the complement key of the first other
-    literal)`; that literal becomes the agenda head, and a unit clause has
-    -1.  An entry holds no step: the search makes `("ext", clause index,
-    literal index)` only when the extension succeeds.
+def _interned(x):
+    """`x`, or the equal value interned before it."""
+    return _INTERNED.setdefault(x, x)
+
+
+def _key(lit: Literal) -> int:
+    atom = lit.atom
+    pred = atom.pred, len(atom.args)
+    k = _PRED_KEYS.get(pred)
+    if k is None:
+        k = _PRED_KEYS[pred] = 2 * len(_PRED_KEYS)
+    return k + 1 if lit.positive else k
+
+
+def _code(clause) -> tuple:
+    """The clause's code, built on the first call and kept on the clause;
+    a clause with a shape shares the code of every equal clause."""
+    code = getattr(clause, "code", None)
+    if code is None:
+        shape = _shape(clause)
+        if shape is None:
+            code = _new_code(clause)
+        else:
+            code = _CODES.get(shape)
+            if code is None:
+                code = _CODES[shape] = _new_code(clause)
+        object.__setattr__(clause, "code", code)     # a frozen dataclass
+    return code
+
+
+def _shape(clause):
+    """The clause's variable names in slot order, then per literal its key
+    and per argument the variable's slot or the constant's symbol; None
+    when an argument is compound.  A key fixes its literal's arity, so
+    equal shapes are equal clauses, and a shape hashes no term."""
+    slots: dict = {}
+    shape = [None]              # the variable names go first
+    for lit in clause.literals:
+        shape.append(_key(lit))
+        for a in lit.atom.args:
+            if type(a) is Var:
+                slot = slots.get(a.name)
+                if slot is None:
+                    slot = slots[a.name] = len(slots)
+                shape.append(slot)
+            elif a.args:
+                return None
+            else:
+                shape.append(a.symbol)
+    shape[0] = _interned(tuple(slots))
+    return tuple(shape)
+
+
+def _new_code(clause) -> tuple:
+    """A new code for `clause`; the arguments of a literal of variables
+    and constants, and every `tops`, are interned."""
+    slots: dict = {}
+    lits = []
+    for lit in clause.literals:
+        args = []
+        tops = []
+        shallow = True
+        for a in lit.atom.args:
+            if type(a) is Var:
+                args.append(slots.setdefault(a.name, len(slots)))
+                continue
+            tops.append((len(args), a.symbol, len(a.args)))
+            if a.args:
+                shallow = False
+                args.append(_template(a, slots))
+            else:
+                args.append(a)
+        args = _interned(tuple(args)) if shallow else tuple(args)
+        lits.append(_Lit(lit.positive, lit.atom.pred, _key(lit), args,
+                         _interned(tuple(tops))))
+    return _interned(tuple(slots)), tuple(lits)
+
+
+def _compile(clauses: list, starts) -> tuple:
+    """Per input clause its code, or None for a clause no start clause
+    reaches, and the extension index: for each `key`, the reached input
+    literals with it in input order, as `(clause index, literal index,
+    clause id, clause variables, the literal, the clause's literals, the
+    complement key of the first other literal)`; that literal becomes the
+    agenda head, and a unit clause has -1.  An entry holds no step: the
+    search makes `("ext", clause index, literal index)` only when the
+    extension succeeds.  Only this pruning and indexing is done per
+    search; each clause's code is built once (`_code`).
 
     A start clause is reached, and so is every clause with a literal whose
     key is the complement of a reached clause's literal.  A goal is a
     literal of a reached clause and reads only its complement's entries,
     so no other clause is ever read."""
-    preds: dict = {}            # (predicate, arity) -> its negative key
-    keys = []                   # per clause, its literals' keys
-    holders: list = []          # per key, the clauses with a literal of it
-    for ci, c in enumerate(clauses):
-        ks = []
-        for lit in c.literals:
-            pred = lit.atom.pred, len(lit.atom.args)
-            k = preds.get(pred)
-            if k is None:
-                k = preds[pred] = len(holders)
-                holders += [], []
-            if lit.positive:
-                k += 1
-            ks.append(k)
-            holders[k].append(ci)
-        keys.append(ks)
+    codes = [_code(c) for c in clauses]
+    holders: dict = {}          # key -> the clauses with a literal of it
+    for ci, (_names, lits) in enumerate(codes):
+        for t in lits:
+            holders.setdefault(t.key, []).append(ci)
     reached, todo = set(starts), list(starts)
     while todo:
-        for k in keys[todo.pop()]:
-            for cj in holders[k ^ 1]:
+        for t in codes[todo.pop()][1]:
+            for cj in holders.pop(t.complement, ()):    # each key looked up once
                 if cj not in reached:
                     reached.add(cj)
                     todo.append(cj)
-            holders[k ^ 1] = ()         # each key is looked up once
-    compiled = []
+    compiled = [None] * len(codes)
     index: dict = {}
-    for ci, c in enumerate(clauses):
-        if ci not in reached:
-            compiled.append(None)
-            continue
-        slots: dict = {}
-        lits = []
-        for lit, k in zip(c.literals, keys[ci]):
-            args = []
-            tops = []
-            for a in lit.atom.args:
-                if type(a) is Var:
-                    slot = slots.get(a.name)
-                    if slot is None:
-                        slot = slots[a.name] = len(slots)
-                    args.append(slot)
-                else:
-                    tops.append((len(args), a.symbol, len(a.args)))
-                    args.append(_template(a, slots) if a.args else a)
-            lits.append(_Lit(lit.positive, lit.atom, k, tuple(args), tuple(tops)))
-        compiled.append((tuple(slots), lits))
-        cid, nvars = c.clause_id, len(slots)
+    for ci in sorted(reached):
+        names, lits = compiled[ci] = codes[ci]
+        cid, nvars = clauses[ci].clause_id, len(names)
         for li, t in enumerate(lits):
             head = lits[li == 0].complement if len(lits) > 1 else -1
             index.setdefault(t.key, []).append((ci, li, cid, nvars, t, lits, head))
@@ -564,7 +630,7 @@ class _Search:
             if not _unify_args(args, t.args, trail, pool, base):
                 continue
             goals = [(o, _instance_args(o.args, pool, base))
-                     for o in lits if o is not t]
+                     for j, o in enumerate(lits) if j != li]
             for g in goals:
                 if new_keys >> g[0].key & 1 and _on_branch(g, new_path):
                     _undo(trail, cp.mark)
@@ -667,7 +733,7 @@ def _symbols(goals):
     predicate and each function symbol; an unbound cell gives none.  A
     generator: nothing is read until it is iterated."""
     for lit, args in goals:
-        yield lit.atom.pred
+        yield lit.pred
         todo = list(args)
         while todo:
             t = todo.pop()
@@ -721,14 +787,14 @@ def normalize_proof(clause_set: ClauseSet, compiled: list,
         if not ok:
             raise ProverError(f"skeleton replay failed to unify {entry!r}")
         goal_lit = Literal(lit.positive,
-                           Atom(lit.atom.pred, tuple(_named(a) for a in args)))
+                           Atom(lit.pred, tuple(_named(a) for a in args)))
         bindings = tuple((c.name, resolve_term(c.ref)) for c in trail[mark:])
         if kind == "red":
             steps.append(ReductionStep(goal_lit, ci, bindings))
             continue
         steps.append(ExtensionStep(goal_lit, clauses[ci].clause_id, entry[2],
                                    bindings))
-        agenda = _push([o for o in lits if o is not lits[entry[2]]], cells,
+        agenda = _push([o for j, o in enumerate(lits) if j != entry[2]], cells,
                        agenda, path + (goal,))
     if agenda is not None:
         raise ProverError("skeleton leaves open goals")

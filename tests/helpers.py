@@ -568,7 +568,7 @@ def goals_of(lits) -> list:
     the search keeps its path and open goal."""
     goals = []
     for lit in lits:
-        goals.append((_Lit(lit.positive, lit.atom, 0, (), ()), lit.args))
+        goals.append((_Lit(lit.positive, lit.atom.pred, 0, (), ()), lit.args))
     return goals
 
 

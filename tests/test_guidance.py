@@ -1,6 +1,7 @@
 import inspect
 import math
 import random
+import weakref
 
 import pytest
 
@@ -385,6 +386,28 @@ def test_measure_speedup_checks_every_guided_proof(tmp_path, monkeypatch):
     monkeypatch.setattr(loop, "check_proof", rejects_guided)
     with pytest.raises(loop.LoopInvariantError, match="failed independent checking"):
         measure_speedup(problems, Limits(inference_budget=50000, max_depth=10))
+
+
+def test_measure_speedup_keeps_no_phase_one_result(tmp_path, monkeypatch):
+    # phase one keeps (proved?, inferences) of each result, so no proof
+    # outlives its check into phase two
+    problems = _neardup_problems(tmp_path, 6)
+    prove_checked = loop.prove_checked
+    results = []            # a weak reference to each result, both phases
+    alive = []              # the phase-one results alive at phase two's start
+
+    def watched(cs, limits, max_domain, pid, advisor=None):
+        if len(results) == len(problems):
+            alive.extend(r for r in results if r() is not None)
+        res = prove_checked(cs, limits, max_domain, pid, advisor)
+        results.append(weakref.ref(res))
+        return res
+
+    monkeypatch.setattr(loop, "prove_checked", watched)
+    out = measure_speedup(problems, Limits(inference_budget=50000, max_depth=10))
+    assert len(results) == 2 * len(problems)
+    assert alive == []
+    assert out["solved_both"] == len(problems)
 
 
 def test_measure_speedup_records_only_the_problems_it_trains_on(tmp_path,

@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from proofbench.fol import (
 from proofbench.generator import generate_corpus
 from proofbench.loop import clause_set_builder
 from proofbench.models import find_model
-from proofbench.parser import parse_problem, parse_problem_dir
+from proofbench.parser import parse_problem, parse_problem_dir, parse_problem_file
 from proofbench import prover
 from proofbench.prover import (
     COUNTER_SATISFIABLE, INFERENCE_LIMIT, ExtensionStep, Limits, PROVED,
@@ -805,3 +806,106 @@ def test_pruned_compile_matches_compiling_every_clause(monkeypatch, tmp_path):
     assert sum(1 for n in unreached[:300] if n) >= 100
     assert sum(1 for n in unreached[300:] if n) >= 100
     assert {PROVED, COUNTER_SATISFIABLE} <= {o[0] for o in got}
+
+
+# ---------------------------------------------------------------------------
+# Each clause is compiled once per process, and equal clauses share a code
+
+
+def _codes_of(sets) -> list:
+    return [getattr(c, "code", None) for cs in sets for c in cs.clauses]
+
+
+def test_kept_and_shared_codes_prove_as_codes_built_afresh(monkeypatch, tmp_path):
+    # cold: the searches build every code, in tables of their own; warm: a
+    # second builder's equal sets meet the codes the cold run interned, and
+    # the first builder's sets read the codes their clauses kept
+    for table in ("_PRED_KEYS", "_CODES", "_INTERNED"):
+        monkeypatch.setattr(prover, table, {})
+    limits = Limits(max_depth=6, inference_budget=3000)
+    first = _pruning_sets(tmp_path / "first")
+    assert not any(_codes_of(first))
+    cold = [_outcome(cs, limits) for cs in first]
+    second = _pruning_sets(tmp_path / "second")
+    assert not any(_codes_of(second))
+    assert [_outcome(cs, limits) for cs in second] == cold
+    assert [_outcome(cs, limits) for cs in first] == cold
+    pairs = [(a, b) for cs1, cs2 in zip(first, second)
+             for a, b in zip(cs1.clauses, cs2.clauses)]
+    assert all(a == b for a, b in pairs)
+    flat = [(a, b) for a, b in pairs if prover._shape(a) is not None]
+    assert all(a.code is b.code for a, b in flat)
+    # compound arguments are never hashed, so those codes are not shared
+    assert 0 < len(flat) < len(pairs)
+    assert not any(a.code is b.code for a, b in pairs if prover._shape(a) is None)
+
+
+def test_equal_clauses_of_a_batch_share_one_code(tmp_path):
+    # each problem clausified on its own, as the benchmark's speedup set-up
+    # does: equal statements give equal, not identical, clauses
+    root = tmp_path / "neardup"
+    generate_corpus("neardup", 20, str(root), verify=False)
+    sets = [clausal_problem(parse_problem_file(str(path)))
+            for path in sorted(root.glob("*.p"))]
+    for cs in sets:
+        assert prove(cs, Limits(inference_budget=50000, max_depth=10)).status == PROVED
+    clauses = [c for cs in sets for c in cs.clauses]
+    codes: dict = {}        # shape -> the ids of its clauses' codes
+    for c in clauses:
+        codes.setdefault(prover._shape(c), set()).add(id(c.code))
+    assert None not in codes
+    assert all(len(ids) == 1 for ids in codes.values())
+    assert len({id(c.code) for c in clauses}) == len(codes) < len(clauses)
+    seen: dict = {}         # clause content -> (problem index, clause)
+    shared = 0
+    for i, cs in enumerate(sets):
+        for c in cs.clauses:
+            j, other = seen.setdefault(c.literals, (i, c))
+            if j != i:
+                assert c.code is other.code
+                shared += 1
+    assert shared
+
+
+def test_a_pickled_clause_carries_no_code():
+    # a code's keys are numbered per process, so no code crosses a process
+    # boundary: an unpickled clause set compiles again and proves alike
+    limits = Limits(max_depth=6, inference_budget=3000)
+    rng = random.Random(7)
+    sets = [modus_ponens_set(), _deep_set(50)] + [
+        _random_first_order_set(rng) for _ in range(30)]
+    before = [_outcome(cs, limits) for cs in sets]
+    assert all(_codes_of(sets))
+    copies = pickle.loads(pickle.dumps(sets))
+    assert not any(_codes_of(copies))
+    assert [c.signature for cs in copies for c in cs.clauses] == \
+        [c.signature for cs in sets for c in cs.clauses]
+    assert [_outcome(cs, limits) for cs in copies] == before
+
+
+def test_a_repeated_literal_is_a_goal_of_its_own():
+    # `Clause` keeps a repeated literal that `make_clause` would drop; each
+    # position is a goal of its own, so the proof closes both copies
+    a, X = const("a"), Var("X")
+    cs = _clause_set([
+        Clause((Literal(False, atom("q", a)), Literal(False, atom("q", a))), "g", "g_0"),
+        Clause((Literal(True, atom("q", X)), Literal(False, atom("p", X)),
+                Literal(False, atom("p", X))), "r", "r_0"),
+        Clause((Literal(True, atom("p", X)), Literal(True, atom("p", X))), "s", "s_0"),
+    ], start_ids={"g_0"})
+    res = prove(cs, Limits(max_depth=6))
+    assert check_proof(res.proof, cs)
+    assert _outcome(cs, Limits(max_depth=6)) == (
+        PROVED, 11, 2, "proved",
+        "start g_0\n"
+        "ext r_0 0 | ~ q(a) | X_i2=a\n"
+        "ext s_0 0 | ~ p(X_i2) | X_i3=a\n"
+        "red 1 | p(X_i3) | -\n"
+        "ext s_0 0 | ~ p(X_i2) | X_i4=a\n"
+        "red 1 | p(X_i4) | -\n"
+        "ext r_0 0 | ~ q(a) | X_i5=a\n"
+        "ext s_0 0 | ~ p(X_i5) | X_i6=a\n"
+        "red 1 | p(X_i6) | -\n"
+        "ext s_0 0 | ~ p(X_i5) | X_i7=a\n"
+        "red 1 | p(X_i7) | -\n"
+        "premises g r s\n")
